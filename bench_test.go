@@ -281,7 +281,8 @@ func benchmarkCampaign(b *testing.B, workers int) {
 	opt := fuzz.SonarOptions(benchIters)
 	opt.Workers = workers
 	recordCampaign(b, fmt.Sprintf("CampaignParallel%d", workers), func() int64 {
-		st := fuzz.RunParallel(fuzz.SharedAnalysisFactory(boom.NewLite), opt)
+		mkDUT := fuzz.SharedAnalysisFactory(boom.NewLite)
+		st := fuzz.RunParallelExec(func() fuzz.Executor { return mkDUT() }, opt)
 		if len(st.PerIteration) != benchIters {
 			b.Fatal("campaign incomplete")
 		}

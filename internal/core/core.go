@@ -120,13 +120,13 @@ func (s *Sonar) Fuzz(opt fuzz.Options) *fuzz.Stats {
 	return fuzz.Run(s.DUT, opt)
 }
 
-// Resume continues a checkpointed campaign (fuzz.Resume) on DUTs elaborated
-// from the retained SoC constructor. opt is typically
-// cp.CampaignOptions() plus operational overrides; see fuzz.Resume for the
-// shape-matching and bit-identity contract.
+// Resume continues a checkpointed campaign (fuzz.ResumeExec) on DUTs
+// elaborated from the retained SoC constructor. opt is typically
+// cp.CampaignOptions() plus operational overrides; see fuzz.ResumeExec for
+// the shape-matching and bit-identity contract.
 func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, error) {
 	s.observeIdentification(opt.Observer)
-	return fuzz.Resume(s.newDUT, opt, cp)
+	return fuzz.ResumeExec(s.newExecutor, opt, cp)
 }
 
 // FuzzParallel runs a sharded campaign: Options.Workers workers, each on a
@@ -135,13 +135,13 @@ func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, erro
 // campaign exactly; a fixed worker count is reproducible across runs.
 func (s *Sonar) FuzzParallel(opt fuzz.Options) *fuzz.Stats {
 	s.observeIdentification(opt.Observer)
-	return fuzz.RunParallel(s.newDUT, opt)
+	return fuzz.RunParallelExec(s.newExecutor, opt)
 }
 
-// newDUT elaborates a private worker DUT, reusing the primary DUT's
+// newExecutor elaborates a private worker DUT, reusing the primary DUT's
 // contention-point analysis by dense-id rebinding instead of re-running
 // trace.Analyze per worker (or per fault-recovery replacement worker).
-func (s *Sonar) newDUT() *fuzz.DUT {
+func (s *Sonar) newExecutor() fuzz.Executor {
 	return fuzz.NewDUTWithAnalysis(s.mk(), s.DUT.Analysis)
 }
 

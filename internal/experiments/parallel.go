@@ -43,6 +43,7 @@ func (r ParallelResult) Speedup() float64 {
 // reduced budget.
 func Parallel(iterations, workers int) ParallelResult {
 	mkDUT := fuzz.SharedAnalysisFactory(boom.NewLite)
+	mkExec := func() fuzz.Executor { return mkDUT() }
 
 	opt := fuzz.SonarOptions(iterations)
 	start := time.Now()
@@ -52,7 +53,7 @@ func Parallel(iterations, workers int) ParallelResult {
 	popt := opt
 	popt.Workers = workers
 	start = time.Now()
-	parallel := fuzz.RunParallel(mkDUT, observed(popt))
+	parallel := fuzz.RunParallelExec(mkExec, observed(popt))
 	parallelNs := time.Since(start).Nanoseconds()
 
 	// Contract check: Workers=1 must retrace the serial campaign.
@@ -63,7 +64,7 @@ func Parallel(iterations, workers int) ParallelResult {
 	copt := fuzz.SonarOptions(check)
 	a := fuzz.Run(mkDUT(), copt)
 	copt.Workers = 1
-	b := fuzz.RunParallel(mkDUT, copt)
+	b := fuzz.RunParallelExec(mkExec, copt)
 	equivalent := len(a.PerIteration) == len(b.PerIteration)
 	for i := 0; equivalent && i < len(a.PerIteration); i++ {
 		equivalent = a.PerIteration[i] == b.PerIteration[i]

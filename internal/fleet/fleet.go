@@ -10,7 +10,7 @@
 // canonical worker order. Because lease execution is deterministic and
 // expiry/re-offer bookkeeping is metrics-only, a distributed campaign over
 // a fixed (Seed, Workers, BatchSize) topology produces a byte-identical
-// event stream and identical final Stats to a local fuzz.RunParallel — even
+// event stream and identical final Stats to a local fuzz.RunParallelExec — even
 // when workers die mid-campaign, as long as no shard exhausts its retries.
 package fleet
 
@@ -292,7 +292,7 @@ type LeaseGrant struct {
 	// TTLMillis is the lease time-to-live; workers renew at a fraction of
 	// it while executing.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Lease is the shard-batch work assignment for fuzz.ExecuteLease.
+	// Lease is the shard-batch work assignment for fuzz.ExecuteLeaseExec.
 	Lease fuzz.Lease `json:"lease"`
 }
 

@@ -64,8 +64,43 @@ func localRun(t *testing.T, shape fuzz.Shape) ([]byte, *fuzz.Stats) {
 	sink := obs.NewMemorySink()
 	opt := shape.Options()
 	opt.Observer = obs.New(sink)
-	st := fuzz.RunParallel(fuzz.SharedAnalysisFactory(liteSoC), opt)
+	st := fuzz.RunParallelExec(liteExecFactory(), opt)
 	return sink.Bytes(), st
+}
+
+// liteExecFactory returns a shared-analysis lite-DUT factory in the
+// Executor-factory form the engine entry points take.
+func liteExecFactory() func() fuzz.Executor {
+	mk := fuzz.SharedAnalysisFactory(liteSoC)
+	return func() fuzz.Executor { return mk() }
+}
+
+// fakeClock is a controller clock the test advances by hand, so lease
+// expiry never depends on how long executing a lease takes on the machine
+// (or under the race detector).
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
+}
+
+// withFakeClock makes ct read its lease clock from a fake clock and returns
+// the clock. Call it before the first request.
+func withFakeClock(ct *Controller) *fakeClock {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	ct.now = clk.now
+	return clk
 }
 
 // newTestServer starts an in-process campaign server.
@@ -84,7 +119,7 @@ func newTestServer(t *testing.T, cfg Config) (*Client, *Controller) {
 // API until it stops offering work.
 func driveCampaign(t *testing.T, client *Client) {
 	t.Helper()
-	factory := fuzz.SharedAnalysisFactory(liteSoC)
+	factory := liteExecFactory()
 	for {
 		g, err := client.Acquire("test-driver")
 		if err != nil {
@@ -93,9 +128,9 @@ func driveCampaign(t *testing.T, client *Client) {
 		if g == nil {
 			return
 		}
-		res, err := fuzz.ExecuteLease(factory, g.Shape, 1, &g.Lease)
+		res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 1, &g.Lease)
 		if err != nil {
-			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
+			t.Fatalf("ExecuteLeaseExec(%s): %v", g.LeaseID, err)
 		}
 		if err := client.Report(g.LeaseID, res); err != nil {
 			t.Fatalf("Report(%s): %v", g.LeaseID, err)
@@ -152,9 +187,9 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g.Shape, 1, &g.Lease)
+	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g.Shape, 1, &g.Lease)
 	if err != nil {
-		t.Fatalf("ExecuteLease: %v", err)
+		t.Fatalf("ExecuteLeaseExec: %v", err)
 	}
 	if err := client.Report(g.LeaseID, res); err != nil {
 		t.Fatalf("Report: %v", err)
@@ -175,7 +210,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 		t.Fatalf("Events: %v", err)
 	}
 	if !bytes.Equal(gotEvents, wantEvents) {
-		t.Error("distributed event stream differs from local RunParallel stream")
+		t.Error("distributed event stream differs from local RunParallelExec stream")
 	}
 	result, err := client.Result("c1")
 	if err != nil {
@@ -270,7 +305,8 @@ func TestAPISubmitValidation(t *testing.T) {
 // An expired lease is re-offered with the next attempt number and the same
 // payload; the stale report is rejected and counted.
 func TestLeaseExpiryReoffer(t *testing.T) {
-	client, _ := newTestServer(t, Config{LeaseTTL: 30 * time.Millisecond})
+	client, ct := newTestServer(t, Config{LeaseTTL: 30 * time.Millisecond})
+	clk := withFakeClock(ct)
 	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(8, 1, 8)}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -279,11 +315,11 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, err := fuzz.ExecuteLease(fuzz.SharedAnalysisFactory(liteSoC), g1.Shape, 1, &g1.Lease)
+	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g1.Shape, 1, &g1.Lease)
 	if err != nil {
-		t.Fatalf("ExecuteLease: %v", err)
+		t.Fatalf("ExecuteLeaseExec: %v", err)
 	}
-	time.Sleep(60 * time.Millisecond) // let the lease expire
+	clk.advance(60 * time.Millisecond) // let the lease expire
 
 	g2, err := client.Acquire("healthy")
 	if err != nil || g2 == nil {
@@ -326,6 +362,7 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 // of the local fault-disposition path.
 func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 	client, ct := newTestServer(t, Config{LeaseTTL: 20 * time.Millisecond, MaxRetries: -1})
+	clk := withFakeClock(ct)
 	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(16, 2, 8)}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -339,7 +376,7 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 	if g.Lease.Shard != 0 {
 		t.Fatalf("first grant is shard %d, want 0", g.Lease.Shard)
 	}
-	time.Sleep(40 * time.Millisecond)
+	clk.advance(40 * time.Millisecond)
 	driveCampaign(t, client) // sweeps, abandons shard 0, drains shard 1
 
 	st, err := client.Campaign("c1")
@@ -362,7 +399,7 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 
 // The tentpole integration test: a server plus two in-process workers
 // produce a byte-identical event stream and identical Stats to a local
-// RunParallel of the same (Seed, Workers, BatchSize) topology — with and
+// RunParallelExec of the same (Seed, Workers, BatchSize) topology — with and
 // without a worker dying mid-campaign.
 func TestServerWorkersMatchLocal(t *testing.T) {
 	for _, kill := range []bool{false, true} {
@@ -435,7 +472,7 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 				t.Fatalf("Events: %v", err)
 			}
 			if !bytes.Equal(gotEvents, wantEvents) {
-				t.Error("distributed event stream differs from local RunParallel stream")
+				t.Error("distributed event stream differs from local RunParallelExec stream")
 			}
 			result, err := client.Result("c1")
 			if err != nil {

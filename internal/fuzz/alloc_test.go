@@ -59,7 +59,8 @@ func TestReplacementWorkersShareAnalysis(t *testing.T) {
 	)
 	opt.FaultHook = sched
 	before := trace.AnalyzeCalls()
-	st := RunParallel(SharedAnalysisFactory(boom.NewLite), opt)
+	mk := SharedAnalysisFactory(boom.NewLite)
+	st := RunParallelExec(func() Executor { return mk() }, opt)
 	if got := len(st.PerIteration); got != 24 {
 		t.Fatalf("campaign executed %d iterations, want 24", got)
 	}

@@ -41,12 +41,12 @@ type Options struct {
 	// instead of inheriting/flipping based on the previous mutation's
 	// effect — the ablation of §6.2.1's "adaptive directed mutation".
 	RandomDirection bool
-	// Workers is the number of campaign shards RunParallel executes
+	// Workers is the number of campaign shards RunParallelExec executes
 	// concurrently, each on a private DUT. 0 or 1 keeps the legacy serial
 	// behaviour; Run ignores this field.
 	Workers int
 	// BatchSize is the number of iterations each worker executes between
-	// two corpus merges in RunParallel (0 = a sensible default). Smaller
+	// two corpus merges in RunParallelExec (0 = a sensible default). Smaller
 	// batches tighten the feedback loop; larger ones reduce
 	// synchronization overhead.
 	BatchSize int
@@ -76,7 +76,7 @@ type Options struct {
 
 	// The remaining fields form the durability surface of the parallel
 	// engine (docs/CAMPAIGNS.md); Run ignores them, and core.Sonar.Fuzz
-	// routes campaigns that use them through RunParallel (Workers <= 1
+	// routes campaigns that use them through RunParallelExec (Workers <= 1
 	// still reproduces the serial campaign exactly).
 
 	// Checkpoint, when non-empty, is the file periodic campaign snapshots
@@ -163,7 +163,7 @@ type IterStats struct {
 type Stats struct {
 	// PerIteration is the progress series, indexed by the campaign's
 	// canonical iteration order: execution order for Run, and the
-	// coordinator's fold order for RunParallel (each batch round folds
+	// round barrier's fold order for RunParallelExec (each round folds
 	// workers in worker order), which is NOT wall-clock completion order —
 	// worker w's k-th batch entry occupies the same slot on every run.
 	// Both engines guarantee len(PerIteration) == Options.Iterations
@@ -195,7 +195,7 @@ type Stats struct {
 
 // worker owns one shard of a campaign: a private DUT, an RNG stream, and a
 // corpus view. The serial Run is a single worker drained to completion;
-// RunParallel runs several concurrently and merges their feedback between
+// RunParallelExec runs several concurrently and merges their feedback between
 // batches.
 type worker struct {
 	// id is the worker's shard index (0 for the serial engine) — the value
@@ -219,7 +219,7 @@ type worker struct {
 	// atomic update per batch instead of several per iteration.
 	mutOffered, mutAccepted int
 	// forceIntvls makes runOne populate outcome.intvls even without local
-	// retention or a local Observer. Lease workers (ExecuteLease) set it:
+	// retention or a local Observer. Lease workers (ExecuteLeaseExec) set it:
 	// the coordinating server always attaches an Observer, and the interval
 	// feedback must travel with the outcome for its fold to match a local
 	// observed run byte-for-byte.
@@ -566,7 +566,7 @@ func (a *statsAccum) apply(o outcome) {
 }
 
 // applyAll folds one worker's round of outcomes in order — the batched
-// ingestion path of the parallel coordinator's fold goroutine, one call per
+// ingestion path of the round barrier's fold step, one call per
 // (worker, round) instead of an interleaved per-outcome fold.
 func (a *statsAccum) applyAll(outs []outcome) {
 	for i := range outs {
@@ -602,7 +602,7 @@ func Run(d *DUT, opt Options) *Stats {
 	w := newWorker(d, opt, rand.New(rand.NewSource(opt.Seed)))
 	acc := newStatsAccum(d.Analysis, opt)
 	// campaign_start reports the same effective (post-clamp) worker count
-	// and batch size RunParallel(Workers=1) would, so the two engines'
+	// and batch size RunParallelExec(Workers=1) would, so the two engines'
 	// event streams agree on the campaign header (the "Workers<=1
 	// reproduces serial" contract extends to the stream; see
 	// TestSerialEventStreamMatchesWorkers1).

@@ -268,50 +268,16 @@ type Checkpoint struct {
 	Corpus CorpusWire `json:"corpus"`
 }
 
-// buildCheckpoint assembles a Checkpoint from a campaign position at a
-// merge barrier — the shared serialization path of the in-process
-// coordinator and the shard-lease coordinator.
-func buildCheckpoint(dut string, opt Options, left, round int, rem []int, cursors []uint64, complete bool, acc *statsAccum, global *Corpus) *Checkpoint {
-	cp := &Checkpoint{
-		Version:  checkpointVersion,
-		DUT:      dut,
-		Shape:    shapeOf(opt),
-		Done:     opt.Iterations - left,
-		Round:    round,
-		Rem:      append([]int(nil), rem...),
-		Cursors:  append([]uint64(nil), cursors...),
-		EventSeq: opt.Observer.Seq(),
-		Complete: complete,
-	}
-	cp.Stats = acc.st.Wire()
-	cp.Stats.CorpusSize = global.Len()
-	if acc.best != nil {
-		cp.Stats.Best = sortIntvls(acc.best)
-	}
-	cp.Corpus = newCorpusWire(global)
-	return cp
-}
-
-// snapshot captures the coordinator's position as a Checkpoint. Called only
-// at merge barriers, where workers are quiescent and their corpora equal
-// global.Snapshot().
-func (c *coordinator) snapshot(complete bool) *Checkpoint {
-	cursors := make([]uint64, c.workers)
-	for i, w := range c.ws {
-		if w != nil && w.src != nil {
-			cursors[i] = w.src.cursor()
-		}
-	}
-	return buildCheckpoint(c.dut, c.opt, c.left, c.round, c.rem, cursors, complete, c.acc, c.global)
-}
-
-// stats rebuilds the Stats (and the accumulator's best-interval view) of a
-// checkpoint.
-func (cp *Checkpoint) stats() (*Stats, []PointIntvl, error) {
+// accum rebuilds the stats accumulator of a checkpoint: its Stats and, when
+// opt attaches an Observer, the best-interval view behind the gauges. The
+// analysis is attached by the resuming coordinator.
+func (cp *Checkpoint) accum(opt Options) (*statsAccum, error) {
 	s := &cp.Stats
-	st := &Stats{
+	acc := newStatsAccum(nil, opt)
+	acc.st = &Stats{
 		PerIteration:         append([]IterStats(nil), s.PerIteration...),
 		Findings:             append([]*detect.Finding(nil), s.Findings...),
+		FindingSeeds:         make([]*Testcase, len(s.FindingSeeds)),
 		TriggeredPoints:      make(map[int]bool, len(s.Triggered)),
 		SingleValidTriggered: s.SingleValidTriggered,
 		EarlyTriggered:       s.EarlyTriggered,
@@ -320,26 +286,21 @@ func (cp *Checkpoint) stats() (*Stats, []PointIntvl, error) {
 		ExecutedCycles:       s.ExecutedCycles,
 	}
 	for _, id := range s.Triggered {
-		st.TriggeredPoints[id] = true
+		acc.st.TriggeredPoints[id] = true
 	}
-	st.FindingSeeds = make([]*Testcase, len(s.FindingSeeds))
 	for i, src := range s.FindingSeeds {
 		tc, err := Unmarshal(src)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fuzz: checkpoint finding seed %d: %w", i, err)
+			return nil, fmt.Errorf("fuzz: checkpoint finding seed %d: %w", i, err)
 		}
-		st.FindingSeeds[i] = tc
+		acc.st.FindingSeeds[i] = tc
 	}
-	return st, s.Best, nil
-}
-
-// corpus rebuilds the global corpus of a checkpoint.
-func (cp *Checkpoint) corpus() (*Corpus, error) {
-	c, err := cp.Corpus.corpus()
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: checkpoint %w", err)
+	if acc.best != nil {
+		for _, pi := range s.Best {
+			acc.best[pi.Point] = pi.Intvl
+		}
 	}
-	return c, nil
+	return acc, nil
 }
 
 // CampaignOptions returns the Options that re-create the checkpointed
@@ -401,12 +362,10 @@ func (cp *Checkpoint) Encode() ([]byte, error) {
 // returns the file size in bytes. The previous checkpoint at path survives
 // any failure.
 func (cp *Checkpoint) Save(path string) (int, error) {
-	payload, err := json.Marshal(cp)
+	data, err := cp.Encode()
 	if err != nil {
-		return 0, fmt.Errorf("fuzz: marshal checkpoint: %w", err)
+		return 0, err
 	}
-	header := fmt.Sprintf("%s v%d crc32=%08x\n", checkpointMagic, cp.Version, crc32.ChecksumIEEE(payload))
-
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, ".sonar-checkpoint-*")
 	if err != nil {
@@ -418,10 +377,7 @@ func (cp *Checkpoint) Save(path string) (int, error) {
 		os.Remove(tmp)
 		return 0, err
 	}
-	if _, err := f.WriteString(header); err != nil {
-		return cleanup(fmt.Errorf("fuzz: write checkpoint: %w", err))
-	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(data); err != nil {
 		return cleanup(fmt.Errorf("fuzz: write checkpoint: %w", err))
 	}
 	if err := f.Sync(); err != nil {
@@ -439,7 +395,7 @@ func (cp *Checkpoint) Save(path string) (int, error) {
 		os.Remove(tmp)
 		return 0, fmt.Errorf("fuzz: publish checkpoint: %w", err)
 	}
-	return len(header) + len(payload), nil
+	return len(data), nil
 }
 
 // LoadCheckpoint reads and verifies a checkpoint file: header magic and

@@ -52,7 +52,7 @@ func pausedCampaign(t *testing.T, opt Options, maxRounds int) (string, *Checkpoi
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	opt.Checkpoint = path
 	opt.MaxRounds = maxRounds
-	RunParallel(liteFactory, opt)
+	RunParallelExec(liteExec, opt)
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatalf("load checkpoint: %v", err)
@@ -67,7 +67,7 @@ func TestCheckpointRoundTripMatchesUninterrupted(t *testing.T) {
 	base := SonarOptions(40)
 	base.Workers = 2
 	base.BatchSize = 5
-	full := RunParallel(liteFactory, base)
+	full := RunParallelExec(liteExec, base)
 
 	_, cp := pausedCampaign(t, base, 2)
 	if cp.Complete {
@@ -76,7 +76,7 @@ func TestCheckpointRoundTripMatchesUninterrupted(t *testing.T) {
 	if cp.Done == 0 || cp.Done >= base.Iterations {
 		t.Fatalf("pause checkpoint at %d/%d iterations", cp.Done, base.Iterations)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -124,13 +124,13 @@ func TestResumeEventStreamByteContinuity(t *testing.T) {
 	base.BatchSize = 5
 
 	uopt, umem := observedOptions(base)
-	full := RunParallel(liteFactory, uopt)
+	full := RunParallelExec(liteExec, uopt)
 
 	popt, pmem := observedOptions(base)
 	_, cp := pausedCampaign(t, popt, 2)
 
 	ropt, rmem := observedOptions(cp.CampaignOptions())
-	resumed, err := Resume(liteFactory, ropt, cp)
+	resumed, err := ResumeExec(liteExec, ropt, cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestResumeShapeMismatchRejected(t *testing.T) {
 	for name, mutate := range mutations {
 		ropt := cp.CampaignOptions()
 		mutate(&ropt)
-		if _, err := Resume(liteFactory, ropt, cp); err == nil {
+		if _, err := ResumeExec(liteExec, ropt, cp); err == nil {
 			t.Errorf("resume with mismatched %s succeeded", name)
 		}
 	}
@@ -216,7 +216,7 @@ func TestResumeShapeMismatchRejected(t *testing.T) {
 	ropt := cp.CampaignOptions()
 	ropt.CheckpointEvery = 7
 	ropt.MaxRounds = 1
-	if _, err := Resume(liteFactory, ropt, cp); err != nil {
+	if _, err := ResumeExec(liteExec, ropt, cp); err != nil {
 		t.Errorf("resume with changed operational fields failed: %v", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestResumeCompleteCheckpoint(t *testing.T) {
 	opt.Workers = 2
 	opt.BatchSize = 4
 	opt.Checkpoint = path
-	full := RunParallel(liteFactory, opt)
+	full := RunParallelExec(liteExec, opt)
 
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
@@ -241,7 +241,7 @@ func TestResumeCompleteCheckpoint(t *testing.T) {
 	if cp.Done != opt.Iterations {
 		t.Fatalf("complete checkpoint at %d/%d iterations", cp.Done, opt.Iterations)
 	}
-	st, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	st, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatalf("resume complete checkpoint: %v", err)
 	}
@@ -260,7 +260,7 @@ func TestCheckpointMidPipelineRoundBoundary(t *testing.T) {
 	base.BatchSize = 3
 
 	uopt, umem := observedOptions(base)
-	full := RunParallel(liteFactory, uopt)
+	full := RunParallelExec(liteExec, uopt)
 
 	popt, pmem := observedOptions(base)
 	popt.CheckpointEvery = 24 // one checkpoint per round, right behind the fold
@@ -273,7 +273,7 @@ func TestCheckpointMidPipelineRoundBoundary(t *testing.T) {
 	}
 
 	ropt, rmem := observedOptions(cp.CampaignOptions())
-	resumed, err := Resume(liteFactory, ropt, cp)
+	resumed, err := ResumeExec(liteExec, ropt, cp)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -292,14 +292,14 @@ func TestPeriodicCheckpointResumable(t *testing.T) {
 	base := SonarOptions(40)
 	base.Workers = 2
 	base.BatchSize = 4
-	full := RunParallel(liteFactory, base)
+	full := RunParallelExec(liteExec, base)
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	opt := base
 	opt.Checkpoint = path
 	opt.CheckpointEvery = 8
 	opt.MaxRounds = 3 // pause right after a periodic write (8 per round)
-	RunParallel(liteFactory, opt)
+	RunParallelExec(liteExec, opt)
 	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +307,7 @@ func TestPeriodicCheckpointResumable(t *testing.T) {
 	if cp.Done == 0 || cp.Done%8 != 0 {
 		t.Fatalf("periodic checkpoint at %d iterations, want a multiple of 8", cp.Done)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,6 @@ type Corpus struct {
 	seeds []*Seed
 	// best tracks the global minimum interval per contention point.
 	best map[int]int64
-	// version counts mutations (accepted offers). The parallel coordinator
-	// compares versions across a merge round to decide whether workers need
-	// fresh views of the merged corpus at all — unchanged rounds skip
-	// distribution entirely.
-	version uint64
 	// frozen marks storage shared with copy-on-write views (see view): the
 	// next mutation must thaw (privately copy) the seed list and best map
 	// first. Behaviour is otherwise identical to an unfrozen corpus.
@@ -51,9 +46,8 @@ func (c *Corpus) Len() int { return len(c.seeds) }
 // of a merged global corpus without synchronization.
 func (c *Corpus) Snapshot() *Corpus {
 	cp := &Corpus{
-		seeds:   append([]*Seed(nil), c.seeds...),
-		best:    make(map[int]int64, len(c.best)),
-		version: c.version,
+		seeds: append([]*Seed(nil), c.seeds...),
+		best:  make(map[int]int64, len(c.best)),
 	}
 	for id, v := range c.best { //sonar:nondeterministic-ok map-to-map copy is order-insensitive
 		cp.best[id] = v
@@ -70,7 +64,7 @@ func (c *Corpus) Snapshot() *Corpus {
 // goroutines — stay safe without synchronization.
 func (c *Corpus) view() *Corpus {
 	c.frozen = true
-	return &Corpus{seeds: c.seeds, best: c.best, version: c.version, frozen: true}
+	return &Corpus{seeds: c.seeds, best: c.best, frozen: true}
 }
 
 // thaw gives a frozen corpus private storage before its first mutation.
@@ -118,7 +112,6 @@ func (c *Corpus) Offer(tc *Testcase, intvls map[int]int64, dir int, target int) 
 			c.best[id] = v
 		}
 	}
-	c.version++
 	s := &Seed{TC: tc, Intvls: intvls, Dir: dir, Target: target}
 	c.seeds = append(c.seeds, s)
 	return s
@@ -189,7 +182,7 @@ func anyPoint(rng *rand.Rand, intvls map[int]int64) int {
 	}
 	// Index sorted keys rather than Go's randomized map order, so equal
 	// seeds give equal campaigns (the determinism contract of Run and
-	// RunParallel).
+	// RunParallelExec).
 	ids := make([]int, 0, len(intvls))
 	for id := range intvls { //sonar:nondeterministic-ok keys collected then sorted
 		ids = append(ids, id)

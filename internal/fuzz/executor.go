@@ -6,7 +6,7 @@ import "sonar/internal/trace"
 // double-execute testcases and expose the contention-point analysis its
 // snapshots refer to. The behavioral DUT models (package boom/nutshell via
 // *DUT) and the netlist-backed LaneDUT both satisfy it, so every campaign
-// engine — serial batches, RunParallel shards, shard leases — runs unchanged
+// engine — serial batches, RunParallelExec shards, shard leases — runs unchanged
 // over either substrate.
 //
 // Contract: Execute returns an Execution whose buffers may live in recycled

@@ -67,7 +67,7 @@ func TestFaultMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("workers=%d/mode=%s", workers, mode), func(t *testing.T) {
 				base := faultOptions(workers)
 				bopt, bmem := observedOptions(base)
-				want := RunParallel(liteFactory, bopt)
+				want := RunParallelExec(liteExec, bopt)
 
 				sched := faultinject.NewSchedule(
 					faultinject.Fault{Worker: 0, Round: 1, Iter: 1, Mode: mode},
@@ -81,7 +81,7 @@ func TestFaultMatrix(t *testing.T) {
 					fopt.IterTimeout = 10 * time.Millisecond
 				}
 				fopt, fmem := observedOptions(fopt)
-				got := RunParallel(liteFactory, fopt)
+				got := RunParallelExec(liteExec, fopt)
 
 				statsEqual(t, want, got)
 				if fired := sched.Fired(); fired != 2 {
@@ -111,7 +111,7 @@ func TestPermanentFaultAbandonsShard(t *testing.T) {
 	)
 	opt.FaultHook = sched
 	opt, mem := observedOptions(opt)
-	st := RunParallel(liteFactory, opt)
+	st := RunParallelExec(liteExec, opt)
 
 	// Shards own 12 iterations each; worker 1 completes round 1 (4 iters)
 	// and is abandoned in round 2, dropping its remaining 8.
@@ -176,7 +176,7 @@ func TestNegativeMaxRetriesDisablesRetry(t *testing.T) {
 		faultinject.Fault{Worker: 0, Round: 1, Iter: 0, Mode: faultinject.ModePanic},
 	)
 	opt.FaultHook = sched
-	st := RunParallel(liteFactory, opt)
+	st := RunParallelExec(liteExec, opt)
 	if got := len(st.PerIteration); got != 12 {
 		t.Fatalf("executed %d iterations, want 12 (worker 0's full shard dropped)", got)
 	}
@@ -190,7 +190,7 @@ func TestNegativeMaxRetriesDisablesRetry(t *testing.T) {
 // fault-free uninterrupted run.
 func TestFaultRecoveryComposesWithResume(t *testing.T) {
 	base := faultOptions(2)
-	full := RunParallel(liteFactory, base)
+	full := RunParallelExec(liteExec, base)
 
 	popt := base
 	sched := faultinject.NewSchedule(
@@ -201,7 +201,7 @@ func TestFaultRecoveryComposesWithResume(t *testing.T) {
 	if fired := sched.Fired(); fired != 1 {
 		t.Fatalf("fired %d faults before the pause, want 1", fired)
 	}
-	resumed, err := Resume(liteFactory, cp.CampaignOptions(), cp)
+	resumed, err := ResumeExec(liteExec, cp.CampaignOptions(), cp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func TestLaneMatrix(t *testing.T) {
 		opt.BatchSize = 6
 		opt.Lanes = lanes
 		opt, mem := observedOptions(opt)
-		RunParallel(liteFactory, opt)
+		RunParallelExec(liteExec, opt)
 		return mem.Bytes()
 	}
 	baseline := map[int][]byte{}
@@ -54,11 +54,11 @@ func TestLaneStatsIdentical(t *testing.T) {
 	pbase := SonarOptions(33)
 	pbase.Workers = 3
 	pbase.BatchSize = 5 // batch not a multiple of any lane width below
-	pwant := RunParallel(liteFactory, pbase)
+	pwant := RunParallelExec(liteExec, pbase)
 	for _, lanes := range []int{7, 64} {
 		opt := pbase
 		opt.Lanes = lanes
-		statsEqual(t, pwant, RunParallel(liteFactory, opt))
+		statsEqual(t, pwant, RunParallelExec(liteExec, opt))
 	}
 }
 

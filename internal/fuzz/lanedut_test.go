@@ -187,7 +187,7 @@ func TestNetlistCampaignPublishesCompileGauges(t *testing.T) {
 
 	bopt := SonarOptions(4)
 	bopt.Observer = obs.New()
-	RunParallel(liteFactory, bopt)
+	RunParallelExec(liteExec, bopt)
 	series, err = obs.ParseExposition(bopt.Observer.Metrics.ExpositionText())
 	if err != nil {
 		t.Fatal(err)

@@ -2,22 +2,24 @@ package fuzz
 
 import (
 	"fmt"
+	"time"
 
 	"sonar/internal/detect"
 )
 
-// Shard leases are the distributed-campaign entry points of the fuzzing
-// engine (docs/SERVICE.md): a coordinating server owns the campaign state a
-// local coordinator would hold — per-shard budgets and RNG cursors, the
-// merged corpus, the stats accumulator — and hands out one batch of one
-// shard at a time as a Lease. Any process can execute a lease with
-// ExecuteLease (a pure function of the lease and the campaign shape) and
-// report a LeaseResult back; the LeaseCoordinator folds reports at round
-// barriers in canonical worker order, reusing the exact merge and fold code
-// paths of RunParallel. A distributed campaign over a fixed (Seed, Workers,
-// BatchSize) therefore produces the same final Stats and a byte-identical
-// event stream to a local run — TestLeaseCoordinatorMatchesRunParallel pins
-// this, and the service integration tests extend it across HTTP.
+// LeaseCoordinator is the one owner of a parallel campaign's state — the
+// per-shard budgets and RNG cursors, the merged corpus, the stats
+// accumulator — and of its round barrier (docs/ARCHITECTURE.md). Two drivers
+// advance it. The campaign service (docs/SERVICE.md) hands out one batch of
+// one shard at a time as a Lease; any process executes it with
+// ExecuteLeaseExec (a pure function of the lease and the campaign shape) and
+// reports a LeaseResult back. RunParallelExec drives the same coordinator
+// in-process with persistent shard workers, reporting outcomes and seeds
+// directly, without a wire encoding. Both close every round through the same
+// barrier and fold, so a distributed campaign over a fixed (Seed, Workers,
+// BatchSize) produces the same final Stats and a byte-identical event stream
+// to a local run — TestLeaseCoordinatorMatchesRunParallel pins this, and the
+// service integration tests extend it across HTTP.
 
 // Lease is one shard-batch work assignment: everything a worker needs —
 // beyond the campaign shape, which the service hands out alongside — to
@@ -100,7 +102,7 @@ type LeaseResult struct {
 	Seeds []SeedWire `json:"seeds"`
 }
 
-// ExecuteLease runs one shard-batch lease to completion and returns its
+// ExecuteLeaseExec runs one shard-batch lease to completion and returns its
 // result. It is a pure function of (shape, lanes, lease): it builds a fresh
 // shard worker with the lease's RNG cursor replayed and the lease's corpus
 // installed — exactly the state a local replacement worker re-derives after
@@ -109,15 +111,9 @@ type LeaseResult struct {
 // lease lost to worker churn can simply be re-offered.
 //
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
-// that may differ per worker without changing any result.
-func ExecuteLease(newDUT func() *DUT, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
-	return ExecuteLeaseExec(func() Executor { return newDUT() }, shape, lanes, l)
-}
-
-// ExecuteLeaseExec is ExecuteLease over any Executor factory — the entry
-// point netlist-backed lease workers use. A GroupExecutor lease drains
-// through the grouped batch loop, whose RNG order is lane-width independent,
-// so re-executions at any Lanes setting still return byte-equal results.
+// that may differ per worker without changing any result: a GroupExecutor
+// lease drains through the grouped batch loop, whose RNG order is lane-width
+// independent.
 func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
@@ -151,25 +147,58 @@ func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease)
 	return res, nil
 }
 
-// leaseReport is one shard's decoded report for the open round.
-type leaseReport struct {
-	outs   []outcome
-	seeds  []*Seed
-	cursor uint64
+// shardReport is one shard's resolution of the open round: the batch it
+// executed (outcomes, retained seeds, post-batch RNG cursor) or its
+// abandonment. fails lists failed attempts in order — the reasons of an
+// abandonment, or the attempts a batch recovered from, which the fold
+// reports as batch_retried.
+type shardReport struct {
+	resolved  bool
+	abandoned bool
+	outs      []outcome
+	seeds     []*Seed
+	cursor    uint64
+	fails     []string
 }
 
-// LeaseCoordinator is the server half of a distributed campaign: it owns
-// the state RunParallel's coordinator would hold and advances it one
-// reported lease at a time. Each merge round, every shard with remaining
-// budget is open for exactly one lease; once every open shard has either
-// reported (Report) or been abandoned (Abandon), the round closes — budget
-// accounting and corpus merging in canonical worker order, then the stats
-// fold and event emission in exactly RunParallel's fold order. Fixed (Seed,
-// Workers, BatchSize) topology therefore yields a byte-identical event
-// stream and identical Stats to a local run.
+// roundFold is one closed round's fold work: what the barrier collected per
+// shard, plus its summary. closeBarrier fills it and foldRound drains it;
+// the local engine recycles pipelineDepth of them, so the fold of round k
+// runs while the workers execute round k+1.
+type roundFold struct {
+	round     int
+	outs      [][]outcome // per shard; capacity recycled across rounds
+	fails     [][]string  // failed-attempt reasons, per shard
+	abandoned []bool      // shard abandoned at this round's barrier
+	dropped   []int       // iterations dropped by the abandonment
+	merged    int         // iterations merged at the barrier
+	corpusLen int         // merged corpus size at the barrier
+	mergeLat  time.Duration
+	final     bool // the barrier drained the campaign's last budget
+}
+
+func newRoundFold(workers int) *roundFold {
+	return &roundFold{
+		outs:      make([][]outcome, workers),
+		fails:     make([][]string, workers),
+		abandoned: make([]bool, workers),
+		dropped:   make([]int, workers),
+	}
+}
+
+// LeaseCoordinator advances a campaign one resolved shard at a time. Each
+// merge round, every shard with remaining budget is open for exactly one
+// batch; once every open shard has reported or been abandoned, the round
+// closes: closeBarrier does the budget accounting and corpus merge in
+// canonical worker order, then foldRound does the stats fold and event
+// emission. The service calls the two back to back; the local engine folds
+// on a goroutine of its own, one round behind its workers.
 //
 // The coordinator is not safe for concurrent use; callers (the campaign
-// service's controller) serialize access.
+// service's controller, the local engine's main goroutine) serialize
+// access. The one exception is the local engine's fold goroutine: foldRound
+// touches only the accumulator and the Observer, which no other method
+// reads or writes while a local campaign runs.
 type LeaseCoordinator struct {
 	opt     Options
 	dut     string // netlist name, for checkpoints and campaign_start
@@ -183,18 +212,33 @@ type LeaseCoordinator struct {
 	acc    *statsAccum
 	global *Corpus
 
-	// Open-round state, reset at each barrier.
-	reported  []*leaseReport // per shard; non-nil = reported this round
-	abandoned [][]string     // per shard; non-nil = abandoned this round, with its failure reasons
-	finished  bool
+	reports []shardReport // open round, per shard; reset at each barrier
+	// finished is set by the barrier that drains the last budget; that
+	// round's fold emits campaign_end.
+	finished bool
 }
 
-// NewLeaseCoordinator opens a distributed campaign: it splits opt's
-// iteration budget into static shards exactly like RunParallel and emits
-// the campaign_start event through opt.Observer. d is the server's own
-// executor instance (a behavioral *DUT or a netlist LaneDUT) — it backs the
-// stats fold (point analysis) and is never executed; workers bring their
-// own.
+// newLeaseCoordinator assembles a coordinator over restored or fresh state.
+func newLeaseCoordinator(opt Options, dut string, rem []int, cursors []uint64, acc *statsAccum, global *Corpus) *LeaseCoordinator {
+	workers, batch := normalizeParallel(opt)
+	left := 0
+	for _, r := range rem {
+		left += r
+	}
+	return &LeaseCoordinator{
+		opt: opt, dut: dut, workers: workers, batch: batch,
+		rem: rem, cursors: cursors, left: left,
+		acc: acc, global: global,
+		reports: make([]shardReport, workers),
+	}
+}
+
+// NewLeaseCoordinator opens a campaign: it splits opt's iteration budget
+// into static shards — worker w owns iterations w, w+workers, ... — and
+// emits the campaign_start event through opt.Observer. d is one executor
+// instance of the campaign (a behavioral *DUT or a netlist LaneDUT); it
+// backs the stats fold (point analysis) and is never executed by the
+// coordinator.
 func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 	workers, batch := normalizeParallel(opt)
 	rem := make([]int, workers)
@@ -205,14 +249,7 @@ func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 		}
 	}
 	an := d.ContentionAnalysis()
-	lc := &LeaseCoordinator{
-		opt: opt, dut: an.Netlist.Name(),
-		workers: workers, batch: batch,
-		rem: rem, cursors: make([]uint64, workers), left: opt.Iterations,
-		acc: newStatsAccum(an, opt), global: NewCorpus(),
-		reported:  make([]*leaseReport, workers),
-		abandoned: make([][]string, workers),
-	}
+	lc := newLeaseCoordinator(opt, an.Netlist.Name(), rem, make([]uint64, workers), newStatsAccum(an, opt), NewCorpus())
 	observeCompile(opt.Observer, d)
 	opt.Observer.CampaignStart(lc.dut, opt.Iterations, workers, batch, opt.Seed)
 	if lc.left == 0 {
@@ -221,64 +258,69 @@ func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 	return lc
 }
 
-// ResumeLeaseCoordinator reopens a distributed campaign from a checkpoint
-// (the lease-granular analog of Resume). opt must describe the same
-// campaign shape as the checkpoint; the resumed coordinator's remaining
-// rounds — Stats and event stream included — are identical to the
-// uninterrupted campaign's.
+// ResumeLeaseCoordinator reopens a campaign from a checkpoint. opt must
+// describe the same campaign shape as the checkpoint; the resumed
+// coordinator's remaining rounds — Stats and event stream included — are
+// identical to the uninterrupted campaign's.
 func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
+	lc, err := restoreLeaseCoordinator(opt, cp)
+	if err != nil {
+		return nil, err
+	}
+	lc.resume(d, cp)
+	return lc, nil
+}
+
+// restoreLeaseCoordinator rebuilds a checkpoint's campaign state without
+// emitting anything; resume then attaches an executor and reopens it.
+func restoreLeaseCoordinator(opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
 	if err := cp.validate(); err != nil {
 		return nil, err
 	}
 	if got, want := shapeOf(opt), cp.Shape; got != want {
 		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
 	}
-	st, best, err := cp.stats()
+	acc, err := cp.accum(opt)
 	if err != nil {
 		return nil, err
 	}
-	global, err := cp.corpus()
+	global, err := cp.Corpus.corpus()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fuzz: checkpoint %w", err)
 	}
-	workers, batch := normalizeParallel(opt)
-	observeCompile(opt.Observer, d)
-	acc := newStatsAccum(d.ContentionAnalysis(), opt)
-	acc.st = st
-	if acc.best != nil {
-		for _, pi := range best {
-			acc.best[pi.Point] = pi.Intvl
-		}
+	lc := newLeaseCoordinator(opt, cp.DUT, append([]int(nil), cp.Rem...), append([]uint64(nil), cp.Cursors...), acc, global)
+	lc.round = cp.Round
+	return lc, nil
+}
+
+// resume attaches the executor backing the stats fold (nil when no shard
+// has budget left to fold), emits campaign_resumed, and finalizes a
+// campaign the checkpoint leaves with nothing to execute. A complete
+// checkpoint's campaign_end was already emitted by the original run.
+func (lc *LeaseCoordinator) resume(d Executor, cp *Checkpoint) {
+	if d != nil {
+		lc.acc.an = d.ContentionAnalysis()
+		observeCompile(lc.opt.Observer, d)
 	}
+	st := lc.acc.st
 	var lastIter IterStats
 	if n := len(st.PerIteration); n > 0 {
 		lastIter = st.PerIteration[n-1]
 	}
-	opt.Observer.CampaignResumed(cp.EventSeq, len(st.PerIteration),
+	lc.opt.Observer.CampaignResumed(cp.EventSeq, len(st.PerIteration),
 		lastIter.CumPoints, lastIter.CumTimingDiffs, len(st.Findings),
-		global.Len(), st.ExecutedCycles)
-
-	lc := &LeaseCoordinator{
-		opt: opt, dut: cp.DUT,
-		workers: workers, batch: batch,
-		rem:     append([]int(nil), cp.Rem...),
-		cursors: append([]uint64(nil), cp.Cursors...),
-		left:    sum(cp.Rem), round: cp.Round,
-		acc: acc, global: global,
-		reported:  make([]*leaseReport, workers),
-		abandoned: make([][]string, workers),
-	}
-	if cp.Complete {
-		lc.acc.st.CorpusSize = lc.global.Len()
-		lc.finished = true // campaign_end was already emitted by the original run
-	} else if lc.left == 0 {
+		lc.global.Len(), st.ExecutedCycles)
+	switch {
+	case cp.Complete:
+		st.CorpusSize = lc.global.Len()
+		lc.finished = true
+	case lc.left == 0:
 		lc.finish()
 	}
-	return lc, nil
 }
 
 // Shape returns the campaign's shape (effective workers and batch size
-// included) — what lease executors pass to ExecuteLease.
+// included) — what lease executors pass to ExecuteLeaseExec.
 func (lc *LeaseCoordinator) Shape() Shape { return shapeOf(lc.opt) }
 
 // DUT returns the netlist name of the device under test.
@@ -319,7 +361,12 @@ func (lc *LeaseCoordinator) OpenShards() []int {
 }
 
 func (lc *LeaseCoordinator) openShard(i int) bool {
-	return !lc.finished && lc.rem[i] > 0 && lc.reported[i] == nil && lc.abandoned[i] == nil
+	return !lc.finished && lc.rem[i] > 0 && !lc.reports[i].resolved
+}
+
+// batchSize is the iteration count of shard i's batch this round.
+func (lc *LeaseCoordinator) batchSize(i int) int {
+	return min(lc.rem[i], lc.batch)
 }
 
 // Lease builds the work assignment for an open shard of the current round.
@@ -333,25 +380,22 @@ func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
 	if !lc.openShard(shard) {
 		return nil, fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
 	}
-	n := lc.rem[shard]
-	if n > lc.batch {
-		n = lc.batch
-	}
 	return &Lease{
 		Shard:  shard,
 		Round:  lc.round + 1,
-		N:      n,
+		N:      lc.batchSize(shard),
 		Cursor: lc.cursors[shard],
 		Corpus: newCorpusWire(lc.global),
 	}, nil
 }
 
 // Report folds one executed lease's result in. The result must belong to an
-// open shard of the current round and carry exactly the leased batch size;
-// a malformed or stale result is rejected without touching campaign state.
-// When the last open shard of the round resolves, the round barrier closes:
-// seeds merge into the global corpus in canonical worker order, outcomes
-// fold into Stats, and the round's events are emitted.
+// open shard of the current round, carry exactly the leased batch size, and
+// name only contention points of the campaign's analysis; a malformed or
+// stale result is rejected without touching campaign state. When the last
+// open shard of the round resolves, the round barrier closes: seeds merge
+// into the global corpus in canonical worker order, outcomes fold into
+// Stats, and the round's events are emitted.
 func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if res == nil {
 		return fmt.Errorf("fuzz: nil lease result")
@@ -365,30 +409,54 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if !lc.openShard(res.Shard) {
 		return fmt.Errorf("fuzz: shard %d has no open lease this round", res.Shard)
 	}
-	want := lc.rem[res.Shard]
-	if want > lc.batch {
-		want = lc.batch
-	}
-	if len(res.Outcomes) != want {
+	if want := lc.batchSize(res.Shard); len(res.Outcomes) != want {
 		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), want)
 	}
-	rep := &leaseReport{cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
+	points := len(lc.acc.an.Points)
+	rep := shardReport{resolved: true, cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
 	for i := range res.Outcomes {
-		o, err := res.Outcomes[i].outcome()
+		ow := &res.Outcomes[i]
+		if err := checkPointIDs(points, ow.Triggered, ow.Intvls); err != nil {
+			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
+		}
+		o, err := ow.outcome()
 		if err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
 		}
 		rep.outs[i] = o
 	}
 	for i := range res.Seeds {
-		s, err := res.Seeds[i].seed()
+		sw := &res.Seeds[i]
+		if err := checkPointIDs(points, nil, sw.Intvls); err != nil {
+			return fmt.Errorf("fuzz: lease result seed %d: %w", i, err)
+		}
+		if sw.Target < -1 || sw.Target >= points {
+			return fmt.Errorf("fuzz: lease result seed %d: target point %d out of range [-1, %d)", i, sw.Target, points)
+		}
+		s, err := sw.seed()
 		if err != nil {
 			return fmt.Errorf("fuzz: lease result seed %d: %w", i, err)
 		}
 		rep.seeds = append(rep.seeds, s)
 	}
-	lc.reported[res.Shard] = rep
+	lc.reports[res.Shard] = rep
 	lc.maybeCloseRound()
+	return nil
+}
+
+// checkPointIDs rejects contention point IDs outside [0, points): the stats
+// fold and the corpus index the campaign's analysis by them.
+func checkPointIDs(points int, ids []int, intvls []PointIntvl) error {
+	for _, id := range ids {
+		if id < 0 || id >= points {
+			return fmt.Errorf("point %d out of range [0, %d)", id, points)
+		}
+	}
+	for _, pi := range intvls {
+		if pi.Point < 0 || pi.Point >= points {
+			return fmt.Errorf("interval point %d out of range [0, %d)", pi.Point, points)
+		}
+	}
 	return nil
 }
 
@@ -408,78 +476,96 @@ func (lc *LeaseCoordinator) Abandon(shard int, reasons []string) error {
 	if len(reasons) == 0 {
 		return fmt.Errorf("fuzz: abandoning shard %d without failure reasons", shard)
 	}
-	lc.abandoned[shard] = reasons
+	lc.reports[shard] = shardReport{resolved: true, abandoned: true, fails: reasons}
 	lc.maybeCloseRound()
 	return nil
 }
 
-// maybeCloseRound closes the round barrier once no shard is still open.
+// maybeCloseRound closes the round barrier once no shard is still open,
+// running the barrier and the fold back to back.
 func (lc *LeaseCoordinator) maybeCloseRound() {
 	for i := 0; i < lc.workers; i++ {
 		if lc.openShard(i) {
 			return
 		}
 	}
-	lc.closeRound()
+	rf := newRoundFold(lc.workers)
+	lc.closeBarrier(rf)
+	lc.foldRound(rf)
 }
 
-// closeRound is the merge barrier: budget accounting, cursor advances, and
-// seed re-offers in canonical worker order (runRound's barrier phase), then
-// fault events, the per-shard stats fold, and batch_merged in exactly the
-// order coordinator.fold uses — so the emitted stream matches a local run's
-// byte-for-byte.
-func (lc *LeaseCoordinator) closeRound() {
+// closeBarrier is the barrier step of a round, in canonical worker order:
+// budget accounting (an abandoned shard's whole remaining budget is
+// dropped), RNG cursor advances, and seed re-offers to the global corpus
+// (re-offering drops seeds another shard has already beaten). It moves the
+// round's reports into rf for foldRound and reports whether any seed was
+// offered — that is, whether shard corpora may now differ from the global
+// corpus. It touches neither the accumulator nor the Observer, so the local
+// engine runs it while the previous round still folds.
+func (lc *LeaseCoordinator) closeBarrier(rf *roundFold) (reoffered bool) {
 	lc.round++
-	merged := 0
-	dropped := make([]int, lc.workers)
-	for i := 0; i < lc.workers; i++ {
-		if lc.abandoned[i] != nil {
-			dropped[i] = lc.rem[i]
+	rf.round, rf.merged = lc.round, 0
+	for i := range lc.reports {
+		rep := &lc.reports[i]
+		rf.outs[i], rf.fails[i], rf.abandoned[i], rf.dropped[i] = nil, rep.fails, rep.abandoned, 0
+		switch {
+		case rep.abandoned:
+			rf.dropped[i] = lc.rem[i]
 			lc.left -= lc.rem[i]
 			lc.rem[i] = 0
-			continue
+		case rep.resolved:
+			n := len(rep.outs)
+			rf.outs[i] = rep.outs
+			rf.merged += n
+			lc.rem[i] -= n
+			lc.left -= n
+			lc.cursors[i] = rep.cursor
+			for _, s := range rep.seeds {
+				lc.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
+				reoffered = true
+			}
 		}
-		rep := lc.reported[i]
-		if rep == nil {
-			continue // shard had no budget this round
-		}
-		n := len(rep.outs)
-		lc.rem[i] -= n
-		lc.left -= n
-		merged += n
-		lc.cursors[i] = rep.cursor
-		for _, s := range rep.seeds {
-			lc.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
-		}
+		*rep = shardReport{}
 	}
-	for i := 0; i < lc.workers; i++ {
-		reasons := lc.abandoned[i]
-		for a, reason := range reasons {
-			lc.opt.Observer.WorkerFailed(i, lc.round, a+1, reason)
-		}
-		if reasons != nil {
-			lc.opt.Observer.WorkerFailed(i, lc.round, abandonAttempt,
-				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(reasons), dropped[i]))
-		}
-	}
-	for i := 0; i < lc.workers; i++ {
-		if rep := lc.reported[i]; rep != nil {
-			lc.acc.applyAll(rep.outs)
-		}
-	}
-	lc.opt.Observer.BatchMerged(lc.round, merged, lc.global.Len(), 0)
+	rf.corpusLen = lc.global.Len()
+	rf.final = lc.left == 0
+	lc.finished = rf.final
+	return reoffered
+}
 
-	for i := range lc.reported {
-		lc.reported[i] = nil
-		lc.abandoned[i] = nil
+// foldRound is the fold step of a closed round, in the order every engine's
+// event stream pins: per shard, each failed attempt as worker_failed, then
+// the disposition (abandonment, or batch_retried for a recovered batch);
+// the per-outcome stats fold in worker order; batch_merged with the
+// barrier's corpus summary; and campaign_end when the round drained the
+// campaign. It reads only rf and the accumulator — never the corpus or the
+// shard budgets — so it may run concurrently with the next round's barrier.
+func (lc *LeaseCoordinator) foldRound(rf *roundFold) {
+	o := lc.opt.Observer
+	for i, fails := range rf.fails {
+		for a, reason := range fails {
+			o.WorkerFailed(i, rf.round, a+1, reason)
+		}
+		switch {
+		case rf.abandoned[i]:
+			o.WorkerFailed(i, rf.round, abandonAttempt,
+				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(fails), rf.dropped[i]))
+		case len(fails) > 0:
+			o.BatchRetried(i, rf.round, len(fails)+1)
+		}
 	}
-	if lc.left == 0 {
-		lc.finish()
+	for _, outs := range rf.outs {
+		lc.acc.applyAll(outs)
+	}
+	o.BatchMerged(rf.round, rf.merged, rf.corpusLen, rf.mergeLat)
+	if rf.final {
+		lc.acc.st.CorpusSize = rf.corpusLen
+		lc.acc.finish()
 	}
 }
 
-// finish finalizes the campaign: corpus size lands in Stats and
-// campaign_end is emitted, exactly like a local run's completion.
+// finish finalizes a campaign with nothing left to execute: corpus size
+// lands in Stats and campaign_end is emitted.
 func (lc *LeaseCoordinator) finish() {
 	lc.acc.st.CorpusSize = lc.global.Len()
 	lc.acc.finish()
@@ -489,7 +575,25 @@ func (lc *LeaseCoordinator) finish() {
 // Snapshot captures the campaign as a Checkpoint at the last closed round
 // barrier. Reports received for the still-open round are not included —
 // resuming the snapshot re-opens that round, and its leases simply
-// re-execute (deterministically) — so a snapshot may be taken at any time.
+// re-execute (deterministically) — so a snapshot may be taken at any time
+// the fold is not running.
 func (lc *LeaseCoordinator) Snapshot(complete bool) *Checkpoint {
-	return buildCheckpoint(lc.dut, lc.opt, lc.left, lc.round, lc.rem, lc.cursors, complete, lc.acc, lc.global)
+	cp := &Checkpoint{
+		Version:  checkpointVersion,
+		DUT:      lc.dut,
+		Shape:    shapeOf(lc.opt),
+		Done:     lc.Position(),
+		Round:    lc.round,
+		Rem:      append([]int(nil), lc.rem...),
+		Cursors:  append([]uint64(nil), lc.cursors...),
+		EventSeq: lc.opt.Observer.Seq(),
+		Complete: complete,
+		Stats:    lc.acc.st.Wire(),
+		Corpus:   newCorpusWire(lc.global),
+	}
+	cp.Stats.CorpusSize = lc.global.Len()
+	if lc.acc.best != nil {
+		cp.Stats.Best = sortIntvls(lc.acc.best)
+	}
+	return cp
 }

@@ -23,9 +23,9 @@ func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
 	if err := json.Unmarshal(lb, &wire); err != nil {
 		t.Fatalf("unmarshal lease: %v", err)
 	}
-	res, err := ExecuteLease(liteFactory, shape, lanes, &wire)
+	res, err := ExecuteLeaseExec(liteExec, shape, lanes, &wire)
 	if err != nil {
-		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
+		t.Fatalf("ExecuteLeaseExec(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
 	rb, err := json.Marshal(res)
 	if err != nil {
@@ -92,7 +92,7 @@ func TestLeaseCoordinatorMatchesRunParallel(t *testing.T) {
 			localSink := obs.NewMemorySink()
 			localOpt := opt
 			localOpt.Observer = obs.New(localSink)
-			localStats := RunParallel(liteFactory, localOpt)
+			localStats := RunParallelExec(liteExec, localOpt)
 
 			leaseSink := obs.NewMemorySink()
 			leaseOpt := opt
@@ -101,7 +101,7 @@ func TestLeaseCoordinatorMatchesRunParallel(t *testing.T) {
 			driveLeases(t, lc)
 
 			if !bytes.Equal(localSink.Bytes(), leaseSink.Bytes()) {
-				t.Error("lease-driven event stream differs from local RunParallel stream")
+				t.Error("lease-driven event stream differs from local RunParallelExec stream")
 			}
 			statsEqual(t, localStats, lc.Stats())
 			statsWireEqual(t, localStats, lc.Stats())
@@ -188,6 +188,32 @@ func TestLeaseReportValidation(t *testing.T) {
 	garbled.Outcomes[0].TC = "not a testcase"
 	if err := lc.Report(&garbled); err == nil {
 		t.Error("report with a garbled testcase was accepted")
+	}
+	// Point IDs outside the campaign's analysis: the stats fold would index
+	// the analysis with them mid-barrier.
+	const farPoint = 1 << 20
+	outOfRange := []struct {
+		name    string
+		corrupt func(r *LeaseResult)
+	}{
+		{"triggered", func(r *LeaseResult) { r.Outcomes[0].Triggered = []int{farPoint} }},
+		{"outcome interval", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{Point: farPoint, Intvl: 3}} }},
+		{"seed interval", func(r *LeaseResult) {
+			r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Intvls: []PointIntvl{{Point: -1, Intvl: 3}}, Dir: 1, Target: -1}}
+		}},
+		{"seed target", func(r *LeaseResult) { r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Dir: 1, Target: farPoint}} }},
+	}
+	for _, c := range outOfRange {
+		bad := *res
+		bad.Outcomes = append([]OutcomeWire(nil), res.Outcomes...)
+		c.corrupt(&bad)
+		if err := lc.Report(&bad); err == nil {
+			t.Errorf("report with an out-of-range %s point was accepted", c.name)
+		}
+	}
+	if lc.Round() != 0 || lc.Position() != 0 || len(lc.OpenShards()) != 2 {
+		t.Fatalf("rejected reports moved the campaign: round %d, position %d, open shards %v",
+			lc.Round(), lc.Position(), lc.OpenShards())
 	}
 	if err := lc.Report(res); err != nil {
 		t.Fatalf("valid report rejected after invalid ones: %v", err)

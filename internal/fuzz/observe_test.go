@@ -24,7 +24,7 @@ func TestParallelEventStreamByteIdentical(t *testing.T) {
 		opt.Workers = 4
 		opt.BatchSize = 5
 		opt, mem := observedOptions(opt)
-		RunParallel(liteFactory, opt)
+		RunParallelExec(liteExec, opt)
 		return mem.Bytes()
 	}
 	a, b := run(), run()
@@ -58,7 +58,7 @@ func stripBatchMerged(events []obs.Event) []byte {
 }
 
 // The "Workers<=1 reproduces serial" contract extends to the event stream:
-// serial Run and RunParallel(Workers=1) emit byte-identical streams once the
+// serial Run and RunParallelExec(Workers=1) emit byte-identical streams once the
 // parallel engine's batch_merged bookkeeping is projected away. In
 // particular both report the same effective batch size in campaign_start
 // (serial Run used to emit batch=0 while Workers=1 emitted the normalized
@@ -72,7 +72,7 @@ func TestSerialEventStreamMatchesWorkers1(t *testing.T) {
 	popt := base
 	popt.Workers = 1
 	popt, pmem := observedOptions(popt)
-	RunParallel(liteFactory, popt)
+	RunParallelExec(liteExec, popt)
 
 	serial, parallel := stripBatchMerged(smem.Events()), stripBatchMerged(pmem.Events())
 	if len(serial) == 0 {
@@ -98,7 +98,7 @@ func TestParallelWorkers8Deterministic(t *testing.T) {
 		opt.Workers = 8
 		opt.BatchSize = 3 // 4 rounds per shard: the pipeline stays primed
 		opt, mem := observedOptions(opt)
-		st := RunParallel(liteFactory, opt)
+		st := RunParallelExec(liteExec, opt)
 		return st, mem.Bytes()
 	}
 	stA, evA := run()
@@ -122,9 +122,9 @@ func TestObserverDoesNotPerturbCampaign(t *testing.T) {
 
 	opt.Workers = 3
 	opt.BatchSize = 4
-	pplain := RunParallel(liteFactory, opt)
+	pplain := RunParallelExec(liteExec, opt)
 	popt, _ := observedOptions(opt)
-	statsEqual(t, pplain, RunParallel(liteFactory, popt))
+	statsEqual(t, pplain, RunParallelExec(liteExec, popt))
 }
 
 // The PerIteration series contract: both engines record exactly
@@ -146,7 +146,7 @@ func TestPerIterationLengthMatchesIterations(t *testing.T) {
 		if c.workers == 0 {
 			st = Run(liteFactory(), opt)
 		} else {
-			st = RunParallel(liteFactory, opt)
+			st = RunParallelExec(liteExec, opt)
 		}
 		if len(st.PerIteration) != c.iters {
 			t.Errorf("%+v: len(PerIteration) = %d, want %d", c, len(st.PerIteration), c.iters)
@@ -174,7 +174,7 @@ func TestEventStreamConsistentWithStats(t *testing.T) {
 		if workers == 0 {
 			st = Run(liteFactory(), opt)
 		} else {
-			st = RunParallel(liteFactory, opt)
+			st = RunParallelExec(liteExec, opt)
 		}
 
 		var iters, points int
@@ -226,7 +226,7 @@ func TestCampaignMetricsMatchStats(t *testing.T) {
 	opt.Workers = 2
 	opt.BatchSize = 4
 	opt, _ = observedOptions(opt)
-	st := RunParallel(liteFactory, opt)
+	st := RunParallelExec(liteExec, opt)
 
 	series, err := obs.ParseExposition(opt.Observer.Metrics.ExpositionText())
 	if err != nil {

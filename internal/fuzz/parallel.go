@@ -26,99 +26,49 @@ const (
 // never collide with a real attempt number (see obs.WorkerFailed).
 const abandonAttempt = 0
 
-// pipelineDepth is the number of recycled round-scratch buffers — and
-// therefore how many merge rounds may be in flight between the worker
-// barrier and the fold goroutine. Two means classic double buffering:
+// pipelineDepth is the number of recycled round records (roundFold) — and
+// therefore how many merge rounds may be in flight between the barrier and
+// the fold goroutine. Two means classic double buffering:
 // workers execute round k+1 while the folder drains round k.
 const pipelineDepth = 2
 
-// coordinator is the state of one parallel campaign run: the shard workers,
-// the static iteration budget per shard, the global corpus, and the stats
-// accumulator. RunParallel and Resume both construct one and drive run().
+// coordinator is the in-process driver of a LeaseCoordinator — the local
+// parallel engine. The LeaseCoordinator owns the campaign state and the
+// round barrier; the coordinator keeps only what is local to a process:
 //
-// Since the merge barrier was restructured for scaling (docs/PERFORMANCE.md),
-// the coordinator is split in two along the determinism contract:
+//   - persistent shard workers, each with a private executor, RNG stream,
+//     and copy-on-write view of the merged corpus, reported to the barrier
+//     directly (outcomes and seeds, never their wire encoding);
+//   - the panic/stall supervisor that retries a failed batch on a
+//     replacement worker (superviseShard/attemptBatch);
+//   - the fold pipeline: closeBarrier runs on the main goroutine, and
+//     foldRound — the stats fold and every event emission — on a dedicated
+//     goroutine, one round behind the workers (docs/PERFORMANCE.md);
+//   - periodic checkpoint writes and the MaxRounds pause.
 //
-//   - the barrier phase (run/runRound, main goroutine) does only the work
-//     the next round depends on: fault dispositions, shard bookkeeping, and
-//     the corpus merge + view distribution, all in canonical worker order;
-//   - the fold phase (fold, a dedicated goroutine) drains everything else —
-//     the per-outcome stats fold and every event emission — from a bounded
-//     queue of completed rounds, in round order, while the workers already
-//     execute the next batch.
-//
-// The fold order is exactly the old serial merge order, so Stats,
-// PerIteration, and the event stream stay byte-identical per (Seed,
-// Workers, BatchSize); only the wall-clock schedule changed.
+// The fold order is the barrier's canonical order, so Stats, PerIteration,
+// and the event stream are byte-identical per (Seed, Workers, BatchSize);
+// only the wall-clock schedule differs from the campaign service's.
 type coordinator struct {
+	lc      *LeaseCoordinator
 	newExec func() Executor
-	opt     Options
-	dut     string // netlist name, for checkpoints and campaign_start
-	workers int
-	batch   int
-	ws      []*worker // nil entry = abandoned shard
-	rem     []int     // remaining iterations per shard
-	left    int       // total remaining iterations
-	round   int       // merge rounds completed (cumulative across resumes)
-	acc     *statsAccum
-	global  *Corpus
+	ws      []*worker // nil entry = abandoned shard, or a drained one nothing was built for
 	// lastSaved and nextCkpt drive periodic checkpointing: a checkpoint is
 	// cut at the first merge barrier at or past every nextCkpt iterations.
 	lastSaved int
 	nextCkpt  int
 
-	// Fold pipeline (see the type comment). foldCh carries merged rounds to
-	// the fold goroutine; foldDone returns their scratch for reuse.
+	// Fold pipeline (see the type comment). foldCh carries closed rounds to
+	// the fold goroutine; foldDone returns their records for reuse.
 	// inFlight counts rounds handed off but not yet reclaimed, free holds
-	// reclaimed scratch, and scratches counts total allocations (capped at
+	// reclaimed records, and records counts total allocations (capped at
 	// pipelineDepth). folderExit closes when the fold goroutine drains out.
-	foldCh     chan *roundScratch
-	foldDone   chan *roundScratch
+	foldCh     chan *roundFold
+	foldDone   chan *roundFold
 	folderExit chan struct{}
 	inFlight   int
-	free       []*roundScratch
-	scratches  int
-}
-
-// roundScratch is one merge round's recycled buffers and its deferred fold
-// work: per-shard outcomes and fault records (filled during the parallel
-// phase), plus the barrier's summary of what the folder must report.
-// Ownership alternates — the coordinator fills a scratch, hands it to the
-// fold goroutine, and only reuses it after it comes back — so the folder
-// reads each round's data race-free while the next round executes.
-type roundScratch struct {
-	round     int
-	outs      [][]outcome // per shard; capacity recycled across rounds
-	fails     [][]string  // failed-attempt reasons, per shard
-	recovered []bool      // batch succeeded on a replacement worker
-	abandoned []bool      // shard abandoned at this round's barrier
-	dropped   []int       // iterations dropped by the abandonment
-	merged    int         // iterations merged at the barrier
-	corpusLen int         // merged corpus size at the barrier
-	mergeLat  time.Duration
-}
-
-func newRoundScratch(workers int) *roundScratch {
-	return &roundScratch{
-		outs:      make([][]outcome, workers),
-		fails:     make([][]string, workers),
-		recovered: make([]bool, workers),
-		abandoned: make([]bool, workers),
-		dropped:   make([]int, workers),
-	}
-}
-
-// reset readies a scratch for the given round, keeping slice capacity.
-func (rs *roundScratch) reset(round int) {
-	rs.round = round
-	for i := range rs.outs {
-		rs.outs[i] = rs.outs[i][:0]
-		rs.fails[i] = rs.fails[i][:0]
-		rs.recovered[i] = false
-		rs.abandoned[i] = false
-		rs.dropped[i] = 0
-	}
-	rs.merged, rs.corpusLen, rs.mergeLat = 0, 0, 0
+	free       []*roundFold
+	records    int
 }
 
 // normalizeParallel returns the effective (post-clamp) worker count and
@@ -139,11 +89,12 @@ func normalizeParallel(opt Options) (workers, batch int) {
 	return workers, batch
 }
 
-// RunParallel executes a sharded fuzzing campaign: Options.Workers workers,
-// each owning a private DUT built by newDUT, execute batches of testcases
-// against private corpus views; after every batch round the coordinator
+// RunParallelExec executes a sharded fuzzing campaign: Options.Workers
+// workers, each owning a private executor built by newExec (a behavioral
+// *DUT or a netlist LaneDUT), execute batches of testcases against private
+// corpus views; after every batch round the LeaseCoordinator's barrier
 // merges retained seeds into the global corpus in canonical worker order and
-// restarts every worker from the merged view, while a fold goroutine drains
+// every worker restarts from the merged view, while a fold goroutine drains
 // the round's statistics and events off the workers' critical path.
 //
 // Determinism contract: worker w draws from rand.NewSource(opt.Seed+w), the
@@ -151,172 +102,91 @@ func normalizeParallel(opt Options) (workers, batch int) {
 // campaign is reproducible for a fixed (Seed, Workers, BatchSize) — and
 // Workers <= 1 reproduces Run's serial campaign exactly. The contract
 // extends to observability: opt.Observer's events are emitted only by the
-// coordinator's fold goroutine, one round at a time in fold order, so the
-// merged event stream (and Stats.PerIteration, which it mirrors) is
-// byte-identical across runs; worker goroutines update atomic metrics only.
+// fold goroutine, one round at a time in fold order, so the event stream
+// (and Stats.PerIteration, which it mirrors) is byte-identical across runs
+// and to the campaign service's; worker goroutines update atomic metrics
+// only.
 //
-// Durability (docs/CAMPAIGNS.md): with Options.Checkpoint set, the
-// coordinator writes an atomic campaign snapshot at merge barriers every
-// CheckpointEvery iterations (draining the fold pipeline first, so the
-// snapshot is exact); Resume restores one into a campaign whose remaining
-// iterations — Stats and event stream included — are identical to the
-// uninterrupted run. Worker panics and (with IterTimeout) wedged iterations
-// are recovered by retrying the batch on a replacement worker; a shard that
-// keeps failing is abandoned and the campaign completes on the remaining
-// workers.
-func RunParallel(newDUT func() *DUT, opt Options) *Stats {
-	return RunParallelExec(func() Executor { return newDUT() }, opt)
-}
-
-// RunParallelExec is RunParallel over any Executor factory — the entry point
-// netlist-backed campaigns (fuzz.LaneDUT) use. RunParallel is a thin wrapper
-// for behavioral-DUT factories.
+// Durability (docs/CAMPAIGNS.md): with Options.Checkpoint set, the engine
+// writes an atomic campaign snapshot at merge barriers every CheckpointEvery
+// iterations (draining the fold pipeline first, so the snapshot is exact);
+// ResumeExec restores one into a campaign whose remaining iterations — Stats
+// and event stream included — are identical to the uninterrupted run.
+// Worker panics and (with IterTimeout) wedged iterations are recovered by
+// retrying the batch on a replacement worker; a shard that keeps failing is
+// abandoned and the campaign completes on the remaining workers.
 func RunParallelExec(newExec func() Executor, opt Options) *Stats {
-	workers, batch := normalizeParallel(opt)
-
-	// One private executor per worker; elaboration and analysis are
-	// independent and deterministic, so build them concurrently.
-	ws := make([]*worker, workers)
-	var wg sync.WaitGroup
-	for i := range ws {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ws[i] = newShardWorker(i, newExec(), opt, 0)
-		}(i)
-	}
-	wg.Wait()
-	observeCompile(opt.Observer, ws[0].d)
-
-	// Static shard sizes: worker w owns iterations w, w+workers, ... of the
-	// budget, drained in fixed-size batches.
-	rem := make([]int, workers)
-	for i := range rem {
-		rem[i] = opt.Iterations / workers
-		if i < opt.Iterations%workers {
-			rem[i]++
-		}
-	}
-
-	an := ws[0].d.ContentionAnalysis()
-	c := &coordinator{
-		newExec: newExec, opt: opt, dut: an.Netlist.Name(),
-		workers: workers, batch: batch,
-		ws: ws, rem: rem, left: opt.Iterations,
-		acc: newStatsAccum(an, opt), global: NewCorpus(),
-		lastSaved: -1, nextCkpt: checkpointEvery(opt),
-	}
-	opt.Observer.CampaignStart(c.dut, opt.Iterations, workers, batch, opt.Seed)
-	return c.run()
+	workers, _ := normalizeParallel(opt)
+	ws := newShardWorkers(newExec, opt, make([]uint64, workers), nil)
+	return newCoordinator(NewLeaseCoordinator(ws[0].d, opt), newExec, ws, -1).run()
 }
 
-// Resume continues a checkpointed campaign. opt must describe the same
+// ResumeExec continues a checkpointed campaign. opt must describe the same
 // campaign shape (Seed, Workers, BatchSize, iteration budget, strategy
 // switches) as the checkpoint; operational fields (Checkpoint,
 // CheckpointEvery, MaxRounds, IterTimeout, retry policy, Observer,
-// FaultHook) are free to differ — the usual way to build opt is
+// FaultHook, Lanes) are free to differ — the usual way to build opt is
 // cp.CampaignOptions() plus operational overrides.
 //
 // The resumed campaign is bit-identical to the uninterrupted run: the final
-// Stats match, and the event stream emitted after Resume byte-continues the
-// stream the interrupted run emitted before the checkpoint (sequence
+// Stats match, and the event stream emitted after ResumeExec byte-continues
+// the stream the interrupted run emitted before the checkpoint (sequence
 // numbers included; no campaign_start is re-emitted).
-func Resume(newDUT func() *DUT, opt Options, cp *Checkpoint) (*Stats, error) {
-	return ResumeExec(func() Executor { return newDUT() }, opt, cp)
+func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
+	lc, err := restoreLeaseCoordinator(opt, cp)
+	if err != nil {
+		return nil, err
+	}
+	ws := newShardWorkers(newExec, opt, lc.cursors, lc.rem)
+	var d Executor // any live worker's: point IDs agree across executors
+	for _, w := range ws {
+		if w != nil {
+			d = w.d
+			break
+		}
+	}
+	lc.resume(d, cp)
+	if cp.Complete {
+		return lc.acc.st, nil
+	}
+	return newCoordinator(lc, newExec, ws, cp.Done).run(), nil
 }
 
-// ResumeExec is Resume over any Executor factory; Resume is a thin wrapper
-// for behavioral-DUT factories.
-func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
-	if err := cp.validate(); err != nil {
-		return nil, err
-	}
-	if got, want := shapeOf(opt), cp.Shape; got != want {
-		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
-	}
-
-	st, best, err := cp.stats()
-	if err != nil {
-		return nil, err
-	}
-	global, err := cp.corpus()
-	if err != nil {
-		return nil, err
-	}
-
-	workers, batch := normalizeParallel(opt)
-	ws := make([]*worker, workers)
+// newShardWorkers builds one worker per shard, with its RNG replayed to the
+// shard's cursor, skipping shards with no remaining budget when rem is
+// given. Elaboration and analysis are independent and deterministic, so the
+// executors are built concurrently.
+func newShardWorkers(newExec func() Executor, opt Options, cursors []uint64, rem []int) []*worker {
+	ws := make([]*worker, len(cursors))
 	var wg sync.WaitGroup
 	for i := range ws {
-		if cp.Rem[i] == 0 {
+		if rem != nil && rem[i] == 0 {
 			continue // drained or abandoned shard: no executor needed
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ws[i] = newShardWorker(i, newExec(), opt, cp.Cursors[i])
+			ws[i] = newShardWorker(i, newExec(), opt, cursors[i])
 		}(i)
 	}
 	wg.Wait()
-	// Distribute copy-on-write views of the restored corpus on this
-	// goroutine (view marks the corpus frozen, which must not race).
-	for _, w := range ws {
-		if w != nil {
-			w.corpus = global.view()
-		}
-	}
-
-	acc := newStatsAccum(nil, opt)
-	acc.st = st
-	for _, w := range ws {
-		// Any live worker's analysis serves the accumulator: point IDs are
-		// identical across a campaign's executor instances.
-		if w != nil {
-			acc.an = w.d.ContentionAnalysis()
-			observeCompile(opt.Observer, w.d)
-			break
-		}
-	}
-	if acc.best != nil {
-		for _, pi := range best {
-			acc.best[pi.Point] = pi.Intvl
-		}
-	}
-
-	var lastIter IterStats
-	if n := len(st.PerIteration); n > 0 {
-		lastIter = st.PerIteration[n-1]
-	}
-	opt.Observer.CampaignResumed(cp.EventSeq, len(st.PerIteration),
-		lastIter.CumPoints, lastIter.CumTimingDiffs, len(st.Findings),
-		global.Len(), st.ExecutedCycles)
-
-	c := &coordinator{
-		newExec: newExec, opt: opt, dut: cp.DUT, workers: workers, batch: batch,
-		ws: ws, rem: append([]int(nil), cp.Rem...), left: sum(cp.Rem),
-		round: cp.Round, acc: acc, global: global,
-		lastSaved: cp.Done, nextCkpt: nextCheckpointAfter(cp.Done, opt),
-	}
-	if cp.Complete || c.left == 0 {
-		// The checkpoint already marks completion (or nothing remains):
-		// finalize without re-executing or re-emitting campaign_end if the
-		// original run already emitted it.
-		c.acc.st.CorpusSize = c.global.Len()
-		if !cp.Complete {
-			c.writeCheckpoint(true)
-			c.acc.finish()
-		}
-		return c.acc.st, nil
-	}
-	return c.run(), nil
+	return ws
 }
 
-func sum(xs []int) int {
-	t := 0
-	for _, x := range xs {
-		t += x
+// newCoordinator wraps a LeaseCoordinator in the local driver. lastSaved is
+// the position of the checkpoint the campaign was restored from (-1 for a
+// fresh campaign). Every worker starts from a copy-on-write view of the
+// coordinator's corpus.
+func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, ws []*worker, lastSaved int) *coordinator {
+	for _, w := range ws {
+		if w != nil {
+			w.corpus = lc.global.view()
+		}
 	}
-	return t
+	return &coordinator{
+		lc: lc, newExec: newExec, ws: ws,
+		lastSaved: lastSaved, nextCkpt: nextCheckpointAfter(lastSaved, lc.opt),
+	}
 }
 
 // checkpointEvery resolves the effective checkpoint period.
@@ -336,82 +206,78 @@ func nextCheckpointAfter(done int, opt Options) int {
 
 // run drives the campaign to completion (or a MaxRounds pause) and returns
 // the accumulated Stats. Workers only execute inside runRound, so between
-// loop iterations the shards are quiescent; the fold goroutine may still be
+// rounds the shards are quiescent; the fold goroutine may still be
 // draining earlier rounds, and every path that reads the accumulator or the
 // event-stream position (checkpoints, pause, completion) drains it first.
+// The fold of the round that drains the budget emits campaign_end, so the
+// final checkpoint's event position includes it.
 func (c *coordinator) run() *Stats {
+	lc := c.lc
 	c.startFolder()
-	roundsThisRun := 0
-	for c.left > 0 {
-		if c.opt.MaxRounds > 0 && roundsThisRun >= c.opt.MaxRounds {
+	for rounds := 0; !lc.finished; rounds++ {
+		if lc.opt.MaxRounds > 0 && rounds >= lc.opt.MaxRounds {
 			// Pause: persist the position and return the partial Stats
-			// without campaign_end, so a later Resume byte-continues the
+			// without campaign_end, so a later resume byte-continues the
 			// event stream.
-			c.drainFolds()
 			c.stopFolder()
 			c.writeCheckpoint(false)
-			c.acc.st.CorpusSize = c.global.Len()
-			return c.acc.st
+			lc.acc.st.CorpusSize = lc.global.Len()
+			return lc.acc.st
 		}
-		c.round++
-		roundsThisRun++
-		rs := c.acquireScratch()
-		c.runRound(rs)
-		c.foldCh <- rs
+		rf := c.acquireRecord()
+		c.runRound(rf)
+		c.foldCh <- rf
 		c.inFlight++
-		if c.opt.Iterations-c.left >= c.nextCkpt {
+		if !lc.finished && lc.Position() >= c.nextCkpt {
 			c.drainFolds()
 			c.writeCheckpoint(false)
-			c.nextCkpt = nextCheckpointAfter(c.opt.Iterations-c.left, c.opt)
+			c.nextCkpt = nextCheckpointAfter(lc.Position(), lc.opt)
 		}
 	}
-	c.drainFolds()
 	c.stopFolder()
-	c.acc.st.CorpusSize = c.global.Len()
 	c.writeCheckpoint(true)
-	c.acc.finish()
-	return c.acc.st
+	return lc.acc.st
 }
 
-// startFolder launches the fold goroutine that drains merged rounds.
+// startFolder launches the fold goroutine that drains closed rounds.
 func (c *coordinator) startFolder() {
-	c.foldCh = make(chan *roundScratch, pipelineDepth)
-	c.foldDone = make(chan *roundScratch, pipelineDepth)
+	c.foldCh = make(chan *roundFold, pipelineDepth)
+	c.foldDone = make(chan *roundFold, pipelineDepth)
 	c.folderExit = make(chan struct{})
 	go func() {
 		defer close(c.folderExit)
-		for rs := range c.foldCh {
-			c.fold(rs)
-			c.foldDone <- rs
+		for rf := range c.foldCh {
+			c.lc.foldRound(rf)
+			c.foldDone <- rf
 		}
 	}()
 }
 
-// stopFolder shuts the fold goroutine down after drainFolds emptied the
-// pipeline, so the coordinator may touch the accumulator and Observer
-// directly afterwards.
+// stopFolder drains the pipeline and shuts the fold goroutine down, so the
+// caller may touch the accumulator and Observer directly afterwards.
 func (c *coordinator) stopFolder() {
+	c.drainFolds()
 	close(c.foldCh)
 	<-c.folderExit
 }
 
-// acquireScratch returns a round scratch to fill: a reclaimed one if
+// acquireRecord returns a round record to fill: a reclaimed one if
 // available, a fresh one while under the pipeline depth, and otherwise it
 // blocks until the folder finishes the oldest in-flight round — the
 // back-pressure that bounds how far workers may run ahead of the fold.
-func (c *coordinator) acquireScratch() *roundScratch {
+func (c *coordinator) acquireRecord() *roundFold {
 	if n := len(c.free); n > 0 {
-		rs := c.free[n-1]
+		rf := c.free[n-1]
 		c.free = c.free[:n-1]
-		return rs
+		return rf
 	}
-	if c.scratches < pipelineDepth {
-		c.scratches++
-		return newRoundScratch(c.workers)
+	if c.records < pipelineDepth {
+		c.records++
+		return newRoundFold(len(c.ws))
 	}
-	rs := <-c.foldDone
+	rf := <-c.foldDone
 	c.inFlight--
-	return rs
+	return rf
 }
 
 // drainFolds blocks until every in-flight round has been folded. Callers
@@ -424,162 +290,88 @@ func (c *coordinator) drainFolds() {
 	}
 }
 
-// runRound executes one batch round's barrier work: the parallel phase
-// (each live shard drains one batch under the fault supervisor into the
-// round's scratch), then — workers quiescent — the fault dispositions and
-// the corpus merge in canonical worker order. Everything the next round
-// does not depend on (the stats fold, all event emission) is left in the
-// scratch for the fold goroutine, so the serial section of a round is just
-// the seed re-offers and scheduling bookkeeping.
-func (c *coordinator) runRound(rs *roundScratch) {
-	rs.reset(c.round)
+// runRound executes one batch round up to its barrier: the parallel phase
+// (each open shard drains one batch under the fault supervisor, reporting
+// straight into the coordinator's open round), then — workers quiescent —
+// the LeaseCoordinator's barrier step and, when it re-offered seeds, the
+// distribution of fresh corpus views. The fold step is left in rf for the
+// fold goroutine, so the serial section of a round is just the seed
+// re-offers and budget bookkeeping. rf's recycled outcome buffers are
+// handed to the shards as batch scratch.
+func (c *coordinator) runRound(rf *roundFold) {
+	lc := c.lc
+	round := lc.round + 1
 	var wg sync.WaitGroup
-	for i, w := range c.ws {
-		if w == nil {
-			continue
-		}
-		n := c.rem[i]
-		if n > c.batch {
-			n = c.batch
-		}
-		if n == 0 {
+	for i := range c.ws {
+		if !lc.openShard(i) {
 			continue
 		}
 		wg.Add(1)
-		go func(i, n int) {
+		go func(i, n int, dst []outcome, fails []string) {
 			defer wg.Done()
-			c.superviseShard(i, n, rs)
-		}(i, n)
+			lc.reports[i] = c.superviseShard(i, n, round, dst, fails)
+		}(i, lc.batchSize(i), rf.outs[i][:0], rf.fails[i][:0])
 	}
 	wg.Wait()
 
 	mergeStart := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
-	// Barrier merge, canonical worker order: decide fault dispositions,
-	// account drained iterations, and re-offer retained seeds to the global
-	// corpus (re-offering drops seeds another worker has already beaten).
-	versionAtStart := c.global.version
-	refresh := false
-	for i, w := range c.ws {
-		if w == nil {
-			continue
-		}
-		if len(rs.fails[i]) > 0 && !rs.recovered[i] {
-			// Abandon the shard: its budget is dropped and the campaign
-			// degrades to the remaining workers. The folder reports it.
-			rs.abandoned[i] = true
-			rs.dropped[i] = c.rem[i]
-			c.left -= c.rem[i]
-			c.rem[i] = 0
-			c.ws[i] = nil
-			continue
-		}
-		c.rem[i] -= len(rs.outs[i])
-		c.left -= len(rs.outs[i])
-		rs.merged += len(rs.outs[i])
-		if seeds := w.takeNewSeeds(); len(seeds) > 0 {
-			refresh = true
-			for _, s := range seeds {
-				c.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
-			}
-		}
-	}
-
-	// Distribute: when the merge changed the corpus (or any worker diverged
-	// by retaining locally), every worker restarts from a fresh
-	// copy-on-write view of the merged global; unchanged rounds — the
-	// steady state once retention has converged — distribute nothing at
-	// all, since every worker's view already equals the global corpus.
-	if refresh || c.global.version != versionAtStart {
+	if lc.closeBarrier(rf) {
+		// The merge changed the corpus, or a worker diverged by retaining
+		// locally: every worker restarts from a fresh copy-on-write view of
+		// the merged global. Rounds that retain nothing — the steady state
+		// once retention has converged — distribute nothing at all.
 		for _, w := range c.ws {
-			if w == nil {
-				continue
+			if w != nil {
+				w.corpus = lc.global.view()
 			}
-			w.corpus = c.global.view()
 		}
 	}
-	rs.corpusLen = c.global.Len()
-	rs.mergeLat = time.Since(mergeStart) //sonar:nondeterministic-ok operator-facing duration metric only
+	rf.mergeLat = time.Since(mergeStart) //sonar:nondeterministic-ok operator-facing duration metric only
 }
 
-// fold drains one merged round on the fold goroutine, in exactly the order
-// the pre-pipeline coordinator used: fault events per shard (each failed
-// attempt, then the recovery or abandonment disposition), the per-outcome
-// stats fold in worker order, then the batch_merged event carrying the
-// barrier's corpus summary. This is the only goroutine that touches the
-// accumulator or emits events while a campaign runs, so the event stream
-// stays deterministic — and it runs concurrently with the next round's
-// execution, off the workers' critical path.
-func (c *coordinator) fold(rs *roundScratch) {
-	for i := range rs.fails {
-		for a, reason := range rs.fails[i] {
-			c.opt.Observer.WorkerFailed(i, rs.round, a+1, reason)
-		}
-		if len(rs.fails[i]) == 0 {
-			continue
-		}
-		if rs.abandoned[i] {
-			c.opt.Observer.WorkerFailed(i, rs.round, abandonAttempt,
-				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(rs.fails[i]), rs.dropped[i]))
-		} else {
-			c.opt.Observer.BatchRetried(i, rs.round, len(rs.fails[i])+1)
-		}
-	}
-	for i := range rs.outs {
-		c.acc.applyAll(rs.outs[i])
-	}
-	c.opt.Observer.BatchMerged(rs.round, rs.merged, rs.corpusLen, rs.mergeLat)
-}
-
-// superviseShard drains one batch of n iterations on shard i, retrying on a
-// replacement worker (with bounded exponential backoff) after a panic or
-// deadline abort. A successful retry replays the shard's pre-batch RNG
-// cursor against a fresh snapshot of the global corpus — the global corpus
-// is immutable during the parallel phase, so the replayed batch produces
-// outcomes identical to the fault-free run. After MaxRetries failed
-// retries the shard is left failed; the coordinator abandons it.
+// superviseShard drains one batch of n iterations of merge round `round` on
+// shard i and returns the shard's report, retrying on a replacement worker
+// (with bounded exponential backoff) after a panic or deadline abort. A
+// successful retry replays the shard's pre-batch RNG cursor against a fresh
+// snapshot of the global corpus — the global corpus is immutable during the
+// parallel phase, so the replayed batch produces outcomes identical to the
+// fault-free run, and the report carries the failed attempts for the fold's
+// batch_retried. After MaxRetries failed retries the shard is reported
+// abandoned.
 //
-// Only the first attempt writes into the recycled rs.outs[i] scratch; a
-// failed attempt's goroutine may linger (a stalled batch runs to its own
-// end or forever), so after any failure the scratch buffer is surrendered
-// to that goroutine and retries append to fresh allocations.
-func (c *coordinator) superviseShard(i, n int, rs *roundScratch) {
-	maxRetries := c.opt.MaxRetries
+// Only the first attempt writes into the recycled dst scratch; a failed
+// attempt's goroutine may linger (a stalled batch runs to its own end or
+// forever), so after any failure the scratch buffer is surrendered to that
+// goroutine and retries append to fresh allocations.
+func (c *coordinator) superviseShard(i, n, round int, dst []outcome, fails []string) shardReport {
+	opt := c.lc.opt
+	maxRetries := opt.MaxRetries
 	if maxRetries == 0 {
 		maxRetries = defaultMaxRetries
 	} else if maxRetries < 0 {
 		maxRetries = 0
 	}
-	backoff := c.opt.RetryBackoff
+	backoff := opt.RetryBackoff
 	if backoff <= 0 {
 		backoff = defaultRetryBackoff
 	}
-	cursor := uint64(0)
-	if w := c.ws[i]; w != nil && w.src != nil {
-		cursor = w.src.cursor()
-	}
-	dst := rs.outs[i]
 	for attempt := 0; ; attempt++ {
 		w := c.ws[i]
 		if attempt > 0 {
-			shift := attempt - 1
-			if shift > maxBackoffShift {
-				shift = maxBackoffShift
-			}
+			shift := min(attempt-1, maxBackoffShift)
 			time.Sleep(backoff << uint(shift))
 			w = nil   // build a replacement inside the attempt goroutine
 			dst = nil // the failed attempt's goroutine owns the scratch now
 		}
-		res, err := c.attemptBatch(w, dst, i, n, cursor)
+		res, err := c.attemptBatch(w, dst, i, n, round)
 		if err == nil {
-			rs.outs[i] = res.outs
 			c.ws[i] = res.w
-			rs.recovered[i] = attempt > 0
-			return
+			return shardReport{resolved: true, outs: res.outs, seeds: res.w.takeNewSeeds(), cursor: res.w.src.cursor(), fails: fails}
 		}
-		rs.fails[i] = append(rs.fails[i], err.Error())
+		fails = append(fails, err.Error())
 		if attempt >= maxRetries {
-			rs.outs[i] = nil // surrendered to the lingering goroutine
-			return
+			c.ws[i] = nil
+			return shardReport{resolved: true, abandoned: true, fails: fails}
 		}
 	}
 }
@@ -593,14 +385,16 @@ type attemptResult struct {
 
 // attemptBatch runs one batch attempt in its own goroutine, recovering
 // panics and enforcing the per-batch deadline (n × IterTimeout). w == nil
-// means "build a replacement worker": a fresh DUT with the shard's RNG
+// means "build a replacement worker": a fresh executor with the shard's RNG
 // replayed to the pre-batch cursor and a fresh global-corpus snapshot —
-// built inside the attempt goroutine so a panicking DUT constructor is
+// built inside the attempt goroutine so a panicking constructor is
 // recovered like any other worker fault. An abandoned (stalled) attempt's
 // goroutine keeps only private state (including the dst buffer it was
 // given) and sends into 1-buffered channels, so it can finish late, or
 // never, without racing or leaking a send.
-func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor uint64) (attemptResult, error) {
+func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n, round int) (attemptResult, error) {
+	opt := c.lc.opt
+	cursor := c.lc.cursors[i]
 	done := make(chan attemptResult, 1)
 	failed := make(chan string, 1)
 	start := time.Now() //sonar:nondeterministic-ok batch wall time feeds worker-busy metrics, not canonical output
@@ -611,30 +405,30 @@ func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor ui
 			}
 		}()
 		if w == nil {
-			w = newShardWorker(i, c.newExec(), c.opt, cursor)
+			w = newShardWorker(i, c.newExec(), opt, cursor)
 			// Deep-copy snapshot, not a view: view() mutates the global
 			// corpus's freeze flag, which must not race with other shards'
 			// replacement builds during the parallel phase. Content equals
 			// the view the original worker held, so the replay is exact.
-			w.corpus = c.global.Snapshot()
+			w.corpus = c.lc.global.Snapshot()
 		}
-		done <- attemptResult{outs: w.runBatch(dst, n, c.round), w: w}
+		done <- attemptResult{outs: w.runBatch(dst, n, round), w: w}
 	}()
 
 	var deadline <-chan time.Time
-	if c.opt.IterTimeout > 0 {
-		t := time.NewTimer(time.Duration(n) * c.opt.IterTimeout)
+	if opt.IterTimeout > 0 {
+		t := time.NewTimer(time.Duration(n) * opt.IterTimeout)
 		defer t.Stop()
 		deadline = t.C
 	}
 	select {
 	case res := <-done:
-		c.opt.Observer.WorkerBatch(i, n, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
+		opt.Observer.WorkerBatch(i, n, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
 		return res, nil
 	case msg := <-failed:
 		return attemptResult{}, fmt.Errorf("%s", msg)
 	case <-deadline:
-		return attemptResult{}, fmt.Errorf("batch deadline exceeded (%d iterations × %v)", n, c.opt.IterTimeout)
+		return attemptResult{}, fmt.Errorf("batch deadline exceeded (%d iterations × %v)", n, opt.IterTimeout)
 	}
 }
 
@@ -646,19 +440,19 @@ func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n int, cursor ui
 // itself never aborts on checkpoint I/O errors (the operator loses
 // durability, not results).
 func (c *coordinator) writeCheckpoint(complete bool) {
-	if c.opt.Checkpoint == "" {
+	opt := c.lc.opt
+	if opt.Checkpoint == "" {
 		return
 	}
-	done := c.opt.Iterations - c.left
+	done := c.lc.Position()
 	if !complete && done == c.lastSaved {
 		return // already persisted at this position
 	}
 	start := time.Now() //sonar:nondeterministic-ok checkpoint save duration feeds a metric, not canonical output
-	cp := c.snapshot(complete)
-	size, err := cp.Save(c.opt.Checkpoint)
+	size, err := c.lc.Snapshot(complete).Save(opt.Checkpoint)
 	if err != nil {
 		return
 	}
 	c.lastSaved = done
-	c.opt.Observer.CheckpointSaved(done, size, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
+	opt.Observer.CheckpointSaved(done, size, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
 }

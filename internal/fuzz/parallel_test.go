@@ -12,6 +12,10 @@ func liteFactory() *DUT {
 	return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil))
 }
 
+// liteExec is liteFactory in the Executor-factory form the parallel and
+// lease engines take.
+func liteExec() Executor { return liteFactory() }
+
 // statsEqual compares everything a campaign reports except the finding
 // pointers themselves.
 func statsEqual(t *testing.T, a, b *Stats) {
@@ -56,7 +60,7 @@ func TestParallelWorkers1MatchesSerial(t *testing.T) {
 		opt.Workers = 1
 		opt.BatchSize = batch
 		serial := Run(liteFactory(), SonarOptions(30))
-		parallel := RunParallel(liteFactory, opt)
+		parallel := RunParallelExec(liteExec, opt)
 		statsEqual(t, serial, parallel)
 	}
 }
@@ -66,8 +70,8 @@ func TestParallelReproducibleWorkers4(t *testing.T) {
 	opt := SonarOptions(40)
 	opt.Workers = 4
 	opt.BatchSize = 5
-	a := RunParallel(liteFactory, opt)
-	b := RunParallel(liteFactory, opt)
+	a := RunParallelExec(liteExec, opt)
+	b := RunParallelExec(liteExec, opt)
 	statsEqual(t, a, b)
 	if len(a.PerIteration) != 40 {
 		t.Fatalf("parallel campaign recorded %d iterations, want 40", len(a.PerIteration))
@@ -89,7 +93,7 @@ func TestParallelReproducibleWorkers4(t *testing.T) {
 func TestParallelMoreWorkersThanIterations(t *testing.T) {
 	opt := SonarOptions(3)
 	opt.Workers = 8
-	st := RunParallel(liteFactory, opt)
+	st := RunParallelExec(liteExec, opt)
 	if len(st.PerIteration) != 3 {
 		t.Fatalf("iterations = %d, want 3", len(st.PerIteration))
 	}
@@ -99,7 +103,7 @@ func TestParallelMoreWorkersThanIterations(t *testing.T) {
 func TestParallelRandomBaselineRetainsNothing(t *testing.T) {
 	opt := RandomOptions(8)
 	opt.Workers = 2
-	if st := RunParallel(liteFactory, opt); st.CorpusSize != 0 {
+	if st := RunParallelExec(liteExec, opt); st.CorpusSize != 0 {
 		t.Errorf("random baseline corpus size = %d, want 0", st.CorpusSize)
 	}
 }
@@ -107,12 +111,12 @@ func TestParallelRandomBaselineRetainsNothing(t *testing.T) {
 // Dual-core campaigns must survive the parallel engine (exercised under
 // -race in CI).
 func TestParallelDualCore(t *testing.T) {
-	mk := func() *DUT { return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil)) }
+	mk := func() Executor { return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil)) }
 	opt := SonarOptions(8)
 	opt.DualCore = true
 	opt.Workers = 2
 	opt.BatchSize = 2
-	st := RunParallel(mk, opt)
+	st := RunParallelExec(mk, opt)
 	if len(st.PerIteration) != 8 {
 		t.Fatal("dual-core parallel campaign did not complete")
 	}
