@@ -111,14 +111,31 @@ type StateDiff struct {
 // StateCompare performs the contention-state differential between two
 // instrumented executions, returning the points whose states deviate,
 // sorted by point ID so the result is invariant under monitor placement
-// order (both snapshots must share one placement).
+// order (both snapshots must share one placement). A point idle in both
+// snapshots cannot deviate, so the comparison walks only the union of the
+// two snapshots' Active lists.
 func StateCompare(a, b *monitor.Snapshot) []StateDiff {
-	n := len(a.Points)
-	if len(b.Points) < n {
-		n = len(b.Points)
-	}
+	n := min(len(a.Points), len(b.Points))
+	actA, actB := a.Active(), b.Active()
 	var out []StateDiff
-	for i := 0; i < n; i++ {
+	for ia, ib := 0, 0; ia < len(actA) || ib < len(actB); {
+		// Merge step: i is the smaller head of the two ascending lists.
+		var i int
+		switch {
+		case ib == len(actB) || ia < len(actA) && actA[ia] < actB[ib]:
+			i = actA[ia]
+			ia++
+		case ia == len(actA) || actB[ib] < actA[ia]:
+			i = actB[ib]
+			ib++
+		default:
+			i = actA[ia]
+			ia++
+			ib++
+		}
+		if i >= n {
+			break // both lists ascend: every later index is out of range too
+		}
 		pa, pb := &a.Points[i], &b.Points[i]
 		var reasons []string
 		if pa.Digest != pb.Digest {

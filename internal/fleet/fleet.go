@@ -45,6 +45,8 @@ var (
 	// errConflict maps to 409: a resource that exists but is not in the
 	// right state (e.g. the result of a still-running campaign).
 	errConflict = errors.New("conflict")
+	// errTooLarge maps to 413: a request body over the server's size cap.
+	errTooLarge = errors.New("request body too large")
 )
 
 // Fleet metric names (exposed on the server's /metrics handler, alongside

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -300,6 +302,38 @@ func TestAPISubmitValidation(t *testing.T) {
 	if h, err := client.Health(); err != nil || h.Campaigns != 0 {
 		t.Errorf("rejected submissions left state behind: %+v, %v", h, err)
 	}
+}
+
+// A request body over the server's cap is refused with 413 before it is
+// buffered whole, on both the submit and the report route; ordinary submit
+// and report bodies, far below the cap, still go through afterwards.
+func TestOversizeBodyRejected(t *testing.T) {
+	client, _ := newTestServer(t, Config{})
+	huge := Spec{FIRRTL: strings.Repeat(" ", maxBodyBytes)}
+	if _, err := client.Submit(&huge); !isStatus(err, http.StatusRequestEntityTooLarge) {
+		t.Errorf("oversize submit: got %v, want a 413 APIError", err)
+	}
+	one, err := json.Marshal(fuzz.OutcomeWire{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bloated := &fuzz.LeaseResult{Outcomes: make([]fuzz.OutcomeWire, maxBodyBytes/len(one)+1)}
+	if err := client.Report("c1-r1-s0-a1", bloated); !isStatus(err, http.StatusRequestEntityTooLarge) {
+		t.Errorf("oversize report: got %v, want a 413 APIError", err)
+	}
+	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(8, 1, 8)}); err != nil {
+		t.Fatalf("ordinary submit after oversize bodies: %v", err)
+	}
+	driveCampaign(t, client)
+	if st, err := client.Campaign("c1"); err != nil || st.State != "done" {
+		t.Errorf("campaign after ordinary reports: %+v, %v", st, err)
+	}
+}
+
+// isStatus reports whether err is an APIError with the given status.
+func isStatus(err error, status int) bool {
+	ae, ok := err.(*APIError)
+	return ok && ae.Status == status
 }
 
 // An expired lease is re-offered with the next attempt number and the same

@@ -58,15 +58,27 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, errGone), errors.Is(err, errConflict):
 		status = http.StatusConflict
+	case errors.Is(err, errTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	}
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// decodeJSON strictly decodes a request body.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every request body the server decodes, so one client
+// cannot make the server buffer an unbounded JSON value. The largest real
+// bodies are lease reports (about 28 KiB at batch size 32) and submitted
+// FIRRTL source; 16 MiB leaves both far below the cap.
+const maxBodyBytes = 16 << 20
+
+// decodeJSON strictly decodes a request body of at most maxBodyBytes.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+		}
 		return fmt.Errorf("%w: body: %v", errBadRequest, err)
 	}
 	return nil
@@ -78,7 +90,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := decodeJSON(r, &spec); err != nil {
+	if err := decodeJSON(w, r, &spec); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -143,7 +155,7 @@ type acquireRequest struct {
 
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -176,7 +188,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	var res fuzz.LeaseResult
-	if err := decodeJSON(r, &res); err != nil {
+	if err := decodeJSON(w, r, &res); err != nil {
 		writeErr(w, err)
 		return
 	}
@@ -195,7 +207,7 @@ type drainRequest struct {
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req drainRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeErr(w, err)
 		return
 	}

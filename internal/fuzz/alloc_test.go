@@ -8,28 +8,37 @@ import (
 	"sonar/internal/fuzz/faultinject"
 	"sonar/internal/isa"
 	"sonar/internal/trace"
+	"sonar/internal/uarch"
 )
 
 // Steady-state Execute on a warm DUT must not touch the heap: every buffer
 // it needs (programs, commit logs, snapshot, pulser lists, the Execution
 // itself) lives in the two recycled arenas. This pins the perf contract the
 // campaign engines rely on — regressions here show up directly as GC time in
-// campaign throughput.
+// campaign throughput. The paper-scale BOOM case covers the sparse monitor's
+// dirty-list Reset and incremental snapshot arena over thousands of points.
 func TestExecuteSteadyStateAllocFree(t *testing.T) {
-	d := NewDUT(boom.NewLite())
-	tc := Generate(rand.New(rand.NewSource(7)), false)
-	// Warm both arenas under both secrets so every recycled buffer reaches
-	// its steady-state capacity.
-	for i := 0; i < 4; i++ {
-		d.Execute(tc, uint64(i%2))
-	}
-	secret := uint64(0)
-	allocs := testing.AllocsPerRun(20, func() {
-		secret ^= 1
-		d.Execute(tc, secret)
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Execute allocates %.1f objects/run, want 0", allocs)
+	for _, dut := range []struct {
+		name string
+		soc  func() *uarch.SoC
+	}{{"lite", boom.NewLite}, {"paper", boom.New}} {
+		t.Run(dut.name, func(t *testing.T) {
+			d := NewDUT(dut.soc())
+			tc := Generate(rand.New(rand.NewSource(7)), false)
+			// Warm both arenas under both secrets so every recycled buffer
+			// reaches its steady-state capacity.
+			for i := 0; i < 4; i++ {
+				d.Execute(tc, uint64(i%2))
+			}
+			secret := uint64(0)
+			allocs := testing.AllocsPerRun(20, func() {
+				secret ^= 1
+				d.Execute(tc, secret)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state Execute allocates %.1f objects/run, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package hdl
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -74,6 +76,43 @@ func TestWatcherFiresOnChangeOnly(t *testing.T) {
 	if len(events) != 2 {
 		t.Error("watcher fired after ClearWatchers")
 	}
+}
+
+// Restore writes the whole plane, then dispatches the watchers of exactly
+// the watched signals whose value changed, in id order; every hook already
+// sees the fully restored plane.
+func TestRestoreDispatchesChangedWatchers(t *testing.T) {
+	n := NewNetlist("t")
+	a := n.Wire("a", 8)
+	b := n.Wire("b", 8)
+	c := n.Wire("c", 8)
+	u := n.Wire("u", 8) // unwatched
+	init := append([]uint64(nil), n.Values()...)
+	var log []string
+	for _, s := range []*Signal{a, b, c} {
+		s.Watch(func(s *Signal, old, new uint64, cycle int64) {
+			log = append(log, fmt.Sprintf("%s:%d->%d@%d u=%d", s.Name(), old, new, cycle, u.Value()))
+		})
+	}
+	c.Set(7)
+	a.Set(5)
+	u.Set(9)
+	n.Step()
+	log = log[:0]
+	n.Restore(init)
+	want := []string{"a:5->0@1 u=0", "c:7->0@1 u=0"}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("restore dispatched %v, want %v", log, want)
+	}
+	if !reflect.DeepEqual(n.Values(), init) {
+		t.Errorf("plane after restore = %v, want %v", n.Values(), init)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Restore of a short plane did not panic")
+		}
+	}()
+	n.Restore(init[:1])
 }
 
 func TestDuplicateNamePanics(t *testing.T) {

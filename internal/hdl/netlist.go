@@ -2,6 +2,7 @@ package hdl
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -22,6 +23,9 @@ type Netlist struct {
 	// watcher?" with a single bit test.
 	watchers  [][]WatchFunc
 	watchBits []uint64
+	// restored is Restore's scratch list of the watched signals it changed,
+	// kept so a steady-state restore allocates nothing.
+	restored []restoredValue
 	// driver maps a signal to the mux driving it, if any.
 	driver map[*Signal]*Mux
 	// primDriver maps a signal to the prim driving it, if any.
@@ -75,9 +79,43 @@ func (n *Netlist) MuxByID(id int) *Mux { return n.muxes[id] }
 
 // Values returns the dense value plane of the netlist: Values()[s.ID()] is
 // the current value of signal s. The slice is live — it reflects (and may be
-// used alongside) Signal.Value, but writes must go through Signal.Set so
-// masking and watcher dispatch still happen.
+// used alongside) Signal.Value, but writes must go through Signal.Set or
+// Restore so masking and watcher dispatch still happen.
 func (n *Netlist) Values() []uint64 { return n.vals }
+
+// restoredValue is one watched signal Restore changed, with its old value.
+type restoredValue struct {
+	id  int
+	old uint64
+}
+
+// Restore overwrites the whole value plane with vals (as captured from
+// Values, so already masked), then notifies the watchers of every watched
+// signal whose value changed, in signal id order, exactly as Signal.Set
+// would. Watchers observe the fully restored plane. Unwatched signals cost
+// one bulk copy; the watched ones are found by walking the watch bitset.
+func (n *Netlist) Restore(vals []uint64) {
+	if len(vals) != len(n.vals) {
+		panic(fmt.Sprintf("hdl: Restore of %d values into %s with %d signals", len(vals), n.name, len(n.vals)))
+	}
+	n.restored = n.restored[:0]
+	for w, word := range n.watchBits {
+		for word != 0 {
+			id := w<<6 | bits.TrailingZeros64(word)
+			word &= word - 1
+			if old := n.vals[id]; old != vals[id] {
+				n.restored = append(n.restored, restoredValue{id: id, old: old})
+			}
+		}
+	}
+	copy(n.vals, vals)
+	for _, r := range n.restored {
+		s, v := n.order[r.id], n.vals[r.id]
+		for _, w := range n.watchers[r.id] {
+			w(s, r.old, v, n.cycle)
+		}
+	}
+}
 
 // Signal looks a signal up by full hierarchical name.
 func (n *Netlist) Signal(name string) (*Signal, bool) {

@@ -30,10 +30,11 @@ type LaneHost interface {
 type LaneBank struct {
 	cfg   Config
 	plane *hdl.LanePlane
-	// states[lane][pi] is point pi's instrumentation state in that lane;
-	// the per-lane slice is ordered exactly like Monitor.states, so lane
-	// snapshots are directly comparable with scalar ones.
-	states [hdl.Lanes][]*pointState
+	// sets[lane].states[pi] is point pi's instrumentation state in that
+	// lane; every lane's set is ordered exactly like the scalar Monitor's,
+	// over one shared point list, so lane snapshots are directly comparable
+	// with scalar ones.
+	sets   [hdl.Lanes]pointSet
 	window [hdl.Lanes]bool
 	// statements counts inserted monitoring logic once, not per lane: in
 	// hardware terms the lanes share one instrumentation harness.
@@ -50,7 +51,7 @@ func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 	b := &LaneBank{cfg: cfg, plane: host.Plane()}
 	points := cfg.placementPoints(a)
 	for lane := 0; lane < hdl.Lanes; lane++ {
-		b.states[lane] = newPointStates(points)
+		b.sets[lane] = newPointSet(points)
 	}
 	for pi, p := range points {
 		for ri := range p.Requests {
@@ -58,7 +59,7 @@ func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 			if !req.HasValid() {
 				continue
 			}
-			pi, ri := pi, ri
+			pi, ri := int32(pi), ri
 			hook := func(_ *hdl.Signal, lane int, old, new uint64, cycle int64) {
 				b.onValidDelta(pi, ri, lane, old, new, cycle)
 			}
@@ -69,29 +70,35 @@ func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 		}
 		b.statements += 2 + len(p.Requests)
 	}
-	for lane := 0; lane < hdl.Lanes; lane++ {
-		for _, st := range b.states[lane] {
-			b.recount(st, lane)
-		}
+	for lane := range b.sets {
+		b.recount(lane)
 	}
 	return b
 }
 
 // recount re-derives one lane's per-request true-valid counts from the lane
-// plane, the lane analog of pointState.recount.
-func (b *LaneBank) recount(st *pointState, lane int) {
-	for ri := range st.point.Requests {
-		req := &st.point.Requests[ri]
-		if !req.HasValid() {
-			continue
-		}
-		cnt := int32(0)
-		for _, v := range req.Valids {
-			if b.plane.NonzeroMask(v)>>uint(lane)&1 != 0 {
-				cnt++
+// plane, the lane analog of pointState.recount. Unlike the scalar Monitor, a
+// LaneBank re-anchors on every Reset: LaneSimulator.Reset rewrites the
+// bit-sliced plane without dispatching lane hooks.
+//
+//sonar:alloc-free
+func (b *LaneBank) recount(lane int) {
+	states := b.sets[lane].states
+	for i := range states {
+		st := &states[i]
+		for ri := range st.point.Requests {
+			req := &st.point.Requests[ri]
+			if !req.HasValid() {
+				continue
 			}
+			cnt := int32(0)
+			for _, v := range req.Valids {
+				if b.plane.NonzeroMask(v)>>uint(lane)&1 != 0 {
+					cnt++
+				}
+			}
+			st.trueCnt[ri] = cnt
 		}
-		st.trueCnt[ri] = cnt
 	}
 }
 
@@ -101,19 +108,20 @@ func (b *LaneBank) recount(st *pointState, lane int) {
 // mirroring the scalar monitor's read of Signal.Value.
 //
 //sonar:alloc-free
-func (b *LaneBank) onValidDelta(pi, ri, lane int, old, new uint64, cycle int64) {
-	st := b.states[lane][pi]
+func (b *LaneBank) onValidDelta(pi int32, ri, lane int, old, new uint64, cycle int64) {
+	set := &b.sets[lane]
+	st := &set.states[pi]
 	if !st.applyValidDelta(ri, old, new) {
 		return
 	}
 	if !b.window[lane] {
 		return
 	}
-	st.record(&b.cfg, ri, cycle, b.plane.Get(st.point.Requests[ri].Data, lane))
+	set.record(&b.cfg, pi, ri, cycle, b.plane.Get(st.point.Requests[ri].Data, lane))
 }
 
 // NumPoints returns the number of instrumented contention points (per lane).
-func (b *LaneBank) NumPoints() int { return len(b.states[0]) }
+func (b *LaneBank) NumPoints() int { return len(b.sets[0].states) }
 
 // Statements returns the approximate number of inserted monitoring
 // statements; lanes share one harness, so this matches the scalar Monitor.
@@ -134,14 +142,15 @@ func (b *LaneBank) WindowOpen(lane int) bool { return b.window[lane] }
 
 // Reset clears all collected state in every lane and re-anchors the
 // true-valid counts from the lane plane, keeping hooks attached. Call it
-// between lane-batch executions.
+// between lane-batch executions. Only the states a lane recorded into since
+// the last Reset are cleared.
+//
+//sonar:alloc-free
 func (b *LaneBank) Reset() {
-	for lane := range b.states {
+	for lane := range b.sets {
 		b.window[lane] = false
-		for _, st := range b.states[lane] {
-			st.reset()
-			b.recount(st, lane)
-		}
+		b.sets[lane].reset()
+		b.recount(lane)
 	}
 }
 
@@ -159,5 +168,5 @@ func (b *LaneBank) SnapshotLane(lane int) *Snapshot {
 //
 //sonar:alloc-free
 func (b *LaneBank) SnapshotLaneInto(lane int, s *Snapshot) {
-	snapshotInto(s, b.states[lane])
+	b.sets[lane].snapshotInto(s)
 }

@@ -17,6 +17,14 @@
 // secret-dependent instructions are in flight (first one entering the ROB to
 // last one committing); only events inside it can belong to secret-dependent
 // contention (§6.1).
+//
+// The per-execution cost follows the points an execution touched, not the
+// points instrumented: a monitor keeps a dirty list of the states that
+// recorded an event since the last Reset, and Reset and snapshot capture
+// walk only that list. Every other point is idle — its record is the one it
+// had at construction — so on a paper-scale placement of thousands of
+// points, an execution that touches a hundred of them pays for a hundred
+// resets and copies.
 package monitor
 
 import (
@@ -109,7 +117,7 @@ func (cfg *Config) placementPoints(a *trace.Analysis) []*trace.Point {
 type Monitor struct {
 	net    *hdl.Netlist
 	cfg    Config
-	states []*pointState
+	set    pointSet
 	window bool
 	// statements approximates the amount of monitoring logic inserted, the
 	// paper's "#New verilog" column in Table 2.
@@ -125,17 +133,17 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	}
 	m := &Monitor{net: a.Netlist, cfg: cfg}
 	points := cfg.placementPoints(a)
-	m.states = newPointStates(points)
+	m.set = newPointSet(points)
 	for pi, p := range points {
-		st := m.states[pi]
+		st := &m.set.states[pi]
 		for ri := range p.Requests {
 			req := &p.Requests[ri]
 			if !req.HasValid() {
 				continue
 			}
-			ri := ri
+			pi, ri := int32(pi), ri
 			hook := func(_ *hdl.Signal, old, new uint64, cycle int64) {
-				m.onValidDelta(st, ri, old, new, cycle)
+				m.onValidDelta(pi, ri, old, new, cycle)
 			}
 			for _, v := range req.Valids {
 				v.Watch(hook)
@@ -150,33 +158,45 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	return m
 }
 
-// newPointStates builds the instrumentation states for an ordered point
-// list, reset and ready for hooks (the true-valid recount is the caller's
-// job: scalar and lane monitors read values from different planes). All
+// pointSet is one ordered list of point states plus its dirty list: the
+// indices of the states that recorded an event since the last reset, in
+// first-record order. A state off the list is idle — exactly as reset left
+// it — so reset and snapshot capture touch only the listed states. A Monitor
+// owns one set; a LaneBank owns one per lane, all over the same points.
+type pointSet struct {
+	points []*trace.Point
+	states []pointState
+	// dirty never outgrows its preallocated len(points) capacity: a state
+	// is listed at most once, on its first record after a reset.
+	dirty []int32
+}
+
+// newPointSet builds the instrumentation states for an ordered point list,
+// reset and ready for hooks (the true-valid recount is the caller's job:
+// scalar and lane monitors read values from different planes). All
 // per-point bookkeeping — the states themselves, the per-request counters,
 // and the capped event logs — is carved from a handful of contiguous slabs,
 // so construction costs O(1) allocations instead of O(points): a LaneBank
-// builds hdl.Lanes independent copies of every state, and per-point
-// allocation there dominated whole-campaign allocation counts. record never
-// outgrows its event slice (maxEventsPerPoint cap), so the slab also keeps
-// the monitoring hot path allocation-free from the first execution.
-func newPointStates(points []*trace.Point) []*pointState {
+// builds hdl.Lanes independent sets, and per-point allocation there
+// dominated whole-campaign allocation counts. record never outgrows its
+// event slice (maxEventsPerPoint cap), so the slab also keeps the monitoring
+// hot path allocation-free from the first execution.
+func newPointSet(points []*trace.Point) pointSet {
 	reqs := 0
 	for _, p := range points {
 		reqs += len(p.Requests)
 	}
 	var (
-		structs = make([]pointState, len(points))
-		states  = make([]*pointState, len(points))
-		i32     = make([]int32, 2*reqs)
-		cycles  = make([]int64, reqs)
-		data    = make([]uint64, reqs)
-		events  = make([]Event, len(points)*maxEventsPerPoint)
+		states = make([]pointState, len(points))
+		i32    = make([]int32, 2*reqs)
+		cycles = make([]int64, reqs)
+		data   = make([]uint64, reqs)
+		events = make([]Event, len(points)*maxEventsPerPoint)
 	)
 	off := 0
 	for i, p := range points {
 		n := len(p.Requests)
-		st := &structs[i]
+		st := &states[i]
 		st.point = p
 		st.trueCnt = i32[off : off+n : off+n]
 		st.need = i32[reqs+off : reqs+off+n : reqs+off+n]
@@ -193,15 +213,26 @@ func newPointStates(points []*trace.Point) []*pointState {
 			}
 		}
 		st.reset()
-		states[i] = st
 		off += n
 	}
-	return states
+	return pointSet{points: points, states: states, dirty: make([]int32, 0, len(points))}
 }
 
-// recount re-derives the per-request true-valid counts from the current
-// signal values, re-anchoring the incremental bookkeeping. Called once per
-// Reset; steady-state updates flow through onValidDelta.
+// reset returns every dirty state to idle and empties the dirty list.
+//
+//sonar:alloc-free
+func (ps *pointSet) reset() {
+	for _, pi := range ps.dirty {
+		ps.states[pi].reset()
+	}
+	ps.dirty = ps.dirty[:0]
+}
+
+// recount derives the per-request true-valid counts from the current signal
+// values. The scalar Monitor calls it once, at construction: from then on
+// every value change of a watched signal reaches onValidDelta (Signal.Set
+// and Netlist.Restore both dispatch watchers), so the counts stay exact
+// across executions without re-reading any valid.
 func (st *pointState) recount() {
 	for ri := range st.point.Requests {
 		req := &st.point.Requests[ri]
@@ -229,12 +260,12 @@ func (st *pointState) reset() {
 	st.minIntvlSame = math.MaxInt64
 	st.events = st.events[:0]
 	st.eventCount = 0
-	st.hash = 1469598103934665603 // FNV-1a offset basis
+	st.hash = fnvOffset
 	st.samePathHit = false
 }
 
 // NumPoints returns the number of instrumented contention points.
-func (m *Monitor) NumPoints() int { return len(m.states) }
+func (m *Monitor) NumPoints() int { return len(m.set.states) }
 
 // Statements returns the approximate number of inserted monitoring
 // statements (Table 2's generated-code proxy).
@@ -248,26 +279,29 @@ func (m *Monitor) SetWindow(open bool) { m.window = open }
 func (m *Monitor) WindowOpen() bool { return m.window }
 
 // Reset clears all collected state, keeping the instrumentation attached.
-// Call it between testcase executions.
+// Call it between testcase executions. Only the points that recorded an
+// event since the last Reset are touched.
+//
+//sonar:alloc-free
 func (m *Monitor) Reset() {
 	m.window = false
-	for _, st := range m.states {
-		st.reset()
-		st.recount()
-	}
+	m.set.reset()
 }
 
 // onValidDelta folds one valid-signal value change into the request's
 // true-valid count, recording an event on a completed conjunction inside the
 // window.
-func (m *Monitor) onValidDelta(st *pointState, ri int, old, new uint64, cycle int64) {
+//
+//sonar:alloc-free
+func (m *Monitor) onValidDelta(pi int32, ri int, old, new uint64, cycle int64) {
+	st := &m.set.states[pi]
 	if !st.applyValidDelta(ri, old, new) {
 		return
 	}
 	if !m.window {
 		return
 	}
-	st.record(&m.cfg, ri, cycle, st.point.Requests[ri].Data.Value())
+	m.set.record(&m.cfg, pi, ri, cycle, st.point.Requests[ri].Data.Value())
 }
 
 // applyValidDelta folds one valid-signal value change into the request's
@@ -290,12 +324,18 @@ func (st *pointState) applyValidDelta(ri int, old, new uint64) bool {
 	return st.trueCnt[ri] == st.need[ri]
 }
 
-// record folds one in-window valid arrival of request ri with the given
-// data-field value into the point's reqsIntvl statistics and event log. The
-// event append stays within the log's preallocated cap (maxEventsPerPoint).
+// record folds one in-window valid arrival of request ri at point pi, with
+// the given data-field value, into the point's reqsIntvl statistics and
+// event log, listing the point dirty on its first event since the last
+// reset. The event append stays within the log's preallocated cap
+// (maxEventsPerPoint).
 //
 //sonar:alloc-free
-func (st *pointState) record(cfg *Config, ri int, cycle int64, data uint64) {
+func (ps *pointSet) record(cfg *Config, pi int32, ri int, cycle int64, data uint64) {
+	st := &ps.states[pi]
+	if st.eventCount == 0 {
+		ps.dirty = append(ps.dirty, pi)
+	}
 	// A constantly-valid co-request arrives every cycle: any event is a
 	// simultaneous distinct-request arrival.
 	if st.constPeer {
@@ -339,6 +379,9 @@ func (st *pointState) record(cfg *Config, ri int, cycle int64, data uint64) {
 	st.hash = fnv1a(st.hash, uint64(ri))
 	st.hash = fnv1a(st.hash, data)
 }
+
+// fnvOffset is the FNV-1a offset basis: the digest of an empty event stream.
+const fnvOffset = 1469598103934665603
 
 func fnv1a(h, v uint64) uint64 {
 	for i := 0; i < 8; i++ {

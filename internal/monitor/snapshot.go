@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"sonar/internal/trace"
@@ -40,7 +41,21 @@ const NoInterval int64 = math.MaxInt64
 // Snapshot is the full record of one instrumented execution.
 type Snapshot struct {
 	Points []PointSnapshot // per-point state, indexed by monitor order
+
+	// active lists, ascending, the indices of Points that recorded any
+	// event; every other entry is the idle record of its point.
+	active []int
+	// placement is the point list the entries of Points are laid out for:
+	// an arena recaptured from any monitor over the same list (every lane
+	// of one LaneBank shares it) only rewrites what changed.
+	placement []*trace.Point
 }
+
+// Active returns the indices into Points of the entries that recorded any
+// event, in ascending order. Every other entry is idle: no events, no
+// intervals, the empty-stream digest. The slice belongs to the snapshot and
+// must not be modified.
+func (s *Snapshot) Active() []int { return s.active }
 
 // Snapshot captures the current collected state of all points. The result
 // is freshly allocated and safe to retain; hot paths that recycle snapshots
@@ -60,39 +75,74 @@ func (m *Monitor) Snapshot() *Snapshot {
 //
 //sonar:alloc-free
 func (m *Monitor) SnapshotInto(s *Snapshot) {
-	snapshotInto(s, m.states)
+	m.set.snapshotInto(s)
 }
 
-// snapshotInto captures the state of one ordered point-state list into s,
-// reusing its buffers; it backs both Monitor.SnapshotInto and the per-lane
-// captures of LaneBank.
+// snapshotInto captures the set's collected state into s; it backs both
+// Monitor.SnapshotInto and the per-lane captures of LaneBank. The capture
+// costs O(active points): entries the arena's previous capture made active
+// are set back to idle, then only the dirty states are copied in.
 //
 //sonar:alloc-free
-func snapshotInto(s *Snapshot, states []*pointState) {
-	if cap(s.Points) < len(states) {
-		s.Points = make([]PointSnapshot, len(states))
-		// One contiguous event slab for the arena: source logs are capped at
-		// maxEventsPerPoint, so the copy below never outgrows its buffer and
-		// the arena allocates nothing after this first sizing — per-group
-		// event-count jitter otherwise regrows buffers for the whole campaign.
-		slab := make([]Event, len(states)*maxEventsPerPoint)
+func (ps *pointSet) snapshotInto(s *Snapshot) {
+	if !samePlacement(s.placement, ps.points) {
+		s.layout(ps.points)
+	}
+	for _, i := range s.active {
+		s.Points[i].setIdle()
+	}
+	slices.Sort(ps.dirty)
+	s.active = s.active[:0]
+	for _, pi := range ps.dirty {
+		st := &ps.states[pi]
+		p := &s.Points[pi]
+		p.Events = append(p.Events[:0], st.events...)
+		p.MinIntvlDistinct = st.minIntvlDistinct
+		p.MinIntvlSame = st.minIntvlSame
+		p.EventCount = st.eventCount
+		p.Digest = st.hash
+		p.VolatileContention = st.minIntvlDistinct == 0
+		p.PersistentCandidate = st.samePathHit
+		s.active = append(s.active, int(pi))
+	}
+}
+
+// samePlacement reports whether two point lists are the same list.
+func samePlacement(a, b []*trace.Point) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// layout (re)shapes the arena for a point list: every entry becomes the idle
+// record of its point. One contiguous event slab backs all entries' Events:
+// source logs are capped at maxEventsPerPoint, so a capture never outgrows
+// its buffer and the arena allocates nothing after its first sizing.
+func (s *Snapshot) layout(points []*trace.Point) {
+	if cap(s.Points) < len(points) {
+		s.Points = make([]PointSnapshot, len(points))
+		slab := make([]Event, len(points)*maxEventsPerPoint)
 		for i := range s.Points {
 			s.Points[i].Events = slab[i*maxEventsPerPoint : i*maxEventsPerPoint : (i+1)*maxEventsPerPoint]
 		}
+		s.active = make([]int, 0, len(points))
 	}
-	s.Points = s.Points[:len(states)]
-	for i, st := range states {
-		events := append(s.Points[i].Events[:0], st.events...)
-		s.Points[i] = PointSnapshot{
-			Point:               st.point,
-			MinIntvlDistinct:    st.minIntvlDistinct,
-			MinIntvlSame:        st.minIntvlSame,
-			Events:              events,
-			EventCount:          st.eventCount,
-			Digest:              st.hash,
-			VolatileContention:  st.minIntvlDistinct == 0,
-			PersistentCandidate: st.samePathHit,
-		}
+	s.Points = s.Points[:len(points)]
+	for i, p := range points {
+		s.Points[i].Point = p
+		s.Points[i].setIdle()
+	}
+	s.active = s.active[:0]
+	s.placement = points
+}
+
+// setIdle turns p into the record of a point that saw no event, keeping its
+// Point and its Events buffer.
+func (p *PointSnapshot) setIdle() {
+	*p = PointSnapshot{
+		Point:            p.Point,
+		MinIntvlDistinct: NoInterval,
+		MinIntvlSame:     NoInterval,
+		Events:           p.Events[:0],
+		Digest:           fnvOffset,
 	}
 }
 
@@ -103,7 +153,7 @@ func snapshotInto(s *Snapshot, states []*pointState) {
 // audit-ranked placement permutations.
 func (s *Snapshot) Triggered() []int {
 	var ids []int
-	for i := range s.Points {
+	for _, i := range s.active {
 		p := &s.Points[i]
 		if p.VolatileContention || p.PersistentCandidate {
 			ids = append(ids, p.Point.ID)
@@ -116,8 +166,8 @@ func (s *Snapshot) Triggered() []int {
 // MinIntervals returns the distinct-request reqsIntvl per point ID — the
 // fuzzer's feedback signal (paper §6.2.1).
 func (s *Snapshot) MinIntervals() map[int]int64 {
-	m := make(map[int]int64, len(s.Points))
-	for i := range s.Points {
+	m := make(map[int]int64, len(s.active))
+	for _, i := range s.active {
 		p := &s.Points[i]
 		if p.MinIntvlDistinct != NoInterval {
 			m[p.Point.ID] = p.MinIntvlDistinct
@@ -133,9 +183,12 @@ func (s *Snapshot) MinIntervals() map[int]int64 {
 // best-interval metrics consume this view.
 func MergeMinIntervals(a, b *Snapshot) map[int]int64 {
 	m := a.MinIntervals()
-	for id, v := range b.MinIntervals() { //sonar:nondeterministic-ok min-fold is order-insensitive
-		if old, ok := m[id]; !ok || v < old {
-			m[id] = v
+	for _, i := range b.active {
+		p := &b.Points[i]
+		if v := p.MinIntvlDistinct; v != NoInterval {
+			if old, ok := m[p.Point.ID]; !ok || v < old {
+				m[p.Point.ID] = v
+			}
 		}
 	}
 	return m
@@ -146,8 +199,8 @@ func MergeMinIntervals(a, b *Snapshot) map[int]int64 {
 // only if some request path was observed at least twice; triggering is
 // reached when the data fields also match (PersistentCandidate).
 func (s *Snapshot) SameIntervals() map[int]int64 {
-	m := make(map[int]int64)
-	for i := range s.Points {
+	m := make(map[int]int64, len(s.active))
+	for _, i := range s.active {
 		p := &s.Points[i]
 		if p.MinIntvlSame == NoInterval {
 			continue

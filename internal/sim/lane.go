@@ -291,6 +291,11 @@ func (ls *LaneSimulator) Eval() {
 		case nkPrim:
 			// Scalar spill: run each lane through Prim.Compute on the scalar
 			// plane. The spilled args' scalar values are scratch afterwards.
+			// These writes bypass Signal.Set and its watchers, which is safe
+			// only because a lane netlist carries no scalar watchers: its
+			// monitor is a LaneBank on the lane hooks, and a scalar
+			// monitor.Monitor must live on a separate elaboration (see
+			// fuzz.LaneDUT).
 			for lane := 0; lane < hdl.Lanes; lane++ {
 				for _, a := range nd.prim.Args {
 					if a.IsConst() {

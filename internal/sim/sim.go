@@ -246,15 +246,18 @@ func (s *Simulator) Stats() CompileStats { return s.stats }
 
 // Reset restores every signal to its construction-time value and rewinds the
 // netlist clock to cycle 0, so one simulator instance executes back-to-back
-// runs from identical state. The restore writes the value plane directly,
-// bypassing watch hooks — observers that mirror signal state (monitor.New)
-// must re-baseline afterwards, which monitor's Reset does by recounting.
+// runs from identical state. The restore goes through Netlist.Restore, so
+// every watched signal the reset changes dispatches its watch hooks like any
+// other value change: observers that mirror signal state incrementally
+// (monitor.Monitor's true-valid counts) stay exact without re-reading the
+// plane. The clock is rewound first, so the hooks see the reset transitions
+// at cycle 0.
 func (s *Simulator) Reset() {
-	copy(s.net.Values(), s.init)
+	s.net.SetCycle(0)
+	s.net.Restore(s.init)
 	for i := range s.next {
 		s.next[i] = 0
 	}
-	s.net.SetCycle(0)
 }
 
 // Eval settles all combinational logic for the current cycle. Values

@@ -298,3 +298,54 @@ circuit C :
 		t.Errorf("counter moved while disabled: %d", v)
 	}
 }
+
+// Reset restores the value plane through the watch hooks: a watcher on a
+// simulator-driven signal sees the reset transition at cycle 0, so an
+// incremental observer never has to re-read the plane after a reset.
+func TestResetDispatchesWatchers(t *testing.T) {
+	n := mustParse(t, `
+circuit C :
+  module C :
+    input en : UInt<1>
+    reg r : UInt<8>
+    node next = add(r, UInt<8>(1))
+    r <= mux(en, next, r)
+    output o : UInt<1>
+    o <= orr(r)
+`)
+	s, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type change struct {
+		old, new uint64
+		cycle    int64
+	}
+	var seen []change
+	n.MustSignal("C.r").Watch(func(_ *hdl.Signal, old, new uint64, cycle int64) {
+		seen = append(seen, change{old, new, cycle})
+	})
+	if err := s.Poke("C.en", 1); err != nil {
+		t.Fatal(err)
+	}
+	s.Run(3)
+	if len(seen) != 3 || seen[2] != (change{2, 3, 2}) {
+		t.Fatalf("run transitions = %v, want three increments ending 2->3 at cycle 2", seen)
+	}
+	seen = seen[:0]
+	s.Reset()
+	if len(seen) != 1 || seen[0] != (change{3, 0, 0}) {
+		t.Errorf("reset transitions = %v, want [{3 0 0}]", seen)
+	}
+	if v, _ := s.Peek("C.r"); v != 0 {
+		t.Errorf("r after reset = %d, want 0", v)
+	}
+	if v, _ := s.Peek("C.en"); v != 0 {
+		t.Errorf("unwatched input after reset = %d, want 0", v)
+	}
+	seen = seen[:0]
+	s.Reset()
+	if len(seen) != 0 {
+		t.Errorf("reset of an already-reset simulator fired %v", seen)
+	}
+}
