@@ -189,34 +189,25 @@ func checkLanes(cur, base map[string]row, scalar, wide string, minSpeedup float6
 	return ratio >= minSpeedup
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("sonar-benchguard: ")
-	var (
-		current  = flag.String("current", "BENCH_campaign.json", "benchmark results to check")
-		baseline = flag.String("baseline", "BENCH_baseline.json", "committed baseline to check against")
-		factor   = flag.Float64("factor", 2, "allowed regression factor on top of the baseline margin")
-		scaleff  = flag.Float64("scaling-efficiency", 0.75, "required CampaignParallelN/CampaignParallel1 throughput ratio, as a fraction of min(N, cores)")
-		lanespd  = flag.Float64("lane-speedup", 4, "required CampaignLanes64/CampaignLanes1 cycle-throughput ratio")
-		clanespd = flag.Float64("campaign-lane-speedup", 8, "required CampaignNetlistLanes64/CampaignNetlistLanes1 cycle-throughput ratio")
-	)
-	flag.Parse()
-	f := *factor
-	cur, base := load(*current), load(*baseline)
-
+// checkFloors enforces the per-entry gate against the baseline: every
+// baseline entry must be present in the current results (read from curPath,
+// named in messages), carry every checked metric the baseline records, keep
+// floor metrics at or above baseline/factor and ceiling metrics at or below
+// baseline*factor. It returns false on a violation.
+func checkFloors(cur, base map[string]row, factor float64, curPath string) bool {
 	names := make([]string, 0, len(base))
 	for name := range base {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 
-	failed := false
+	ok := true
 	for _, name := range names {
 		b := base[name]
-		c, ok := cur[name]
-		if !ok {
-			fmt.Printf("FAIL %-20s missing from %s\n", name, *current)
-			failed = true
+		c, inCur := cur[name]
+		if !inCur {
+			fmt.Printf("FAIL %-20s missing from %s\n", name, curPath)
+			ok = false
 			continue
 		}
 		var missing []string
@@ -230,8 +221,8 @@ func main() {
 		}
 		if len(missing) > 0 {
 			fmt.Printf("FAIL %-20s %s present in baseline but missing from %s\n",
-				name, strings.Join(missing, ", "), *current)
-			failed = true
+				name, strings.Join(missing, ", "), curPath)
+			ok = false
 			continue
 		}
 		status := "ok  "
@@ -240,14 +231,32 @@ func main() {
 			if bv == 0 {
 				continue
 			}
-			if m.floor && c[m.name] < bv/f || !m.floor && c[m.name] > bv*f {
+			if m.floor && c[m.name] < bv/factor || !m.floor && c[m.name] > bv*factor {
 				status = "FAIL"
-				failed = true
+				ok = false
 			}
 		}
 		fmt.Printf("%s %-20s %9.0f iters/sec (floor %.0f)  %7.1f allocs/iter (ceil %.0f)\n",
-			status, name, c["iters_per_sec"], b["iters_per_sec"]/f, c["allocs_per_iter"], b["allocs_per_iter"]*f)
+			status, name, c["iters_per_sec"], b["iters_per_sec"]/factor, c["allocs_per_iter"], b["allocs_per_iter"]*factor)
 	}
+	return ok
+}
+
+func main() {
+	log.SetFlags(0)
+	log.SetPrefix("sonar-benchguard: ")
+	var (
+		current  = flag.String("current", "BENCH_campaign.json", "benchmark results to check")
+		baseline = flag.String("baseline", "BENCH_baseline.json", "committed baseline to check against")
+		factor   = flag.Float64("factor", 2, "allowed regression factor on top of the baseline margin")
+		scaleff  = flag.Float64("scaling-efficiency", 0.75, "required CampaignParallelN/CampaignParallel1 throughput ratio, as a fraction of min(N, cores)")
+		lanespd  = flag.Float64("lane-speedup", 4, "required CampaignLanes64/CampaignLanes1 cycle-throughput ratio")
+		clanespd = flag.Float64("campaign-lane-speedup", 8, "required CampaignNetlistLanes64/CampaignNetlistLanes1 cycle-throughput ratio")
+	)
+	flag.Parse()
+	cur, base := load(*current), load(*baseline)
+
+	failed := !checkFloors(cur, base, *factor, *current)
 	if !checkScaling(cur, *scaleff) {
 		failed = true
 	}

@@ -26,7 +26,7 @@
 //	sonar -iters 10000 -checkpoint run.ckpt           # periodic snapshots
 //	sonar -resume run.ckpt                            # continue after a crash/kill
 //	sonar -checkpoint run.ckpt -max-rounds 20         # time-sliced campaign
-//	sonar -workers 8 -iter-timeout 30s                # abort+retry wedged iterations
+//	sonar -workers 8 -iter-timeout 30s                # abort+replay wedged iterations
 package main
 
 import (
@@ -57,7 +57,7 @@ func main() {
 		dut     = flag.String("dut", "boom", "device under test: boom, nutshell, gen:<seed> (generated netlist), or firrtl:<path> (FIRRTL ingest)")
 		iters   = flag.Int("iters", 300, "fuzzing iterations")
 		seed    = flag.Int64("seed", 1, "campaign RNG seed")
-		workers = flag.Int("workers", 1, "parallel campaign shards (1 = legacy serial engine)")
+		workers = flag.Int("workers", 1, "campaign shards, each on a private DUT (1 = one shard on the primary DUT)")
 		lanes   = flag.Int("lanes", 1, "evaluator batch width, 1..64 testcases per plane word (docs/SIMULATOR.md); campaign results are identical at every width")
 		dual    = flag.Bool("dual", false, "dual-core scenario (boom only)")
 		random  = flag.Bool("random", false, "disable all guidance (random-testing baseline)")
@@ -195,7 +195,7 @@ func main() {
 	fmt.Printf("corpus %d seeds, %d simulated cycles\n", st.CorpusSize, st.ExecutedCycles)
 
 	if *perf {
-		if *workers > 1 {
+		if opt.Workers > 1 {
 			fmt.Println("\npipeline counters unavailable: parallel workers run on private DUTs")
 		} else {
 			fmt.Printf("\npipeline counters (last execution, core 0):\n%s", s.DUT.SoC.Cores[0].Perf())

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"sonar/internal/attack"
 	"sonar/internal/fuzz"
@@ -21,7 +22,7 @@ import (
 type Sonar struct {
 	// DUT is the analyzed, instrumented device under test.
 	DUT *fuzz.DUT
-	// mk rebuilds the SoC, so parallel campaigns can elaborate one private
+	// mk rebuilds the SoC, so sharded campaigns can elaborate one private
 	// DUT per worker.
 	mk func() *uarch.SoC
 	// audit caches the static information-flow audit of the DUT, computed
@@ -31,8 +32,8 @@ type Sonar struct {
 }
 
 // New analyzes and instruments a SoC built by mk, returning a ready-to-fuzz
-// pipeline. The constructor is retained: FuzzParallel elaborates additional
-// DUTs from it, one per worker.
+// pipeline. The constructor is retained: sharded campaigns elaborate
+// additional DUTs from it, one per worker beyond the first.
 func New(mk func() *uarch.SoC) *Sonar {
 	return &Sonar{DUT: fuzz.NewDUT(mk()), mk: mk}
 }
@@ -102,47 +103,43 @@ func (s *Sonar) Identify() *IdentificationReport {
 }
 
 // Fuzz runs a state-guided fuzzing campaign (§6) with dual-differential
-// detection (§7). Campaigns with Options.Workers > 1 — or using the
-// durability surface (checkpointing, MaxRounds pausing, fault tolerance),
-// which lives in the parallel engine — are dispatched to FuzzParallel;
-// Workers <= 1 there still reproduces the serial campaign exactly.
-// Options.Lanes never affects dispatch: the lane width is an evaluator
-// batching knob both engines honor with byte-identical results
-// (docs/SIMULATOR.md), so it needs no routing of its own. An attached
-// Options.Observer additionally receives the DUT's identification gauges,
-// so one metrics scrape relates campaign coverage to the point population.
+// detection (§7) through fuzz.RunParallelExec: Options.Workers shards, the
+// first on the primary DUT and the rest on private DUTs elaborated from the
+// retained SoC constructor, merging feedback after every batch. A fixed
+// (Seed, Workers, BatchSize) is reproducible across runs, and Options.Lanes
+// never changes a result (docs/SIMULATOR.md). An attached Options.Observer
+// additionally receives the DUT's identification gauges, so one metrics
+// scrape relates campaign coverage to the point population.
 func (s *Sonar) Fuzz(opt fuzz.Options) *fuzz.Stats {
-	if opt.Workers > 1 || opt.Checkpoint != "" || opt.MaxRounds > 0 ||
-		opt.IterTimeout > 0 || opt.FaultHook != nil {
-		return s.FuzzParallel(opt)
-	}
 	s.observeIdentification(opt.Observer)
-	return fuzz.Run(s.DUT, opt)
+	return fuzz.RunParallelExec(s.executors(), opt)
 }
 
-// Resume continues a checkpointed campaign (fuzz.ResumeExec) on DUTs
-// elaborated from the retained SoC constructor. opt is typically
-// cp.CampaignOptions() plus operational overrides; see fuzz.ResumeExec for
-// the shape-matching and bit-identity contract.
+// Resume continues a checkpointed campaign (fuzz.ResumeExec) on the primary
+// DUT and DUTs elaborated from the retained SoC constructor. opt is
+// typically cp.CampaignOptions() plus operational overrides; see
+// fuzz.ResumeExec for the shape-matching and bit-identity contract.
 func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, error) {
 	s.observeIdentification(opt.Observer)
-	return fuzz.ResumeExec(s.newExecutor, opt, cp)
+	return fuzz.ResumeExec(s.executors(), opt, cp)
 }
 
-// FuzzParallel runs a sharded campaign: Options.Workers workers, each on a
-// private DUT elaborated from the retained SoC constructor, merging
-// feedback after every batch. Workers <= 1 reproduces Fuzz's serial
-// campaign exactly; a fixed worker count is reproducible across runs.
-func (s *Sonar) FuzzParallel(opt fuzz.Options) *fuzz.Stats {
-	s.observeIdentification(opt.Observer)
-	return fuzz.RunParallelExec(s.newExecutor, opt)
-}
-
-// newExecutor elaborates a private worker DUT, reusing the primary DUT's
-// contention-point analysis by dense-id rebinding instead of re-running
-// trace.Analyze per worker (or per fault-recovery replacement worker).
-func (s *Sonar) newExecutor() fuzz.Executor {
-	return fuzz.NewDUTWithAnalysis(s.mk(), s.DUT.Analysis)
+// executors returns one campaign's executor factory. Its first call hands
+// out the primary DUT, so a single-shard campaign elaborates nothing beyond
+// New's DUT and leaves its pipeline counters on it. Every later call —
+// further shards and fault-recovery replacements — elaborates a private DUT
+// that reuses the primary's contention-point analysis by dense-id rebinding
+// instead of re-running trace.Analyze, so a stalled attempt never shares
+// its DUT with the attempt that replaces it. Safe for concurrent use: shard
+// executors are built in parallel.
+func (s *Sonar) executors() func() fuzz.Executor {
+	var handedOut atomic.Bool
+	return func() fuzz.Executor {
+		if handedOut.CompareAndSwap(false, true) {
+			return s.DUT
+		}
+		return fuzz.NewDUTWithAnalysis(s.mk(), s.DUT.Analysis)
+	}
 }
 
 // Audit returns the static information-flow audit of the DUT

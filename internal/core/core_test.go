@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -47,22 +48,50 @@ func TestFuzzThroughFacade(t *testing.T) {
 	}
 }
 
-// Fuzz with Workers > 1 must dispatch to the sharded engine and produce a
-// complete, reproducible campaign through the facade.
+// Fuzz with Workers > 1 must run the sharded campaign the engine runs on
+// freshly elaborated DUTs, complete and reproducible through the facade.
 func TestFuzzParallelThroughFacade(t *testing.T) {
 	mk := func() *uarch.SoC { return uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil) }
 	opt := fuzz.SonarOptions(12)
 	opt.Workers = 3
 	opt.BatchSize = 2
 	a := New(mk).Fuzz(opt)
-	b := New(mk).FuzzParallel(opt)
+	b := fuzz.RunParallelExec(func() fuzz.Executor { return fuzz.NewDUT(mk()) }, opt)
 	if len(a.PerIteration) != 12 || len(b.PerIteration) != 12 {
 		t.Fatalf("iterations = %d / %d", len(a.PerIteration), len(b.PerIteration))
 	}
 	for i := range a.PerIteration {
 		if a.PerIteration[i] != b.PerIteration[i] {
-			t.Fatalf("facade dispatch diverged at iteration %d", i)
+			t.Fatalf("facade campaign diverged at iteration %d", i)
 		}
+	}
+}
+
+// The primary DUT runs a campaign's first shard — also on the durability
+// paths (checkpointing, resume) — so the pipeline counters `sonar -perf`
+// prints belong to an execution that happened.
+func TestPrimaryDUTRunsCampaign(t *testing.T) {
+	mk := func() *uarch.SoC { return uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil) }
+	opt := fuzz.SonarOptions(6)
+	opt.BatchSize = 2
+	opt.MaxRounds = 1
+	opt.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+	s := New(mk)
+	s.Fuzz(opt)
+	if s.DUT.SoC.Cores[0].Perf().Cycles == 0 {
+		t.Error("Fuzz with a checkpoint never executed on the primary DUT")
+	}
+
+	cp, err := fuzz.LoadCheckpoint(opt.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(mk)
+	if _, err := r.Resume(cp.CampaignOptions(), cp); err != nil {
+		t.Fatal(err)
+	}
+	if r.DUT.SoC.Cores[0].Perf().Cycles == 0 {
+		t.Error("Resume never executed on the primary DUT")
 	}
 }
 

@@ -57,7 +57,7 @@ func AblationWindow(iterations int) AblationWindowResult {
 		d.WindowAlwaysOpen = always
 		opt := fuzz.SonarOptions(iterations)
 		opt.KeepFindings = 0
-		st := fuzz.Run(d, opt)
+		st := onDUT(d, opt)
 		total := 0
 		for _, f := range st.Findings {
 			total += len(f.StateDiffs)
@@ -84,10 +84,10 @@ type AblationDirectionResult struct {
 // direction policy of the directed mutation.
 func AblationDirection(iterations int) AblationDirectionResult {
 	d := fuzz.NewDUT(boom.New())
-	adaptive := fuzz.Run(d, fuzz.SonarOptions(iterations))
+	adaptive := onDUT(d, fuzz.SonarOptions(iterations))
 	opt := fuzz.SonarOptions(iterations)
 	opt.RandomDirection = true
-	random := fuzz.Run(d, opt)
+	random := onDUT(d, opt)
 	la := adaptive.PerIteration[len(adaptive.PerIteration)-1]
 	lr := random.PerIteration[len(random.PerIteration)-1]
 	return AblationDirectionResult{

@@ -76,8 +76,8 @@ func Figure8(iterations int) []Figure8Result {
 		{"nutshell", func() *fuzz.DUT { return fuzz.NewDUT(nutshell.New()) }},
 	} {
 		d := bld.mk()
-		sonarStats := fuzz.Run(d, observed(fuzz.SonarOptions(iterations)))
-		randomStats := fuzz.Run(d, observed(fuzz.RandomOptions(iterations)))
+		sonarStats := onDUT(d, observed(fuzz.SonarOptions(iterations)))
+		randomStats := onDUT(d, observed(fuzz.RandomOptions(iterations)))
 		out = append(out, Figure8Result{
 			DUT:    bld.name,
 			Sonar:  Series{Name: "Sonar", Points: sonarStats.PerIteration},
@@ -127,7 +127,7 @@ func (r Figure9Result) DominanceShare() float64 {
 // contentions.
 func Figure9() Figure9Result {
 	d := fuzz.NewDUT(boom.New())
-	st := fuzz.Run(d, observed(fuzz.SonarOptions(20)))
+	st := onDUT(d, observed(fuzz.SonarOptions(20)))
 	return Figure9Result{DUT: "boom", PerTestcase: st.EarlyBreakdown}
 }
 
@@ -152,7 +152,7 @@ type Figure10Result struct {
 func Figure10(iterations int) Figure10Result {
 	d := fuzz.NewDUT(boom.New())
 	mk := func(name string, o fuzz.Options) Series {
-		st := fuzz.Run(d, observed(o))
+		st := onDUT(d, observed(o))
 		return Series{Name: name, Points: st.PerIteration}
 	}
 	base := fuzz.RandomOptions(iterations)
@@ -204,7 +204,7 @@ func (r Figure11Result) NewContentionRatio() float64 {
 // sweep.
 func Figure11(iterations int) Figure11Result {
 	d := fuzz.NewDUT(boom.New())
-	sonarStats := fuzz.Run(d, observed(fuzz.SonarOptions(iterations)))
+	sonarStats := onDUT(d, observed(fuzz.SonarOptions(iterations)))
 	sdStats := baseline.RunSpecDoctor(d, iterations, 1)
 	return Figure11Result{
 		Sonar:      Series{Name: "Sonar", Points: sonarStats.PerIteration},

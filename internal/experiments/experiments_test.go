@@ -306,9 +306,6 @@ func TestParallelExperiment(t *testing.T) {
 	if r.SerialPoints == 0 || r.ParallelPoints == 0 {
 		t.Fatalf("campaigns triggered nothing: %+v", r)
 	}
-	if !r.EquivalentAtOne {
-		t.Error("Workers=1 did not reproduce the serial trajectory")
-	}
 	if text := RenderParallel(r); !strings.Contains(text, "speedup") {
 		t.Error("render incomplete")
 	}

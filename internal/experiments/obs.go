@@ -23,9 +23,9 @@ func SetObserver(o *obs.Observer) { campaignObserver = o }
 var campaignIterTimeout time.Duration
 
 // SetIterTimeout applies a per-iteration deadline (fuzz.Options.IterTimeout)
-// to every subsequent experiment campaign that runs on the parallel engine;
-// serial campaigns ignore it. Zero disables the deadline. Not safe to call
-// while an experiment is running.
+// to every subsequent experiment campaign that elaborates a private DUT per
+// worker; campaigns on one shared DUT (onDUT) never set it. Zero disables
+// the deadline. Not safe to call while an experiment is running.
 func SetIterTimeout(d time.Duration) { campaignIterTimeout = d }
 
 // observed returns opt with the package Observer (and the configured
@@ -34,4 +34,12 @@ func observed(opt fuzz.Options) fuzz.Options {
 	opt.Observer = campaignObserver
 	opt.IterTimeout = campaignIterTimeout
 	return opt
+}
+
+// onDUT runs a campaign on one already-built DUT. A replacement worker would
+// share d with the stalled attempt it replaces, so the campaign runs without
+// an iteration deadline.
+func onDUT(d *fuzz.DUT, opt fuzz.Options) *fuzz.Stats {
+	opt.IterTimeout = 0
+	return fuzz.RunParallelExec(func() fuzz.Executor { return d }, opt)
 }

@@ -148,7 +148,7 @@ func Table2(reps int) []Table2Row {
 		}
 		iters := 30
 		tf := time.Now()
-		fuzz.Run(d, fuzz.SonarOptions(iters))
+		onDUT(d, fuzz.SonarOptions(iters))
 		row.FuzzPerHour = float64(iters) / time.Since(tf).Hours()
 		out = append(out, row)
 	}

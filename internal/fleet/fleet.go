@@ -97,10 +97,10 @@ type Config struct {
 	// zero means DefaultLeaseTTL. Expired leases are re-offered to the next
 	// worker that asks.
 	LeaseTTL time.Duration
-	// MaxRetries bounds lease re-offers per shard per round, with the same
-	// convention as fuzz.Options.MaxRetries: zero means the engine default
-	// (2), negative means no retries — the shard is abandoned after its
-	// first expired lease. A shard that exhausts its retries is abandoned
+	// MaxRetries bounds lease re-offers per shard per round: zero means 2,
+	// the number of times the local engine replays a failed batch; negative
+	// means no retries — the shard is abandoned after its first expired
+	// lease. A shard that exhausts its retries is abandoned
 	// and its remaining budget dropped, exactly like a local campaign's
 	// fault disposition.
 	MaxRetries int

@@ -8,8 +8,8 @@ import (
 	"sonar/internal/uarch"
 )
 
-// statsAccum edge cases: the fold is shared by both engines, so these pin
-// the exact semantics the parallel merge relies on.
+// statsAccum edge cases: the fold is shared by local and leased campaigns,
+// so these pin the exact semantics the round barrier relies on.
 
 // A finding without any newly triggered point (the contention was already
 // known from an earlier iteration) must advance the timing-diff series but

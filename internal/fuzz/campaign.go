@@ -42,8 +42,7 @@ type Options struct {
 	// effect — the ablation of §6.2.1's "adaptive directed mutation".
 	RandomDirection bool
 	// Workers is the number of campaign shards RunParallelExec executes
-	// concurrently, each on a private DUT. 0 or 1 keeps the legacy serial
-	// behaviour; Run ignores this field.
+	// concurrently, each on a private DUT (0 = 1).
 	Workers int
 	// BatchSize is the number of iterations each worker executes between
 	// two corpus merges in RunParallelExec (0 = a sensible default). Smaller
@@ -74,10 +73,8 @@ type Options struct {
 	// for a fixed (Seed, Workers, BatchSize).
 	Observer *obs.Observer
 
-	// The remaining fields form the durability surface of the parallel
-	// engine (docs/CAMPAIGNS.md); Run ignores them, and core.Sonar.Fuzz
-	// routes campaigns that use them through RunParallelExec (Workers <= 1
-	// still reproduces the serial campaign exactly).
+	// The remaining fields form the durability surface of the campaign
+	// engine (docs/CAMPAIGNS.md).
 
 	// Checkpoint, when non-empty, is the file periodic campaign snapshots
 	// are written to (atomically, via temp-file+rename) at batch-merge
@@ -96,29 +93,19 @@ type Options struct {
 	// a later Resume byte-continues the event stream. Time-sliced
 	// campaigns on shared hosts are the intended use.
 	MaxRounds int
-	// IterTimeout is the per-iteration deadline for parallel workers; a
-	// batch of n iterations is aborted after n*IterTimeout and retried on
+	// IterTimeout is the per-iteration deadline for campaign workers; a
+	// batch of n iterations is aborted after n*IterTimeout and replayed on
 	// a replacement worker, recovering campaigns from wedged simulations.
 	// 0 disables the deadline (worker panics are still recovered).
 	IterTimeout time.Duration
-	// MaxRetries is the number of replacement-worker retries after a
-	// failed (panicked or timed-out) batch before the shard is abandoned
-	// (0 = default 2, negative = no retries). A retried batch replays from
-	// the shard's pre-batch RNG cursor and corpus snapshot, so recovered
-	// campaigns match the fault-free run exactly.
-	MaxRetries int
-	// RetryBackoff is the base delay before a batch retry, doubled per
-	// attempt and capped at 16x (0 = default 50ms). Backoff only delays
-	// wall-clock recovery; it never affects campaign results.
-	RetryBackoff time.Duration
-	// FaultHook, when non-nil, is invoked by parallel workers before every
+	// FaultHook, when non-nil, is invoked by campaign workers before every
 	// iteration — the seam the deterministic fault-injection harness
 	// (package faultinject) uses to schedule worker panics and stalls.
 	// Production campaigns leave it nil.
 	FaultHook FaultHook
 }
 
-// FaultHook is the fault-injection seam of the parallel engine: workers
+// FaultHook is the fault-injection seam of the campaign engine: workers
 // call BeforeIteration(worker, round, iter) before each iteration of a
 // batch, from the worker goroutine. Implementations may panic or block to
 // exercise the engine's recovery paths; package faultinject provides
@@ -162,11 +149,10 @@ type IterStats struct {
 // Stats is the result of a campaign.
 type Stats struct {
 	// PerIteration is the progress series, indexed by the campaign's
-	// canonical iteration order: execution order for Run, and the
-	// round barrier's fold order for RunParallelExec (each round folds
-	// workers in worker order), which is NOT wall-clock completion order —
-	// worker w's k-th batch entry occupies the same slot on every run.
-	// Both engines guarantee len(PerIteration) == Options.Iterations
+	// canonical iteration order: the round barrier's fold order (each round
+	// folds workers in worker order), which is NOT wall-clock completion
+	// order — worker w's k-th batch entry occupies the same slot on every
+	// run. len(PerIteration) == Options.Iterations
 	// (TestPerIterationLengthMatchesIterations pins this).
 	PerIteration []IterStats
 	// Findings are the detected side channels (dual-differential verified).
@@ -194,12 +180,11 @@ type Stats struct {
 }
 
 // worker owns one shard of a campaign: a private DUT, an RNG stream, and a
-// corpus view. The serial Run is a single worker drained to completion;
-// RunParallelExec runs several concurrently and merges their feedback between
-// batches.
+// corpus view. RunParallelExec runs one per shard and merges their feedback
+// between batches.
 type worker struct {
-	// id is the worker's shard index (0 for the serial engine) — the value
-	// fault events and the FaultHook report.
+	// id is the worker's shard index — the value fault events and the
+	// FaultHook report.
 	id        int
 	d         Executor
 	rng       *rand.Rand
@@ -207,9 +192,8 @@ type worker struct {
 	opt       Options
 	retention bool
 	selection bool
-	// src is the counted RNG source behind rng for shard workers; its
-	// cursor is the worker's serializable RNG position (nil for the serial
-	// engine, which never checkpoints).
+	// src is the counted RNG source behind rng; its cursor is the worker's
+	// serializable RNG position.
 	src *countedSource
 	// newSeeds are the seeds retained since the last takeNewSeeds call —
 	// the delta the parallel coordinator re-offers to the global corpus.
@@ -232,25 +216,18 @@ type worker struct {
 	pairs   []ExecPair
 }
 
-func newWorker(d Executor, opt Options, rng *rand.Rand) *worker {
+// newShardWorker builds a shard worker whose RNG is a counted source seeded
+// with opt.Seed+id and fast-forwarded to cursor. A cursor of zero gives the
+// exact draw sequence of rand.New(rand.NewSource(opt.Seed+id)) — the
+// determinism contract — and a checkpointed cursor restores the worker's
+// mid-campaign RNG position.
+func newShardWorker(id int, d Executor, opt Options, cursor uint64) *worker {
+	src := newCountedSource(opt.Seed+int64(id), cursor)
 	return &worker{
-		d: d, rng: rng, corpus: NewCorpus(), opt: opt,
+		id: id, d: d, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
 		retention: opt.Retention || opt.Selection || opt.DirectedMutation,
 		selection: opt.Selection || opt.DirectedMutation,
 	}
-}
-
-// newShardWorker builds a parallel shard worker whose RNG is a counted
-// source seeded with opt.Seed+id and fast-forwarded to cursor. A cursor of
-// zero gives the exact draw sequence of rand.New(rand.NewSource(opt.Seed+id))
-// — the parallel determinism contract — and a checkpointed cursor restores
-// the worker's mid-campaign RNG position.
-func newShardWorker(id int, d Executor, opt Options, cursor uint64) *worker {
-	src := newCountedSource(opt.Seed+int64(id), cursor)
-	w := newWorker(d, opt, rand.New(src))
-	w.id = id
-	w.src = src
-	return w
 }
 
 // outcome is one iteration's contribution to campaign statistics, in a form
@@ -324,7 +301,11 @@ func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
 		out.intvls = monitor.MergeMinIntervals(exA.Snap, exB.Snap)
 	}
 
-	// Feedback: retention + adaptive direction update.
+	// Feedback: retention + adaptive direction update. Only the
+	// distinct-request interval (the volatile-contention approach metric,
+	// §6.2.1) feeds the corpus; same-path progress is driven by the
+	// data-similarity mutation instead (§6.2.2), which proved more effective
+	// than steering selection by same-path intervals.
 	if w.retention {
 		intvls := out.intvls
 		dir := +1
@@ -366,25 +347,15 @@ func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
 // scratch; retries pass nil and allocate fresh). The FaultHook seam fires
 // before each iteration, from this (worker) goroutine — a scheduled panic
 // or stall therefore surfaces exactly where a real worker fault would.
+// Behavioral DUT models cannot be bit-sliced, so they execute every lane of
+// a logical lane batch (Options.Lanes) through the scalar path in ascending
+// order — the campaign-level scalar spill — and the outcome stream is the
+// same at every lane width.
 func (w *worker) runBatch(dst []outcome, n, round int) []outcome {
 	if g, ok := w.d.(GroupExecutor); ok && g.GroupWidth() > 1 {
 		dst = w.runBatchGrouped(g, dst, n, round)
-		w.flushMutationMetrics()
-		return dst
-	}
-	lanes := normalizeLanes(w.opt)
-	for base := 0; base < n; base += lanes {
-		group := lanes
-		if base+group > n {
-			group = n - base
-		}
-		// Each group is one logical lane batch (Options.Lanes). Behavioral
-		// DUT models execute its lanes through the scalar path in ascending
-		// lane order — the campaign-level scalar spill — and every lane's
-		// corpus/RNG feedback folds in that same order, so the outcome
-		// stream is identical at every lane width.
-		for lane := 0; lane < group; lane++ {
-			i := base + lane
+	} else {
+		for i := 0; i < n; i++ {
 			if h := w.opt.FaultHook; h != nil {
 				h.BeforeIteration(w.id, round, i)
 			}
@@ -405,7 +376,7 @@ func (w *worker) runBatch(dst []outcome, n, round int) []outcome {
 // (TestNetlistLaneMatrix pins this). Same-group corpus offers land in the
 // finish phase, after every selection of the group already happened in the
 // prepare phase, so a group never feeds back into itself — the same
-// visibility a merge-barrier batch boundary gives the parallel engine.
+// visibility a merge-barrier batch boundary gives the shards.
 func (w *worker) runBatchGrouped(g GroupExecutor, dst []outcome, n, round int) []outcome {
 	width := g.GroupWidth()
 	chunk := normalizeLanes(w.opt)
@@ -478,9 +449,8 @@ func analyzeExecutions(tc *Testcase, exA, exB *Execution) *detect.Finding {
 	return finding
 }
 
-// statsAccum folds per-iteration outcomes into campaign statistics in a
-// canonical order, so serial and parallel campaigns build Stats through the
-// same code path.
+// statsAccum folds per-iteration outcomes into campaign statistics in the
+// round barrier's canonical order.
 type statsAccum struct {
 	// an is any worker executor's contention analysis: point IDs are
 	// identical across a campaign's executor instances (the Executor
@@ -587,47 +557,6 @@ func (a *statsAccum) finish() {
 	}
 	a.obs.CampaignEnd(len(st.PerIteration), last.CumPoints, last.CumTimingDiffs,
 		len(st.Findings), st.CorpusSize, st.ExecutedCycles)
-}
-
-// Run executes a fuzzing campaign on the DUT. Progress is reported through
-// opt.Observer (when set) in execution order, one event group per
-// iteration.
-//
-// Only the distinct-request interval (the volatile-contention approach
-// metric, §6.2.1) feeds the corpus — see monitor.MergeMinIntervals;
-// same-path progress is driven by the data-similarity mutation instead
-// (§6.2.2), which proved more effective than steering selection by
-// same-path intervals.
-func Run(d *DUT, opt Options) *Stats {
-	w := newWorker(d, opt, rand.New(rand.NewSource(opt.Seed)))
-	acc := newStatsAccum(d.Analysis, opt)
-	// campaign_start reports the same effective (post-clamp) worker count
-	// and batch size RunParallelExec(Workers=1) would, so the two engines'
-	// event streams agree on the campaign header (the "Workers<=1
-	// reproduces serial" contract extends to the stream; see
-	// TestSerialEventStreamMatchesWorkers1).
-	workers, batch := normalizeParallel(opt)
-	if workers != 1 {
-		workers = 1 // Run is the single-shard engine regardless of opt.Workers
-	}
-	opt.Observer.CampaignStart(d.Analysis.Netlist.Name(), opt.Iterations, workers, batch, opt.Seed)
-	// The serial engine groups iterations into the same lane batches as
-	// runBatch; on behavioral DUTs every lane takes the scalar path, so the
-	// grouping is pure bookkeeping and the fold order never changes.
-	lanes := normalizeLanes(opt)
-	for base := 0; base < opt.Iterations; base += lanes {
-		group := lanes
-		if base+group > opt.Iterations {
-			group = opt.Iterations - base
-		}
-		for lane := 0; lane < group; lane++ {
-			acc.apply(w.runOne())
-			w.flushMutationMetrics()
-		}
-	}
-	acc.st.CorpusSize = w.corpus.Len()
-	acc.finish()
-	return acc.st
 }
 
 // singleValidDominated reports whether a point's triggering is dominated by

@@ -33,7 +33,7 @@ const (
 // Shape is the campaign-defining subset of Options — the fields that make
 // two campaigns the same campaign. Resume refuses a checkpoint whose shape
 // differs from the offered Options; operational fields (checkpoint paths,
-// timeouts, retry policy, Observer, FaultHook) are not part of the shape
+// timeouts, Observer, FaultHook) are not part of the shape
 // and may change across a pause/resume boundary.
 type Shape struct {
 	Iterations       int    `json:"iterations"`        // Options.Iterations

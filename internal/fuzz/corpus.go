@@ -181,7 +181,7 @@ func anyPoint(rng *rand.Rand, intvls map[int]int64) int {
 		return -1
 	}
 	// Index sorted keys rather than Go's randomized map order, so equal
-	// seeds give equal campaigns (the determinism contract of Run and
+	// seeds give equal campaigns (the determinism contract of
 	// RunParallelExec).
 	ids := make([]int, 0, len(intvls))
 	for id := range intvls { //sonar:nondeterministic-ok keys collected then sorted

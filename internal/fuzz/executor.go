@@ -5,8 +5,8 @@ import "sonar/internal/trace"
 // Executor is the execution substrate a campaign fuzzes: anything that can
 // double-execute testcases and expose the contention-point analysis its
 // snapshots refer to. The behavioral DUT models (package boom/nutshell via
-// *DUT) and the netlist-backed LaneDUT both satisfy it, so every campaign
-// engine — serial batches, RunParallelExec shards, shard leases — runs unchanged
+// *DUT) and the netlist-backed LaneDUT both satisfy it, so campaign
+// workers — RunParallelExec shards and shard leases alike — run unchanged
 // over either substrate.
 //
 // Contract: Execute returns an Execution whose buffers may live in recycled

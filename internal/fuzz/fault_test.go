@@ -12,13 +12,12 @@ import (
 	"sonar/internal/obs"
 )
 
-// faultOptions returns a small parallel campaign configuration with fast
-// retry backoff, suitable for fault-injection tests.
+// faultOptions returns a small sharded campaign configuration suitable for
+// fault-injection tests.
 func faultOptions(workers int) Options {
 	opt := SonarOptions(24)
 	opt.Workers = workers
 	opt.BatchSize = 4
-	opt.RetryBackoff = time.Millisecond
 	return opt
 }
 
@@ -100,12 +99,11 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // A permanently failing shard (the fault re-arms on every retry) must be
-// abandoned after MaxRetries replacement workers: the campaign completes on
+// abandoned after two replacement workers: the campaign completes on
 // the remaining shards with the abandoned budget dropped, and the
 // abandonment is reported as a worker_failed event.
 func TestPermanentFaultAbandonsShard(t *testing.T) {
 	opt := faultOptions(2)
-	opt.MaxRetries = 1
 	sched := faultinject.NewSchedule(
 		faultinject.Fault{Worker: 1, Round: 2, Iter: 0, Mode: faultinject.ModePanic, Repeat: true},
 	)
@@ -118,12 +116,12 @@ func TestPermanentFaultAbandonsShard(t *testing.T) {
 	if got := len(st.PerIteration); got != 16 {
 		t.Fatalf("degraded campaign executed %d iterations, want 16", got)
 	}
-	if fired := sched.Fired(); fired != 2 {
-		t.Errorf("fired %d faults, want 2 (initial attempt + 1 retry)", fired)
+	if fired := sched.Fired(); fired != 3 {
+		t.Errorf("fired %d faults, want 3 (initial attempt + 2 retries)", fired)
 	}
 	fails, retries := countFaultEvents(mem.Events())
-	if fails != 3 { // two failed attempts + the abandonment notice
-		t.Errorf("got %d worker_failed events, want 3", fails)
+	if fails != 4 { // three failed attempts + the abandonment notice
+		t.Errorf("got %d worker_failed events, want 4", fails)
 	}
 	if retries != 0 {
 		t.Errorf("got %d batch_retried events for an abandoned shard, want 0", retries)
@@ -164,24 +162,6 @@ func TestPermanentFaultAbandonsShard(t *testing.T) {
 	}
 	if last.Iterations != 16 {
 		t.Errorf("campaign_end reports %d iterations, want 16", last.Iterations)
-	}
-}
-
-// MaxRetries < 0 disables retries entirely: the first fault abandons the
-// shard.
-func TestNegativeMaxRetriesDisablesRetry(t *testing.T) {
-	opt := faultOptions(2)
-	opt.MaxRetries = -1
-	sched := faultinject.NewSchedule(
-		faultinject.Fault{Worker: 0, Round: 1, Iter: 0, Mode: faultinject.ModePanic},
-	)
-	opt.FaultHook = sched
-	st := RunParallelExec(liteExec, opt)
-	if got := len(st.PerIteration); got != 12 {
-		t.Fatalf("executed %d iterations, want 12 (worker 0's full shard dropped)", got)
-	}
-	if fired := sched.Fired(); fired != 1 {
-		t.Errorf("fired %d faults, want 1", fired)
 	}
 }
 

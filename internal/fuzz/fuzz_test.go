@@ -222,9 +222,7 @@ func TestMutateRandomPreservesTemplateShape(t *testing.T) {
 }
 
 func TestCampaignSmoke(t *testing.T) {
-	d := liteDUT()
-	opt := SonarOptions(15)
-	st := Run(d, opt)
+	st := RunParallelExec(liteExec, SonarOptions(15))
 	if len(st.PerIteration) != 15 {
 		t.Fatalf("iterations recorded = %d", len(st.PerIteration))
 	}
@@ -244,16 +242,15 @@ func TestCampaignSmoke(t *testing.T) {
 }
 
 func TestCampaignRandomBaselineRetainsNothing(t *testing.T) {
-	d := liteDUT()
-	st := Run(d, RandomOptions(5))
+	st := RunParallelExec(liteExec, RandomOptions(5))
 	if st.CorpusSize != 0 {
 		t.Errorf("random baseline corpus size = %d, want 0", st.CorpusSize)
 	}
 }
 
 func TestCampaignReproducible(t *testing.T) {
-	a := Run(liteDUT(), SonarOptions(8))
-	b := Run(liteDUT(), SonarOptions(8))
+	a := RunParallelExec(liteExec, SonarOptions(8))
+	b := RunParallelExec(liteExec, SonarOptions(8))
 	for i := range a.PerIteration {
 		if a.PerIteration[i] != b.PerIteration[i] {
 			t.Fatalf("iteration %d differs: %+v vs %+v", i, a.PerIteration[i], b.PerIteration[i])
@@ -262,10 +259,9 @@ func TestCampaignReproducible(t *testing.T) {
 }
 
 func TestCampaignDualCore(t *testing.T) {
-	d := NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil))
 	opt := SonarOptions(6)
 	opt.DualCore = true
-	st := Run(d, opt)
+	st := RunParallelExec(func() Executor { return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil)) }, opt)
 	if len(st.PerIteration) != 6 {
 		t.Fatal("dual-core campaign did not complete")
 	}

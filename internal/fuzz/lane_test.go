@@ -39,16 +39,16 @@ func TestLaneMatrix(t *testing.T) {
 	}
 }
 
-// TestLaneStatsIdentical extends the contract to the serial engine and to
-// Stats: lane widths (including awkward ones that do not divide the batch
-// size) must not change any campaign result.
+// TestLaneStatsIdentical extends the contract to default-option campaigns
+// and to Stats: lane widths (including awkward ones that do not divide the
+// batch size) must not change any campaign result.
 func TestLaneStatsIdentical(t *testing.T) {
 	base := SonarOptions(30)
-	want := Run(liteFactory(), base)
+	want := RunParallelExec(liteExec, base)
 	for _, lanes := range []int{0, 1, 7, 64, 1000} {
 		opt := base
 		opt.Lanes = lanes
-		statsEqual(t, want, Run(liteFactory(), opt))
+		statsEqual(t, want, RunParallelExec(liteExec, opt))
 	}
 
 	pbase := SonarOptions(33)

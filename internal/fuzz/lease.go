@@ -390,12 +390,14 @@ func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
 }
 
 // Report folds one executed lease's result in. The result must belong to an
-// open shard of the current round, carry exactly the leased batch size, and
-// name only contention points of the campaign's analysis; a malformed or
-// stale result is rejected without touching campaign state. When the last
-// open shard of the round resolves, the round barrier closes: seeds merge
-// into the global corpus in canonical worker order, outcomes fold into
-// Stats, and the round's events are emitted.
+// open shard of the current round, carry exactly the leased batch size,
+// advance the shard's RNG cursor by at least one draw per iteration (every
+// iteration draws), report no negative cycle count, and name only
+// contention points of the campaign's analysis; a malformed or stale result
+// is rejected without touching campaign state. When the last open shard of
+// the round resolves, the round barrier closes: seeds merge into the global
+// corpus in canonical worker order, outcomes fold into Stats, and the
+// round's events are emitted.
 func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if res == nil {
 		return fmt.Errorf("fuzz: nil lease result")
@@ -409,14 +411,18 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if !lc.openShard(res.Shard) {
 		return fmt.Errorf("fuzz: shard %d has no open lease this round", res.Shard)
 	}
-	if want := lc.batchSize(res.Shard); len(res.Outcomes) != want {
-		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), want)
+	n := lc.batchSize(res.Shard)
+	if len(res.Outcomes) != n {
+		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), n)
+	}
+	if from := lc.cursors[res.Shard]; res.Cursor < from+uint64(n) {
+		return fmt.Errorf("fuzz: lease result cursor %d did not advance %d iterations past the lease cursor %d", res.Cursor, n, from)
 	}
 	points := len(lc.acc.an.Points)
 	rep := shardReport{resolved: true, cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
-		if err := checkPointIDs(points, ow.Triggered, ow.Intvls); err != nil {
+		if err := checkOutcome(points, ow); err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
 		}
 		o, err := ow.outcome()
@@ -442,6 +448,22 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	lc.reports[res.Shard] = rep
 	lc.maybeCloseRound()
 	return nil
+}
+
+// checkOutcome rejects a negative cycle count and contention point IDs
+// outside [0, points) anywhere in a wire outcome.
+func checkOutcome(points int, ow *OutcomeWire) error {
+	if ow.Cycles < 0 {
+		return fmt.Errorf("negative cycle count %d", ow.Cycles)
+	}
+	if ow.Finding != nil {
+		for _, sd := range ow.Finding.StateDiffs {
+			if sd.PointID < 0 || sd.PointID >= points {
+				return fmt.Errorf("state-diff point %d out of range [0, %d)", sd.PointID, points)
+			}
+		}
+	}
+	return checkPointIDs(points, ow.Triggered, ow.Intvls)
 }
 
 // checkPointIDs rejects contention point IDs outside [0, points): the stats

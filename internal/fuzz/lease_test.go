@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sonar/internal/detect"
 	"sonar/internal/obs"
 )
 
@@ -189,26 +190,32 @@ func TestLeaseReportValidation(t *testing.T) {
 	if err := lc.Report(&garbled); err == nil {
 		t.Error("report with a garbled testcase was accepted")
 	}
-	// Point IDs outside the campaign's analysis: the stats fold would index
-	// the analysis with them mid-barrier.
+	// Point IDs outside the campaign's analysis (the stats fold would index
+	// the analysis with them mid-barrier), and values no honest execution
+	// produces.
 	const farPoint = 1 << 20
-	outOfRange := []struct {
+	corrupted := []struct {
 		name    string
 		corrupt func(r *LeaseResult)
 	}{
-		{"triggered", func(r *LeaseResult) { r.Outcomes[0].Triggered = []int{farPoint} }},
-		{"outcome interval", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{Point: farPoint, Intvl: 3}} }},
-		{"seed interval", func(r *LeaseResult) {
+		{"an out-of-range triggered point", func(r *LeaseResult) { r.Outcomes[0].Triggered = []int{farPoint} }},
+		{"an out-of-range outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{Point: farPoint, Intvl: 3}} }},
+		{"an out-of-range seed interval point", func(r *LeaseResult) {
 			r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Intvls: []PointIntvl{{Point: -1, Intvl: 3}}, Dir: 1, Target: -1}}
 		}},
-		{"seed target", func(r *LeaseResult) { r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Dir: 1, Target: farPoint}} }},
+		{"an out-of-range seed target point", func(r *LeaseResult) { r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Dir: 1, Target: farPoint}} }},
+		{"an out-of-range state-diff point", func(r *LeaseResult) {
+			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: farPoint}}}
+		}},
+		{"a negative cycle count", func(r *LeaseResult) { r.Outcomes[0].Cycles = -1 }},
+		{"a cursor that did not advance", func(r *LeaseResult) { r.Cursor = l.Cursor }},
 	}
-	for _, c := range outOfRange {
+	for _, c := range corrupted {
 		bad := *res
 		bad.Outcomes = append([]OutcomeWire(nil), res.Outcomes...)
 		c.corrupt(&bad)
 		if err := lc.Report(&bad); err == nil {
-			t.Errorf("report with an out-of-range %s point was accepted", c.name)
+			t.Errorf("report with %s was accepted", c.name)
 		}
 	}
 	if lc.Round() != 0 || lc.Position() != 0 || len(lc.OpenShards()) != 2 {

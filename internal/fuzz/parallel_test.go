@@ -12,8 +12,8 @@ func liteFactory() *DUT {
 	return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 1, nil, nil))
 }
 
-// liteExec is liteFactory in the Executor-factory form the parallel and
-// lease engines take.
+// liteExec is liteFactory in the Executor-factory form the campaign engine
+// and lease execution take.
 func liteExec() Executor { return liteFactory() }
 
 // statsEqual compares everything a campaign reports except the finding
@@ -39,29 +39,6 @@ func statsEqual(t *testing.T, a, b *Stats) {
 	}
 	if len(a.Findings) != len(b.Findings) {
 		t.Fatalf("finding counts differ: %d vs %d", len(a.Findings), len(b.Findings))
-	}
-}
-
-// The determinism contract of the serial engine: equal seeds give equal
-// campaigns, down to the triggered-point set and corpus size.
-func TestSerialCampaignDeterministic(t *testing.T) {
-	opt := SonarOptions(25)
-	opt.Seed = 42
-	a := Run(liteFactory(), opt)
-	b := Run(liteFactory(), opt)
-	statsEqual(t, a, b)
-}
-
-// Workers=1 must reproduce the legacy serial campaign exactly: same
-// trajectory, same triggered points, same corpus, same cycle count.
-func TestParallelWorkers1MatchesSerial(t *testing.T) {
-	for _, batch := range []int{0, 1, 7} {
-		opt := SonarOptions(30)
-		opt.Workers = 1
-		opt.BatchSize = batch
-		serial := Run(liteFactory(), SonarOptions(30))
-		parallel := RunParallelExec(liteExec, opt)
-		statsEqual(t, serial, parallel)
 	}
 }
 
@@ -151,10 +128,10 @@ func TestAnalyzeExecutionsSkipsEmptyAttacker(t *testing.T) {
 // what the victim logs justify — i.e. the empty attacker logs contribute
 // nothing.
 func TestDualCoreCampaignWithoutAttackersUsesVictimLogsOnly(t *testing.T) {
-	d := NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil))
+	dual := func() Executor { return NewDUT(uarch.NewSoC(uarch.BoomConfig(), 2, nil, nil)) }
 	opt := SonarOptions(6) // DualCore false: every testcase is attacker-less
-	st := Run(d, opt)
-	single := Run(liteFactory(), opt)
+	st := RunParallelExec(dual, opt)
+	single := RunParallelExec(liteExec, opt)
 	if got, want := st.PerIteration[5].CumTimingDiffs, single.PerIteration[5].CumTimingDiffs; got != want {
 		t.Errorf("attacker-less dual-core campaign found %d timing diffs, single-core found %d", got, want)
 	}
@@ -167,7 +144,9 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	d := liteFactory()
 	dirs := map[int]int{}
 	for seed := int64(0); seed < 16; seed++ {
-		w := newWorker(d, SonarOptions(1), rand.New(rand.NewSource(seed)))
+		opt := SonarOptions(1)
+		opt.Seed = seed
+		w := newShardWorker(0, d, opt, 0)
 		w.runOne() // first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++

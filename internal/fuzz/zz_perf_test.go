@@ -29,7 +29,7 @@ func TestPerfCampaign(t *testing.T) {
 			opt = RandomOptions(400)
 		}
 		t1 := time.Now()
-		st := Run(d, opt)
+		st := RunParallelExec(func() Executor { return d }, opt)
 		ns := 0
 		for id := range st.TriggeredPoints {
 			if strict[id] {
