@@ -133,47 +133,70 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 	// Rank points by interval; points with smaller non-zero best intervals
 	// are "more likely to be selected as targets" (§6.2.1) — rank-weighted
 	// sampling rather than a deterministic argmin, so the campaign does not
-	// tunnel forever on a point whose interval cannot reach zero.
-	type cand struct {
-		id int
-		v  int64
-	}
-	var cands []cand
-	for id, v := range c.best { //sonar:nondeterministic-ok candidates collected then sorted
+	// tunnel forever on a point whose interval cannot reach zero. Only the
+	// first len(top) ranks can be drawn, so the smallest (v, id) candidates
+	// are kept by insertion; the order is total, so map order has no say.
+	var top [16]rankedPoint
+	n, kept := 0, 0
+	for id, v := range c.best { //sonar:nondeterministic-ok kept candidates are ordered by (v, id)
 		if v == 0 {
 			continue // already triggered; approaching it halts (paper §6.1)
 		}
-		cands = append(cands, cand{id, v})
+		n++
+		p := rankedPoint{id, v}
+		if kept < len(top) {
+			kept++
+		} else if !p.less(top[kept-1]) {
+			continue
+		}
+		i := kept - 1
+		for ; i > 0 && p.less(top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = p
 	}
-	if len(cands) == 0 {
+	if n == 0 {
 		s := c.seeds[rng.Intn(len(c.seeds))]
 		return s, anyPoint(rng, s.Intvls)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].v != cands[j].v {
-			return cands[i].v < cands[j].v
-		}
-		return cands[i].id < cands[j].id
-	})
 	// Geometric rank weighting: each rank is taken with probability 2/3,
 	// so rank 0 is twice as likely as rank 1, capped at the first 16 ranks.
 	r := 0
-	for r < len(cands)-1 && r < 15 && rng.Intn(3) == 0 {
+	for r < n-1 && r < len(top)-1 && rng.Intn(3) == 0 {
 		r++
 	}
-	target := cands[r].id
-	bestV := cands[r].v
-	// Among seeds achieving the best interval at the target, pick randomly.
-	var candidates []*Seed
+	target, bestV := top[r].id, top[r].v
+	// Among seeds achieving the best interval at the target, pick randomly:
+	// count them, then index the chosen one.
+	matches := 0
 	for _, s := range c.seeds {
 		if v, ok := s.Intvls[target]; ok && v == bestV {
-			candidates = append(candidates, s)
+			matches++
 		}
 	}
-	if len(candidates) == 0 {
-		candidates = c.seeds
+	if matches == 0 {
+		return c.seeds[rng.Intn(len(c.seeds))], target
 	}
-	return candidates[rng.Intn(len(candidates))], target
+	k := rng.Intn(matches)
+	for _, s := range c.seeds {
+		if v, ok := s.Intvls[target]; ok && v == bestV {
+			if k == 0 {
+				return s, target
+			}
+			k--
+		}
+	}
+	panic("unreachable")
+}
+
+// rankedPoint is a Select candidate: a point and its best interval.
+type rankedPoint struct {
+	id int
+	v  int64
+}
+
+func (p rankedPoint) less(q rankedPoint) bool {
+	return p.v < q.v || p.v == q.v && p.id < q.id
 }
 
 func anyPoint(rng *rand.Rand, intvls map[int]int64) int {

@@ -24,7 +24,8 @@ type encSpec struct {
 	funct7 uint32 // or funct5<<2 for AMO
 }
 
-var encTable = map[Op]encSpec{
+// encTable is indexed by Op; ops without a table encoding have opcode 0.
+var encTable = [numOps]encSpec{
 	ADD:  {opcOp, 0, 0x00},
 	SUB:  {opcOp, 0, 0x20},
 	SLL:  {opcOp, 1, 0x00},
@@ -64,7 +65,7 @@ var (
 )
 
 func init() {
-	for op, e := range encTable { //sonar:nondeterministic-ok writes to disjoint fixed indices; order-insensitive
+	for op, e := range encTable {
 		switch e.opcode {
 		case opcOp:
 			decOp[e.funct7<<3|e.funct3] = uint16(op) + 1

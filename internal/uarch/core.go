@@ -47,6 +47,9 @@ type robEntry struct {
 	// (NutShell): commit must not flush again.
 	earlyFlushed bool
 	secretDep    bool
+	// src1 and src2 are the producers of Rs1 and Rs2 captured at dispatch:
+	// the newest in-flight writer of each register older than this entry.
+	src1, src2 prodRef
 }
 
 type prodRef struct {
@@ -107,6 +110,9 @@ type Core struct {
 	robCount int
 	seqNext  int64
 	lastProd [32]prodRef
+	// waitq holds the ROB positions of the stWaiting entries in age order:
+	// issue walks it instead of the whole ROB.
+	waitq []int
 
 	// fetchBuf is a head-indexed queue: entries [fbHead:] are live. Dispatch
 	// consumes by advancing fbHead so the backing array keeps its capacity;
@@ -161,6 +167,7 @@ func NewCore(cfg Config, p CoreParams) *Core {
 		Exec:   p.Exec,
 		bulk:   p.Bulk,
 		rob:    make([]robEntry, cfg.ROBEntries),
+		waitq:  make([]int, 0, cfg.ROBEntries),
 	}
 	c.clearProducers()
 	return c
@@ -221,6 +228,7 @@ func (c *Core) Reset() {
 		c.rob[i] = robEntry{}
 	}
 	c.robHead, c.robTail, c.robCount = 0, 0, 0
+	c.waitq = c.waitq[:0]
 	c.seqNext = 0
 	c.clearProducers()
 	c.fetchBuf = c.fetchBuf[:0]
@@ -350,15 +358,21 @@ func (c *Core) flushAllAfterHead() {
 		c.robCount--
 	}
 	c.robTail = c.robHead
+	c.waitq = c.waitq[:0]
 	c.fetchBuf = c.fetchBuf[:0]
 	c.fbHead = 0
 	c.hasPending = false
 	c.clearProducers()
 }
 
-// flushYoungerThan squashes all entries strictly younger than seq and
-// rebuilds the producer table.
+// flushYoungerThan squashes all entries strictly younger than seq, trims
+// them from the tail of the issue list, and rebuilds the producer table.
 func (c *Core) flushYoungerThan(seq int64) {
+	n := len(c.waitq)
+	for n > 0 && c.rob[c.waitq[n-1]].seq > seq {
+		n--
+	}
+	c.waitq = c.waitq[:n]
 	for c.robCount > 0 {
 		tailPos := (c.robTail - 1 + len(c.rob)) % len(c.rob)
 		e := &c.rob[tailPos]
@@ -390,38 +404,18 @@ func (c *Core) rebuildProducers() {
 
 // ---- issue ----
 
-// operand resolves a source register for the entry at ROB position
-// consumerPos: ready reports whether the value is available this cycle.
-func (c *Core) operand(r uint8, consumerPos int, consumerSeq int64) (val uint64, ready bool) {
+// operand resolves source register r through the producer ref captured at
+// dispatch: ready reports whether the value is available this cycle. A ref
+// whose slot no longer holds that producer means it has committed (a
+// squashed producer takes its consumers with it), so the architectural
+// register holds its value.
+func (c *Core) operand(r uint8, ref prodRef) (val uint64, ready bool) {
 	if r == 0 {
 		return 0, true
 	}
-	ref := c.lastProd[r]
 	if ref.pos >= 0 {
-		p := &c.rob[ref.pos]
-		if p.active && p.seq == ref.seq {
-			if p.seq < consumerSeq {
-				// The newest producer is older than the consumer: it is
-				// the forwarding source.
-				return producerValue(p, c.cycle)
-			}
-			// The newest producer is the consumer itself or younger (an
-			// instruction reading a register it also writes): scan
-			// backwards for the nearest older in-flight producer.
-			for i, pos := 0, consumerPos; i < c.robCount; i++ {
-				pos = (pos - 1 + len(c.rob)) % len(c.rob)
-				e := &c.rob[pos]
-				if !e.active || e.seq >= consumerSeq {
-					continue
-				}
-				if e.ins.Writes() == r {
-					return producerValue(e, c.cycle)
-				}
-				if pos == c.robHead {
-					break
-				}
-			}
-			// No older in-flight producer: the committed value stands.
+		if p := &c.rob[ref.pos]; p.active && p.seq == ref.seq {
+			return producerValue(p, c.cycle)
 		}
 	}
 	return c.regs[r], true
@@ -436,6 +430,10 @@ func producerValue(p *robEntry, cycle int64) (uint64, bool) {
 
 func (c *Core) issueWidth() int { return c.Cfg.NumALUs + 2 }
 
+// issue walks the waiting entries oldest first and compacts the list in
+// place: an entry stays when it is blocked, not ready, or refused by a
+// unit. A taken branch, jump, or early exception flushes every younger
+// entry, trimming the list to the entry being issued, which ends the walk.
 func (c *Core) issue() {
 	issued := 0
 	aluUsed := 0
@@ -445,13 +443,10 @@ func (c *Core) issue() {
 	seenUnissuedStore := false
 	seenUnissuedMem := false
 
-	for i, pos := 0, c.robHead; i < c.robCount && issued < c.issueWidth(); i++ {
-		epos := pos
+	keep, i := 0, 0
+	for ; i < len(c.waitq) && issued < c.issueWidth(); i++ {
+		pos := c.waitq[i]
 		e := &c.rob[pos]
-		pos = (pos + 1) % len(c.rob)
-		if e.state != stWaiting {
-			continue
-		}
 		blockedStore := e.ins.Op.IsLoad() && seenUnissuedStore
 		blockedMem := e.ins.Op.IsStore() && seenUnissuedMem
 		if e.ins.Op.IsStore() {
@@ -460,26 +455,22 @@ func (c *Core) issue() {
 		if e.ins.Op.IsMem() {
 			seenUnissuedMem = true
 		}
-		if blockedStore || blockedMem {
-			continue
+		var rs1, rs2 uint64
+		ready := !blockedStore && !blockedMem
+		if ready && e.ins.Op.HasRs1() {
+			rs1, ready = c.operand(e.ins.Rs1, e.src1)
 		}
-		var rs1 uint64
-		ok1 := true
-		if e.ins.Op.HasRs1() {
-			rs1, ok1 = c.operand(e.ins.Rs1, epos, e.seq)
+		if ready && e.ins.Op.HasRs2() {
+			rs2, ready = c.operand(e.ins.Rs2, e.src2)
 		}
-		var rs2 uint64
-		ok2 := true
-		if e.ins.Op.HasRs2() {
-			rs2, ok2 = c.operand(e.ins.Rs2, epos, e.seq)
-		}
-		if !ok1 || !ok2 {
-			continue
-		}
-		if c.tryIssue(e, rs1, rs2, &aluUsed, &mulUsed, &divUsed, &memUsed) {
+		if ready && c.tryIssue(e, rs1, rs2, &aluUsed, &mulUsed, &divUsed, &memUsed) {
 			issued++
+			continue
 		}
+		c.waitq[keep] = pos
+		keep++
 	}
+	c.waitq = c.waitq[:keep+copy(c.waitq[keep:], c.waitq[i:])]
 }
 
 // tryIssue attempts to start execution of e with resolved operands; it
@@ -623,6 +614,8 @@ func (c *Core) dispatch() {
 		c.perf.Dispatched++
 		c.robTail = (c.robTail + 1) % len(c.rob)
 		c.robCount++
+		c.waitq = append(c.waitq, pos)
+		e.src1, e.src2 = c.lastProd[fi.ins.Rs1], c.lastProd[fi.ins.Rs2]
 		if rd := fi.ins.Writes(); rd != 0 {
 			c.lastProd[rd] = prodRef{pos: pos, seq: e.seq}
 		}

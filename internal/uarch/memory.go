@@ -7,7 +7,12 @@ import "encoding/binary"
 // access fault; the data is still returned to the pipeline, modelling the
 // lazy-exception forwarding Meltdown-style attacks exploit (paper §7.3).
 type Memory struct {
-	pages     map[uint64][]byte // 4 KiB pages
+	pages map[uint64][]byte // 4 KiB pages
+	// lastKey and lastPage cache the most recently used page. Pages are
+	// never dropped (Reset zeroes them in place), so the cache never goes
+	// stale.
+	lastKey   uint64
+	lastPage  []byte
 	privBase  uint64
 	privLimit uint64
 }
@@ -29,13 +34,22 @@ func (m *Memory) Privileged(addr uint64) bool {
 	return addr >= m.privBase && addr < m.privLimit
 }
 
+// page returns the page holding addr. An untouched page is created when
+// create is set and reported as nil otherwise.
 func (m *Memory) page(addr uint64, create bool) []byte {
 	key := addr / pageBytes
+	if m.lastPage != nil && key == m.lastKey {
+		return m.lastPage
+	}
 	p, ok := m.pages[key]
-	if !ok && create {
+	if !ok {
+		if !create {
+			return nil
+		}
 		p = make([]byte, pageBytes)
 		m.pages[key] = p
 	}
+	m.lastKey, m.lastPage = key, p
 	return p
 }
 
@@ -54,11 +68,17 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 }
 
 // Read reads n little-endian bytes as a uint64 (n <= 8). Accesses may span
-// pages.
+// pages; one that does not costs a single page lookup.
 func (m *Memory) Read(addr uint64, n int) uint64 {
 	var buf [8]byte
-	for i := 0; i < n; i++ {
-		buf[i] = m.LoadByte(addr + uint64(i))
+	if off := addr % pageBytes; off+uint64(n) <= pageBytes {
+		if p := m.page(addr, false); p != nil {
+			copy(buf[:n], p[off:])
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			buf[i] = m.LoadByte(addr + uint64(i))
+		}
 	}
 	return binary.LittleEndian.Uint64(buf[:])
 }
@@ -67,6 +87,10 @@ func (m *Memory) Read(addr uint64, n int) uint64 {
 func (m *Memory) Write(addr uint64, v uint64, n int) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
+	if off := addr % pageBytes; off+uint64(n) <= pageBytes {
+		copy(m.page(addr, true)[off:], buf[:n])
+		return
+	}
 	for i := 0; i < n; i++ {
 		m.StoreByte(addr+uint64(i), buf[i])
 	}

@@ -16,19 +16,30 @@ type pulse struct {
 // eagerly, but the monitor must observe each request at the cycle it
 // actually arrives at its contention point; the Pulser bridges the two by
 // replaying scheduled pulses when the simulation reaches their cycle.
+//
+// Pending pulses live in a cycle-indexed ring: slot cycle&mask holds the
+// pulses of one cycle in At order. Every pending cycle lies in
+// (drained, drained+len(ring)], so no two share a slot; At doubles the ring
+// when a pulse lands beyond that window. Slots keep their capacity when
+// drained, so steady-state scheduling allocates nothing once the schedule
+// shape has been seen.
 type Pulser struct {
-	pending map[int64][]pulse
-	// free recycles drained pulse slices so steady-state scheduling
-	// allocates nothing once the schedule shape has been seen.
-	free [][]pulse
+	ring [][]pulse
+	mask int64
+	// busy counts the non-empty slots.
+	busy int
 	// drained is the most recent cycle Drain ran for; pulses scheduled at
 	// or before it fire immediately (the core is mid-cycle).
 	drained int64
 }
 
+// initialRing is the starting ring size; it covers an L2 refill and grows
+// on the first schedule that reaches further.
+const initialRing = 64
+
 // NewPulser creates an empty scheduler.
 func NewPulser() *Pulser {
-	return &Pulser{pending: make(map[int64][]pulse), drained: -1}
+	return &Pulser{ring: make([][]pulse, initialRing), mask: initialRing - 1, drained: -1}
 }
 
 // At schedules a request pulse (valid rising edge, with data driven first)
@@ -39,30 +50,45 @@ func (p *Pulser) At(cycle int64, valid, data *hdl.Signal, val uint64) {
 		fire(pulse{valid: valid, data: data, val: val})
 		return
 	}
-	lst, ok := p.pending[cycle]
-	if !ok && len(p.free) > 0 {
-		lst = p.free[len(p.free)-1]
-		p.free = p.free[:len(p.free)-1]
+	if cycle-p.drained > int64(len(p.ring)) {
+		p.grow(cycle)
 	}
-	p.pending[cycle] = append(lst, pulse{valid: valid, data: data, val: val})
+	slot := &p.ring[cycle&p.mask]
+	if len(*slot) == 0 {
+		p.busy++
+	}
+	*slot = append(*slot, pulse{valid: valid, data: data, val: val})
+}
+
+// grow doubles the ring until cycle fits in the window, moving each slot of
+// the old window to its slot in the new ring.
+func (p *Pulser) grow(cycle int64) {
+	n := int64(len(p.ring))
+	for cycle-p.drained > n {
+		n *= 2
+	}
+	ring := make([][]pulse, n)
+	for c := p.drained + 1; c <= p.drained+int64(len(p.ring)); c++ {
+		ring[c&(n-1)] = p.ring[c&p.mask]
+	}
+	p.ring, p.mask = ring, n-1
 }
 
 // Drain fires all pulses scheduled for cycles up to and including the given
 // cycle. The runner calls it once per cycle before stepping the cores.
-// Drained slices go onto the free list for reuse by At; firing a pulse never
-// schedules another one (watch hooks do not call back into the Pulser), so
-// recycling here is safe.
+// Firing a pulse never schedules another one (watch hooks do not call back
+// into the Pulser), so a slot is truncated right after it fires.
 func (p *Pulser) Drain(cycle int64) {
-	for c := p.drained + 1; c <= cycle; c++ {
-		pulses, ok := p.pending[c]
-		if !ok {
+	for c := p.drained + 1; c <= cycle && p.busy > 0; c++ {
+		slot := &p.ring[c&p.mask]
+		if len(*slot) == 0 {
 			continue
 		}
-		delete(p.pending, c)
-		for _, pl := range pulses {
+		for _, pl := range *slot {
 			fire(pl)
 		}
-		p.free = append(p.free, pulses[:0])
+		*slot = (*slot)[:0]
+		p.busy--
 	}
 	p.drained = cycle
 }
@@ -75,15 +101,17 @@ func fire(pl pulse) {
 	pl.valid.Set(0)
 }
 
-// Reset drops all scheduled pulses and rewinds the drain clock. The map and
-// the dropped slices are kept for reuse.
+// Reset drops all scheduled pulses and rewinds the drain clock. The ring
+// and its slots keep their capacity.
 func (p *Pulser) Reset() {
-	for c, lst := range p.pending { //sonar:nondeterministic-ok buffer recycling; free-list order has no semantic effect
-		p.free = append(p.free, lst[:0])
-		delete(p.pending, c)
+	if p.busy > 0 {
+		for i := range p.ring {
+			p.ring[i] = p.ring[i][:0]
+		}
+		p.busy = 0
 	}
 	p.drained = -1
 }
 
 // PendingCycles returns the number of future cycles with scheduled pulses.
-func (p *Pulser) PendingCycles() int { return len(p.pending) }
+func (p *Pulser) PendingCycles() int { return p.busy }
