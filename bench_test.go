@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -139,10 +140,12 @@ func BenchmarkExploitation_PoCAccuracy(b *testing.B) {
 	b.ReportMetric(float64(len(rs)), "pocs-total")
 }
 
-// campaignResult is one row of BENCH_campaign.json — the machine-readable
-// throughput record the CI perf gate (cmd/sonar-benchguard) compares against
-// the committed baseline. TestMain writes the file after the campaign
-// benchmarks run; plain test runs produce no records and no file.
+// campaignResult is one sample of a campaign benchmark (one per -count
+// repetition). In BENCH_campaign.json — the machine-readable throughput
+// record the CI perf gate (cmd/sonar-benchguard) compares against the
+// committed baseline — it carries an entry's per-field medians. TestMain
+// writes the file after the campaign benchmarks run; plain test runs
+// produce no records and no file.
 type campaignResult struct {
 	// ItersPerSec is fuzzing iterations (testcase x two secrets) per second.
 	ItersPerSec float64 `json:"iters_per_sec"`
@@ -173,10 +176,48 @@ type campaignResult struct {
 	LanesSpeedup float64 `json:"lanes_speedup,omitempty"`
 }
 
+// campaignEntry is one row of BENCH_campaign.json: the medians of a
+// benchmark's samples, the range of the two gated metrics, and the sample
+// count.
+type campaignEntry struct {
+	campaignResult
+	ItersPerSecMin   float64 `json:"iters_per_sec_min"`
+	ItersPerSecMax   float64 `json:"iters_per_sec_max"`
+	AllocsPerIterMin float64 `json:"allocs_per_iter_min"`
+	AllocsPerIterMax float64 `json:"allocs_per_iter_max"`
+	Samples          int     `json:"samples"`
+}
+
 var (
 	campaignResultsMu sync.Mutex
-	campaignResults   = map[string]campaignResult{}
+	// campaignSamples holds each entry's samples, one per benchmark run
+	// (-count repetition). The testing package calls a run's body once
+	// with b.N=1 before the timed b.N, so a record from the run that
+	// filed the newest sample (sampleOwner) replaces it.
+	campaignSamples = map[string][]campaignResult{}
+	sampleOwner     = map[string]*testing.B{}
 )
+
+// summarize folds an entry's samples into their medians and spread.
+func summarize(samples []campaignResult) campaignEntry {
+	field := func(get func(campaignResult) float64) (med, lo, hi float64) {
+		vs := make([]float64, len(samples))
+		for i, r := range samples {
+			vs[i] = get(r)
+		}
+		sort.Float64s(vs)
+		n := len(vs)
+		return (vs[(n-1)/2] + vs[n/2]) / 2, vs[0], vs[n-1]
+	}
+	var e campaignEntry
+	e.ItersPerSec, e.ItersPerSecMin, e.ItersPerSecMax = field(func(r campaignResult) float64 { return r.ItersPerSec })
+	e.AllocsPerIter, e.AllocsPerIterMin, e.AllocsPerIterMax = field(func(r campaignResult) float64 { return r.AllocsPerIter })
+	e.NsPerIter, _, _ = field(func(r campaignResult) float64 { return r.NsPerIter })
+	e.CyclesPerSec, _, _ = field(func(r campaignResult) float64 { return r.CyclesPerSec })
+	e.Cores = samples[0].Cores
+	e.Samples = len(samples)
+	return e
+}
 
 // benchJSONPath returns where the campaign benchmarks write their results;
 // override with SONAR_BENCH_JSON.
@@ -193,8 +234,12 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	campaignResultsMu.Lock()
 	defer campaignResultsMu.Unlock()
+	campaignResults := make(map[string]campaignEntry, len(campaignSamples))
+	for name, samples := range campaignSamples {
+		campaignResults[name] = summarize(samples)
+	}
 	// Parallel-scaling ratios: each CampaignParallelN entry records its
-	// throughput relative to CampaignParallel1 from the same run.
+	// median throughput relative to CampaignParallel1's from the same run.
 	if base, ok := campaignResults["CampaignParallel1"]; ok && base.ItersPerSec > 0 {
 		for name, r := range campaignResults {
 			if strings.HasPrefix(name, "CampaignParallel") {
@@ -203,8 +248,8 @@ func TestMain(m *testing.M) {
 			}
 		}
 	}
-	// Lane speedups: each wide entry's cycle throughput relative to the
-	// scalar entry of the same workload from the same run — the evaluator
+	// Lane speedups: each wide entry's median cycle throughput relative to
+	// the scalar entry of the same workload from the same run — the evaluator
 	// ratio for the CampaignLanes micro pair, the end-to-end campaign ratio
 	// for the CampaignNetlistLanes pair (see lane_bench_test.go).
 	for _, pair := range [][2]string{
@@ -267,7 +312,12 @@ func recordThroughput(b *testing.B, name string, itersPerRun int, run func() int
 	b.ReportMetric(r.ItersPerSec, "iters/sec")
 	b.ReportMetric(r.CyclesPerSec, "cycles/sec")
 	campaignResultsMu.Lock()
-	campaignResults[name] = r
+	if s := campaignSamples[name]; sampleOwner[name] == b {
+		s[len(s)-1] = r
+	} else {
+		campaignSamples[name] = append(s, r)
+		sampleOwner[name] = b
+	}
 	campaignResultsMu.Unlock()
 }
 

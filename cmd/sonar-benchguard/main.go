@@ -11,6 +11,12 @@
 // Throughput must not fall below baseline/factor; allocations per iteration
 // must not exceed baseline*factor.
 //
+// The benchmarks record each entry's median over its samples (-count N)
+// together with the sample range (<metric>_min, <metric>_max). The gate
+// compares the median and prints the range; a floor or ceiling that lies
+// inside the range is flagged, since a single sample could land on either
+// side of it.
+//
 // The gate also enforces parallel-scaling efficiency: every
 // CampaignParallelN entry in the current file records its throughput ratio
 // over CampaignParallel1 (scaling_vs_parallel1) and the runner's effective
@@ -38,7 +44,7 @@
 //
 // Usage:
 //
-//	go test -run '^$' -bench Campaign -benchtime 1x .
+//	go test -run '^$' -bench Campaign -benchtime 1x -count 5 .
 //	go run ./cmd/sonar-benchguard -current BENCH_campaign.json
 //
 // See docs/PERFORMANCE.md for the file format and how the numbers are
@@ -226,20 +232,51 @@ func checkFloors(cur, base map[string]row, factor float64, curPath string) bool 
 			continue
 		}
 		status := "ok  "
+		var flagged []string
 		for _, m := range checkedMetrics {
 			bv := b[m.name]
 			if bv == 0 {
 				continue
 			}
-			if m.floor && c[m.name] < bv/factor || !m.floor && c[m.name] > bv*factor {
+			limit := bv * factor
+			if m.floor {
+				limit = bv / factor
+			}
+			if m.floor && c[m.name] < limit || !m.floor && c[m.name] > limit {
 				status = "FAIL"
 				ok = false
 			}
+			if insideSpread(c, m.name, limit) {
+				flagged = append(flagged, m.name)
+			}
 		}
-		fmt.Printf("%s %-20s %9.0f iters/sec (floor %.0f)  %7.1f allocs/iter (ceil %.0f)\n",
-			status, name, c["iters_per_sec"], b["iters_per_sec"]/factor, c["allocs_per_iter"], b["allocs_per_iter"]*factor)
+		fmt.Printf("%s %-20s %9.0f iters/sec%s (floor %.0f)  %7.1f allocs/iter%s (ceil %.0f)\n",
+			status, name, c["iters_per_sec"], spread(c, "iters_per_sec", "%.0f"), b["iters_per_sec"]/factor,
+			c["allocs_per_iter"], spread(c, "allocs_per_iter", "%.1f"), b["allocs_per_iter"]*factor)
+		for _, m := range flagged {
+			fmt.Printf("warn %-20s %s limit lies inside the sample range: the verdict rests on the median alone\n", name, m)
+		}
 	}
 	return ok
+}
+
+// spread formats an entry's recorded sample range of metric, or "" when
+// the entry records none.
+func spread(r row, metric, format string) string {
+	lo, okLo := r[metric+"_min"]
+	hi, okHi := r[metric+"_max"]
+	if !okLo || !okHi {
+		return ""
+	}
+	return fmt.Sprintf(" ["+format+".."+format+"]", lo, hi)
+}
+
+// insideSpread reports whether limit lies within the entry's recorded
+// sample range of metric.
+func insideSpread(r row, metric string, limit float64) bool {
+	lo, okLo := r[metric+"_min"]
+	hi, okHi := r[metric+"_max"]
+	return okLo && okHi && lo <= limit && limit <= hi
 }
 
 func main() {

@@ -27,6 +27,30 @@ func TestVerdicts(t *testing.T) {
 		{"metric missing", func() bool {
 			return checkFloors(map[string]row{"CampaignSerial": {"iters_per_sec": 100}}, serial, 2, "cur")
 		}, false},
+		{"median above the floor with a sample below it", func() bool {
+			return checkFloors(map[string]row{"CampaignSerial": {
+				"iters_per_sec": 60, "iters_per_sec_min": 40, "iters_per_sec_max": 70, "allocs_per_iter": 10,
+			}}, serial, 2, "cur")
+		}, true},
+		{"median below the floor with a sample above it", func() bool {
+			return checkFloors(map[string]row{"CampaignSerial": {
+				"iters_per_sec": 45, "iters_per_sec_min": 40, "iters_per_sec_max": 70, "allocs_per_iter": 10,
+			}}, serial, 2, "cur")
+		}, false},
+		{"median allocs above the ceiling with a sample below it", func() bool {
+			return checkFloors(map[string]row{"CampaignSerial": {
+				"iters_per_sec": 100, "allocs_per_iter": 22, "allocs_per_iter_min": 18, "allocs_per_iter_max": 25,
+			}}, serial, 2, "cur")
+		}, false},
+		{"floor inside the spread is flagged", func() bool {
+			return insideSpread(row{"iters_per_sec": 60, "iters_per_sec_min": 40, "iters_per_sec_max": 70}, "iters_per_sec", 50)
+		}, true},
+		{"floor below the spread is not flagged", func() bool {
+			return insideSpread(row{"iters_per_sec": 60, "iters_per_sec_min": 55, "iters_per_sec_max": 70}, "iters_per_sec", 50)
+		}, false},
+		{"entry without a spread is not flagged", func() bool {
+			return insideSpread(row{"iters_per_sec": 50}, "iters_per_sec", 50)
+		}, false},
 		{"scaling pass", func() bool {
 			return checkScaling(map[string]row{
 				"CampaignParallel1": {"iters_per_sec": 100},

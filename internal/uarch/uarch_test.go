@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"fmt"
 	"testing"
 
 	"sonar/internal/hdl"
@@ -16,20 +17,32 @@ func TestMemoryReadWrite(t *testing.T) {
 	if got := m.Read(0x1000, 4); got != 0xbeefcafe {
 		t.Errorf("4-byte Read = %#x", got)
 	}
-	// Cross-page access.
-	m.Write(0x1ffe, 0xaabb, 2)
-	if got := m.Read(0x1ffe, 2); got != 0xaabb {
+	// Cross-page access: the low half lands in the page at 0x1000, the
+	// high half in the one at 0x2000.
+	m.Write(0x1ffc, 0x1122334455667788, 8)
+	if got := m.Read(0x1ffc, 8); got != 0x1122334455667788 {
 		t.Errorf("cross-page Read = %#x", got)
 	}
+	if got := m.Read(0x2000, 4); got != 0x11223344 {
+		t.Errorf("high half in the next page = %#x", got)
+	}
+	pages := len(m.pages)
 	if m.Read(0x9000, 8) != 0 {
 		t.Error("untouched memory not zero")
+	}
+	if len(m.pages) != pages {
+		t.Errorf("reading an untouched page created one: %d pages, want %d", len(m.pages), pages)
 	}
 	m.SetPrivRange(0x8000, 0x9000)
 	if !m.Privileged(0x8000) || m.Privileged(0x7fff) || m.Privileged(0x9000) {
 		t.Error("Privileged range wrong")
 	}
+	m.Read(0x1000, 8) // make 0x1000 the cached page
 	m.Reset()
 	if m.Read(0x1000, 8) != 0 {
+		t.Error("Reset did not clear the cached page")
+	}
+	if m.Read(0x1ffc, 8) != 0 {
 		t.Error("Reset did not clear contents")
 	}
 	if !m.Privileged(0x8000) {
@@ -68,6 +81,84 @@ func TestPulserScheduling(t *testing.T) {
 	p.Reset()
 	if p.PendingCycles() != 0 {
 		t.Error("Reset left pending pulses")
+	}
+
+	t.Run("ring", testPulserRing)
+}
+
+// testPulserRing covers the ring's growth, same-cycle ordering, late
+// scheduling and pending-cycle accounting.
+func testPulserRing(t *testing.T) {
+	n := hdl.NewNetlist("t")
+	v := n.Wire("v_valid", 1)
+	d := n.Wire("v_bits", 16)
+	type edge struct {
+		cycle int64
+		data  uint64
+	}
+	var edges []edge
+	v.Watch(func(_ *hdl.Signal, old, new uint64, cycle int64) {
+		if old == 0 && new == 1 {
+			edges = append(edges, edge{cycle, d.Value()})
+		}
+	})
+	p := NewPulser()
+	drainTo := func(c int64) {
+		for n.Cycle() < c {
+			n.Step()
+			p.Drain(n.Cycle())
+		}
+	}
+	p.Drain(0)
+
+	// Several pulses in one cycle fire in At order; a pulse far beyond the
+	// initial ring forces growth while they are still pending.
+	p.At(5, v, d, 1)
+	p.At(5, v, d, 2)
+	p.At(7, v, d, 3)
+	far := int64(5 * initialRing)
+	p.At(far, v, d, 4)
+	p.At(5, v, d, 5)
+	if got := p.PendingCycles(); got != 3 {
+		t.Errorf("PendingCycles = %d, want 3", got)
+	}
+	drainTo(7)
+	want := []edge{{5, 1}, {5, 2}, {5, 5}, {7, 3}}
+	if fmt.Sprint(edges) != fmt.Sprint(want) {
+		t.Fatalf("edges = %v, want %v", edges, want)
+	}
+	if got := p.PendingCycles(); got != 1 {
+		t.Errorf("PendingCycles after draining to 7 = %d, want 1", got)
+	}
+
+	// A pulse for an already drained cycle fires at once.
+	p.At(3, v, d, 6)
+	if last := edges[len(edges)-1]; last != (edge{7, 6}) {
+		t.Errorf("late pulse = %v, want it at once at cycle 7", last)
+	}
+	drainTo(far)
+	if last := edges[len(edges)-1]; last != (edge{far, 4}) {
+		t.Errorf("far pulse = %v, want it at cycle %d", last, far)
+	}
+	if got := p.PendingCycles(); got != 0 {
+		t.Errorf("PendingCycles after Drain = %d, want 0", got)
+	}
+
+	p.At(far+3, v, d, 7)
+	p.At(far+4, v, d, 8)
+	if got := p.PendingCycles(); got != 2 {
+		t.Errorf("PendingCycles = %d, want 2", got)
+	}
+	p.Reset()
+	if got := p.PendingCycles(); got != 0 {
+		t.Errorf("PendingCycles after Reset = %d, want 0", got)
+	}
+	n.SetCycle(0)
+	edges = edges[:0]
+	p.Drain(0)
+	drainTo(10)
+	if len(edges) != 0 {
+		t.Errorf("pulses survived Reset: %v", edges)
 	}
 }
 
