@@ -8,13 +8,16 @@
 //
 // Usage:
 //
-//	sonar-server [-addr :8714] [-lease-ttl 30s] [-max-retries N]
+//	sonar-server [-addr :8714] [-lease-ttl 30s]
+//
+// An expired lease is re-offered; the engine's bound of two re-offers per
+// shard per round applies, and the third expiry abandons the shard.
 //
 // Examples:
 //
 //	sonar-server                                  # defaults, all built-in DUTs
 //	sonar-server -addr 127.0.0.1:8714             # loopback only
-//	sonar-server -lease-ttl 2m -max-retries 5     # slow workers, patient retries
+//	sonar-server -lease-ttl 2m                    # slow workers
 package main
 
 import (
@@ -30,19 +33,15 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("sonar-server: ")
 	var (
-		addr       = flag.String("addr", ":8714", "listen address for the HTTP API")
-		leaseTTL   = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "shard lease time-to-live; workers renew at a third of it, so it must comfortably exceed one batch's execution time (docs/SERVICE.md)")
-		maxRetries = flag.Int("max-retries", 0, "expired-lease re-offers per shard per round before the shard is abandoned (0 = engine default of 2, negative = none)")
+		addr     = flag.String("addr", ":8714", "listen address for the HTTP API")
+		leaseTTL = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "shard lease time-to-live; workers renew at a third of it, so it must comfortably exceed one batch's execution time (docs/SERVICE.md)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		log.Fatalf("unexpected arguments %v", flag.Args())
 	}
 
-	ct := fleet.NewController(fleet.Config{
-		LeaseTTL:   *leaseTTL,
-		MaxRetries: *maxRetries,
-	})
+	ct := fleet.NewController(fleet.Config{LeaseTTL: *leaseTTL})
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           fleet.NewServer(ct),

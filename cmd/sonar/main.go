@@ -57,7 +57,7 @@ func main() {
 		dut     = flag.String("dut", "boom", "device under test: boom, nutshell, gen:<seed> (generated netlist), or firrtl:<path> (FIRRTL ingest)")
 		iters   = flag.Int("iters", 300, "fuzzing iterations")
 		seed    = flag.Int64("seed", 1, "campaign RNG seed")
-		workers = flag.Int("workers", 1, "campaign shards, each on a private DUT (1 = one shard on the primary DUT)")
+		workers = flag.Int("workers", 1, "campaign shards, run on min(shards, GOMAXPROCS) DUTs, the first the primary DUT")
 		lanes   = flag.Int("lanes", 1, "evaluator batch width, 1..64 testcases per plane word (docs/SIMULATOR.md); campaign results are identical at every width")
 		dual    = flag.Bool("dual", false, "dual-core scenario (boom only)")
 		random  = flag.Bool("random", false, "disable all guidance (random-testing baseline)")
@@ -74,7 +74,7 @@ func main() {
 		checkpoint  = flag.String("checkpoint", "", "write periodic campaign checkpoints to this file (docs/CAMPAIGNS.md)")
 		ckptEvery   = flag.Int("checkpoint-every", 500, "iterations between periodic checkpoints")
 		resume      = flag.String("resume", "", "resume the campaign from this checkpoint file")
-		iterTimeout = flag.Duration("iter-timeout", 0, "per-iteration deadline; wedged batches are retried on a replacement worker (0 = off)")
+		iterTimeout = flag.Duration("iter-timeout", 0, "per-iteration deadline, from when an executor takes the batch; wedged batches are re-queued (0 = off)")
 		maxRounds   = flag.Int("max-rounds", 0, "pause after N merge rounds, writing a checkpoint to resume from (0 = run to completion)")
 	)
 	flag.Parse()
@@ -196,7 +196,7 @@ func main() {
 
 	if *perf {
 		if opt.Workers > 1 {
-			fmt.Println("\npipeline counters unavailable: parallel workers run on private DUTs")
+			fmt.Println("\npipeline counters unavailable: shards run on a pool of DUTs")
 		} else {
 			fmt.Printf("\npipeline counters (last execution, core 0):\n%s", s.DUT.SoC.Cores[0].Perf())
 		}

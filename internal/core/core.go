@@ -103,9 +103,9 @@ func (s *Sonar) Identify() *IdentificationReport {
 }
 
 // Fuzz runs a state-guided fuzzing campaign (§6) with dual-differential
-// detection (§7) through fuzz.RunParallelExec: Options.Workers shards, the
-// first on the primary DUT and the rest on private DUTs elaborated from the
-// retained SoC constructor, merging feedback after every batch. A fixed
+// detection (§7) through fuzz.RunParallelExec: Options.Workers shards on a
+// pool of DUTs — the primary DUT first, the rest elaborated from the
+// retained SoC constructor — merging feedback after every batch. A fixed
 // (Seed, Workers, BatchSize) is reproducible across runs, and Options.Lanes
 // never changes a result (docs/SIMULATOR.md). An attached Options.Observer
 // additionally receives the DUT's identification gauges, so one metrics
@@ -127,11 +127,11 @@ func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, erro
 // executors returns one campaign's executor factory. Its first call hands
 // out the primary DUT, so a single-shard campaign elaborates nothing beyond
 // New's DUT and leaves its pipeline counters on it. Every later call —
-// further shards and fault-recovery replacements — elaborates a private DUT
-// that reuses the primary's contention-point analysis by dense-id rebinding
-// instead of re-running trace.Analyze, so a stalled attempt never shares
-// its DUT with the attempt that replaces it. Safe for concurrent use: shard
-// executors are built in parallel.
+// further pooled executors and the replacements of failed ones —
+// elaborates a private DUT that reuses the primary's contention-point
+// analysis by dense-id rebinding instead of re-running trace.Analyze, so a
+// stalled attempt never shares its DUT with the executor that replaces it.
+// Safe for concurrent use: pooled executors are built in parallel.
 func (s *Sonar) executors() func() fuzz.Executor {
 	var handedOut atomic.Bool
 	return func() fuzz.Executor {

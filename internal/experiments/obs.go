@@ -24,7 +24,7 @@ var campaignIterTimeout time.Duration
 
 // SetIterTimeout applies a per-iteration deadline (fuzz.Options.IterTimeout)
 // to every subsequent experiment campaign that elaborates a private DUT per
-// worker; campaigns on one shared DUT (onDUT) never set it. Zero disables
+// executor; campaigns on one shared DUT (onDUT) never set it. Zero disables
 // the deadline. Not safe to call while an experiment is running.
 func SetIterTimeout(d time.Duration) { campaignIterTimeout = d }
 
@@ -36,9 +36,9 @@ func observed(opt fuzz.Options) fuzz.Options {
 	return opt
 }
 
-// onDUT runs a campaign on one already-built DUT. A replacement worker would
-// share d with the stalled attempt it replaces, so the campaign runs without
-// an iteration deadline.
+// onDUT runs a campaign on one already-built DUT, so it must run one shard.
+// An executor replacing a stalled one would share d with the stalled
+// attempt, so the campaign runs without an iteration deadline.
 func onDUT(d *fuzz.DUT, opt fuzz.Options) *fuzz.Stats {
 	opt.IterTimeout = 0
 	return fuzz.RunParallelExec(func() fuzz.Executor { return d }, opt)

@@ -5,9 +5,10 @@
 //
 // The controller is the server half of the fuzz.LeaseCoordinator contract:
 // it splits each fuzz campaign into shard leases, grants at most one lease
-// per open shard per round, re-offers leases lost to worker churn (expiry,
-// bounded by MaxRetries), and folds reported results at round barriers in
-// canonical worker order. Because lease execution is deterministic and
+// per open shard per round, re-offers leases lost to worker churn (each
+// expiry is a failed attempt under the engine's retry bound,
+// fuzz.LeaseCoordinator.Fail), and folds reported results at round barriers
+// in canonical worker order. Because lease execution is deterministic and
 // expiry/re-offer bookkeeping is metrics-only, a distributed campaign over
 // a fixed (Seed, Workers, BatchSize) topology produces a byte-identical
 // event stream and identical final Stats to a local fuzz.RunParallelExec — even
@@ -95,15 +96,10 @@ func Builtins() map[string]func() *uarch.SoC {
 type Config struct {
 	// LeaseTTL is how long a granted lease stays valid without a renewal;
 	// zero means DefaultLeaseTTL. Expired leases are re-offered to the next
-	// worker that asks.
+	// worker that asks, up to the engine's retry bound of two re-offers per
+	// shard per round; the third expiry abandons the shard and drops its
+	// remaining budget, exactly like a local campaign's fault disposition.
 	LeaseTTL time.Duration
-	// MaxRetries bounds lease re-offers per shard per round: zero means 2,
-	// the number of times the local engine replays a failed batch; negative
-	// means no retries — the shard is abandoned after its first expired
-	// lease. A shard that exhausts its retries is abandoned
-	// and its remaining budget dropped, exactly like a local campaign's
-	// fault disposition.
-	MaxRetries int
 	// DUTs overrides the built-in DUT registry (Builtins) — tests inject
 	// cheap lite designs here. Workers must be configured with the same
 	// registry.
@@ -116,19 +112,6 @@ func (cfg Config) ttl() time.Duration {
 		return DefaultLeaseTTL
 	}
 	return cfg.LeaseTTL
-}
-
-// maxAttempts returns how many expired leases a shard tolerates per round
-// before abandonment (first attempt + retries).
-func (cfg Config) maxAttempts() int {
-	switch {
-	case cfg.MaxRetries == 0:
-		return 3 // engine default: 2 retries after the first failure
-	case cfg.MaxRetries < 0:
-		return 1
-	default:
-		return cfg.MaxRetries + 1
-	}
 }
 
 // Spec is a campaign submission: exactly one of DUT or FIRRTL must be set.
@@ -294,7 +277,7 @@ type LeaseGrant struct {
 	// TTLMillis is the lease time-to-live; workers renew at a fraction of
 	// it while executing.
 	TTLMillis int64 `json:"ttl_ms"`
-	// Lease is the shard-batch work assignment for fuzz.ExecuteLeaseExec.
+	// Lease is the shard-batch work assignment for fuzz.ExecuteLease.
 	Lease fuzz.Lease `json:"lease"`
 }
 
@@ -321,12 +304,7 @@ type campaign struct {
 	sink     *obs.MemorySink        // backs the events download
 	analysis *AnalysisResult        // analysis campaigns only
 	audit    *AuditSummary          // FIRRTL campaigns: information-flow audit
-
-	// Open-round churn bookkeeping, reset when the round advances.
-	lastRound int
-	granted   map[int]*lease   // shard → outstanding lease
-	attempts  map[int]int      // shard → expired leases this round
-	reasons   map[int][]string // shard → expiry reasons this round
+	granted  map[int]*lease         // shard → outstanding lease
 }
 
 // done reports whether the campaign has finished.
@@ -340,10 +318,8 @@ type lease struct {
 	camp    *campaign
 	shard   int
 	round   int
-	attempt int
 	expires time.Time
 	worker  string
-	payload *fuzz.Lease
 }
 
 // Controller owns all campaign and lease state behind the HTTP API. All
@@ -432,11 +408,9 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 	}
 
 	c := &campaign{
-		id:       fmt.Sprintf("c%d", len(ct.campaigns)+1),
-		lanes:    spec.Lanes,
-		granted:  make(map[int]*lease),
-		attempts: make(map[int]int),
-		reasons:  make(map[int][]string),
+		id:      fmt.Sprintf("c%d", len(ct.campaigns)+1),
+		lanes:   spec.Lanes,
+		granted: make(map[int]*lease),
 	}
 
 	switch {
@@ -641,12 +615,10 @@ func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
 				return nil, err
 			}
 			l := &lease{
-				id:   fmt.Sprintf("%s-r%d-s%d-a%d", c.id, payload.Round, shard, c.attempts[shard]+1),
+				id:   fmt.Sprintf("%s-r%d-s%d-a%d", c.id, payload.Round, shard, c.lc.Failures(shard)+1),
 				camp: c, shard: shard, round: payload.Round,
-				attempt: c.attempts[shard] + 1,
 				expires: ct.now().Add(ct.cfg.ttl()),
 				worker:  worker,
-				payload: payload,
 			}
 			c.granted[shard] = l
 			ct.leases[l.id] = l
@@ -728,13 +700,15 @@ func (ct *Controller) Health() *Health {
 	}
 }
 
-// sweepLocked expires overdue leases and abandons shards that exhausted
-// their retries. It runs at the top of every API call — the controller has
-// no background clock, so expiry is processed lazily but before any state
-// is read or changed. Expiry is metrics-only bookkeeping (no events) unless
-// it tips a shard into abandonment, which emits the same worker_failed
-// events a local campaign's fault disposition does — that is what keeps a
-// churned-but-recovered campaign byte-identical to a fault-free local run.
+// sweepLocked expires overdue leases, recording each expiry as a failed
+// attempt with the campaign's coordinator, which abandons a shard that
+// exhausted its retries. It runs at the top of every API call — the
+// controller has no background clock, so expiry is processed lazily but
+// before any state is read or changed. Expiry is metrics-only bookkeeping
+// (no events) unless it tips a shard into abandonment, which emits the same
+// worker_failed events a local campaign's fault disposition does — that is
+// what keeps a churned-but-recovered campaign byte-identical to a
+// fault-free local run.
 func (ct *Controller) sweepLocked() {
 	now := ct.now()
 	var due []*lease
@@ -747,34 +721,20 @@ func (ct *Controller) sweepLocked() {
 	for _, l := range due {
 		delete(ct.leases, l.id)
 		delete(l.camp.granted, l.shard)
-		c := l.camp
-		c.attempts[l.shard]++
-		c.reasons[l.shard] = append(c.reasons[l.shard],
-			fmt.Sprintf("lease %s expired after %v", l.id, ct.cfg.ttl()))
 		ct.expired.Inc()
 		ct.workerFails.Inc()
-		if c.attempts[l.shard] >= ct.cfg.maxAttempts() {
-			// Retries exhausted: drop the shard. The coordinator emits one
-			// worker_failed per expired lease plus the disposition at the
-			// round barrier.
-			if err := c.lc.Abandon(l.shard, c.reasons[l.shard]); err == nil {
-				ct.abandonedCnt.Inc()
-				ct.workerFails.Inc()
-				ct.afterAdvanceLocked(c)
-			}
+		abandoned, err := l.camp.lc.Fail(l.shard, fmt.Sprintf("lease %s expired after %v", l.id, ct.cfg.ttl()))
+		if err == nil && abandoned {
+			ct.abandonedCnt.Inc()
+			ct.workerFails.Inc()
+			ct.afterAdvanceLocked(l.camp)
 		}
 	}
 }
 
 // afterAdvanceLocked refreshes derived state after a coordinator mutation:
-// round-scoped churn bookkeeping resets when the barrier closes, gauges
-// re-publish, and a finished campaign leaves the running set.
+// gauges re-publish, and a finished campaign leaves the running set.
 func (ct *Controller) afterAdvanceLocked(c *campaign) {
-	if r := c.lc.Round(); r != c.lastRound {
-		c.lastRound = r
-		c.attempts = make(map[int]int)
-		c.reasons = make(map[int][]string)
-	}
 	ct.updateGaugesLocked(c)
 	if c.lc.Finished() {
 		ct.running.Add(-1)

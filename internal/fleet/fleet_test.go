@@ -121,7 +121,7 @@ func newTestServer(t *testing.T, cfg Config) (*Client, *Controller) {
 // API until it stops offering work.
 func driveCampaign(t *testing.T, client *Client) {
 	t.Helper()
-	factory := liteExecFactory()
+	e := liteExecFactory()()
 	for {
 		g, err := client.Acquire("test-driver")
 		if err != nil {
@@ -130,9 +130,9 @@ func driveCampaign(t *testing.T, client *Client) {
 		if g == nil {
 			return
 		}
-		res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 1, &g.Lease)
+		res, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease)
 		if err != nil {
-			t.Fatalf("ExecuteLeaseExec(%s): %v", g.LeaseID, err)
+			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
 		}
 		if err := client.Report(g.LeaseID, res); err != nil {
 			t.Fatalf("Report(%s): %v", g.LeaseID, err)
@@ -189,9 +189,9 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g.Shape, 1, &g.Lease)
+	res, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, 1, &g.Lease)
 	if err != nil {
-		t.Fatalf("ExecuteLeaseExec: %v", err)
+		t.Fatalf("ExecuteLease: %v", err)
 	}
 	if err := client.Report(g.LeaseID, res); err != nil {
 		t.Fatalf("Report: %v", err)
@@ -349,9 +349,9 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, err := fuzz.ExecuteLeaseExec(liteExecFactory(), g1.Shape, 1, &g1.Lease)
+	res, err := fuzz.ExecuteLease(liteExecFactory()(), g1.Shape, 1, &g1.Lease)
 	if err != nil {
-		t.Fatalf("ExecuteLeaseExec: %v", err)
+		t.Fatalf("ExecuteLease: %v", err)
 	}
 	clk.advance(60 * time.Millisecond) // let the lease expire
 
@@ -392,25 +392,28 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 }
 
 // A shard whose leases keep expiring is abandoned once retries are
-// exhausted, and the campaign completes degraded — the distributed analog
-// of the local fault-disposition path.
+// exhausted — on the third expiry, the bound the local engine shares — and
+// the campaign completes degraded: the distributed analog of the local
+// fault-disposition path.
 func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
-	client, ct := newTestServer(t, Config{LeaseTTL: 20 * time.Millisecond, MaxRetries: -1})
+	client, ct := newTestServer(t, Config{LeaseTTL: 20 * time.Millisecond})
 	clk := withFakeClock(ct)
 	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(16, 2, 8)}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	// Grab shard 0's lease and never report it; MaxRetries < 0 means the
-	// first expiry abandons the shard.
-	g, err := client.Acquire("doomed")
-	if err != nil || g == nil {
-		t.Fatalf("Acquire: grant=%v err=%v", g, err)
+	// Grab shard 0's lease and let it expire, three times over; the third
+	// expiry abandons the shard.
+	for a := 1; a <= 3; a++ {
+		g, err := client.Acquire("doomed")
+		if err != nil || g == nil {
+			t.Fatalf("Acquire %d: grant=%v err=%v", a, g, err)
+		}
+		if want := fmt.Sprintf("c1-r1-s0-a%d", a); g.LeaseID != want {
+			t.Fatalf("grant %d is %s, want %s", a, g.LeaseID, want)
+		}
+		clk.advance(40 * time.Millisecond)
 	}
-	if g.Lease.Shard != 0 {
-		t.Fatalf("first grant is shard %d, want 0", g.Lease.Shard)
-	}
-	clk.advance(40 * time.Millisecond)
 	driveCampaign(t, client) // sweeps, abandons shard 0, drains shard 1
 
 	st, err := client.Campaign("c1")
@@ -428,7 +431,6 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 	if m[MetricShardsAbandoned] != 1 {
 		t.Errorf("%s = %v, want 1", MetricShardsAbandoned, m[MetricShardsAbandoned])
 	}
-	_ = ct
 }
 
 // The tentpole integration test: a server plus two in-process workers
@@ -593,9 +595,9 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LaneDUTFactory: %v", err)
 	}
-	res, err := fuzz.ExecuteLeaseExec(factory, g.Shape, 64, &g.Lease)
+	res, err := fuzz.ExecuteLease(factory(), g.Shape, 64, &g.Lease)
 	if err != nil {
-		t.Fatalf("ExecuteLeaseExec: %v", err)
+		t.Fatalf("ExecuteLease: %v", err)
 	}
 	if err := client.Report(g.LeaseID, res); err != nil {
 		t.Fatalf("Report: %v", err)

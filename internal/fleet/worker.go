@@ -38,8 +38,8 @@ const maxAcquireFailures = 50
 // the context is cancelled (returns nil), MaxLeases is reached, or an
 // unrecoverable error occurs. It returns the number of leases executed.
 //
-// The loop is: acquire → elaborate the granted DUT (once per design name —
-// the contention-point analysis is shared across leases) → execute the
+// The loop is: acquire → elaborate the granted DUT (once per design: one
+// executor per design key serves every lease of that design) → execute the
 // lease → report. While executing, a background goroutine renews the lease
 // at a third of its TTL so slow batches survive; if a report still races an
 // expiry the server answers 409, the result is discarded, and the re-offered
@@ -54,7 +54,7 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 	if duts == nil {
 		duts = Builtins()
 	}
-	factories := make(map[string]func() fuzz.Executor)
+	execs := make(map[string]fuzz.Executor)
 	executed := 0
 	failures := 0
 	for {
@@ -88,7 +88,7 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 		if g.FIRRTL != "" {
 			key = "firrtl/" + g.Campaign
 		}
-		f, ok := factories[key]
+		e, ok := execs[key]
 		if !ok {
 			if g.FIRRTL != "" {
 				src := g.FIRRTL
@@ -98,16 +98,15 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 				if err != nil {
 					return executed, fmt.Errorf("fleet: worker %s: lease %s: firrtl: %w", opt.ID, g.LeaseID, err)
 				}
-				f = lf
+				e = lf()
 			} else {
 				mk, known := duts[g.DUT]
 				if !known {
 					return executed, fmt.Errorf("fleet: worker %s: server granted unknown DUT %q (registry mismatch)", opt.ID, g.DUT)
 				}
-				df := fuzz.SharedAnalysisFactory(mk)
-				f = func() fuzz.Executor { return df() }
+				e = fuzz.NewDUT(mk())
 			}
-			factories[key] = f
+			execs[key] = e
 		}
 
 		lanes := opt.Lanes
@@ -115,7 +114,7 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 			lanes = g.Lanes
 		}
 		stopRenew := renewLoop(client, g)
-		res, err := fuzz.ExecuteLeaseExec(f, g.Shape, lanes, &g.Lease)
+		res, err := fuzz.ExecuteLease(e, g.Shape, lanes, &g.Lease)
 		stopRenew()
 		if err != nil {
 			// A lease the engine rejects (shape/corpus mismatch) cannot

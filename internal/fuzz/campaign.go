@@ -41,8 +41,8 @@ type Options struct {
 	// instead of inheriting/flipping based on the previous mutation's
 	// effect — the ablation of §6.2.1's "adaptive directed mutation".
 	RandomDirection bool
-	// Workers is the number of campaign shards RunParallelExec executes
-	// concurrently, each on a private DUT (0 = 1).
+	// Workers is the number of campaign shards (0 = 1); RunParallelExec
+	// runs them on min(Workers, GOMAXPROCS) executors.
 	Workers int
 	// BatchSize is the number of iterations each worker executes between
 	// two corpus merges in RunParallelExec (0 = a sensible default). Smaller
@@ -93,10 +93,10 @@ type Options struct {
 	// a later Resume byte-continues the event stream. Time-sliced
 	// campaigns on shared hosts are the intended use.
 	MaxRounds int
-	// IterTimeout is the per-iteration deadline for campaign workers; a
-	// batch of n iterations is aborted after n*IterTimeout and replayed on
-	// a replacement worker, recovering campaigns from wedged simulations.
-	// 0 disables the deadline (worker panics are still recovered).
+	// IterTimeout is the per-iteration deadline of campaign batches; a
+	// batch of n iterations is given up n*IterTimeout after an executor
+	// receives it and re-queued, recovering campaigns from wedged
+	// simulations. 0 disables the deadline (panics are still recovered).
 	IterTimeout time.Duration
 	// FaultHook, when non-nil, is invoked by campaign workers before every
 	// iteration — the seam the deterministic fault-injection harness
@@ -179,14 +179,13 @@ type Stats struct {
 	ExecutedCycles int64
 }
 
-// worker owns one shard of a campaign: a private DUT, an RNG stream, and a
-// corpus view. RunParallelExec runs one per shard and merges their feedback
-// between batches.
+// worker is one shard of a campaign: an RNG stream, a corpus view, and the
+// seeds retained since the last barrier. It holds no executor, so any
+// executor may run any shard's batch.
 type worker struct {
-	// id is the worker's shard index — the value fault events and the
-	// FaultHook report.
+	// id is the shard index — the value fault events and the FaultHook
+	// report.
 	id        int
-	d         Executor
 	rng       *rand.Rand
 	corpus    *Corpus
 	opt       Options
@@ -203,7 +202,7 @@ type worker struct {
 	// atomic update per batch instead of several per iteration.
 	mutOffered, mutAccepted int
 	// forceIntvls makes runOne populate outcome.intvls even without local
-	// retention or a local Observer. Lease workers (ExecuteLeaseExec) set it:
+	// retention or a local Observer. Lease execution (ExecuteLease) sets it:
 	// the coordinating server always attaches an Observer, and the interval
 	// feedback must travel with the outcome for its fold to match a local
 	// observed run byte-for-byte.
@@ -221,10 +220,10 @@ type worker struct {
 // exact draw sequence of rand.New(rand.NewSource(opt.Seed+id)) — the
 // determinism contract — and a checkpointed cursor restores the worker's
 // mid-campaign RNG position.
-func newShardWorker(id int, d Executor, opt Options, cursor uint64) *worker {
+func newShardWorker(id int, opt Options, cursor uint64) *worker {
 	src := newCountedSource(opt.Seed+int64(id), cursor)
 	return &worker{
-		id: id, d: d, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
+		id: id, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
 		retention: opt.Retention || opt.Selection || opt.DirectedMutation,
 		selection: opt.Selection || opt.DirectedMutation,
 	}
@@ -273,12 +272,12 @@ func (w *worker) prepare() pendingIter {
 	return pendingIter{tc: tc, parent: parent, target: target}
 }
 
-// runOne executes one fuzzing iteration: generate or mutate a testcase,
+// runOne executes one fuzzing iteration on d: generate or mutate a testcase,
 // double-execute it under both secrets, detect, and feed the corpus.
-func (w *worker) runOne() outcome {
+func (w *worker) runOne(d Executor) outcome {
 	p := w.prepare()
-	exA := w.d.Execute(p.tc, w.opt.SecretA)
-	exB := w.d.Execute(p.tc, w.opt.SecretB)
+	exA := d.Execute(p.tc, w.opt.SecretA)
+	exB := d.Execute(p.tc, w.opt.SecretB)
 	return w.finish(p, exA, exB)
 }
 
@@ -342,24 +341,25 @@ func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
 	return out
 }
 
-// runBatch executes n iterations of merge round `round`, appending their
-// outcomes to dst in order (dst is the coordinator's recycled per-round
-// scratch; retries pass nil and allocate fresh). The FaultHook seam fires
-// before each iteration, from this (worker) goroutine — a scheduled panic
-// or stall therefore surfaces exactly where a real worker fault would.
+// runBatch executes n iterations of merge round `round` on d, appending
+// their outcomes to dst in order (dst is the coordinator's recycled
+// per-round scratch; retries pass nil and allocate fresh). The FaultHook
+// seam fires before each iteration, from the executing goroutine — a
+// scheduled panic or stall therefore surfaces exactly where a real executor
+// fault would.
 // Behavioral DUT models cannot be bit-sliced, so they execute every lane of
 // a logical lane batch (Options.Lanes) through the scalar path in ascending
 // order — the campaign-level scalar spill — and the outcome stream is the
 // same at every lane width.
-func (w *worker) runBatch(dst []outcome, n, round int) []outcome {
-	if g, ok := w.d.(GroupExecutor); ok && g.GroupWidth() > 1 {
+func (w *worker) runBatch(d Executor, dst []outcome, n, round int) []outcome {
+	if g, ok := d.(GroupExecutor); ok && g.GroupWidth() > 1 {
 		dst = w.runBatchGrouped(g, dst, n, round)
 	} else {
 		for i := 0; i < n; i++ {
 			if h := w.opt.FaultHook; h != nil {
 				h.BeforeIteration(w.id, round, i)
 			}
-			dst = append(dst, w.runOne())
+			dst = append(dst, w.runOne(d))
 		}
 	}
 	w.flushMutationMetrics()

@@ -93,7 +93,7 @@ func NewDUT(soc *uarch.SoC) *DUT {
 // same design. If the analysis was computed on a different (but identically
 // elaborated) netlist instance, it is rebound onto this SoC's netlist by
 // dense signal id — the path parallel campaigns use to analyze once and
-// share the result across every worker and fault-recovery replacement.
+// share the result across every executor they build.
 func NewDUTWithAnalysis(soc *uarch.SoC, a *trace.Analysis) *DUT {
 	key := a
 	if a.Netlist != soc.Net {

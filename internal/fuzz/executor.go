@@ -5,16 +5,17 @@ import "sonar/internal/trace"
 // Executor is the execution substrate a campaign fuzzes: anything that can
 // double-execute testcases and expose the contention-point analysis its
 // snapshots refer to. The behavioral DUT models (package boom/nutshell via
-// *DUT) and the netlist-backed LaneDUT both satisfy it, so campaign
-// workers — RunParallelExec shards and shard leases alike — run unchanged
-// over either substrate.
+// *DUT) and the netlist-backed LaneDUT both satisfy it, so campaign shards —
+// on RunParallelExec's executor pool and in shard leases alike — run
+// unchanged over either substrate.
 //
 // Contract: Execute returns an Execution whose buffers may live in recycled
 // arenas; a result must stay valid across at least one subsequent Execute on
 // the same executor (the dual-secret A/B pattern), exactly like DUT.Execute.
-// ContentionAnalysis must return the same analysis (same point IDs) for
-// every executor instance of one campaign, so stats fold identically across
-// workers and fault-recovery replacements.
+// A result must not depend on what the executor ran before, so any executor
+// may run any shard's batch or lease. ContentionAnalysis must return the
+// same analysis (same point IDs) for every executor instance of one
+// campaign, so stats fold identically whichever executor ran a batch.
 type Executor interface {
 	// Execute runs one testcase under one secret value.
 	Execute(tc *Testcase, secret uint64) *Execution

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,4 +187,63 @@ func TestFaultRecoveryComposesWithResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsEqual(t, full, resumed)
+}
+
+// midRelease wraps a Schedule and releases its stalls when an executor
+// reaches round `at`, then holds that executor until the stalled round-1
+// attempt has passed the hook of its batch's last iteration, so the late
+// result heads for the main loop while later rounds still run.
+type midRelease struct {
+	*faultinject.Schedule
+	at, last int
+	released atomic.Bool
+	resumed  chan struct{}
+}
+
+func (h *midRelease) BeforeIteration(worker, round, iter int) {
+	// Once released, only the given-up attempt still runs round 1.
+	if round == 1 && iter == h.last && h.released.Load() {
+		close(h.resumed)
+	}
+	if round == h.at && h.released.CompareAndSwap(false, true) {
+		h.Release()
+		<-h.resumed
+	}
+	h.Schedule.BeforeIteration(worker, round, iter)
+}
+
+// A stalled batch given up at its deadline and then released mid-campaign
+// finishes late, on its own shard state and scratch, and its stale result
+// is dropped: Stats and the fault-stripped event stream equal the
+// fault-free run, and the one recovery is reported once.
+func TestStallReleasedMidCampaignIsDropped(t *testing.T) {
+	base := SonarOptions(64)
+	base.Workers = 2
+	base.BatchSize = 4
+	bopt, bmem := observedOptions(base)
+	want := RunParallelExec(liteExec, bopt)
+
+	hook := &midRelease{
+		Schedule: faultinject.NewSchedule(faultinject.Fault{Worker: 0, Round: 1, Iter: 1, Mode: faultinject.ModeStall}),
+		at:       3, last: base.BatchSize - 1,
+		resumed: make(chan struct{}),
+	}
+	fopt := base
+	fopt.FaultHook = hook
+	fopt.IterTimeout = 10 * time.Millisecond
+	fopt, fmem := observedOptions(fopt)
+	got := RunParallelExec(liteExec, fopt)
+
+	if !hook.released.Load() {
+		t.Fatal("the stall was never released mid-campaign")
+	}
+	statsEqual(t, want, got)
+	statsWireEqual(t, want, got)
+	fails, retries := countFaultEvents(fmem.Events())
+	if fails != 1 || retries != 1 {
+		t.Errorf("got %d worker_failed / %d batch_retried events, want 1/1", fails, retries)
+	}
+	if !bytes.Equal(stripFaultEvents(fmem.Events()), stripFaultEvents(bmem.Events())) {
+		t.Error("event stream (fault events stripped) differs from the fault-free run")
+	}
 }

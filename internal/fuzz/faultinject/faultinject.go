@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic fault-injection harness for the
 // parallel fuzzing engine: a Schedule makes specific workers panic or stall
 // at specific (round, iteration) positions, exercising the engine's
-// recovery paths — panic recovery, batch retry on a replacement worker, and
+// recovery paths — panic recovery, batch retry on rebuilt shard state, and
 // per-iteration deadlines — under `go test -race`.
 //
 // A Schedule plugs into a campaign through fuzz.Options.FaultHook; it

@@ -198,9 +198,10 @@ func TestNetlistCampaignPublishesCompileGauges(t *testing.T) {
 }
 
 // TestNetlistLeaseReExecution pins lease determinism on the lane path: a
-// shard lease over a netlist DUT executed twice — and at different lane
-// widths — returns byte-identical wire results, so a distributed campaign
-// may re-execute a lost lane-group lease on any worker configuration.
+// shard lease over a netlist DUT executed repeatedly on one reused executor
+// — and at different lane widths — returns byte-identical wire results, so a
+// distributed campaign may re-execute a lost lane-group lease on any worker
+// configuration, and a worker may keep one executor for every lease.
 func TestNetlistLeaseReExecution(t *testing.T) {
 	factory := netExecFactory(t)
 	opt := SonarOptions(20)
@@ -216,10 +217,11 @@ func TestNetlistLeaseReExecution(t *testing.T) {
 		t.Fatalf("Lease: %v", err)
 	}
 	var wires [][]byte
+	e := factory()
 	for _, lanes := range []int{1, 7, 64, 64} {
-		res, err := ExecuteLeaseExec(factory, lc.Shape(), lanes, l)
+		res, err := ExecuteLease(e, lc.Shape(), lanes, l)
 		if err != nil {
-			t.Fatalf("ExecuteLeaseExec(lanes=%d): %v", lanes, err)
+			t.Fatalf("ExecuteLease(lanes=%d): %v", lanes, err)
 		}
 		b, err := json.Marshal(res)
 		if err != nil {

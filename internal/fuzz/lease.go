@@ -7,23 +7,9 @@ import (
 	"sonar/internal/detect"
 )
 
-// LeaseCoordinator is the one owner of a parallel campaign's state — the
-// per-shard budgets and RNG cursors, the merged corpus, the stats
-// accumulator — and of its round barrier (docs/ARCHITECTURE.md). Two drivers
-// advance it. The campaign service (docs/SERVICE.md) hands out one batch of
-// one shard at a time as a Lease; any process executes it with
-// ExecuteLeaseExec (a pure function of the lease and the campaign shape) and
-// reports a LeaseResult back. RunParallelExec drives the same coordinator
-// in-process with persistent shard workers, reporting outcomes and seeds
-// directly, without a wire encoding. Both close every round through the same
-// barrier and fold, so a distributed campaign over a fixed (Seed, Workers,
-// BatchSize) produces the same final Stats and a byte-identical event stream
-// to a local run — TestLeaseCoordinatorMatchesRunParallel pins this, and the
-// service integration tests extend it across HTTP.
-
 // Lease is one shard-batch work assignment: everything a worker needs —
 // beyond the campaign shape, which the service hands out alongside — to
-// execute the batch exactly as a local shard worker would have.
+// execute the batch exactly as the local engine would have.
 type Lease struct {
 	// Shard is the worker index the batch belongs to (0-based); it fixes
 	// the RNG stream (Seed+Shard) like a local worker index does.
@@ -33,8 +19,8 @@ type Lease struct {
 	// N is the number of iterations to execute.
 	N int `json:"n"`
 	// Cursor is the shard's pre-batch RNG draw count; the executor replays
-	// the shard generator to it, exactly like a replacement worker after a
-	// local fault.
+	// the shard generator to it, exactly like the local engine rebuilding a
+	// shard after a failed attempt.
 	Cursor uint64 `json:"cursor"`
 	// Corpus is the merged global corpus as of the previous round barrier.
 	Corpus CorpusWire `json:"corpus"`
@@ -102,19 +88,21 @@ type LeaseResult struct {
 	Seeds []SeedWire `json:"seeds"`
 }
 
-// ExecuteLeaseExec runs one shard-batch lease to completion and returns its
-// result. It is a pure function of (shape, lanes, lease): it builds a fresh
-// shard worker with the lease's RNG cursor replayed and the lease's corpus
-// installed — exactly the state a local replacement worker re-derives after
-// a fault — and drains the batch through the same runBatch path local
-// workers use. Executing the same lease twice returns equal results, so a
-// lease lost to worker churn can simply be re-offered.
+// ExecuteLease runs one shard-batch lease to completion on e and returns
+// its result. It is a pure function of (shape, lanes, lease): it builds the
+// shard's state with the lease's RNG cursor replayed and the lease's corpus
+// installed — exactly the state the local engine rebuilds after a failed
+// attempt — and drains the batch through the same runBatch path the local
+// engine uses. e may have run anything before (executors reset before every
+// execution), so one executor serves any number of leases, and executing
+// the same lease twice returns equal results: a lease lost to worker churn
+// can simply be re-offered.
 //
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
 // that may differ per worker without changing any result: a GroupExecutor
 // lease drains through the grouped batch loop, whose RNG order is lane-width
 // independent.
-func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
+func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
 	}
@@ -127,10 +115,10 @@ func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease)
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
-	w := newShardWorker(l.Shard, newExec(), opt, l.Cursor)
+	w := newShardWorker(l.Shard, opt, l.Cursor)
 	w.corpus = corpus
 	w.forceIntvls = true
-	outs := w.runBatch(nil, l.N, l.Round)
+	outs := w.runBatch(e, nil, l.N, l.Round)
 
 	res := &LeaseResult{
 		Shard:    l.Shard,
@@ -149,9 +137,9 @@ func ExecuteLeaseExec(newExec func() Executor, shape Shape, lanes int, l *Lease)
 
 // shardReport is one shard's resolution of the open round: the batch it
 // executed (outcomes, retained seeds, post-batch RNG cursor) or its
-// abandonment. fails lists failed attempts in order — the reasons of an
-// abandonment, or the attempts a batch recovered from, which the fold
-// reports as batch_retried.
+// abandonment. fails lists the round's failed attempts in order (fail
+// appends them) — the reasons of an abandonment, or the attempts a local
+// batch recovered from, which the fold reports as batch_retried.
 type shardReport struct {
 	resolved  bool
 	abandoned bool
@@ -186,13 +174,25 @@ func newRoundFold(workers int) *roundFold {
 	}
 }
 
-// LeaseCoordinator advances a campaign one resolved shard at a time. Each
-// merge round, every shard with remaining budget is open for exactly one
-// batch; once every open shard has reported or been abandoned, the round
+// LeaseCoordinator is the one owner of a parallel campaign's state — the
+// per-shard budgets and RNG cursors, the merged corpus, the stats
+// accumulator — of its round barrier, and of the retry policy
+// (docs/ARCHITECTURE.md). Two drivers advance it: the campaign service
+// (docs/SERVICE.md) hands out one shard batch at a time as a Lease, which
+// any process executes with ExecuteLease and reports back as a LeaseResult;
+// RunParallelExec drives it in-process, without a wire encoding. Both close
+// every round through the same barrier and fold, and record failed attempts
+// through the same fail, so a distributed campaign over a fixed (Seed,
+// Workers, BatchSize) matches a local run byte for byte
+// (TestLeaseCoordinatorMatchesRunParallel; the service tests extend it
+// across HTTP).
+//
+// Each merge round, every shard with remaining budget is open for exactly
+// one batch; once every open shard has reported or been abandoned, the round
 // closes: closeBarrier does the budget accounting and corpus merge in
 // canonical worker order, then foldRound does the stats fold and event
 // emission. The service calls the two back to back; the local engine folds
-// on a goroutine of its own, one round behind its workers.
+// on a goroutine of its own, one round behind its shards.
 //
 // The coordinator is not safe for concurrent use; callers (the campaign
 // service's controller, the local engine's main goroutine) serialize
@@ -320,11 +320,8 @@ func (lc *LeaseCoordinator) resume(d Executor, cp *Checkpoint) {
 }
 
 // Shape returns the campaign's shape (effective workers and batch size
-// included) — what lease executors pass to ExecuteLeaseExec.
+// included) — what lease executors pass to ExecuteLease.
 func (lc *LeaseCoordinator) Shape() Shape { return shapeOf(lc.opt) }
-
-// DUT returns the netlist name of the device under test.
-func (lc *LeaseCoordinator) DUT() string { return lc.dut }
 
 // Finished reports whether the campaign has drained (or dropped) its whole
 // iteration budget and emitted campaign_end.
@@ -364,6 +361,22 @@ func (lc *LeaseCoordinator) openShard(i int) bool {
 	return !lc.finished && lc.rem[i] > 0 && !lc.reports[i].resolved
 }
 
+// checkOpen rejects a shard index out of range or without an open batch
+// this round.
+func (lc *LeaseCoordinator) checkOpen(shard int) error {
+	if shard < 0 || shard >= lc.workers {
+		return fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
+	}
+	if !lc.openShard(shard) {
+		return fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
+	}
+	return nil
+}
+
+// Failures returns how many attempts at shard's batch have failed this
+// round; the service numbers its leases from it.
+func (lc *LeaseCoordinator) Failures(shard int) int { return len(lc.reports[shard].fails) }
+
 // batchSize is the iteration count of shard i's batch this round.
 func (lc *LeaseCoordinator) batchSize(i int) int {
 	return min(lc.rem[i], lc.batch)
@@ -374,11 +387,8 @@ func (lc *LeaseCoordinator) batchSize(i int) int {
 // are deterministic — which is how the service re-offers leases lost to
 // worker churn.
 func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
-	if shard < 0 || shard >= lc.workers {
-		return nil, fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
-	}
-	if !lc.openShard(shard) {
-		return nil, fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
+	if err := lc.checkOpen(shard); err != nil {
+		return nil, err
 	}
 	return &Lease{
 		Shard:  shard,
@@ -394,22 +404,21 @@ func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
 // advance the shard's RNG cursor by at least one draw per iteration (every
 // iteration draws), report no negative cycle count, and name only
 // contention points of the campaign's analysis; a malformed or stale result
-// is rejected without touching campaign state. When the last open shard of
-// the round resolves, the round barrier closes: seeds merge into the global
-// corpus in canonical worker order, outcomes fold into Stats, and the
-// round's events are emitted.
+// is rejected without touching campaign state. Failures recorded for the
+// shard this round are dropped: service churn a re-offer recovered from
+// stays metrics-only. When the last open shard of the round resolves, the
+// round barrier closes: seeds merge into the global corpus in canonical
+// worker order, outcomes fold into Stats, and the round's events are
+// emitted.
 func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if res == nil {
 		return fmt.Errorf("fuzz: nil lease result")
 	}
-	if res.Shard < 0 || res.Shard >= lc.workers {
-		return fmt.Errorf("fuzz: lease result for shard %d out of range (campaign has %d workers)", res.Shard, lc.workers)
-	}
 	if res.Round != lc.round+1 {
 		return fmt.Errorf("fuzz: lease result for round %d, campaign is at round %d", res.Round, lc.round+1)
 	}
-	if !lc.openShard(res.Shard) {
-		return fmt.Errorf("fuzz: shard %d has no open lease this round", res.Shard)
+	if err := lc.checkOpen(res.Shard); err != nil {
+		return err
 	}
 	n := lc.batchSize(res.Shard)
 	if len(res.Outcomes) != n {
@@ -482,25 +491,34 @@ func checkPointIDs(points int, ids []int, intvls []PointIntvl) error {
 	return nil
 }
 
-// Abandon drops an open shard from the current round after its lease
-// repeatedly failed: the shard's remaining budget is removed from the
-// campaign at the round barrier, and the barrier's fold emits one
-// worker_failed event per reason (the failed attempts, in order) followed
-// by the abandonment disposition — the same degraded-but-deterministic
-// completion a local campaign reaches when a shard exhausts its retries.
-func (lc *LeaseCoordinator) Abandon(shard int, reasons []string) error {
-	if shard < 0 || shard >= lc.workers {
-		return fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
+// Fail records a failed attempt — for the service, an expired lease — at an
+// open shard's batch (see fail). It reports whether that abandoned the
+// shard, and then closes the round if no shard is left open.
+func (lc *LeaseCoordinator) Fail(shard int, reason string) (abandoned bool, err error) {
+	if err := lc.checkOpen(shard); err != nil {
+		return false, err
 	}
-	if !lc.openShard(shard) {
-		return fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
+	if !lc.fail(shard, reason) {
+		return false, nil
 	}
-	if len(reasons) == 0 {
-		return fmt.Errorf("fuzz: abandoning shard %d without failure reasons", shard)
-	}
-	lc.reports[shard] = shardReport{resolved: true, abandoned: true, fails: reasons}
 	lc.maybeCloseRound()
-	return nil
+	return true, nil
+}
+
+// fail is the retry policy of both drivers: it records a failed attempt at
+// open shard i's batch and, once batchRetries retries have failed too,
+// abandons the shard, reporting so. The barrier drops an abandoned shard's
+// budget, and its fold emits one worker_failed per failed attempt, then the
+// abandonment disposition. The local engine calls fail directly: its
+// barrier closes on the main loop's schedule.
+func (lc *LeaseCoordinator) fail(i int, reason string) bool {
+	rep := &lc.reports[i]
+	rep.fails = append(rep.fails, reason)
+	if len(rep.fails) <= batchRetries {
+		return false
+	}
+	rep.resolved, rep.abandoned = true, true
+	return true
 }
 
 // maybeCloseRound closes the round barrier once no shard is still open,

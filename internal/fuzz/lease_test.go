@@ -11,10 +11,11 @@ import (
 	"sonar/internal/obs"
 )
 
-// execLease round-trips the lease and its result through their JSON wire
-// encodings before and after execution, so every lease-coordinator test
-// also exercises exactly what travels over the campaign service's HTTP API.
-func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
+// execLease executes l on e, round-tripping the lease and its result
+// through their JSON wire encodings before and after execution, so every
+// lease-coordinator test also exercises exactly what travels over the
+// campaign service's HTTP API.
+func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *LeaseResult {
 	t.Helper()
 	lb, err := json.Marshal(l)
 	if err != nil {
@@ -24,9 +25,9 @@ func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
 	if err := json.Unmarshal(lb, &wire); err != nil {
 		t.Fatalf("unmarshal lease: %v", err)
 	}
-	res, err := ExecuteLeaseExec(liteExec, shape, lanes, &wire)
+	res, err := ExecuteLease(e, shape, lanes, &wire)
 	if err != nil {
-		t.Fatalf("ExecuteLeaseExec(shard %d, round %d): %v", l.Shard, l.Round, err)
+		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
 	rb, err := json.Marshal(res)
 	if err != nil {
@@ -40,10 +41,12 @@ func execLease(t *testing.T, shape Shape, lanes int, l *Lease) *LeaseResult {
 }
 
 // driveLeases runs a lease coordinator to completion in-process: every open
-// shard of every round gets its lease executed and reported back.
+// shard of every round gets its lease executed, on one reused executor, and
+// reported back.
 func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 	t.Helper()
 	shape := lc.Shape()
+	e := liteExec()
 	for !lc.Finished() {
 		open := lc.OpenShards()
 		if len(open) == 0 {
@@ -54,7 +57,7 @@ func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			if err := lc.Report(execLease(t, shape, 1, l)); err != nil {
+			if err := lc.Report(execLease(t, e, shape, 1, l)); err != nil {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}
@@ -110,9 +113,10 @@ func TestLeaseCoordinatorMatchesRunParallel(t *testing.T) {
 	}
 }
 
-// Re-executing the same lease must return byte-equal results — the
-// property that lets the service re-offer a lease lost to worker churn
-// without perturbing the campaign.
+// Re-executing the same lease on one reused executor must return byte-equal
+// results — the property that lets the service re-offer a lease lost to
+// worker churn without perturbing the campaign, and lets a worker keep one
+// executor for every lease of a design.
 func TestLeaseReexecutionDeterministic(t *testing.T) {
 	opt := SonarOptions(40)
 	opt.Workers = 2
@@ -127,15 +131,16 @@ func TestLeaseReexecutionDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
-	a := execLease(t, lc.Shape(), 1, l)
-	b := execLease(t, lc.Shape(), 1, l)
+	e := liteExec()
+	a := execLease(t, e, lc.Shape(), 1, l)
+	b := execLease(t, e, lc.Shape(), 1, l)
 	ab, _ := json.Marshal(a)
 	bb, _ := json.Marshal(b)
 	if !bytes.Equal(ab, bb) {
 		t.Fatal("re-executing the same lease produced different results")
 	}
 	// A different lane width is operational: same result bytes.
-	c := execLease(t, lc.Shape(), 64, l)
+	c := execLease(t, e, lc.Shape(), 64, l)
 	cb, _ := json.Marshal(c)
 	if !bytes.Equal(ab, cb) {
 		t.Fatal("lease result depends on the executor's lane width")
@@ -146,13 +151,14 @@ func TestLeaseReexecutionDeterministic(t *testing.T) {
 func driveRounds(t *testing.T, lc *LeaseCoordinator, n int) {
 	t.Helper()
 	target := lc.Round() + n
+	e := liteExec()
 	for lc.Round() < target && !lc.Finished() {
 		for _, shard := range lc.OpenShards() {
 			l, err := lc.Lease(shard)
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			if err := lc.Report(execLease(t, lc.Shape(), 1, l)); err != nil {
+			if err := lc.Report(execLease(t, e, lc.Shape(), 1, l)); err != nil {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}
@@ -172,7 +178,7 @@ func TestLeaseReportValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
-	res := execLease(t, lc.Shape(), 1, l)
+	res := execLease(t, liteExec(), lc.Shape(), 1, l)
 
 	stale := *res
 	stale.Round = 99
@@ -230,9 +236,10 @@ func TestLeaseReportValidation(t *testing.T) {
 	}
 }
 
-// Abandoning a shard drops its budget and completes the campaign degraded,
-// with the same worker_failed attempt/disposition events a local campaign
-// emits when a shard exhausts its retries.
+// A shard whose attempts keep failing is abandoned on the third failure (two
+// retries): its budget is dropped and the campaign completes degraded, with
+// the same worker_failed attempt/disposition events a local campaign emits
+// when a shard exhausts its retries.
 func TestLeaseAbandonmentDropsBudget(t *testing.T) {
 	sink := obs.NewMemorySink()
 	opt := SonarOptions(40)
@@ -241,9 +248,20 @@ func TestLeaseAbandonmentDropsBudget(t *testing.T) {
 	opt.Observer = obs.New(sink)
 	lc := NewLeaseCoordinator(liteFactory(), opt)
 
-	reasons := []string{"lease c1-r1-s1-a1 expired after 30ms", "lease c1-r1-s1-a2 expired after 30ms"}
-	if err := lc.Abandon(1, reasons); err != nil {
-		t.Fatalf("Abandon: %v", err)
+	for a := 1; a <= batchRetries+1; a++ {
+		if got := lc.Failures(1); got != a-1 {
+			t.Fatalf("Failures(1) = %d before attempt %d fails, want %d", got, a, a-1)
+		}
+		abandoned, err := lc.Fail(1, fmt.Sprintf("lease c1-r1-s1-a%d expired after 30ms", a))
+		if err != nil {
+			t.Fatalf("Fail(attempt %d): %v", a, err)
+		}
+		if abandoned != (a == batchRetries+1) {
+			t.Fatalf("attempt %d: abandoned = %v", a, abandoned)
+		}
+	}
+	if _, err := lc.Fail(1, "late"); err == nil {
+		t.Error("failing an abandoned shard was accepted")
 	}
 	driveLeases(t, lc)
 
@@ -260,15 +278,15 @@ func TestLeaseAbandonmentDropsBudget(t *testing.T) {
 		}
 		if e.Attempt == 0 {
 			dispositions++
-			if !strings.Contains(e.Reason, "shard abandoned after 2 failed attempts; 20 iterations dropped") {
+			if !strings.Contains(e.Reason, "shard abandoned after 3 failed attempts; 20 iterations dropped") {
 				t.Errorf("unexpected abandonment reason %q", e.Reason)
 			}
 		} else {
 			attempts++
 		}
 	}
-	if attempts != 2 || dispositions != 1 {
-		t.Errorf("got %d failed-attempt events and %d dispositions, want 2 and 1", attempts, dispositions)
+	if attempts != 3 || dispositions != 1 {
+		t.Errorf("got %d failed-attempt events and %d dispositions, want 3 and 1", attempts, dispositions)
 	}
 }
 
@@ -321,4 +339,38 @@ func TestLeaseCoordinatorSnapshotResume(t *testing.T) {
 	}
 	statsEqual(t, unbroken.Stats(), second.Stats())
 	statsWireEqual(t, unbroken.Stats(), second.Stats())
+}
+
+// FuzzLeaseReport feeds arbitrary bytes through the path a worker's report
+// takes into a campaign: JSON → LeaseResult → Report on a round-1 lite
+// coordinator. Report must never panic, and a result it rejects must leave
+// the campaign's snapshot byte-equal. The seed corpus (testdata/fuzz) holds
+// one real ExecuteLease result and the TestLeaseReportValidation rejects.
+func FuzzLeaseReport(f *testing.F) {
+	d := liteFactory()
+	opt := SonarOptions(8)
+	opt.Workers = 2
+	opt.BatchSize = 2
+	opt.Observer = obs.New()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res LeaseResult
+		if json.Unmarshal(data, &res) != nil {
+			return
+		}
+		lc := NewLeaseCoordinator(d, opt)
+		before, err := lc.Snapshot(false).Encode()
+		if err != nil {
+			t.Fatalf("encode snapshot: %v", err)
+		}
+		if lc.Report(&res) == nil {
+			return
+		}
+		after, err := lc.Snapshot(false).Encode()
+		if err != nil {
+			t.Fatalf("encode snapshot after a rejected report: %v", err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatal("a rejected lease result changed the campaign snapshot")
+		}
+	})
 }

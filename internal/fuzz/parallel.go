@@ -2,7 +2,8 @@ package fuzz
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"time"
 )
 
@@ -12,10 +13,10 @@ import (
 // keeping retention/selection feedback near-global.
 const defaultBatchSize = 32
 
-// batchRetries is how many times a failed (panicked or timed-out) batch is
-// replayed on a replacement worker before its shard is abandoned — the same
-// count the campaign service re-offers an expired lease. A replay is
-// deterministic, so it starts at once: waiting would only delay recovery.
+// batchRetries is how many times a failed batch — a panicked or timed-out
+// local attempt, or an expired service lease — is retried before its shard
+// is abandoned (LeaseCoordinator.fail). A replay is deterministic, so it
+// starts at once: waiting would only delay recovery.
 const batchRetries = 2
 
 // abandonAttempt is the Attempt value of the worker_failed event that
@@ -27,21 +28,20 @@ const abandonAttempt = 0
 // pipelineDepth is the number of recycled round records (roundFold) — and
 // therefore how many merge rounds may be in flight between the barrier and
 // the fold goroutine. Two means classic double buffering:
-// workers execute round k+1 while the folder drains round k.
+// shards execute round k+1 while the folder drains round k.
 const pipelineDepth = 2
 
 // coordinator is the in-process driver of a LeaseCoordinator — the campaign
-// engine. The LeaseCoordinator owns the campaign state and the
-// round barrier; the coordinator keeps only what is local to a process:
+// engine. The LeaseCoordinator owns the campaign state, the round barrier and
+// the retry policy; the coordinator keeps only what is local to a process:
 //
-//   - persistent shard workers, each with a private executor, RNG stream,
-//     and copy-on-write view of the merged corpus, reported to the barrier
-//     directly (outcomes and seeds, never their wire encoding);
-//   - the panic/stall supervisor that replays a failed batch on a
-//     replacement worker (superviseShard/attemptBatch);
+//   - per-shard state (worker), reported to the barrier directly (outcomes
+//     and seeds, never their wire encoding);
+//   - a pool of executor goroutines (run, execute): any runs any shard;
+//   - fault recovery in the main loop (runRound, retry);
 //   - the fold pipeline: closeBarrier runs on the main goroutine, and
 //     foldRound — the stats fold and every event emission — on a dedicated
-//     goroutine, one round behind the workers (docs/PERFORMANCE.md);
+//     goroutine, one round behind the shards (docs/PERFORMANCE.md);
 //   - periodic checkpoint writes and the MaxRounds pause.
 //
 // The fold order is the barrier's canonical order, so Stats, PerIteration,
@@ -50,23 +50,43 @@ const pipelineDepth = 2
 type coordinator struct {
 	lc      *LeaseCoordinator
 	newExec func() Executor
-	ws      []*worker // nil entry = abandoned shard, or a drained one nothing was built for
+	ws      []*worker // nil entry = abandoned or drained shard
 	// lastSaved and nextCkpt drive periodic checkpointing: a checkpoint is
 	// cut at the first merge barrier at or past every nextCkpt iterations.
 	lastSaved int
 	nextCkpt  int
 
-	// Fold pipeline (see the type comment). foldCh carries closed rounds to
-	// the fold goroutine; foldDone returns their records for reuse.
-	// inFlight counts rounds handed off but not yet reclaimed, free holds
-	// reclaimed records, and records counts total allocations (capped at
-	// pipelineDepth). folderExit closes when the fold goroutine drains out.
+	// Executor pool. quit closes when the campaign returns; inFlight holds
+	// each shard's current attempt; timer fires at the earliest in-flight
+	// deadline (nil without IterTimeout).
+	jobs     chan *job
+	results  chan *job
+	quit     chan struct{}
+	inFlight []*job
+	timer    *time.Timer
+
+	// Fold pipeline. foldCh carries closed rounds to the fold goroutine and
+	// records holds the pipelineDepth round records not in flight;
+	// folderExit closes when the fold goroutine drains out.
 	foldCh     chan *roundFold
-	foldDone   chan *roundFold
+	records    chan *roundFold
 	folderExit chan struct{}
-	inFlight   int
-	free       []*roundFold
-	records    int
+}
+
+// job is one batch attempt: shard state w executes n iterations of merge
+// round `round`, appending to outs (for a first attempt, the round record's
+// recycled buffer). The executor goroutine fills outs, or err after a
+// recovered panic; the main loop alone stamps start and deadline and sets
+// expired. A failed attempt keeps its w and outs, so a late finish touches
+// nothing the retry uses.
+type job struct {
+	w        *worker
+	n, round int
+	outs     []outcome
+	err      string
+	start    time.Time
+	deadline time.Time
+	expired  atomic.Bool
 }
 
 // normalizeParallel returns the effective (post-clamp) worker count and
@@ -88,36 +108,37 @@ func normalizeParallel(opt Options) (workers, batch int) {
 }
 
 // RunParallelExec executes a fuzzing campaign — the one campaign engine:
-// Options.Workers workers, each owning a private executor built by newExec
-// (a behavioral *DUT or a netlist LaneDUT), execute batches of testcases
-// against private corpus views; after every batch round the
-// LeaseCoordinator's barrier merges retained seeds into the global corpus in
-// canonical worker order and every worker restarts from the merged view,
-// while a fold goroutine drains the round's statistics and events off the
-// workers' critical path.
+// Options.Workers shards, each with a private RNG stream and corpus view,
+// execute batches of testcases on a pool of min(Workers, GOMAXPROCS)
+// executors built by newExec (behavioral *DUTs or netlist LaneDUTs); after
+// every batch round the LeaseCoordinator's barrier merges retained seeds into
+// the global corpus in canonical shard order and every shard restarts from
+// the merged view, while a fold goroutine drains the round's statistics and
+// events off the executors' critical path. The first executor built also
+// backs the stats fold.
 //
-// Determinism contract: worker w draws from rand.NewSource(opt.Seed+w), the
-// batch schedule is static, and merges happen in worker order, so a campaign
+// Determinism contract: shard w draws from rand.NewSource(opt.Seed+w), the
+// batch schedule is static, and merges happen in shard order, so a campaign
 // is reproducible for a fixed (Seed, Workers, BatchSize) — and Workers <= 1
-// reproduces the pinned serial trajectory (TestParallelWorkers1MatchesSerial) at every
-// BatchSize. The contract extends to observability: opt.Observer's events
-// are emitted only by the fold goroutine, one round at a time in fold order,
-// so the event stream (and Stats.PerIteration, which it mirrors) is
-// byte-identical across runs and to the campaign service's; worker
-// goroutines update atomic metrics only.
+// reproduces the pinned serial trajectory (TestParallelWorkers1MatchesSerial)
+// at every BatchSize. Which executor runs which shard, and how many
+// executors there are, never changes a result. The contract extends to
+// observability: opt.Observer's events are emitted only by the fold
+// goroutine, one round at a time in fold order, so the event stream (and
+// Stats.PerIteration, which it mirrors) is byte-identical across runs and to
+// the campaign service's; executor goroutines update atomic metrics only.
 //
 // Durability (docs/CAMPAIGNS.md): with Options.Checkpoint set, the engine
 // writes an atomic campaign snapshot at merge barriers every CheckpointEvery
 // iterations (draining the fold pipeline first, so the snapshot is exact);
 // ResumeExec restores one into a campaign whose remaining iterations — Stats
 // and event stream included — are identical to the uninterrupted run.
-// Worker panics and (with IterTimeout) wedged iterations are recovered by
-// replaying the batch on a replacement worker; a shard that keeps failing is
-// abandoned and the campaign completes on the remaining workers.
+// Executor panics and (with IterTimeout) wedged iterations are recovered by
+// re-queueing the shard's batch from its pre-batch state; a shard that keeps
+// failing is abandoned and the campaign completes on the remaining shards.
 func RunParallelExec(newExec func() Executor, opt Options) *Stats {
-	workers, _ := normalizeParallel(opt)
-	ws := newShardWorkers(newExec, opt, make([]uint64, workers), nil)
-	return newCoordinator(NewLeaseCoordinator(ws[0].d, opt), newExec, ws, -1).run()
+	e := newExec()
+	return newCoordinator(NewLeaseCoordinator(e, opt), newExec, -1).run(e)
 }
 
 // ResumeExec continues a checkpointed campaign. opt must describe the same
@@ -136,82 +157,76 @@ func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, e
 	if err != nil {
 		return nil, err
 	}
-	ws := newShardWorkers(newExec, opt, lc.cursors, lc.rem)
-	var d Executor // any live worker's: point IDs agree across executors
-	for _, w := range ws {
-		if w != nil {
-			d = w.d
-			break
-		}
+	var e Executor // nil when no shard has budget left: nothing to fold
+	if lc.left > 0 {
+		e = newExec()
 	}
-	lc.resume(d, cp)
+	lc.resume(e, cp)
 	if cp.Complete {
 		return lc.acc.st, nil
 	}
-	return newCoordinator(lc, newExec, ws, cp.Done).run(), nil
-}
-
-// newShardWorkers builds one worker per shard, with its RNG replayed to the
-// shard's cursor, skipping shards with no remaining budget when rem is
-// given. Elaboration and analysis are independent and deterministic, so the
-// executors are built concurrently.
-func newShardWorkers(newExec func() Executor, opt Options, cursors []uint64, rem []int) []*worker {
-	ws := make([]*worker, len(cursors))
-	var wg sync.WaitGroup
-	for i := range ws {
-		if rem != nil && rem[i] == 0 {
-			continue // drained or abandoned shard: no executor needed
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ws[i] = newShardWorker(i, newExec(), opt, cursors[i])
-		}(i)
-	}
-	wg.Wait()
-	return ws
+	return newCoordinator(lc, newExec, cp.Done).run(e), nil
 }
 
 // newCoordinator wraps a LeaseCoordinator in the local driver. lastSaved is
 // the position of the checkpoint the campaign was restored from (-1 for a
-// fresh campaign). Every worker starts from a copy-on-write view of the
-// coordinator's corpus.
-func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, ws []*worker, lastSaved int) *coordinator {
-	for _, w := range ws {
-		if w != nil {
-			w.corpus = lc.global.view()
+// fresh campaign). Every shard with budget left starts from newShard.
+func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, lastSaved int) *coordinator {
+	c := &coordinator{
+		lc: lc, newExec: newExec, ws: make([]*worker, lc.workers),
+		lastSaved: lastSaved, nextCkpt: nextCheckpointAfter(lastSaved, lc.opt),
+		jobs: make(chan *job), results: make(chan *job), quit: make(chan struct{}),
+		inFlight: make([]*job, lc.workers),
+	}
+	for i := range c.ws {
+		if lc.rem[i] > 0 {
+			c.ws[i] = c.newShard(i)
 		}
 	}
-	return &coordinator{
-		lc: lc, newExec: newExec, ws: ws,
-		lastSaved: lastSaved, nextCkpt: nextCheckpointAfter(lastSaved, lc.opt),
-	}
+	return c
 }
 
-// checkpointEvery resolves the effective checkpoint period.
-func checkpointEvery(opt Options) int {
-	if opt.CheckpointEvery > 0 {
-		return opt.CheckpointEvery
-	}
-	return defaultCheckpointEvery
+// newShard builds shard i's state as of the last barrier: the RNG replayed
+// to the shard's cursor and a view of the merged corpus. Between barriers
+// the global corpus is immutable and every shard's corpus equals it, so a
+// shard rebuilt after a failed attempt replays the batch exactly.
+func (c *coordinator) newShard(i int) *worker {
+	w := newShardWorker(i, c.lc.opt, c.lc.cursors[i])
+	w.corpus = c.lc.global.view()
+	return w
 }
 
 // nextCheckpointAfter returns the first periodic checkpoint threshold
 // strictly past `done` iterations.
 func nextCheckpointAfter(done int, opt Options) int {
-	every := checkpointEvery(opt)
+	every := opt.CheckpointEvery
+	if every <= 0 {
+		every = defaultCheckpointEvery
+	}
 	return (done/every + 1) * every
 }
 
 // run drives the campaign to completion (or a MaxRounds pause) and returns
-// the accumulated Stats. Workers only execute inside runRound, so between
-// rounds the shards are quiescent; the fold goroutine may still be
-// draining earlier rounds, and every path that reads the accumulator or the
-// event-stream position (checkpoints, pause, completion) drains it first.
-// The fold of the round that drains the budget emits campaign_end, so the
-// final checkpoint's event position includes it.
-func (c *coordinator) run() *Stats {
+// the accumulated Stats. It starts the executor pool — the first goroutine
+// takes e, the others build their own concurrently — and on return closes
+// quit without waiting: idle goroutines exit at once, one still building
+// its executor once built, a given-up one when its batch ends. Shards only
+// execute inside runRound; the fold goroutine may still be draining earlier
+// rounds, and every path that reads the accumulator or the event-stream
+// position (checkpoints, pause, completion) drains it first. The fold of
+// the round that drains the budget emits campaign_end, so the final
+// checkpoint's event position includes it.
+func (c *coordinator) run(e Executor) *Stats {
 	lc := c.lc
+	defer close(c.quit)
+	if lc.opt.IterTimeout > 0 {
+		c.timer = time.NewTimer(time.Hour)
+		c.timer.Stop()
+	}
+	for i := min(len(lc.OpenShards()), runtime.GOMAXPROCS(0)); i > 0; i-- {
+		go c.execute(e)
+		e = nil
+	}
 	c.startFolder()
 	for rounds := 0; !lc.finished; rounds++ {
 		if lc.opt.MaxRounds > 0 && rounds >= lc.opt.MaxRounds {
@@ -223,10 +238,9 @@ func (c *coordinator) run() *Stats {
 			lc.acc.st.CorpusSize = lc.global.Len()
 			return lc.acc.st
 		}
-		rf := c.acquireRecord()
+		rf := <-c.records // back-pressure: at most pipelineDepth rounds ahead of the fold
 		c.runRound(rf)
 		c.foldCh <- rf
-		c.inFlight++
 		if !lc.finished && lc.Position() >= c.nextCkpt {
 			c.drainFolds()
 			c.writeCheckpoint(false)
@@ -238,16 +252,56 @@ func (c *coordinator) run() *Stats {
 	return lc.acc.st
 }
 
-// startFolder launches the fold goroutine that drains closed rounds.
+// execute is one pool goroutine: it holds executor e (building one when e
+// is nil) and runs the batches it receives, recovering a panic into the
+// job's err, until the campaign returns. After a panicked or given-up
+// attempt it exits (retry has started its replacement); a given-up
+// attempt's late result is dropped by the main loop, or released by quit,
+// so it never blocks for good.
+func (c *coordinator) execute(e Executor) {
+	if e == nil {
+		e = c.newExec()
+	}
+	for {
+		var j *job
+		select {
+		case j = <-c.jobs:
+		case <-c.quit:
+			return
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					j.err = fmt.Sprintf("worker panic: %v", r)
+				}
+			}()
+			j.outs = j.w.runBatch(e, j.outs, j.n, j.round)
+		}()
+		select {
+		case c.results <- j:
+		case <-c.quit:
+			return
+		}
+		if j.err != "" || j.expired.Load() {
+			return
+		}
+	}
+}
+
+// startFolder launches the fold goroutine that drains closed rounds, with
+// pipelineDepth fresh round records to fill.
 func (c *coordinator) startFolder() {
 	c.foldCh = make(chan *roundFold, pipelineDepth)
-	c.foldDone = make(chan *roundFold, pipelineDepth)
+	c.records = make(chan *roundFold, pipelineDepth)
 	c.folderExit = make(chan struct{})
+	for i := 0; i < pipelineDepth; i++ {
+		c.records <- newRoundFold(len(c.ws))
+	}
 	go func() {
 		defer close(c.folderExit)
 		for rf := range c.foldCh {
 			c.lc.foldRound(rf)
-			c.foldDone <- rf
+			c.records <- rf
 		}
 	}()
 }
@@ -260,63 +314,79 @@ func (c *coordinator) stopFolder() {
 	<-c.folderExit
 }
 
-// acquireRecord returns a round record to fill: a reclaimed one if
-// available, a fresh one while under the pipeline depth, and otherwise it
-// blocks until the folder finishes the oldest in-flight round — the
-// back-pressure that bounds how far workers may run ahead of the fold.
-func (c *coordinator) acquireRecord() *roundFold {
-	if n := len(c.free); n > 0 {
-		rf := c.free[n-1]
-		c.free = c.free[:n-1]
-		return rf
-	}
-	if c.records < pipelineDepth {
-		c.records++
-		return newRoundFold(len(c.ws))
-	}
-	rf := <-c.foldDone
-	c.inFlight--
-	return rf
-}
-
-// drainFolds blocks until every in-flight round has been folded. Callers
-// that read the accumulator, emit through the Observer, or snapshot the
-// campaign (checkpoints, completion) must drain first.
+// drainFolds blocks until every in-flight round has been folded — until all
+// pipelineDepth records are back. Callers that read the accumulator, emit
+// through the Observer, or snapshot the campaign (checkpoints, completion)
+// must drain first.
 func (c *coordinator) drainFolds() {
-	for c.inFlight > 0 {
-		c.free = append(c.free, <-c.foldDone)
-		c.inFlight--
+	var rfs [pipelineDepth]*roundFold
+	for i := range rfs {
+		rfs[i] = <-c.records
+	}
+	for _, rf := range rfs {
+		c.records <- rf
 	}
 }
 
-// runRound executes one batch round up to its barrier: the parallel phase
-// (each open shard drains one batch under the fault supervisor, reporting
-// straight into the coordinator's open round), then — workers quiescent —
-// the LeaseCoordinator's barrier step and, when it re-offered seeds, the
-// distribution of fresh corpus views. The fold step is left in rf for the
-// fold goroutine, so the serial section of a round is just the seed
-// re-offers and budget bookkeeping. rf's recycled outcome buffers are
-// handed to the shards as batch scratch.
+// runRound executes one batch round up to its barrier. It queues every open
+// shard's batch and hands the queue to the executor pool one batch at a
+// time; jobs is unbuffered, so a batch's deadline of n × IterTimeout starts
+// when a goroutine receives it. A finished batch resolves its shard's
+// report; a panicked attempt, or one past its deadline, goes to retry. Then
+// — shards quiescent — come the LeaseCoordinator's barrier step and, when
+// it re-offered seeds, the distribution of fresh corpus views. The fold step
+// is left in rf for the fold goroutine.
 func (c *coordinator) runRound(rf *roundFold) {
 	lc := c.lc
-	round := lc.round + 1
-	var wg sync.WaitGroup
-	for i := range c.ws {
-		if !lc.openShard(i) {
-			continue
+	var queue []*job
+	for i, w := range c.ws {
+		if lc.openShard(i) {
+			queue = append(queue, &job{w: w, n: lc.batchSize(i), round: lc.round + 1, outs: rf.outs[i][:0]})
 		}
-		wg.Add(1)
-		go func(i, n int, dst []outcome, fails []string) {
-			defer wg.Done()
-			lc.reports[i] = c.superviseShard(i, n, round, dst, fails)
-		}(i, lc.batchSize(i), rf.outs[i][:0], rf.fails[i][:0])
 	}
-	wg.Wait()
+	for open := len(queue); open > 0; {
+		var jobs chan *job
+		var next *job
+		if len(queue) > 0 {
+			jobs, next = c.jobs, queue[0]
+		}
+		select {
+		case jobs <- next:
+			queue = queue[1:]
+			next.start = time.Now() //sonar:nondeterministic-ok batch deadline and busy-time metric only
+			next.deadline = next.start.Add(time.Duration(next.n) * lc.opt.IterTimeout)
+			c.inFlight[next.w.id] = next
+		case j := <-c.results:
+			i := j.w.id
+			if c.inFlight[i] != j {
+				continue // a given-up attempt that finished late
+			}
+			c.inFlight[i] = nil
+			if j.err != "" {
+				queue, open = c.retry(j, j.err, queue, open)
+				break
+			}
+			lc.opt.Observer.WorkerBatch(i, j.n, time.Since(j.start)) //sonar:nondeterministic-ok operator-facing duration metric only
+			rep := &lc.reports[i]
+			rep.resolved, rep.outs, rep.seeds, rep.cursor = true, j.outs, j.w.takeNewSeeds(), j.w.src.cursor()
+			c.ws[i] = j.w
+			open--
+		case <-c.deadline():
+			now := time.Now() //sonar:nondeterministic-ok batch deadline only
+			for i, j := range c.inFlight {
+				if j != nil && !j.deadline.After(now) {
+					j.expired.Store(true)
+					c.inFlight[i] = nil
+					queue, open = c.retry(j, fmt.Sprintf("batch deadline exceeded (%d iterations × %v)", j.n, lc.opt.IterTimeout), queue, open)
+				}
+			}
+		}
+	}
 
 	mergeStart := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
 	if lc.closeBarrier(rf) {
-		// The merge changed the corpus, or a worker diverged by retaining
-		// locally: every worker restarts from a fresh copy-on-write view of
+		// The merge changed the corpus, or a shard diverged by retaining
+		// locally: every shard restarts from a fresh copy-on-write view of
 		// the merged global. Rounds that retain nothing — the steady state
 		// once retention has converged — distribute nothing at all.
 		for _, w := range c.ws {
@@ -328,92 +398,44 @@ func (c *coordinator) runRound(rf *roundFold) {
 	rf.mergeLat = time.Since(mergeStart) //sonar:nondeterministic-ok operator-facing duration metric only
 }
 
-// superviseShard drains one batch of n iterations of merge round `round` on
-// shard i and returns the shard's report, replaying the batch on a
-// replacement worker after a panic or deadline abort. A replay starts from
-// the shard's pre-batch RNG cursor against a fresh snapshot of the global
-// corpus — the global corpus is immutable during the parallel phase, so the
-// replayed batch produces outcomes identical to the fault-free run, and the
-// report carries the failed attempts for the fold's batch_retried. After
-// batchRetries failed replays the shard is reported abandoned.
-//
-// Only the first attempt writes into the recycled dst scratch; a failed
-// attempt's goroutine may linger (a stalled batch runs to its own end or
-// forever), so after any failure the scratch buffer is surrendered to that
-// goroutine and retries append to fresh allocations.
-func (c *coordinator) superviseShard(i, n, round int, dst []outcome, fails []string) shardReport {
-	w := c.ws[i]
-	for {
-		res, err := c.attemptBatch(w, dst, i, n, round)
-		if err == nil {
-			c.ws[i] = res.w
-			return shardReport{resolved: true, outs: res.outs, seeds: res.w.takeNewSeeds(), cursor: res.w.src.cursor(), fails: fails}
-		}
-		fails = append(fails, err.Error())
-		if len(fails) > batchRetries {
-			c.ws[i] = nil
-			return shardReport{resolved: true, abandoned: true, fails: fails}
-		}
-		// Build the replacement inside the next attempt's goroutine; the
-		// failed attempt's goroutine owns the scratch buffer now.
-		w, dst = nil, nil
+// retry handles a failed attempt: it replaces the goroutine that ran it,
+// records the failure (LeaseCoordinator.fail), and re-queues the batch on a
+// rebuilt shard unless the failure abandoned the shard. It returns the
+// updated queue and open-shard count.
+func (c *coordinator) retry(j *job, reason string, queue []*job, open int) ([]*job, int) {
+	go c.execute(nil)
+	i := j.w.id
+	if c.lc.fail(i, reason) {
+		c.ws[i] = nil
+		return queue, open - 1
 	}
+	return append(queue, &job{w: c.newShard(i), n: j.n, round: j.round}), open
 }
 
-// attemptResult carries one successful batch attempt: its outcomes and the
-// worker that produced them (the original, or a freshly built replacement).
-type attemptResult struct {
-	outs []outcome
-	w    *worker
-}
-
-// attemptBatch runs one batch attempt in its own goroutine, recovering
-// panics and enforcing the per-batch deadline (n × IterTimeout). w == nil
-// means "build a replacement worker": a fresh executor with the shard's RNG
-// replayed to the pre-batch cursor and a fresh global-corpus snapshot —
-// built inside the attempt goroutine so a panicking constructor is
-// recovered like any other worker fault. An abandoned (stalled) attempt's
-// goroutine keeps only private state (including the dst buffer it was
-// given) and sends into 1-buffered channels, so it can finish late, or
-// never, without racing or leaking a send.
-func (c *coordinator) attemptBatch(w *worker, dst []outcome, i, n, round int) (attemptResult, error) {
-	opt := c.lc.opt
-	cursor := c.lc.cursors[i]
-	done := make(chan attemptResult, 1)
-	failed := make(chan string, 1)
-	start := time.Now() //sonar:nondeterministic-ok batch wall time feeds worker-busy metrics, not canonical output
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				failed <- fmt.Sprintf("worker panic: %v", r)
-			}
-		}()
-		if w == nil {
-			w = newShardWorker(i, c.newExec(), opt, cursor)
-			// Deep-copy snapshot, not a view: view() mutates the global
-			// corpus's freeze flag, which must not race with other shards'
-			// replacement builds during the parallel phase. Content equals
-			// the view the original worker held, so the replay is exact.
-			w.corpus = c.lc.global.Snapshot()
+// deadline points the deadline timer at the earliest in-flight deadline and
+// returns its channel — nil, which never fires, without IterTimeout or with
+// nothing in flight.
+func (c *coordinator) deadline() <-chan time.Time {
+	if c.timer == nil {
+		return nil
+	}
+	if !c.timer.Stop() {
+		select {
+		case <-c.timer.C:
+		default:
 		}
-		done <- attemptResult{outs: w.runBatch(dst, n, round), w: w}
-	}()
-
-	var deadline <-chan time.Time
-	if opt.IterTimeout > 0 {
-		t := time.NewTimer(time.Duration(n) * opt.IterTimeout)
-		defer t.Stop()
-		deadline = t.C
 	}
-	select {
-	case res := <-done:
-		opt.Observer.WorkerBatch(i, n, time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
-		return res, nil
-	case msg := <-failed:
-		return attemptResult{}, fmt.Errorf("%s", msg)
-	case <-deadline:
-		return attemptResult{}, fmt.Errorf("batch deadline exceeded (%d iterations × %v)", n, opt.IterTimeout)
+	var first *job
+	for _, j := range c.inFlight {
+		if j != nil && (first == nil || j.deadline.Before(first.deadline)) {
+			first = j
+		}
 	}
+	if first == nil {
+		return nil
+	}
+	c.timer.Reset(time.Until(first.deadline)) //sonar:nondeterministic-ok batch deadline only
+	return c.timer.C
 }
 
 // writeCheckpoint persists the campaign position when Options.Checkpoint is

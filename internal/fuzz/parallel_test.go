@@ -3,6 +3,8 @@ package fuzz
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"sonar/internal/uarch"
@@ -146,8 +148,8 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		opt := SonarOptions(1)
 		opt.Seed = seed
-		w := newShardWorker(0, d, opt, 0)
-		w.runOne() // first iteration always generates a fresh testcase
+		w := newShardWorker(0, opt, 0)
+		w.runOne(d) // first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++
 		}
@@ -155,4 +157,34 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	if dirs[+1] == 0 || dirs[-1] == 0 {
 		t.Errorf("initial seed directions biased: %v", dirs)
 	}
+}
+
+// The executor pool: a fault-free campaign with more shards than
+// GOMAXPROCS builds only min(Workers, GOMAXPROCS) executors, and running
+// every shard on whichever pooled executor is free changes nothing — its
+// Stats equal a lease-driven run of the same campaign that executes every
+// batch on a fresh executor.
+func TestParallelPoolBuildsAtMostGOMAXPROCSExecutors(t *testing.T) {
+	opt := SonarOptions(64)
+	opt.Workers = 8
+	opt.BatchSize = 4
+	var built atomic.Int32
+	st := RunParallelExec(func() Executor { built.Add(1); return liteExec() }, opt)
+	if got, limit := int(built.Load()), min(opt.Workers, runtime.GOMAXPROCS(0)); got > limit {
+		t.Errorf("campaign built %d executors, want at most min(%d, GOMAXPROCS) = %d", got, opt.Workers, limit)
+	}
+
+	lc := NewLeaseCoordinator(liteFactory(), opt)
+	for !lc.Finished() {
+		for _, shard := range lc.OpenShards() {
+			l, err := lc.Lease(shard)
+			if err != nil {
+				t.Fatalf("Lease(%d): %v", shard, err)
+			}
+			if err := lc.Report(execLease(t, liteExec(), lc.Shape(), 1, l)); err != nil {
+				t.Fatalf("Report(shard %d): %v", shard, err)
+			}
+		}
+	}
+	statsWireEqual(t, lc.Stats(), st)
 }

@@ -44,9 +44,9 @@ const (
 	// after the merge barrier, in worker order, so the stream stays
 	// deterministic for a fixed fault schedule.
 	WorkerFailed Kind = "worker_failed"
-	// BatchRetried records a batch that succeeded on a replacement worker
-	// after one or more failures: Worker, Batch, Attempt (the succeeding
-	// attempt, 1-based).
+	// BatchRetried records a batch that succeeded on a retry after one or
+	// more failures: Worker, Batch, Attempt (the succeeding attempt,
+	// 1-based).
 	BatchRetried Kind = "batch_retried"
 )
 

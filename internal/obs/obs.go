@@ -134,7 +134,7 @@ func New(sinks ...Sink) *Observer {
 		monitored:   m.Gauge(MetricMonitoredPoints, "Contention points surviving the risk filter."),
 		dutInfo:     m.GaugeVec(MetricDUTInfo, "Constant 1, labeled with the DUT design name.", "design"),
 		workerFails: m.Counter(MetricWorkerFailures, "Failed parallel batch attempts (panics, deadline aborts, abandonments)."),
-		retries:     m.Counter(MetricBatchRetries, "Batches recovered on a replacement worker."),
+		retries:     m.Counter(MetricBatchRetries, "Batches recovered by a retry after a failed attempt."),
 		ckpts:       m.Counter(MetricCheckpoints, "Campaign checkpoints written."),
 		ckptLat: m.Histogram(MetricCheckpointLatency, "Checkpoint serialization+write latency.",
 			[]float64{1e-4, 1e-3, 1e-2, 0.1, 1, 10}),
@@ -282,8 +282,8 @@ func (o *Observer) WorkerFailed(worker, batch, attempt int, reason string) {
 	o.emit(Event{Kind: WorkerFailed, Batch: batch, Worker: worker, Attempt: attempt, Reason: reason})
 }
 
-// BatchRetried records a batch recovered on a replacement worker after
-// attempt-1 failures.
+// BatchRetried records a batch recovered by a retry after attempt-1
+// failures.
 func (o *Observer) BatchRetried(worker, batch, attempt int) {
 	if o == nil {
 		return
