@@ -321,29 +321,18 @@ func recordThroughput(b *testing.B, name string, itersPerRun int, run func() int
 	campaignResultsMu.Unlock()
 }
 
-// Campaign-engine throughput: a default-options campaign (CampaignSerial)
-// and sharded campaigns at increasing worker counts. The metric is fuzzing
-// iterations per second; the parallel entries should scale with physical
-// cores (Workers=1 retraces the pinned serial trajectory, see
-// TestParallelWorkers1MatchesSerial). Workers share one contention-point analysis
-// (fuzz.SharedAnalysisFactory), as core.Sonar's campaigns do.
+// Campaign-engine throughput: default-options campaigns at increasing worker
+// counts. The metric is fuzzing iterations per second; the parallel entries
+// should scale with physical cores (Workers=1 retraces the pinned serial
+// trajectory, see TestParallelWorkers1MatchesSerial). Workers share one
+// contention-point analysis (fuzz.SharedAnalysisFactory), as core.Sonar's
+// campaigns do.
 func benchmarkCampaign(b *testing.B, workers int) {
 	opt := fuzz.SonarOptions(benchIters)
 	opt.Workers = workers
 	recordCampaign(b, fmt.Sprintf("CampaignParallel%d", workers), func() int64 {
 		mkDUT := fuzz.SharedAnalysisFactory(boom.NewLite)
 		st := fuzz.RunParallelExec(func() fuzz.Executor { return mkDUT() }, opt)
-		if len(st.PerIteration) != benchIters {
-			b.Fatal("campaign incomplete")
-		}
-		return st.ExecutedCycles
-	})
-}
-
-func BenchmarkCampaignSerial(b *testing.B) {
-	mkDUT := fuzz.SharedAnalysisFactory(boom.NewLite)
-	recordCampaign(b, "CampaignSerial", func() int64 {
-		st := fuzz.RunParallelExec(func() fuzz.Executor { return mkDUT() }, fuzz.SonarOptions(benchIters))
 		if len(st.PerIteration) != benchIters {
 			b.Fatal("campaign incomplete")
 		}

@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -185,14 +186,7 @@ func main() {
 	if err := finish(); err != nil {
 		log.Fatal(err)
 	}
-	if done := len(st.PerIteration); *maxRounds > 0 && done < opt.Iterations && *checkpoint != "" {
-		fmt.Printf("paused after %d merge rounds at iteration %d/%d; resume with -resume %s\n",
-			*maxRounds, done, opt.Iterations, *checkpoint)
-	}
-	last := st.PerIteration[len(st.PerIteration)-1]
-	fmt.Printf("triggered %d contention points, %d testcases exposed secret-dependent timing differences\n",
-		last.CumPoints, last.CumTimingDiffs)
-	fmt.Printf("corpus %d seeds, %d simulated cycles\n", st.CorpusSize, st.ExecutedCycles)
+	printSummary(os.Stdout, st, opt.Iterations, *maxRounds, *checkpoint)
 
 	if *perf {
 		if opt.Workers > 1 {
@@ -288,7 +282,10 @@ func netlistCampaign(spec string, cp *fuzz.Checkpoint, f netlistFlags) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The probe reports the design, then runs as the campaign's first
+	// executor, so a one-shard campaign elaborates and compiles it once.
 	probe := factory().(*fuzz.LaneDUT)
+	executors := fuzz.PrimaryThen(probe, factory)
 	an := probe.ContentionAnalysis()
 	cs := probe.CompileStats()
 	fmt.Printf("%s: %d contention points monitored; optimizer kept %d nodes (%d eliminated, %d fused, %d collapsed, %d on the spill path)\n",
@@ -325,28 +322,36 @@ func netlistCampaign(spec string, cp *fuzz.Checkpoint, f netlistFlags) {
 	if cp != nil {
 		fmt.Printf("resuming %s: %d/%d iterations done (round %d, %d corpus seeds)...\n",
 			f.resume, cp.Done, cp.Shape.Iterations, cp.Round, len(cp.Corpus.Seeds))
-		if st, err = fuzz.ResumeExec(factory, opt, cp); err != nil {
+		if st, err = fuzz.ResumeExec(executors, opt, cp); err != nil {
 			log.Fatal(err)
 		}
 	} else {
 		fmt.Printf("fuzzing %d iterations over the netlist (%d-pair lane groups, workers=%d, lanes=%d)...\n",
 			opt.Iterations, probe.GroupWidth(), opt.Workers, opt.Lanes)
-		st = fuzz.RunParallelExec(factory, opt)
+		st = fuzz.RunParallelExec(executors, opt)
 	}
 	if err := finish(); err != nil {
 		log.Fatal(err)
 	}
-	if done := len(st.PerIteration); f.maxRounds > 0 && done < opt.Iterations && f.checkpoint != "" {
-		fmt.Printf("paused after %d merge rounds at iteration %d/%d; resume with -resume %s\n",
-			f.maxRounds, done, opt.Iterations, f.checkpoint)
+	printSummary(os.Stdout, st, opt.Iterations, f.maxRounds, f.checkpoint)
+}
+
+// printSummary writes the end-of-campaign summary both DUT paths share: the
+// pause notice when -max-rounds stopped a checkpointed campaign short of its
+// iteration budget, then the triggered-point and corpus lines, or a note
+// that no iteration ran.
+func printSummary(w io.Writer, st *fuzz.Stats, iters, maxRounds int, checkpoint string) {
+	done := len(st.PerIteration)
+	if maxRounds > 0 && done < iters && checkpoint != "" {
+		fmt.Fprintf(w, "paused after %d merge rounds at iteration %d/%d; resume with -resume %s\n",
+			maxRounds, done, iters, checkpoint)
+	}
+	if done == 0 {
+		fmt.Fprintln(w, "no iterations executed")
 		return
 	}
-	if len(st.PerIteration) == 0 {
-		fmt.Println("no iterations executed")
-		return
-	}
-	last := st.PerIteration[len(st.PerIteration)-1]
-	fmt.Printf("triggered %d contention points, %d testcases exposed secret-dependent timing differences\n",
+	last := st.PerIteration[done-1]
+	fmt.Fprintf(w, "triggered %d contention points, %d testcases exposed secret-dependent timing differences\n",
 		last.CumPoints, last.CumTimingDiffs)
-	fmt.Printf("corpus %d seeds, %d simulated cycles\n", st.CorpusSize, st.ExecutedCycles)
+	fmt.Fprintf(w, "corpus %d seeds, %d simulated cycles\n", st.CorpusSize, st.ExecutedCycles)
 }

@@ -118,3 +118,27 @@ func TestCLIObserverDisabled(t *testing.T) {
 		t.Errorf("noop finish: %v", err)
 	}
 }
+
+// The end-of-campaign summary must handle a campaign that ran nothing
+// (-iters 0) instead of indexing an empty PerIteration, and report a
+// -max-rounds pause before the coverage lines.
+func TestPrintSummary(t *testing.T) {
+	var buf bytes.Buffer
+	printSummary(&buf, &fuzz.Stats{}, 0, 0, "")
+	if got, want := buf.String(), "no iterations executed\n"; got != want {
+		t.Errorf("empty campaign summary = %q, want %q", got, want)
+	}
+
+	buf.Reset()
+	st := &fuzz.Stats{
+		PerIteration: []fuzz.IterStats{{CumPoints: 1}, {CumPoints: 3, CumTimingDiffs: 2}},
+		CorpusSize:   4, ExecutedCycles: 900,
+	}
+	printSummary(&buf, st, 10, 1, "run.ckpt")
+	want := "paused after 1 merge rounds at iteration 2/10; resume with -resume run.ckpt\n" +
+		"triggered 3 contention points, 2 testcases exposed secret-dependent timing differences\n" +
+		"corpus 4 seeds, 900 simulated cycles\n"
+	if got := buf.String(); got != want {
+		t.Errorf("paused campaign summary = %q, want %q", got, want)
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"sonar/internal/attack"
 	"sonar/internal/fuzz"
@@ -133,13 +132,9 @@ func (s *Sonar) Resume(opt fuzz.Options, cp *fuzz.Checkpoint) (*fuzz.Stats, erro
 // stalled attempt never shares its DUT with the executor that replaces it.
 // Safe for concurrent use: pooled executors are built in parallel.
 func (s *Sonar) executors() func() fuzz.Executor {
-	var handedOut atomic.Bool
-	return func() fuzz.Executor {
-		if handedOut.CompareAndSwap(false, true) {
-			return s.DUT
-		}
+	return fuzz.PrimaryThen(s.DUT, func() fuzz.Executor {
 		return fuzz.NewDUTWithAnalysis(s.mk(), s.DUT.Analysis)
-	}
+	})
 }
 
 // Audit returns the static information-flow audit of the DUT

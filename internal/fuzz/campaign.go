@@ -66,8 +66,9 @@ type Options struct {
 	Lanes int
 	// Observer receives campaign metrics and structured events (package
 	// obs). nil disables observability at near-zero hot-path cost. Events
-	// are emitted only under the campaign coordinator in canonical
-	// iteration order — worker goroutines touch atomic metrics only — so
+	// are emitted only as the coordinator closes a merge round, on the
+	// goroutine driving the campaign, in canonical iteration order —
+	// executor goroutines touch atomic metrics only — so
 	// attaching an Observer never perturbs the campaign itself, and the
 	// event stream of a parallel campaign is byte-identical across runs
 	// for a fixed (Seed, Workers, BatchSize).
@@ -536,8 +537,8 @@ func (a *statsAccum) apply(o outcome) {
 }
 
 // applyAll folds one worker's round of outcomes in order — the batched
-// ingestion path of the round barrier's fold step, one call per
-// (worker, round) instead of an interleaved per-outcome fold.
+// ingestion path of the round close (LeaseCoordinator.closeRound), one call
+// per (worker, round) instead of an interleaved per-outcome fold.
 func (a *statsAccum) applyAll(outs []outcome) {
 	for i := range outs {
 		a.apply(outs[i])

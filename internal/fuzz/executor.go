@@ -1,6 +1,10 @@
 package fuzz
 
-import "sonar/internal/trace"
+import (
+	"sync/atomic"
+
+	"sonar/internal/trace"
+)
 
 // Executor is the execution substrate a campaign fuzzes: anything that can
 // double-execute testcases and expose the contention-point analysis its
@@ -22,6 +26,22 @@ type Executor interface {
 	// ContentionAnalysis returns the §5 contention-point identification the
 	// executor's snapshots are indexed by.
 	ContentionAnalysis() *trace.Analysis
+}
+
+// PrimaryThen returns an executor factory whose first call hands out
+// primary and whose every later call builds a fresh executor with build —
+// how a caller that already built an executor (to report its analysis, or
+// to keep its counters) lends it to a campaign as the first executor
+// instead of building one more. Safe for concurrent use: the engine builds
+// pooled executors in parallel.
+func PrimaryThen(primary Executor, build func() Executor) func() Executor {
+	var handedOut atomic.Bool
+	return func() Executor {
+		if handedOut.CompareAndSwap(false, true) {
+			return primary
+		}
+		return build()
+	}
 }
 
 // ExecPair is one iteration's dual execution: the same testcase run under

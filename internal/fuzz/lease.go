@@ -139,7 +139,7 @@ func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, e
 // executed (outcomes, retained seeds, post-batch RNG cursor) or its
 // abandonment. fails lists the round's failed attempts in order (fail
 // appends them) — the reasons of an abandonment, or the attempts a local
-// batch recovered from, which the fold reports as batch_retried.
+// batch recovered from, which closeRound reports as batch_retried.
 type shardReport struct {
 	resolved  bool
 	abandoned bool
@@ -149,31 +149,6 @@ type shardReport struct {
 	fails     []string
 }
 
-// roundFold is one closed round's fold work: what the barrier collected per
-// shard, plus its summary. closeBarrier fills it and foldRound drains it;
-// the local engine recycles pipelineDepth of them, so the fold of round k
-// runs while the workers execute round k+1.
-type roundFold struct {
-	round     int
-	outs      [][]outcome // per shard; capacity recycled across rounds
-	fails     [][]string  // failed-attempt reasons, per shard
-	abandoned []bool      // shard abandoned at this round's barrier
-	dropped   []int       // iterations dropped by the abandonment
-	merged    int         // iterations merged at the barrier
-	corpusLen int         // merged corpus size at the barrier
-	mergeLat  time.Duration
-	final     bool // the barrier drained the campaign's last budget
-}
-
-func newRoundFold(workers int) *roundFold {
-	return &roundFold{
-		outs:      make([][]outcome, workers),
-		fails:     make([][]string, workers),
-		abandoned: make([]bool, workers),
-		dropped:   make([]int, workers),
-	}
-}
-
 // LeaseCoordinator is the one owner of a parallel campaign's state — the
 // per-shard budgets and RNG cursors, the merged corpus, the stats
 // accumulator — of its round barrier, and of the retry policy
@@ -181,7 +156,7 @@ func newRoundFold(workers int) *roundFold {
 // (docs/SERVICE.md) hands out one shard batch at a time as a Lease, which
 // any process executes with ExecuteLease and reports back as a LeaseResult;
 // RunParallelExec drives it in-process, without a wire encoding. Both close
-// every round through the same barrier and fold, and record failed attempts
+// every round through the same closeRound, and record failed attempts
 // through the same fail, so a distributed campaign over a fixed (Seed,
 // Workers, BatchSize) matches a local run byte for byte
 // (TestLeaseCoordinatorMatchesRunParallel; the service tests extend it
@@ -189,16 +164,12 @@ func newRoundFold(workers int) *roundFold {
 //
 // Each merge round, every shard with remaining budget is open for exactly
 // one batch; once every open shard has reported or been abandoned, the round
-// closes: closeBarrier does the budget accounting and corpus merge in
-// canonical worker order, then foldRound does the stats fold and event
-// emission. The service calls the two back to back; the local engine folds
-// on a goroutine of its own, one round behind its shards.
+// closes: closeRound does the budget accounting, corpus merge, stats fold
+// and event emission in canonical worker order, on the caller's goroutine.
 //
 // The coordinator is not safe for concurrent use; callers (the campaign
 // service's controller, the local engine's main goroutine) serialize
-// access. The one exception is the local engine's fold goroutine: foldRound
-// touches only the accumulator and the Observer, which no other method
-// reads or writes while a local campaign runs.
+// access.
 type LeaseCoordinator struct {
 	opt     Options
 	dut     string // netlist name, for checkpoints and campaign_start
@@ -213,8 +184,8 @@ type LeaseCoordinator struct {
 	global *Corpus
 
 	reports []shardReport // open round, per shard; reset at each barrier
-	// finished is set by the barrier that drains the last budget; that
-	// round's fold emits campaign_end.
+	// finished is set by the round close that drains the last budget,
+	// which also emits campaign_end.
 	finished bool
 }
 
@@ -507,10 +478,10 @@ func (lc *LeaseCoordinator) Fail(shard int, reason string) (abandoned bool, err 
 
 // fail is the retry policy of both drivers: it records a failed attempt at
 // open shard i's batch and, once batchRetries retries have failed too,
-// abandons the shard, reporting so. The barrier drops an abandoned shard's
-// budget, and its fold emits one worker_failed per failed attempt, then the
+// abandons the shard, reporting so. closeRound drops an abandoned shard's
+// budget and emits one worker_failed per failed attempt, then the
 // abandonment disposition. The local engine calls fail directly: its
-// barrier closes on the main loop's schedule.
+// round closes on the main loop's schedule.
 func (lc *LeaseCoordinator) fail(i int, reason string) bool {
 	rep := &lc.reports[i]
 	rep.fails = append(rep.fails, reason)
@@ -521,42 +492,48 @@ func (lc *LeaseCoordinator) fail(i int, reason string) bool {
 	return true
 }
 
-// maybeCloseRound closes the round barrier once no shard is still open,
-// running the barrier and the fold back to back.
+// maybeCloseRound closes the round once no shard is still open.
 func (lc *LeaseCoordinator) maybeCloseRound() {
 	for i := 0; i < lc.workers; i++ {
 		if lc.openShard(i) {
 			return
 		}
 	}
-	rf := newRoundFold(lc.workers)
-	lc.closeBarrier(rf)
-	lc.foldRound(rf)
+	lc.closeRound()
 }
 
-// closeBarrier is the barrier step of a round, in canonical worker order:
-// budget accounting (an abandoned shard's whole remaining budget is
-// dropped), RNG cursor advances, and seed re-offers to the global corpus
-// (re-offering drops seeds another shard has already beaten). It moves the
-// round's reports into rf for foldRound and reports whether any seed was
-// offered — that is, whether shard corpora may now differ from the global
-// corpus. It touches neither the accumulator nor the Observer, so the local
-// engine runs it while the previous round still folds.
-func (lc *LeaseCoordinator) closeBarrier(rf *roundFold) (reoffered bool) {
+// closeRound closes the open round at its barrier, in canonical worker
+// order and in the order every driver's event stream pins: per shard, each
+// failed attempt as worker_failed, then the disposition — an abandonment,
+// whose whole remaining budget is dropped, or batch_retried for a recovered
+// batch — then the budget accounting, RNG cursor advance and seed re-offers
+// to the global corpus (re-offering drops seeds another shard has already
+// beaten); the per-outcome stats fold in worker order; batch_merged with the
+// merged corpus size; and campaign_end when the round drained the campaign.
+// It reports whether any seed was offered — that is, whether shard corpora
+// may now differ from the global corpus.
+func (lc *LeaseCoordinator) closeRound() (reoffered bool) {
+	start := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
 	lc.round++
-	rf.round, rf.merged = lc.round, 0
+	o := lc.opt.Observer
+	merged := 0
 	for i := range lc.reports {
 		rep := &lc.reports[i]
-		rf.outs[i], rf.fails[i], rf.abandoned[i], rf.dropped[i] = nil, rep.fails, rep.abandoned, 0
+		for a, reason := range rep.fails {
+			o.WorkerFailed(i, lc.round, a+1, reason)
+		}
 		switch {
 		case rep.abandoned:
-			rf.dropped[i] = lc.rem[i]
+			o.WorkerFailed(i, lc.round, abandonAttempt,
+				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(rep.fails), lc.rem[i]))
 			lc.left -= lc.rem[i]
 			lc.rem[i] = 0
 		case rep.resolved:
+			if len(rep.fails) > 0 {
+				o.BatchRetried(i, lc.round, len(rep.fails)+1)
+			}
 			n := len(rep.outs)
-			rf.outs[i] = rep.outs
-			rf.merged += n
+			merged += n
 			lc.rem[i] -= n
 			lc.left -= n
 			lc.cursors[i] = rep.cursor
@@ -565,43 +542,16 @@ func (lc *LeaseCoordinator) closeBarrier(rf *roundFold) (reoffered bool) {
 				reoffered = true
 			}
 		}
-		*rep = shardReport{}
 	}
-	rf.corpusLen = lc.global.Len()
-	rf.final = lc.left == 0
-	lc.finished = rf.final
+	for i := range lc.reports {
+		lc.acc.applyAll(lc.reports[i].outs)
+		lc.reports[i] = shardReport{}
+	}
+	o.BatchMerged(lc.round, merged, lc.global.Len(), time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only
+	if lc.left == 0 {
+		lc.finish()
+	}
 	return reoffered
-}
-
-// foldRound is the fold step of a closed round, in the order every engine's
-// event stream pins: per shard, each failed attempt as worker_failed, then
-// the disposition (abandonment, or batch_retried for a recovered batch);
-// the per-outcome stats fold in worker order; batch_merged with the
-// barrier's corpus summary; and campaign_end when the round drained the
-// campaign. It reads only rf and the accumulator — never the corpus or the
-// shard budgets — so it may run concurrently with the next round's barrier.
-func (lc *LeaseCoordinator) foldRound(rf *roundFold) {
-	o := lc.opt.Observer
-	for i, fails := range rf.fails {
-		for a, reason := range fails {
-			o.WorkerFailed(i, rf.round, a+1, reason)
-		}
-		switch {
-		case rf.abandoned[i]:
-			o.WorkerFailed(i, rf.round, abandonAttempt,
-				fmt.Sprintf("shard abandoned after %d failed attempts; %d iterations dropped", len(fails), rf.dropped[i]))
-		case len(fails) > 0:
-			o.BatchRetried(i, rf.round, len(fails)+1)
-		}
-	}
-	for _, outs := range rf.outs {
-		lc.acc.applyAll(outs)
-	}
-	o.BatchMerged(rf.round, rf.merged, rf.corpusLen, rf.mergeLat)
-	if rf.final {
-		lc.acc.st.CorpusSize = rf.corpusLen
-		lc.acc.finish()
-	}
 }
 
 // finish finalizes a campaign with nothing left to execute: corpus size
@@ -615,8 +565,8 @@ func (lc *LeaseCoordinator) finish() {
 // Snapshot captures the campaign as a Checkpoint at the last closed round
 // barrier. Reports received for the still-open round are not included —
 // resuming the snapshot re-opens that round, and its leases simply
-// re-execute (deterministically) — so a snapshot may be taken at any time
-// the fold is not running.
+// re-execute (deterministically) — so a snapshot may be taken between any
+// two calls.
 func (lc *LeaseCoordinator) Snapshot(complete bool) *Checkpoint {
 	cp := &Checkpoint{
 		Version:  checkpointVersion,

@@ -3,7 +3,10 @@ package fuzz
 import (
 	"bytes"
 	"encoding/json"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sonar/internal/obs"
 )
@@ -209,5 +212,86 @@ func TestCampaignMetricsMatchStats(t *testing.T) {
 			t.Errorf("worker %s iterations = %v, want 10",
 				w, series[obs.MetricWorkerIterations+`{worker="`+w+`"}`])
 		}
+	}
+}
+
+// slowMergeSink counts batch_merged events once Emit has returned for
+// them, and stalls 100 ms on the first, so a round close still in flight
+// shows up as a count that lags the rounds already started.
+type slowMergeSink struct{ merged atomic.Int32 }
+
+func (s *slowMergeSink) Emit(e obs.Event) {
+	if e.Kind != obs.BatchMerged {
+		return
+	}
+	if s.merged.Load() == 0 {
+		time.Sleep(100 * time.Millisecond)
+	}
+	s.merged.Add(1)
+}
+
+func (s *slowMergeSink) Close() error { return nil }
+
+// roundStartHook records, at iteration 0 of every shard batch, the round
+// and how many batch_merged events the sink had seen.
+type roundStartHook struct {
+	sink *slowMergeSink
+	mu   sync.Mutex
+	seen map[int][]int32 // round -> merged counts at its batches' starts
+}
+
+func (h *roundStartHook) BeforeIteration(worker, round, iter int) {
+	if iter != 0 {
+		return
+	}
+	n := h.sink.merged.Load()
+	h.mu.Lock()
+	h.seen[round] = append(h.seen[round], n)
+	h.mu.Unlock()
+}
+
+// Every round closes — batch_merged emitted — before any iteration of the
+// next round runs, however slow the Observer's sinks are.
+func TestBatchMergedBeforeNextRound(t *testing.T) {
+	sink := &slowMergeSink{}
+	hook := &roundStartHook{sink: sink, seen: map[int][]int32{}}
+	opt := SonarOptions(24)
+	opt.Workers = 2
+	opt.BatchSize = 4
+	opt.Observer = obs.New(sink)
+	opt.FaultHook = hook
+	RunParallelExec(liteExec, opt)
+
+	if len(hook.seen) != 3 {
+		t.Fatalf("batches started in %d rounds, want 3", len(hook.seen))
+	}
+	for round := 1; round <= 3; round++ {
+		for _, n := range hook.seen[round] {
+			if int(n) < round-1 {
+				t.Errorf("round %d started with %d batch_merged events emitted, want at least %d", round, n, round-1)
+			}
+		}
+	}
+}
+
+// A lease-driven campaign's merge-latency histogram observes real round
+// close durations, not zeros.
+func TestLeaseMergeLatencyObserved(t *testing.T) {
+	opt := SonarOptions(24)
+	opt.Workers = 2
+	opt.BatchSize = 4
+	opt.Observer = obs.New()
+	lc := NewLeaseCoordinator(liteFactory(), opt)
+	driveLeases(t, lc)
+
+	series, err := obs.ParseExposition(opt.Observer.Metrics.ExpositionText())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := series[obs.MetricMergeLatency+"_count"]; got != 3 {
+		t.Errorf("%s_count = %v, want 3", obs.MetricMergeLatency, got)
+	}
+	if got := series[obs.MetricMergeLatency+"_sum"]; got <= 0 {
+		t.Errorf("%s_sum = %v, want > 0", obs.MetricMergeLatency, got)
 	}
 }

@@ -25,12 +25,6 @@ const batchRetries = 2
 // never collide with a real attempt number (see obs.WorkerFailed).
 const abandonAttempt = 0
 
-// pipelineDepth is the number of recycled round records (roundFold) — and
-// therefore how many merge rounds may be in flight between the barrier and
-// the fold goroutine. Two means classic double buffering:
-// shards execute round k+1 while the folder drains round k.
-const pipelineDepth = 2
-
 // coordinator is the in-process driver of a LeaseCoordinator — the campaign
 // engine. The LeaseCoordinator owns the campaign state, the round barrier and
 // the retry policy; the coordinator keeps only what is local to a process:
@@ -39,18 +33,19 @@ const pipelineDepth = 2
 //     and seeds, never their wire encoding);
 //   - a pool of executor goroutines (run, execute): any runs any shard;
 //   - fault recovery in the main loop (runRound, retry);
-//   - the fold pipeline: closeBarrier runs on the main goroutine, and
-//     foldRound — the stats fold and every event emission — on a dedicated
-//     goroutine, one round behind the shards (docs/PERFORMANCE.md);
 //   - periodic checkpoint writes and the MaxRounds pause.
 //
-// The fold order is the barrier's canonical order, so Stats, PerIteration,
-// and the event stream are byte-identical per (Seed, Workers, BatchSize);
-// only the wall-clock schedule differs from the campaign service's.
+// The main goroutine closes every round with LeaseCoordinator.closeRound,
+// as the campaign service does, so Stats, PerIteration, and the event
+// stream are byte-identical per (Seed, Workers, BatchSize); only the
+// wall-clock schedule differs from the campaign service's.
 type coordinator struct {
 	lc      *LeaseCoordinator
 	newExec func() Executor
 	ws      []*worker // nil entry = abandoned or drained shard
+	// outs holds each shard's outcome buffer, recycled across rounds: a
+	// round's outcomes are folded before the next round is dispatched.
+	outs [][]outcome
 	// lastSaved and nextCkpt drive periodic checkpointing: a checkpoint is
 	// cut at the first merge barrier at or past every nextCkpt iterations.
 	lastSaved int
@@ -64,17 +59,10 @@ type coordinator struct {
 	quit     chan struct{}
 	inFlight []*job
 	timer    *time.Timer
-
-	// Fold pipeline. foldCh carries closed rounds to the fold goroutine and
-	// records holds the pipelineDepth round records not in flight;
-	// folderExit closes when the fold goroutine drains out.
-	foldCh     chan *roundFold
-	records    chan *roundFold
-	folderExit chan struct{}
 }
 
 // job is one batch attempt: shard state w executes n iterations of merge
-// round `round`, appending to outs (for a first attempt, the round record's
+// round `round`, appending to outs (for a first attempt, the shard's
 // recycled buffer). The executor goroutine fills outs, or err after a
 // recovered panic; the main loop alone stamps start and deadline and sets
 // expired. A failed attempt keeps its w and outs, so a late finish touches
@@ -112,10 +100,9 @@ func normalizeParallel(opt Options) (workers, batch int) {
 // execute batches of testcases on a pool of min(Workers, GOMAXPROCS)
 // executors built by newExec (behavioral *DUTs or netlist LaneDUTs); after
 // every batch round the LeaseCoordinator's barrier merges retained seeds into
-// the global corpus in canonical shard order and every shard restarts from
-// the merged view, while a fold goroutine drains the round's statistics and
-// events off the executors' critical path. The first executor built also
-// backs the stats fold.
+// the global corpus in canonical shard order, the round's statistics and
+// events fold on the caller's goroutine, and every shard restarts from the
+// merged view. The first executor built also backs the stats fold.
 //
 // Determinism contract: shard w draws from rand.NewSource(opt.Seed+w), the
 // batch schedule is static, and merges happen in shard order, so a campaign
@@ -123,16 +110,16 @@ func normalizeParallel(opt Options) (workers, batch int) {
 // reproduces the pinned serial trajectory (TestParallelWorkers1MatchesSerial)
 // at every BatchSize. Which executor runs which shard, and how many
 // executors there are, never changes a result. The contract extends to
-// observability: opt.Observer's events are emitted only by the fold
-// goroutine, one round at a time in fold order, so the event stream (and
+// observability: opt.Observer's events are emitted only as each round
+// closes, in canonical worker order, so the event stream (and
 // Stats.PerIteration, which it mirrors) is byte-identical across runs and to
 // the campaign service's; executor goroutines update atomic metrics only.
 //
 // Durability (docs/CAMPAIGNS.md): with Options.Checkpoint set, the engine
 // writes an atomic campaign snapshot at merge barriers every CheckpointEvery
-// iterations (draining the fold pipeline first, so the snapshot is exact);
-// ResumeExec restores one into a campaign whose remaining iterations — Stats
-// and event stream included — are identical to the uninterrupted run.
+// iterations; ResumeExec restores one into a campaign whose remaining
+// iterations — Stats and event stream included — are identical to the
+// uninterrupted run.
 // Executor panics and (with IterTimeout) wedged iterations are recovered by
 // re-queueing the shard's batch from its pre-batch state; a shard that keeps
 // failing is abandoned and the campaign completes on the remaining shards.
@@ -173,7 +160,7 @@ func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, e
 // fresh campaign). Every shard with budget left starts from newShard.
 func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, lastSaved int) *coordinator {
 	c := &coordinator{
-		lc: lc, newExec: newExec, ws: make([]*worker, lc.workers),
+		lc: lc, newExec: newExec, ws: make([]*worker, lc.workers), outs: make([][]outcome, lc.workers),
 		lastSaved: lastSaved, nextCkpt: nextCheckpointAfter(lastSaved, lc.opt),
 		jobs: make(chan *job), results: make(chan *job), quit: make(chan struct{}),
 		inFlight: make([]*job, lc.workers),
@@ -211,11 +198,11 @@ func nextCheckpointAfter(done int, opt Options) int {
 // takes e, the others build their own concurrently — and on return closes
 // quit without waiting: idle goroutines exit at once, one still building
 // its executor once built, a given-up one when its batch ends. Shards only
-// execute inside runRound; the fold goroutine may still be draining earlier
-// rounds, and every path that reads the accumulator or the event-stream
-// position (checkpoints, pause, completion) drains it first. The fold of
-// the round that drains the budget emits campaign_end, so the final
-// checkpoint's event position includes it.
+// execute inside runRound, which returns with the round closed, so
+// checkpoints, the pause and completion see the exact accumulator and
+// event-stream position of the barrier. The close of the round that drains
+// the budget emits campaign_end, so the final checkpoint's event position
+// includes it.
 func (c *coordinator) run(e Executor) *Stats {
 	lc := c.lc
 	defer close(c.quit)
@@ -227,27 +214,21 @@ func (c *coordinator) run(e Executor) *Stats {
 		go c.execute(e)
 		e = nil
 	}
-	c.startFolder()
 	for rounds := 0; !lc.finished; rounds++ {
 		if lc.opt.MaxRounds > 0 && rounds >= lc.opt.MaxRounds {
 			// Pause: persist the position and return the partial Stats
 			// without campaign_end, so a later resume byte-continues the
 			// event stream.
-			c.stopFolder()
 			c.writeCheckpoint(false)
 			lc.acc.st.CorpusSize = lc.global.Len()
 			return lc.acc.st
 		}
-		rf := <-c.records // back-pressure: at most pipelineDepth rounds ahead of the fold
-		c.runRound(rf)
-		c.foldCh <- rf
+		c.runRound()
 		if !lc.finished && lc.Position() >= c.nextCkpt {
-			c.drainFolds()
 			c.writeCheckpoint(false)
 			c.nextCkpt = nextCheckpointAfter(lc.Position(), lc.opt)
 		}
 	}
-	c.stopFolder()
 	c.writeCheckpoint(true)
 	return lc.acc.st
 }
@@ -288,60 +269,19 @@ func (c *coordinator) execute(e Executor) {
 	}
 }
 
-// startFolder launches the fold goroutine that drains closed rounds, with
-// pipelineDepth fresh round records to fill.
-func (c *coordinator) startFolder() {
-	c.foldCh = make(chan *roundFold, pipelineDepth)
-	c.records = make(chan *roundFold, pipelineDepth)
-	c.folderExit = make(chan struct{})
-	for i := 0; i < pipelineDepth; i++ {
-		c.records <- newRoundFold(len(c.ws))
-	}
-	go func() {
-		defer close(c.folderExit)
-		for rf := range c.foldCh {
-			c.lc.foldRound(rf)
-			c.records <- rf
-		}
-	}()
-}
-
-// stopFolder drains the pipeline and shuts the fold goroutine down, so the
-// caller may touch the accumulator and Observer directly afterwards.
-func (c *coordinator) stopFolder() {
-	c.drainFolds()
-	close(c.foldCh)
-	<-c.folderExit
-}
-
-// drainFolds blocks until every in-flight round has been folded — until all
-// pipelineDepth records are back. Callers that read the accumulator, emit
-// through the Observer, or snapshot the campaign (checkpoints, completion)
-// must drain first.
-func (c *coordinator) drainFolds() {
-	var rfs [pipelineDepth]*roundFold
-	for i := range rfs {
-		rfs[i] = <-c.records
-	}
-	for _, rf := range rfs {
-		c.records <- rf
-	}
-}
-
 // runRound executes one batch round up to its barrier. It queues every open
 // shard's batch and hands the queue to the executor pool one batch at a
 // time; jobs is unbuffered, so a batch's deadline of n × IterTimeout starts
 // when a goroutine receives it. A finished batch resolves its shard's
 // report; a panicked attempt, or one past its deadline, goes to retry. Then
-// — shards quiescent — come the LeaseCoordinator's barrier step and, when
-// it re-offered seeds, the distribution of fresh corpus views. The fold step
-// is left in rf for the fold goroutine.
-func (c *coordinator) runRound(rf *roundFold) {
+// — shards quiescent — the LeaseCoordinator closes the round and, when it
+// re-offered seeds, every shard gets a fresh corpus view.
+func (c *coordinator) runRound() {
 	lc := c.lc
 	var queue []*job
 	for i, w := range c.ws {
 		if lc.openShard(i) {
-			queue = append(queue, &job{w: w, n: lc.batchSize(i), round: lc.round + 1, outs: rf.outs[i][:0]})
+			queue = append(queue, &job{w: w, n: lc.batchSize(i), round: lc.round + 1, outs: c.outs[i][:0]})
 		}
 	}
 	for open := len(queue); open > 0; {
@@ -369,7 +309,7 @@ func (c *coordinator) runRound(rf *roundFold) {
 			lc.opt.Observer.WorkerBatch(i, j.n, time.Since(j.start)) //sonar:nondeterministic-ok operator-facing duration metric only
 			rep := &lc.reports[i]
 			rep.resolved, rep.outs, rep.seeds, rep.cursor = true, j.outs, j.w.takeNewSeeds(), j.w.src.cursor()
-			c.ws[i] = j.w
+			c.ws[i], c.outs[i] = j.w, j.outs
 			open--
 		case <-c.deadline():
 			now := time.Now() //sonar:nondeterministic-ok batch deadline only
@@ -383,8 +323,7 @@ func (c *coordinator) runRound(rf *roundFold) {
 		}
 	}
 
-	mergeStart := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
-	if lc.closeBarrier(rf) {
+	if lc.closeRound() {
 		// The merge changed the corpus, or a shard diverged by retaining
 		// locally: every shard restarts from a fresh copy-on-write view of
 		// the merged global. Rounds that retain nothing — the steady state
@@ -395,7 +334,6 @@ func (c *coordinator) runRound(rf *roundFold) {
 			}
 		}
 	}
-	rf.mergeLat = time.Since(mergeStart) //sonar:nondeterministic-ok operator-facing duration metric only
 }
 
 // retry handles a failed attempt: it replaces the goroutine that ran it,
@@ -439,11 +377,9 @@ func (c *coordinator) deadline() <-chan time.Time {
 }
 
 // writeCheckpoint persists the campaign position when Options.Checkpoint is
-// set. complete marks the final checkpoint of a finished campaign. Callers
-// must have drained the fold pipeline, so the snapshot sees the exact
-// accumulator and event-stream position of the barrier. Failures to write
-// are reported through the checkpoint metrics staying flat — the campaign
-// itself never aborts on checkpoint I/O errors (the operator loses
+// set. complete marks the final checkpoint of a finished campaign. Failures
+// to write are reported through the checkpoint metrics staying flat — the
+// campaign itself never aborts on checkpoint I/O errors (the operator loses
 // durability, not results).
 func (c *coordinator) writeCheckpoint(complete bool) {
 	opt := c.lc.opt
