@@ -55,7 +55,7 @@ func (c *Client) do(method, path string, in, out any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode >= 400 {
 		return apiError(resp)
 	}
@@ -63,6 +63,16 @@ func (c *Client) do(method, path string, in, out any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// drainClose reads what is left of a response body before closing it, so
+// the transport can reuse the connection: a json.Decoder stops after the
+// value and leaves the encoder's trailing newline (and, for a chunked body,
+// the final chunk) unread, and a body closed before its end closes the
+// connection with it. A remainder larger than that is not worth reading.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, 4<<10))
+	body.Close()
 }
 
 // raw issues one GET and returns the raw response body (events, checkpoint
@@ -160,10 +170,11 @@ func (c *Client) CheckpointFile(id string) ([]byte, error) {
 	return c.raw("/api/v1/campaigns/" + id + "/checkpoint")
 }
 
-// Acquire asks for a lease. A nil grant with a nil error means the server
-// has no work to offer right now.
-func (c *Client) Acquire(worker string) (*LeaseGrant, error) {
-	req, err := json.Marshal(acquireRequest{Worker: worker})
+// Acquire asks for a lease, naming the corpus prefix the worker holds (nil:
+// none). A nil grant with a nil error means the server has no work to offer
+// right now.
+func (c *Client) Acquire(worker string, have *Holding) (*LeaseGrant, error) {
+	req, err := json.Marshal(acquireRequest{Worker: worker, Have: have})
 	if err != nil {
 		return nil, err
 	}

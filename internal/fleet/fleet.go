@@ -16,6 +16,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -281,6 +282,16 @@ type LeaseGrant struct {
 	Lease fuzz.Lease `json:"lease"`
 }
 
+// Holding names the merged-corpus prefix a worker holds for one campaign
+// (fuzz.HeldCorpus.Ref). An acquire that sends it gets a grant whose lease
+// ships only the seeds after that prefix, when the prefix is the granted
+// campaign's.
+type Holding struct {
+	// Campaign is the campaign ID the prefix belongs to.
+	Campaign string `json:"campaign"`
+	fuzz.CorpusRef
+}
+
 // Health is the healthz endpoint's body.
 type Health struct {
 	// Status is "ok".
@@ -335,6 +346,9 @@ type Controller struct {
 	leases    map[string]*lease
 	draining  bool
 	now       func() time.Time
+	// changed is closed, and replaced, whenever a shard may have become
+	// leasable (wakeLocked); a waiting acquire sleeps on it.
+	changed chan struct{}
 
 	metrics        *obs.Metrics
 	campaignsTotal *obs.Counter
@@ -367,6 +381,7 @@ func NewController(cfg Config) *Controller {
 		factories: make(map[string]func() *fuzz.DUT),
 		byID:      make(map[string]*campaign),
 		leases:    make(map[string]*lease),
+		changed:   make(chan struct{}),
 		now:       time.Now, //sonar:nondeterministic-ok lease TTL/expiry is wall-clock by design; campaign outputs never fold over it (tests inject a fake clock)
 		metrics:   m,
 
@@ -479,6 +494,7 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 	ct.campaigns = append(ct.campaigns, c)
 	ct.byID[c.id] = c
 	ct.campaignsTotal.Inc()
+	ct.wakeLocked()
 	if !c.done() {
 		ct.running.Add(1)
 	}
@@ -591,28 +607,69 @@ func (ct *Controller) Checkpoint(id string) ([]byte, error) {
 	return c.lc.Snapshot(c.lc.Finished()).Encode()
 }
 
+// maxAcquireWait bounds how long Acquire waits for a shard to free up.
+// Reports wake it at once; the bound is for expiries, which the controller
+// notices only at its next call, so a shard freed that way goes to the
+// worker's next acquire.
+const maxAcquireWait = time.Second
+
 // Acquire offers a lease to a worker: the first open, un-leased shard of
-// the oldest running campaign. A nil grant (and nil error) means no work is
-// available right now — the campaign set is drained, draining, or every
-// open shard is already leased out.
-func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
-	ct.mu.Lock()
-	defer ct.mu.Unlock()
+// the oldest running campaign. have, when non-nil, is the corpus prefix the
+// worker holds; a lease of that campaign ships only the seeds after it.
+// When every open shard is leased out, Acquire waits — at most
+// maxAcquireWait, and not past ctx — for a report or an expiry to free one
+// (the round's last report opens the next round's shards), so a worker
+// need not poll its way through a round. A nil grant (and nil error) means
+// no work is available: the wait ran out, or, answered at once, no running
+// campaign has a lease out or the server is draining.
+func (ct *Controller) Acquire(ctx context.Context, worker string, have *Holding) (*LeaseGrant, error) {
+	var timeout <-chan time.Time
+	for {
+		ct.mu.Lock()
+		g, pending, err := ct.acquireLocked(worker, have)
+		changed := ct.changed
+		ct.mu.Unlock()
+		if g != nil || err != nil || !pending {
+			return g, err
+		}
+		if timeout == nil {
+			t := time.NewTimer(maxAcquireWait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+}
+
+// acquireLocked grants the first free shard, if any; pending reports
+// whether, with none free, leases of a running campaign are outstanding.
+func (ct *Controller) acquireLocked(worker string, have *Holding) (g *LeaseGrant, pending bool, err error) {
 	ct.sweepLocked()
 	if ct.draining {
-		return nil, nil
+		return nil, false, nil
 	}
 	for _, c := range ct.campaigns {
 		if c.kind != "fuzz" || c.lc.Finished() {
 			continue
 		}
+		pending = pending || len(c.granted) > 0
 		for _, shard := range c.lc.OpenShards() {
 			if _, leased := c.granted[shard]; leased {
 				continue
 			}
-			payload, err := c.lc.Lease(shard)
+			var ref fuzz.CorpusRef
+			if have != nil && have.Campaign == c.id {
+				ref = have.CorpusRef
+			}
+			payload, err := c.lc.Lease(shard, ref)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			l := &lease{
 				id:   fmt.Sprintf("%s-r%d-s%d-a%d", c.id, payload.Round, shard, c.lc.Failures(shard)+1),
@@ -632,10 +689,10 @@ func (ct *Controller) Acquire(worker string) (*LeaseGrant, error) {
 				Lanes:     c.lanes,
 				TTLMillis: ct.cfg.ttl().Milliseconds(),
 				Lease:     *payload,
-			}, nil
+			}, false, nil
 		}
 	}
-	return nil, nil
+	return nil, pending, nil
 }
 
 // Renew extends an outstanding lease's TTL.
@@ -675,6 +732,7 @@ func (ct *Controller) Report(leaseID string, res *fuzz.LeaseResult) error {
 	delete(l.camp.granted, l.shard)
 	ct.completed.Inc()
 	ct.afterAdvanceLocked(l.camp)
+	ct.wakeLocked()
 	return nil
 }
 
@@ -685,6 +743,7 @@ func (ct *Controller) Drain(on bool) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.draining = on
+	ct.wakeLocked()
 }
 
 // Health summarizes the controller for the healthz endpoint.
@@ -717,7 +776,11 @@ func (ct *Controller) sweepLocked() {
 			due = append(due, l)
 		}
 	}
+	if len(due) == 0 {
+		return
+	}
 	sort.Slice(due, func(i, j int) bool { return due[i].id < due[j].id })
+	defer ct.wakeLocked()
 	for _, l := range due {
 		delete(ct.leases, l.id)
 		delete(l.camp.granted, l.shard)
@@ -730,6 +793,12 @@ func (ct *Controller) sweepLocked() {
 			ct.afterAdvanceLocked(l.camp)
 		}
 	}
+}
+
+// wakeLocked wakes every waiting acquire to look for a free shard again.
+func (ct *Controller) wakeLocked() {
+	close(ct.changed)
+	ct.changed = make(chan struct{})
 }
 
 // afterAdvanceLocked refreshes derived state after a coordinator mutation:

@@ -5,12 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -123,14 +126,14 @@ func driveCampaign(t *testing.T, client *Client) {
 	t.Helper()
 	e := liteExecFactory()()
 	for {
-		g, err := client.Acquire("test-driver")
+		g, err := client.Acquire("test-driver", nil)
 		if err != nil {
 			t.Fatalf("Acquire: %v", err)
 		}
 		if g == nil {
 			return
 		}
-		res, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease)
+		res, _, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
 		}
@@ -173,7 +176,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	}
 
 	// Renewal works for an outstanding lease, 409s for an unknown one.
-	g, err := client.Acquire("w0")
+	g, err := client.Acquire("w0", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
@@ -189,7 +192,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, 1, &g.Lease)
+	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, 1, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -345,17 +348,17 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 
-	g1, err := client.Acquire("doomed")
+	g1, err := client.Acquire("doomed", nil)
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, err := fuzz.ExecuteLease(liteExecFactory()(), g1.Shape, 1, &g1.Lease)
+	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g1.Shape, 1, &g1.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
 	clk.advance(60 * time.Millisecond) // let the lease expire
 
-	g2, err := client.Acquire("healthy")
+	g2, err := client.Acquire("healthy", nil)
 	if err != nil || g2 == nil {
 		t.Fatalf("re-acquire after expiry: grant=%v err=%v", g2, err)
 	}
@@ -405,7 +408,7 @@ func TestLeaseRetriesExhaustedAbandonShard(t *testing.T) {
 	// Grab shard 0's lease and let it expire, three times over; the third
 	// expiry abandons the shard.
 	for a := 1; a <= 3; a++ {
-		g, err := client.Acquire("doomed")
+		g, err := client.Acquire("doomed", nil)
 		if err != nil || g == nil {
 			t.Fatalf("Acquire %d: grant=%v err=%v", a, g, err)
 		}
@@ -450,6 +453,8 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 				cfg.LeaseTTL = 50 * time.Millisecond
 			}
 			client, _ := newTestServer(t, cfg)
+			grants := &grantLog{byWorker: make(map[string][]fuzz.Lease)}
+			client.HTTPClient = &http.Client{Transport: grants}
 			if _, err := client.Submit(&Spec{DUT: "lite", Options: shape}); err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
@@ -458,7 +463,7 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 				// Simulate a worker that acquires a lease and dies: the
 				// lease is never reported and must expire and be re-offered
 				// without perturbing the campaign.
-				g, err := client.Acquire("killed-worker")
+				g, err := client.Acquire("killed-worker", nil)
 				if err != nil || g == nil {
 					t.Fatalf("Acquire for doomed worker: grant=%v err=%v", g, err)
 				}
@@ -534,7 +539,213 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 			if m[MetricCampaignDone+`{campaign="c1"}`] != 1 {
 				t.Errorf("campaign done gauge = %v, want 1", m[MetricCampaignDone+`{campaign="c1"}`])
 			}
+
+			// Each worker's lease after its first ships only the seeds
+			// merged since its previous one, so no silent fallback to full
+			// leases can pass.
+			deltas := 0
+			for i := range errs {
+				leases := grants.byWorker[fmt.Sprintf("w%d", i)]
+				for k := 1; k < len(leases); k++ {
+					prev, l := &leases[k-1], &leases[k]
+					want := fuzz.CorpusRef{Len: prev.CorpusFrom.Len + len(prev.Corpus.Seeds), Digest: prev.CorpusDigest}
+					if l.CorpusFrom != want {
+						t.Errorf("worker %d round %d lease starts at corpus %+v, want its holding %+v", i, l.Round, l.CorpusFrom, want)
+					}
+					if l.Round > 1 && l.CorpusFrom.Len > 0 {
+						deltas++
+					}
+				}
+			}
+			if deltas == 0 {
+				t.Error("no worker received a lease with corpus_from > 0 after round 1")
+			}
 		})
+	}
+}
+
+// grantLog is a client transport that records the lease of every grant the
+// server answers an acquire with, by the requesting worker.
+type grantLog struct {
+	mu       sync.Mutex
+	byWorker map[string][]fuzz.Lease
+}
+
+func (gl *grantLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path != "/api/v1/leases/acquire" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	var ar acquireRequest
+	if err := json.NewDecoder(body).Decode(&ar); err != nil {
+		return nil, err
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	var g LeaseGrant
+	if err := json.Unmarshal(b, &g); err != nil {
+		return nil, err
+	}
+	gl.mu.Lock()
+	defer gl.mu.Unlock()
+	gl.byWorker[ar.Worker] = append(gl.byWorker[ar.Worker], g.Lease)
+	return resp, nil
+}
+
+// serveLease acquires one lease for a worker holding what cache holds,
+// executes it, and reports it; it reports whether there was work.
+func serveLease(t *testing.T, client *Client, cache *leaseCache) (*LeaseGrant, bool) {
+	t.Helper()
+	g, err := client.Acquire("caching-worker", cache.holding())
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	if g == nil {
+		return nil, false
+	}
+	e, err := cache.executor(g)
+	if err != nil {
+		t.Fatalf("executor(%s): %v", g.LeaseID, err)
+	}
+	res, err := cache.execute(e, g, 1)
+	if err != nil {
+		t.Fatalf("execute(%s): %v", g.LeaseID, err)
+	}
+	if err := client.Report(g.LeaseID, res); err != nil {
+		t.Fatalf("Report(%s): %v", g.LeaseID, err)
+	}
+	return g, true
+}
+
+// restoreCampaign opens a fuzz campaign on ct from a checkpoint under the
+// given ID, the way a restarted server continues a downloaded checkpoint.
+func restoreCampaign(t *testing.T, ct *Controller, id, dut string, cp *fuzz.Checkpoint) {
+	t.Helper()
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
+	sink := obs.NewMemorySink()
+	opt := cp.CampaignOptions()
+	opt.Observer = obs.New(sink)
+	lc, err := fuzz.ResumeLeaseCoordinator(ct.factoryLocked(dut)(), opt, cp)
+	if err != nil {
+		t.Fatalf("ResumeLeaseCoordinator: %v", err)
+	}
+	c := &campaign{id: id, kind: "fuzz", dutName: dut, lc: lc, sink: sink, granted: make(map[int]*lease)}
+	ct.campaigns = append(ct.campaigns, c)
+	ct.byID[id] = c
+	ct.running.Add(1)
+}
+
+// A worker's held corpus stays valid across a server restart: the restarted
+// server rebuilds every seed's wire form from the checkpoint, the digest
+// chain over them matches the one the worker's holding was built on, and
+// the worker's next lease ships only the seeds it lacks. The resumed
+// campaign still ends in the local engine's Stats.
+func TestHeldCorpusSurvivesServerRestart(t *testing.T) {
+	shape := testShape(60, 2, 8)
+	client, _ := newTestServer(t, Config{})
+	if _, err := client.Submit(&Spec{DUT: "lite", Options: shape}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	cache := newLeaseCache(testRegistry())
+	for {
+		st, err := client.Campaign("c1")
+		if err != nil {
+			t.Fatalf("Campaign: %v", err)
+		}
+		if st.Round >= 2 && st.CorpusSize > 0 {
+			break
+		}
+		if _, ok := serveLease(t, client, cache); !ok {
+			t.Fatalf("campaign ran out of work at %+v", st)
+		}
+	}
+	ckpt, err := client.CheckpointFile("c1")
+	if err != nil {
+		t.Fatalf("CheckpointFile: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "c1.ckpt")
+	if err := os.WriteFile(path, ckpt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := fuzz.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("LoadCheckpoint: %v", err)
+	}
+
+	restarted, ct := newTestServer(t, Config{})
+	restoreCampaign(t, ct, "c1", "lite", cp)
+	held := cache.holding()
+	if held == nil || held.Campaign != "c1" || held.Len == 0 {
+		t.Fatalf("worker holds %+v before the restart, want a non-empty c1 prefix", held)
+	}
+	g, ok := serveLease(t, restarted, cache)
+	if !ok {
+		t.Fatal("restarted server offered no work")
+	}
+	if g.Lease.CorpusFrom != held.CorpusRef {
+		t.Errorf("first lease after the restart starts at %+v, want the worker's holding %+v", g.Lease.CorpusFrom, held.CorpusRef)
+	}
+	for {
+		if _, ok := serveLease(t, restarted, cache); !ok {
+			break
+		}
+	}
+
+	_, wantStats := localRun(t, shape)
+	result, err := restarted.Result("c1")
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	gotWire, _ := json.Marshal(result.Stats)
+	want := wantStats.Wire()
+	wantWire, _ := json.Marshal(&want)
+	if !bytes.Equal(gotWire, wantWire) {
+		t.Error("resumed campaign's stats differ from local run")
+	}
+}
+
+// A worker keeps one executor per registry design and one FIRRTL executor:
+// serving a second FIRRTL campaign replaces the first campaign's executor
+// rather than caching both.
+func TestWorkerKeepsOneFirrtlExecutor(t *testing.T) {
+	cache := newLeaseCache(testRegistry())
+	executor := func(g *LeaseGrant) fuzz.Executor {
+		t.Helper()
+		e, err := cache.executor(g)
+		if err != nil {
+			t.Fatalf("executor(%s): %v", g.Campaign, err)
+		}
+		return e
+	}
+	c1 := &LeaseGrant{Campaign: "c1", DUT: "Lsu", FIRRTL: fig3}
+	c2 := &LeaseGrant{Campaign: "c2", DUT: "Lsu", FIRRTL: fig3}
+	e1 := executor(c1)
+	if executor(c1) != e1 {
+		t.Error("a second lease of one FIRRTL campaign elaborated a new executor")
+	}
+	e2 := executor(c2)
+	if e2 == e1 {
+		t.Error("two FIRRTL campaigns share one executor")
+	}
+	lite := executor(&LeaseGrant{Campaign: "c3", DUT: "lite"})
+	if executor(&LeaseGrant{Campaign: "c4", DUT: "lite"}) != lite {
+		t.Error("two campaigns of one registry design elaborated two executors")
+	}
+	if cache.firrtl != e2 || cache.firrtlCampaign != "c2" || len(cache.named) != 1 {
+		t.Errorf("worker holds FIRRTL executor of %q (latest: %v) and %d named executors; want only c2's and one",
+			cache.firrtlCampaign, cache.firrtl == e2, len(cache.named))
 	}
 }
 
@@ -547,7 +758,7 @@ func TestDrain(t *testing.T) {
 	if err := client.Drain(true); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	if g, err := client.Acquire("w"); err != nil || g != nil {
+	if g, err := client.Acquire("w", nil); err != nil || g != nil {
 		t.Fatalf("draining server offered work: grant=%v err=%v", g, err)
 	}
 	h, err := client.Health()
@@ -557,8 +768,100 @@ func TestDrain(t *testing.T) {
 	if err := client.Drain(false); err != nil {
 		t.Fatalf("Drain(false): %v", err)
 	}
-	if g, err := client.Acquire("w"); err != nil || g == nil {
+	if g, err := client.Acquire("w", nil); err != nil || g == nil {
 		t.Fatalf("un-drained server offered no work: grant=%v err=%v", g, err)
+	}
+}
+
+// An acquire that finds every shard of the round leased out waits for the
+// round's last report and comes back with a lease of the next round, where
+// it used to answer "no work" and leave the worker to poll; with nothing
+// outstanding it answers at once.
+func TestAcquireWaitsForRoundClose(t *testing.T) {
+	client, _ := newTestServer(t, Config{})
+	start := time.Now()
+	if g, err := client.Acquire("w", nil); err != nil || g != nil {
+		t.Fatalf("idle server: grant=%v err=%v", g, err)
+	}
+	if d := time.Since(start); d >= maxAcquireWait/2 {
+		t.Errorf("acquire on an idle server took %v; want an immediate answer", d)
+	}
+	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(32, 2, 8)}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	var gs []*LeaseGrant
+	for _, w := range []string{"w0", "w1"} {
+		g, err := client.Acquire(w, nil)
+		if err != nil || g == nil {
+			t.Fatalf("Acquire(%s): grant=%v err=%v", w, g, err)
+		}
+		gs = append(gs, g)
+	}
+	waited := make(chan *LeaseGrant, 1)
+	go func() {
+		g, err := client.Acquire("waiter", nil)
+		if err != nil {
+			t.Errorf("waiting Acquire: %v", err)
+		}
+		waited <- g
+	}()
+	time.Sleep(50 * time.Millisecond) // let the waiter's request reach the server
+	e := liteExecFactory()()
+	for _, g := range gs {
+		select {
+		case w := <-waited:
+			t.Fatalf("acquire answered %v before the round closed", w)
+		default:
+		}
+		res, _, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease, nil)
+		if err != nil {
+			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
+		}
+		if err := client.Report(g.LeaseID, res); err != nil {
+			t.Fatalf("Report(%s): %v", g.LeaseID, err)
+		}
+	}
+	select {
+	case g := <-waited:
+		if g == nil || g.Lease.Round != 2 {
+			t.Fatalf("waiting acquire got %+v; want a round-2 lease", g)
+		}
+	case <-time.After(maxAcquireWait / 2):
+		t.Fatal("the round's last report did not wake the waiting acquire")
+	}
+}
+
+// The client reads every response to its end, so keep-alive connections
+// serve a whole session, chunked responses (grants with a corpus, results)
+// included; a connection per response would cost a TCP handshake per lease.
+// (The transport may still dial now and then, when a connection is not back
+// in its pool in time, so the bound is loose.)
+func TestClientReusesConnection(t *testing.T) {
+	ct := NewController(Config{DUTs: testRegistry()})
+	ts := httptest.NewServer(NewServer(ct))
+	t.Cleanup(ts.Close)
+	var dials atomic.Int32
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return (&net.Dialer{}).DialContext(ctx, network, addr)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	client := NewClient(ts.URL)
+	client.HTTPClient = &http.Client{Transport: tr}
+
+	st, err := client.Submit(&Spec{DUT: "lite", Options: testShape(48, 2, 8)})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	driveCampaign(t, client)
+	const results = 20
+	for i := 0; i < results; i++ {
+		if _, err := client.Result(st.ID); err != nil {
+			t.Fatalf("Result: %v", err)
+		}
+	}
+	if n := dials.Load(); n > results/2 {
+		t.Errorf("the client dialled %d connections for one sequential session with %d result downloads; want about one", n, results)
 	}
 }
 
@@ -582,7 +885,7 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 
 	// The first grant carries the FIRRTL design itself; workers elaborate it
 	// rather than consulting their registry.
-	g, err := client.Acquire("w-inspect")
+	g, err := client.Acquire("w-inspect", nil)
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
@@ -595,7 +898,7 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LaneDUTFactory: %v", err)
 	}
-	res, err := fuzz.ExecuteLease(factory(), g.Shape, 64, &g.Lease)
+	res, _, err := fuzz.ExecuteLease(factory(), g.Shape, 64, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}

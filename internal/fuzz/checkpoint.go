@@ -140,22 +140,13 @@ func (sw *SeedWire) seed() (*Seed, error) {
 
 // CorpusWire is the global corpus in serialized form: the retained seeds in
 // retention order and the per-point global best intervals. It appears in
-// checkpoints and in shard-lease payloads (every lease carries the merged
-// corpus the batch must run against).
+// checkpoints, whole, and in shard-lease payloads, where Seeds holds only
+// the seeds after the prefix the executor already holds (Lease.CorpusFrom).
 type CorpusWire struct {
 	// Seeds are the retained seeds in retention order.
 	Seeds []SeedWire `json:"seeds"`
 	// Best is the per-point global best interval, point-sorted.
 	Best []PointIntvl `json:"best"`
-}
-
-// newCorpusWire converts a corpus to its wire form.
-func newCorpusWire(c *Corpus) CorpusWire {
-	cw := CorpusWire{Seeds: make([]SeedWire, len(c.seeds)), Best: sortIntvls(c.best)}
-	for i, s := range c.seeds {
-		cw.Seeds[i] = wireSeed(s)
-	}
-	return cw
 }
 
 // corpus rebuilds the in-memory corpus of a wire entry.

@@ -212,14 +212,14 @@ func TestNetlistLeaseReExecution(t *testing.T) {
 	if len(shards) == 0 {
 		t.Fatal("no open shards")
 	}
-	l, err := lc.Lease(shards[0])
+	l, err := lc.Lease(shards[0], CorpusRef{})
 	if err != nil {
 		t.Fatalf("Lease: %v", err)
 	}
 	var wires [][]byte
 	e := factory()
 	for _, lanes := range []int{1, 7, 64, 64} {
-		res, err := ExecuteLease(e, lc.Shape(), lanes, l)
+		res, _, err := ExecuteLease(e, lc.Shape(), lanes, l, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLease(lanes=%d): %v", lanes, err)
 		}

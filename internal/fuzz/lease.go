@@ -1,15 +1,19 @@
 package fuzz
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"time"
 
 	"sonar/internal/detect"
 )
 
 // Lease is one shard-batch work assignment: everything a worker needs —
-// beyond the campaign shape, which the service hands out alongside — to
-// execute the batch exactly as the local engine would have.
+// beyond the campaign shape, which the service hands out alongside, and the
+// corpus prefix the worker already holds — to execute the batch exactly as
+// the local engine would have.
 type Lease struct {
 	// Shard is the worker index the batch belongs to (0-based); it fixes
 	// the RNG stream (Seed+Shard) like a local worker index does.
@@ -22,8 +26,87 @@ type Lease struct {
 	// the shard generator to it, exactly like the local engine rebuilding a
 	// shard after a failed attempt.
 	Cursor uint64 `json:"cursor"`
-	// Corpus is the merged global corpus as of the previous round barrier.
+	// CorpusFrom names the prefix of the merged corpus the lease does not
+	// carry because the worker already holds it; the zero ref (the empty
+	// prefix) makes the lease carry the whole corpus.
+	CorpusFrom CorpusRef `json:"corpus_from"`
+	// CorpusDigest is the digest chain value over the whole merged corpus,
+	// which the executor checks the shipped seeds against.
+	CorpusDigest string `json:"corpus_digest"`
+	// Corpus is the merged global corpus as of the previous round barrier,
+	// minus its first CorpusFrom.Len seeds: Seeds holds only the seeds the
+	// worker lacks, Best is always whole.
 	Corpus CorpusWire `json:"corpus"`
+}
+
+// CorpusRef names a prefix of a campaign's merged corpus: its first Len
+// seeds and the digest chain value over them. The merged corpus only grows
+// by appending, so a corpus a worker received for one round is a prefix of
+// every later round's, and a ref is all a lease needs to ship the rest.
+type CorpusRef struct {
+	// Len is the number of seeds in the prefix.
+	Len int `json:"len"`
+	// Digest is the chain value after those seeds (chainDigest); the empty
+	// prefix's is "".
+	Digest string `json:"digest"`
+}
+
+// chainDigest extends a corpus digest chain by one seed: the hex SHA-256
+// of the previous chain value and the seed's canonical wire fields. (Writes
+// to a hash.Hash never fail.)
+func chainDigest(prev string, sw *SeedWire) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s %d %d %d\n", prev, sw.Dir, sw.Target, len(sw.TC))
+	io.WriteString(h, sw.TC)
+	for _, pi := range sw.Intvls {
+		fmt.Fprintf(h, " %d:%d", pi.Point, pi.Intvl)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// HeldCorpus is the merged-corpus prefix a lease executor keeps between
+// leases of one campaign, so that each lease ships only the seeds it lacks.
+// ExecuteLease returns the holding to pass to the next lease, and Ref names
+// it to the coordinator. A nil holding holds the empty prefix.
+type HeldCorpus struct {
+	ref   CorpusRef
+	seeds []*Seed // len(seeds) == ref.Len; never appended to in place
+}
+
+// Ref names the held prefix.
+func (h *HeldCorpus) Ref() CorpusRef {
+	if h == nil {
+		return CorpusRef{}
+	}
+	return h.ref
+}
+
+// extend returns the holding after l: the prefix l.CorpusFrom names, which
+// must be the empty prefix or h's own, followed by the seeds l carries,
+// whose digest chain must end at l.CorpusDigest.
+func (h *HeldCorpus) extend(l *Lease) (*HeldCorpus, error) {
+	from := l.CorpusFrom
+	var seeds []*Seed
+	if from.Len != 0 || from.Digest != "" {
+		if have := h.Ref(); from != have {
+			return nil, fmt.Errorf("lease extends corpus prefix %d (%.12s), executor holds %d (%.12s)", from.Len, from.Digest, have.Len, have.Digest)
+		}
+		seeds = h.seeds[:from.Len:from.Len] // capped: appending copies
+	}
+	digest := from.Digest
+	for i := range l.Corpus.Seeds {
+		sw := &l.Corpus.Seeds[i]
+		s, err := sw.seed()
+		if err != nil {
+			return nil, fmt.Errorf("corpus seed %d: %w", from.Len+i, err)
+		}
+		seeds = append(seeds, s)
+		digest = chainDigest(digest, sw)
+	}
+	if digest != l.CorpusDigest {
+		return nil, fmt.Errorf("corpus of %d seeds has digest %.12s, lease names %.12s", len(seeds), digest, l.CorpusDigest)
+	}
+	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds}, nil
 }
 
 // OutcomeWire is one iteration outcome in serialized form — the unit a
@@ -89,34 +172,39 @@ type LeaseResult struct {
 }
 
 // ExecuteLease runs one shard-batch lease to completion on e and returns
-// its result. It is a pure function of (shape, lanes, lease): it builds the
-// shard's state with the lease's RNG cursor replayed and the lease's corpus
-// installed — exactly the state the local engine rebuilds after a failed
-// attempt — and drains the batch through the same runBatch path the local
-// engine uses. e may have run anything before (executors reset before every
-// execution), so one executor serves any number of leases, and executing
-// the same lease twice returns equal results: a lease lost to worker churn
-// can simply be re-offered.
+// its result and the corpus holding to pass with the campaign's next lease.
+// It is a pure function of (shape, lanes, lease, held prefix): it builds the
+// shard's state with the lease's RNG cursor replayed and the merged corpus
+// installed — held's prefix extended by the seeds the lease carries —
+// exactly the state the local engine rebuilds after a failed attempt, and
+// drains the batch through the same runBatch path the local engine uses. A
+// lease whose corpus prefix is not the empty one or held's, or whose seeds
+// do not hash to its corpus digest, is rejected. e may have run anything
+// before (executors reset before every execution), so one executor serves
+// any number of leases, and executing the same lease twice returns equal
+// results: a lease lost to worker churn can simply be re-offered.
 //
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
 // that may differ per worker without changing any result: a GroupExecutor
 // lease drains through the grouped batch loop, whose RNG order is lane-width
 // independent.
-func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, error) {
+func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
-		return nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
+		return nil, nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
 	}
 	if l.N < 1 || l.N > shape.BatchSize {
-		return nil, fmt.Errorf("fuzz: lease batch of %d iterations outside [1, %d]", l.N, shape.BatchSize)
+		return nil, nil, fmt.Errorf("fuzz: lease batch of %d iterations outside [1, %d]", l.N, shape.BatchSize)
 	}
-	corpus, err := l.Corpus.corpus()
+	next, err := held.extend(l)
 	if err != nil {
-		return nil, fmt.Errorf("fuzz: lease corpus: %w", err)
+		return nil, nil, fmt.Errorf("fuzz: lease corpus: %w", err)
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
 	w := newShardWorker(l.Shard, opt, l.Cursor)
-	w.corpus = corpus
+	// A frozen corpus thaws a private copy at its first retained seed, so
+	// the batch never appends to the holding's seed list.
+	w.corpus = &Corpus{seeds: next.seeds, best: unsortIntvls(l.Corpus.Best), frozen: true}
 	w.forceIntvls = true
 	outs := w.runBatch(e, nil, l.N, l.Round)
 
@@ -132,7 +220,7 @@ func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease) (*LeaseResult, e
 	for _, s := range w.takeNewSeeds() {
 		res.Seeds = append(res.Seeds, wireSeed(s))
 	}
-	return res, nil
+	return res, next, nil
 }
 
 // shardReport is one shard's resolution of the open round: the batch it
@@ -182,6 +270,11 @@ type LeaseCoordinator struct {
 
 	acc    *statsAccum
 	global *Corpus
+	// wires and digests follow the append-only global corpus lazily
+	// (syncWires): wires[k] is seed k in wire form, marshalled once, and
+	// digests[k] the digest chain over the first k seeds.
+	wires   []SeedWire
+	digests []string
 
 	reports []shardReport // open round, per shard; reset at each barrier
 	// finished is set by the round close that drains the last budget,
@@ -200,6 +293,7 @@ func newLeaseCoordinator(opt Options, dut string, rem []int, cursors []uint64, a
 		opt: opt, dut: dut, workers: workers, batch: batch,
 		rem: rem, cursors: cursors, left: left,
 		acc: acc, global: global,
+		digests: []string{""},
 		reports: make([]shardReport, workers),
 	}
 }
@@ -353,21 +447,52 @@ func (lc *LeaseCoordinator) batchSize(i int) int {
 	return min(lc.rem[i], lc.batch)
 }
 
-// Lease builds the work assignment for an open shard of the current round.
-// The same lease may be built (and executed) any number of times — results
-// are deterministic — which is how the service re-offers leases lost to
-// worker churn.
-func (lc *LeaseCoordinator) Lease(shard int) (*Lease, error) {
+// Lease builds the work assignment for an open shard of the current round,
+// for an executor holding the corpus prefix have (HeldCorpus.Ref). When have
+// names a prefix of the merged corpus — its length in range and its digest
+// on the corpus's digest chain — the lease carries only the seeds after it;
+// any other ref, the zero one included, gets the whole corpus. The same
+// lease may be built (and executed) any number of times — results are
+// deterministic — which is how the service re-offers leases lost to worker
+// churn.
+func (lc *LeaseCoordinator) Lease(shard int, have CorpusRef) (*Lease, error) {
 	if err := lc.checkOpen(shard); err != nil {
 		return nil, err
 	}
+	lc.syncWires()
+	var from CorpusRef
+	if have.Len > 0 && have.Len < len(lc.digests) && lc.digests[have.Len] == have.Digest {
+		from = have
+	}
 	return &Lease{
-		Shard:  shard,
-		Round:  lc.round + 1,
-		N:      lc.batchSize(shard),
-		Cursor: lc.cursors[shard],
-		Corpus: newCorpusWire(lc.global),
+		Shard:        shard,
+		Round:        lc.round + 1,
+		N:            lc.batchSize(shard),
+		Cursor:       lc.cursors[shard],
+		CorpusFrom:   from,
+		CorpusDigest: lc.digests[len(lc.wires)],
+		Corpus:       lc.corpusWire(from.Len),
 	}, nil
+}
+
+// syncWires extends the wire and digest caches over seeds merged since the
+// last call.
+func (lc *LeaseCoordinator) syncWires() {
+	for k := len(lc.wires); k < lc.global.Len(); k++ {
+		sw := wireSeed(lc.global.seeds[k])
+		lc.wires = append(lc.wires, sw)
+		lc.digests = append(lc.digests, chainDigest(lc.digests[k], &sw))
+	}
+}
+
+// corpusWire returns the merged corpus in wire form without its first from
+// seeds. The seed list is the caller's own; its entries share their
+// interval slices with the cache and are read-only.
+func (lc *LeaseCoordinator) corpusWire(from int) CorpusWire {
+	lc.syncWires()
+	seeds := make([]SeedWire, len(lc.wires)-from)
+	copy(seeds, lc.wires[from:])
+	return CorpusWire{Seeds: seeds, Best: sortIntvls(lc.global.best)}
 }
 
 // Report folds one executed lease's result in. The result must belong to an
@@ -579,7 +704,7 @@ func (lc *LeaseCoordinator) Snapshot(complete bool) *Checkpoint {
 		EventSeq: lc.opt.Observer.Seq(),
 		Complete: complete,
 		Stats:    lc.acc.st.Wire(),
-		Corpus:   newCorpusWire(lc.global),
+		Corpus:   lc.corpusWire(0),
 	}
 	cp.Stats.CorpusSize = lc.global.Len()
 	if lc.acc.best != nil {

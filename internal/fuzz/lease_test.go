@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"sonar/internal/detect"
@@ -17,6 +20,14 @@ import (
 // campaign service's HTTP API.
 func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *LeaseResult {
 	t.Helper()
+	res, _ := execHeldLease(t, e, shape, lanes, l, nil)
+	return res
+}
+
+// execHeldLease is execLease for an executor holding the corpus prefix
+// held; it also returns the holding the lease leaves.
+func execHeldLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus) {
+	t.Helper()
 	lb, err := json.Marshal(l)
 	if err != nil {
 		t.Fatalf("marshal lease: %v", err)
@@ -25,7 +36,7 @@ func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *Leas
 	if err := json.Unmarshal(lb, &wire); err != nil {
 		t.Fatalf("unmarshal lease: %v", err)
 	}
-	res, err := ExecuteLease(e, shape, lanes, &wire)
+	res, next, err := ExecuteLease(e, shape, lanes, &wire, held)
 	if err != nil {
 		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
@@ -37,7 +48,7 @@ func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *Leas
 	if err := json.Unmarshal(rb, &back); err != nil {
 		t.Fatalf("unmarshal lease result: %v", err)
 	}
-	return &back
+	return &back, next
 }
 
 // driveLeases runs a lease coordinator to completion in-process: every open
@@ -53,7 +64,7 @@ func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 			t.Fatal("coordinator not finished but no open shards")
 		}
 		for _, shard := range open {
-			l, err := lc.Lease(shard)
+			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
@@ -113,6 +124,227 @@ func TestLeaseCoordinatorMatchesRunParallel(t *testing.T) {
 	}
 }
 
+// Shipping only the seeds an executor lacks changes nothing: a 2×4 campaign
+// driven through Lease/ExecuteLease/Report by one executor that keeps its
+// corpus holding, and by one that holds nothing, emits RunParallelExec's
+// event stream and Stats.Wire(), and its final snapshot encodes to the
+// bytes of RunParallelExec's final checkpoint.
+func TestDeltaLeasesMatchRunParallel(t *testing.T) {
+	opt := SonarOptions(64)
+	opt.Workers = 2
+	opt.BatchSize = 4
+
+	localSink := obs.NewMemorySink()
+	localOpt := opt
+	localOpt.Observer = obs.New(localSink)
+	localStats := RunParallelExec(liteExec, localOpt)
+
+	dir := t.TempDir()
+	ckptOpt := opt
+	ckptOpt.Observer = obs.New(obs.NewMemorySink())
+	ckptOpt.Checkpoint = filepath.Join(dir, "local.ckpt")
+	RunParallelExec(liteExec, ckptOpt)
+	wantCkpt, err := os.ReadFile(ckptOpt.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, hold := range []bool{false, true} {
+		t.Run(fmt.Sprintf("hold=%v", hold), func(t *testing.T) {
+			sink := obs.NewMemorySink()
+			leaseOpt := opt
+			leaseOpt.Observer = obs.New(sink)
+			lc := NewLeaseCoordinator(liteFactory(), leaseOpt)
+			shape := lc.Shape()
+			e := liteExec()
+			var held *HeldCorpus
+			deltas, shipped := 0, 0
+			for !lc.Finished() {
+				for _, shard := range lc.OpenShards() {
+					l, err := lc.Lease(shard, held.Ref())
+					if err != nil {
+						t.Fatalf("Lease(%d): %v", shard, err)
+					}
+					if l.CorpusFrom.Len > 0 {
+						deltas++
+					}
+					shipped += len(l.Corpus.Seeds)
+					res, next := execHeldLease(t, e, shape, 1, l, held)
+					if next.Ref() != (CorpusRef{Len: lc.CorpusLen(), Digest: l.CorpusDigest}) {
+						t.Fatalf("holding after round %d is %+v, want the %d-seed merged corpus", l.Round, next.Ref(), lc.CorpusLen())
+					}
+					if hold {
+						held = next
+					}
+					if err := lc.Report(res); err != nil {
+						t.Fatalf("Report(shard %d): %v", shard, err)
+					}
+				}
+			}
+			if hold != (deltas > 0) {
+				t.Errorf("%d delta leases with hold=%v", deltas, hold)
+			}
+			if hold && shipped > lc.CorpusLen() {
+				t.Errorf("delta leases shipped %d seeds of a %d-seed corpus; each seed should travel once", shipped, lc.CorpusLen())
+			}
+			if !bytes.Equal(localSink.Bytes(), sink.Bytes()) {
+				t.Error("lease-driven event stream differs from local RunParallelExec stream")
+			}
+			statsWireEqual(t, localStats, lc.Stats())
+			path := filepath.Join(t.TempDir(), "lease.ckpt")
+			if _, err := lc.Snapshot(true).Save(path); err != nil {
+				t.Fatalf("Save: %v", err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, wantCkpt) {
+				t.Error("lease-driven final snapshot differs from RunParallelExec's final checkpoint")
+			}
+		})
+	}
+}
+
+// leaseAfterRounds opens a 2×8 lite campaign with seed, drives it through
+// rounds round barriers with full leases, and returns it with a holding of
+// its merged corpus.
+func leaseAfterRounds(t *testing.T, seed int64, rounds int) (*LeaseCoordinator, *HeldCorpus) {
+	t.Helper()
+	opt := SonarOptions(64)
+	opt.Seed = seed
+	opt.Workers = 2
+	opt.BatchSize = 8
+	opt.Observer = obs.New()
+	lc := NewLeaseCoordinator(liteFactory(), opt)
+	driveRounds(t, lc, rounds)
+	l, err := lc.Lease(0, CorpusRef{})
+	if err != nil {
+		t.Fatalf("Lease(0): %v", err)
+	}
+	_, held := execHeldLease(t, liteExec(), lc.Shape(), 1, l, nil)
+	if held.Ref().Len == 0 {
+		t.Fatalf("campaign retained no seeds in %d rounds", rounds)
+	}
+	return lc, held
+}
+
+// A corpus ref that does not name a prefix of the merged corpus — out of
+// range, off the digest chain, or another campaign's — gets a lease carrying
+// the whole corpus, never a panic, and the lease executes with no holding.
+func TestLeaseHostileCorpusRefs(t *testing.T) {
+	lc, held := leaseAfterRounds(t, 1, 2)
+	_, other := leaseAfterRounds(t, 2, 2)
+	n := lc.CorpusLen()
+	good := held.Ref()
+	foreign := other.Ref()
+	if foreign.Len > n {
+		foreign = CorpusRef{Len: n, Digest: other.ref.Digest}
+	}
+	cases := []struct {
+		name string
+		ref  CorpusRef
+	}{
+		{"negative length", CorpusRef{Len: -1, Digest: good.Digest}},
+		{"most negative length", CorpusRef{Len: -1 << 63, Digest: ""}},
+		{"length past the corpus", CorpusRef{Len: n + 1, Digest: good.Digest}},
+		{"huge length", CorpusRef{Len: 1 << 62, Digest: good.Digest}},
+		{"wrong digest", CorpusRef{Len: n, Digest: strings.Repeat("0", 64)}},
+		{"empty digest", CorpusRef{Len: n}},
+		{"another campaign's ref", foreign},
+	}
+	for _, c := range cases {
+		l, err := lc.Lease(0, c.ref)
+		if err != nil {
+			t.Fatalf("%s: Lease: %v", c.name, err)
+		}
+		if l.CorpusFrom != (CorpusRef{}) || len(l.Corpus.Seeds) != n {
+			t.Errorf("%s: lease from %+v carries %d of %d seeds, want the whole corpus", c.name, l.CorpusFrom, len(l.Corpus.Seeds), n)
+		}
+		if _, next := execHeldLease(t, liteExec(), lc.Shape(), 1, l, nil); next.Ref() != good {
+			t.Errorf("%s: holding %+v after a full lease, want %+v", c.name, next.Ref(), good)
+		}
+	}
+	l, err := lc.Lease(0, good)
+	if err != nil {
+		t.Fatalf("Lease(held): %v", err)
+	}
+	if l.CorpusFrom != good || len(l.Corpus.Seeds) != 0 {
+		t.Errorf("lease for a current holding starts at %+v and carries %d seeds, want %+v and none", l.CorpusFrom, len(l.Corpus.Seeds), good)
+	}
+}
+
+// ExecuteLease installs a delta lease only on top of the prefix it names: a
+// lease whose base is not what the executor holds, or whose seeds do not
+// hash to its corpus digest, is rejected. On the right holding it returns
+// the full lease's result bytes, however often it runs, and leaves the
+// holding it extended untouched.
+func TestExecuteLeaseRejectsForeignBase(t *testing.T) {
+	lc, held := leaseAfterRounds(t, 1, 1)
+	_, other := leaseAfterRounds(t, 2, 1)
+	driveRounds(t, lc, 1)
+	delta, err := lc.Lease(1, held.Ref())
+	if err != nil {
+		t.Fatalf("Lease: %v", err)
+	}
+	if delta.CorpusFrom != held.Ref() {
+		t.Fatalf("lease for holding %+v starts at %+v", held.Ref(), delta.CorpusFrom)
+	}
+	full, err := lc.Lease(1, CorpusRef{})
+	if err != nil {
+		t.Fatalf("Lease: %v", err)
+	}
+	shape, e := lc.Shape(), liteExec()
+	want, wantNext := execHeldLease(t, e, shape, 1, full, nil)
+	wantBytes, _ := json.Marshal(want)
+
+	for _, h := range []*HeldCorpus{nil, other} {
+		if _, _, err := ExecuteLease(e, shape, 1, delta, h); err == nil {
+			t.Errorf("delta lease from %+v ran on holding %+v", delta.CorpusFrom, h.Ref())
+		}
+	}
+	tampered := *full
+	tampered.Corpus.Seeds = full.Corpus.Seeds[1:]
+	if _, _, err := ExecuteLease(e, shape, 1, &tampered, nil); err == nil {
+		t.Error("lease whose seeds miss its corpus digest ran")
+	}
+
+	// Executions on one holding may run at once (the race detector checks
+	// that neither appends to its seed list, which has spare capacity here).
+	before := held.Ref()
+	held.seeds = append(make([]*Seed, 0, 2*len(held.seeds)+8), held.seeds...)
+	got := make([][]byte, 2)
+	refs := make([]CorpusRef, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, next, err := ExecuteLease(liteExec(), shape, 1, delta, held)
+			if errs[i] = err; err == nil {
+				got[i], errs[i] = json.Marshal(res)
+				refs[i] = next.Ref()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], wantBytes) {
+			t.Errorf("run %d: delta lease result differs from the full lease's", i)
+		}
+		if refs[i] != wantNext.Ref() {
+			t.Errorf("run %d: holding %+v, want %+v", i, refs[i], wantNext.Ref())
+		}
+	}
+	if held.Ref() != before || len(held.seeds) != before.Len {
+		t.Errorf("executing on a holding changed it: %+v with %d seeds, was %+v", held.Ref(), len(held.seeds), before)
+	}
+}
+
 // Re-executing the same lease on one reused executor must return byte-equal
 // results — the property that lets the service re-offer a lease lost to
 // worker churn without perturbing the campaign, and lets a worker keep one
@@ -127,7 +359,7 @@ func TestLeaseReexecutionDeterministic(t *testing.T) {
 	// Advance one round so the lease carries a non-trivial corpus + cursor.
 	driveRounds(t, lc, 1)
 
-	l, err := lc.Lease(0)
+	l, err := lc.Lease(0, CorpusRef{})
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
@@ -154,7 +386,7 @@ func driveRounds(t *testing.T, lc *LeaseCoordinator, n int) {
 	e := liteExec()
 	for lc.Round() < target && !lc.Finished() {
 		for _, shard := range lc.OpenShards() {
-			l, err := lc.Lease(shard)
+			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
@@ -174,7 +406,7 @@ func TestLeaseReportValidation(t *testing.T) {
 	opt.Observer = obs.New()
 	lc := NewLeaseCoordinator(liteFactory(), opt)
 
-	l, err := lc.Lease(0)
+	l, err := lc.Lease(0, CorpusRef{})
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}

@@ -177,7 +177,7 @@ func TestParallelPoolBuildsAtMostGOMAXPROCSExecutors(t *testing.T) {
 	lc := NewLeaseCoordinator(liteFactory(), opt)
 	for !lc.Finished() {
 		for _, shard := range lc.OpenShards() {
-			l, err := lc.Lease(shard)
+			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
