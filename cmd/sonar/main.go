@@ -130,8 +130,9 @@ func main() {
 		exA := s.DUT.Execute(tc, 0)
 		exB := s.DUT.Execute(tc, 1)
 		fmt.Printf("replayed %s: %d/%d cycles under secret 0/1\n", *replay, exA.Cycles, exB.Cycles)
-		if f := detect.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap); f != nil {
-			fmt.Printf("side channel reproduced:\n%s", f)
+		var det detect.Detector
+		if f := det.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap); f != nil {
+			fmt.Printf("side channel reproduced:\n%s", f.String(s.DUT.Analysis))
 		} else {
 			fmt.Println("no secret-dependent timing difference on replay")
 		}
@@ -201,7 +202,7 @@ func main() {
 		os.Exit(0)
 	}
 	fmt.Printf("\nimplicated channel families (§7.2 justification):\n%s",
-		detect.RenderClasses(detect.Classify(st.Findings)))
+		detect.RenderClasses(detect.Classify(st.Findings, st.Analysis)))
 	if *save != "" {
 		if err := os.MkdirAll(*save, 0o755); err != nil {
 			log.Fatal(err)
@@ -221,7 +222,7 @@ func main() {
 			fmt.Printf("... %d more (use -v)\n", len(st.Findings)-i)
 			break
 		}
-		fmt.Printf("--- finding %d ---\n%s", i+1, f)
+		fmt.Printf("--- finding %d ---\n%s", i+1, f.String(st.Analysis))
 	}
 }
 

@@ -31,8 +31,8 @@ func main() {
 	}
 	fmt.Println("\ncross-core findings (attacker- or victim-side CCD differences + contention-state diffs):")
 	for i, f := range stats.Findings {
-		fmt.Printf("--- finding %d ---\n%s", i+1, f)
-		for _, comp := range f.Components() {
+		fmt.Printf("--- finding %d ---\n%s", i+1, f.String(stats.Analysis))
+		for _, comp := range f.Components(stats.Analysis) {
 			if comp == "tilelink" {
 				fmt.Println("    ^ the shared TileLink D-channel is implicated: the S1-S4 family")
 			}

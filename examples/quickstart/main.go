@@ -36,6 +36,6 @@ func main() {
 	// contention points whose states diverged under the two secrets — the
 	// dual-differential report that makes root-causing fast (§8.3.5).
 	for i, f := range stats.Findings {
-		fmt.Printf("\nfinding %d:\n%s", i+1, f)
+		fmt.Printf("\nfinding %d:\n%s", i+1, f.String(stats.Analysis))
 	}
 }

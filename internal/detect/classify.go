@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"sonar/internal/trace"
 )
 
 // ChannelClass is a family of contention side channels, following the
@@ -61,8 +63,8 @@ func classify(name string) int {
 // Classify aggregates a set of findings into channel families: which shared
 // resources the dual-differential comparison implicates, how many points,
 // and the largest timing impact. This is the "justification" step of §7.2
-// turned into a report.
-func Classify(findings []*Finding) []ChannelClass {
+// turned into a report. Points are named by the analysis their IDs index.
+func Classify(findings []*Finding, an *trace.Analysis) []ChannelClass {
 	type agg struct {
 		points     map[int]bool
 		volatile   bool
@@ -73,7 +75,7 @@ func Classify(findings []*Finding) []ChannelClass {
 	for _, f := range findings {
 		delta := f.MaxDelta()
 		for _, sd := range f.StateDiffs {
-			ri := classify(sd.Name)
+			ri := classify(an.Points[sd.PointID].Out.Name())
 			if ri < 0 {
 				continue
 			}

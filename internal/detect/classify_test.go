@@ -1,9 +1,33 @@
 package detect
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"sonar/internal/hdl"
+	"sonar/internal/trace"
 )
+
+// namedAnalysis is an analysis whose point i has output signal names[i]
+// (a placeholder when empty), owned by the component before the name's
+// first dot.
+func namedAnalysis(names ...string) *trace.Analysis {
+	n := hdl.NewNetlist("t")
+	an := &trace.Analysis{Netlist: n}
+	for i, name := range names {
+		if name == "" {
+			name = fmt.Sprintf("unused.p%d", i)
+		}
+		comp, _, _ := strings.Cut(name, ".")
+		an.Points = append(an.Points, &trace.Point{ID: i, Out: n.Wire(name, 1), Component: comp})
+	}
+	return an
+}
+
+// boomNames names points 1, 2, 3 and 9 after BOOM contention points.
+var boomNames = namedAnalysis("", "tilelink.d_channel_data", "lsu.dcache.mshr_req", "lsu.dcache.rlb.io_refill_data",
+	"", "", "", "", "", "exe.div.req_in")
 
 func finding(delta int64, diffs ...StateDiff) *Finding {
 	return &Finding{
@@ -15,15 +39,15 @@ func finding(delta int64, diffs ...StateDiff) *Finding {
 func TestClassifyFamilies(t *testing.T) {
 	fs := []*Finding{
 		finding(40,
-			StateDiff{PointID: 1, Name: "tilelink.d_channel_data", Volatile: true},
-			StateDiff{PointID: 2, Name: "lsu.dcache.mshr_req", Volatile: true},
+			StateDiff{PointID: 1, Reason: ReasonStream, Volatile: true},
+			StateDiff{PointID: 2, Reason: ReasonStream, Volatile: true},
 		),
 		finding(9,
-			StateDiff{PointID: 3, Name: "lsu.dcache.rlb.io_refill_data", Persistent: true},
-			StateDiff{PointID: 1, Name: "tilelink.d_channel_data", Volatile: true},
+			StateDiff{PointID: 3, Reason: ReasonRevisit, Persistent: true},
+			StateDiff{PointID: 1, Reason: ReasonStream, Volatile: true},
 		),
 	}
-	cs := Classify(fs)
+	cs := Classify(fs, boomNames)
 	got := map[string]ChannelClass{}
 	for _, c := range cs {
 		got[c.Family] = c
@@ -69,10 +93,10 @@ func TestClassifyRulePrecedence(t *testing.T) {
 
 func TestClassifyMixedKind(t *testing.T) {
 	fs := []*Finding{
-		finding(5, StateDiff{PointID: 9, Name: "exe.div.req_in", Volatile: true}),
-		finding(7, StateDiff{PointID: 9, Name: "exe.div.req_in", Persistent: true}),
+		finding(5, StateDiff{PointID: 9, Reason: ReasonIntvl, Volatile: true}),
+		finding(7, StateDiff{PointID: 9, Reason: ReasonRevisit, Persistent: true}),
 	}
-	cs := Classify(fs)
+	cs := Classify(fs, boomNames)
 	if len(cs) != 1 || cs[0].Kind != "mixed" {
 		t.Errorf("classes = %+v, want one mixed div family", cs)
 	}
@@ -82,7 +106,8 @@ func TestRenderClasses(t *testing.T) {
 	if s := RenderClasses(nil); !strings.Contains(s, "no channel families") {
 		t.Error("empty render wrong")
 	}
-	cs := Classify([]*Finding{finding(3, StateDiff{PointID: 1, Name: "tilelink.io_req_icache_rd_valid", Volatile: true})})
+	an := namedAnalysis("", "tilelink.io_req_icache_rd_valid")
+	cs := Classify([]*Finding{finding(3, StateDiff{PointID: 1, Reason: ReasonStream, Volatile: true})}, an)
 	s := RenderClasses(cs)
 	if !strings.Contains(s, "TileLink") || !strings.Contains(s, "S1-S4") {
 		t.Errorf("render incomplete:\n%s", s)

@@ -6,11 +6,13 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sonar/internal/monitor"
+	"sonar/internal/trace"
 	"sonar/internal/uarch"
 )
 
@@ -37,18 +39,21 @@ func (a Affected) Delta() int64 {
 }
 
 // CCDCompare matches the two commit logs positionally over their common
-// control-flow prefix and returns the instructions whose CCD differs.
+// control-flow prefix. It overwrites dst with the instructions whose CCD
+// differs and returns it.
 //
 // Raw commit-time comparison misreports instructions that are merely
 // queued behind a delayed one (the mul behind the div in Figure 5); the CCD
 // metric cancels the in-order commit effect, so only genuinely affected
 // instructions survive.
-func CCDCompare(a, b []uarch.CommitRecord) []Affected {
+//
+//sonar:alloc-free
+func CCDCompare(dst []Affected, a, b []uarch.CommitRecord) []Affected {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)
 	}
-	var out []Affected
+	out := dst[:0]
 	var prevA, prevB int64
 	if n > 0 {
 		prevA, prevB = a[0].Cycle, b[0].Cycle
@@ -88,36 +93,83 @@ func TimingDiff(a, b []uarch.CommitRecord) bool {
 	return false
 }
 
+// Reason is the set of contention-critical states that diverged at one
+// contention point under the two secret values.
+type Reason uint8
+
+const (
+	// ReasonStream: the ordered request streams (event digests) differ.
+	ReasonStream Reason = 1 << iota
+	// ReasonCount: the event counts differ.
+	ReasonCount
+	// ReasonIntvl: the minimum distinct-request intervals (reqsIntvl)
+	// differ.
+	ReasonIntvl
+	// ReasonRevisit: a same-path revisit happened in one run only.
+	ReasonRevisit
+
+	// Reasons is every defined reason bit.
+	Reasons = ReasonStream | ReasonCount | ReasonIntvl | ReasonRevisit
+)
+
 // StateDiff is one contention point whose contention-critical states
-// diverge under the two secret values (paper §7.2, Figure 5 bottom).
+// diverge under the two secret values (paper §7.2, Figure 5 bottom). It
+// holds no strings or pointers: point names, components and the reason
+// text are rendered from the campaign's analysis where a finding leaves the
+// process (Render, Finding.String).
 type StateDiff struct {
 	// PointID identifies the contention point.
-	PointID int
-	// Name is the contention point output signal name.
-	Name string
-	// Component is the owning top-level component.
-	Component string
-	// Reason summarizes which state diverged.
-	Reason string
-	// IntvlA and IntvlB are the minimum distinct-request intervals under
-	// the two secrets (monitor.NoInterval when unobserved).
-	IntvlA, IntvlB int64
+	PointID int `json:"p"`
+	// Reason says which states diverged; never zero.
+	Reason Reason `json:"r"`
+	// CountA is the event count under the first secret when the counts
+	// differ (ReasonCount), and zero otherwise: the rendered reason carries
+	// the counts only then.
+	CountA int `json:"ca,omitempty"`
+	// CountB is the event count under the second secret, like CountA.
+	CountB int `json:"cb,omitempty"`
+	// IntvlA is the minimum distinct-request interval under the first
+	// secret (monitor.NoInterval when unobserved).
+	IntvlA int64 `json:"ia"`
+	// IntvlB is the minimum distinct-request interval under the second
+	// secret.
+	IntvlB int64 `json:"ib"`
 	// Volatile marks a simultaneous-arrival (interval 0) contention in
-	// either run; Persistent marks a same-path revisit.
-	Volatile   bool
-	Persistent bool // same-path revisit contention in either run
+	// either run.
+	Volatile bool `json:"v,omitempty"`
+	// Persistent marks a same-path revisit contention in either run.
+	Persistent bool `json:"s,omitempty"`
+}
+
+// Check rejects a state diff no comparison produces: reason bits that are
+// zero or undefined, negative event counts, or counts that disagree with
+// the ReasonCount bit.
+func (sd *StateDiff) Check() error {
+	if sd.Reason == 0 || sd.Reason&^Reasons != 0 {
+		return fmt.Errorf("point %d: invalid reason bits %#x", sd.PointID, uint8(sd.Reason))
+	}
+	if sd.CountA < 0 || sd.CountB < 0 {
+		return fmt.Errorf("point %d: negative event count %d vs %d", sd.PointID, sd.CountA, sd.CountB)
+	}
+	if (sd.Reason&ReasonCount != 0) != (sd.CountA != sd.CountB) {
+		return fmt.Errorf("point %d: event counts %d vs %d disagree with reason bits %#x", sd.PointID, sd.CountA, sd.CountB, uint8(sd.Reason))
+	}
+	return nil
 }
 
 // StateCompare performs the contention-state differential between two
-// instrumented executions, returning the points whose states deviate,
-// sorted by point ID so the result is invariant under monitor placement
-// order (both snapshots must share one placement). A point idle in both
-// snapshots cannot deviate, so the comparison walks only the union of the
-// two snapshots' Active lists.
-func StateCompare(a, b *monitor.Snapshot) []StateDiff {
+// instrumented executions. It overwrites dst with the points whose states
+// deviate, sorted by point ID so the result is invariant under monitor
+// placement order (both snapshots must share one placement), and returns
+// it; a dst with room for every diff is not reallocated. A point idle in
+// both snapshots cannot deviate, so the comparison walks only the union of
+// the two snapshots' Active lists.
+//
+//sonar:alloc-free
+func StateCompare(dst []StateDiff, a, b *monitor.Snapshot) []StateDiff {
+	dst = dst[:0]
 	n := min(len(a.Points), len(b.Points))
 	actA, actB := a.Active(), b.Active()
-	var out []StateDiff
 	for ia, ib := 0, 0; ia < len(actA) || ib < len(actB); {
 		// Merge step: i is the smaller head of the two ascending lists.
 		var i int
@@ -137,36 +189,40 @@ func StateCompare(a, b *monitor.Snapshot) []StateDiff {
 			break // both lists ascend: every later index is out of range too
 		}
 		pa, pb := &a.Points[i], &b.Points[i]
-		var reasons []string
+		var r Reason
+		var countA, countB int
 		if pa.Digest != pb.Digest {
-			reasons = append(reasons, "request stream")
+			r |= ReasonStream
 		}
 		if pa.EventCount != pb.EventCount {
-			reasons = append(reasons, fmt.Sprintf("event count %d vs %d", pa.EventCount, pb.EventCount))
+			r |= ReasonCount
+			countA, countB = pa.EventCount, pb.EventCount
 		}
 		if pa.MinIntvlDistinct != pb.MinIntvlDistinct {
-			reasons = append(reasons, "reqsIntvl")
+			r |= ReasonIntvl
 		}
 		if pa.PersistentCandidate != pb.PersistentCandidate {
-			reasons = append(reasons, "same-path revisit")
+			r |= ReasonRevisit
 		}
-		if len(reasons) == 0 {
+		if r == 0 {
 			continue
 		}
-		out = append(out, StateDiff{
+		dst = append(dst, StateDiff{
 			PointID:    pa.Point.ID,
-			Name:       pa.Point.Out.Name(),
-			Component:  pa.Point.Component,
-			Reason:     strings.Join(reasons, ", "),
+			Reason:     r,
+			CountA:     countA,
+			CountB:     countB,
 			IntvlA:     pa.MinIntvlDistinct,
 			IntvlB:     pb.MinIntvlDistinct,
 			Volatile:   pa.VolatileContention || pb.VolatileContention,
 			Persistent: pa.PersistentCandidate || pb.PersistentCandidate,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PointID < out[j].PointID })
-	return out
+	slices.SortFunc(dst, byPointID)
+	return dst
 }
+
+func byPointID(x, y StateDiff) int { return cmp.Compare(x.PointID, y.PointID) }
 
 // Finding is a detected contention side channel: instructions genuinely
 // affected by secret-dependent timing plus the contention points whose
@@ -174,9 +230,10 @@ func StateCompare(a, b *monitor.Snapshot) []StateDiff {
 // identification and justification of contention side channels" (§7.2).
 type Finding struct {
 	// Affected are the CCD-filtered instructions.
-	Affected []Affected
-	// StateDiffs are the candidate root-cause contention points.
-	StateDiffs []StateDiff
+	Affected []Affected `json:"affected"`
+	// StateDiffs are the candidate root-cause contention points, in
+	// ascending point ID order.
+	StateDiffs []StateDiff `json:"diffs,omitempty"`
 }
 
 // MaxDelta returns the largest CCD change across affected instructions —
@@ -191,45 +248,62 @@ func (f *Finding) MaxDelta() int64 {
 	return max
 }
 
-// Components returns the distinct components implicated by state diffs.
-func (f *Finding) Components() []string {
+// Components returns the distinct components implicated by state diffs,
+// named by the analysis the point IDs index.
+func (f *Finding) Components(an *trace.Analysis) []string {
 	seen := make(map[string]bool)
 	var out []string
 	for _, s := range f.StateDiffs {
-		if !seen[s.Component] {
-			seen[s.Component] = true
-			out = append(out, s.Component)
+		c := an.Points[s.PointID].Component
+		if !seen[c] {
+			seen[c] = true
+			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// Detector runs the dual-differential comparison with reusable scratch:
+// each finding it returns owns exactly-sized copies of its lists, and the
+// scratch is recycled for the next call. The zero value is ready to use; a
+// Detector is not safe for concurrent use.
+type Detector struct {
+	affected []Affected
+	diffs    []StateDiff
 }
 
 // Analyze runs the full dual-differential comparison on two executions'
 // commit logs and snapshots. It returns nil when no side channel is
 // exposed: either no timing difference, or timing differences whose CCD
 // analysis shows no genuinely affected instruction.
-func Analyze(logA, logB []uarch.CommitRecord, snapA, snapB *monitor.Snapshot) *Finding {
-	affected := CCDCompare(logA, logB)
-	if len(affected) == 0 {
+func (d *Detector) Analyze(logA, logB []uarch.CommitRecord, snapA, snapB *monitor.Snapshot) *Finding {
+	d.affected = CCDCompare(d.affected, logA, logB)
+	if len(d.affected) == 0 {
 		return nil
 	}
-	f := &Finding{Affected: affected}
+	f := &Finding{Affected: slices.Clone(d.affected)}
 	if snapA != nil && snapB != nil {
-		f.StateDiffs = StateCompare(snapA, snapB)
+		d.diffs = StateCompare(d.diffs, snapA, snapB)
+		if len(d.diffs) > 0 {
+			f.StateDiffs = slices.Clone(d.diffs)
+		}
 	}
 	return f
 }
 
-// String renders a short human-readable report.
-func (f *Finding) String() string {
+// String renders a short human-readable report, naming contention points
+// by the analysis the point IDs index.
+func (f *Finding) String(an *trace.Analysis) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "side channel: %d instruction(s) affected, max CCD delta %d cycles\n",
 		len(f.Affected), f.MaxDelta())
 	for _, a := range f.Affected {
 		fmt.Fprintf(&b, "  instr %d: CCD %d -> %d\n", a.Idx, a.CCDA, a.CCDB)
 	}
+	var reason []byte
 	for _, s := range f.StateDiffs {
-		fmt.Fprintf(&b, "  point %d (%s): %s\n", s.PointID, s.Name, s.Reason)
+		reason = s.AppendReason(reason[:0])
+		fmt.Fprintf(&b, "  point %d (%s): %s\n", s.PointID, an.Points[s.PointID].Out.Name(), reason)
 	}
 	return b.String()
 }

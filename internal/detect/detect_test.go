@@ -17,7 +17,7 @@ func rec(idx int, cycle int64) uarch.CommitRecord {
 func TestCCDFigure5(t *testing.T) {
 	logA := []uarch.CommitRecord{rec(0, 10), rec(1, 20), rec(2, 21)} // secret 0
 	logB := []uarch.CommitRecord{rec(0, 10), rec(1, 21), rec(2, 22)} // secret 1: div +1
-	affected := CCDCompare(logA, logB)
+	affected := CCDCompare(nil, logA, logB)
 	if len(affected) != 1 {
 		t.Fatalf("affected = %v, want exactly the div", affected)
 	}
@@ -37,7 +37,7 @@ func TestCCDFigure5(t *testing.T) {
 
 func TestCCDIdenticalRuns(t *testing.T) {
 	log := []uarch.CommitRecord{rec(0, 5), rec(1, 9), rec(2, 30)}
-	if got := CCDCompare(log, log); len(got) != 0 {
+	if got := CCDCompare(nil, log, log); len(got) != 0 {
 		t.Errorf("identical runs affected = %v", got)
 	}
 	if TimingDiff(log, log) {
@@ -50,7 +50,7 @@ func TestCCDIdenticalRuns(t *testing.T) {
 func TestCCDUniformShiftOnlyFlagsOrigin(t *testing.T) {
 	logA := []uarch.CommitRecord{rec(0, 10), rec(1, 12), rec(2, 14)}
 	logB := []uarch.CommitRecord{rec(0, 10), rec(1, 17), rec(2, 19)}
-	affected := CCDCompare(logA, logB)
+	affected := CCDCompare(nil, logA, logB)
 	if len(affected) != 1 || affected[0].Idx != 1 {
 		t.Errorf("affected = %v, want only instruction 1", affected)
 	}
@@ -59,7 +59,7 @@ func TestCCDUniformShiftOnlyFlagsOrigin(t *testing.T) {
 func TestCCDStopsAtControlFlowDivergence(t *testing.T) {
 	logA := []uarch.CommitRecord{rec(0, 1), rec(1, 2), rec(5, 3), rec(6, 9)}
 	logB := []uarch.CommitRecord{rec(0, 1), rec(1, 2), rec(2, 3), rec(6, 4)}
-	affected := CCDCompare(logA, logB)
+	affected := CCDCompare(nil, logA, logB)
 	for _, a := range affected {
 		if a.Pos >= 2 {
 			t.Errorf("comparison continued past divergence: %v", a)
@@ -73,7 +73,7 @@ func TestCCDStopsAtControlFlowDivergence(t *testing.T) {
 func TestCCDDifferentLengths(t *testing.T) {
 	logA := []uarch.CommitRecord{rec(0, 1), rec(1, 2)}
 	logB := []uarch.CommitRecord{rec(0, 1), rec(1, 2), rec(2, 3)}
-	if got := CCDCompare(logA, logB); len(got) != 0 {
+	if got := CCDCompare(nil, logA, logB); len(got) != 0 {
 		t.Errorf("prefix-equal logs affected = %v", got)
 	}
 	if !TimingDiff(logA, logB) {
@@ -83,7 +83,7 @@ func TestCCDDifferentLengths(t *testing.T) {
 
 func TestAnalyzeNilWhenClean(t *testing.T) {
 	log := []uarch.CommitRecord{rec(0, 5), rec(1, 9)}
-	if f := Analyze(log, log, nil, nil); f != nil {
+	if f := new(Detector).Analyze(log, log, nil, nil); f != nil {
 		t.Errorf("Analyze of identical runs = %v, want nil", f)
 	}
 }
@@ -96,12 +96,23 @@ func TestFindingMaxDeltaAndString(t *testing.T) {
 	if f.MaxDelta() != 4 {
 		t.Errorf("MaxDelta = %d, want 4", f.MaxDelta())
 	}
-	if s := f.String(); len(s) == 0 {
-		t.Error("empty report")
+	an := namedAnalysis("lsu.a", "lsu.b", "exe.c")
+	f.StateDiffs = []StateDiff{
+		{PointID: 0, Reason: ReasonStream | ReasonCount, CountA: 3, CountB: 6},
+		{PointID: 1, Reason: ReasonIntvl},
+		{PointID: 2, Reason: ReasonRevisit, Persistent: true},
 	}
-	f.StateDiffs = []StateDiff{{Component: "lsu"}, {Component: "lsu"}, {Component: "exe"}}
-	comps := f.Components()
-	if len(comps) != 2 {
+	want := "side channel: 2 instruction(s) affected, max CCD delta 4 cycles\n" +
+		"  instr 3: CCD 10 -> 14\n" +
+		"  instr 5: CCD 7 -> 5\n" +
+		"  point 0 (lsu.a): request stream, event count 3 vs 6\n" +
+		"  point 1 (lsu.b): reqsIntvl\n" +
+		"  point 2 (exe.c): same-path revisit\n"
+	if s := f.String(an); s != want {
+		t.Errorf("String =\n%s\nwant\n%s", s, want)
+	}
+	comps := f.Components(an)
+	if len(comps) != 2 || comps[0] != "lsu" || comps[1] != "exe" {
 		t.Errorf("Components = %v", comps)
 	}
 }

@@ -25,7 +25,7 @@ func TestQuickCCDSelfComparisonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
 		log := randomLog(rng, 1+rng.Intn(30))
-		if got := CCDCompare(log, log); len(got) != 0 {
+		if got := CCDCompare(nil, log, log); len(got) != 0 {
 			t.Fatalf("self comparison flagged %v", got)
 		}
 		if TimingDiff(log, log) {
@@ -50,7 +50,7 @@ func TestQuickCCDSingleDelayLocalized(t *testing.T) {
 		for i := pos; i < n; i++ {
 			logB[i].Cycle += d
 		}
-		affected := CCDCompare(logA, logB)
+		affected := CCDCompare(nil, logA, logB)
 		if len(affected) != 1 {
 			t.Fatalf("trial %d: affected = %v, want exactly the delayed instruction", trial, affected)
 		}
@@ -69,8 +69,8 @@ func TestQuickCCDSymmetry(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := randomLog(rng, 2+rng.Intn(15))
 		b := randomLog(rng, len(a))
-		fa := CCDCompare(a, b)
-		fb := CCDCompare(b, a)
+		fa := CCDCompare(nil, a, b)
+		fb := CCDCompare(nil, b, a)
 		if len(fa) != len(fb) {
 			t.Fatalf("asymmetric: %d vs %d", len(fa), len(fb))
 		}

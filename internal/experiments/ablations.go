@@ -124,7 +124,7 @@ func AblationCCD(testcases int) AblationCCDResult {
 		}
 		res.Testcases++
 		raw += rawFlagged(exA.Log, exB.Log)
-		ccd += len(detect.CCDCompare(exA.Log, exB.Log))
+		ccd += len(detect.CCDCompare(nil, exA.Log, exB.Log))
 	}
 	if res.Testcases > 0 {
 		res.RawFlagged = float64(raw) / float64(res.Testcases)

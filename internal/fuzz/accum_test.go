@@ -85,7 +85,7 @@ func TestApplyEmptyAttackerLogs(t *testing.T) {
 	exA := &Execution{Log: victim}
 	exB := &Execution{Log: victim}
 	tc := &Testcase{Attacker: []isa.Instr{{Op: isa.ADDI}}}
-	if f := analyzeExecutions(tc, exA, exB); f != nil {
+	if f := analyzeExecutions(new(detect.Detector), tc, exA, exB); f != nil {
 		t.Errorf("empty attacker logs produced a finding: %v", f)
 	}
 }

@@ -156,7 +156,9 @@ type Stats struct {
 	// run. len(PerIteration) == Options.Iterations
 	// (TestPerIterationLengthMatchesIterations pins this).
 	PerIteration []IterStats
-	// Findings are the detected side channels (dual-differential verified).
+	// Findings are the detected side channels (dual-differential verified),
+	// in compact form; Wire and Finding.String name their points from
+	// Analysis.
 	Findings []*detect.Finding
 	// FindingSeeds are the testcases that exposed each retained finding
 	// (parallel to Findings); export them with Testcase.Marshal.
@@ -178,6 +180,10 @@ type Stats struct {
 	CorpusSize int
 	// ExecutedCycles is the total simulated cycle count.
 	ExecutedCycles int64
+	// Analysis is the contention analysis the campaign's point IDs index
+	// (any executor's: point IDs are identical across a campaign's
+	// executors).
+	Analysis *trace.Analysis
 }
 
 // worker is one shard of a campaign: an RNG stream, a corpus view, and the
@@ -214,6 +220,8 @@ type worker struct {
 	pending []pendingIter
 	tcs     []*Testcase
 	pairs   []ExecPair
+	// det is the detection scratch, recycled across iterations.
+	det detect.Detector
 }
 
 // newShardWorker builds a shard worker whose RNG is a counted source seeded
@@ -293,7 +301,7 @@ func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
 	out := outcome{
 		tc:        tc,
 		triggered: append(exA.Snap.Triggered(), exB.Snap.Triggered()...),
-		finding:   analyzeExecutions(tc, exA, exB),
+		finding:   analyzeExecutions(&w.det, tc, exA, exB),
 		cycles:    exA.Cycles + exB.Cycles,
 	}
 
@@ -442,10 +450,10 @@ func (w *worker) takeNewSeeds() []*Seed {
 // actually carried an attacker program, the attacker core's logs. Guarding
 // on the testcase (not just Options.DualCore) keeps attacker-less testcases
 // in a dual-core campaign from feeding empty commit logs into detection.
-func analyzeExecutions(tc *Testcase, exA, exB *Execution) *detect.Finding {
-	finding := detect.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap)
+func analyzeExecutions(det *detect.Detector, tc *Testcase, exA, exB *Execution) *detect.Finding {
+	finding := det.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap)
 	if finding == nil && len(tc.Attacker) > 0 {
-		finding = detect.Analyze(exA.AttackerLog, exB.AttackerLog, exA.Snap, exB.Snap)
+		finding = det.Analyze(exA.AttackerLog, exB.AttackerLog, exA.Snap, exB.Snap)
 	}
 	return finding
 }
@@ -453,10 +461,6 @@ func analyzeExecutions(tc *Testcase, exA, exB *Execution) *detect.Finding {
 // statsAccum folds per-iteration outcomes into campaign statistics in the
 // round barrier's canonical order.
 type statsAccum struct {
-	// an is any worker executor's contention analysis: point IDs are
-	// identical across a campaign's executor instances (the Executor
-	// contract), so the accumulator never needs the executor itself.
-	an  *trace.Analysis
 	opt Options
 	st  *Stats
 	obs *obs.Observer
@@ -465,8 +469,12 @@ type statsAccum struct {
 	best map[int]int64
 }
 
+// newStatsAccum starts an empty fold over the campaign's analysis: any
+// executor's, since point IDs are identical across a campaign's executor
+// instances (the Executor contract), so the accumulator never needs the
+// executor itself.
 func newStatsAccum(an *trace.Analysis, opt Options) *statsAccum {
-	a := &statsAccum{an: an, opt: opt, st: &Stats{TriggeredPoints: make(map[int]bool)}, obs: opt.Observer}
+	a := &statsAccum{opt: opt, st: &Stats{TriggeredPoints: make(map[int]bool), Analysis: an}, obs: opt.Observer}
 	if a.obs != nil {
 		a.best = make(map[int]int64)
 	}
@@ -492,7 +500,7 @@ func (a *statsAccum) apply(o outcome) {
 			}
 			if it <= 20 {
 				st.EarlyTriggered++
-				if singleValidDominated(a.an, id) {
+				if singleValidDominated(st.Analysis, id) {
 					st.SingleValidTriggered++
 					early[0]++
 				} else {

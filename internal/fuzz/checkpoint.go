@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"sonar/internal/detect"
+	"sonar/internal/trace"
 )
 
 // Checkpoint file format (docs/CAMPAIGNS.md has the operator-facing
@@ -164,14 +165,15 @@ func (cw *CorpusWire) corpus() (*Corpus, error) {
 	return c, nil
 }
 
-// StatsWire is Stats in serialized form: map fields become sorted slices
-// and finding seeds are stored in their Marshal encoding. Checkpoints embed
-// it, and the campaign service serves it as a finished campaign's result.
+// StatsWire is Stats in serialized form: map fields become sorted slices,
+// findings are named from the campaign's analysis, and finding seeds are
+// stored in their Marshal encoding. Checkpoints embed it, and the campaign
+// service serves it as a finished campaign's result.
 type StatsWire struct {
 	// PerIteration is the campaign's canonical per-iteration progress series.
 	PerIteration []IterStats `json:"per_iteration"`
-	// Findings are the retained dual-differential findings.
-	Findings []*detect.Finding `json:"findings"`
+	// Findings are the retained dual-differential findings, rendered.
+	Findings []detect.NamedFinding `json:"findings"`
 	// FindingSeeds are the finding testcases in Testcase.Marshal form,
 	// parallel to Findings.
 	FindingSeeds []string `json:"finding_seeds"`
@@ -196,13 +198,14 @@ type StatsWire struct {
 
 // Wire returns the canonical serialized form of the statistics — the same
 // encoding checkpoints embed, minus the observer-only Best view. Because
-// every map is sorted and testcases use their Marshal encoding, equal
-// campaigns produce byte-equal encodings; the campaign service's result
-// endpoint relies on this to compare distributed and local runs.
+// every map is sorted, findings are named from st.Analysis and testcases
+// use their Marshal encoding, equal campaigns produce byte-equal
+// encodings; the campaign service's result endpoint relies on this to
+// compare distributed and local runs.
 func (st *Stats) Wire() StatsWire {
 	s := StatsWire{
 		PerIteration:         append([]IterStats(nil), st.PerIteration...),
-		Findings:             append([]*detect.Finding(nil), st.Findings...),
+		Findings:             detect.Render(st.Findings, st.Analysis),
 		FindingSeeds:         make([]string, len(st.FindingSeeds)),
 		SingleValidTriggered: st.SingleValidTriggered,
 		EarlyTriggered:       st.EarlyTriggered,
@@ -259,15 +262,15 @@ type Checkpoint struct {
 	Corpus CorpusWire `json:"corpus"`
 }
 
-// accum rebuilds the stats accumulator of a checkpoint: its Stats and, when
-// opt attaches an Observer, the best-interval view behind the gauges. The
-// analysis is attached by the resuming coordinator.
-func (cp *Checkpoint) accum(opt Options) (*statsAccum, error) {
+// accum rebuilds the stats accumulator of a checkpoint over the resuming
+// campaign's analysis: its Stats and, when opt attaches an Observer, the
+// best-interval view behind the gauges. Every finding must name its points
+// as an does and carry reason texts that parse back (detect.NamedFinding).
+func (cp *Checkpoint) accum(an *trace.Analysis, opt Options) (*statsAccum, error) {
 	s := &cp.Stats
-	acc := newStatsAccum(nil, opt)
+	acc := newStatsAccum(an, opt)
 	acc.st = &Stats{
 		PerIteration:         append([]IterStats(nil), s.PerIteration...),
-		Findings:             append([]*detect.Finding(nil), s.Findings...),
 		FindingSeeds:         make([]*Testcase, len(s.FindingSeeds)),
 		TriggeredPoints:      make(map[int]bool, len(s.Triggered)),
 		SingleValidTriggered: s.SingleValidTriggered,
@@ -275,6 +278,17 @@ func (cp *Checkpoint) accum(opt Options) (*statsAccum, error) {
 		EarlyBreakdown:       append([][2]int(nil), s.EarlyBreakdown...),
 		CorpusSize:           s.CorpusSize,
 		ExecutedCycles:       s.ExecutedCycles,
+		Analysis:             an,
+	}
+	if len(s.Findings) > 0 {
+		acc.st.Findings = make([]*detect.Finding, len(s.Findings))
+	}
+	for i := range s.Findings {
+		f, err := s.Findings[i].Finding(an)
+		if err != nil {
+			return nil, fmt.Errorf("fuzz: checkpoint finding %d: %w", i, err)
+		}
+		acc.st.Findings[i] = f
 	}
 	for _, id := range s.Triggered {
 		acc.st.TriggeredPoints[id] = true

@@ -2,11 +2,14 @@ package fuzz
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sonar/internal/detect"
 )
 
 // The counted RNG source must be a transparent wrapper: same draw sequence
@@ -312,4 +315,64 @@ func TestPeriodicCheckpointResumable(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsEqual(t, full, resumed)
+}
+
+// tamperedFinding pauses a campaign, applies tamper to the first
+// checkpointed finding with state diffs, saves and reloads the checkpoint,
+// and returns that finding's index and the resume error.
+func tamperedFinding(t *testing.T, tamper func(d *detect.NamedDiff)) (int, error) {
+	t.Helper()
+	opt := SonarOptions(40)
+	opt.Workers = 2
+	opt.BatchSize = 5
+	path, cp := pausedCampaign(t, opt, 2)
+	k := -1
+	for i := range cp.Stats.Findings {
+		if len(cp.Stats.Findings[i].StateDiffs) > 0 {
+			k = i
+			break
+		}
+	}
+	if k < 0 {
+		t.Fatal("paused campaign has no finding with state diffs")
+	}
+	if _, err := ResumeExec(liteExec, cp.CampaignOptions(), cp); err != nil {
+		t.Fatalf("untampered checkpoint: %v", err)
+	}
+	tamper(&cp.Stats.Findings[k].StateDiffs[0])
+	if _, err := cp.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("the format does not change, so the file still loads: %v", err)
+	}
+	_, err = ResumeExec(liteExec, loaded.CampaignOptions(), loaded)
+	return k, err
+}
+
+// A checkpointed finding naming a point differently from the resuming
+// analysis is rejected, and the error names the finding.
+func TestResumeRejectsForeignFindingName(t *testing.T) {
+	k, err := tamperedFinding(t, func(d *detect.NamedDiff) { d.Name += "_renamed" })
+	if want := fmt.Sprintf("checkpoint finding %d: ", k); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume error %v, want one containing %q", err, want)
+	}
+}
+
+// Likewise for a point's component.
+func TestResumeRejectsForeignFindingComponent(t *testing.T) {
+	k, err := tamperedFinding(t, func(d *detect.NamedDiff) { d.Component = "elsewhere" })
+	if want := fmt.Sprintf("checkpoint finding %d: ", k); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume error %v, want one containing %q", err, want)
+	}
+}
+
+// A checkpointed reason text that does not parse back into reason bits and
+// event counts is rejected, and the error names the finding.
+func TestResumeRejectsUnparsableFindingReason(t *testing.T) {
+	k, err := tamperedFinding(t, func(d *detect.NamedDiff) { d.Reason += ", event count 7" })
+	if want := fmt.Sprintf("checkpoint finding %d: ", k); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("resume error %v, want one containing %q", err, want)
+	}
 }

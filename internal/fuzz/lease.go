@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sonar/internal/detect"
+	"sonar/internal/trace"
 )
 
 // Lease is one shard-batch work assignment: everything a worker needs —
@@ -323,12 +324,13 @@ func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 	return lc
 }
 
-// ResumeLeaseCoordinator reopens a campaign from a checkpoint. opt must
-// describe the same campaign shape as the checkpoint; the resumed
-// coordinator's remaining rounds — Stats and event stream included — are
-// identical to the uninterrupted campaign's.
+// ResumeLeaseCoordinator reopens a campaign from a checkpoint on executor
+// d, whose analysis names the checkpoint's findings and backs the stats
+// fold. opt must describe the same campaign shape as the checkpoint; the
+// resumed coordinator's remaining rounds — Stats and event stream included
+// — are identical to the uninterrupted campaign's.
 func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
-	lc, err := restoreLeaseCoordinator(opt, cp)
+	lc, err := restoreLeaseCoordinator(d.ContentionAnalysis(), opt, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -336,16 +338,16 @@ func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoor
 	return lc, nil
 }
 
-// restoreLeaseCoordinator rebuilds a checkpoint's campaign state without
-// emitting anything; resume then attaches an executor and reopens it.
-func restoreLeaseCoordinator(opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
+// restoreLeaseCoordinator rebuilds a checkpoint's campaign state over the
+// campaign's analysis without emitting anything; resume then reopens it.
+func restoreLeaseCoordinator(an *trace.Analysis, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
 	if err := cp.validate(); err != nil {
 		return nil, err
 	}
 	if got, want := shapeOf(opt), cp.Shape; got != want {
 		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
 	}
-	acc, err := cp.accum(opt)
+	acc, err := cp.accum(an, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -358,13 +360,13 @@ func restoreLeaseCoordinator(opt Options, cp *Checkpoint) (*LeaseCoordinator, er
 	return lc, nil
 }
 
-// resume attaches the executor backing the stats fold (nil when no shard
-// has budget left to fold), emits campaign_resumed, and finalizes a
-// campaign the checkpoint leaves with nothing to execute. A complete
-// checkpoint's campaign_end was already emitted by the original run.
+// resume reports the compile statistics of the executor that will run the
+// campaign (nil when no shard has budget left), emits campaign_resumed,
+// and finalizes a campaign the checkpoint leaves with nothing to execute.
+// A complete checkpoint's campaign_end was already emitted by the original
+// run.
 func (lc *LeaseCoordinator) resume(d Executor, cp *Checkpoint) {
 	if d != nil {
-		lc.acc.an = d.ContentionAnalysis()
 		observeCompile(lc.opt.Observer, d)
 	}
 	st := lc.acc.st
@@ -523,7 +525,7 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if from := lc.cursors[res.Shard]; res.Cursor < from+uint64(n) {
 		return fmt.Errorf("fuzz: lease result cursor %d did not advance %d iterations past the lease cursor %d", res.Cursor, n, from)
 	}
-	points := len(lc.acc.an.Points)
+	points := len(lc.acc.st.Analysis.Points)
 	rep := shardReport{resolved: true, cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
@@ -555,16 +557,21 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	return nil
 }
 
-// checkOutcome rejects a negative cycle count and contention point IDs
-// outside [0, points) anywhere in a wire outcome.
+// checkOutcome rejects a negative cycle count, contention point IDs
+// outside [0, points) anywhere in a wire outcome, and state diffs no
+// comparison produces (detect.StateDiff.Check).
 func checkOutcome(points int, ow *OutcomeWire) error {
 	if ow.Cycles < 0 {
 		return fmt.Errorf("negative cycle count %d", ow.Cycles)
 	}
 	if ow.Finding != nil {
-		for _, sd := range ow.Finding.StateDiffs {
+		for i := range ow.Finding.StateDiffs {
+			sd := &ow.Finding.StateDiffs[i]
 			if sd.PointID < 0 || sd.PointID >= points {
 				return fmt.Errorf("state-diff point %d out of range [0, %d)", sd.PointID, points)
+			}
+			if err := sd.Check(); err != nil {
+				return fmt.Errorf("state diff %d: %w", i, err)
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -443,7 +444,16 @@ func TestLeaseReportValidation(t *testing.T) {
 		}},
 		{"an out-of-range seed target point", func(r *LeaseResult) { r.Seeds = []SeedWire{{TC: r.Outcomes[0].TC, Dir: 1, Target: farPoint}} }},
 		{"an out-of-range state-diff point", func(r *LeaseResult) {
-			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: farPoint}}}
+			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: farPoint, Reason: detect.ReasonStream}}}
+		}},
+		{"a state diff without reason bits", func(r *LeaseResult) {
+			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: 0}}}
+		}},
+		{"a state diff with an unknown reason bit", func(r *LeaseResult) {
+			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: 0, Reason: detect.ReasonStream | 1<<5}}}
+		}},
+		{"a negative event count", func(r *LeaseResult) {
+			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: 0, Reason: detect.ReasonCount, CountA: -1, CountB: 2}}}
 		}},
 		{"a negative cycle count", func(r *LeaseResult) { r.Outcomes[0].Cycles = -1 }},
 		{"a cursor that did not advance", func(r *LeaseResult) { r.Cursor = l.Cursor }},
@@ -571,6 +581,69 @@ func TestLeaseCoordinatorSnapshotResume(t *testing.T) {
 	}
 	statsEqual(t, unbroken.Stats(), second.Stats())
 	statsWireEqual(t, unbroken.Stats(), second.Stats())
+}
+
+// Each FuzzLeaseReport seed reaches the check it is named after: the corpus
+// holds one real ExecuteLease result, which Report accepts, and one reject
+// per Report check. A change to the report shape that made a seed fail an
+// earlier check would otherwise silently stop it covering its own.
+func TestLeaseReportCorpusVerdicts(t *testing.T) {
+	want := map[string]string{
+		"valid":                               "",
+		"stale-round":                         "for round 99",
+		"short-batch":                         "carries 1 outcomes",
+		"cursor-not-advanced":                 "did not advance",
+		"garbled-testcase":                    "outcome 0: line 1",
+		"negative-cycles":                     "negative cycle count",
+		"triggered-point-out-of-range":        "outcome 0: point 1048576 out of range",
+		"outcome-interval-point-out-of-range": "outcome 0: interval point 1048576 out of range",
+		"state-diff-point-out-of-range":       "state-diff point 1048576 out of range",
+		"state-diff-zero-reason":              "invalid reason bits 0",
+		"state-diff-unknown-reason":           "invalid reason bits 0x10",
+		"state-diff-negative-event-count":     "negative event count -1",
+		"seed-interval-point-out-of-range":    "seed 0: interval point -1 out of range",
+		"seed-target-out-of-range":            "seed 0: target point 1048576 out of range",
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzLeaseReport")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(want) {
+		t.Errorf("corpus holds %d seeds, want %d", len(entries), len(want))
+	}
+	d := liteFactory()
+	opt := SonarOptions(8)
+	opt.Workers = 2
+	opt.BatchSize = 2
+	opt.Observer = obs.New()
+	for _, e := range entries {
+		phrase, ok := want[e.Name()]
+		if !ok {
+			t.Errorf("seed %s has no expected verdict", e.Name())
+			continue
+		}
+		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, lit, _ := strings.Cut(strings.TrimSpace(string(src)), "\n")
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		var res LeaseResult
+		if err := json.Unmarshal([]byte(data), &res); err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		err = NewLeaseCoordinator(d, opt).Report(&res)
+		switch {
+		case phrase == "" && err != nil:
+			t.Errorf("seed %s rejected: %v", e.Name(), err)
+		case phrase != "" && (err == nil || !strings.Contains(err.Error(), phrase)):
+			t.Errorf("seed %s: Report error %v, want one containing %q", e.Name(), err, phrase)
+		}
+	}
 }
 
 // FuzzLeaseReport feeds arbitrary bytes through the path a worker's report

@@ -140,13 +140,13 @@ func RunParallelExec(newExec func() Executor, opt Options) *Stats {
 // the stream the interrupted run emitted before the checkpoint (sequence
 // numbers included; no campaign_start is re-emitted).
 func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
-	lc, err := restoreLeaseCoordinator(opt, cp)
+	e := newExec()
+	lc, err := restoreLeaseCoordinator(e.ContentionAnalysis(), opt, cp)
 	if err != nil {
 		return nil, err
 	}
-	var e Executor // nil when no shard has budget left: nothing to fold
-	if lc.left > 0 {
-		e = newExec()
+	if lc.left == 0 {
+		e = nil // no shard has budget left: nothing to execute
 	}
 	lc.resume(e, cp)
 	if cp.Complete {

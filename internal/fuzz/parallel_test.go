@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sonar/internal/detect"
 	"sonar/internal/uarch"
 )
 
@@ -115,12 +116,12 @@ func TestAnalyzeExecutionsSkipsEmptyAttacker(t *testing.T) {
 	exA := &Execution{Log: victim, AttackerLog: attA}
 	exB := &Execution{Log: victim, AttackerLog: attB}
 
-	if f := analyzeExecutions(&Testcase{}, exA, exB); f != nil {
+	if f := analyzeExecutions(new(detect.Detector), &Testcase{}, exA, exB); f != nil {
 		t.Errorf("attacker-less testcase produced a finding from attacker logs: %v", f)
 	}
 	rng := rand.New(rand.NewSource(1))
 	withAttacker := Generate(rng, true)
-	if f := analyzeExecutions(withAttacker, exA, exB); f == nil {
+	if f := analyzeExecutions(new(detect.Detector), withAttacker, exA, exB); f == nil {
 		t.Error("attacker-carrying testcase ignored a real attacker-side timing difference")
 	}
 }

@@ -23,7 +23,7 @@
 //	s := sonar.NewBoom()
 //	fmt.Print(s.Identify())                    // Figures 6 & 7
 //	stats := s.Fuzz(sonar.SonarOptions(100))   // guided campaign
-//	for _, f := range stats.Findings { fmt.Print(f) }
+//	for _, f := range stats.Findings { fmt.Print(f.String(stats.Analysis)) }
 //
 // See the examples directory for runnable scenarios and DESIGN.md for the
 // system inventory and experiment index.
