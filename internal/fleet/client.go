@@ -172,25 +172,10 @@ func (c *Client) CheckpointFile(id string) ([]byte, error) {
 
 // Acquire asks for a lease, naming the corpus prefix the worker holds (nil:
 // none). A nil grant with a nil error means the server has no work to offer
-// right now.
+// right now (204, which leaves g empty).
 func (c *Client) Acquire(worker string, have *Holding) (*LeaseGrant, error) {
-	req, err := json.Marshal(acquireRequest{Worker: worker, Have: have})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+"/api/v1/leases/acquire", "application/json", bytes.NewReader(req))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return nil, nil
-	}
-	if resp.StatusCode >= 400 {
-		return nil, apiError(resp)
-	}
 	var g LeaseGrant
-	if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
+	if err := c.do("POST", "/api/v1/leases/acquire", acquireRequest{Worker: worker, Have: have}, &g); err != nil || g.LeaseID == "" {
 		return nil, err
 	}
 	return &g, nil

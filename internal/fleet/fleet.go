@@ -19,7 +19,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -44,6 +47,9 @@ var (
 	// errGone maps to 409: a lease that expired or was already resolved —
 	// the shard has moved on, the worker should discard its result.
 	errGone = errors.New("lease gone")
+	// errEvicted maps to 410: a finished campaign the controller no longer
+	// keeps (keepFinished).
+	errEvicted = errors.New("campaign evicted")
 	// errConflict maps to 409: a resource that exists but is not in the
 	// right state (e.g. the result of a still-running campaign).
 	errConflict = errors.New("conflict")
@@ -74,6 +80,12 @@ const (
 	MetricCampaignCorpus     = "sonar_campaign_corpus_seeds"
 	MetricCampaignDone       = "sonar_campaign_done"
 )
+
+// keepFinished is how many finished campaigns the controller keeps, with
+// their results, events and checkpoints; finishing one more evicts the
+// oldest finished, whose requests then answer 410. Fetch a result soon
+// after its campaign finishes.
+const keepFinished = 64
 
 // DefaultLeaseTTL is the lease time-to-live when Config.LeaseTTL is zero.
 // docs/SERVICE.md's runbook explains how to tune it: it must comfortably
@@ -313,9 +325,21 @@ type campaign struct {
 	lanes    int
 	lc       *fuzz.LeaseCoordinator // fuzz campaigns only
 	sink     *obs.MemorySink        // backs the events download
+	observer *obs.Observer          // fuzz campaigns: events and campaign metrics
 	analysis *AnalysisResult        // analysis campaigns only
 	audit    *AuditSummary          // FIRRTL campaigns: information-flow audit
 	granted  map[int]*lease         // shard → outstanding lease
+}
+
+// openFuzz makes c a fuzz campaign of shape, run on executors like d, whose
+// Observer records its events and campaign metrics.
+func (c *campaign) openFuzz(d fuzz.Executor, shape fuzz.Shape) {
+	c.kind = "fuzz"
+	c.sink = obs.NewMemorySink()
+	c.observer = obs.New(c.sink)
+	opt := shape.Options()
+	opt.Observer = c.observer
+	c.lc = fuzz.NewLeaseCoordinator(d, opt)
 }
 
 // done reports whether the campaign has finished.
@@ -341,7 +365,9 @@ type Controller struct {
 	cfg       Config
 	duts      map[string]func() *uarch.SoC
 	factories map[string]func() *fuzz.DUT // shared-analysis DUT factories
-	campaigns []*campaign
+	submitted int                         // campaigns ever submitted
+	campaigns []*campaign                 // kept campaigns, in submission order
+	finished  []*campaign                 // kept finished campaigns, oldest first
 	byID      map[string]*campaign
 	leases    map[string]*lease
 	draining  bool
@@ -423,7 +449,7 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 	}
 
 	c := &campaign{
-		id:      fmt.Sprintf("c%d", len(ct.campaigns)+1),
+		id:      fmt.Sprintf("c%d", ct.submitted+1),
 		lanes:   spec.Lanes,
 		granted: make(map[int]*lease),
 	}
@@ -467,14 +493,10 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.kind = "fuzz"
 		c.dutName = an.Netlist.Name()
 		c.audit = sum
 		c.firrtl = src
-		c.sink = obs.NewMemorySink()
-		opt := spec.Options.Options()
-		opt.Observer = obs.New(c.sink)
-		c.lc = fuzz.NewLeaseCoordinator(d, opt)
+		c.openFuzz(d, spec.Options)
 	default:
 		if spec.Options.Iterations < 1 {
 			return nil, fmt.Errorf("%w: fuzz campaign needs iterations >= 1", errBadRequest)
@@ -483,23 +505,51 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.kind = "fuzz"
 		c.dutName = name
-		c.sink = obs.NewMemorySink()
-		opt := spec.Options.Options()
-		opt.Observer = obs.New(c.sink)
-		c.lc = fuzz.NewLeaseCoordinator(ct.factoryLocked(name)(), opt)
+		c.openFuzz(ct.factoryLocked(name)(), spec.Options)
 	}
 
+	ct.submitted++
 	ct.campaigns = append(ct.campaigns, c)
 	ct.byID[c.id] = c
 	ct.campaignsTotal.Inc()
 	ct.wakeLocked()
-	if !c.done() {
+	ct.updateGaugesLocked(c)
+	st := ct.statusLocked(c)
+	if c.done() {
+		ct.retireLocked(c)
+	} else {
 		ct.running.Add(1)
 	}
-	ct.updateGaugesLocked(c)
-	return ct.statusLocked(c), nil
+	return st, nil
+}
+
+// lookupLocked returns a kept campaign. An ID the controller handed out
+// whose campaign it has since evicted is gone (410), any other unknown.
+func (ct *Controller) lookupLocked(id string) (*campaign, error) {
+	if c, ok := ct.byID[id]; ok {
+		return c, nil
+	}
+	if n, err := strconv.Atoi(strings.TrimPrefix(id, "c")); err == nil && n >= 1 && n <= ct.submitted && id == fmt.Sprintf("c%d", n) {
+		return nil, fmt.Errorf("%w: campaign %q finished and was evicted; the server keeps the last %d finished campaigns", errEvicted, id, keepFinished)
+	}
+	return nil, fmt.Errorf("%w: campaign %q", errNotFound, id)
+}
+
+// retireLocked records that c finished and evicts the oldest finished
+// campaign once more than keepFinished are kept.
+func (ct *Controller) retireLocked(c *campaign) {
+	ct.finished = append(ct.finished, c)
+	if len(ct.finished) <= keepFinished {
+		return
+	}
+	old := ct.finished[0]
+	ct.finished = ct.finished[1:]
+	ct.campaigns = slices.DeleteFunc(ct.campaigns, func(x *campaign) bool { return x == old })
+	delete(ct.byID, old.id)
+	for _, g := range []*obs.GaugeVec{ct.gaugeIters, ct.gaugeRound, ct.gaugePoints, ct.gaugeFindings, ct.gaugeCorpus, ct.gaugeDone} {
+		g.Delete(old.id)
+	}
 }
 
 // resolveDUT maps a spec to the registry name workers will elaborate. A
@@ -530,7 +580,7 @@ func (ct *Controller) factoryLocked(name string) func() *fuzz.DUT {
 	return f
 }
 
-// Campaigns lists all campaigns in submission order.
+// Campaigns lists the kept campaigns in submission order.
 func (ct *Controller) Campaigns() []*CampaignStatus {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
@@ -547,9 +597,9 @@ func (ct *Controller) Campaign(id string) (*CampaignStatus, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
-	c, ok := ct.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: campaign %q", errNotFound, id)
+	c, err := ct.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	return ct.statusLocked(c), nil
 }
@@ -560,9 +610,9 @@ func (ct *Controller) Events(id string) ([]byte, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
-	c, ok := ct.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: campaign %q", errNotFound, id)
+	c, err := ct.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	if c.sink == nil {
 		return nil, nil
@@ -576,9 +626,9 @@ func (ct *Controller) Result(id string) (*Result, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
-	c, ok := ct.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: campaign %q", errNotFound, id)
+	c, err := ct.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	if c.kind == "analysis" {
 		return &Result{Kind: "analysis", Analysis: c.analysis}, nil
@@ -597,9 +647,9 @@ func (ct *Controller) Checkpoint(id string) ([]byte, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
-	c, ok := ct.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: campaign %q", errNotFound, id)
+	c, err := ct.lookupLocked(id)
+	if err != nil {
+		return nil, err
 	}
 	if c.kind != "fuzz" {
 		return nil, fmt.Errorf("%w: campaign %q is analysis-only and has no checkpoint", errNotFound, id)
@@ -754,7 +804,7 @@ func (ct *Controller) Health() *Health {
 	return &Health{
 		Status:     "ok",
 		Draining:   ct.draining,
-		Campaigns:  len(ct.campaigns),
+		Campaigns:  ct.submitted,
 		OpenLeases: len(ct.leases),
 	}
 }
@@ -802,11 +852,13 @@ func (ct *Controller) wakeLocked() {
 }
 
 // afterAdvanceLocked refreshes derived state after a coordinator mutation:
-// gauges re-publish, and a finished campaign leaves the running set.
+// gauges re-publish, and a finished campaign leaves the running set for the
+// kept finished ones.
 func (ct *Controller) afterAdvanceLocked(c *campaign) {
 	ct.updateGaugesLocked(c)
 	if c.lc.Finished() {
 		ct.running.Add(-1)
+		ct.retireLocked(c)
 	}
 }
 

@@ -63,14 +63,14 @@ func testShape(iterations, workers, batch int) fuzz.Shape {
 
 // localRun executes the same campaign with the local parallel engine and
 // returns its event stream and Stats — the reference every distributed run
-// must match byte-for-byte.
-func localRun(t *testing.T, shape fuzz.Shape) ([]byte, *fuzz.Stats) {
+// must match byte-for-byte — and its Observer.
+func localRun(t *testing.T, shape fuzz.Shape) ([]byte, *fuzz.Stats, *obs.Observer) {
 	t.Helper()
 	sink := obs.NewMemorySink()
 	opt := shape.Options()
 	opt.Observer = obs.New(sink)
 	st := fuzz.RunParallelExec(liteExecFactory(), opt)
-	return sink.Bytes(), st
+	return sink.Bytes(), st, opt.Observer
 }
 
 // liteExecFactory returns a shared-analysis lite-DUT factory in the
@@ -209,7 +209,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 		t.Fatalf("campaign did not finish: %+v", st)
 	}
 
-	wantEvents, wantStats := localRun(t, shape)
+	wantEvents, wantStats, _ := localRun(t, shape)
 	gotEvents, err := client.Events("c1")
 	if err != nil {
 		t.Fatalf("Events: %v", err)
@@ -274,6 +274,38 @@ func TestAPIAnalysisCampaign(t *testing.T) {
 	}
 	if _, err := client.CheckpointFile(st.ID); err == nil {
 		t.Error("analysis campaign served a checkpoint")
+	}
+}
+
+// The controller keeps the last keepFinished finished campaigns: finishing
+// one more evicts the oldest, whose requests then answer 410, while IDs it
+// never handed out still answer 404.
+func TestFinishedCampaignsEvicted(t *testing.T) {
+	client, _ := newTestServer(t, Config{})
+	for i := 0; i <= keepFinished; i++ {
+		if _, err := client.Submit(&Spec{FIRRTL: fig3}); err != nil {
+			t.Fatalf("Submit %d: %v", i+1, err)
+		}
+	}
+	last := fmt.Sprintf("c%d", keepFinished+1)
+	if _, err := client.Result(last); err != nil {
+		t.Errorf("Result(%s): %v", last, err)
+	}
+	for id, status := range map[string]int{"c1": http.StatusGone, "c0": http.StatusNotFound, "c01": http.StatusNotFound, fmt.Sprintf("c%d", keepFinished+2): http.StatusNotFound} {
+		_, err := client.Result(id)
+		if ae, ok := err.(*APIError); !ok || ae.Status != status {
+			t.Errorf("Result(%s) error %v, want status %d", id, err, status)
+		}
+	}
+	if list, err := client.Campaigns(); err != nil || len(list) != keepFinished {
+		t.Errorf("controller lists %d campaigns (%v), want the %d kept", len(list), err, keepFinished)
+	}
+	m := fetchMetrics(t, client)
+	if _, ok := m[MetricCampaignDone+`{campaign="c1"}`]; ok {
+		t.Error("evicted campaign c1 still has gauges")
+	}
+	if m[MetricCampaignDone+`{campaign="`+last+`"}`] != 1 {
+		t.Errorf("kept campaign %s has no done gauge", last)
 	}
 }
 
@@ -452,7 +484,7 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 			if kill {
 				cfg.LeaseTTL = 50 * time.Millisecond
 			}
-			client, _ := newTestServer(t, cfg)
+			client, ct := newTestServer(t, cfg)
 			grants := &grantLog{byWorker: make(map[string][]fuzz.Lease)}
 			client.HTTPClient = &http.Client{Transport: grants}
 			if _, err := client.Submit(&Spec{DUT: "lite", Options: shape}); err != nil {
@@ -507,7 +539,7 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 				}
 			}
 
-			wantEvents, wantStats := localRun(t, shape)
+			wantEvents, wantStats, local := localRun(t, shape)
 			gotEvents, err := client.Events("c1")
 			if err != nil {
 				t.Fatalf("Events: %v", err)
@@ -524,6 +556,18 @@ func TestServerWorkersMatchLocal(t *testing.T) {
 			wantWire, _ := json.Marshal(&want)
 			if !bytes.Equal(gotWire, wantWire) {
 				t.Error("distributed stats differ from local run")
+			}
+
+			// The server replays every accepted report once, so its
+			// retention decisions count exactly a fault-free local run's.
+			ct.mu.Lock()
+			server := ct.byID["c1"].observer
+			ct.mu.Unlock()
+			for _, name := range []string{obs.MetricMutationsOffered, obs.MetricMutationsAccepted} {
+				got, want := server.Metrics.Counter(name, "").Value(), local.Metrics.Counter(name, "").Value()
+				if got != want || want == 0 {
+					t.Errorf("server %s = %d, local run %d (want equal and nonzero)", name, got, want)
+				}
 			}
 
 			m := fetchMetrics(t, client)
@@ -703,7 +747,7 @@ func TestHeldCorpusSurvivesServerRestart(t *testing.T) {
 		}
 	}
 
-	_, wantStats := localRun(t, shape)
+	_, wantStats, _ := localRun(t, shape)
 	result, err := restarted.Result("c1")
 	if err != nil {
 		t.Fatalf("Result: %v", err)

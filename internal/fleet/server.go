@@ -58,6 +58,8 @@ func writeErr(w http.ResponseWriter, err error) {
 		status = http.StatusNotFound
 	case errors.Is(err, errGone), errors.Is(err, errConflict):
 		status = http.StatusConflict
+	case errors.Is(err, errEvicted):
+		status = http.StatusGone
 	case errors.Is(err, errTooLarge):
 		status = http.StatusRequestEntityTooLarge
 	}
@@ -66,7 +68,7 @@ func writeErr(w http.ResponseWriter, err error) {
 
 // maxBodyBytes caps every request body the server decodes, so one client
 // cannot make the server buffer an unbounded JSON value. The largest real
-// bodies are lease reports (27.7 KiB on average at batch size 8 in
+// bodies are lease reports (10.2 KiB on average at batch size 8 in
 // perfbench's fleet workload; they grow with the batch size) and submitted
 // FIRRTL source; 16 MiB leaves both far below the cap. Leases travel the
 // other way and are not capped; one that ships only the seeds the worker

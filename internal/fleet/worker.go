@@ -66,17 +66,11 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 			return executed, nil
 		}
 		g, err := client.Acquire(opt.ID, cache.holding())
-		if err != nil {
-			failures++
-			if failures >= maxAcquireFailures {
-				return executed, fmt.Errorf("fleet: worker %s: acquire failed %d times in a row: %w", opt.ID, failures, err)
-			}
-			if !sleep(ctx, poll) {
-				return executed, nil
-			}
-			continue
+		if err == nil {
+			failures = 0
+		} else if failures++; failures >= maxAcquireFailures {
+			return executed, fmt.Errorf("fleet: worker %s: acquire failed %d times in a row: %w", opt.ID, failures, err)
 		}
-		failures = 0
 		if g == nil {
 			if !sleep(ctx, poll) {
 				return executed, nil

@@ -205,18 +205,17 @@ type worker struct {
 	// the delta the parallel coordinator re-offers to the global corpus.
 	newSeeds []*Seed
 	// mutOffered and mutAccepted batch the retention-decision metrics: the
-	// hot loop counts locally and flushMutationMetrics publishes one
-	// atomic update per batch instead of several per iteration.
+	// batch loop counts locally and publishes one atomic update per batch
+	// instead of several per iteration.
 	mutOffered, mutAccepted int
-	// forceIntvls makes runOne populate outcome.intvls even without local
+	// forceIntvls makes observe populate outcome.intvls even without local
 	// retention or a local Observer. Lease execution (ExecuteLease) sets it:
-	// the coordinating server always attaches an Observer, and the interval
-	// feedback must travel with the outcome for its fold to match a local
-	// observed run byte-for-byte.
+	// the coordinator replays retention from the reported intervals, and
+	// its Observer folds them.
 	forceIntvls bool
-	// pending, tcs, and pairs are the grouped-execution scratch buffers of
-	// runBatchGrouped, recycled across groups so the GroupExecutor hot loop
-	// stays allocation-free after warmup.
+	// pending, tcs, and pairs are the batch loop's scratch buffers,
+	// recycled across groups so the hot loop stays allocation-free after
+	// warmup.
 	pending []pendingIter
 	tcs     []*Testcase
 	pairs   []ExecPair
@@ -239,7 +238,8 @@ func newShardWorker(id int, opt Options, cursor uint64) *worker {
 }
 
 // outcome is one iteration's contribution to campaign statistics, in a form
-// the coordinator can fold into Stats in canonical order.
+// the coordinator can fold into Stats in canonical order. Everything but tc
+// is the iteration's feedback: what a lease report carries.
 type outcome struct {
 	tc        *Testcase
 	triggered []int
@@ -252,9 +252,9 @@ type outcome struct {
 }
 
 // pendingIter is one prepared-but-not-executed iteration: the testcase and
-// the selection context its feedback phase needs. It decouples the RNG draws
-// of generation (prepare) from those of feedback (finish) so grouped
-// executors can run whole lane groups between the two phases.
+// the selection context its feedback needs. It separates the RNG draws of
+// generation (prepare) from those of feedback (feed), so a whole group can
+// execute between the two.
 type pendingIter struct {
 	tc     *Testcase
 	parent *Seed
@@ -262,8 +262,7 @@ type pendingIter struct {
 }
 
 // prepare draws one iteration's testcase: generate, or select-and-mutate
-// from the corpus. All generation-side RNG draws happen here, in exactly the
-// order the pre-split runOne used.
+// from the corpus. All generation-side RNG draws happen here.
 func (w *worker) prepare() pendingIter {
 	var tc *Testcase
 	var parent *Seed
@@ -281,136 +280,136 @@ func (w *worker) prepare() pendingIter {
 	return pendingIter{tc: tc, parent: parent, target: target}
 }
 
-// runOne executes one fuzzing iteration on d: generate or mutate a testcase,
-// double-execute it under both secrets, detect, and feed the corpus.
-func (w *worker) runOne(d Executor) outcome {
-	p := w.prepare()
-	exA := d.Execute(p.tc, w.opt.SecretA)
-	exB := d.Execute(p.tc, w.opt.SecretB)
-	return w.finish(p, exA, exB)
+// groupWidth is the number of iterations e executes at once: GroupWidth for
+// a GroupExecutor of width above 1, else 1.
+func groupWidth(e Executor) int {
+	if g, ok := e.(GroupExecutor); ok && g.GroupWidth() > 1 {
+		return g.GroupWidth()
+	}
+	return 1
 }
 
-// finish folds one dual execution into an outcome and feeds the corpus. All
-// feedback-side RNG draws happen here, in exactly the order the pre-split
-// runOne used, so prepare+finish reproduce runOne's draw sequence bit for
-// bit.
-func (w *worker) finish(p pendingIter, exA, exB *Execution) outcome {
-	tc, parent, target := p.tc, p.parent, p.target
+// runBatch is the one batch loop. It fills outs with the outcomes of
+// len(outs) iterations of merge round `round`, a group of width iterations
+// at a time: prepare every iteration of the group, take the group's
+// outcomes, then feed each back, in iteration order each time. The RNG draw
+// order, [prepare 0..G-1][feed 0..G-1] per group, is therefore a pure
+// function of the group width, and a group never feeds back into itself —
+// the visibility a merge-barrier batch boundary gives the shards.
+//
+// With e set, e executes each group (execute) and width is groupWidth(e).
+// With e nil, outs already holds every iteration's feedback — a reported
+// lease — and the loop only rebuilds what follows from it: the testcases,
+// the retained seeds, and the post-batch RNG cursor (LeaseCoordinator.replay).
+//
+// The FaultHook seam fires before each iteration, from the running
+// goroutine, so a scheduled panic or stall surfaces exactly where a real
+// executor fault would.
+func (w *worker) runBatch(e Executor, outs []outcome, width, round int) {
+	for base := 0; base < len(outs); base += width {
+		group := outs[base:min(base+width, len(outs))]
+		w.pending = w.pending[:0]
+		for i := range group {
+			if h := w.opt.FaultHook; h != nil {
+				h.BeforeIteration(w.id, round, base+i)
+			}
+			w.pending = append(w.pending, w.prepare())
+		}
+		if e != nil {
+			w.execute(e, group)
+		}
+		for i := range group {
+			w.feed(w.pending[i], &group[i])
+		}
+	}
+	w.opt.Observer.MutationsOffered(w.mutOffered, w.mutAccepted)
+	w.mutOffered, w.mutAccepted = 0, 0
+}
+
+// execute runs the prepared group w.pending on e under both secrets and
+// observes each iteration into group. A GroupExecutor runs the group in one
+// ExecuteGroup call; a behavioral DUT, which cannot be bit-sliced, runs it
+// through the scalar path, so the outcomes are the same at every
+// Options.Lanes setting (TestLaneMatrix, TestNetlistLaneMatrix).
+func (w *worker) execute(e Executor, group []outcome) {
+	if g, ok := e.(GroupExecutor); ok && g.GroupWidth() > 1 {
+		w.tcs = w.tcs[:0]
+		for _, p := range w.pending {
+			w.tcs = append(w.tcs, p.tc)
+		}
+		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, normalizeLanes(w.opt), w.pairs[:0])
+		for i, pr := range w.pairs {
+			group[i] = w.observe(w.tcs[i], pr.A, pr.B)
+		}
+		return
+	}
+	for i, p := range w.pending {
+		exA := e.Execute(p.tc, w.opt.SecretA)
+		exB := e.Execute(p.tc, w.opt.SecretB)
+		group[i] = w.observe(p.tc, exA, exB)
+	}
+}
+
+// observe turns one dual execution of tc into its feedback: the points it
+// triggered, its finding, its cycles and, when needed, its merged
+// intervals. It draws no RNG value.
+func (w *worker) observe(tc *Testcase, exA, exB *Execution) outcome {
 	// Contention coverage: points triggered in either run, in execution
 	// order (the accumulator deduplicates against the global set).
-	out := outcome{
-		tc:        tc,
+	o := outcome{
 		triggered: append(exA.Snap.Triggered(), exB.Snap.Triggered()...),
 		finding:   analyzeExecutions(&w.det, tc, exA, exB),
 		cycles:    exA.Cycles + exB.Cycles,
 	}
-
 	if w.retention || w.forceIntvls || w.opt.Observer != nil {
-		out.intvls = monitor.MergeMinIntervals(exA.Snap, exB.Snap)
+		o.intvls = monitor.MergeMinIntervals(exA.Snap, exB.Snap)
 	}
+	return o
+}
 
-	// Feedback: retention + adaptive direction update. Only the
-	// distinct-request interval (the volatile-contention approach metric,
-	// §6.2.1) feeds the corpus; same-path progress is driven by the
+// feed attaches p's testcase to its outcome o and feeds o back into the
+// corpus: retention plus the adaptive direction update. All feedback-side
+// RNG draws happen here, and they read nothing of o but its intervals.
+func (w *worker) feed(p pendingIter, o *outcome) {
+	o.tc = p.tc
+	if !w.retention {
+		return
+	}
+	// Only the distinct-request interval (the volatile-contention approach
+	// metric, §6.2.1) feeds the corpus; same-path progress is driven by the
 	// data-similarity mutation instead (§6.2.2), which proved more effective
 	// than steering selection by same-path intervals.
-	if w.retention {
-		intvls := out.intvls
-		dir := +1
-		switch {
-		case w.opt.RandomDirection:
-			dir = 1 - 2*w.rng.Intn(2) // ablation: no direction memory
-		case parent != nil:
-			dir = parent.Dir
-			if target >= 0 {
-				oldV, okOld := parent.Intvls[target]
-				newV, okNew := intvls[target]
-				switch {
-				case okNew && okOld && newV < oldV:
-					// Improvement: keep direction.
-				case okNew && !okOld:
-					// First observation counts as progress.
-				default:
-					dir = -dir // no improvement: flip (adaptive, §6.2.1)
-				}
+	parent, target := p.parent, p.target
+	dir := +1
+	switch {
+	case w.opt.RandomDirection:
+		dir = 1 - 2*w.rng.Intn(2) // ablation: no direction memory
+	case parent != nil:
+		dir = parent.Dir
+		if target >= 0 {
+			oldV, okOld := parent.Intvls[target]
+			newV, okNew := o.intvls[target]
+			switch {
+			case okNew && okOld && newV < oldV:
+				// Improvement: keep direction.
+			case okNew && !okOld:
+				// First observation counts as progress.
+			default:
+				dir = -dir // no improvement: flip (adaptive, §6.2.1)
 			}
-		default:
-			// Fresh testcase: unbiased initial direction. A fixed +1 would
-			// permanently skew the adaptive strategy toward chain growth;
-			// §6.2.1 relies on both directions being explored.
-			dir = 1 - 2*w.rng.Intn(2)
 		}
-		s := w.corpus.Offer(tc, intvls, dir, target)
-		w.mutOffered++
-		if s != nil {
-			w.mutAccepted++
-			w.newSeeds = append(w.newSeeds, s)
-		}
+	default:
+		// Fresh testcase: unbiased initial direction. A fixed +1 would
+		// permanently skew the adaptive strategy toward chain growth;
+		// §6.2.1 relies on both directions being explored.
+		dir = 1 - 2*w.rng.Intn(2)
 	}
-	return out
-}
-
-// runBatch executes n iterations of merge round `round` on d, appending
-// their outcomes to dst in order (dst is the coordinator's recycled
-// per-round scratch; retries pass nil and allocate fresh). The FaultHook
-// seam fires before each iteration, from the executing goroutine — a
-// scheduled panic or stall therefore surfaces exactly where a real executor
-// fault would.
-// Behavioral DUT models cannot be bit-sliced, so they execute every lane of
-// a logical lane batch (Options.Lanes) through the scalar path in ascending
-// order — the campaign-level scalar spill — and the outcome stream is the
-// same at every lane width.
-func (w *worker) runBatch(d Executor, dst []outcome, n, round int) []outcome {
-	if g, ok := d.(GroupExecutor); ok && g.GroupWidth() > 1 {
-		dst = w.runBatchGrouped(g, dst, n, round)
-	} else {
-		for i := 0; i < n; i++ {
-			if h := w.opt.FaultHook; h != nil {
-				h.BeforeIteration(w.id, round, i)
-			}
-			dst = append(dst, w.runOne(d))
-		}
+	s := w.corpus.Offer(p.tc, o.intvls, dir, target)
+	w.mutOffered++
+	if s != nil {
+		w.mutAccepted++
+		w.newSeeds = append(w.newSeeds, s)
 	}
-	w.flushMutationMetrics()
-	return dst
-}
-
-// runBatchGrouped executes n iterations against a GroupExecutor, whole lane
-// groups at a time, through a fixed three-phase loop per group: prepare every
-// lane's testcase (ascending lane order), execute the group bit-parallel,
-// then finish every lane (ascending lane order again). The RNG draw order is
-// [prepare lane 0..G-1][finish lane 0..G-1] per group — a pure function of
-// GroupWidth — and Options.Lanes only selects the executor's internal chunk
-// width, so the outcome stream is byte-identical at every Lanes setting
-// (TestNetlistLaneMatrix pins this). Same-group corpus offers land in the
-// finish phase, after every selection of the group already happened in the
-// prepare phase, so a group never feeds back into itself — the same
-// visibility a merge-barrier batch boundary gives the shards.
-func (w *worker) runBatchGrouped(g GroupExecutor, dst []outcome, n, round int) []outcome {
-	width := g.GroupWidth()
-	chunk := normalizeLanes(w.opt)
-	for base := 0; base < n; base += width {
-		group := width
-		if base+group > n {
-			group = n - base
-		}
-		w.pending = w.pending[:0]
-		w.tcs = w.tcs[:0]
-		for lane := 0; lane < group; lane++ {
-			if h := w.opt.FaultHook; h != nil {
-				h.BeforeIteration(w.id, round, base+lane)
-			}
-			p := w.prepare()
-			w.pending = append(w.pending, p)
-			w.tcs = append(w.tcs, p.tc)
-		}
-		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, chunk, w.pairs[:0])
-		for lane := 0; lane < group; lane++ {
-			pr := w.pairs[lane]
-			dst = append(dst, w.finish(w.pending[lane], pr.A, pr.B))
-		}
-	}
-	return dst
 }
 
 // normalizeLanes resolves Options.Lanes to the effective lane-group width:
@@ -425,16 +424,6 @@ func normalizeLanes(opt Options) int {
 		return hdl.Lanes
 	}
 	return lanes
-}
-
-// flushMutationMetrics publishes the batched retention-decision counters
-// and resets them. Metrics only; safe from the worker goroutine.
-func (w *worker) flushMutationMetrics() {
-	if w.mutOffered == 0 {
-		return
-	}
-	w.opt.Observer.MutationsOffered(w.mutOffered, w.mutAccepted)
-	w.mutOffered, w.mutAccepted = 0, 0
 }
 
 // takeNewSeeds returns the seeds retained since the previous call and
@@ -541,15 +530,6 @@ func (a *statsAccum) apply(o outcome) {
 			}
 		}
 		a.obs.IterationDone(it, newPts, len(st.TriggeredPoints), cum, o.cycles)
-	}
-}
-
-// applyAll folds one worker's round of outcomes in order — the batched
-// ingestion path of the round close (LeaseCoordinator.closeRound), one call
-// per (worker, round) instead of an interleaved per-outcome fold.
-func (a *statsAccum) applyAll(outs []outcome) {
-	for i := range outs {
-		a.apply(outs[i])
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sonar/internal/detect"
-	"sonar/internal/trace"
 )
 
 // Lease is one shard-batch work assignment: everything a worker needs —
@@ -110,11 +109,10 @@ func (h *HeldCorpus) extend(l *Lease) (*HeldCorpus, error) {
 	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds}, nil
 }
 
-// OutcomeWire is one iteration outcome in serialized form — the unit a
-// LeaseResult carries back to the coordinator.
+// OutcomeWire is one iteration's feedback in serialized form — the unit a
+// LeaseResult carries back to the coordinator. The testcase does not travel:
+// the coordinator draws it again when it replays the batch.
 type OutcomeWire struct {
-	// TC is the executed testcase in Testcase.Marshal form.
-	TC string `json:"tc"`
 	// Triggered is the contention points triggered by the double execution,
 	// in execution order (the fold deduplicates against the global set).
 	Triggered []int `json:"triggered,omitempty"`
@@ -127,49 +125,27 @@ type OutcomeWire struct {
 	Intvls []PointIntvl `json:"intvls,omitempty"`
 }
 
-// wireOutcome converts one outcome to its wire form.
-func wireOutcome(o *outcome) OutcomeWire {
-	return OutcomeWire{
-		TC:        o.tc.Marshal(),
-		Triggered: o.triggered,
-		Finding:   o.finding,
-		Cycles:    o.cycles,
-		Intvls:    sortIntvls(o.intvls),
-	}
+// outcome is the in-memory feedback of a wire entry; replay adds the
+// testcase.
+func (ow *OutcomeWire) outcome() outcome {
+	return outcome{triggered: ow.Triggered, finding: ow.Finding, cycles: ow.Cycles, intvls: unsortIntvls(ow.Intvls)}
 }
 
-// outcome rebuilds the in-memory outcome of a wire entry.
-func (ow *OutcomeWire) outcome() (outcome, error) {
-	tc, err := Unmarshal(ow.TC)
-	if err != nil {
-		return outcome{}, err
-	}
-	return outcome{
-		tc:        tc,
-		triggered: ow.Triggered,
-		finding:   ow.Finding,
-		cycles:    ow.Cycles,
-		intvls:    unsortIntvls(ow.Intvls),
-	}, nil
-}
-
-// LeaseResult is a worker's report for one executed lease: the batch's
-// outcomes in execution order, the seeds the batch retained (in retention
-// order), and the shard's post-batch RNG cursor. Its JSON encoding is
-// deterministic (testcases in Marshal form, interval maps point-sorted), so
-// re-executing the same lease produces byte-equal results — the property
-// that makes lease re-offers after worker churn safe.
+// LeaseResult is a worker's report for one executed lease: the feedback of
+// the batch's iterations, in execution order. That is all the coordinator
+// needs — the batch's testcases, retained seeds, and post-batch RNG cursor
+// follow from the lease and the feedback, and the coordinator replays them
+// itself (LeaseCoordinator.Report). Its JSON encoding is deterministic
+// (interval maps point-sorted), so re-executing the same lease produces
+// byte-equal results — the property that makes lease re-offers after
+// worker churn safe.
 type LeaseResult struct {
 	// Shard echoes the lease's shard index.
 	Shard int `json:"shard"`
 	// Round echoes the lease's merge round.
 	Round int `json:"round"`
-	// Cursor is the shard's post-batch RNG draw count.
-	Cursor uint64 `json:"cursor"`
-	// Outcomes are the batch's iteration outcomes in execution order.
+	// Outcomes are the batch's iteration feedback in execution order.
 	Outcomes []OutcomeWire `json:"outcomes"`
-	// Seeds are the corpus seeds the batch retained, in retention order.
-	Seeds []SeedWire `json:"seeds"`
 }
 
 // ExecuteLease runs one shard-batch lease to completion on e and returns
@@ -178,7 +154,7 @@ type LeaseResult struct {
 // shard's state with the lease's RNG cursor replayed and the merged corpus
 // installed — held's prefix extended by the seeds the lease carries —
 // exactly the state the local engine rebuilds after a failed attempt, and
-// drains the batch through the same runBatch path the local engine uses. A
+// drains the batch through the same runBatch loop the local engine uses. A
 // lease whose corpus prefix is not the empty one or held's, or whose seeds
 // do not hash to its corpus digest, is rejected. e may have run anything
 // before (executors reset before every execution), so one executor serves
@@ -186,19 +162,33 @@ type LeaseResult struct {
 // results: a lease lost to worker churn can simply be re-offered.
 //
 // lanes is the evaluator batch width (Options.Lanes), an operational knob
-// that may differ per worker without changing any result: a GroupExecutor
-// lease drains through the grouped batch loop, whose RNG order is lane-width
-// independent.
+// that may differ per worker without changing any result: the batch loop's
+// RNG order depends on the executor's group width, never on lanes.
 func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus, error) {
+	_, outs, next, err := executeLease(e, shape, lanes, l, held)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &LeaseResult{Shard: l.Shard, Round: l.Round, Outcomes: make([]OutcomeWire, len(outs))}
+	for i := range outs {
+		o := &outs[i]
+		res.Outcomes[i] = OutcomeWire{Triggered: o.triggered, Finding: o.finding, Cycles: o.cycles, Intvls: sortIntvls(o.intvls)}
+	}
+	return res, next, nil
+}
+
+// executeLease is ExecuteLease before the wire encoding: it also returns
+// the shard worker as the batch left it.
+func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*worker, []outcome, *HeldCorpus, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
-		return nil, nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
+		return nil, nil, nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
 	}
 	if l.N < 1 || l.N > shape.BatchSize {
-		return nil, nil, fmt.Errorf("fuzz: lease batch of %d iterations outside [1, %d]", l.N, shape.BatchSize)
+		return nil, nil, nil, fmt.Errorf("fuzz: lease batch of %d iterations outside [1, %d]", l.N, shape.BatchSize)
 	}
 	next, err := held.extend(l)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fuzz: lease corpus: %w", err)
+		return nil, nil, nil, fmt.Errorf("fuzz: lease corpus: %w", err)
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
@@ -207,21 +197,9 @@ func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 	// the batch never appends to the holding's seed list.
 	w.corpus = &Corpus{seeds: next.seeds, best: unsortIntvls(l.Corpus.Best), frozen: true}
 	w.forceIntvls = true
-	outs := w.runBatch(e, nil, l.N, l.Round)
-
-	res := &LeaseResult{
-		Shard:    l.Shard,
-		Round:    l.Round,
-		Cursor:   w.src.cursor(),
-		Outcomes: make([]OutcomeWire, len(outs)),
-	}
-	for i := range outs {
-		res.Outcomes[i] = wireOutcome(&outs[i])
-	}
-	for _, s := range w.takeNewSeeds() {
-		res.Seeds = append(res.Seeds, wireSeed(s))
-	}
-	return res, next, nil
+	outs := make([]outcome, l.N)
+	w.runBatch(e, outs, groupWidth(e), l.Round)
+	return w, outs, next, nil
 }
 
 // shardReport is one shard's resolution of the open round: the batch it
@@ -264,6 +242,7 @@ type LeaseCoordinator struct {
 	dut     string // netlist name, for checkpoints and campaign_start
 	workers int
 	batch   int
+	width   int      // the campaign executor's group width, for replay
 	rem     []int    // remaining iterations per shard
 	cursors []uint64 // RNG draw count per shard, as of the last barrier
 	left    int      // total remaining iterations
@@ -283,15 +262,16 @@ type LeaseCoordinator struct {
 	finished bool
 }
 
-// newLeaseCoordinator assembles a coordinator over restored or fresh state.
-func newLeaseCoordinator(opt Options, dut string, rem []int, cursors []uint64, acc *statsAccum, global *Corpus) *LeaseCoordinator {
+// newLeaseCoordinator assembles a coordinator over restored or fresh state
+// for a campaign run on executors like d.
+func newLeaseCoordinator(d Executor, opt Options, dut string, rem []int, cursors []uint64, acc *statsAccum, global *Corpus) *LeaseCoordinator {
 	workers, batch := normalizeParallel(opt)
 	left := 0
 	for _, r := range rem {
 		left += r
 	}
 	return &LeaseCoordinator{
-		opt: opt, dut: dut, workers: workers, batch: batch,
+		opt: opt, dut: dut, workers: workers, batch: batch, width: groupWidth(d),
 		rem: rem, cursors: cursors, left: left,
 		acc: acc, global: global,
 		digests: []string{""},
@@ -304,7 +284,8 @@ func newLeaseCoordinator(opt Options, dut string, rem []int, cursors []uint64, a
 // emits the campaign_start event through opt.Observer. d is one executor
 // instance of the campaign (a behavioral *DUT or a netlist LaneDUT); it
 // backs the stats fold (point analysis) and is never executed by the
-// coordinator.
+// coordinator: its group width fixes the batch loop a reported lease is
+// replayed through (Report).
 func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 	workers, batch := normalizeParallel(opt)
 	rem := make([]int, workers)
@@ -315,7 +296,7 @@ func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 		}
 	}
 	an := d.ContentionAnalysis()
-	lc := newLeaseCoordinator(opt, an.Netlist.Name(), rem, make([]uint64, workers), newStatsAccum(an, opt), NewCorpus())
+	lc := newLeaseCoordinator(d, opt, an.Netlist.Name(), rem, make([]uint64, workers), newStatsAccum(an, opt), NewCorpus())
 	observeCompile(opt.Observer, d)
 	opt.Observer.CampaignStart(lc.dut, opt.Iterations, workers, batch, opt.Seed)
 	if lc.left == 0 {
@@ -326,11 +307,11 @@ func NewLeaseCoordinator(d Executor, opt Options) *LeaseCoordinator {
 
 // ResumeLeaseCoordinator reopens a campaign from a checkpoint on executor
 // d, whose analysis names the checkpoint's findings and backs the stats
-// fold. opt must describe the same campaign shape as the checkpoint; the
+// fold, and whose group width fixes the replay as in NewLeaseCoordinator. opt must describe the same campaign shape as the checkpoint; the
 // resumed coordinator's remaining rounds — Stats and event stream included
 // — are identical to the uninterrupted campaign's.
 func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
-	lc, err := restoreLeaseCoordinator(d.ContentionAnalysis(), opt, cp)
+	lc, err := restoreLeaseCoordinator(d, opt, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -338,16 +319,16 @@ func ResumeLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoor
 	return lc, nil
 }
 
-// restoreLeaseCoordinator rebuilds a checkpoint's campaign state over the
-// campaign's analysis without emitting anything; resume then reopens it.
-func restoreLeaseCoordinator(an *trace.Analysis, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
+// restoreLeaseCoordinator rebuilds a checkpoint's campaign state over d's
+// analysis without emitting anything; resume then reopens it.
+func restoreLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoordinator, error) {
 	if err := cp.validate(); err != nil {
 		return nil, err
 	}
 	if got, want := shapeOf(opt), cp.Shape; got != want {
 		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
 	}
-	acc, err := cp.accum(an, opt)
+	acc, err := cp.accum(d.ContentionAnalysis(), opt)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +336,7 @@ func restoreLeaseCoordinator(an *trace.Analysis, opt Options, cp *Checkpoint) (*
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: checkpoint %w", err)
 	}
-	lc := newLeaseCoordinator(opt, cp.DUT, append([]int(nil), cp.Rem...), append([]uint64(nil), cp.Cursors...), acc, global)
+	lc := newLeaseCoordinator(d, opt, cp.DUT, append([]int(nil), cp.Rem...), append([]uint64(nil), cp.Cursors...), acc, global)
 	lc.round = cp.Round
 	return lc, nil
 }
@@ -499,15 +480,16 @@ func (lc *LeaseCoordinator) corpusWire(from int) CorpusWire {
 
 // Report folds one executed lease's result in. The result must belong to an
 // open shard of the current round, carry exactly the leased batch size,
-// advance the shard's RNG cursor by at least one draw per iteration (every
-// iteration draws), report no negative cycle count, and name only
-// contention points of the campaign's analysis; a malformed or stale result
-// is rejected without touching campaign state. Failures recorded for the
-// shard this round are dropped: service churn a re-offer recovered from
-// stays metrics-only. When the last open shard of the round resolves, the
-// round barrier closes: seeds merge into the global corpus in canonical
-// worker order, outcomes fold into Stats, and the round's events are
-// emitted.
+// report no negative cycle count, and name only contention points of the
+// campaign's analysis; a malformed or stale result is rejected without
+// touching campaign state. An accepted result is replayed (replay): the
+// coordinator draws the batch's testcases itself and feeds each its
+// reported feedback, so only feedback is the worker's word. Failures
+// recorded for the shard this round are dropped: service churn a re-offer
+// recovered from stays metrics-only. When the last open shard of the round
+// resolves, the round barrier closes: seeds merge into the global corpus in
+// canonical worker order, outcomes fold into Stats, and the round's events
+// are emitted.
 func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if res == nil {
 		return fmt.Errorf("fuzz: nil lease result")
@@ -522,39 +504,34 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 	if len(res.Outcomes) != n {
 		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), n)
 	}
-	if from := lc.cursors[res.Shard]; res.Cursor < from+uint64(n) {
-		return fmt.Errorf("fuzz: lease result cursor %d did not advance %d iterations past the lease cursor %d", res.Cursor, n, from)
-	}
 	points := len(lc.acc.st.Analysis.Points)
-	rep := shardReport{resolved: true, cursor: res.Cursor, outs: make([]outcome, len(res.Outcomes))}
+	outs := make([]outcome, n)
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
 		if err := checkOutcome(points, ow); err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
 		}
-		o, err := ow.outcome()
-		if err != nil {
-			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
-		}
-		rep.outs[i] = o
+		outs[i] = ow.outcome()
 	}
-	for i := range res.Seeds {
-		sw := &res.Seeds[i]
-		if err := checkPointIDs(points, nil, sw.Intvls); err != nil {
-			return fmt.Errorf("fuzz: lease result seed %d: %w", i, err)
-		}
-		if sw.Target < -1 || sw.Target >= points {
-			return fmt.Errorf("fuzz: lease result seed %d: target point %d out of range [-1, %d)", i, sw.Target, points)
-		}
-		s, err := sw.seed()
-		if err != nil {
-			return fmt.Errorf("fuzz: lease result seed %d: %w", i, err)
-		}
-		rep.seeds = append(rep.seeds, s)
-	}
-	lc.reports[res.Shard] = rep
+	lc.reports[res.Shard] = lc.replay(res.Shard, outs)
 	lc.maybeCloseRound()
 	return nil
+}
+
+// replay rebuilds open shard's batch from its feedback outs, exactly as the
+// worker that executed the lease built it: a shard worker at the shard's
+// cursor over the merged corpus runs the batch loop with the coordinator's
+// group width and outcomes in place of executions. That yields the batch's
+// testcases (into outs), retained seeds, and post-batch cursor. The replay
+// fires no FaultHook; its retention decisions count in the Observer's
+// mutation metrics.
+func (lc *LeaseCoordinator) replay(shard int, outs []outcome) shardReport {
+	opt := lc.opt
+	opt.FaultHook = nil
+	w := newShardWorker(shard, opt, lc.cursors[shard])
+	w.corpus = lc.global.view()
+	w.runBatch(nil, outs, lc.width, lc.round+1)
+	return shardReport{resolved: true, outs: outs, seeds: w.takeNewSeeds(), cursor: w.src.cursor()}
 }
 
 // checkOutcome rejects a negative cycle count, contention point IDs
@@ -575,18 +552,12 @@ func checkOutcome(points int, ow *OutcomeWire) error {
 			}
 		}
 	}
-	return checkPointIDs(points, ow.Triggered, ow.Intvls)
-}
-
-// checkPointIDs rejects contention point IDs outside [0, points): the stats
-// fold and the corpus index the campaign's analysis by them.
-func checkPointIDs(points int, ids []int, intvls []PointIntvl) error {
-	for _, id := range ids {
+	for _, id := range ow.Triggered {
 		if id < 0 || id >= points {
 			return fmt.Errorf("point %d out of range [0, %d)", id, points)
 		}
 	}
-	for _, pi := range intvls {
+	for _, pi := range ow.Intvls {
 		if pi.Point < 0 || pi.Point >= points {
 			return fmt.Errorf("interval point %d out of range [0, %d)", pi.Point, points)
 		}
@@ -676,7 +647,9 @@ func (lc *LeaseCoordinator) closeRound() (reoffered bool) {
 		}
 	}
 	for i := range lc.reports {
-		lc.acc.applyAll(lc.reports[i].outs)
+		for _, o := range lc.reports[i].outs {
+			lc.acc.apply(o)
+		}
 		lc.reports[i] = shardReport{}
 	}
 	o.BatchMerged(lc.round, merged, lc.global.Len(), time.Since(start)) //sonar:nondeterministic-ok operator-facing duration metric only

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -61,15 +62,15 @@ type coordinator struct {
 	timer    *time.Timer
 }
 
-// job is one batch attempt: shard state w executes n iterations of merge
-// round `round`, appending to outs (for a first attempt, the shard's
-// recycled buffer). The executor goroutine fills outs, or err after a
+// job is one batch attempt: shard state w executes len(outs) iterations of
+// merge round `round` into outs (for a first attempt, the shard's recycled
+// buffer). The executor goroutine fills outs, or err after a
 // recovered panic; the main loop alone stamps start and deadline and sets
 // expired. A failed attempt keeps its w and outs, so a late finish touches
 // nothing the retry uses.
 type job struct {
 	w        *worker
-	n, round int
+	round    int
 	outs     []outcome
 	err      string
 	start    time.Time
@@ -141,7 +142,7 @@ func RunParallelExec(newExec func() Executor, opt Options) *Stats {
 // numbers included; no campaign_start is re-emitted).
 func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, error) {
 	e := newExec()
-	lc, err := restoreLeaseCoordinator(e.ContentionAnalysis(), opt, cp)
+	lc, err := restoreLeaseCoordinator(e, opt, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +257,7 @@ func (c *coordinator) execute(e Executor) {
 					j.err = fmt.Sprintf("worker panic: %v", r)
 				}
 			}()
-			j.outs = j.w.runBatch(e, j.outs, j.n, j.round)
+			j.w.runBatch(e, j.outs, groupWidth(e), j.round)
 		}()
 		select {
 		case c.results <- j:
@@ -281,7 +282,8 @@ func (c *coordinator) runRound() {
 	var queue []*job
 	for i, w := range c.ws {
 		if lc.openShard(i) {
-			queue = append(queue, &job{w: w, n: lc.batchSize(i), round: lc.round + 1, outs: c.outs[i][:0]})
+			n := lc.batchSize(i)
+			queue = append(queue, &job{w: w, round: lc.round + 1, outs: slices.Grow(c.outs[i][:0], n)[:n]})
 		}
 	}
 	for open := len(queue); open > 0; {
@@ -294,7 +296,7 @@ func (c *coordinator) runRound() {
 		case jobs <- next:
 			queue = queue[1:]
 			next.start = time.Now() //sonar:nondeterministic-ok batch deadline and busy-time metric only
-			next.deadline = next.start.Add(time.Duration(next.n) * lc.opt.IterTimeout)
+			next.deadline = next.start.Add(time.Duration(len(next.outs)) * lc.opt.IterTimeout)
 			c.inFlight[next.w.id] = next
 		case j := <-c.results:
 			i := j.w.id
@@ -306,7 +308,7 @@ func (c *coordinator) runRound() {
 				queue, open = c.retry(j, j.err, queue, open)
 				break
 			}
-			lc.opt.Observer.WorkerBatch(i, j.n, time.Since(j.start)) //sonar:nondeterministic-ok operator-facing duration metric only
+			lc.opt.Observer.WorkerBatch(i, len(j.outs), time.Since(j.start)) //sonar:nondeterministic-ok operator-facing duration metric only
 			rep := &lc.reports[i]
 			rep.resolved, rep.outs, rep.seeds, rep.cursor = true, j.outs, j.w.takeNewSeeds(), j.w.src.cursor()
 			c.ws[i], c.outs[i] = j.w, j.outs
@@ -317,7 +319,7 @@ func (c *coordinator) runRound() {
 				if j != nil && !j.deadline.After(now) {
 					j.expired.Store(true)
 					c.inFlight[i] = nil
-					queue, open = c.retry(j, fmt.Sprintf("batch deadline exceeded (%d iterations × %v)", j.n, lc.opt.IterTimeout), queue, open)
+					queue, open = c.retry(j, fmt.Sprintf("batch deadline exceeded (%d iterations × %v)", len(j.outs), lc.opt.IterTimeout), queue, open)
 				}
 			}
 		}
@@ -347,7 +349,7 @@ func (c *coordinator) retry(j *job, reason string, queue []*job, open int) ([]*j
 		c.ws[i] = nil
 		return queue, open - 1
 	}
-	return append(queue, &job{w: c.newShard(i), n: j.n, round: j.round}), open
+	return append(queue, &job{w: c.newShard(i), round: j.round, outs: make([]outcome, len(j.outs))}), open
 }
 
 // deadline points the deadline timer at the earliest in-flight deadline and

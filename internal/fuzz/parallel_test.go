@@ -150,7 +150,7 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 		opt := SonarOptions(1)
 		opt.Seed = seed
 		w := newShardWorker(0, opt, 0)
-		w.runOne(d) // first iteration always generates a fresh testcase
+		w.runBatch(d, make([]outcome, 1), 1, 1) // the first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++
 		}

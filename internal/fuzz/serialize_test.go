@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -100,4 +101,30 @@ func TestMarshalMentionsSections(t *testing.T) {
 			t.Errorf("Marshal missing %q", want)
 		}
 	}
+}
+
+// FuzzUnmarshal feeds arbitrary text to Unmarshal, the parser behind lease
+// corpus seeds and checkpoint corpora. It must never panic, and any
+// testcase it accepts must marshal to text that parses back to an equal
+// testcase, and marshals to the same text again. The seed corpus
+// (testdata/fuzz) holds a generated dual-core testcase, one with an empty
+// section, and one with a bad header.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		tc, err := Unmarshal(src)
+		if err != nil {
+			return
+		}
+		text := tc.Marshal()
+		back, err := Unmarshal(text)
+		if err != nil {
+			t.Fatalf("re-parse of accepted testcase failed: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(back, tc) {
+			t.Fatalf("re-parsed testcase differs:\n%+v\nvs\n%+v", back, tc)
+		}
+		if again := back.Marshal(); again != text {
+			t.Fatalf("marshal is not stable:\n%s\nvs\n%s", again, text)
+		}
+	})
 }

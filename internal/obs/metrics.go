@@ -171,6 +171,17 @@ func (v *GaugeVec) At(label string) *Gauge {
 	return g
 }
 
+// Delete removes the child gauge for a label value from the family, so the
+// exposition no longer lists it. Safe on a nil receiver.
+func (v *GaugeVec) Delete(label string) {
+	if v == nil {
+		return
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	delete(v.f.gauges, label)
+}
+
 // Metrics is a registry of named metric families with deterministic
 // Prometheus text exposition. Registration is get-or-create: asking twice
 // for the same name returns the same metric; asking with a conflicting kind
