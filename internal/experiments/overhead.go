@@ -127,6 +127,7 @@ func Table2(reps int) []Table2Row {
 		soc := bld.mk()
 		analysis := trace.Analyze(soc.Net)
 		mon := monitor.New(analysis, monitor.Config{SimilarityMask: ^uint64(uarch.LineBytes - 1)})
+		soc.Pulser.Bind(mon)
 		row.CompileInstMs = float64(time.Since(t1).Microseconds()) / 1000
 		row.ContentionPoints = len(analysis.Points)
 		row.MonitoredPoints = mon.NumPoints()

@@ -173,6 +173,9 @@ func (p *parser) decl(kw, rest string) error {
 	if err != nil {
 		return err
 	}
+	if err := p.free(name); err != nil {
+		return err
+	}
 	switch kw {
 	case "input":
 		p.mod.Input(name, width)
@@ -202,6 +205,9 @@ func (p *parser) parseType(s string) (int, error) {
 }
 
 func (p *parser) defineNode(name, expr string) error {
+	if err := p.free(name); err != nil {
+		return err
+	}
 	sig, err := p.expr(expr, name)
 	if err != nil {
 		return err
@@ -223,6 +229,12 @@ func (p *parser) connect(lhs, rhs string) error {
 		return p.errf("connect to undeclared signal %q", lhs)
 	}
 	if strings.HasPrefix(rhs, "mux(") {
+		if dst.IsConst() {
+			return p.errf("connect to constant %q", lhs)
+		}
+		if _, driven := p.net.Driver(dst); driven {
+			return p.errf("signal %q driven by two muxes", lhs)
+		}
 		_, err := p.parseMux(rhs, dst)
 		return err
 	}
@@ -287,12 +299,11 @@ func (p *parser) parseMux(s string, dst *hdl.Signal) (*hdl.Signal, error) {
 		return nil, err
 	}
 	if dst == nil {
-		p.nTmp++
 		w := tv.Width()
 		if fv.Width() > w {
 			w = fv.Width()
 		}
-		dst = p.mod.Wire(fmt.Sprintf("_t%d", p.nTmp), w)
+		dst = p.mod.Wire(p.tmpName("_t", &p.nTmp), w)
 	}
 	p.mod.MuxInto(dst, sel, tv, fv)
 	return dst, nil
@@ -346,8 +357,7 @@ func (p *parser) primop(s string) (*hdl.Signal, error) {
 		}
 		sigs = append(sigs, sig)
 	}
-	p.nTmp++
-	out := p.mod.Wire(fmt.Sprintf("_t%d", p.nTmp), hdl.PrimResultWidth(op, sigs, intParams))
+	out := p.mod.Wire(p.tmpName("_t", &p.nTmp), hdl.PrimResultWidth(op, sigs, intParams))
 	p.net.Prim(out, op, sigs, intParams)
 	return out, nil
 }
@@ -366,12 +376,32 @@ func (p *parser) literal(s string) (*hdl.Signal, error) {
 	if err != nil {
 		return nil, p.errf("bad literal value in %q", s)
 	}
-	p.nConst++
-	return p.mod.Const(fmt.Sprintf("_c%d", p.nConst), width, val), nil
+	return p.mod.Const(p.tmpName("_c", &p.nConst), width, val), nil
 }
 
 func (p *parser) qualify(name string) string {
 	return p.mod.Path() + "." + name
+}
+
+// free reports a declaration of a name the current module already has.
+func (p *parser) free(name string) error {
+	if _, dup := p.net.Signal(p.qualify(name)); dup {
+		return p.errf("duplicate signal %q", name)
+	}
+	return nil
+}
+
+// tmpName returns the next name prefix+n, counting n up, that the current
+// module does not have yet: a source may declare its own "_t1", or repeat
+// a module and so restart the counters.
+func (p *parser) tmpName(prefix string, n *int) string {
+	for {
+		*n++
+		name := prefix + strconv.Itoa(*n)
+		if _, taken := p.net.Signal(p.qualify(name)); !taken {
+			return name
+		}
+	}
 }
 
 // splitArgs splits "a, mux(b, c, d), e)" — the contents of a call up to its

@@ -199,10 +199,38 @@ func TestParseErrors(t *testing.T) {
 		{"empty source", ""},
 		{"missing colon decl", "circuit C :\n  module C :\n    input a UInt<1>\n"},
 		{"node without eq", "circuit C :\n  module C :\n    node x or(a)\n"},
+		{"duplicate decl", "circuit C :\n  module C :\n    input d : UInt<1>\n    wire d : UInt<1>\n"},
+		{"node redeclares", "circuit C :\n  module C :\n    input a : UInt<1>\n    node a = not(a)\n"},
+		{"two mux drivers", "circuit C :\n  module C :\n    input a : UInt<1>\n    output o : UInt<1>\n    o <= mux(a, a, a)\n    o <= mux(a, a, a)\n"},
+		{"mux into constant", "circuit C :\n  module C :\n    input a : UInt<1>\n    node n = UInt<1>(0)\n    _c1 <= mux(a, a, a)\n"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.src); err == nil {
 			t.Errorf("%s: Parse succeeded, want error", c.name)
+		}
+	}
+}
+
+// Temporaries skip names the source declared itself, and a repeated
+// module restarts no counter into a name it already used.
+func TestParseTemporariesAvoidDeclaredNames(t *testing.T) {
+	src := `
+circuit C :
+  module C :
+    input a : UInt<4>
+    wire _t1 : UInt<4>
+    wire _c1 : UInt<4>
+    node x = add(a, UInt<4>(1))
+  module C :
+    node y = add(a, UInt<4>(2))
+`
+	n, err := ParseChecked(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"C._t2", "C._c2", "C._t3", "C._c3"} {
+		if _, ok := n.Signal(name); !ok {
+			t.Errorf("no temporary %s", name)
 		}
 	}
 }

@@ -392,6 +392,11 @@ type Controller struct {
 	gaugeFindings  *obs.GaugeVec
 	gaugeCorpus    *obs.GaugeVec
 	gaugeDone      *obs.GaugeVec
+	// mutOffered and mutAccepted republish each fuzz campaign's Observer
+	// retention counters (which the report replay feeds) under a campaign
+	// label, since a campaign's own registry never reaches /metrics.
+	mutOffered  *obs.CounterVec
+	mutAccepted *obs.CounterVec
 }
 
 // NewController builds an empty controller.
@@ -427,6 +432,8 @@ func NewController(cfg Config) *Controller {
 		gaugeFindings: m.GaugeVec(MetricCampaignFindings, "Verified side-channel findings.", "campaign"),
 		gaugeCorpus:   m.GaugeVec(MetricCampaignCorpus, "Merged seed corpus size.", "campaign"),
 		gaugeDone:     m.GaugeVec(MetricCampaignDone, "1 once the campaign has finished.", "campaign"),
+		mutOffered:    m.CounterVec(obs.MetricMutationsOffered, "Testcases offered to the corpus retention rule.", "campaign"),
+		mutAccepted:   m.CounterVec(obs.MetricMutationsAccepted, "Testcases retained by the corpus (interval-improving).", "campaign"),
 	}
 }
 
@@ -550,6 +557,8 @@ func (ct *Controller) retireLocked(c *campaign) {
 	for _, g := range []*obs.GaugeVec{ct.gaugeIters, ct.gaugeRound, ct.gaugePoints, ct.gaugeFindings, ct.gaugeCorpus, ct.gaugeDone} {
 		g.Delete(old.id)
 	}
+	ct.mutOffered.Delete(old.id)
+	ct.mutAccepted.Delete(old.id)
 }
 
 // resolveDUT maps a spec to the registry name workers will elaborate. A
@@ -878,7 +887,13 @@ func (ct *Controller) updateGaugesLocked(c *campaign) {
 	ct.gaugePoints.At(c.id).Set(float64(len(st.TriggeredPoints)))
 	ct.gaugeFindings.At(c.id).Set(float64(len(st.Findings)))
 	ct.gaugeCorpus.At(c.id).Set(float64(c.lc.CorpusLen()))
+	offered, accepted := c.observer.Mutations()
+	catchUp(ct.mutOffered.At(c.id), offered)
+	catchUp(ct.mutAccepted.At(c.id), accepted)
 }
+
+// catchUp advances a counter that mirrors a monotonic total to that total.
+func catchUp(c *obs.Counter, total int64) { c.Add(total - c.Value()) }
 
 // statusLocked builds a campaign's API status.
 func (ct *Controller) statusLocked(c *campaign) *CampaignStatus {

@@ -309,6 +309,40 @@ func TestFinishedCampaignsEvicted(t *testing.T) {
 	}
 }
 
+// A fuzz campaign's retention counters, which only the report replay
+// feeds, are published on GET /metrics under its campaign label, equal to
+// its Observer's, and leave the exposition when the campaign is evicted.
+func TestMetricsPublishCampaignMutations(t *testing.T) {
+	client, ct := newTestServer(t, Config{})
+	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(24, 2, 8)}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	driveCampaign(t, client)
+	ct.mu.Lock()
+	offered, accepted := ct.byID["c1"].observer.Mutations()
+	ct.mu.Unlock()
+
+	m := fetchMetrics(t, client)
+	for name, want := range map[string]int64{obs.MetricMutationsOffered: offered, obs.MetricMutationsAccepted: accepted} {
+		got, ok := m[name+`{campaign="c1"}`]
+		if !ok || got != float64(want) || want == 0 {
+			t.Errorf("/metrics %s{campaign=\"c1\"} = %v (listed %v), campaign Observer %d; want equal and nonzero", name, got, ok, want)
+		}
+	}
+
+	for i := 0; i < keepFinished; i++ {
+		if _, err := client.Submit(&Spec{FIRRTL: fig3}); err != nil {
+			t.Fatalf("Submit %d: %v", i+2, err)
+		}
+	}
+	m = fetchMetrics(t, client)
+	for _, name := range []string{obs.MetricMutationsOffered, obs.MetricMutationsAccepted} {
+		if _, ok := m[name+`{campaign="c1"}`]; ok {
+			t.Errorf("evicted campaign c1 still lists %s", name)
+		}
+	}
+}
+
 // Malformed specs are rejected with 400 before touching any state.
 func TestAPISubmitValidation(t *testing.T) {
 	client, _ := newTestServer(t, Config{})

@@ -103,6 +103,7 @@ func NewDUTWithAnalysis(soc *uarch.SoC, a *trace.Analysis) *DUT {
 		SimilarityMask: ^uint64(uarch.LineBytes - 1),
 		Placement:      monitorPlacement(key, a),
 	})
+	soc.Pulser.Bind(m)
 	d := &DUT{SoC: soc, Analysis: a, Mon: m}
 	for _, c := range soc.Cores {
 		c.SetWindowObserver(&windowGate{d})

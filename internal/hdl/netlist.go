@@ -23,6 +23,9 @@ type Netlist struct {
 	// watcher?" with a single bit test.
 	watchers  [][]WatchFunc
 	watchBits []uint64
+	// watchVersion counts Watch and ClearWatchers calls, so a caller that
+	// cached a decision about who observes a signal can tell it went stale.
+	watchVersion uint64
 	// restored is Restore's scratch list of the watched signals it changed,
 	// kept so a steady-state restore allocates nothing.
 	restored []restoredValue
@@ -82,6 +85,32 @@ func (n *Netlist) MuxByID(id int) *Mux { return n.muxes[id] }
 // used alongside) Signal.Value, but writes must go through Signal.Set or
 // Restore so masking and watcher dispatch still happen.
 func (n *Netlist) Values() []uint64 { return n.vals }
+
+// SetSlot is Signal.Set addressed by value slot: it writes v into
+// Values()[id] and notifies the signal's watchers if the value changed.
+// The caller resolves id once from a non-constant signal (Signal.ID) and
+// passes v already masked to the signal's width (Signal.Mask), so the hot
+// path never touches the Signal struct unless the slot is watched.
+//
+//sonar:alloc-free
+func (n *Netlist) SetSlot(id int, v uint64) {
+	old := n.vals[id]
+	if v == old {
+		return
+	}
+	n.vals[id] = v
+	if n.watchBits[uint(id)>>6]&(1<<(uint(id)&63)) != 0 {
+		s, cyc := n.order[id], n.cycle
+		for _, w := range n.watchers[id] {
+			w(s, old, v, cyc)
+		}
+	}
+}
+
+// WatchVersion returns a counter that changes whenever a watch hook is
+// added or cleared anywhere in the netlist. A caller that resolved which
+// hooks observe a signal re-resolves when the version moves.
+func (n *Netlist) WatchVersion() uint64 { return n.watchVersion }
 
 // restoredValue is one watched signal Restore changed, with its old value.
 type restoredValue struct {

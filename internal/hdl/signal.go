@@ -122,19 +122,7 @@ func (s *Signal) Set(v uint64) {
 	if s.kind == Const {
 		panic(fmt.Sprintf("hdl: Set on constant signal %s", s.name))
 	}
-	n := s.net
-	v &= s.mask
-	old := n.vals[s.id]
-	if v == old {
-		return
-	}
-	n.vals[s.id] = v
-	if n.watchBits[uint(s.id)>>6]&(1<<(uint(s.id)&63)) != 0 {
-		cyc := n.cycle
-		for _, w := range n.watchers[s.id] {
-			w(s, old, v, cyc)
-		}
-	}
+	s.net.SetSlot(s.id, v&s.mask)
 }
 
 // SetBool sets the signal to 1 or 0.
@@ -154,6 +142,7 @@ func (s *Signal) Watch(fn WatchFunc) {
 	n := s.net
 	n.watchers[s.id] = append(n.watchers[s.id], fn)
 	n.watchBits[uint(s.id)>>6] |= 1 << (uint(s.id) & 63)
+	n.watchVersion++
 }
 
 // ClearWatchers removes all watch hooks from the signal.
@@ -161,7 +150,11 @@ func (s *Signal) ClearWatchers() {
 	n := s.net
 	n.watchers[s.id] = nil
 	n.watchBits[uint(s.id)>>6] &^= 1 << (uint(s.id) & 63)
+	n.watchVersion++
 }
+
+// NumWatchers returns the number of watch hooks registered on the signal.
+func (s *Signal) NumWatchers() int { return len(s.net.watchers[s.id]) }
 
 // Sources returns the declared fan-in of the signal.
 func (s *Signal) Sources() []*Signal { return s.sources }

@@ -25,10 +25,16 @@
 // had at construction — so on a paper-scale placement of thousands of
 // points, an execution that touches a hundred of them pays for a hundred
 // resets and copies.
+//
+// Behavioural DUTs also enter through Pulse: the uarch Pulser hands a whole
+// request pulse (valid raised and lowered in one cycle) to the monitor in
+// one call when the monitor's hooks are the valid's only watchers, with the
+// same effect as dispatching the hooks for the rise and the fall.
 package monitor
 
 import (
 	"math"
+	"slices"
 
 	"sonar/internal/hdl"
 	"sonar/internal/trace"
@@ -122,6 +128,39 @@ type Monitor struct {
 	// statements approximates the amount of monitoring logic inserted, the
 	// paper's "#New verilog" column in Table 2.
 	statements int
+	pulses     pulseTable
+}
+
+// pulseTable lists, per watched valid, the watch hooks New registered on it
+// as (point, request, data slot) entries in registration order, so Pulse
+// folds a whole pulse on the valid without dispatching a hook. Its size
+// follows the watched valids, not the netlist.
+type pulseTable struct {
+	// valids are the watched valids' value slots, ascending, and first[i]
+	// is the index in entries of valids[i]'s first entry: the valid's
+	// pulse target (see PulseTarget).
+	valids  []int32
+	first   []int32
+	entries []pulseEntry
+}
+
+// pulseEntry is one watch hook on a valid: the request it belongs to and
+// where its data field reads from at the rising edge. A valid's entries
+// are contiguous, so a pulse reads its target's run and nothing else.
+type pulseEntry struct {
+	pi, ri int32
+	// data is the request data field's value slot, or -1 when the data
+	// field is the pulsed valid itself (a self-valid request), which reads
+	// 1 while the valid is high.
+	data int32
+	// conj marks a request whose validity is a conjunction of several
+	// valids; a single-valid request completes on every rising edge.
+	conj bool
+	// runConj, set on a run's first entry, marks a run with a conj entry:
+	// the only kind a pulse outside the window still has to fold.
+	runConj bool
+	// last marks the final entry of its valid's run.
+	last bool
 }
 
 // New attaches instrumentation for every monitorable point in the analysis.
@@ -134,6 +173,7 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	m := &Monitor{net: a.Netlist, cfg: cfg}
 	points := cfg.placementPoints(a)
 	m.set = newPointSet(points)
+	var hooks []pulseHook
 	for pi, p := range points {
 		st := &m.set.states[pi]
 		for ri := range p.Requests {
@@ -148,6 +188,11 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 			for _, v := range req.Valids {
 				v.Watch(hook)
 				m.statements++ // one sampling statement per watched signal
+				e := pulseEntry{pi: pi, ri: int32(ri), data: int32(req.Data.ID()), conj: len(req.Valids) > 1}
+				if req.Data == v {
+					e.data = -1
+				}
+				hooks = append(hooks, pulseHook{valid: int32(v.ID()), e: e})
 			}
 		}
 		st.recount()
@@ -155,7 +200,32 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 		// the inserted monitoring logic.
 		m.statements += 2 + len(p.Requests)
 	}
+	m.pulses = newPulseTable(hooks)
 	return m
+}
+
+// pulseHook is one watch hook New registered, for building the pulse table.
+type pulseHook struct {
+	valid int32
+	e     pulseEntry
+}
+
+// newPulseTable groups the hooks by valid, keeping registration order
+// within a valid: the order Signal.Set dispatches them in.
+func newPulseTable(hooks []pulseHook) pulseTable {
+	slices.SortStableFunc(hooks, func(a, b pulseHook) int { return int(a.valid) - int(b.valid) })
+	t := pulseTable{entries: make([]pulseEntry, len(hooks))}
+	for i, h := range hooks {
+		t.entries[i] = h.e
+		if i == 0 || hooks[i-1].valid != h.valid {
+			t.valids = append(t.valids, h.valid)
+			t.first = append(t.first, int32(i))
+		}
+		head := &t.entries[t.first[len(t.first)-1]]
+		head.runConj = head.runConj || h.e.conj
+		t.entries[i].last = i+1 == len(hooks) || hooks[i+1].valid != h.valid
+	}
+	return t
 }
 
 // pointSet is one ordered list of point states plus its dirty list: the
@@ -302,6 +372,71 @@ func (m *Monitor) onValidDelta(pi int32, ri int, old, new uint64, cycle int64) {
 		return
 	}
 	m.set.record(&m.cfg, pi, ri, cycle, st.point.Requests[ri].Data.Value())
+}
+
+// PulseTarget resolves a valid's value slot to its pulse target and the
+// number of watch hooks New registered on it (0 when the monitor does not
+// watch it). It implements uarch.PulseSink.
+func (m *Monitor) PulseTarget(valid int) (target int32, hooks int) {
+	t := &m.pulses
+	i, ok := slices.BinarySearch(t.valids, int32(valid))
+	if !ok {
+		return -1, 0
+	}
+	end := int32(len(t.entries))
+	if i+1 < len(t.first) {
+		end = t.first[i+1]
+	}
+	return t.first[i], int(end - t.first[i])
+}
+
+// Pulse folds a whole pulse on the target's valid — raised at the given
+// cycle and lowered again — in one call. It leaves the monitor exactly as
+// the valid's watch hooks would leave it after Set(1) and Set(0), provided
+// the valid rested at 0 and those hooks are its only watchers: every
+// rising edge folds first, in registration order, then every falling edge.
+// A single-valid request records iff the window is open (its conjunction
+// completes on the rise); a conjunction request counts up, records on
+// completion, and counts down again. It implements uarch.PulseSink.
+//
+//sonar:alloc-free
+func (m *Monitor) Pulse(target int32, cycle int64) {
+	es := m.pulses.entries[target:]
+	runConj := es[0].runConj
+	if !m.window && !runConj {
+		return
+	}
+	n := 1
+	for !es[n-1].last {
+		n++
+	}
+	es = es[:n]
+	vals := m.net.Values()
+	for i := range es {
+		e := &es[i]
+		if e.conj {
+			st := &m.set.states[e.pi]
+			st.trueCnt[e.ri]++
+			if st.trueCnt[e.ri] != st.need[e.ri] {
+				continue
+			}
+		}
+		if !m.window {
+			continue
+		}
+		data := uint64(1)
+		if e.data >= 0 {
+			data = vals[e.data]
+		}
+		m.set.record(&m.cfg, e.pi, int(e.ri), cycle, data)
+	}
+	if runConj {
+		for i := range es {
+			if e := &es[i]; e.conj {
+				m.set.states[e.pi].trueCnt[e.ri]--
+			}
+		}
+	}
 }
 
 // applyValidDelta folds one valid-signal value change into the request's

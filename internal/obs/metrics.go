@@ -152,6 +152,17 @@ func (v *CounterVec) At(label string) *Counter {
 	return c
 }
 
+// Delete removes the child counter for a label value from the family, so
+// the exposition no longer lists it. Safe on a nil receiver.
+func (v *CounterVec) Delete(label string) {
+	if v == nil {
+		return
+	}
+	v.f.mu.Lock()
+	defer v.f.mu.Unlock()
+	delete(v.f.counters, label)
+}
+
 // GaugeVec is a gauge family with one label dimension.
 type GaugeVec struct{ f *family }
 

@@ -340,6 +340,15 @@ func (o *Observer) MutationsOffered(offered, accepted int) {
 	o.mutRate.Set(float64(o.mutAccepted.Value()) / float64(o.mutOffered.Value()))
 }
 
+// Mutations returns the retention decisions counted so far: testcases
+// offered to the corpus and testcases it kept.
+func (o *Observer) Mutations() (offered, accepted int64) {
+	if o == nil {
+		return 0, 0
+	}
+	return o.mutOffered.Value(), o.mutAccepted.Value()
+}
+
 // WorkerBatch accounts one drained batch to a worker's utilization
 // metrics. Metrics only; safe from worker goroutines.
 func (o *Observer) WorkerBatch(worker, iterations int, busy time.Duration) {

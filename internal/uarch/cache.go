@@ -28,18 +28,16 @@ func (m *mshr) busyAt(now int64) bool { return m.readyAt > now }
 type lineBuffer struct {
 	nextFree int64
 	pulser   *Pulser
-	valids   []*hdl.Signal
-	bits     []*hdl.Signal
+	ports    []Port
 }
 
 func newLineBuffer(mod *hdl.Module, pulser *Pulser, name string, ports int) *lineBuffer {
 	lb := &lineBuffer{pulser: pulser}
 	inputs := make([]*hdl.Signal, ports)
 	for i := range inputs {
-		lb.valids = append(lb.valids, mod.Wire(portName(name, i)+"_valid", 1))
-		b := mod.Wire(portName(name, i)+"_bits_addr", 64)
-		lb.bits = append(lb.bits, b)
-		inputs[i] = b
+		v := mod.Wire(portName(name, i)+"_valid", 1)
+		inputs[i] = mod.Wire(portName(name, i)+"_bits_addr", 64)
+		lb.ports = append(lb.ports, pulser.Port(v, inputs[i]))
 	}
 	if ports >= 2 {
 		sels := make([]*hdl.Signal, ports-1)
@@ -54,7 +52,7 @@ func newLineBuffer(mod *hdl.Module, pulser *Pulser, name string, ports int) *lin
 // access requests the buffer at cycle `at` through the given port and
 // returns the cycle the access is serviced.
 func (lb *lineBuffer) access(port int, addr uint64, at int64) int64 {
-	lb.pulser.At(at, lb.valids[port], lb.bits[port], addr)
+	lb.pulser.At(at, lb.ports[port], addr)
 	t := at
 	if t < lb.nextFree {
 		t = lb.nextFree
@@ -112,17 +110,14 @@ type Cache struct {
 
 	// Netlist request ports: one per access port (0 = load/fetch,
 	// 1 = store/refill-write).
-	portValid []*hdl.Signal
-	portAddr  []*hdl.Signal
+	ports []Port
 	// Per-bank arbitration points between the pipe access port and the
 	// refill-write port. A pipe access landing on the same bank in the
 	// same cycle as a refill write is a strict-timing volatile contention —
 	// the class of contention interval-guided fuzzing is built to reach.
-	bankPipeValid, bankPipeAddr     []*hdl.Signal
-	bankRefillValid, bankRefillAddr []*hdl.Signal
+	bankPipe, bankRefill []Port
 	// MSHR allocation point: pri vs sec requests.
-	mshrPriValid, mshrPriAddr *hdl.Signal
-	mshrSecValid, mshrSecAddr *hdl.Signal
+	mshrPri, mshrSec Port
 
 	// Stats for reports.
 	Hits, Misses, Writebacks, SecAttaches, FalseSharingBlocks int
@@ -167,10 +162,9 @@ func NewCache(mod *hdl.Module, pulser *Pulser, p CacheParams) *Cache {
 	}
 	inputs := make([]*hdl.Signal, ports)
 	for i := 0; i < ports; i++ {
-		c.portValid = append(c.portValid, mod.Wire(portName("io_port", i)+"_valid", 1))
-		a := mod.Wire(portName("io_port", i)+"_bits_addr", 64)
-		c.portAddr = append(c.portAddr, a)
-		inputs[i] = a
+		v := mod.Wire(portName("io_port", i)+"_valid", 1)
+		inputs[i] = mod.Wire(portName("io_port", i)+"_bits_addr", 64)
+		c.ports = append(c.ports, pulser.Port(v, inputs[i]))
 	}
 	sels := make([]*hdl.Signal, ports-1)
 	for i := range sels {
@@ -179,12 +173,14 @@ func NewCache(mod *hdl.Module, pulser *Pulser, p CacheParams) *Cache {
 	mod.MuxTree("array_access", sels, inputs)
 
 	if p.NumMSHRs > 0 {
-		c.mshrPriValid = mod.Wire("io_mshr_pri_valid", 1)
-		c.mshrPriAddr = mod.Wire("io_mshr_pri_bits_addr", 64)
-		c.mshrSecValid = mod.Wire("io_mshr_sec_valid", 1)
-		c.mshrSecAddr = mod.Wire("io_mshr_sec_bits_addr", 64)
+		priValid := mod.Wire("io_mshr_pri_valid", 1)
+		priAddr := mod.Wire("io_mshr_pri_bits_addr", 64)
+		secValid := mod.Wire("io_mshr_sec_valid", 1)
+		secAddr := mod.Wire("io_mshr_sec_bits_addr", 64)
+		c.mshrPri = pulser.Port(priValid, priAddr)
+		c.mshrSec = pulser.Port(secValid, secAddr)
 		sel := mod.Wire("mshr_mode_sel", 1)
-		mod.Mux("mshr_req", sel, c.mshrPriAddr, c.mshrSecAddr)
+		mod.Mux("mshr_req", sel, priAddr, secAddr)
 	}
 	if p.LineBuffers {
 		lbPorts := p.NumMSHRs
@@ -205,10 +201,8 @@ func NewCache(mod *hdl.Module, pulser *Pulser, p CacheParams) *Cache {
 		ra := bank.Wire("io_fill_bits_addr", 64)
 		sel := bank.Wire("gnt_pipe", 1)
 		bank.MuxInto(bank.Wire("rdata", 64), sel, pa, ra)
-		c.bankPipeValid = append(c.bankPipeValid, pv)
-		c.bankPipeAddr = append(c.bankPipeAddr, pa)
-		c.bankRefillValid = append(c.bankRefillValid, rv)
-		c.bankRefillAddr = append(c.bankRefillAddr, ra)
+		c.bankPipe = append(c.bankPipe, pulser.Port(pv, pa))
+		c.bankRefill = append(c.bankRefill, pulser.Port(rv, ra))
 	}
 	return c
 }
@@ -216,7 +210,7 @@ func NewCache(mod *hdl.Module, pulser *Pulser, p CacheParams) *Cache {
 // bankOf maps an address to a data-array bank (line-granular interleaving,
 // so pipe accesses and refill writes of the same line meet at one bank).
 func (c *Cache) bankOf(addr uint64) int {
-	return int(addr/LineBytes) % len(c.bankPipeValid)
+	return int(addr/LineBytes) % len(c.bankPipe)
 }
 
 // Reset invalidates all lines and MSHRs between program runs.
@@ -260,10 +254,9 @@ func (c *Cache) Contains(addr uint64) bool {
 // write marks the line dirty (stores; also store-conditional regardless of
 // success — side channel S10).
 func (c *Cache) Access(port int, addr uint64, write bool, now int64) AccessResult {
-	c.pulser.At(now, c.portValid[port], c.portAddr[port], addr)
-	if len(c.bankPipeValid) > 0 {
-		b := c.bankOf(addr)
-		c.pulser.At(now, c.bankPipeValid[b], c.bankPipeAddr[b], addr)
+	c.pulser.At(now, c.ports[port], addr)
+	if len(c.bankPipe) > 0 {
+		c.pulser.At(now, c.bankPipe[c.bankOf(addr)], addr)
 	}
 	if c.singlePort {
 		for c.portResv[now] {
@@ -285,7 +278,7 @@ func (c *Cache) Access(port int, addr uint64, write bool, now int64) AccessResul
 				if c.readLB != nil {
 					// Hit-under-fill: the data is read from the read line
 					// buffer, through its single port (S6).
-					t := c.readLB.access(len(c.readLB.valids)-1, addr, l.fillReady-int64(c.hitLat))
+					t := c.readLB.access(len(c.readLB.ports)-1, addr, l.fillReady-int64(c.hitLat))
 					if t+int64(c.hitLat) > ready {
 						ready = t + int64(c.hitLat)
 					}
@@ -310,7 +303,7 @@ func (c *Cache) miss(addr uint64, set int, tag uint64, write bool, now int64) Ac
 			if !m.busyAt(now) || m.set != set {
 				continue
 			}
-			c.pulser.At(now, c.mshrSecValid, c.mshrSecAddr, addr)
+			c.pulser.At(now, c.mshrSec, addr)
 			if m.tag == tag {
 				// Should not happen: a tag match would have hit above via
 				// fillReady. Kept for robustness.
@@ -347,7 +340,7 @@ func (c *Cache) miss(addr uint64, set int, tag uint64, write bool, now int64) Ac
 				}
 			}
 		}
-		c.pulser.At(start, c.mshrPriValid, c.mshrPriAddr, addr)
+		c.pulser.At(start, c.mshrPri, addr)
 		done := c.refill(addr, set, tag, write, start, mi, &res)
 		c.mshrs[mi] = mshr{set: set, tag: tag, readyAt: done}
 		res.Ready = done
@@ -405,11 +398,10 @@ func (c *Cache) refill(addr uint64, set int, tag uint64, write bool, start int64
 		for i := int64(0); i < 4; i++ {
 			c.portResv[done+i] = true
 		}
-		c.pulser.At(done, c.portValid[len(c.portValid)-1], c.portAddr[len(c.portAddr)-1], addr)
+		c.pulser.At(done, c.ports[len(c.ports)-1], addr)
 	}
-	if len(c.bankPipeValid) > 0 {
-		b := c.bankOf(addr)
-		c.pulser.At(done, c.bankRefillValid[b], c.bankRefillAddr[b], addr)
+	if len(c.bankRefill) > 0 {
+		c.pulser.At(done, c.bankRefill[c.bankOf(addr)], addr)
 	}
 	*c.way(set, victim) = cacheLine{tag: tag, valid: true, dirty: write, fillReady: done, lastUse: done}
 	return done + int64(c.hitLat)

@@ -28,15 +28,11 @@ type ExecUnits struct {
 	mulIssued map[int64]int
 
 	// Netlist: divider entry point (two issue slots can race for it).
-	divReqValid []*hdl.Signal
-	divReqBits  []*hdl.Signal
+	divReq [2]Port
 	// MDU entry point (mul vs div requests).
-	mduMulValid, mduMulBits *hdl.Signal
-	mduDivValid, mduDivBits *hdl.Signal
-	// Shared writeback response port requests (S8).
-	wbAluValid, wbAluBits *hdl.Signal
-	wbMulValid, wbMulBits *hdl.Signal
-	wbDivValid, wbDivBits *hdl.Signal
+	mduMul, mduDiv Port
+	// Shared writeback response port requests (S8), indexed by wbClass.
+	wb [3]Port
 	// wbTaken tracks response-port occupancy per cycle.
 	wbTaken map[int64]bool
 }
@@ -52,35 +48,35 @@ func NewExecUnits(mod *hdl.Module, pulser *Pulser, cfg *Config) *ExecUnits {
 	div := mod.Child("div")
 	inputs := make([]*hdl.Signal, 2)
 	for i := 0; i < 2; i++ {
-		e.divReqValid = append(e.divReqValid, div.Wire(portName("io_req", i)+"_valid", 1))
-		b := div.Wire(portName("io_req", i)+"_bits_op", 64)
-		e.divReqBits = append(e.divReqBits, b)
-		inputs[i] = b
+		v := div.Wire(portName("io_req", i)+"_valid", 1)
+		inputs[i] = div.Wire(portName("io_req", i)+"_bits_op", 64)
+		e.divReq[i] = pulser.Port(v, inputs[i])
 	}
 	sel := div.Wire("req_sel", 1)
 	div.MuxInto(div.Wire("req_in", 64), sel, inputs[0], inputs[1])
 
 	if !cfg.PipelinedMul {
 		mdu := mod.Child("mdu")
-		e.mduMulValid = mdu.Wire("io_mul_valid", 1)
-		e.mduMulBits = mdu.Wire("io_mul_bits_op", 64)
-		e.mduDivValid = mdu.Wire("io_div_valid", 1)
-		e.mduDivBits = mdu.Wire("io_div_bits_op", 64)
+		mulValid := mdu.Wire("io_mul_valid", 1)
+		mulBits := mdu.Wire("io_mul_bits_op", 64)
+		divValid := mdu.Wire("io_div_valid", 1)
+		divBits := mdu.Wire("io_div_bits_op", 64)
+		e.mduMul = pulser.Port(mulValid, mulBits)
+		e.mduDiv = pulser.Port(divValid, divBits)
 		msel := mdu.Wire("op_sel", 1)
-		mdu.MuxInto(mdu.Wire("op_in", 64), msel, e.mduMulBits, e.mduDivBits)
+		mdu.MuxInto(mdu.Wire("op_in", 64), msel, mulBits, divBits)
 	}
 	if cfg.SharedWBPort {
 		wb := mod.Child("wb")
-		e.wbAluValid = wb.Wire("io_alu_valid", 1)
-		e.wbAluBits = wb.Wire("io_alu_bits_data", 64)
-		e.wbMulValid = wb.Wire("io_imul_valid", 1)
-		e.wbMulBits = wb.Wire("io_imul_bits_data", 64)
-		e.wbDivValid = wb.Wire("io_div_valid", 1)
-		e.wbDivBits = wb.Wire("io_div_bits_data", 64)
+		bits := make([]*hdl.Signal, len(e.wb))
+		for i, req := range []string{"alu", "imul", "div"} {
+			v := wb.Wire("io_"+req+"_valid", 1)
+			bits[i] = wb.Wire("io_"+req+"_bits_data", 64)
+			e.wb[i] = pulser.Port(v, bits[i])
+		}
 		s0 := wb.Wire("sel_alu", 1)
 		s1 := wb.Wire("sel_imul", 1)
-		wb.MuxTree("resp_data", []*hdl.Signal{s0, s1},
-			[]*hdl.Signal{e.wbAluBits, e.wbMulBits, e.wbDivBits})
+		wb.MuxTree("resp_data", []*hdl.Signal{s0, s1}, bits)
 	}
 	return e
 }
@@ -111,14 +107,7 @@ func (e *ExecUnits) respPort(class wbClass, result uint64, done int64) int64 {
 	if !e.cfg.SharedWBPort {
 		return done
 	}
-	switch class {
-	case wbALU:
-		e.pulser.At(done, e.wbAluValid, e.wbAluBits, result)
-	case wbMul:
-		e.pulser.At(done, e.wbMulValid, e.wbMulBits, result)
-	case wbDiv:
-		e.pulser.At(done, e.wbDivValid, e.wbDivBits, result)
-	}
+	e.pulser.At(done, e.wb[class], result)
 	t := done
 	for e.wbTaken[t] {
 		t++
@@ -141,7 +130,7 @@ func (e *ExecUnits) IssueMul(op uint64, now int64) int64 {
 		return e.respPort(wbMul, op, done)
 	}
 	// Shared non-pipelined MDU (S13).
-	e.pulser.At(now, e.mduMulValid, e.mduMulBits, op)
+	e.pulser.At(now, e.mduMul, op)
 	start := now
 	if start < e.mduBusyUntil {
 		start = e.mduBusyUntil
@@ -173,10 +162,10 @@ func (e *ExecUnits) IssueDiv(slot int, dividend uint64, now int64) int64 {
 	if slot > 1 {
 		slot = 1
 	}
-	e.pulser.At(now, e.divReqValid[slot], e.divReqBits[slot], dividend)
+	e.pulser.At(now, e.divReq[slot], dividend)
 	if !e.cfg.PipelinedMul {
 		// NutShell: divide shares the MDU with multiply (S13).
-		e.pulser.At(now, e.mduDivValid, e.mduDivBits, dividend)
+		e.pulser.At(now, e.mduDiv, dividend)
 		start := now
 		if start < e.mduBusyUntil {
 			start = e.mduBusyUntil

@@ -80,7 +80,7 @@ func NewSoC(cfg Config, numCores int, arrays []ArraySpec, filters []FilterSpec) 
 	net := hdl.NewNetlist(cfg.Name)
 	s := &SoC{
 		Net:    net,
-		Pulser: NewPulser(),
+		Pulser: NewPulser(net),
 		Mem:    NewMemory(),
 	}
 	s.Bus = NewDChannel(net.Module("tilelink"), s.Pulser, cfg.ReadBeats, busSources(numCores))

@@ -12,18 +12,18 @@ import "sonar/internal/hdl"
 // observes (§8.3.2 observation ① and ②).
 type BulkArray struct {
 	pulser *Pulser
-	valids [][]*hdl.Signal // [entry][port]
-	datas  [][]*hdl.Signal
+	ports  []Port // [entry*fanin+port]
+	// entries and fanin size ports; both are kept so Touch divides no more
+	// than it must.
+	entries, fanin int
 }
 
 // NewBulkArray elaborates `entries` points each selecting among `fanin`
 // write ports of the given data width.
 func NewBulkArray(mod *hdl.Module, pulser *Pulser, entries, fanin, width int) *BulkArray {
-	b := &BulkArray{pulser: pulser}
+	b := &BulkArray{pulser: pulser, ports: make([]Port, 0, entries*fanin), entries: entries, fanin: fanin}
 	for e := 0; e < entries; e++ {
 		ent := mod.Child("e" + digits(e))
-		valids := make([]*hdl.Signal, fanin)
-		datas := make([]*hdl.Signal, fanin)
 		// The final tree input is the entry's hold path — the ubiquitous
 		// `entry := mux(wen, wdata, entry)` RTL pattern. It carries no
 		// validity indication, so per Algorithm 1 it is constantly valid;
@@ -31,9 +31,9 @@ func NewBulkArray(mod *hdl.Module, pulser *Pulser, entries, fanin, width int) *B
 		// (the paper's early-cluster observation, §8.3.2 ①).
 		inputs := make([]*hdl.Signal, fanin+1)
 		for p := 0; p < fanin; p++ {
-			valids[p] = ent.Wire(portName("io_w", p)+"_valid", 1)
-			datas[p] = ent.Wire(portName("io_w", p)+"_bits_data", width)
-			inputs[p] = datas[p]
+			valid := ent.Wire(portName("io_w", p)+"_valid", 1)
+			inputs[p] = ent.Wire(portName("io_w", p)+"_bits_data", width)
+			b.ports = append(b.ports, pulser.Port(valid, inputs[p]))
 		}
 		inputs[fanin] = ent.Wire("state_hold", width)
 		sels := make([]*hdl.Signal, fanin)
@@ -41,23 +41,21 @@ func NewBulkArray(mod *hdl.Module, pulser *Pulser, entries, fanin, width int) *B
 			sels[i] = ent.Wire("wsel_"+digits(i), 1)
 		}
 		ent.MuxTree("wdata", sels, inputs)
-		b.valids = append(b.valids, valids)
-		b.datas = append(b.datas, datas)
 	}
 	return b
 }
 
 // Entries returns the number of array entries.
-func (b *BulkArray) Entries() int { return len(b.valids) }
+func (b *BulkArray) Entries() int { return b.entries }
 
 // Touch schedules a write-request pulse on entry/port at the given cycle.
 func (b *BulkArray) Touch(entry, port int, data uint64, at int64) {
-	if len(b.valids) == 0 {
+	if b.entries == 0 {
 		return
 	}
-	entry %= len(b.valids)
-	port %= len(b.valids[entry])
-	b.pulser.At(at, b.valids[entry][port], b.datas[entry][port], data)
+	entry %= b.entries
+	port %= b.fanin
+	b.pulser.At(at, b.ports[entry*b.fanin+port], data)
 }
 
 // NewConstBank elaborates n contention points whose requests are constants —

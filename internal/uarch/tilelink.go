@@ -22,8 +22,7 @@ type DChannel struct {
 	laneFree    []int64
 
 	sourceNames []string
-	reqValid    []*hdl.Signal
-	reqAddr     []*hdl.Signal
+	req         []Port
 
 	// Grants counts channel grants per source, for reports.
 	Grants []int
@@ -53,10 +52,9 @@ func NewDChannel(mod *hdl.Module, pulser *Pulser, readBeats int, sources []strin
 	}
 	inputs := make([]*hdl.Signal, len(sources))
 	for i, src := range sources {
-		d.reqValid = append(d.reqValid, mod.Wire("io_req_"+src+"_valid", 1))
-		addr := mod.Wire("io_req_"+src+"_bits_addr", 64)
-		d.reqAddr = append(d.reqAddr, addr)
-		inputs[i] = addr
+		v := mod.Wire("io_req_"+src+"_valid", 1)
+		inputs[i] = mod.Wire("io_req_"+src+"_bits_addr", 64)
+		d.req = append(d.req, pulser.Port(v, inputs[i]))
 	}
 	if len(sources) >= 2 {
 		sels := make([]*hdl.Signal, len(sources)-1)
@@ -108,7 +106,7 @@ func (d *DChannel) RequestWrite(src int, lineAddr uint64, at int64) int64 {
 // arrival cycle and returns the grant cycle (first-come-first-served; a
 // busy channel delays the grant).
 func (d *DChannel) request(src int, lineAddr uint64, at int64) int64 {
-	d.pulser.At(at, d.reqValid[src], d.reqAddr[src], lineAddr)
+	d.pulser.At(at, d.req[src], lineAddr)
 	d.Grants[src]++
 	free := d.freeAt
 	if d.partitioned {

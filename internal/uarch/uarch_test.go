@@ -60,10 +60,11 @@ func TestPulserScheduling(t *testing.T) {
 			edges = append(edges, cycle)
 		}
 	})
-	p := NewPulser()
+	p := NewPulser(n)
+	pt := p.Port(v, d)
 	p.Drain(0)
-	p.At(0, v, d, 1) // current cycle: fires immediately
-	p.At(3, v, d, 2) // future
+	p.At(0, pt, 1) // current cycle: fires immediately
+	p.At(3, pt, 2) // future
 	if len(edges) != 1 || edges[0] != 0 {
 		t.Fatalf("immediate pulse edges = %v", edges)
 	}
@@ -77,7 +78,7 @@ func TestPulserScheduling(t *testing.T) {
 	if d.Value() != 2 {
 		t.Errorf("data = %d, want 2", d.Value())
 	}
-	p.At(10, v, d, 3)
+	p.At(10, pt, 3)
 	p.Reset()
 	if p.PendingCycles() != 0 {
 		t.Error("Reset left pending pulses")
@@ -102,7 +103,8 @@ func testPulserRing(t *testing.T) {
 			edges = append(edges, edge{cycle, d.Value()})
 		}
 	})
-	p := NewPulser()
+	p := NewPulser(n)
+	pt := p.Port(v, d)
 	drainTo := func(c int64) {
 		for n.Cycle() < c {
 			n.Step()
@@ -113,12 +115,12 @@ func testPulserRing(t *testing.T) {
 
 	// Several pulses in one cycle fire in At order; a pulse far beyond the
 	// initial ring forces growth while they are still pending.
-	p.At(5, v, d, 1)
-	p.At(5, v, d, 2)
-	p.At(7, v, d, 3)
+	p.At(5, pt, 1)
+	p.At(5, pt, 2)
+	p.At(7, pt, 3)
 	far := int64(5 * initialRing)
-	p.At(far, v, d, 4)
-	p.At(5, v, d, 5)
+	p.At(far, pt, 4)
+	p.At(5, pt, 5)
 	if got := p.PendingCycles(); got != 3 {
 		t.Errorf("PendingCycles = %d, want 3", got)
 	}
@@ -132,7 +134,7 @@ func testPulserRing(t *testing.T) {
 	}
 
 	// A pulse for an already drained cycle fires at once.
-	p.At(3, v, d, 6)
+	p.At(3, pt, 6)
 	if last := edges[len(edges)-1]; last != (edge{7, 6}) {
 		t.Errorf("late pulse = %v, want it at once at cycle 7", last)
 	}
@@ -144,8 +146,8 @@ func testPulserRing(t *testing.T) {
 		t.Errorf("PendingCycles after Drain = %d, want 0", got)
 	}
 
-	p.At(far+3, v, d, 7)
-	p.At(far+4, v, d, 8)
+	p.At(far+3, pt, 7)
+	p.At(far+4, pt, 8)
 	if got := p.PendingCycles(); got != 2 {
 		t.Errorf("PendingCycles = %d, want 2", got)
 	}
@@ -164,7 +166,7 @@ func testPulserRing(t *testing.T) {
 
 func TestDChannelOccupancy(t *testing.T) {
 	n := hdl.NewNetlist("t")
-	p := NewPulser()
+	p := NewPulser(n)
 	p.Drain(0)
 	d := NewDChannel(n.Module("tilelink"), p, 8, []string{"a", "b"})
 	// A read at cycle 10 completes at 18 and occupies the channel.
@@ -195,7 +197,7 @@ func TestDChannelOccupancy(t *testing.T) {
 func newTestCache(t *testing.T, mshrs int, lineBuffers bool) (*Cache, *DChannel) {
 	t.Helper()
 	n := hdl.NewNetlist("t")
-	p := NewPulser()
+	p := NewPulser(n)
 	p.Drain(0)
 	bus := NewDChannel(n.Module("tilelink"), p, 8, []string{"rd", "wb"})
 	c := NewCache(n.Module("lsu").Child("dcache"), p, CacheParams{
@@ -298,7 +300,7 @@ func TestCacheEvictionAndWriteback(t *testing.T) {
 // S6/S7: simultaneous line-buffer accesses serialize by one cycle.
 func TestLineBufferContention(t *testing.T) {
 	n := hdl.NewNetlist("t")
-	p := NewPulser()
+	p := NewPulser(n)
 	p.Drain(0)
 	lb := newLineBuffer(n.Module("lsu").Child("rlb"), p, "io_refill", 2)
 	t0 := lb.access(0, 0x1000, 50)
@@ -745,7 +747,7 @@ func TestTimerGranularityMitigation(t *testing.T) {
 // contention while preserving same-lane serialization.
 func TestPartitionedDChannel(t *testing.T) {
 	n := hdl.NewNetlist("t")
-	p := NewPulser()
+	p := NewPulser(n)
 	p.Drain(0)
 	d := NewDChannel(n.Module("tilelink"), p, 8, []string{"a", "b"})
 	d.SetPartitioned(true)
@@ -770,7 +772,7 @@ func TestPartitionedDChannel(t *testing.T) {
 // refill write's occupancy window.
 func TestSinglePortICacheReservation(t *testing.T) {
 	n := hdl.NewNetlist("t")
-	p := NewPulser()
+	p := NewPulser(n)
 	p.Drain(0)
 	bus := NewDChannel(n.Module("tilelink"), p, 8, []string{"rd", "wb"})
 	c := NewCache(n.Module("frontend").Child("icache"), p, CacheParams{
