@@ -13,7 +13,8 @@ import (
 
 // Steady-state Execute on a warm DUT must not touch the heap: every buffer
 // it needs (programs, commit logs, snapshot, pulser lists, the Execution
-// itself) lives in the two recycled arenas. This pins the perf contract the
+// itself) lives in the two recycled arenas or the shared-prefix snapshot,
+// on the path that resumes from the snapshot and on the full path alike. This pins the perf contract the
 // campaign engines rely on — regressions here show up directly as GC time in
 // campaign throughput. The paper-scale BOOM case covers the sparse monitor's
 // dirty-list Reset and incremental snapshot arena over thousands of points.
@@ -23,20 +24,47 @@ func TestExecuteSteadyStateAllocFree(t *testing.T) {
 		soc  func() *uarch.SoC
 	}{{"lite", boom.NewLite}, {"paper", boom.New}} {
 		t.Run(dut.name, func(t *testing.T) {
-			d := NewDUT(dut.soc())
-			tc := Generate(rand.New(rand.NewSource(7)), false)
-			// Warm both arenas under both secrets so every recycled buffer
-			// reaches its steady-state capacity.
+			testExecuteAllocFree(t, dut.soc)
+		})
+	}
+}
+
+// testExecuteAllocFree runs TestExecuteSteadyStateAllocFree on one SoC, on
+// the path that resumes from the shared-prefix snapshot and on the full
+// path.
+func testExecuteAllocFree(t *testing.T, soc func() *uarch.SoC) {
+	rng := rand.New(rand.NewSource(7))
+	tcs := []*Testcase{Generate(rng, false), Generate(rng, false)}
+	for _, mode := range []struct {
+		name string
+		// next returns the testcase and secret of the i-th run.
+		next func(i int) (*Testcase, uint64)
+	}{
+		// One testcase under alternating secrets: every run after the
+		// first resumes from the shared-prefix snapshot.
+		{"resume", func(i int) (*Testcase, uint64) { return tcs[0], uint64(i % 2) }},
+		// Two testcases alternating: every run is a full run that
+		// takes a fresh snapshot.
+		{"full", func(i int) (*Testcase, uint64) { return tcs[i%2], 0 }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			d := NewDUT(soc())
+			// Warm both arenas and the snapshot so every recycled
+			// buffer reaches its steady-state capacity.
 			for i := 0; i < 4; i++ {
-				d.Execute(tc, uint64(i%2))
+				d.Execute(mode.next(i))
 			}
-			secret := uint64(0)
+			i, resumes := 0, d.resumes
 			allocs := testing.AllocsPerRun(20, func() {
-				secret ^= 1
-				d.Execute(tc, secret)
+				d.Execute(mode.next(i))
+				i++
 			})
 			if allocs != 0 {
 				t.Errorf("steady-state Execute allocates %.1f objects/run, want 0", allocs)
+			}
+			resumed := d.resumes > resumes
+			if want := mode.name == "resume"; resumed != want {
+				t.Errorf("runs resumed from a snapshot: %v, want %v", resumed, want)
 			}
 		})
 	}

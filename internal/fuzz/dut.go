@@ -6,6 +6,7 @@
 package fuzz
 
 import (
+	"slices"
 	"sync"
 
 	"sonar/internal/isa"
@@ -68,6 +69,10 @@ type DUT struct {
 	arenaIdx int
 	// halt is the cached halt-others program (undecodable address).
 	halt *isa.Program
+	// prefix is the shared-prefix snapshot Execute resumes from, and
+	// resumes counts the runs that did.
+	prefix  sharedPrefix
+	resumes int
 }
 
 // execArena holds the buffers one Execute slot recycles across runs: the
@@ -161,6 +166,20 @@ type Execution struct {
 // Execute resets the DUT, installs the secret, and runs the testcase to
 // completion under the given secret value.
 //
+// The two runs of a dual-secret pair share every cycle before the secret
+// can matter, so Execute runs that shared prefix once. A full run takes a
+// snapshot (uarch.Snapshot) at the last cycle boundary before the victim
+// can dispatch an instruction of the secret-dependent range, which is the
+// last boundary before the monitoring window can open (SoC.RunToSecret).
+// An Execute whose inputs other than the secret equal that run's (the built
+// programs, the secret range, each core's window observer, the privileged
+// range) restores the snapshot, writes its own secret, and runs on from
+// there. Reuse is keyed on content, so a result never depends on what the
+// DUT ran before. A run takes no snapshot when its prefix read or wrote a
+// secret byte, when the monitor was not idle at the snapshot point, under
+// WindowAlwaysOpen, or while any netlist watcher other than the monitor's
+// hooks exists (such a watcher must see every value change).
+//
 // The returned Execution and everything it references live in one of two
 // recycled arenas: a result stays valid across exactly one subsequent
 // Execute on the same DUT (the dual-secret A/B pattern every caller uses)
@@ -173,40 +192,126 @@ func (d *DUT) Execute(tc *Testcase, secret uint64) *Execution {
 	ar := &d.arenas[d.arenaIdx]
 	d.arenaIdx = 1 - d.arenaIdx
 
-	d.SoC.Reset()
-	d.Mon.Reset()
-	if d.WindowAlwaysOpen {
-		d.Mon.SetWindow(true)
-	}
-	d.SoC.Mem.Write(SecretAddr, secret, 8)
-
 	sStart, sEnd := tc.BuildInto(&ar.prog)
-	victim := d.SoC.Cores[0]
+	cores := d.SoC.Cores
+	victim := cores[0]
+	runAttacker := len(cores) > 1 && len(tc.Attacker) > 0
+	if runAttacker {
+		tc.BuildAttackerInto(&ar.att)
+	}
 	victim.CommitLog = ar.log[:0] // give the core this slot's private log
-	victim.LoadProgram(&ar.prog)
-	victim.SetSecretRange(sStart, sEnd)
+	if runAttacker {
+		cores[1].CommitLog = ar.attLog[:0]
+	}
 
-	runAttacker := len(d.SoC.Cores) > 1 && len(tc.Attacker) > 0
-	if len(d.SoC.Cores) > 1 {
+	key := prefixKey{sStart: sStart, sEnd: sEnd, runAttacker: runAttacker}
+	key.privBase, key.privLimit = d.SoC.Mem.PrivRange()
+	d.Mon.Reset()
+	if d.prefix.matches(d, ar, key) {
+		d.resumes++
+		d.SoC.Restore(&d.prefix.snap)
+		victim.SetProgram(&ar.prog)
+		for _, c := range cores[1:] {
+			if runAttacker {
+				c.SetProgram(&ar.att)
+			} else {
+				c.SetProgram(d.halt)
+			}
+		}
+		d.SoC.Mem.Write(SecretAddr, secret, 8)
+	} else {
+		d.SoC.Reset()
+		if d.WindowAlwaysOpen {
+			d.Mon.SetWindow(true)
+		}
+		d.SoC.Mem.Write(SecretAddr, secret, 8)
+		// Armed before the programs load, so an image overlapping the
+		// secret also rules the snapshot out.
+		d.SoC.Mem.Watch(SecretAddr, 8)
+		victim.LoadProgram(&ar.prog)
+		victim.SetSecretRange(sStart, sEnd)
 		if runAttacker {
-			tc.BuildAttackerInto(&ar.att)
-			d.SoC.Cores[1].CommitLog = ar.attLog[:0]
-			d.SoC.Cores[1].LoadProgram(&ar.att)
-		} else {
+			cores[1].LoadProgram(&ar.att)
+		} else if len(cores) > 1 {
 			d.haltOthers()
 		}
+		d.prefix.valid = false
+		if d.SoC.RunToSecret() && !d.SoC.Mem.WatchHit() && d.reusable() {
+			d.prefix.take(d, ar, key)
+		}
 	}
-	cycles := d.SoC.Run()
+	d.SoC.Run()
 	ar.log = victim.CommitLog // the run may have grown the buffer
 	d.Mon.SnapshotInto(&ar.snap)
 
 	ex := &ar.ex
-	*ex = Execution{Log: ar.log, Snap: &ar.snap, Cycles: cycles}
+	*ex = Execution{Log: ar.log, Snap: &ar.snap, Cycles: d.SoC.Cycle()}
 	if runAttacker {
-		ar.attLog = d.SoC.Cores[1].CommitLog
+		ar.attLog = cores[1].CommitLog
 		ex.AttackerLog = ar.attLog
 	}
 	return ex
+}
+
+// sharedPrefix is the snapshot of the last full run's shared prefix and
+// the inputs it was taken under, copied so later runs can compare them.
+type sharedPrefix struct {
+	valid     bool
+	snap      uarch.Snapshot
+	key       prefixKey
+	prog, att isa.Program
+	windows   []uarch.WindowObserver
+}
+
+// prefixKey is the comparable part of a run's inputs other than the secret.
+type prefixKey struct {
+	sStart, sEnd        int
+	runAttacker         bool
+	privBase, privLimit uint64
+}
+
+// take snapshots the SoC and records the inputs of the run in ar.
+//
+//sonar:alloc-free
+func (p *sharedPrefix) take(d *DUT, ar *execArena, key prefixKey) {
+	d.SoC.Snapshot(&p.snap)
+	p.key = key
+	p.prog.Base, p.prog.Code = ar.prog.Base, append(p.prog.Code[:0], ar.prog.Code...)
+	if key.runAttacker {
+		p.att.Base, p.att.Code = ar.att.Base, append(p.att.Code[:0], ar.att.Code...)
+	}
+	p.windows = p.windows[:0]
+	for _, c := range d.SoC.Cores {
+		p.windows = append(p.windows, c.WindowObserver())
+	}
+	p.valid = true
+}
+
+// matches reports whether the run with the inputs in ar and key may resume
+// from the snapshot: every input but the secret equals the snapshot's, and
+// the DUT, its monitor just reset, is still reusable.
+func (p *sharedPrefix) matches(d *DUT, ar *execArena, key prefixKey) bool {
+	if !p.valid || key != p.key || !sameProgram(&ar.prog, &p.prog) ||
+		(key.runAttacker && !sameProgram(&ar.att, &p.att)) {
+		return false
+	}
+	for i, c := range d.SoC.Cores {
+		if c.WindowObserver() != p.windows[i] {
+			return false
+		}
+	}
+	return d.reusable()
+}
+
+// reusable reports whether a run may take or resume from a snapshot: the
+// window is not pinned open, the monitor is idle, and no netlist watcher
+// other than the monitor's hooks exists.
+func (d *DUT) reusable() bool {
+	return !d.WindowAlwaysOpen && d.Mon.Idle() && d.SoC.Net.NumWatchHooks() == d.Mon.Hooks()
+}
+
+func sameProgram(a, b *isa.Program) bool {
+	return a.Base == b.Base && slices.Equal(a.Code, b.Code)
 }
 
 func (d *DUT) haltOthers() {

@@ -17,7 +17,10 @@ import (
 // arenas; a result must stay valid across at least one subsequent Execute on
 // the same executor (the dual-secret A/B pattern), exactly like DUT.Execute.
 // A result must not depend on what the executor ran before, so any executor
-// may run any shard's batch or lease. ContentionAnalysis must return the
+// may run any shard's batch or lease. An executor may still exploit the A/B
+// pattern, as long as that dependence stays invisible: DUT.Execute resumes
+// a run from the snapshot of the previous run's shared prefix when every
+// input but the secret is equal, which yields exactly the fresh run. ContentionAnalysis must return the
 // same analysis (same point IDs) for every executor instance of one
 // campaign, so stats fold identically whichever executor ran a batch.
 type Executor interface {

@@ -13,28 +13,39 @@ import (
 // The format round-trips through Unmarshal, so interesting seeds can be
 // exported from a campaign, stored, edited, and replayed.
 func (tc *Testcase) Marshal() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# sonar testcase\n")
-	fmt.Fprintf(&b, "# probe: %d\n", tc.Probe)
-	fmt.Fprintf(&b, "# probe-offset: %d\n", tc.ProbeOffset)
-	fmt.Fprintf(&b, "# probe-delay: %d\n", tc.ProbeDelay)
-	fmt.Fprintf(&b, "# probe-base: %d\n", tc.ProbeBase)
-	patterns := make([]string, len(tc.Patterns))
+	n := len(tc.HeadChain) + len(tc.Prologue) + len(tc.Epilogue) + len(tc.Attacker)
+	b := make([]byte, 0, 160+4*len(tc.Patterns)+24*n)
+	b = append(b, "# sonar testcase\n# probe: "...)
+	b = strconv.AppendUint(b, uint64(tc.Probe), 10)
+	b = append(b, "\n# probe-offset: "...)
+	b = strconv.AppendInt(b, tc.ProbeOffset, 10)
+	b = append(b, "\n# probe-delay: "...)
+	b = strconv.AppendInt(b, int64(tc.ProbeDelay), 10)
+	b = append(b, "\n# probe-base: "...)
+	b = strconv.AppendUint(b, uint64(tc.ProbeBase), 10)
+	b = append(b, "\n# patterns: "...)
 	for i, p := range tc.Patterns {
-		patterns[i] = strconv.Itoa(int(p))
-	}
-	fmt.Fprintf(&b, "# patterns: %s\n", strings.Join(patterns, " "))
-	section := func(name string, code []isa.Instr) {
-		fmt.Fprintf(&b, ".%s\n", name)
-		for _, ins := range code {
-			fmt.Fprintf(&b, "  %s\n", ins)
+		if i > 0 {
+			b = append(b, ' ')
 		}
+		b = strconv.AppendUint(b, uint64(p), 10)
 	}
-	section("chain", tc.HeadChain)
-	section("prologue", tc.Prologue)
-	section("epilogue", tc.Epilogue)
-	section("attacker", tc.Attacker)
-	return b.String()
+	b = append(b, '\n')
+	b = appendSection(b, "chain", tc.HeadChain)
+	b = appendSection(b, "prologue", tc.Prologue)
+	b = appendSection(b, "epilogue", tc.Epilogue)
+	b = appendSection(b, "attacker", tc.Attacker)
+	return string(b)
+}
+
+// appendSection appends one Marshal section: its marker line, then one
+// indented line per instruction.
+func appendSection(b []byte, name string, code []isa.Instr) []byte {
+	b = append(append(append(b, '.'), name...), '\n')
+	for _, ins := range code {
+		b = append(ins.AppendText(append(b, "  "...)), '\n')
+	}
+	return b
 }
 
 // Unmarshal parses the Marshal format back into a testcase.

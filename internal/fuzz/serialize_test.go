@@ -1,10 +1,13 @@
 package fuzz
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"sonar/internal/isa"
 )
 
 func TestTestcaseMarshalRoundTrip(t *testing.T) {
@@ -127,4 +130,106 @@ func FuzzUnmarshal(f *testing.F) {
 			t.Fatalf("marshal is not stable:\n%s\nvs\n%s", again, text)
 		}
 	})
+}
+
+// refInstr is the fmt rendering isa.Instr.String replaced; Marshal's text
+// is pinned to it byte for byte.
+func refInstr(i isa.Instr) string {
+	switch {
+	case i.Op == isa.RDCYCLE:
+		return fmt.Sprintf("rdcycle x%d", i.Rd)
+	case i.Op == isa.FENCE || i.Op == isa.ECALL:
+		return refOp(i.Op)
+	case i.Op == isa.LUI:
+		return fmt.Sprintf("lui x%d, %d", i.Rd, i.Imm)
+	case i.Op == isa.JAL:
+		return fmt.Sprintf("jal x%d, %d", i.Rd, i.Imm)
+	case i.Op.IsBranch():
+		return fmt.Sprintf("%s x%d, x%d, %d", refOp(i.Op), i.Rs1, i.Rs2, i.Imm)
+	case i.Op.IsLoad():
+		return fmt.Sprintf("%s x%d, %d(x%d)", refOp(i.Op), i.Rd, i.Imm, i.Rs1)
+	case i.Op == isa.SCD:
+		return fmt.Sprintf("%s x%d, x%d, 0(x%d)", refOp(i.Op), i.Rd, i.Rs2, i.Rs1)
+	case i.Op.IsStore():
+		return fmt.Sprintf("%s x%d, %d(x%d)", refOp(i.Op), i.Rs2, i.Imm, i.Rs1)
+	case i.Op.HasRs2():
+		return fmt.Sprintf("%s x%d, x%d, x%d", refOp(i.Op), i.Rd, i.Rs1, i.Rs2)
+	default:
+		return fmt.Sprintf("%s x%d, x%d, %d", refOp(i.Op), i.Rd, i.Rs1, i.Imm)
+	}
+}
+
+// refOp is the fmt rendering of an op: its mnemonic, or Op(n) past ECALL,
+// the last op.
+func refOp(o isa.Op) string {
+	if o > isa.ECALL {
+		return fmt.Sprintf("Op(%d)", uint8(o))
+	}
+	return o.String()
+}
+
+// refMarshal is the fmt rendering Marshal replaced.
+func refMarshal(tc *Testcase) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# sonar testcase\n")
+	fmt.Fprintf(&b, "# probe: %d\n", tc.Probe)
+	fmt.Fprintf(&b, "# probe-offset: %d\n", tc.ProbeOffset)
+	fmt.Fprintf(&b, "# probe-delay: %d\n", tc.ProbeDelay)
+	fmt.Fprintf(&b, "# probe-base: %d\n", tc.ProbeBase)
+	patterns := make([]string, len(tc.Patterns))
+	for i, p := range tc.Patterns {
+		patterns[i] = fmt.Sprint(int(p))
+	}
+	fmt.Fprintf(&b, "# patterns: %s\n", strings.Join(patterns, " "))
+	for _, s := range []struct {
+		name string
+		code []isa.Instr
+	}{{"chain", tc.HeadChain}, {"prologue", tc.Prologue}, {"epilogue", tc.Epilogue}, {"attacker", tc.Attacker}} {
+		fmt.Fprintf(&b, ".%s\n", s.name)
+		for _, ins := range s.code {
+			fmt.Fprintf(&b, "  %s\n", refInstr(ins))
+		}
+	}
+	return b.String()
+}
+
+// Marshal and Instr.String append with strconv, not fmt, and must render
+// exactly what the fmt-based code did: every op (and one unknown op), under
+// register and immediate extremes including negative immediates, and
+// generated testcases of both scenarios.
+func TestMarshalMatchesFmtReference(t *testing.T) {
+	var all []isa.Instr
+	for op := isa.Op(0); op <= isa.ECALL+1; op++ {
+		for _, f := range []isa.Instr{
+			{Rd: 1, Rs1: 2, Rs2: 3, Imm: 4},
+			{Rd: 31, Rs1: 0, Rs2: 31, Imm: -8},
+			{Rd: 0, Rs1: 29, Rs2: 17, Imm: -1 << 63},
+			{Rd: 9, Rs1: 28, Rs2: 0, Imm: 1<<63 - 1},
+		} {
+			f.Op = op
+			if got, want := f.String(), refInstr(f); got != want {
+				t.Fatalf("Instr%+v.String() = %q, want %q", f, got, want)
+			}
+			all = append(all, f)
+		}
+	}
+	tcs := []*Testcase{
+		{},
+		{Probe: 3, ProbeOffset: -64, ProbeDelay: -2, ProbeBase: 28, Patterns: []SecretPattern{0, 7, 2},
+			HeadChain: all[:20], Prologue: all[20:60], Epilogue: all[60:100], Attacker: all[100:]},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 40; i++ {
+		tcs = append(tcs, Generate(rng, i%2 == 1))
+	}
+	for i, tc := range tcs {
+		if got, want := tc.Marshal(), refMarshal(tc); got != want {
+			t.Fatalf("testcase %d: Marshal differs from the fmt reference:\n%s\nvs\n%s", i, got, want)
+		}
+	}
+	for i, tc := range tcs {
+		if allocs := testing.AllocsPerRun(10, func() { _ = tc.Marshal() }); allocs > 2 {
+			t.Errorf("testcase %d: Marshal allocates %.1f objects per call, want at most 2", i, allocs)
+		}
+	}
 }

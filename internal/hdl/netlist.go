@@ -26,6 +26,8 @@ type Netlist struct {
 	// watchVersion counts Watch and ClearWatchers calls, so a caller that
 	// cached a decision about who observes a signal can tell it went stale.
 	watchVersion uint64
+	// hooks counts the watch hooks registered on all signals.
+	hooks int
 	// restored is Restore's scratch list of the watched signals it changed,
 	// kept so a steady-state restore allocates nothing.
 	restored []restoredValue
@@ -106,6 +108,10 @@ func (n *Netlist) SetSlot(id int, v uint64) {
 		}
 	}
 }
+
+// NumWatchHooks returns the number of watch hooks registered across all
+// signals.
+func (n *Netlist) NumWatchHooks() int { return n.hooks }
 
 // WatchVersion returns a counter that changes whenever a watch hook is
 // added or cleared anywhere in the netlist. A caller that resolved which

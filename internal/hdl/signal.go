@@ -143,11 +143,13 @@ func (s *Signal) Watch(fn WatchFunc) {
 	n.watchers[s.id] = append(n.watchers[s.id], fn)
 	n.watchBits[uint(s.id)>>6] |= 1 << (uint(s.id) & 63)
 	n.watchVersion++
+	n.hooks++
 }
 
 // ClearWatchers removes all watch hooks from the signal.
 func (s *Signal) ClearWatchers() {
 	n := s.net
+	n.hooks -= len(n.watchers[s.id])
 	n.watchers[s.id] = nil
 	n.watchBits[uint(s.id)>>6] &^= 1 << (uint(s.id) & 63)
 	n.watchVersion++

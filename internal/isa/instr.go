@@ -1,6 +1,6 @@
 package isa
 
-import "fmt"
+import "strconv"
 
 // Instr is one decoded instruction.
 type Instr struct {
@@ -56,27 +56,52 @@ func (i Instr) Writes() uint8 {
 }
 
 // String renders the instruction in assembler syntax.
-func (i Instr) String() string {
+func (i Instr) String() string { return string(i.AppendText(nil)) }
+
+// AppendText appends the instruction in assembler syntax (String's text) to
+// b and returns the extended slice.
+func (i Instr) AppendText(b []byte) []byte {
 	switch {
 	case i.Op == RDCYCLE:
-		return fmt.Sprintf("rdcycle x%d", i.Rd)
+		return appendReg(append(b, "rdcycle "...), i.Rd)
 	case i.Op == FENCE || i.Op == ECALL:
-		return i.Op.String()
+		return i.Op.appendName(b)
 	case i.Op == LUI:
-		return fmt.Sprintf("lui x%d, %d", i.Rd, i.Imm)
+		return appendImm(appendReg(append(b, "lui "...), i.Rd), i.Imm)
 	case i.Op == JAL:
-		return fmt.Sprintf("jal x%d, %d", i.Rd, i.Imm)
+		return appendImm(appendReg(append(b, "jal "...), i.Rd), i.Imm)
 	case i.Op.IsBranch():
-		return fmt.Sprintf("%s x%d, x%d, %d", i.Op, i.Rs1, i.Rs2, i.Imm)
+		b = appendReg(append(i.Op.appendName(b), ' '), i.Rs1)
+		return appendImm(appendReg(append(b, ", "...), i.Rs2), i.Imm)
 	case i.Op.IsLoad():
-		return fmt.Sprintf("%s x%d, %d(x%d)", i.Op, i.Rd, i.Imm, i.Rs1)
+		return appendMem(appendReg(append(i.Op.appendName(b), ' '), i.Rd), i.Imm, i.Rs1)
 	case i.Op == SCD:
-		return fmt.Sprintf("%s x%d, x%d, 0(x%d)", i.Op, i.Rd, i.Rs2, i.Rs1)
+		b = appendReg(append(i.Op.appendName(b), ' '), i.Rd)
+		return appendMem(appendReg(append(b, ", "...), i.Rs2), 0, i.Rs1)
 	case i.Op.IsStore():
-		return fmt.Sprintf("%s x%d, %d(x%d)", i.Op, i.Rs2, i.Imm, i.Rs1)
+		return appendMem(appendReg(append(i.Op.appendName(b), ' '), i.Rs2), i.Imm, i.Rs1)
 	case i.Op.HasRs2():
-		return fmt.Sprintf("%s x%d, x%d, x%d", i.Op, i.Rd, i.Rs1, i.Rs2)
+		b = appendReg(append(i.Op.appendName(b), ' '), i.Rd)
+		b = appendReg(append(b, ", "...), i.Rs1)
+		return appendReg(append(b, ", "...), i.Rs2)
 	default:
-		return fmt.Sprintf("%s x%d, x%d, %d", i.Op, i.Rd, i.Rs1, i.Imm)
+		b = appendReg(append(i.Op.appendName(b), ' '), i.Rd)
+		b = appendReg(append(b, ", "...), i.Rs1)
+		return appendImm(b, i.Imm)
 	}
+}
+
+// appendReg appends register r as "x<r>".
+func appendReg(b []byte, r uint8) []byte {
+	return strconv.AppendUint(append(b, 'x'), uint64(r), 10)
+}
+
+// appendImm appends ", <imm>".
+func appendImm(b []byte, imm int64) []byte {
+	return strconv.AppendInt(append(b, ", "...), imm, 10)
+}
+
+// appendMem appends a memory operand ", <imm>(x<base>)".
+func appendMem(b []byte, imm int64, base uint8) []byte {
+	return append(appendReg(append(appendImm(b, imm), '('), base), ')')
 }

@@ -6,7 +6,7 @@
 // can round-trip through memory images.
 package isa
 
-import "fmt"
+import "strconv"
 
 // Op identifies an instruction operation.
 type Op uint8
@@ -68,7 +68,15 @@ func (o Op) String() string {
 	if int(o) < len(opNames) {
 		return opNames[o]
 	}
-	return fmt.Sprintf("Op(%d)", uint8(o))
+	return string(o.appendName(nil))
+}
+
+// appendName appends the op's mnemonic (String's text) to b.
+func (o Op) appendName(b []byte) []byte {
+	if int(o) < len(opNames) {
+		return append(b, opNames[o]...)
+	}
+	return append(strconv.AppendUint(append(b, "Op("...), uint64(o), 10), ')')
 }
 
 // IsALU reports whether the op executes on an integer ALU.

@@ -129,6 +129,10 @@ type Monitor struct {
 	// paper's "#New verilog" column in Table 2.
 	statements int
 	pulses     pulseTable
+	// raised is the sum of the true-valid counts over every watched
+	// request: nonzero while some watched valid is held high, which no
+	// Pulse and no rise-and-fall leaves behind.
+	raised int
 }
 
 // pulseTable lists, per watched valid, the watch hooks New registered on it
@@ -196,6 +200,9 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 			}
 		}
 		st.recount()
+		for _, cnt := range st.trueCnt {
+			m.raised += int(cnt)
+		}
 		// Interval registers and comparators per point: the fixed part of
 		// the inserted monitoring logic.
 		m.statements += 2 + len(p.Requests)
@@ -348,6 +355,19 @@ func (m *Monitor) SetWindow(open bool) { m.window = open }
 // WindowOpen reports whether the monitoring window is currently open.
 func (m *Monitor) WindowOpen() bool { return m.window }
 
+// Idle reports whether the monitor is as Reset leaves it with every
+// watched valid at rest: the window is shut, no point has recorded an
+// event, and no request's true-valid count is raised. A caller that
+// snapshots a run while the monitor is idle can resume it later from a
+// freshly reset monitor.
+func (m *Monitor) Idle() bool {
+	return !m.window && len(m.set.dirty) == 0 && m.raised == 0
+}
+
+// Hooks returns the number of watch hooks the monitor registered on the
+// netlist; a netlist with more hooks has another observer.
+func (m *Monitor) Hooks() int { return len(m.pulses.entries) }
+
 // Reset clears all collected state, keeping the instrumentation attached.
 // Call it between testcase executions. Only the points that recorded an
 // event since the last Reset are touched.
@@ -364,6 +384,13 @@ func (m *Monitor) Reset() {
 //
 //sonar:alloc-free
 func (m *Monitor) onValidDelta(pi int32, ri int, old, new uint64, cycle int64) {
+	if (old != 0) != (new != 0) {
+		if new != 0 {
+			m.raised++
+		} else {
+			m.raised--
+		}
+	}
 	st := &m.set.states[pi]
 	if !st.applyValidDelta(ri, old, new) {
 		return

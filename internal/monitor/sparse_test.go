@@ -153,3 +153,33 @@ func TestResetSnapshotEqualsConstruction(t *testing.T) {
 		}
 	}
 }
+
+// Idle holds exactly while the monitor is as Reset leaves it with every
+// watched valid at rest: an open window, a recorded event or a valid held
+// high each clear it, and a whole pulse outside the window does not.
+func TestIdle(t *testing.T) {
+	r := newMultiRig(t, 3)
+	if r.mon.Hooks() != 6 {
+		t.Fatalf("Hooks() = %d, want one per watched valid (6)", r.mon.Hooks())
+	}
+	check := func(step string, want bool) {
+		t.Helper()
+		if got := r.mon.Idle(); got != want {
+			t.Fatalf("after %s: Idle() = %v, want %v", step, got, want)
+		}
+	}
+	check("construction", true)
+	pulse(r.valids[0][0])
+	check("a pulse with the window shut", true)
+	r.valids[1][1].Set(1)
+	check("a valid held high", false)
+	r.valids[1][1].Set(0)
+	check("the valid falling again", true)
+	r.mon.SetWindow(true)
+	check("opening the window", false)
+	pulse(r.valids[2][0])
+	r.mon.SetWindow(false)
+	check("an event recorded in the window", false)
+	r.mon.Reset()
+	check("Reset", true)
+}

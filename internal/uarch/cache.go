@@ -100,6 +100,12 @@ type Cache struct {
 	wbSrc   int // D-channel source index for writebacks
 	pulser  *Pulser
 
+	// filled lists the sets a line was installed in since the last Reset,
+	// in first-fill order, and isFilled marks them; every other set's lines
+	// are all zero.
+	filled   []int32
+	isFilled []bool
+
 	singlePort bool
 	// portResv holds future cycles reserved by refill writes on the single
 	// shared port; fetch reads landing on them are delayed (S14).
@@ -148,6 +154,7 @@ func NewCache(mod *hdl.Module, pulser *Pulser, p CacheParams) *Cache {
 		hitLat:     p.HitLatency,
 		l2Lat:      p.L2Latency,
 		lines:      make([]cacheLine, p.Sets*p.Ways),
+		isFilled:   make([]bool, p.Sets),
 		mshrs:      make([]mshr, p.NumMSHRs),
 		bus:        p.Bus,
 		readSrc:    p.ReadSrc,
@@ -213,11 +220,12 @@ func (c *Cache) bankOf(addr uint64) int {
 	return int(addr/LineBytes) % len(c.bankPipe)
 }
 
-// Reset invalidates all lines and MSHRs between program runs.
+// Reset invalidates all lines and MSHRs between program runs. Only the
+// sets filled since the last Reset are cleared.
+//
+//sonar:alloc-free
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = cacheLine{}
-	}
+	c.clearFilled()
 	for i := range c.mshrs {
 		c.mshrs[i] = mshr{}
 	}
@@ -229,6 +237,15 @@ func (c *Cache) Reset() {
 		c.writeLB.reset()
 	}
 	c.Hits, c.Misses, c.Writebacks, c.SecAttaches, c.FalseSharingBlocks = 0, 0, 0, 0, 0
+}
+
+// clearFilled zeroes the lines of every filled set and empties the list.
+func (c *Cache) clearFilled() {
+	for _, set := range c.filled {
+		clear(c.lines[int(set)*c.ways : int(set+1)*c.ways])
+		c.isFilled[set] = false
+	}
+	c.filled = c.filled[:0]
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr / LineBytes }
@@ -402,6 +419,10 @@ func (c *Cache) refill(addr uint64, set int, tag uint64, write bool, start int64
 	}
 	if len(c.bankRefill) > 0 {
 		c.pulser.At(done, c.bankRefill[c.bankOf(addr)], addr)
+	}
+	if !c.isFilled[set] {
+		c.isFilled[set] = true
+		c.filled = append(c.filled, int32(set))
 	}
 	*c.way(set, victim) = cacheLine{tag: tag, valid: true, dirty: write, fillReady: done, lastUse: done}
 	return done + int64(c.hitLat)

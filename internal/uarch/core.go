@@ -57,11 +57,6 @@ type prodRef struct {
 	seq int64
 }
 
-type fetchGroup struct {
-	instrs  []fetchedInstr
-	availAt int64
-}
-
 type fetchedInstr struct {
 	pc  uint64
 	idx int
@@ -96,7 +91,33 @@ type Core struct {
 	Exec   *ExecUnits // shared or private execution units
 	bulk   Bulk
 
-	prog        *isa.Program
+	prog *isa.Program
+	// imgBuf is the scratch buffer LoadProgram renders program images into.
+	imgBuf []byte
+	window WindowObserver
+
+	// coreState holds every scalar of the run state; the slices below
+	// hold the rest. A Snapshot copies both.
+	coreState
+
+	rob []robEntry
+	// waitq holds the ROB positions of the stWaiting entries in age order:
+	// issue walks it instead of the whole ROB.
+	waitq []int
+	// fetchBuf is a head-indexed queue: entries [fbHead:] are live. Dispatch
+	// consumes by advancing fbHead so the backing array keeps its capacity;
+	// fetch compacts to [:0] whenever the queue drains.
+	fetchBuf []fetchedInstr
+	// pending is the in-flight fetch group, valid when hasPending.
+	pending []fetchedInstr
+
+	// CommitLog records every committed instruction in order.
+	CommitLog []CommitRecord
+}
+
+// coreState is the scalar part of a core's run state: Reset zeroes it (the
+// secret range aside), and a Snapshot copies it whole.
+type coreState struct {
 	secretStart int
 	secretEnd   int
 	handlerAddr uint64
@@ -104,26 +125,17 @@ type Core struct {
 	cycle    int64
 	pc       uint64
 	regs     [32]uint64
-	rob      []robEntry
 	robHead  int
 	robTail  int
 	robCount int
+	// seqNext also bounds the ROB positions written since Reset: every
+	// position at or past min(seqNext, len(rob)) is still zero.
 	seqNext  int64
 	lastProd [32]prodRef
-	// waitq holds the ROB positions of the stWaiting entries in age order:
-	// issue walks it instead of the whole ROB.
-	waitq []int
 
-	// fetchBuf is a head-indexed queue: entries [fbHead:] are live. Dispatch
-	// consumes by advancing fbHead so the backing array keeps its capacity;
-	// fetch compacts to [:0] whenever the queue drains.
-	fetchBuf   []fetchedInstr
 	fbHead     int
-	pending    fetchGroup // in-flight fetch group, valid when hasPending
+	pendingAt  int64 // cycle the pending fetch group arrives
 	hasPending bool
-
-	// imgBuf is the scratch buffer LoadProgram renders program images into.
-	imgBuf []byte
 
 	redirectValid bool
 	redirectPC    uint64
@@ -132,10 +144,6 @@ type Core struct {
 	ldqCount, stqCount int
 	halted             bool
 	secretInROB        int
-	window             WindowObserver
-
-	// CommitLog records every committed instruction in order.
-	CommitLog []CommitRecord
 
 	perf PerfCounters
 }
@@ -192,6 +200,14 @@ func (c *Core) SetSecretRange(start, end int) {
 	c.secretStart, c.secretEnd = start, end
 }
 
+// SetProgram points the core's program index at p without touching memory
+// or the fetch PC: a core restored from a Snapshot continues under p, which
+// must hold the program the snapshot was taken with.
+func (c *Core) SetProgram(p *isa.Program) { c.prog = p }
+
+// WindowObserver returns the attached monitoring-window sink.
+func (c *Core) WindowObserver() WindowObserver { return c.window }
+
 // SetHandler sets the exception handler address (0 halts on exception).
 func (c *Core) SetHandler(addr uint64) { c.handlerAddr = addr }
 
@@ -221,28 +237,19 @@ func (c *Core) Halted() bool { return c.halted || c.cycle >= c.Cfg.MaxCycles }
 // buffer) must swap CommitLog itself before the next run, as DUT.Execute
 // and SoC.RunProgram do.
 func (c *Core) Reset() {
-	c.cycle = 0
-	c.pc = 0
-	c.regs = [32]uint64{}
-	for i := range c.rob {
-		c.rob[i] = robEntry{}
-	}
-	c.robHead, c.robTail, c.robCount = 0, 0, 0
-	c.waitq = c.waitq[:0]
-	c.seqNext = 0
+	clear(c.rob[:c.robWritten()])
+	c.coreState = coreState{secretStart: -1, secretEnd: -1}
 	c.clearProducers()
+	c.waitq = c.waitq[:0]
 	c.fetchBuf = c.fetchBuf[:0]
-	c.fbHead = 0
-	c.hasPending = false
-	c.redirectValid = false
-	c.ldqCount, c.stqCount = 0, 0
-	c.halted = false
-	c.secretInROB = 0
 	c.CommitLog = c.CommitLog[:0]
-	c.perf = PerfCounters{}
 	c.prog = nil
-	c.secretStart, c.secretEnd = -1, -1
-	c.handlerAddr = 0
+}
+
+// robWritten bounds the ROB positions written since Reset: dispatch writes
+// at robTail, which never runs ahead of seqNext.
+func (c *Core) robWritten() int {
+	return int(min(c.seqNext, int64(len(c.rob))))
 }
 
 func (c *Core) clearProducers() {
@@ -625,7 +632,7 @@ func (c *Core) dispatch() {
 		if fi.ins.Op.IsStore() {
 			c.stqCount++
 		}
-		if fi.idx >= 0 && fi.idx >= c.secretStart && fi.idx < c.secretEnd {
+		if c.inSecretRange(fi.idx) {
 			e.secretDep = true
 			c.secretInROB++
 			if c.secretInROB == 1 && c.window != nil {
@@ -641,6 +648,61 @@ func (c *Core) dispatch() {
 	}
 }
 
+// mayDispatchSecret reports whether the next cycle's dispatch could reach
+// an instruction of the secret-dependent range: one sits among the next
+// CoreWidth fetch-buffer entries, with room for it and for the entries
+// ahead of it in the ROB and the load/store queues once the next commit has
+// retired every entry it can. Until this holds at a cycle boundary, the
+// next cycle cannot open the monitoring window. A redirect, a flush or a
+// halt can still keep it shut.
+func (c *Core) mayDispatchSecret() bool {
+	ahead := c.fetchBuf[c.fbHead:]
+	ahead = ahead[:min(len(ahead), c.Cfg.CoreWidth)]
+	k := 0
+	for k < len(ahead) && !c.inSecretRange(ahead[k].idx) {
+		k++
+	}
+	if k == len(ahead) {
+		return false
+	}
+	rob, ldq, stq := c.robCount, c.ldqCount, c.stqCount
+	for n, pos := 0, c.robHead; n < c.Cfg.CoreWidth && n < c.robCount; n++ {
+		e := &c.rob[pos]
+		if e.state != stIssued || e.doneAt >= c.cycle {
+			break
+		}
+		rob--
+		if e.ins.Op.IsLoad() {
+			ldq--
+		}
+		if e.ins.Op.IsStore() {
+			stq--
+		}
+		pos = (pos + 1) % len(c.rob)
+	}
+	for _, fi := range ahead[:k+1] {
+		if rob >= len(c.rob) ||
+			(fi.ins.Op.IsLoad() && ldq >= c.Cfg.LDQEntries) ||
+			(fi.ins.Op.IsStore() && stq >= c.Cfg.STQEntries) {
+			return false
+		}
+		rob++
+		if fi.ins.Op.IsLoad() {
+			ldq++
+		}
+		if fi.ins.Op.IsStore() {
+			stq++
+		}
+	}
+	return true
+}
+
+// inSecretRange reports whether program index idx lies in the
+// secret-dependent range.
+func (c *Core) inSecretRange(idx int) bool {
+	return idx >= 0 && idx >= c.secretStart && idx < c.secretEnd
+}
+
 // ---- fetch ----
 
 func (c *Core) fetch() {
@@ -651,8 +713,8 @@ func (c *Core) fetch() {
 		c.fbHead = 0
 	}
 	// Drain a completed fetch group into the fetch buffer.
-	if c.hasPending && c.pending.availAt <= c.cycle {
-		for i, fi := range c.pending.instrs {
+	if c.hasPending && c.pendingAt <= c.cycle {
+		for i, fi := range c.pending {
 			if len(c.fetchBuf)-c.fbHead >= c.Cfg.FetchBufEntries {
 				break
 			}
@@ -670,7 +732,7 @@ func (c *Core) fetch() {
 	if len(c.fetchBuf)-c.fbHead+c.Cfg.FetchWidth > c.Cfg.FetchBufEntries {
 		return
 	}
-	instrs := c.pending.instrs[:0]
+	instrs := c.pending[:0]
 	pc := c.pc
 	for i := 0; i < c.Cfg.FetchWidth; i++ {
 		addr := pc + uint64(4*i)
@@ -690,12 +752,12 @@ func (c *Core) fetch() {
 		}
 		instrs = append(instrs, fetchedInstr{pc: addr, idx: idx, ins: ins})
 	}
-	c.pending.instrs = instrs
+	c.pending = instrs
 	if len(instrs) == 0 {
 		return
 	}
 	res := c.ICache.Access(0, c.pc, false, c.cycle)
-	c.pending.availAt = res.Ready
+	c.pendingAt = res.Ready
 	c.hasPending = true
 	c.perf.FetchGroups++
 	c.pc += uint64(4 * len(instrs))

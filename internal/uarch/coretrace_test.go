@@ -231,18 +231,28 @@ func coreTraceLines(t *testing.T) []string {
 // runTraceTrial resets the SoC and runs one freshly generated program per
 // core, each with a handler and a secret range.
 func runTraceTrial(s *SoC, rng *rand.Rand, gen func(*rand.Rand, int) []isa.Instr) {
+	loadTraceTrial(s, rng, gen)
+	s.Run()
+}
+
+// loadTraceTrial resets the SoC and loads runTraceTrial's programs; it
+// returns them in core order.
+func loadTraceTrial(s *SoC, rng *rand.Rand, gen func(*rand.Rand, int) []isa.Instr) []*isa.Program {
 	s.Reset()
 	s.Mem.Write(tracePrivBase, uint64(rng.Int63()), 8)
 	h := traceHandlerProgram()
 	s.Mem.WriteBytes(h.Base, h.Image())
+	var progs []*isa.Program
 	for i, c := range s.Cores {
 		code := gen(rng, 60+rng.Intn(60))
-		c.LoadProgram(isa.NewProgram(uint64(0x1_0000*(i+1)), code...))
+		p := isa.NewProgram(uint64(0x1_0000*(i+1)), code...)
+		c.LoadProgram(p)
 		c.SetHandler(traceHandler)
 		start := rng.Intn(len(code) / 2)
 		c.SetSecretRange(start, start+1+rng.Intn(len(code)/2))
+		progs = append(progs, p)
 	}
-	s.Run()
+	return progs
 }
 
 func TestCoreTraceGolden(t *testing.T) {

@@ -172,6 +172,22 @@ func (s *SoC) Run() int64 {
 	return s.cycle - start
 }
 
+// RunToSecret steps a freshly reset SoC like Run, but stops at the first
+// cycle boundary from which core 0 may dispatch an instruction of its
+// secret range (Core.SetSecretRange) in the next cycle: the last boundary
+// before the monitoring window can open. It reports whether it stopped
+// there rather than at the end of the run; Run continues either way.
+func (s *SoC) RunToSecret() bool {
+	victim, max := s.Cores[0], s.Cores[0].Cfg.MaxCycles
+	for !s.Halted() && s.cycle < max {
+		if victim.mayDispatchSecret() {
+			return true
+		}
+		s.Step()
+	}
+	return false
+}
+
 // RunProgram resets the system, loads the program on core 0, and runs to
 // completion. Other cores idle (halted with empty programs). The returned
 // log is private to this call: it stays valid across later RunProgram calls.

@@ -50,6 +50,33 @@ func TestMemoryReadWrite(t *testing.T) {
 	}
 }
 
+// A watch flags exactly the accesses overlapping its bytes, by every
+// access path, including a write that spans pages and a byte-slice copy.
+func TestMemoryWatch(t *testing.T) {
+	m := NewMemory()
+	for _, c := range []struct {
+		name   string
+		access func()
+		hit    bool
+	}{
+		{"read below", func() { m.Read(0x1ff8, 8) }, false},
+		{"read overlapping the first byte", func() { m.Read(0x1ff9, 8) }, true},
+		{"read above", func() { m.Read(0x2008, 4) }, false},
+		{"byte load of the last byte", func() { m.LoadByte(0x2007) }, true},
+		{"write overlapping the last byte", func() { m.Write(0x2007, 1, 2) }, true},
+		{"byte store just past", func() { m.StoreByte(0x2008, 1) }, false},
+		{"page-spanning write", func() { m.Write(0x1ffc, 1, 8) }, true},
+		{"byte-slice copy across it", func() { m.WriteBytes(0x1f00, make([]byte, 0x200)) }, true},
+		{"byte-slice copy beside it", func() { m.WriteBytes(0x2008, make([]byte, 0x100)) }, false},
+	} {
+		m.Watch(0x2000, 8)
+		c.access()
+		if m.WatchHit() != c.hit {
+			t.Errorf("%s: WatchHit() = %v, want %v", c.name, m.WatchHit(), c.hit)
+		}
+	}
+}
+
 func TestPulserScheduling(t *testing.T) {
 	n := hdl.NewNetlist("t")
 	v := n.Wire("v_valid", 1)
