@@ -85,6 +85,25 @@ func TestBuildIntoReuseAllocFree(t *testing.T) {
 	}
 }
 
+// A warm LaneDUT lane pass (reset, SetLane stimulus, activity-driven Tick,
+// lane-bank hooks and snapshots of every pair) must not touch the heap.
+func TestLaneDUTLanePassAllocFree(t *testing.T) {
+	d := netExecFactory(t)().(*LaneDUT)
+	rng := rand.New(rand.NewSource(7))
+	tcs := make([]*Testcase, d.GroupWidth())
+	for i := range tcs {
+		tcs[i] = Generate(rng, true)
+	}
+	// Warm the snapshot arenas to their steady-state capacity.
+	for i := 0; i < 3; i++ {
+		d.runLanePass(tcs, 0, 0, 1)
+	}
+	allocs := testing.AllocsPerRun(10, func() { d.runLanePass(tcs, 0, 0, 1) })
+	if allocs != 0 {
+		t.Errorf("steady-state lane pass allocates %.1f objects/run, want 0", allocs)
+	}
+}
+
 // A parallel campaign built on SharedAnalysisFactory runs trace.Analyze
 // exactly once, no matter how many workers it starts — including the
 // replacement workers spawned by fault recovery, which used to re-analyze

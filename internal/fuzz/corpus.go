@@ -166,11 +166,16 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 		r++
 	}
 	target, bestV := top[r].id, top[r].v
-	// Among seeds achieving the best interval at the target, pick randomly:
-	// count them, then index the chosen one.
+	// Among seeds achieving the best interval at the target, pick randomly.
+	// One walk records the matching seeds' indices; only when more match
+	// than the buffer holds does a second walk index the chosen one.
+	var hits [selectHits]int32
 	matches := 0
-	for _, s := range c.seeds {
+	for i, s := range c.seeds {
 		if v, ok := s.Intvls[target]; ok && v == bestV {
+			if matches < len(hits) {
+				hits[matches] = int32(i)
+			}
 			matches++
 		}
 	}
@@ -178,6 +183,9 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 		return c.seeds[rng.Intn(len(c.seeds))], target
 	}
 	k := rng.Intn(matches)
+	if k < len(hits) {
+		return c.seeds[hits[k]], target
+	}
 	for _, s := range c.seeds {
 		if v, ok := s.Intvls[target]; ok && v == bestV {
 			if k == 0 {
@@ -188,6 +196,11 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 	}
 	panic("unreachable")
 }
+
+// selectHits bounds the tied seeds Select indexes without a second walk.
+// Many seeds often tie at a target's best interval, so it covers a corpus
+// of a few hundred seeds whole.
+const selectHits = 512
 
 // rankedPoint is a Select candidate: a point and its best interval.
 type rankedPoint struct {

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sonar/internal/monitor"
@@ -166,6 +167,60 @@ func TestCorpusSelectionPrioritizesSmallestNonzero(t *testing.T) {
 	seed, _ := c.Select(rng, false)
 	if seed == nil {
 		t.Fatal("unprioritized selection returned nil")
+	}
+}
+
+// selectByDefinition is Corpus.Select's prioritized policy written
+// plainly: rank every untriggered point by (best interval, id), draw the
+// rank geometrically over the first 16, then draw uniformly among the seeds
+// achieving the target's best, in corpus order.
+func selectByDefinition(c *Corpus, rng *rand.Rand) (*Seed, int) {
+	var ranked []rankedPoint
+	for id, v := range c.best {
+		if v != 0 {
+			ranked = append(ranked, rankedPoint{id, v})
+		}
+	}
+	sort.Slice(ranked, func(i, j int) bool { return ranked[i].less(ranked[j]) })
+	r := 0
+	for r < len(ranked)-1 && r < 15 && rng.Intn(3) == 0 {
+		r++
+	}
+	target := ranked[r]
+	var hits []*Seed
+	for _, s := range c.seeds {
+		if v, ok := s.Intvls[target.id]; ok && v == target.v {
+			hits = append(hits, s)
+		}
+	}
+	return hits[rng.Intn(len(hits))], target.id
+}
+
+// Select must draw the same RNG values and pick the same seed as its
+// definition, both when the seeds tied at the target fit Select's index
+// buffer and when they overflow it.
+func TestCorpusSelectMatchesDefinition(t *testing.T) {
+	for _, tied := range []int{1, 5, selectHits, selectHits + 1, 2 * selectHits} {
+		c := NewCorpus()
+		for i := 0; i < tied; i++ {
+			// Every seed holds interval 5 at point 0 and is retained for
+			// a fresh point of its own at a larger interval.
+			c.Offer(&Testcase{}, map[int]int64{0: 5, 100 + i: 10 + int64(i%7)}, +1, -1)
+		}
+		if c.Len() != tied {
+			t.Fatalf("tied=%d: corpus holds %d seeds", tied, c.Len())
+		}
+		got, want := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+		for i := 0; i < 200; i++ {
+			gs, gt := c.Select(got, true)
+			ws, wt := selectByDefinition(c, want)
+			if gs != ws || gt != wt {
+				t.Fatalf("tied=%d draw %d: Select picked (%p, %d), definition (%p, %d)", tied, i, gs, gt, ws, wt)
+			}
+		}
+		if got.Int63() != want.Int63() {
+			t.Fatalf("tied=%d: RNG streams diverged", tied)
+		}
 	}
 }
 

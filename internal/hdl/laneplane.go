@@ -24,14 +24,20 @@ type LaneWatchFunc func(s *Signal, lane int, old, new uint64, cycle int64)
 //
 // A signal of width w occupies w consecutive words starting at Offset(s).
 // Stored values are always masked to the signal width, mirroring Signal.Set.
-// The plane is a passive container: it fires no watch hooks; demuxing a lane
-// back through the scalar plane's hooks is StoreLane's job.
+// The plane fires no watch hooks (demuxing a lane back through the scalar
+// plane's hooks is StoreLane's job), but it records which signals its typed
+// mutators (Set, SetWord, Broadcast, LoadScalar) wrote in a touched set, so
+// an activity-driven evaluator (sim.LaneSimulator) re-evaluates exactly the
+// logic that reads them.
 type LanePlane struct {
 	net *Netlist
 	// off[id] is the word offset of signal id's bit 0; off[len] is the total
 	// word count, so signal id spans off[id]..off[id+1].
 	off   []int32
 	words []uint64
+	// touched is the touched set: bit id&63 of word id>>6 is set once a
+	// typed mutator writes signal id, until the evaluator drains it.
+	touched []uint64
 }
 
 // NewLanePlane allocates a lane plane over the netlist and broadcasts every
@@ -46,7 +52,7 @@ func NewLanePlane(n *Netlist) *LanePlane {
 		total += int32(s.Width())
 	}
 	off[len(sigs)] = total
-	p := &LanePlane{net: n, off: off, words: make([]uint64, total)}
+	p := &LanePlane{net: n, off: off, words: make([]uint64, total), touched: make([]uint64, (len(sigs)+63)/64)}
 	p.LoadScalar()
 	return p
 }
@@ -58,9 +64,24 @@ func (p *LanePlane) Netlist() *Netlist { return p.net }
 // the signal lives at Words()[Offset(s)+b].
 func (p *LanePlane) Offset(s *Signal) int { return int(p.off[s.id]) }
 
-// Words returns the raw bit-sliced storage. It is live and intended for hot
-// evaluation loops; all other callers should prefer the typed accessors.
+// Words returns the raw bit-sliced storage. It is live and reserved to the
+// evaluator's hot loop and its Reset: a write through it records nothing in
+// the touched set, so logic reading the written signal would not
+// re-evaluate. Every other caller writes through the typed mutators.
 func (p *LanePlane) Words() []uint64 { return p.words }
+
+// Touched returns the live touched set: bit id&63 of word id>>6 is set when
+// signal id was written through Set, SetWord, Broadcast or LoadScalar since
+// the bit was last cleared. The evaluator that owns the plane drains it,
+// clearing the words it visits.
+func (p *LanePlane) Touched() []uint64 { return p.touched }
+
+// touch records signal s in the touched set.
+//
+//sonar:alloc-free
+func (p *LanePlane) touch(s *Signal) {
+	p.touched[uint(s.id)>>6] |= 1 << (uint(s.id) & 63)
+}
 
 // Word returns the lane word holding bit b of the signal: bit L of the
 // result is lane L's value of signal bit b.
@@ -71,6 +92,7 @@ func (p *LanePlane) Word(s *Signal, b int) uint64 {
 // SetWord stores the lane word holding bit b of the signal.
 func (p *LanePlane) SetWord(s *Signal, b int, w uint64) {
 	p.words[int(p.off[s.id])+b] = w
+	p.touch(s)
 }
 
 // Get gathers the value of the signal in the given lane.
@@ -90,6 +112,7 @@ func (p *LanePlane) Set(s *Signal, lane int, v uint64) {
 		panic(fmt.Sprintf("hdl: lane Set on constant signal %s", s.name))
 	}
 	v &= s.mask
+	p.touch(s)
 	base := int(p.off[s.id])
 	bit := uint64(1) << uint(lane)
 	for b := 0; b < s.width; b++ {
@@ -105,6 +128,7 @@ func (p *LanePlane) Set(s *Signal, lane int, v uint64) {
 // lane of the signal.
 func (p *LanePlane) Broadcast(s *Signal, v uint64) {
 	v &= s.mask
+	p.touch(s)
 	base := int(p.off[s.id])
 	for b := 0; b < s.width; b++ {
 		if v>>uint(b)&1 != 0 {

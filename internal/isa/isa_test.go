@@ -290,3 +290,61 @@ func TestShiftAndCompareExtensions(t *testing.T) {
 		t.Error("invalid shift funct6 decoded")
 	}
 }
+
+// The op predicates as switch and compare chains, the definitions the
+// flags table replaced.
+func oldIsLoad(o Op) bool  { return o == LD || o == LW || o == LRD }
+func oldIsStore(o Op) bool { return o == SD || o == SW || o == SCD }
+func oldIsMem(o Op) bool   { return oldIsLoad(o) || oldIsStore(o) }
+
+func oldHasRd(o Op) bool {
+	switch o {
+	case SD, SW, BEQ, BNE, FENCE, ECALL:
+		return false
+	}
+	return o < numOps
+}
+
+func oldHasRs1(o Op) bool {
+	switch o {
+	case LUI, JAL, RDCYCLE, FENCE, ECALL:
+		return false
+	}
+	return o < numOps
+}
+
+func oldHasRs2(o Op) bool {
+	switch o {
+	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU, MUL, DIV, REM, SD, SW, SCD, BEQ, BNE:
+		return true
+	}
+	return false
+}
+
+// TestOpFlagsMatchDefinitions checks every op, and ops past the subset,
+// against the predicates' switch definitions.
+func TestOpFlagsMatchDefinitions(t *testing.T) {
+	preds := []struct {
+		name     string
+		got, def func(Op) bool
+	}{
+		{"IsLoad", Op.IsLoad, oldIsLoad},
+		{"IsStore", Op.IsStore, oldIsStore},
+		{"IsMem", Op.IsMem, oldIsMem},
+		{"HasRd", Op.HasRd, oldHasRd},
+		{"HasRs1", Op.HasRs1, oldHasRs1},
+		{"HasRs2", Op.HasRs2, oldHasRs2},
+	}
+	for op := Op(0); op <= numOps+1; op++ {
+		for _, p := range preds {
+			if got, want := p.got(op), p.def(op); got != want {
+				t.Errorf("%v.%s() = %v, want %v", op, p.name, got, want)
+			}
+		}
+	}
+	for _, p := range preds {
+		if p.got(255) {
+			t.Errorf("Op(255).%s() = true, want false", p.name)
+		}
+	}
+}

@@ -95,14 +95,47 @@ func (o Op) IsMul() bool { return o == MUL }
 // IsDiv reports whether the op uses the divider.
 func (o Op) IsDiv() bool { return o == DIV || o == REM }
 
+// Per-op class flags: the operand and memory predicates the core model
+// asks several times per waiting instruction each cycle, one table load
+// apiece.
+const (
+	fLoad uint8 = 1 << iota
+	fStore
+	fRd
+	fRs1
+	fRs2
+)
+
+// rrr and rri are the register-register and register-immediate shapes.
+const (
+	rrr = fRd | fRs1 | fRs2
+	rri = fRd | fRs1
+)
+
+var opFlags = [numOps]uint8{
+	ADD: rrr, SUB: rrr, AND: rrr, OR: rrr, XOR: rrr,
+	SLL: rrr, SRL: rrr, SRA: rrr, SLT: rrr, SLTU: rrr,
+	SLLI: rri, SRLI: rri, SRAI: rri,
+	ADDI: rri, ANDI: rri, ORI: rri, XORI: rri, SLTI: rri,
+	LUI: fRd,
+	MUL: rrr, DIV: rrr, REM: rrr,
+	LD: fLoad | rri, LW: fLoad | rri, SD: fStore | fRs1 | fRs2, SW: fStore | fRs1 | fRs2,
+	LRD: fLoad | rri, SCD: fStore | rrr,
+	BEQ: fRs1 | fRs2, BNE: fRs1 | fRs2, JAL: fRd,
+	RDCYCLE: fRd, FENCE: 0, ECALL: 0,
+}
+
+// is reports whether the op is in the subset and carries any of the flags f.
+func (o Op) is(f uint8) bool { return o < numOps && opFlags[o]&f != 0 }
+
 // IsLoad reports whether the op reads data memory.
-func (o Op) IsLoad() bool { return o == LD || o == LW || o == LRD }
+func (o Op) IsLoad() bool { return o.is(fLoad) }
 
 // IsStore reports whether the op writes data memory.
-func (o Op) IsStore() bool { return o == SD || o == SW || o == SCD }
+func (o Op) IsStore() bool { return o.is(fStore) }
 
 // IsMem reports whether the op accesses data memory.
-func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() }
+func (o Op) IsMem() bool { return o.is(fLoad | fStore) }
 
 // IsBranch reports whether the op is a conditional branch.
 func (o Op) IsBranch() bool { return o == BEQ || o == BNE }
@@ -111,31 +144,13 @@ func (o Op) IsBranch() bool { return o == BEQ || o == BNE }
 func (o Op) IsJump() bool { return o == JAL }
 
 // HasRd reports whether the op writes a destination register.
-func (o Op) HasRd() bool {
-	switch o {
-	case SD, SW, BEQ, BNE, FENCE, ECALL:
-		return false
-	}
-	return o < numOps
-}
+func (o Op) HasRd() bool { return o.is(fRd) }
 
 // HasRs1 reports whether the op reads rs1.
-func (o Op) HasRs1() bool {
-	switch o {
-	case LUI, JAL, RDCYCLE, FENCE, ECALL:
-		return false
-	}
-	return o < numOps
-}
+func (o Op) HasRs1() bool { return o.is(fRs1) }
 
 // HasRs2 reports whether the op reads rs2.
-func (o Op) HasRs2() bool {
-	switch o {
-	case ADD, SUB, AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU, MUL, DIV, REM, SD, SW, SCD, BEQ, BNE:
-		return true
-	}
-	return false
-}
+func (o Op) HasRs2() bool { return o.is(fRs2) }
 
 // MemBytes returns the access width in bytes for memory ops, 0 otherwise.
 func (o Op) MemBytes() int {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"sonar/internal/hdl"
 )
@@ -54,6 +55,15 @@ type lreg struct {
 // plane of spilled signals is scratch, not state. LoadScalar/StoreLane on
 // the plane convert between the two worlds.
 //
+// Evaluation is activity-driven: a node is evaluated only when one of its
+// inputs changed since it last ran. A dirty bitset over the evaluation order
+// holds the nodes due; a committed output word that changed, a register
+// that latched a new word, and a signal the plane's typed mutators touched
+// each mark the signal's readers (and, for a touched node output, its
+// driver). A skipped node would have recomputed the words it already holds
+// and fired no hooks, so values and hook streams equal those of a full
+// sweep.
+//
 // Per-lane value changes are observable through WatchLanes hooks, the lane
 // analog of Signal.Watch; scalar watch hooks never fire during lane
 // evaluation because the scalar plane is bypassed.
@@ -69,6 +79,15 @@ type LaneSimulator struct {
 	spilled int
 	init    []uint64 // construction-time plane words, for Reset
 	stats   CompileStats
+
+	// Activity tracking, by signal id and order index: the nodes reading
+	// signal id are rdIdx[rdOff[id]:rdOff[id+1]], ascending (a node reading
+	// a signal twice is listed twice); driver[id] is the node computing it,
+	// or -1. dirty has one bit per node: the nodes the next Eval evaluates.
+	rdOff  []int32
+	rdIdx  []int32
+	driver []int32
+	dirty  []uint64
 
 	// Fixed scratch buffers sized for the maximum signal width, so Eval and
 	// Tick stay allocation-free.
@@ -158,8 +177,39 @@ func NewLanesOpt(n *hdl.Netlist, opts CompileOptions) (*LaneSimulator, error) {
 		ls.order[i] = c
 	}
 	ls.stats = stats
+	ls.buildReaders(ons)
+	ls.markAll()
 	ls.init = append([]uint64(nil), plane.Words()...)
 	return ls, nil
+}
+
+// buildReaders fills the activity tables from the compiled nodes' inputs:
+// one pass counts each signal's readers, a second fills them in.
+func (ls *LaneSimulator) buildReaders(ons []onode) {
+	nsig := ls.net.NumSignals()
+	ls.rdOff = make([]int32, nsig+1)
+	for i := range ons {
+		ons[i].eachInput(func(in *hdl.Signal) { ls.rdOff[in.ID()+1]++ })
+	}
+	for id := 0; id < nsig; id++ {
+		ls.rdOff[id+1] += ls.rdOff[id]
+	}
+	ls.rdIdx = make([]int32, ls.rdOff[nsig])
+	fill := slices.Clone(ls.rdOff[:nsig])
+	for i := range ons {
+		ons[i].eachInput(func(in *hdl.Signal) {
+			ls.rdIdx[fill[in.ID()]] = int32(i)
+			fill[in.ID()]++
+		})
+	}
+	ls.driver = make([]int32, nsig)
+	for id := range ls.driver {
+		ls.driver[id] = -1
+	}
+	for i := range ls.order {
+		ls.driver[ls.order[i].out.ID()] = int32(i)
+	}
+	ls.dirty = make([]uint64, (len(ls.order)+63)/64)
 }
 
 // Netlist returns the simulated netlist.
@@ -191,7 +241,51 @@ func (ls *LaneSimulator) Reset() {
 	for i := range ls.next {
 		ls.next[i] = 0
 	}
+	ls.markAll()
 	ls.cycle = 0
+}
+
+// markAll marks every node dirty, so the next Eval is a full sweep.
+//
+//sonar:alloc-free
+func (ls *LaneSimulator) markAll() {
+	for i := range ls.dirty {
+		ls.dirty[i] = ^uint64(0)
+	}
+	if r := len(ls.order) & 63; r != 0 {
+		ls.dirty[len(ls.dirty)-1] = 1<<uint(r) - 1
+	}
+}
+
+// markReaders marks dirty every node that reads signal id.
+//
+//sonar:alloc-free
+func (ls *LaneSimulator) markReaders(id int) {
+	for _, k := range ls.rdIdx[ls.rdOff[id]:ls.rdOff[id+1]] {
+		ls.dirty[k>>6] |= 1 << (uint(k) & 63)
+	}
+}
+
+// drainTouched clears the plane's touched set, marking dirty the readers of
+// every touched signal and the driver of every touched node output (which
+// must recompute over the stored words, as a full sweep would).
+//
+//sonar:alloc-free
+func (ls *LaneSimulator) drainTouched() {
+	t := ls.plane.Touched()
+	for i, m := range t {
+		if m == 0 {
+			continue
+		}
+		t[i] = 0
+		for ; m != 0; m &= m - 1 {
+			id := i<<6 + bits.TrailingZeros64(m)
+			ls.markReaders(id)
+			if d := ls.driver[id]; d >= 0 {
+				ls.dirty[d>>6] |= 1 << (uint(d) & 63)
+			}
+		}
+	}
 }
 
 // WatchLanes registers fn to be called whenever the signal's value changes
@@ -220,17 +314,11 @@ func gather(words []uint64, w int32, lane int) uint64 {
 }
 
 // dispatch fires the signal's lane watch hooks for every lane whose value
-// differs between oldW and newW, in ascending lane order.
+// differs between oldW and newW (the lanes set in changed), in ascending
+// lane order.
 //
 //sonar:alloc-free
-func (ls *LaneSimulator) dispatch(s *hdl.Signal, oldW, newW []uint64, w int32) {
-	var changed uint64
-	for b := int32(0); b < w; b++ {
-		changed |= oldW[b] ^ newW[b]
-	}
-	if changed == 0 {
-		return
-	}
+func (ls *LaneSimulator) dispatch(s *hdl.Signal, oldW, newW []uint64, w int32, changed uint64) {
 	hooks := ls.watch[s.ID()]
 	cyc := ls.cycle
 	for m := changed; m != 0; m &= m - 1 {
@@ -243,131 +331,153 @@ func (ls *LaneSimulator) dispatch(s *hdl.Signal, oldW, newW []uint64, w int32) {
 	}
 }
 
-// commit writes the freshly computed out words (ls.outBuf[:w]) of a
-// combinational node into the plane, dispatching lane watch hooks on change.
+// store writes words into cur. If any word changes it marks the signal's
+// readers dirty and dispatches its lane watch hooks.
 //
 //sonar:alloc-free
-func (ls *LaneSimulator) commit(nd *lnode, W []uint64) {
-	w := nd.outRef.w
-	out := W[nd.outRef.off : nd.outRef.off+w]
-	if !ls.watched(nd.out) {
-		copy(out, ls.outBuf[:w])
+func (ls *LaneSimulator) store(s *hdl.Signal, cur, words []uint64) {
+	var changed uint64
+	for b, x := range words {
+		changed |= cur[b] ^ x
+	}
+	if changed == 0 {
 		return
 	}
-	copy(ls.oldBuf[:w], out)
-	copy(out, ls.outBuf[:w])
-	ls.dispatch(nd.out, ls.oldBuf[:w], out, w)
+	ls.markReaders(s.ID())
+	if !ls.watched(s) {
+		copy(cur, words)
+		return
+	}
+	w := int32(len(words))
+	copy(ls.oldBuf[:w], cur)
+	copy(cur, words)
+	ls.dispatch(s, ls.oldBuf[:w], cur, w, changed)
 }
 
 // Eval settles all combinational logic for the current cycle across all
-// lanes. Values destined for registers are staged and only latched by Tick,
-// so register reads always see latched values, exactly as in the scalar
-// evaluator.
+// lanes. It drains the plane's touched set, then evaluates the dirty nodes
+// in one ascending pass: a node's readers come later in the order, so a
+// change it commits is picked up within the same pass. Values destined for
+// registers are staged and only latched by Tick, so register reads always
+// see latched values, exactly as in the scalar evaluator.
 //
 //sonar:alloc-free
 func (ls *LaneSimulator) Eval() {
+	ls.drainTouched()
 	W := ls.plane.Words()
 	vals := ls.net.Values()
-	for i := range ls.order {
-		nd := &ls.order[i]
-		w := nd.outRef.w
-		switch nd.kind {
-		case nkMux:
-			// selMask bit L = "lane L's select is non-zero".
-			var selMask uint64
-			for b := int32(0); b < nd.sel.w; b++ {
-				selMask |= W[nd.sel.off+b]
-			}
-			for b := int32(0); b < w; b++ {
-				var t, f uint64
-				if b < nd.tval.w {
-					t = W[nd.tval.off+b]
-				}
-				if b < nd.fval.w {
-					f = W[nd.fval.off+b]
-				}
-				ls.outBuf[b] = selMask&t | ^selMask&f
-			}
-		case nkPrim:
-			// Scalar spill: run each lane through Prim.Compute on the scalar
-			// plane. The spilled args' scalar values are scratch afterwards.
-			// These writes bypass Signal.Set and its watchers, which is safe
-			// only because a lane netlist carries no scalar watchers: its
-			// monitor is a LaneBank on the lane hooks, and a scalar
-			// monitor.Monitor must live on a separate elaboration (see
-			// fuzz.LaneDUT).
-			for lane := 0; lane < hdl.Lanes; lane++ {
-				for _, a := range nd.prim.Args {
-					if a.IsConst() {
-						continue
-					}
-					vals[a.ID()] = gather(W[ls.plane.Offset(a):], int32(a.Width()), lane)
-				}
-				ls.laneVals[lane] = nd.prim.Compute()
-			}
-			for b := int32(0); b < w; b++ {
-				var word uint64
-				for lane := 0; lane < hdl.Lanes; lane++ {
-					word |= (ls.laneVals[lane] >> uint(b) & 1) << uint(lane)
-				}
-				ls.outBuf[b] = word
-			}
-		case nkBuf:
-			for b := int32(0); b < w; b++ {
-				var acc uint64
-				for _, src := range nd.bufs {
-					if b < src.w {
-						acc |= W[src.off+b]
-					}
-				}
-				ls.outBuf[b] = acc
-			}
-		case nkCopy:
-			for b := int32(0); b < w; b++ {
-				var x uint64
-				if b < nd.sel.w {
-					x = W[nd.sel.off+b]
-				}
-				ls.outBuf[b] = x
-			}
-		case nkConst:
-			// Bit b of the folded value broadcast to all lanes of word b.
-			for b := int32(0); b < w; b++ {
-				if nd.constVal>>uint(b)&1 != 0 {
-					ls.outBuf[b] = ^uint64(0)
-				} else {
-					ls.outBuf[b] = 0
-				}
-			}
-		default: // nkChain: fallback first, then entries from weakest to strongest
-			for b := int32(0); b < w; b++ {
-				var x uint64
-				if b < nd.fval.w {
-					x = W[nd.fval.off+b]
-				}
-				ls.outBuf[b] = x
-			}
-			for k := len(nd.chain) - 2; k >= 0; k -= 2 {
-				sel := nd.chain[k]
-				var selMask uint64
-				for b := int32(0); b < sel.w; b++ {
-					selMask |= W[sel.off+b]
-				}
-				t := nd.chain[k+1]
-				for b := int32(0); b < w; b++ {
-					var tw uint64
-					if b < t.w {
-						tw = W[t.off+b]
-					}
-					ls.outBuf[b] = selMask&tw | ^selMask&ls.outBuf[b]
-				}
+	for wi := range ls.dirty {
+		for ls.dirty[wi] != 0 {
+			m := ls.dirty[wi]
+			ls.dirty[wi] = m & (m - 1)
+			nd := &ls.order[wi<<6+bits.TrailingZeros64(m)]
+			ls.compute(nd, W, vals)
+			w := nd.outRef.w
+			if nd.regSlot >= 0 {
+				r := &ls.regs[nd.regSlot]
+				copy(ls.next[r.nextOff:r.nextOff+w], ls.outBuf[:w])
+			} else {
+				ls.store(nd.out, W[nd.outRef.off:nd.outRef.off+w], ls.outBuf[:w])
 			}
 		}
-		if nd.regSlot >= 0 {
-			r := &ls.regs[nd.regSlot]
-			copy(ls.next[r.nextOff:r.nextOff+w], ls.outBuf[:w])
-		} else {
-			ls.commit(nd, W)
+	}
+}
+
+// compute evaluates one node over the plane words W into ls.outBuf.
+//
+//sonar:alloc-free
+func (ls *LaneSimulator) compute(nd *lnode, W []uint64, vals []uint64) {
+	w := nd.outRef.w
+	switch nd.kind {
+	case nkMux:
+		// selMask bit L = "lane L's select is non-zero".
+		var selMask uint64
+		for b := int32(0); b < nd.sel.w; b++ {
+			selMask |= W[nd.sel.off+b]
+		}
+		for b := int32(0); b < w; b++ {
+			var t, f uint64
+			if b < nd.tval.w {
+				t = W[nd.tval.off+b]
+			}
+			if b < nd.fval.w {
+				f = W[nd.fval.off+b]
+			}
+			ls.outBuf[b] = selMask&t | ^selMask&f
+		}
+	case nkPrim:
+		// Scalar spill: run each lane through Prim.Compute on the scalar
+		// plane. The spilled args' scalar values are scratch afterwards.
+		// These writes bypass Signal.Set and its watchers, which is safe
+		// only because a lane netlist carries no scalar watchers: its
+		// monitor is a LaneBank on the lane hooks, and a scalar
+		// monitor.Monitor must live on a separate elaboration (see
+		// fuzz.LaneDUT).
+		for lane := 0; lane < hdl.Lanes; lane++ {
+			for _, a := range nd.prim.Args {
+				if a.IsConst() {
+					continue
+				}
+				vals[a.ID()] = gather(W[ls.plane.Offset(a):], int32(a.Width()), lane)
+			}
+			ls.laneVals[lane] = nd.prim.Compute()
+		}
+		for b := int32(0); b < w; b++ {
+			var word uint64
+			for lane := 0; lane < hdl.Lanes; lane++ {
+				word |= (ls.laneVals[lane] >> uint(b) & 1) << uint(lane)
+			}
+			ls.outBuf[b] = word
+		}
+	case nkBuf:
+		for b := int32(0); b < w; b++ {
+			var acc uint64
+			for _, src := range nd.bufs {
+				if b < src.w {
+					acc |= W[src.off+b]
+				}
+			}
+			ls.outBuf[b] = acc
+		}
+	case nkCopy:
+		for b := int32(0); b < w; b++ {
+			var x uint64
+			if b < nd.sel.w {
+				x = W[nd.sel.off+b]
+			}
+			ls.outBuf[b] = x
+		}
+	case nkConst:
+		// Bit b of the folded value broadcast to all lanes of word b.
+		for b := int32(0); b < w; b++ {
+			if nd.constVal>>uint(b)&1 != 0 {
+				ls.outBuf[b] = ^uint64(0)
+			} else {
+				ls.outBuf[b] = 0
+			}
+		}
+	default: // nkChain: fallback first, then entries from weakest to strongest
+		for b := int32(0); b < w; b++ {
+			var x uint64
+			if b < nd.fval.w {
+				x = W[nd.fval.off+b]
+			}
+			ls.outBuf[b] = x
+		}
+		for k := len(nd.chain) - 2; k >= 0; k -= 2 {
+			sel := nd.chain[k]
+			var selMask uint64
+			for b := int32(0); b < sel.w; b++ {
+				selMask |= W[sel.off+b]
+			}
+			t := nd.chain[k+1]
+			for b := int32(0); b < w; b++ {
+				var tw uint64
+				if b < t.w {
+					tw = W[t.off+b]
+				}
+				ls.outBuf[b] = selMask&tw | ^selMask&ls.outBuf[b]
+			}
 		}
 	}
 }
@@ -383,15 +493,7 @@ func (ls *LaneSimulator) Tick() {
 	for i := range ls.regs {
 		r := &ls.regs[i]
 		w := r.planeEl.w
-		cur := W[r.planeEl.off : r.planeEl.off+w]
-		staged := ls.next[r.nextOff : r.nextOff+w]
-		if !ls.watched(r.sig) {
-			copy(cur, staged)
-			continue
-		}
-		copy(ls.oldBuf[:w], cur)
-		copy(cur, staged)
-		ls.dispatch(r.sig, ls.oldBuf[:w], cur, w)
+		ls.store(r.sig, W[r.planeEl.off:r.planeEl.off+w], ls.next[r.nextOff:r.nextOff+w])
 	}
 	ls.cycle++
 }
@@ -406,7 +508,7 @@ func (ls *LaneSimulator) Run(n int) {
 // SetLane sets one lane of a signal, dispatching the signal's lane watch
 // hooks if that lane's value changed — the lane analog of hdl.Signal.Set.
 // Stimulus drivers must poke through this method rather than LanePlane.Set
-// (which is a silent store): on designs whose monitored signals are ports,
+// (which fires no hooks): on designs whose monitored signals are ports,
 // observers mirroring plane state (monitor.NewLaneBank) would otherwise miss
 // input transitions that the scalar path's Signal.Set reports.
 //
