@@ -72,9 +72,11 @@ func main() {
 
 	snap := mon.Snapshot()
 	ps := snap.Points[0]
-	fmt.Printf("\nafter simulation: reqsIntvl = %d, volatile contention triggered: %v\n",
-		ps.MinIntvlDistinct, ps.VolatileContention)
-	for _, e := range ps.Events {
-		fmt.Printf("  cycle %d: request %d arrived with data %d\n", e.Cycle, e.Req, e.Data)
+	fmt.Printf("\nafter simulation: %d request arrivals, reqsIntvl = %d, volatile contention triggered: %v\n",
+		ps.EventCount, ps.MinIntvlDistinct, ps.VolatileContention)
+	same := "none (no request arrived twice)"
+	if ps.MinIntvlSame != monitor.NoInterval {
+		same = fmt.Sprint(ps.MinIntvlSame)
 	}
+	fmt.Printf("  same-path interval: %s\n", same)
 }

@@ -6,7 +6,6 @@
 package detect
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -158,12 +157,11 @@ func (sd *StateDiff) Check() error {
 }
 
 // StateCompare performs the contention-state differential between two
-// instrumented executions. It overwrites dst with the points whose states
-// deviate, sorted by point ID so the result is invariant under monitor
-// placement order (both snapshots must share one placement), and returns
-// it; a dst with room for every diff is not reallocated. A point idle in
-// both snapshots cannot deviate, so the comparison walks only the union of
-// the two snapshots' Active lists.
+// instrumented executions over one monitor's points. It overwrites dst with
+// the points whose states deviate, in ascending point ID order (the order
+// of Snapshot.Points), and returns it; a dst with room for every diff is not
+// reallocated. A point idle in both snapshots cannot deviate, so the
+// comparison walks only the union of the two snapshots' Active lists.
 //
 //sonar:alloc-free
 func StateCompare(dst []StateDiff, a, b *monitor.Snapshot) []StateDiff {
@@ -218,11 +216,8 @@ func StateCompare(dst []StateDiff, a, b *monitor.Snapshot) []StateDiff {
 			Persistent: pa.PersistentCandidate || pb.PersistentCandidate,
 		})
 	}
-	slices.SortFunc(dst, byPointID)
 	return dst
 }
-
-func byPointID(x, y StateDiff) int { return cmp.Compare(x.PointID, y.PointID) }
 
 // Finding is a detected contention side channel: instructions genuinely
 // affected by secret-dependent timing plus the contention points whose

@@ -11,8 +11,7 @@ import (
 )
 
 // compareRig is a netlist of independent two-request contention points,
-// one per module, under a monitor that instruments them in a chosen
-// placement order.
+// one per module, under a monitor.
 type compareRig struct {
 	net    *hdl.Netlist
 	valids [][2]*hdl.Signal
@@ -20,9 +19,8 @@ type compareRig struct {
 	mon    *monitor.Monitor
 }
 
-// newCompareRig builds the rig; place reorders the monitored points (nil
-// keeps the analysis order).
-func newCompareRig(t *testing.T, points int, place func([]*trace.Point) []*trace.Point) *compareRig {
+// newCompareRig builds the rig.
+func newCompareRig(t *testing.T, points int) *compareRig {
 	t.Helper()
 	n := hdl.NewNetlist("C")
 	r := &compareRig{net: n}
@@ -40,11 +38,7 @@ func newCompareRig(t *testing.T, points int, place func([]*trace.Point) []*trace
 	if got := len(r.an.Monitored()); got != points {
 		t.Fatalf("monitored points = %d, want %d", got, points)
 	}
-	var cfg monitor.Config
-	if place != nil {
-		cfg.Placement = place(append([]*trace.Point(nil), r.an.Monitored()...))
-	}
-	r.mon = monitor.New(r.an, cfg)
+	r.mon = monitor.New(r.an, monitor.Config{})
 	return r
 }
 
@@ -91,7 +85,7 @@ func TestStateCompareReasons(t *testing.T) {
 	if len(cases) != int(Reasons)+1 {
 		t.Fatalf("table covers %d combinations, want %d", len(cases), Reasons+1)
 	}
-	r := newCompareRig(t, 1, nil)
+	r := newCompareRig(t, 1)
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%04b", c.reason), func(t *testing.T) {
 			a, b := r.run([]int{1}), r.run([]int{1})
@@ -143,58 +137,23 @@ func TestStateCompareReasons(t *testing.T) {
 	}
 }
 
-// reversed returns the placement in reverse order.
-func reversed(pts []*trace.Point) []*trace.Point {
-	for i, j := 0, len(pts)-1; i < j; i, j = i+1, j-1 {
-		pts[i], pts[j] = pts[j], pts[i]
+// The diffs come out in ascending point ID order.
+func TestStateCompareOrdersByPointID(t *testing.T) {
+	r := newCompareRig(t, 9)
+	got := StateCompare(nil, r.run([]int{1, 0, 2, 3, 0, 1, 4, 0, 2}), r.run([]int{2, 1, 2, 1, 0, 3, 4, 1, 0}))
+	if len(got) < 5 {
+		t.Fatalf("only %d diffs; the stimulus should diverge at most points", len(got))
 	}
-	return pts
-}
-
-// shuffled returns the placement in a fixed non-monotone order: even
-// positions ascending, then odd positions descending.
-func shuffled(pts []*trace.Point) []*trace.Point {
-	out := make([]*trace.Point, 0, len(pts))
-	for i := 0; i < len(pts); i += 2 {
-		out = append(out, pts[i])
-	}
-	for i := len(pts) - 1 - len(pts)%2; i >= 1; i -= 2 {
-		out = append(out, pts[i])
-	}
-	return out
-}
-
-// The diffs come out in ascending point ID order, the same under every
-// monitor placement.
-func TestStateCompareOrdersByPointIDUnderPermutedPlacement(t *testing.T) {
-	const points = 9
-	runA := []int{1, 0, 2, 3, 0, 1, 4, 0, 2}
-	runB := []int{2, 1, 2, 1, 0, 3, 4, 1, 0}
-	base := newCompareRig(t, points, nil)
-	want := StateCompare(nil, base.run(runA), base.run(runB))
-	if len(want) < 5 {
-		t.Fatalf("only %d diffs; the stimulus should diverge at most points", len(want))
-	}
-	for _, c := range []struct {
-		name  string
-		place func([]*trace.Point) []*trace.Point
-	}{{"reversed", reversed}, {"shuffled", shuffled}} {
-		r := newCompareRig(t, points, c.place)
-		got := StateCompare(nil, r.run(runA), r.run(runB))
-		for i := 1; i < len(got); i++ {
-			if got[i-1].PointID >= got[i].PointID {
-				t.Fatalf("%s: diffs not in ascending point ID order: %+v", c.name, got)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s placement:\n got %+v\nwant %+v", c.name, got, want)
+	for i := 1; i < len(got); i++ {
+		if got[i-1].PointID >= got[i].PointID {
+			t.Fatalf("diffs not in ascending point ID order: %+v", got)
 		}
 	}
 }
 
-// A warm dst makes the comparison allocation-free, sort included.
+// A warm dst makes the comparison allocation-free.
 func TestStateCompareWarmDstAllocatesNothing(t *testing.T) {
-	r := newCompareRig(t, 9, shuffled)
+	r := newCompareRig(t, 9)
 	a, b := r.run([]int{1, 0, 2, 3, 0, 1, 4, 0, 2}), r.run([]int{2, 1, 2, 1, 0, 3, 4, 1, 0})
 	dst := StateCompare(nil, a, b)
 	if allocs := testing.AllocsPerRun(100, func() { dst = StateCompare(dst, a, b) }); allocs != 0 {

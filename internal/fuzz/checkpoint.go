@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -411,34 +412,38 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz: read checkpoint: %w", err)
 	}
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
+	cp, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("fuzz: %s: %w", path, err)
 	}
+	return cp, nil
+}
+
+// decodeCheckpoint parses and verifies a checkpoint's file encoding (the
+// bytes Encode returns).
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("fuzz: %s: not a checkpoint (missing header line)", path)
+		return nil, fmt.Errorf("not a checkpoint (missing header line)")
 	}
 	header, payload := string(data[:nl]), data[nl+1:]
 	var version int
 	var sum uint32
 	if n, err := fmt.Sscanf(header, checkpointMagic+" v%d crc32=%08x", &version, &sum); err != nil || n != 2 {
-		return nil, fmt.Errorf("fuzz: %s: not a checkpoint (bad header %q)", path, header)
+		return nil, fmt.Errorf("not a checkpoint (bad header %q)", header)
 	}
 	if version != checkpointVersion {
-		return nil, fmt.Errorf("fuzz: %s: unsupported checkpoint version %d (want %d)", path, version, checkpointVersion)
+		return nil, fmt.Errorf("unsupported checkpoint version %d (want %d)", version, checkpointVersion)
 	}
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("fuzz: %s: checkpoint corrupt or truncated (crc32 %08x, header says %08x)", path, got, sum)
+		return nil, fmt.Errorf("checkpoint corrupt or truncated (crc32 %08x, header says %08x)", got, sum)
 	}
 	cp := &Checkpoint{}
 	if err := json.Unmarshal(payload, cp); err != nil {
-		return nil, fmt.Errorf("fuzz: %s: decode checkpoint: %w", path, err)
+		return nil, fmt.Errorf("decode checkpoint: %w", err)
 	}
 	if err := cp.validate(); err != nil {
-		return nil, fmt.Errorf("fuzz: %s: %w", path, err)
+		return nil, err
 	}
 	return cp, nil
 }

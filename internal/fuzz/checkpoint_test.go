@@ -3,13 +3,16 @@ package fuzz
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"sonar/internal/boom"
 	"sonar/internal/detect"
+	"sonar/internal/obs"
 )
 
 // The counted RNG source must be a transparent wrapper: same draw sequence
@@ -375,4 +378,86 @@ func TestResumeRejectsUnparsableFindingReason(t *testing.T) {
 	if want := fmt.Sprintf("checkpoint finding %d: ", k); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("resume error %v, want one containing %q", err, want)
 	}
+}
+
+// dualLiteCheckpoint pauses a small dual-lite campaign after its first
+// merge round and returns the checkpoint's JSON payload: the real seed of
+// FuzzLoadCheckpoint (testdata/fuzz/FuzzLoadCheckpoint/valid).
+func dualLiteCheckpoint(t *testing.T) []byte {
+	t.Helper()
+	opt := SonarOptions(4)
+	opt.DualCore = true
+	opt.Workers = 2
+	opt.BatchSize = 1
+	opt.Checkpoint = filepath.Join(t.TempDir(), "campaign.ckpt")
+	opt.MaxRounds = 1
+	RunParallelExec(func() Executor { return NewDUT(boom.NewDualLite()) }, opt)
+	data, err := os.ReadFile(opt.Checkpoint)
+	if err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	return data[bytes.IndexByte(data, '\n')+1:]
+}
+
+// withHeader wraps a checkpoint payload in a valid header line.
+func withHeader(payload []byte) []byte {
+	header := fmt.Sprintf("%s v%d crc32=%08x\n", checkpointMagic, checkpointVersion, crc32.ChecksumIEEE(payload))
+	return append([]byte(header), payload...)
+}
+
+// The committed FuzzLoadCheckpoint seeds stay what they say: valid is the
+// payload of a fresh dual-lite checkpoint and resumes; the broken ones are
+// rejected.
+func TestLoadCheckpointSeeds(t *testing.T) {
+	seeds := map[string][]byte{}
+	dir := filepath.Join("testdata", "fuzz", "FuzzLoadCheckpoint")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payload []byte
+		if _, err := fmt.Sscanf(strings.TrimPrefix(string(raw), "go test fuzz v1\n"), "[]byte(%q)", &payload); err != nil {
+			t.Fatalf("seed %s: %v", e.Name(), err)
+		}
+		seeds[e.Name()] = payload
+	}
+	if !bytes.Equal(seeds["valid"], dualLiteCheckpoint(t)) {
+		t.Error("seed valid is not the payload of a fresh dual-lite checkpoint")
+	}
+	d := NewDUT(boom.NewDualLite())
+	for name, payload := range seeds {
+		cp, err := decodeCheckpoint(withHeader(payload))
+		if err == nil {
+			_, err = ResumeLeaseCoordinator(d, cp.CampaignOptions(), cp)
+		}
+		if (name == "valid") != (err == nil) {
+			t.Errorf("seed %s: error %v", name, err)
+		}
+	}
+}
+
+// FuzzLoadCheckpoint feeds arbitrary checkpoint payloads, each behind a
+// valid header so it reaches JSON decoding and validate, through the path
+// a resumed campaign takes: decode, then ResumeLeaseCoordinator on a
+// dual-lite DUT. Neither may panic, and an accepted checkpoint yields
+// either an error or a coordinator. The seed corpus (testdata/fuzz) holds
+// one real checkpoint payload and two broken ones.
+func FuzzLoadCheckpoint(f *testing.F) {
+	d := NewDUT(boom.NewDualLite())
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cp, err := decodeCheckpoint(withHeader(payload))
+		if err != nil {
+			return
+		}
+		opt := cp.CampaignOptions()
+		opt.Observer = obs.New()
+		if lc, err := ResumeLeaseCoordinator(d, opt, cp); err == nil && lc == nil {
+			t.Fatal("ResumeLeaseCoordinator returned neither a coordinator nor an error")
+		}
+	})
 }

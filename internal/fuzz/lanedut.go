@@ -126,9 +126,9 @@ func NewLaneDUT(elab func() (*hdl.Netlist, error), shared *trace.Analysis, cycle
 	d := &LaneDUT{
 		analysis: lAn,
 		scalar:   scalar,
-		smon:     monitor.New(sAn, monitor.Config{Placement: monitorPlacement(shared, sAn)}),
+		smon:     monitor.New(sAn, monitor.Config{}),
 		lanes:    lanes,
-		bank:     monitor.NewLaneBank(lAn, monitor.Config{Placement: monitorPlacement(shared, lAn)}, lanes),
+		bank:     monitor.NewLaneBank(lAn, monitor.Config{}, lanes),
 		cycles:   cycles,
 		hold:     hold,
 	}

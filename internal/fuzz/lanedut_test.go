@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"sonar/internal/hdl"
@@ -53,9 +52,6 @@ func snapEqual(t *testing.T, label string, a, b *monitor.Snapshot) {
 			pa.VolatileContention != pb.VolatileContention ||
 			pa.PersistentCandidate != pb.PersistentCandidate {
 			t.Fatalf("%s: point %d state differs:\n%+v\nvs\n%+v", label, i, *pa, *pb)
-		}
-		if !reflect.DeepEqual(pa.Events, pb.Events) {
-			t.Fatalf("%s: point %d event logs differ:\n%v\nvs\n%v", label, i, pa.Events, pb.Events)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // This file extracts the contention surface — every arbitration MUX cascade
 // and the requestor cones converging on it — independently of
-// trace.Analyze, then cross-checks the two layers and ranks the points for
-// monitor placement.
+// trace.Analyze, then cross-checks the two layers and ranks the points by
+// risk for the audit report.
 
 package flow
 
@@ -249,7 +249,8 @@ func (au *Audit) score() {
 	}
 }
 
-// rank orders the points for monitor placement and stamps Rank. The key is
+// rank orders the points by risk and stamps Rank: the order monitors would
+// claim points if a budget forced a choice. The key is
 // lexicographic: monitorable before filtered (an unmonitorable point can
 // never be watched, whatever its score), then taint-pair reachability,
 // shared fan-in, cone depth, and finally the stable point id.

@@ -49,7 +49,7 @@ func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 		cfg.SimilarityMask = ^uint64(0)
 	}
 	b := &LaneBank{cfg: cfg, plane: host.Plane()}
-	points := cfg.placementPoints(a)
+	points := cfg.points(a)
 	for lane := 0; lane < hdl.Lanes; lane++ {
 		b.sets[lane] = newPointSet(points)
 	}

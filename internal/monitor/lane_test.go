@@ -97,9 +97,6 @@ func TestLaneBankVsScalarMonitor(t *testing.T) {
 						t.Fatalf("lane %d point %d: id %d vs %d", lane, i, g.Point.ID, w.Point.ID)
 					}
 					g.Point, w.Point = nil, nil
-					if len(g.Events) == 0 && len(w.Events) == 0 {
-						g.Events, w.Events = nil, nil
-					}
 					if !reflect.DeepEqual(g, w) {
 						t.Fatalf("lane %d point %d:\n lane   %+v\n scalar %+v", lane, i, g, w)
 					}

@@ -13,18 +13,26 @@
 //     same request path (a persistent-contention precondition when the data
 //     fields map to the same storage unit).
 //
+// A recorded event is not kept: it folds into the event count and the
+// running stream digest, which together with the two intervals and the
+// trigger bits are all the §7.2 contention-state comparison reads.
+//
 // The monitoring window corresponds to the clock period during which
 // secret-dependent instructions are in flight (first one entering the ROB to
 // last one committing); only events inside it can belong to secret-dependent
 // contention (§6.1).
 //
+// Points are instrumented in ascending point ID order, so every point list
+// a monitor hands out (Snapshot.Points, Snapshot.Active, Triggered) ascends
+// by ID.
+//
 // The per-execution cost follows the points an execution touched, not the
 // points instrumented: a monitor keeps a dirty list of the states that
 // recorded an event since the last Reset, and Reset and snapshot capture
 // walk only that list. Every other point is idle — its record is the one it
-// had at construction — so on a paper-scale placement of thousands of
-// points, an execution that touches a hundred of them pays for a hundred
-// resets and copies.
+// had at construction — so on a paper-scale design with thousands of
+// monitored points, an execution that touches a hundred of them pays for a
+// hundred resets and copies.
 //
 // Behavioural DUTs also enter through Pulse: the uarch Pulser hands a whole
 // request pulse (valid raised and lowered in one cycle) to the monitor in
@@ -39,20 +47,6 @@ import (
 	"sonar/internal/hdl"
 	"sonar/internal/trace"
 )
-
-// maxEventsPerPoint caps the per-point event log so long runs stay bounded;
-// the full event stream still contributes to the state digest hash.
-const maxEventsPerPoint = 64
-
-// Event is one valid-request arrival at a contention point.
-type Event struct {
-	// Cycle is the absolute cycle of the rising valid edge.
-	Cycle int64
-	// Req is the request index within the point (select-priority order).
-	Req int
-	// Data is the request data field value at arrival.
-	Data uint64
-}
 
 // pointState is the mutable per-point instrumentation state.
 type pointState struct {
@@ -81,7 +75,6 @@ type pointState struct {
 
 	minIntvlDistinct int64
 	minIntvlSame     int64
-	events           []Event
 	eventCount       int
 	hash             uint64
 	samePathHit      bool // same request twice with similar data
@@ -98,21 +91,11 @@ type Config struct {
 	// any valid-carrying request still never produce events (there is
 	// nothing to watch), but their monitors are carried.
 	IgnoreFilter bool
-	// Placement, when non-nil, is the exact ordered point list to
-	// instrument, overriding the default Monitored()/IgnoreFilter
-	// selection. The fuzzing engines pass the flow audit's rank order here;
-	// placement only reorders monitor-internal state, never the
-	// ID-keyed campaign outputs (Snapshot.Triggered and the interval maps
-	// are placement-invariant).
-	Placement []*trace.Point
 }
 
-// placementPoints resolves the ordered point list a monitor instruments
-// under this config.
-func (cfg *Config) placementPoints(a *trace.Analysis) []*trace.Point {
-	if cfg.Placement != nil {
-		return cfg.Placement
-	}
+// points returns the point list a monitor instruments under this config,
+// in the analysis' ascending point ID order.
+func (cfg *Config) points(a *trace.Analysis) []*trace.Point {
 	if cfg.IgnoreFilter {
 		return a.Points
 	}
@@ -175,7 +158,7 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 		cfg.SimilarityMask = ^uint64(0)
 	}
 	m := &Monitor{net: a.Netlist, cfg: cfg}
-	points := cfg.placementPoints(a)
+	points := cfg.points(a)
 	m.set = newPointSet(points)
 	var hooks []pulseHook
 	for pi, p := range points {
@@ -251,13 +234,11 @@ type pointSet struct {
 // newPointSet builds the instrumentation states for an ordered point list,
 // reset and ready for hooks (the true-valid recount is the caller's job:
 // scalar and lane monitors read values from different planes). All
-// per-point bookkeeping — the states themselves, the per-request counters,
-// and the capped event logs — is carved from a handful of contiguous slabs,
-// so construction costs O(1) allocations instead of O(points): a LaneBank
-// builds hdl.Lanes independent sets, and per-point allocation there
-// dominated whole-campaign allocation counts. record never outgrows its
-// event slice (maxEventsPerPoint cap), so the slab also keeps the monitoring
-// hot path allocation-free from the first execution.
+// per-point bookkeeping — the states themselves and the per-request
+// counters — is carved from a handful of contiguous slabs, so construction
+// costs O(1) allocations instead of O(points): a LaneBank builds hdl.Lanes
+// independent sets, and per-point allocation there dominated
+// whole-campaign allocation counts.
 func newPointSet(points []*trace.Point) pointSet {
 	reqs := 0
 	for _, p := range points {
@@ -268,7 +249,6 @@ func newPointSet(points []*trace.Point) pointSet {
 		i32    = make([]int32, 2*reqs)
 		cycles = make([]int64, reqs)
 		data   = make([]uint64, reqs)
-		events = make([]Event, len(points)*maxEventsPerPoint)
 	)
 	off := 0
 	for i, p := range points {
@@ -279,7 +259,6 @@ func newPointSet(points []*trace.Point) pointSet {
 		st.need = i32[reqs+off : reqs+off+n : reqs+off+n]
 		st.lastCycle = cycles[off : off+n : off+n]
 		st.lastData = data[off : off+n : off+n]
-		st.events = events[i*maxEventsPerPoint : i*maxEventsPerPoint : (i+1)*maxEventsPerPoint]
 		for ri := range p.Requests {
 			req := &p.Requests[ri]
 			if !req.HasValid() && !req.Data.IsConst() {
@@ -335,7 +314,6 @@ func (st *pointState) reset() {
 	st.lastAnyReq = -1
 	st.minIntvlDistinct = math.MaxInt64
 	st.minIntvlSame = math.MaxInt64
-	st.events = st.events[:0]
 	st.eventCount = 0
 	st.hash = fnvOffset
 	st.samePathHit = false
@@ -487,10 +465,9 @@ func (st *pointState) applyValidDelta(ri int, old, new uint64) bool {
 }
 
 // record folds one in-window valid arrival of request ri at point pi, with
-// the given data-field value, into the point's reqsIntvl statistics and
-// event log, listing the point dirty on its first event since the last
-// reset. The event append stays within the log's preallocated cap
-// (maxEventsPerPoint).
+// the given data-field value, into the point's reqsIntvl statistics, event
+// count and stream digest, listing the point dirty on its first event since
+// the last reset.
 //
 //sonar:alloc-free
 func (ps *pointSet) record(cfg *Config, pi int32, ri int, cycle int64, data uint64) {
@@ -531,13 +508,10 @@ func (ps *pointSet) record(cfg *Config, pi int32, ri int, cycle int64, data uint
 	st.lastAnyCycle = cycle
 	st.lastAnyReq = ri
 
-	if len(st.events) < maxEventsPerPoint {
-		st.events = append(st.events, Event{Cycle: cycle, Req: ri, Data: data})
-	}
 	st.eventCount++
-	// FNV-1a over (req, data); cycle is folded in relative form by the
-	// snapshot, so identical behaviour at a different start cycle hashes
-	// identically there, while the running hash captures order and values.
+	// FNV-1a over (req, data): the running hash captures order and values
+	// but no cycle, so identical behaviour at a different start cycle
+	// hashes identically.
 	st.hash = fnv1a(st.hash, uint64(ri))
 	st.hash = fnv1a(st.hash, data)
 }

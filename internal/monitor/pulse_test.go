@@ -96,7 +96,7 @@ func newPulseRig(spec [][]pulseReq) *pulseRig {
 		}
 		points = append(points, p)
 	}
-	r.mon = New(&trace.Analysis{Netlist: n}, Config{Placement: points})
+	r.mon = New(&trace.Analysis{Netlist: n, Points: points}, Config{IgnoreFilter: true})
 	return r
 }
 

@@ -3,7 +3,6 @@ package monitor
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"sonar/internal/trace"
 )
@@ -19,9 +18,8 @@ type PointSnapshot struct {
 	// MinIntvlSame is the smallest interval between consecutive valid
 	// events of the same request; NoInterval if no request arrived twice.
 	MinIntvlSame int64
-	// Events is the (capped) event log inside the monitoring window.
-	Events []Event
-	// EventCount is the total number of events, including beyond the cap.
+	// EventCount is the number of valid arrivals inside the monitoring
+	// window.
 	EventCount int
 	// Digest summarizes the full ordered event stream (request indices and
 	// data values); differing digests under differing secrets indicate the
@@ -40,15 +38,15 @@ const NoInterval int64 = math.MaxInt64
 
 // Snapshot is the full record of one instrumented execution.
 type Snapshot struct {
-	Points []PointSnapshot // per-point state, indexed by monitor order
+	Points []PointSnapshot // per-point state, in ascending point ID order
 
 	// active lists, ascending, the indices of Points that recorded any
 	// event; every other entry is the idle record of its point.
 	active []int
-	// placement is the point list the entries of Points are laid out for:
-	// an arena recaptured from any monitor over the same list (every lane
-	// of one LaneBank shares it) only rewrites what changed.
-	placement []*trace.Point
+	// points is the point list the entries of Points are laid out for: an
+	// arena recaptured from any monitor over the same list (every lane of
+	// one LaneBank shares it) only rewrites what changed.
+	points []*trace.Point
 }
 
 // Active returns the indices into Points of the entries that recorded any
@@ -67,7 +65,7 @@ func (m *Monitor) Snapshot() *Snapshot {
 }
 
 // SnapshotInto captures the current collected state of all points into s,
-// reusing s.Points and the per-point Events buffers. After the first call on
+// reusing s.Points. After the first call on
 // a given arena the capture allocates nothing, which is what keeps the
 // steady-state Execute path heap-quiet. The previous contents of s are
 // overwritten; callers own the aliasing (a recycled snapshot must no longer
@@ -85,7 +83,7 @@ func (m *Monitor) SnapshotInto(s *Snapshot) {
 //
 //sonar:alloc-free
 func (ps *pointSet) snapshotInto(s *Snapshot) {
-	if !samePlacement(s.placement, ps.points) {
+	if !sameList(s.points, ps.points) {
 		s.layout(ps.points)
 	}
 	for _, i := range s.active {
@@ -96,7 +94,6 @@ func (ps *pointSet) snapshotInto(s *Snapshot) {
 	for _, pi := range ps.dirty {
 		st := &ps.states[pi]
 		p := &s.Points[pi]
-		p.Events = append(p.Events[:0], st.events...)
 		p.MinIntvlDistinct = st.minIntvlDistinct
 		p.MinIntvlSame = st.minIntvlSame
 		p.EventCount = st.eventCount
@@ -107,22 +104,16 @@ func (ps *pointSet) snapshotInto(s *Snapshot) {
 	}
 }
 
-// samePlacement reports whether two point lists are the same list.
-func samePlacement(a, b []*trace.Point) bool {
+// sameList reports whether two point lists are the same list.
+func sameList(a, b []*trace.Point) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // layout (re)shapes the arena for a point list: every entry becomes the idle
-// record of its point. One contiguous event slab backs all entries' Events:
-// source logs are capped at maxEventsPerPoint, so a capture never outgrows
-// its buffer and the arena allocates nothing after its first sizing.
+// record of its point. The arena allocates nothing after its first sizing.
 func (s *Snapshot) layout(points []*trace.Point) {
 	if cap(s.Points) < len(points) {
 		s.Points = make([]PointSnapshot, len(points))
-		slab := make([]Event, len(points)*maxEventsPerPoint)
-		for i := range s.Points {
-			s.Points[i].Events = slab[i*maxEventsPerPoint : i*maxEventsPerPoint : (i+1)*maxEventsPerPoint]
-		}
 		s.active = make([]int, 0, len(points))
 	}
 	s.Points = s.Points[:len(points)]
@@ -131,26 +122,23 @@ func (s *Snapshot) layout(points []*trace.Point) {
 		s.Points[i].setIdle()
 	}
 	s.active = s.active[:0]
-	s.placement = points
+	s.points = points
 }
 
 // setIdle turns p into the record of a point that saw no event, keeping its
-// Point and its Events buffer.
+// Point.
 func (p *PointSnapshot) setIdle() {
 	*p = PointSnapshot{
 		Point:            p.Point,
 		MinIntvlDistinct: NoInterval,
 		MinIntvlSame:     NoInterval,
-		Events:           p.Events[:0],
 		Digest:           fnvOffset,
 	}
 }
 
 // Triggered returns the IDs of points where any contention was triggered:
-// a volatile simultaneous arrival or a persistent same-path revisit. The
-// IDs are sorted ascending regardless of monitor placement order, so the
-// result (and every event stream built from it) is invariant under
-// audit-ranked placement permutations.
+// a volatile simultaneous arrival or a persistent same-path revisit, in
+// ascending ID order.
 func (s *Snapshot) Triggered() []int {
 	var ids []int
 	for _, i := range s.active {
@@ -159,7 +147,6 @@ func (s *Snapshot) Triggered() []int {
 			ids = append(ids, p.Point.ID)
 		}
 	}
-	sort.Ints(ids)
 	return ids
 }
 

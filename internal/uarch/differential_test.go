@@ -56,15 +56,102 @@ func randomStraightLine(rng *rand.Rand, n int) []isa.Instr {
 	return append(code, isa.Instr{Op: isa.ECALL})
 }
 
+// hazardPrograms are fixed programs aimed at the ordering hazards random
+// programs almost never produce: a memory access whose address or data
+// waits on a long DIV while a younger access to the same address is ready
+// at once, and register write-after-write and write-after-read across a
+// slow producer. x28 holds the data base 0x40000; every result lands in
+// x1..x12 or the compared data window.
+var hazardPrograms = [][]isa.Instr{
+	// Store address waits on a DIV; the younger load of the same address
+	// must see the stored 7, not the 0 memory held before.
+	{
+		{Op: isa.LUI, Rd: 28, Imm: 0x40},
+		isa.I(isa.ADDI, 1, 0, 7),
+		isa.I(isa.ADDI, 2, 0, 64),
+		isa.I(isa.ADDI, 3, 0, 8),
+		isa.R(isa.DIV, 4, 2, 3),
+		isa.R(isa.ADD, 5, 28, 4),
+		isa.Store(isa.SD, 1, 5, 0),
+		isa.Load(isa.LD, 6, 28, 8),
+		{Op: isa.ECALL},
+	},
+	// Store data waits on a DIV chain; the load of the same address must
+	// see the quotient.
+	{
+		{Op: isa.LUI, Rd: 28, Imm: 0x40},
+		isa.I(isa.ADDI, 2, 0, 1000),
+		isa.I(isa.ADDI, 3, 0, 3),
+		isa.R(isa.DIV, 4, 2, 3),
+		isa.R(isa.DIV, 4, 4, 3),
+		isa.Store(isa.SD, 4, 28, 16),
+		isa.Load(isa.LD, 5, 28, 16),
+		isa.I(isa.ADDI, 6, 5, 1),
+		{Op: isa.ECALL},
+	},
+	// A late-address store to one slot must not disturb a load of another:
+	// the load reads the value stored there earlier.
+	{
+		{Op: isa.LUI, Rd: 28, Imm: 0x40},
+		isa.I(isa.ADDI, 1, 0, 11),
+		isa.Store(isa.SD, 1, 28, 32),
+		isa.I(isa.ADDI, 2, 0, 96),
+		isa.I(isa.ADDI, 3, 0, 2),
+		isa.R(isa.DIV, 4, 2, 3),
+		isa.R(isa.ADD, 5, 28, 4),
+		isa.I(isa.ADDI, 6, 0, 5),
+		isa.Store(isa.SD, 6, 5, 0),
+		isa.Load(isa.LD, 7, 28, 32),
+		isa.Load(isa.LD, 8, 28, 48),
+		{Op: isa.ECALL},
+	},
+	// A narrow late-address store into a wide slot, then a wide load of it.
+	{
+		{Op: isa.LUI, Rd: 28, Imm: 0x40},
+		isa.I(isa.ADDI, 1, 0, -1),
+		isa.Store(isa.SD, 1, 28, 64),
+		isa.I(isa.ADDI, 2, 0, 256),
+		isa.I(isa.ADDI, 3, 0, 4),
+		isa.R(isa.DIV, 4, 2, 3),
+		isa.R(isa.ADD, 5, 28, 4),
+		isa.I(isa.ADDI, 6, 0, 0x123),
+		isa.Store(isa.SW, 6, 5, 0),
+		isa.Load(isa.LD, 7, 28, 64),
+		isa.Load(isa.LW, 8, 28, 68),
+		{Op: isa.ECALL},
+	},
+	// WAW and WAR around a slow DIV: the younger ADDI's x4 must survive
+	// the older DIV's late write, and the MUL must read x5 before the
+	// younger overwrite.
+	{
+		isa.I(isa.ADDI, 2, 0, 900),
+		isa.I(isa.ADDI, 3, 0, 7),
+		isa.I(isa.ADDI, 5, 0, 6),
+		isa.R(isa.DIV, 4, 2, 3),
+		isa.R(isa.MUL, 6, 4, 5),
+		isa.I(isa.ADDI, 4, 0, 1),
+		isa.I(isa.ADDI, 5, 0, 2),
+		isa.R(isa.DIV, 7, 2, 5),
+		isa.R(isa.REM, 8, 2, 4),
+		isa.R(isa.ADD, 9, 4, 5),
+		{Op: isa.ECALL},
+	},
+}
+
 // The cycle-accurate out-of-order cores must be architecturally equivalent
-// to the golden interpreter on random programs: same final registers, same
-// final memory.
+// to the golden interpreter on random programs and on the fixed hazard
+// programs: same final registers, same final memory.
 func TestDifferentialCoreVsInterp(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for _, cfg := range []Config{BoomConfig(), NutshellConfig()} {
 		soc := NewSoC(cfg, 1, nil, nil)
-		for trial := 0; trial < 30; trial++ {
-			code := randomStraightLine(rng, 40+rng.Intn(80))
+		for trial := 0; trial < 30+len(hazardPrograms); trial++ {
+			var code []isa.Instr
+			if trial < 30 {
+				code = randomStraightLine(rng, 40+rng.Intn(80))
+			} else {
+				code = hazardPrograms[trial-30]
+			}
 			prog := isa.NewProgram(0x1_0000, code...)
 
 			soc.Reset()
