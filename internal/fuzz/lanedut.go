@@ -241,8 +241,8 @@ func (d *LaneDUT) ExecuteGroup(tcs []*Testcase, secretA, secretB uint64, chunk i
 //
 //sonar:alloc-free
 func (d *LaneDUT) runScalar(tc *Testcase, secret uint64, snap *monitor.Snapshot) {
+	d.smon.Reset() // shuts the window before the reset's batch Restore
 	d.scalar.Reset()
-	d.smon.Reset()
 	d.smon.SetWindow(true)
 	dig := tcDigest(tc, secret)
 	for cyc := 0; cyc < d.cycles; cyc++ {

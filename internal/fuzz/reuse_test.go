@@ -76,8 +76,8 @@ func TestReusedDUTMatchesFresh(t *testing.T) {
 
 // The LaneDUT counterpart: one LaneDUT reused across groups must match a
 // fresh LaneDUT per testcase. The scalar path (chunk 1) resets through
-// sim.Simulator.Reset, whose Netlist.Restore keeps the scalar monitor's
-// true-valid counts exact; the groups also switch between the scalar path
+// sim.Simulator.Reset, whose Netlist.Restore runs with the scalar monitor's
+// window already shut; the groups also switch between the scalar path
 // and lane passes of different widths, so the group arenas are refilled
 // from a different monitor, or a different lane of the bank, than last time.
 // Within each group the testcase with the most events comes first and the

@@ -6,13 +6,12 @@ import "fmt"
 // uint64 word, so 64 independent testcases evaluate per word operation.
 const Lanes = 64
 
-// LaneWatchFunc observes a per-lane value change during lane-parallel
-// evaluation. It is the lane analog of WatchFunc: lane identifies which of
-// the Lanes testcases changed, old and new are that lane's values, and cycle
-// is the lane simulation cycle at which the change occurred. For a signal
-// changing in several lanes on the same evaluation, hooks fire in ascending
-// lane order.
-type LaneWatchFunc func(s *Signal, lane int, old, new uint64, cycle int64)
+// LaneWatchFunc observes one store that changes a signal in some lanes: the
+// lane analog of WatchFunc, a word at a time. changed has bit L set for each
+// lane L whose value changed; old and new are the signal's bit words before
+// and after the store (laid out as in LanePlane), valid only during the call;
+// cycle is the lane simulation cycle of the change.
+type LaneWatchFunc func(s *Signal, changed uint64, old, new []uint64, cycle int64)
 
 // LanePlane is a bit-sliced, Lanes-wide value plane over a netlist: where the
 // scalar plane (Netlist.Values) stores one value per signal, a LanePlane

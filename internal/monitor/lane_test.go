@@ -162,3 +162,46 @@ func TestLaneBankWindowIsolation(t *testing.T) {
 		t.Fatal("open lanes recorded no events")
 	}
 }
+
+// TestDerivedValidityConjunctionLanes is the lane sibling of
+// TestDerivedValidityConjunction over the same netlist: every lane runs one
+// way of completing (or not) the av ∧ bv conjunction, with the window open.
+func TestDerivedValidityConjunctionLanes(t *testing.T) {
+	c := newConjNet()
+	ls, err := sim.NewLanes(c.net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bank := NewLaneBank(trace.Analyze(c.net), Config{}, ls)
+	twice := NewLaneBank(c.twiceAnalysis(), Config{IgnoreFilter: true}, ls)
+	bank.SetWindowAll(true)
+	twice.SetWindowAll(true)
+	p := ls.Plane()
+
+	// Lane 0: the peer written through the plane (no hook), then av rises.
+	p.Set(c.bv, 0, 1)
+	ls.SetLane(c.av, 0, 1)
+	// Lane 1: av alone.
+	ls.SetLane(c.av, 1, 1)
+	// Lane 2: av, then bv, one SetLane each.
+	ls.SetLane(c.av, 2, 1)
+	ls.SetLane(c.bv, 2, 1)
+	// Lane 3: both rise in one Tick; lanes 0–2 fall back to the trigger's 0.
+	ls.SetLane(c.trigger, 3, 1)
+	ls.Tick()
+	// Lane 4: both rise in one Tick with the window shut.
+	bank.SetWindow(4, false)
+	twice.SetWindow(4, false)
+	ls.SetLane(c.trigger, 4, 1)
+	ls.Tick()
+
+	want := map[int]int{0: 1, 1: 0, 2: 1, 3: 1, 4: 0, 63: 0}
+	for lane, n := range want {
+		if got := bank.SnapshotLane(lane).Points[0].EventCount; got != n {
+			t.Errorf("lane %d: EventCount = %d, want %d", lane, got, n)
+		}
+		if got := twice.SnapshotLane(lane).Points[0].EventCount; got != n {
+			t.Errorf("lane %d, av ∧ bv ∧ av: EventCount = %d, want %d", lane, got, n)
+		}
+	}
+}

@@ -34,10 +34,18 @@
 // monitored points, an execution that touches a hundred of them pays for a
 // hundred resets and copies.
 //
+// Every valid change reaches a monitor through one index, the valid table:
+// each watched valid maps to the run of requests whose conjunction names it.
+// The three entry points — Monitor.Pulse, the one scalar watch hook per
+// watched valid, and the LaneBank's one lane hook per watched valid — read
+// the valid's run and nothing else. A request completes when the valid that
+// changed rises and every other valid of its conjunction is nonzero in the
+// value plane, so a monitor mirrors no valid state of its own.
+//
 // Behavioural DUTs also enter through Pulse: the uarch Pulser hands a whole
 // request pulse (valid raised and lowered in one cycle) to the monitor in
-// one call when the monitor's hooks are the valid's only watchers, with the
-// same effect as dispatching the hooks for the rise and the fall.
+// one call when the monitor's hook is the valid's only watcher, with the
+// same effect as dispatching the hook for the rise and the fall.
 package monitor
 
 import (
@@ -57,14 +65,6 @@ type pointState struct {
 	// the paper's §8.3.2 observation ① — contentions dominated by a single
 	// valid signal trigger at the outset of testing.
 	constPeer bool
-	// trueCnt counts the currently-true valid signals per request; the
-	// conjunction holds exactly when trueCnt[ri] == need[ri]. Watch hooks
-	// maintain the count incrementally from old/new transitions, so a value
-	// change costs O(1) instead of re-reading every valid in the conjunction.
-	trueCnt []int32
-	// need is the conjunction size per request (0 for requests without
-	// validity indication).
-	need []int32
 	// lastCycle is the last valid-arrival cycle per request (-1 = never).
 	lastCycle []int64
 	// lastData is the data value at the last arrival per request.
@@ -103,56 +103,144 @@ func (cfg *Config) points(a *trace.Analysis) []*trace.Point {
 }
 
 // Monitor instruments a set of contention points over a netlist.
+//
+// Watch hooks fire whenever a watched valid changes, window open or shut.
+// A batch Netlist.Restore must run with the window shut: it writes the
+// whole plane before dispatching, so two valids of one conjunction rising
+// in one Restore each see the other high and would record the request
+// twice, where one Set after the other records it once.
 type Monitor struct {
 	net    *hdl.Netlist
 	cfg    Config
 	set    pointSet
 	window bool
-	// statements approximates the amount of monitoring logic inserted, the
-	// paper's "#New verilog" column in Table 2.
-	statements int
-	pulses     pulseTable
-	// raised is the sum of the true-valid counts over every watched
-	// request: nonzero while some watched valid is held high, which no
-	// Pulse and no rise-and-fall leaves behind.
+	valids validTable
+	// raised counts the watched valids held high, which no Pulse and no
+	// rise-and-fall leaves behind.
 	raised int
 }
 
-// pulseTable lists, per watched valid, the watch hooks New registered on it
-// as (point, request, data slot) entries in registration order, so Pulse
-// folds a whole pulse on the valid without dispatching a hook. Its size
-// follows the watched valids, not the netlist.
-type pulseTable struct {
-	// valids are the watched valids' value slots, ascending, and first[i]
+// validTable lists, per watched valid, the requests whose validity
+// conjunction names it, as (point, request, data slot, peers) entries in
+// registration order: the one index Pulse and the watch hooks of a scalar
+// Monitor and of a LaneBank fold a valid change through. Its size follows
+// the watched valids, not the netlist.
+type validTable struct {
+	// valids are the watched valids, ascending by value slot, and first[i]
 	// is the index in entries of valids[i]'s first entry: the valid's
-	// pulse target (see PulseTarget).
-	valids  []int32
+	// target (see PulseTarget). A valid's entries are contiguous, so a
+	// change reads its target's run and nothing else.
+	valids  []*hdl.Signal
 	first   []int32
-	entries []pulseEntry
+	entries []validEntry
+	// peers holds, per entry, the value slots of its conjunction's other
+	// valids (see validEntry.peerLo).
+	peers []int32
+	// statements approximates the amount of monitoring logic inserted, the
+	// paper's "#New verilog" column in Table 2: one sampling statement per
+	// valid a request names, plus the fixed interval registers and
+	// comparators of every point. Lanes share one harness, so a LaneBank
+	// counts the same.
+	statements int
 }
 
-// pulseEntry is one watch hook on a valid: the request it belongs to and
-// where its data field reads from at the rising edge. A valid's entries
-// are contiguous, so a pulse reads its target's run and nothing else.
-type pulseEntry struct {
+// validEntry is one request on a valid's run: the request, where its data
+// field reads from, and the other valids its conjunction needs high.
+type validEntry struct {
 	pi, ri int32
 	// data is the request data field's value slot, or -1 when the data
-	// field is the pulsed valid itself (a self-valid request), which reads
-	// 1 while the valid is high.
+	// field is the valid itself (a self-valid request).
 	data int32
-	// conj marks a request whose validity is a conjunction of several
-	// valids; a single-valid request completes on every rising edge.
-	conj bool
-	// runConj, set on a run's first entry, marks a run with a conj entry:
-	// the only kind a pulse outside the window still has to fold.
-	runConj bool
+	// peers[peerLo:peerHi] are the value slots of the conjunction's other
+	// distinct valids; a single-valid request has none and completes on
+	// every rising edge.
+	peerLo, peerHi int32
 	// last marks the final entry of its valid's run.
 	last bool
 }
 
-// New attaches instrumentation for every monitorable point in the analysis.
-// Watch hooks are installed on the request validity signals; they are cheap
-// when values do not change.
+// newValidTable builds the valid table of an ordered point list over each
+// request's distinct valids, keeping registration order — point, request,
+// then valid — within every run.
+func newValidTable(points []*trace.Point) validTable {
+	type use struct {
+		valid *hdl.Signal
+		e     validEntry
+	}
+	var (
+		t        validTable
+		uses     []use
+		distinct []*hdl.Signal
+	)
+	for pi, p := range points {
+		for ri := range p.Requests {
+			req := &p.Requests[ri]
+			if !req.HasValid() {
+				continue
+			}
+			t.statements += len(req.Valids)
+			distinct = distinct[:0]
+			for _, v := range req.Valids {
+				if !slices.Contains(distinct, v) {
+					distinct = append(distinct, v)
+				}
+			}
+			for _, v := range distinct {
+				e := validEntry{pi: int32(pi), ri: int32(ri), data: int32(req.Data.ID()), peerLo: int32(len(t.peers))}
+				if req.Data == v {
+					e.data = -1
+				}
+				for _, peer := range distinct {
+					if peer != v {
+						t.peers = append(t.peers, int32(peer.ID()))
+					}
+				}
+				e.peerHi = int32(len(t.peers))
+				uses = append(uses, use{valid: v, e: e})
+			}
+		}
+		t.statements += 2 + len(p.Requests)
+	}
+	slices.SortStableFunc(uses, func(a, b use) int { return a.valid.ID() - b.valid.ID() })
+	t.entries = make([]validEntry, len(uses))
+	for i, u := range uses {
+		if i == 0 || uses[i-1].valid != u.valid {
+			t.valids = append(t.valids, u.valid)
+			t.first = append(t.first, int32(i))
+		}
+		t.entries[i] = u.e
+		t.entries[i].last = i+1 == len(uses) || uses[i+1].valid != u.valid
+	}
+	return t
+}
+
+// run returns the run of entries starting at target.
+//
+//sonar:alloc-free
+func (t *validTable) run(target int32) []validEntry {
+	es := t.entries[target:]
+	n := 1
+	for !es[n-1].last {
+		n++
+	}
+	return es[:n]
+}
+
+// peersHigh reports whether every other valid of e's conjunction is
+// nonzero in the scalar value plane.
+//
+//sonar:alloc-free
+func (t *validTable) peersHigh(e *validEntry, vals []uint64) bool {
+	for _, p := range t.peers[e.peerLo:e.peerHi] {
+		if vals[p] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// New attaches instrumentation for every monitorable point in the analysis:
+// one watch hook on each watched valid, cheap when values do not change.
 func New(a *trace.Analysis, cfg Config) *Monitor {
 	if cfg.SimilarityMask == 0 {
 		cfg.SimilarityMask = ^uint64(0)
@@ -160,62 +248,17 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	m := &Monitor{net: a.Netlist, cfg: cfg}
 	points := cfg.points(a)
 	m.set = newPointSet(points)
-	var hooks []pulseHook
-	for pi, p := range points {
-		st := &m.set.states[pi]
-		for ri := range p.Requests {
-			req := &p.Requests[ri]
-			if !req.HasValid() {
-				continue
-			}
-			pi, ri := int32(pi), ri
-			hook := func(_ *hdl.Signal, old, new uint64, cycle int64) {
-				m.onValidDelta(pi, ri, old, new, cycle)
-			}
-			for _, v := range req.Valids {
-				v.Watch(hook)
-				m.statements++ // one sampling statement per watched signal
-				e := pulseEntry{pi: pi, ri: int32(ri), data: int32(req.Data.ID()), conj: len(req.Valids) > 1}
-				if req.Data == v {
-					e.data = -1
-				}
-				hooks = append(hooks, pulseHook{valid: int32(v.ID()), e: e})
-			}
+	m.valids = newValidTable(points)
+	for i, v := range m.valids.valids {
+		target := m.valids.first[i]
+		v.Watch(func(_ *hdl.Signal, old, new uint64, cycle int64) {
+			m.onValid(target, old, new, cycle)
+		})
+		if v.Bool() {
+			m.raised++
 		}
-		st.recount()
-		for _, cnt := range st.trueCnt {
-			m.raised += int(cnt)
-		}
-		// Interval registers and comparators per point: the fixed part of
-		// the inserted monitoring logic.
-		m.statements += 2 + len(p.Requests)
 	}
-	m.pulses = newPulseTable(hooks)
 	return m
-}
-
-// pulseHook is one watch hook New registered, for building the pulse table.
-type pulseHook struct {
-	valid int32
-	e     pulseEntry
-}
-
-// newPulseTable groups the hooks by valid, keeping registration order
-// within a valid: the order Signal.Set dispatches them in.
-func newPulseTable(hooks []pulseHook) pulseTable {
-	slices.SortStableFunc(hooks, func(a, b pulseHook) int { return int(a.valid) - int(b.valid) })
-	t := pulseTable{entries: make([]pulseEntry, len(hooks))}
-	for i, h := range hooks {
-		t.entries[i] = h.e
-		if i == 0 || hooks[i-1].valid != h.valid {
-			t.valids = append(t.valids, h.valid)
-			t.first = append(t.first, int32(i))
-		}
-		head := &t.entries[t.first[len(t.first)-1]]
-		head.runConj = head.runConj || h.e.conj
-		t.entries[i].last = i+1 == len(hooks) || hooks[i+1].valid != h.valid
-	}
-	return t
 }
 
 // pointSet is one ordered list of point states plus its dirty list: the
@@ -232,10 +275,9 @@ type pointSet struct {
 }
 
 // newPointSet builds the instrumentation states for an ordered point list,
-// reset and ready for hooks (the true-valid recount is the caller's job:
-// scalar and lane monitors read values from different planes). All
-// per-point bookkeeping — the states themselves and the per-request
-// counters — is carved from a handful of contiguous slabs, so construction
+// reset and ready for hooks. All per-point bookkeeping — the states
+// themselves and the per-request records — is carved from a handful of
+// contiguous slabs, so construction
 // costs O(1) allocations instead of O(points): a LaneBank builds hdl.Lanes
 // independent sets, and per-point allocation there dominated
 // whole-campaign allocation counts.
@@ -246,7 +288,6 @@ func newPointSet(points []*trace.Point) pointSet {
 	}
 	var (
 		states = make([]pointState, len(points))
-		i32    = make([]int32, 2*reqs)
 		cycles = make([]int64, reqs)
 		data   = make([]uint64, reqs)
 	)
@@ -255,17 +296,12 @@ func newPointSet(points []*trace.Point) pointSet {
 		n := len(p.Requests)
 		st := &states[i]
 		st.point = p
-		st.trueCnt = i32[off : off+n : off+n]
-		st.need = i32[reqs+off : reqs+off+n : reqs+off+n]
 		st.lastCycle = cycles[off : off+n : off+n]
 		st.lastData = data[off : off+n : off+n]
 		for ri := range p.Requests {
 			req := &p.Requests[ri]
 			if !req.HasValid() && !req.Data.IsConst() {
 				st.constPeer = true
-			}
-			if req.HasValid() {
-				st.need[ri] = int32(len(req.Valids))
 			}
 		}
 		st.reset()
@@ -282,27 +318,6 @@ func (ps *pointSet) reset() {
 		ps.states[pi].reset()
 	}
 	ps.dirty = ps.dirty[:0]
-}
-
-// recount derives the per-request true-valid counts from the current signal
-// values. The scalar Monitor calls it once, at construction: from then on
-// every value change of a watched signal reaches onValidDelta (Signal.Set
-// and Netlist.Restore both dispatch watchers), so the counts stay exact
-// across executions without re-reading any valid.
-func (st *pointState) recount() {
-	for ri := range st.point.Requests {
-		req := &st.point.Requests[ri]
-		if !req.HasValid() {
-			continue
-		}
-		cnt := int32(0)
-		for _, v := range req.Valids {
-			if v.Bool() {
-				cnt++
-			}
-		}
-		st.trueCnt[ri] = cnt
-	}
 }
 
 func (st *pointState) reset() {
@@ -324,7 +339,7 @@ func (m *Monitor) NumPoints() int { return len(m.set.states) }
 
 // Statements returns the approximate number of inserted monitoring
 // statements (Table 2's generated-code proxy).
-func (m *Monitor) Statements() int { return m.statements }
+func (m *Monitor) Statements() int { return m.valids.statements }
 
 // SetWindow opens or closes the monitoring window. Events arriving while
 // the window is closed are ignored (paper §6.1).
@@ -335,7 +350,7 @@ func (m *Monitor) WindowOpen() bool { return m.window }
 
 // Idle reports whether the monitor is as Reset leaves it with every
 // watched valid at rest: the window is shut, no point has recorded an
-// event, and no request's true-valid count is raised. A caller that
+// event, and no watched valid is held high. A caller that
 // snapshots a run while the monitor is idle can resume it later from a
 // freshly reset monitor.
 func (m *Monitor) Idle() bool {
@@ -343,8 +358,9 @@ func (m *Monitor) Idle() bool {
 }
 
 // Hooks returns the number of watch hooks the monitor registered on the
-// netlist; a netlist with more hooks has another observer.
-func (m *Monitor) Hooks() int { return len(m.pulses.entries) }
+// netlist, one per watched valid; a netlist with more hooks has another
+// observer.
+func (m *Monitor) Hooks() int { return len(m.valids.valids) }
 
 // Reset clears all collected state, keeping the instrumentation attached.
 // Call it between testcase executions. Only the points that recorded an
@@ -356,112 +372,67 @@ func (m *Monitor) Reset() {
 	m.set.reset()
 }
 
-// onValidDelta folds one valid-signal value change into the request's
-// true-valid count, recording an event on a completed conjunction inside the
-// window.
+// onValid folds one value change of the target's valid into the count of
+// raised valids; a rise goes on to rise.
 //
 //sonar:alloc-free
-func (m *Monitor) onValidDelta(pi int32, ri int, old, new uint64, cycle int64) {
-	if (old != 0) != (new != 0) {
-		if new != 0 {
-			m.raised++
-		} else {
-			m.raised--
-		}
-	}
-	st := &m.set.states[pi]
-	if !st.applyValidDelta(ri, old, new) {
+func (m *Monitor) onValid(target int32, old, new uint64, cycle int64) {
+	if (old != 0) == (new != 0) {
 		return
 	}
+	if new == 0 {
+		m.raised--
+		return
+	}
+	m.raised++
+	m.rise(target, new, cycle)
+}
+
+// rise folds a rising edge of the target's valid, which now holds v: inside
+// the window, every request on the valid's run whose other valids are high
+// records an event, in registration order.
+//
+//sonar:alloc-free
+func (m *Monitor) rise(target int32, v uint64, cycle int64) {
 	if !m.window {
 		return
 	}
-	m.set.record(&m.cfg, pi, ri, cycle, st.point.Requests[ri].Data.Value())
-}
-
-// PulseTarget resolves a valid's value slot to its pulse target and the
-// number of watch hooks New registered on it (0 when the monitor does not
-// watch it). It implements uarch.PulseSink.
-func (m *Monitor) PulseTarget(valid int) (target int32, hooks int) {
-	t := &m.pulses
-	i, ok := slices.BinarySearch(t.valids, int32(valid))
-	if !ok {
-		return -1, 0
-	}
-	end := int32(len(t.entries))
-	if i+1 < len(t.first) {
-		end = t.first[i+1]
-	}
-	return t.first[i], int(end - t.first[i])
-}
-
-// Pulse folds a whole pulse on the target's valid — raised at the given
-// cycle and lowered again — in one call. It leaves the monitor exactly as
-// the valid's watch hooks would leave it after Set(1) and Set(0), provided
-// the valid rested at 0 and those hooks are its only watchers: every
-// rising edge folds first, in registration order, then every falling edge.
-// A single-valid request records iff the window is open (its conjunction
-// completes on the rise); a conjunction request counts up, records on
-// completion, and counts down again. It implements uarch.PulseSink.
-//
-//sonar:alloc-free
-func (m *Monitor) Pulse(target int32, cycle int64) {
-	es := m.pulses.entries[target:]
-	runConj := es[0].runConj
-	if !m.window && !runConj {
-		return
-	}
-	n := 1
-	for !es[n-1].last {
-		n++
-	}
-	es = es[:n]
 	vals := m.net.Values()
-	for i := range es {
-		e := &es[i]
-		if e.conj {
-			st := &m.set.states[e.pi]
-			st.trueCnt[e.ri]++
-			if st.trueCnt[e.ri] != st.need[e.ri] {
-				continue
-			}
-		}
-		if !m.window {
+	es := m.valids.run(target)
+	for k := range es {
+		e := &es[k]
+		if !m.valids.peersHigh(e, vals) {
 			continue
 		}
-		data := uint64(1)
+		data := v // a self-valid request reads the valid
 		if e.data >= 0 {
 			data = vals[e.data]
 		}
 		m.set.record(&m.cfg, e.pi, int(e.ri), cycle, data)
 	}
-	if runConj {
-		for i := range es {
-			if e := &es[i]; e.conj {
-				m.set.states[e.pi].trueCnt[e.ri]--
-			}
-		}
-	}
 }
 
-// applyValidDelta folds one valid-signal value change into the request's
-// true-valid count and reports whether the validity conjunction just
-// completed. The conjunction rises exactly when the count reaches the
-// conjunction size via an increment: a nonzero→nonzero change leaves the
-// truth (and the count) untouched, so this reproduces re-evaluating the full
-// conjunction at O(1) cost. Both the scalar Monitor and the LaneBank fold
-// their deltas through here.
-func (st *pointState) applyValidDelta(ri int, old, new uint64) bool {
-	wasTrue, isTrue := old != 0, new != 0
-	if wasTrue == isTrue {
-		return false // value changed but truth did not
+// PulseTarget resolves a valid's value slot to its pulse target and the
+// number of watch hooks New registered on it: 1, or 0 when the monitor
+// does not watch it. It implements uarch.PulseSink.
+func (m *Monitor) PulseTarget(valid int) (target int32, hooks int) {
+	i, ok := slices.BinarySearchFunc(m.valids.valids, valid, func(v *hdl.Signal, id int) int { return v.ID() - id })
+	if !ok {
+		return -1, 0
 	}
-	if !isTrue {
-		st.trueCnt[ri]--
-		return false
-	}
-	st.trueCnt[ri]++
-	return st.trueCnt[ri] == st.need[ri]
+	return m.valids.first[i], 1
+}
+
+// Pulse folds a whole pulse on the target's valid — raised to 1 at the
+// given cycle and lowered again — in one call. It leaves the monitor
+// exactly as the valid's watch hook would leave it after Set(1) and Set(0),
+// provided the valid rested at 0 and that hook is its only watcher: the
+// fall undoes the rise's count of raised valids and records nothing. It
+// implements uarch.PulseSink.
+//
+//sonar:alloc-free
+func (m *Monitor) Pulse(target int32, cycle int64) {
+	m.rise(target, 1, cycle)
 }
 
 // record folds one in-window valid arrival of request ri at point pi, with

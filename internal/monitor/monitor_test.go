@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sonar/internal/hdl"
+	"sonar/internal/sim"
 	"sonar/internal/trace"
 )
 
@@ -205,26 +206,55 @@ func TestMinIntervalsFeedbackMap(t *testing.T) {
 	}
 }
 
-func TestDerivedValidityConjunction(t *testing.T) {
-	// Request whose validity is the AND of two source valids: an event
-	// fires only when both are high.
+// conjNet is a netlist with one contention point whose first request's
+// validity is the AND of two source valids, av and bv. Both valids are buffers of the input trigger,
+// so a simulator's Tick can raise them in one evaluation; the analysis is
+// the same as with undriven valids.
+type conjNet struct {
+	net                     *hdl.Netlist
+	av, ad, bv, bd, trigger *hdl.Signal
+}
+
+func newConjNet() *conjNet {
 	n := hdl.NewNetlist("R")
 	m := n.Module("dut")
-	av := m.Wire("io_a_valid", 1)
-	ad := m.Wire("io_a_bits", 8)
-	bv := m.Wire("io_b_valid", 1)
-	bd := m.Wire("io_b_bits", 8)
+	c := &conjNet{net: n}
+	c.av = m.Wire("io_a_valid", 1)
+	c.ad = m.Wire("io_a_bits", 8)
+	c.bv = m.Wire("io_b_valid", 1)
+	c.bd = m.Wire("io_b_bits", 8)
 	sum := m.Wire("sum", 8)
-	sum.AddSource(ad)
-	sum.AddSource(bd)
+	sum.AddSource(c.ad)
+	sum.AddSource(c.bd)
 	other := m.Wire("io_c_bits", 8)
 	m.Wire("io_c_valid", 1)
 	sel := m.Wire("sel", 1)
 	m.Mux("out", sel, sum, other)
+	c.trigger = m.Input("trigger", 1)
+	c.av.AddSource(c.trigger)
+	c.bv.AddSource(c.trigger)
+	return c
+}
+
+// twiceAnalysis is one point over c's netlist whose one request names av
+// twice: av ∧ bv ∧ av.
+func (c *conjNet) twiceAnalysis() *trace.Analysis {
+	req := trace.Request{Data: c.ad, Valids: []*hdl.Signal{c.av, c.bv, c.av}}
+	return &trace.Analysis{Netlist: c.net, Points: []*trace.Point{{ID: 0, Requests: []trace.Request{req}}}}
+}
+
+func TestDerivedValidityConjunction(t *testing.T) {
+	// Request whose validity is the AND of two source valids: an event
+	// fires only when both are high.
+	c := newConjNet()
+	n, av, bv := c.net, c.av, c.bv
 
 	a := trace.Analyze(n)
 	mon := New(a, Config{})
+	twice := New(c.twiceAnalysis(), Config{IgnoreFilter: true})
+	count := func(m *Monitor) int { return m.Snapshot().Points[0].EventCount }
 	mon.SetWindow(true)
+	twice.SetWindow(true)
 	av.Set(1) // only one of two: no event
 	n.Step()
 	if mon.Snapshot().Points[0].EventCount != 0 {
@@ -241,6 +271,42 @@ func TestDerivedValidityConjunction(t *testing.T) {
 	bv.Set(1) // second conjunction rise
 	if got := mon.Snapshot().Points[0].EventCount; got != 2 {
 		t.Errorf("EventCount = %d, want 2", got)
+	}
+	// A request naming av twice completes once per conjunction rise.
+	if got := count(twice); got != 2 {
+		t.Errorf("av ∧ bv ∧ av: EventCount = %d, want 2", got)
+	}
+
+	// A pulse on av completes the conjunction iff bv is held high.
+	av.Set(0)
+	target, hooks := mon.PulseTarget(av.ID())
+	if hooks != 1 {
+		t.Fatalf("PulseTarget(av) hooks = %d, want 1", hooks)
+	}
+	mon.Pulse(target, n.Cycle()) // bv held high
+	if got := count(mon); got != 3 {
+		t.Errorf("pulse with the peer high: EventCount = %d, want 3", got)
+	}
+	bv.Set(0)
+	n.Step()
+	mon.Pulse(target, n.Cycle()) // bv held low
+	if got := count(mon); got != 3 {
+		t.Errorf("pulse with the peer low: EventCount = %d, want 3", got)
+	}
+
+	// Both valids rising in one Tick complete the conjunction once.
+	s, err := sim.New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tick()
+	c.trigger.Set(1)
+	s.Tick()
+	if got := count(mon); got != 4 {
+		t.Errorf("both valids rising in one Tick: EventCount = %d, want 4", got)
+	}
+	if got := count(twice); got != 3 {
+		t.Errorf("av ∧ bv ∧ av after one Tick: EventCount = %d, want 3", got)
 	}
 }
 

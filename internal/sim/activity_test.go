@@ -40,19 +40,18 @@ func newActivityRig(t *testing.T, cfg gen.Config, opt bool) *activityRig {
 		if s.Kind() != hdl.Wire && s.Kind() != hdl.Reg {
 			continue
 		}
-		ls.WatchLanes(s, func(sig *hdl.Signal, lane int, old, new uint64, cycle int64) {
+		ls.WatchLanes(s, perLane(func(sig *hdl.Signal, lane int, old, new uint64, cycle int64) {
 			r.events[lane] = append(r.events[lane], simEvent{sig.ID(), old, new, cycle})
-		})
+		}))
 	}
 	return r
 }
 
 // pokeActivity applies write number k between ticks of cycle c through one
-// of the plane's typed mutators or the simulator's poke methods, aimed at a
+// of the plane's typed mutators or SetLane, aimed at a
 // signal picked by (seed, c) among inputs, wires and registers. The same
 // call on two rigs of one design writes the same words.
-func pokeActivity(t *testing.T, r *activityRig, seed int64, c, k int) {
-	t.Helper()
+func pokeActivity(r *activityRig, seed int64, c, k int) {
 	n := r.ls.Netlist()
 	var sigs []*hdl.Signal
 	for _, s := range n.Signals() {
@@ -65,8 +64,7 @@ func pokeActivity(t *testing.T, r *activityRig, seed int64, c, k int) {
 	lane := int(x>>32) % hdl.Lanes
 	v := testVal(seed, c, k, 7)
 	p := r.ls.Plane()
-	var err error
-	switch k % 6 {
+	switch k % 5 {
 	case 0:
 		p.Set(s, lane, v)
 	case 1:
@@ -81,12 +79,7 @@ func pokeActivity(t *testing.T, r *activityRig, seed int64, c, k int) {
 		}
 		p.LoadScalar()
 	case 4:
-		err = r.ls.PokeLane(s.Name(), lane, v)
-	case 5:
-		err = r.ls.PokeAll(s.Name(), v)
-	}
-	if err != nil {
-		t.Fatal(err)
+		r.ls.SetLane(s, lane, v)
 	}
 }
 
@@ -97,7 +90,7 @@ func pokeActivity(t *testing.T, r *activityRig, seed int64, c, k int) {
 // must match, and at the end every lane's hook stream must too. Inputs
 // change every hold cycles through SetLane, so long holds leave most nodes
 // clean; between ticks the harness also writes inputs, wires and registers
-// through every plane mutator and poke method, and a mid-run Reset restarts
+// through every plane mutator and SetLane, and a mid-run Reset restarts
 // both.
 func TestLaneActivityMatchesFullEval(t *testing.T) {
 	const cycles = 48
@@ -141,8 +134,8 @@ func testActivityMatchesFull(t *testing.T, cfg gen.Config, opt bool, hold, cycle
 			wrote = true
 		}
 		if c%5 == 2 {
-			pokeActivity(t, act, cfg.Seed, c, k)
-			pokeActivity(t, full, cfg.Seed, c, k)
+			pokeActivity(act, cfg.Seed, c, k)
+			pokeActivity(full, cfg.Seed, c, k)
 			k++
 			wrote = true
 		}
@@ -206,7 +199,7 @@ func TestLaneTickAllocFree(t *testing.T) {
 	}
 	fired := 0
 	for _, s := range n.Signals() {
-		ls.WatchLanes(s, func(*hdl.Signal, int, uint64, uint64, int64) { fired++ })
+		ls.WatchLanes(s, perLane(func(*hdl.Signal, int, uint64, uint64, int64) { fired++ }))
 	}
 	inputs := genInputsOf(n)
 	i := 0

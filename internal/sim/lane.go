@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -64,9 +63,10 @@ type lreg struct {
 // and fired no hooks, so values and hook streams equal those of a full
 // sweep.
 //
-// Per-lane value changes are observable through WatchLanes hooks, the lane
-// analog of Signal.Watch; scalar watch hooks never fire during lane
-// evaluation because the scalar plane is bypassed.
+// Value changes are observable through WatchLanes hooks, the lane analog of
+// Signal.Watch, fired once per store with the changed-lane mask; scalar
+// watch hooks never fire during lane evaluation because the scalar plane is
+// bypassed.
 type LaneSimulator struct {
 	net     *hdl.Netlist
 	plane   *hdl.LanePlane
@@ -92,7 +92,7 @@ type LaneSimulator struct {
 	// Fixed scratch buffers sized for the maximum signal width, so Eval and
 	// Tick stay allocation-free.
 	outBuf   [64]uint64 // new out words of the node being evaluated
-	oldBuf   [64]uint64 // previous out words, for watcher dispatch
+	oldBuf   [64]uint64 // previous words of a watched signal, for its hooks
 	laneVals [hdl.Lanes]uint64
 }
 
@@ -233,9 +233,9 @@ func (ls *LaneSimulator) Stats() CompileStats { return ls.stats }
 // Reset restores every lane of every signal to its construction-time value
 // and rewinds the lane clock to cycle 0, so one lane simulator executes
 // back-to-back runs from identical state. The restore writes the plane words
-// directly, bypassing lane watch hooks — observers that mirror plane state
-// (monitor.NewLaneBank) must re-baseline afterwards, which the bank's Reset
-// does by recounting.
+// directly and fires no lane watch hooks; observers that need a valid's
+// state read it from the plane (monitor.LaneBank does), so none falls out
+// of step.
 func (ls *LaneSimulator) Reset() {
 	copy(ls.plane.Words(), ls.init)
 	for i := range ls.next {
@@ -288,10 +288,9 @@ func (ls *LaneSimulator) drainTouched() {
 	}
 }
 
-// WatchLanes registers fn to be called whenever the signal's value changes
-// in any lane during Eval or Tick. For one evaluation changing several
-// lanes, fn fires once per changed lane in ascending lane order, after the
-// plane already holds the new words.
+// WatchLanes registers fn to be called once per store that changes the
+// signal in any lane during Eval, Tick or SetLane, after the plane already
+// holds the new words.
 func (ls *LaneSimulator) WatchLanes(s *hdl.Signal, fn hdl.LaneWatchFunc) {
 	id := s.ID()
 	ls.watch[id] = append(ls.watch[id], fn)
@@ -313,26 +312,18 @@ func gather(words []uint64, w int32, lane int) uint64 {
 	return v
 }
 
-// dispatch fires the signal's lane watch hooks for every lane whose value
-// differs between oldW and newW (the lanes set in changed), in ascending
-// lane order.
+// fire calls the signal's lane watch hooks for one store: the lanes set in
+// changed went from oldW to cur, which the plane already holds.
 //
 //sonar:alloc-free
-func (ls *LaneSimulator) dispatch(s *hdl.Signal, oldW, newW []uint64, w int32, changed uint64) {
-	hooks := ls.watch[s.ID()]
-	cyc := ls.cycle
-	for m := changed; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros64(m)
-		oldV := gather(oldW, w, lane)
-		newV := gather(newW, w, lane)
-		for _, fn := range hooks {
-			fn(s, lane, oldV, newV, cyc)
-		}
+func (ls *LaneSimulator) fire(s *hdl.Signal, changed uint64, oldW, cur []uint64) {
+	for _, fn := range ls.watch[s.ID()] {
+		fn(s, changed, oldW, cur, ls.cycle)
 	}
 }
 
 // store writes words into cur. If any word changes it marks the signal's
-// readers dirty and dispatches its lane watch hooks.
+// readers dirty and fires its lane watch hooks.
 //
 //sonar:alloc-free
 func (ls *LaneSimulator) store(s *hdl.Signal, cur, words []uint64) {
@@ -348,10 +339,10 @@ func (ls *LaneSimulator) store(s *hdl.Signal, cur, words []uint64) {
 		copy(cur, words)
 		return
 	}
-	w := int32(len(words))
-	copy(ls.oldBuf[:w], cur)
+	old := ls.oldBuf[:len(words)]
+	copy(old, cur)
 	copy(cur, words)
-	ls.dispatch(s, ls.oldBuf[:w], cur, w, changed)
+	ls.fire(s, changed, old, cur)
 }
 
 // Eval settles all combinational logic for the current cycle across all
@@ -505,71 +496,26 @@ func (ls *LaneSimulator) Run(n int) {
 	}
 }
 
-// SetLane sets one lane of a signal, dispatching the signal's lane watch
-// hooks if that lane's value changed — the lane analog of hdl.Signal.Set.
-// Stimulus drivers must poke through this method rather than LanePlane.Set
-// (which fires no hooks): on designs whose monitored signals are ports,
-// observers mirroring plane state (monitor.NewLaneBank) would otherwise miss
-// input transitions that the scalar path's Signal.Set reports.
+// SetLane sets one lane of a signal, firing the signal's lane watch hooks
+// if that lane's value changed — the lane analog of hdl.Signal.Set.
+// Stimulus drivers poke through this method: the plane's typed mutators
+// fire no hooks, so a watcher would miss a rise written through them.
+// (monitor.LaneBank reads a conjunction's other valids from the plane, so
+// those it sees however they were written.)
 //
 //sonar:alloc-free
 func (ls *LaneSimulator) SetLane(s *hdl.Signal, lane int, v uint64) {
-	v &= s.Mask()
-	old := ls.plane.Get(s, lane)
-	if v == old {
+	if ls.plane.Get(s, lane) == v&s.Mask() {
 		return
 	}
+	if !ls.watched(s) {
+		ls.plane.Set(s, lane, v)
+		return
+	}
+	off := ls.plane.Offset(s)
+	cur := ls.plane.Words()[off : off+s.Width()]
+	old := ls.oldBuf[:len(cur)]
+	copy(old, cur)
 	ls.plane.Set(s, lane, v)
-	if ls.watched(s) {
-		cyc := ls.cycle
-		for _, fn := range ls.watch[s.ID()] {
-			fn(s, lane, old, v, cyc)
-		}
-	}
-}
-
-// PokeLane sets a signal by name in one lane.
-func (ls *LaneSimulator) PokeLane(name string, lane int, v uint64) error {
-	sig, err := ls.pokeTarget(name, lane)
-	if err != nil {
-		return err
-	}
-	ls.plane.Set(sig, lane, v)
-	return nil
-}
-
-// PokeAll sets a signal by name in every lane.
-func (ls *LaneSimulator) PokeAll(name string, v uint64) error {
-	sig, err := ls.pokeTarget(name, 0)
-	if err != nil {
-		return err
-	}
-	ls.plane.Broadcast(sig, v)
-	return nil
-}
-
-// PeekLane reads a signal by name in one lane.
-func (ls *LaneSimulator) PeekLane(name string, lane int) (uint64, error) {
-	if lane < 0 || lane >= hdl.Lanes {
-		return 0, fmt.Errorf("sim: peek: lane %d out of range", lane)
-	}
-	sig, ok := ls.net.Signal(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: peek: no signal %q", name)
-	}
-	return ls.plane.Get(sig, lane), nil
-}
-
-func (ls *LaneSimulator) pokeTarget(name string, lane int) (*hdl.Signal, error) {
-	if lane < 0 || lane >= hdl.Lanes {
-		return nil, fmt.Errorf("sim: poke: lane %d out of range", lane)
-	}
-	sig, ok := ls.net.Signal(name)
-	if !ok {
-		return nil, fmt.Errorf("sim: poke: no signal %q", name)
-	}
-	if sig.IsConst() {
-		return nil, fmt.Errorf("sim: poke: %q is a constant", name)
-	}
-	return sig, nil
+	ls.fire(s, 1<<uint(lane), old, cur)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"sonar/internal/hdl"
@@ -25,6 +26,19 @@ type simEvent struct {
 	id       int
 	old, new uint64
 	cycle    int64
+}
+
+// perLane adapts a per-lane observer to the word hook: each call expands
+// into one fn call per changed lane, in ascending lane order, with that
+// lane's old and new values.
+func perLane(fn func(s *hdl.Signal, lane int, old, new uint64, cycle int64)) hdl.LaneWatchFunc {
+	return func(s *hdl.Signal, changed uint64, oldW, newW []uint64, cycle int64) {
+		w := int32(len(newW))
+		for m := changed; m != 0; m &= m - 1 {
+			lane := bits.TrailingZeros64(m)
+			fn(s, lane, gather(oldW, w, lane), gather(newW, w, lane), cycle)
+		}
+	}
 }
 
 // TestLaneVsScalar is the lane evaluator's differential harness: for a range
@@ -62,9 +76,9 @@ func TestLaneVsScalar(t *testing.T) {
 				if s.Kind() != hdl.Wire && s.Kind() != hdl.Reg {
 					continue
 				}
-				ls.WatchLanes(s, func(sig *hdl.Signal, lane int, old, new uint64, cycle int64) {
+				ls.WatchLanes(s, perLane(func(sig *hdl.Signal, lane int, old, new uint64, cycle int64) {
 					laneEvents[lane] = append(laneEvents[lane], simEvent{sig.ID(), old, new, cycle})
-				})
+				}))
 			}
 
 			var scalars [hdl.Lanes]*Simulator
@@ -157,10 +171,7 @@ func TestLaneMuxTruth(t *testing.T) {
 		if lane&1 == 1 {
 			want = uint64(lane)
 		}
-		got, err := ls.PeekLane("top.out", lane)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := ls.Plane().Get(n.MustSignal("top.out"), lane)
 		if got != want {
 			t.Fatalf("lane %d: out=%d want %d", lane, got, want)
 		}

@@ -247,11 +247,10 @@ func (s *Simulator) Stats() CompileStats { return s.stats }
 // Reset restores every signal to its construction-time value and rewinds the
 // netlist clock to cycle 0, so one simulator instance executes back-to-back
 // runs from identical state. The restore goes through Netlist.Restore, so
-// every watched signal the reset changes dispatches its watch hooks like any
-// other value change: observers that mirror signal state incrementally
-// (monitor.Monitor's true-valid counts) stay exact without re-reading the
-// plane. The clock is rewound first, so the hooks see the reset transitions
-// at cycle 0.
+// every watched signal the reset changes dispatches its watch hooks, at
+// cycle 0 (the clock is rewound first), after the whole plane is restored.
+// Reset a monitor.Monitor before the simulator: its window must be shut
+// during a batch restore.
 func (s *Simulator) Reset() {
 	s.net.SetCycle(0)
 	s.net.Restore(s.init)
