@@ -1,18 +1,27 @@
 package firrtl
 
-import "testing"
+import (
+	"testing"
+
+	"sonar/internal/sim"
+)
 
 // FuzzParseChecked feeds arbitrary text to ParseChecked, the entry point
-// for FIRRTL submitted to the campaign server. It must never panic, and
-// any source it accepts must print to text that ParseChecked accepts again
-// with the same signal and mux counts. The seed corpus (testdata/fuzz)
-// holds the paper's Figure 3 design, an empty circuit and a declaration
-// wider than 64 bits.
+// for FIRRTL submitted to the campaign server. It must never panic, any
+// source it accepts must build a lane simulator (the worker's FIRRTL
+// path), and it must print to text that ParseChecked accepts again with
+// the same signal and mux counts. The seed corpus (testdata/fuzz) holds
+// the paper's Figure 3 design, an empty circuit, a declaration wider than
+// 64 bits, a combinational cycle (rejected) and a loop through a register
+// (accepted).
 func FuzzParseChecked(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		n, err := ParseChecked(src)
 		if err != nil {
 			return
+		}
+		if _, err := sim.NewLanes(n); err != nil {
+			t.Fatalf("ParseChecked accepted a netlist sim.NewLanes rejects: %v", err)
 		}
 		text := Print(n)
 		back, err := ParseChecked(text)

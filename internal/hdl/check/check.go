@@ -31,8 +31,9 @@ type Code string
 
 // Finding codes, one per verified property.
 const (
-	// CodeCycle marks a combinational cycle that does not pass through a
-	// register; the levelized simulator cannot order it.
+	// CodeCycle marks a node that hdl.Netlist.Levelize leaves on a
+	// combinational cycle not passing through a register; the simulator
+	// compiles that schedule, so it cannot order the node.
 	CodeCycle Code = "cycle"
 	// CodeUndriven marks a consumed wire with no mux, prim, or source
 	// driving it.
@@ -274,79 +275,15 @@ func consumedSignals(n *hdl.Netlist) map[*hdl.Signal]bool {
 	return consumed
 }
 
-// checkCycles runs the same Kahn levelization the simulator compiles with
-// (sim.New): nodes are muxes, prims, and source-driven buffer wires; edges
-// run producer-to-consumer and break at registers. Nodes left with positive
-// in-degree sit on a combinational cycle.
+// checkCycles flags every node the netlist's combinational schedule
+// (hdl.Netlist.Levelize, which the simulator compiles) leaves on a cycle
+// that no register breaks.
 func checkCycles(n *hdl.Netlist, r *Report) {
-	type node struct {
-		out    *hdl.Signal
-		inputs []*hdl.Signal
-	}
-	var nodes []node
-	producer := make(map[*hdl.Signal]int)
-	for _, m := range n.Muxes() {
-		producer[m.Out] = len(nodes)
-		nodes = append(nodes, node{out: m.Out, inputs: []*hdl.Signal{m.Sel, m.TVal, m.FVal}})
-	}
-	for _, p := range n.Prims() {
-		producer[p.Out] = len(nodes)
-		nodes = append(nodes, node{out: p.Out, inputs: p.Args})
-	}
-	for _, s := range n.Signals() {
-		if _, ok := n.Driver(s); ok {
-			continue
-		}
-		if _, ok := n.PrimDriver(s); ok {
-			continue
-		}
-		if len(s.Sources()) == 0 || s.IsConst() {
-			continue
-		}
-		producer[s] = len(nodes)
-		nodes = append(nodes, node{out: s, inputs: s.Sources()})
-	}
-
-	indeg := make([]int, len(nodes))
-	succ := make([][]int, len(nodes))
-	for i, nd := range nodes {
-		for _, in := range nd.inputs {
-			if in.Kind() == hdl.Reg {
-				continue
-			}
-			if p, ok := producer[in]; ok {
-				succ[p] = append(succ[p], i)
-				indeg[i]++
-			}
-		}
-	}
-	queue := make([]int, 0, len(nodes))
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	settled := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		settled++
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if settled == len(nodes) {
-		return
-	}
-	for i, d := range indeg {
-		if d > 0 {
-			r.Findings = append(r.Findings, Finding{
-				Code: CodeCycle, Severity: Error, Signal: nodes[i].out,
-				Msg: fmt.Sprintf("combinational cycle through %s", nodes[i].out.Name()),
-			})
-		}
+	_, cyclic := n.Levelize()
+	for _, nd := range cyclic {
+		r.Findings = append(r.Findings, Finding{
+			Code: CodeCycle, Severity: Error, Signal: nd.Out,
+			Msg: fmt.Sprintf("combinational cycle through %s", nd.Out.Name()),
+		})
 	}
 }

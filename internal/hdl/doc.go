@@ -20,4 +20,10 @@
 // nutshell), whose cycle-accurate simulators drive the declared signals every
 // clock cycle. Runtime observation is done through per-signal watch hooks,
 // which package monitor uses to collect contention-critical states.
+//
+// Netlist.Levelize is the one combinational schedule of a netlist: its
+// muxes, prims and buffer signals in the order they settle within a cycle,
+// plus the nodes left on a cycle no register breaks. The simulator (package
+// sim) compiles it, the structural check (package check) reports its
+// cyclic nodes, and the taint audit (package flow) propagates along it.
 package hdl

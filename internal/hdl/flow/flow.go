@@ -22,9 +22,10 @@
 // design is consistent but some monitors would be wasted).
 //
 // Everything is deterministic: seeds are collected in elaboration order,
-// propagation runs in the simulator's levelized order (docs/SIMULATOR.md)
-// with a fixpoint over register feedback, and every report is byte-identical
-// across runs for a fixed (netlist, Spec).
+// propagation runs in the netlist's levelized order (hdl.Netlist.Levelize,
+// which the simulator compiles) with a fixpoint over register feedback,
+// and every report is byte-identical across runs for a fixed (netlist,
+// Spec).
 package flow
 
 import (

@@ -85,6 +85,34 @@ func TestTaintCrossesRegisterFeedback(t *testing.T) {
 	}
 }
 
+func TestTaintCrossesCombinationalCycle(t *testing.T) {
+	// secret -> mux -> back (a buffer) -> the same mux's false input, and
+	// back feeds obs. No order settles the loop, so the mux, back and obs
+	// all run after the levelized nodes, in index order (the mux, then obs,
+	// then back); the fixpoint must still carry the secret to each of them.
+	n := hdl.NewNetlist("combloop")
+	m := n.Module("m")
+	sel := m.Input("sel", 1)
+	secret := m.Input("secret", 8)
+	obs := m.Wire("obs", 8)
+	back := m.Wire("back", 8)
+	loop := m.Mux("loop", sel, secret, back)
+	back.AddSource(loop.Out)
+	obs.AddSource(back)
+	au := Analyze(n, nil, Spec{Secret: []string{"m.secret"}})
+	for _, s := range []*hdl.Signal{loop.Out, back, obs} {
+		if got := au.TaintOf(s); got != TaintSecret {
+			t.Errorf("%s taint = %s, want S", s.Name(), got)
+		}
+	}
+	if got := au.TaintOf(sel); got != 0 {
+		t.Errorf("sel taint = %s, want none", got)
+	}
+	if au.Passes != 3 {
+		t.Errorf("passes = %d, want 3 (obs runs before back in the fallback, so it is reached one pass late)", au.Passes)
+	}
+}
+
 func TestUnmatchedPatternIsError(t *testing.T) {
 	n := arbNet(t)
 	au := Analyze(n, nil, Spec{Secret: []string{"arb.no_such_port"}})

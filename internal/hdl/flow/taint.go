@@ -1,7 +1,7 @@
 // This file holds the taint plane: seeding from the Spec and CellIFT-style
 // propagation of per-signal taint bitsets through the netlist's
-// combinational fabric in the simulator's levelized order, with a whole-pass
-// fixpoint over register feedback.
+// combinational schedule (hdl.Netlist.Levelize), with a whole-pass fixpoint
+// over register feedback.
 
 package flow
 
@@ -75,102 +75,34 @@ func (au *Audit) seed(explicit bool) {
 	}
 }
 
-// flowNode is one combinational producer in the propagation schedule: the
-// taint of out becomes the union over the taints of inputs.
-type flowNode struct {
-	out    *hdl.Signal
-	inputs []*hdl.Signal
-}
-
-// propagate runs the taint transfer function to fixpoint. The schedule is
-// the exact node set and Kahn levelization the simulator compiles with
-// (sim.New, mirrored by check.checkCycles): nodes are muxes, prims, and
-// source-driven buffer wires; edges run producer-to-consumer and break at
-// registers. One levelized pass settles all purely combinational flow; the
-// outer loop re-runs passes until register feedback stops adding labels.
-// The transfer function is monotone over a finite lattice, so the fixpoint
-// terminates in at most (register feedback depth + 1) passes.
+// propagate runs the taint transfer function to fixpoint over the
+// netlist's combinational schedule (hdl.Netlist.Levelize): a node's output
+// taint becomes the union of its own and its inputs' taints. One pass in
+// levelized order settles all purely combinational flow; the outer loop
+// re-runs passes until register feedback stops adding labels. Nodes on a
+// combinational cycle (hdl/check's CodeCycle territory) run after the
+// ordered ones, in index order, so the fixpoint still covers them — extra
+// passes replace levelization there. The transfer function is monotone
+// over a finite lattice, so the fixpoint terminates; on an acyclic fabric
+// it takes at most (register feedback depth + 1) passes.
 //
 // The MUX transfer is taint(out) = taint(sel) | taint(tval) | taint(fval):
 // like CellIFT's cell-level rule, a tainted select taints the output even
 // when both data inputs are clean, because the select decides *which* value
 // appears — precisely the influence arbitration grants an attacker.
 func (au *Audit) propagate() {
-	n := au.Netlist
-	var nodes []flowNode
-	producer := make(map[*hdl.Signal]int)
-	for _, m := range n.Muxes() {
-		producer[m.Out] = len(nodes)
-		nodes = append(nodes, flowNode{out: m.Out, inputs: []*hdl.Signal{m.Sel, m.TVal, m.FVal}})
-	}
-	for _, p := range n.Prims() {
-		producer[p.Out] = len(nodes)
-		nodes = append(nodes, flowNode{out: p.Out, inputs: p.Args})
-	}
-	for _, s := range n.Signals() {
-		if _, ok := n.Driver(s); ok {
-			continue
-		}
-		if _, ok := n.PrimDriver(s); ok {
-			continue
-		}
-		if len(s.Sources()) == 0 || s.IsConst() {
-			continue
-		}
-		producer[s] = len(nodes)
-		nodes = append(nodes, flowNode{out: s, inputs: s.Sources()})
-	}
-
-	// Kahn levelization, identical to the simulator's compile order.
-	indeg := make([]int, len(nodes))
-	succ := make([][]int, len(nodes))
-	for i, nd := range nodes {
-		for _, in := range nd.inputs {
-			if in.Kind() == hdl.Reg {
-				continue
-			}
-			if p, ok := producer[in]; ok {
-				succ[p] = append(succ[p], i)
-				indeg[i]++
-			}
-		}
-	}
-	order := make([]int, 0, len(nodes))
-	for i, d := range indeg {
-		if d == 0 {
-			order = append(order, i)
-		}
-	}
-	for head := 0; head < len(order); head++ {
-		for _, j := range succ[order[head]] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				order = append(order, j)
-			}
-		}
-	}
-	// Combinational cycles (hdl/check's CodeCycle territory) leave nodes
-	// unscheduled; append them in index order so the fixpoint still covers
-	// them — extra passes replace levelization there.
-	if len(order) < len(nodes) {
-		for i, d := range indeg {
-			if d > 0 {
-				order = append(order, i)
-			}
-		}
-	}
-
+	order, cyclic := au.Netlist.Levelize()
+	order = append(order, cyclic...)
 	for {
 		au.Passes++
 		changed := false
-		for _, i := range order {
-			nd := &nodes[i]
-			t := au.taint[nd.out.ID()]
-			for _, in := range nd.inputs {
+		for _, nd := range order {
+			t := au.taint[nd.Out.ID()]
+			for _, in := range nd.In {
 				t |= au.taint[in.ID()]
 			}
-			if t != au.taint[nd.out.ID()] {
-				au.taint[nd.out.ID()] = t
+			if t != au.taint[nd.Out.ID()] {
+				au.taint[nd.Out.ID()] = t
 				changed = true
 			}
 		}

@@ -354,3 +354,65 @@ func TestQuickMuxSelectsOneInput(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLevelize pins the combinational schedule on a netlist with a mux
+// reading one buffer twice, a loop through a register, a prim, and a
+// buffer cycle. Nodes are indexed muxes (y, z), prims (r, q), then buffers
+// in creation order (w, v, c1, c2, o). The FIFO queue starts with w and v,
+// whose inputs no node drives; y waits for both of its reads of w; z reads
+// r without an edge; c1, c2 and o never become ready.
+func TestLevelize(t *testing.T) {
+	n := NewNetlist("t")
+	sel := n.Input("sel", 1)
+	a := n.Input("a", 8)
+	b := n.Input("b", 8)
+	r := n.Reg("r", 8)
+	w := n.Wire("w", 8)
+	v := n.Wire("v", 1)
+	y := n.Wire("y", 8)
+	z := n.Wire("z", 8)
+	q := n.Wire("q", 8)
+	c1 := n.Wire("c1", 8)
+	c2 := n.Wire("c2", 8)
+	o := n.Output("o", 8)
+	n.Const("k", 8, 3).AddSource(a) // a constant is never a node
+	w.AddSource(a)
+	w.AddSource(b)
+	v.AddSource(sel)
+	n.Mux(y, sel, w, w)
+	n.Mux(z, v, r, y)
+	n.Prim(r, "add", []*Signal{z, b}, nil)
+	n.Prim(q, "and", []*Signal{z, a}, nil)
+	c1.AddSource(q)
+	c1.AddSource(c2)
+	c2.AddSource(c1)
+	o.AddSource(c2)
+
+	order, cyclic := n.Levelize()
+	names := func(nodes []Node) string {
+		var s []string
+		for _, nd := range nodes {
+			kind := "buf"
+			switch {
+			case nd.Mux != nil:
+				kind = "mux"
+			case nd.Prim != nil:
+				kind = "prim"
+			}
+			s = append(s, kind+":"+nd.Out.Name())
+		}
+		return strings.Join(s, " ")
+	}
+	if got, want := names(order), "buf:w buf:v mux:y mux:z prim:r prim:q"; got != want {
+		t.Errorf("order = %s, want %s", got, want)
+	}
+	if got, want := names(cyclic), "buf:c1 buf:c2 buf:o"; got != want {
+		t.Errorf("cyclic = %s, want %s", got, want)
+	}
+	if got := order[2].In; !reflect.DeepEqual(got, []*Signal{sel, w, w}) {
+		t.Errorf("mux y inputs = %v, want [sel w w]", got)
+	}
+	if got := order[1].In; !reflect.DeepEqual(got, []*Signal{sel}) {
+		t.Errorf("buffer v inputs = %v, want [sel]", got)
+	}
+}

@@ -452,17 +452,13 @@ func (ps *pointSet) record(cfg *Config, pi int32, ri int, cycle int64, data uint
 		st.minIntvlDistinct = 0
 	}
 	// Distinct-request interval: against the most recent arrival of any
-	// other request.
+	// other request. Between resets a point's records arrive in
+	// nondecreasing cycle order, so two distinct requests recorded in one
+	// cycle include an adjacent pair of distinct requests, and that pair
+	// already set the interval to 0 here: same-cycle arrivals need no scan.
 	if st.lastAnyCycle >= 0 && st.lastAnyReq != ri {
 		if d := cycle - st.lastAnyCycle; d < st.minIntvlDistinct {
 			st.minIntvlDistinct = d
-		}
-	}
-	// Same-cycle arrivals of two distinct requests: the other request may
-	// have been recorded this very cycle.
-	for rj := range st.lastCycle {
-		if rj != ri && st.lastCycle[rj] == cycle {
-			st.minIntvlDistinct = 0
 		}
 	}
 	// Same-path interval and data similarity.

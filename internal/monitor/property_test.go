@@ -1,7 +1,10 @@
 package monitor
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"sonar/internal/hdl"
@@ -126,5 +129,86 @@ func TestQuickDigestDeterminism(t *testing.T) {
 		if d1 == d3 {
 			t.Fatalf("trial %d: digest ignored data change", trial)
 		}
+	}
+}
+
+// recordWithScan is record as it was before the same-cycle scan was
+// dropped: after the adjacent-pair update it also walks every request of
+// the point and zeroes the distinct interval when another request arrived
+// this very cycle.
+func recordWithScan(ps *pointSet, cfg *Config, pi int32, ri int, cycle int64, data uint64) {
+	st := &ps.states[pi]
+	if st.eventCount == 0 {
+		ps.dirty = append(ps.dirty, pi)
+	}
+	if st.constPeer {
+		st.minIntvlDistinct = 0
+	}
+	if st.lastAnyCycle >= 0 && st.lastAnyReq != ri {
+		if d := cycle - st.lastAnyCycle; d < st.minIntvlDistinct {
+			st.minIntvlDistinct = d
+		}
+	}
+	for rj := range st.lastCycle {
+		if rj != ri && st.lastCycle[rj] == cycle {
+			st.minIntvlDistinct = 0
+		}
+	}
+	if st.lastCycle[ri] >= 0 {
+		if d := cycle - st.lastCycle[ri]; d < st.minIntvlSame {
+			st.minIntvlSame = d
+		}
+		if data&cfg.SimilarityMask == st.lastData[ri]&cfg.SimilarityMask {
+			st.samePathHit = true
+		}
+	}
+	st.lastCycle[ri] = cycle
+	st.lastData[ri] = data
+	st.lastAnyCycle = cycle
+	st.lastAnyReq = ri
+	st.eventCount++
+	st.hash = fnv1a(st.hash, uint64(ri))
+	st.hash = fnv1a(st.hash, data)
+}
+
+// TestRecordNeedsNoSameCycleScan drives random nondecreasing (request,
+// cycle, data) sequences, with resets in between, through record and
+// through recordWithScan on twin point sets, and requires identical point
+// states after every call: between resets, same-cycle arrivals of distinct
+// requests always include an adjacent pair, which record already folds.
+func TestRecordNeedsNoSameCycleScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := hdl.NewNetlist("R")
+	sig := func(name string) *hdl.Signal { return n.Wire(name, 8) }
+	var points []*trace.Point
+	for pi := 0; pi < 6; pi++ {
+		p := &trace.Point{ID: pi}
+		for ri := 0; ri <= pi%4+1; ri++ {
+			req := trace.Request{Data: sig(fmt.Sprintf("p%d_r%d_bits", pi, ri))}
+			if pi != 5 || ri != 0 { // point 5 has a constantly-valid request
+				req.Valids = []*hdl.Signal{sig(fmt.Sprintf("p%d_r%d_valid", pi, ri))}
+			}
+			p.Requests = append(p.Requests, req)
+		}
+		points = append(points, p)
+	}
+	cfg := Config{SimilarityMask: 0x3}
+	got, want := newPointSet(points), newPointSet(points)
+	for run := 0; run < 200; run++ {
+		cycle := int64(rng.Intn(3))
+		for k := rng.Intn(40); k > 0; k-- {
+			cycle += int64(rng.Intn(3) / 2) // mostly repeats: same-cycle bursts
+			pi := int32(rng.Intn(len(points)))
+			ri := rng.Intn(len(points[pi].Requests))
+			data := uint64(rng.Intn(8))
+			got.record(&cfg, pi, ri, cycle, data)
+			recordWithScan(&want, &cfg, pi, ri, cycle, data)
+			if !reflect.DeepEqual(got.states, want.states) || !slices.Equal(got.dirty, want.dirty) {
+				t.Fatalf("run %d: record(point %d, req %d, cycle %d) diverged from the scanning rule:\n got %+v\nwant %+v",
+					run, pi, ri, cycle, got.states[pi], want.states[pi])
+			}
+		}
+		got.reset()
+		want.reset()
 	}
 }

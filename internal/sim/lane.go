@@ -111,11 +111,11 @@ func NewLanes(n *hdl.Netlist) (*LaneSimulator, error) {
 // so the scalar and lane evaluators of one netlist always agree on what was
 // folded, eliminated, collapsed, and fused.
 func NewLanesOpt(n *hdl.Netlist, opts CompileOptions) (*LaneSimulator, error) {
-	sorted, drivenRegs, err := levelize(n)
+	order, drivenRegs, regSlot, err := levelize(n)
 	if err != nil {
 		return nil, err
 	}
-	ons, stats := optimize(sorted, opts)
+	ons, stats := optimize(order, opts)
 	plane := hdl.NewLanePlane(n)
 	ls := &LaneSimulator{
 		net:   n,
@@ -128,10 +128,8 @@ func NewLanesOpt(n *hdl.Netlist, opts CompileOptions) (*LaneSimulator, error) {
 		return laneRef{off: int32(plane.Offset(s)), w: int32(s.Width())}
 	}
 
-	regSlot := make(map[*hdl.Signal]int32, len(drivenRegs))
 	nextWords := int32(0)
-	for i, sig := range drivenRegs {
-		regSlot[sig] = int32(i)
+	for _, sig := range drivenRegs {
 		ls.regs = append(ls.regs, lreg{sig: sig, planeEl: ref(sig), nextOff: nextWords})
 		nextWords += int32(sig.Width())
 	}
@@ -140,10 +138,7 @@ func NewLanesOpt(n *hdl.Netlist, opts CompileOptions) (*LaneSimulator, error) {
 	ls.order = make([]lnode, len(ons))
 	for i := range ons {
 		nd := &ons[i]
-		c := lnode{regSlot: -1, out: nd.out, outRef: ref(nd.out)}
-		if slot, ok := regSlot[c.out]; ok {
-			c.regSlot = slot
-		}
+		c := lnode{regSlot: regSlot[nd.out.ID()], out: nd.out, outRef: ref(nd.out)}
 		switch nd.kind {
 		case nkMux:
 			c.kind = nkMux

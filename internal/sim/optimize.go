@@ -40,12 +40,13 @@ type CompileStats struct {
 	Spilled int
 }
 
-// onode is an optimizer node: the intermediate representation between
-// levelize's topological order and the compiled cnode/lnode records. The
-// optimizer rewrites kinds and operands in place and marks nodes dead;
-// surviving nodes keep their original topological positions, which stays a
-// valid evaluation order because every pass only ever makes a node depend on
-// (transitive) operands of its original operands.
+// onode is an optimizer node: the intermediate representation between the
+// netlist's levelized order (hdl.Netlist.Levelize) and the compiled
+// cnode/lnode records. The optimizer rewrites kinds and operands in place
+// and marks nodes dead; surviving nodes keep their original topological
+// positions, which stays a valid evaluation order because every pass only
+// ever makes a node depend on (transitive) operands of its original
+// operands.
 type onode struct {
 	kind uint8
 	out  *hdl.Signal
@@ -94,28 +95,28 @@ func (nd *onode) eachInput(f func(*hdl.Signal)) {
 	}
 }
 
-// optimize runs the compile pipeline over levelize's sorted node list and
+// optimize runs the compile pipeline over the levelized node order and
 // returns the surviving optimizer nodes (original topological order) plus
 // the pipeline's stats. With opts.Keep == nil only the value-preserving
 // constant-folding pass runs; with an explicit keep set the destructive
 // passes follow: dead-node elimination, buffer-chain collapse, and mux-tree
 // fusion (docs/SIMULATOR.md documents what each pass may and may not
 // change).
-func optimize(sorted []node, opts CompileOptions) ([]onode, CompileStats) {
+func optimize(order []hdl.Node, opts CompileOptions) ([]onode, CompileStats) {
 	var stats CompileStats
-	ons := make([]onode, len(sorted))
-	for i, nd := range sorted {
-		o := onode{out: nd.out()}
+	ons := make([]onode, len(order))
+	for i, nd := range order {
+		o := onode{out: nd.Out}
 		switch {
-		case nd.mux != nil:
+		case nd.Mux != nil:
 			o.kind = nkMux
-			o.sel, o.tval, o.fval = nd.mux.Sel, nd.mux.TVal, nd.mux.FVal
-		case nd.prim != nil:
+			o.sel, o.tval, o.fval = nd.Mux.Sel, nd.Mux.TVal, nd.Mux.FVal
+		case nd.Prim != nil:
 			o.kind = nkPrim
-			o.prim = nd.prim
+			o.prim = nd.Prim
 		default:
 			o.kind = nkBuf
-			o.srcs = nd.buf.Sources()
+			o.srcs = nd.In
 		}
 		ons[i] = o
 	}

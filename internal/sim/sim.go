@@ -21,35 +21,6 @@ import (
 	"sonar/internal/hdl"
 )
 
-// node is a combinational element under construction: a mux, a primitive
-// operation, or a buffer wire. New compiles nodes into cnodes once the
-// evaluation order is known.
-type node struct {
-	mux  *hdl.Mux    // non-nil for mux nodes
-	prim *hdl.Prim   // non-nil for primitive-operation nodes
-	buf  *hdl.Signal // non-nil for buffer nodes (OR of sources)
-}
-
-func (n node) out() *hdl.Signal {
-	switch {
-	case n.mux != nil:
-		return n.mux.Out
-	case n.prim != nil:
-		return n.prim.Out
-	}
-	return n.buf
-}
-
-func (n node) inputs() []*hdl.Signal {
-	switch {
-	case n.mux != nil:
-		return []*hdl.Signal{n.mux.Sel, n.mux.TVal, n.mux.FVal}
-	case n.prim != nil:
-		return n.prim.Args
-	}
-	return n.buf.Sources()
-}
-
 // cnode kinds (the optimizer-only kinds nkCopy/nkConst/nkChain are declared
 // in optimize.go).
 const (
@@ -84,88 +55,30 @@ type Simulator struct {
 	stats CompileStats
 }
 
-// levelize collects the combinational elements of the netlist (muxes, prims,
-// buffer wires) and returns them in topological evaluation order, plus the
-// set of registers that have a combinational driver (in signal creation
-// order). It returns an error if the combinational logic contains a cycle
-// that does not pass through a register. Both the scalar and the lane
-// compiler consume this order.
-func levelize(n *hdl.Netlist) (sorted []node, drivenRegs []*hdl.Signal, err error) {
-	var nodes []node
-	producer := make(map[*hdl.Signal]int) // signal -> index into nodes
-	for _, m := range n.Muxes() {
-		producer[m.Out] = len(nodes)
-		nodes = append(nodes, node{mux: m})
+// levelize reads the netlist's combinational schedule (hdl.Netlist.Levelize)
+// for both the scalar and the lane compiler. It returns the nodes in
+// evaluation order, the registers a node drives in signal creation order,
+// and each signal's slot in that register list by signal id (-1 for none).
+// It returns an error if the combinational logic contains a cycle that
+// does not pass through a register.
+func levelize(n *hdl.Netlist) (order []hdl.Node, drivenRegs []*hdl.Signal, regSlot []int32, err error) {
+	order, cyclic := n.Levelize()
+	if len(cyclic) > 0 {
+		return nil, nil, nil, fmt.Errorf("sim: combinational cycle through %s", cyclic[0].Out.Name())
 	}
-	for _, p := range n.Prims() {
-		producer[p.Out] = len(nodes)
-		nodes = append(nodes, node{prim: p})
+	driven := make([]bool, n.NumSignals())
+	for _, nd := range order {
+		driven[nd.Out.ID()] = true
 	}
+	regSlot = make([]int32, n.NumSignals())
 	for _, sig := range n.Signals() {
-		if _, isMux := n.Driver(sig); isMux {
-			continue
-		}
-		if _, isPrim := n.PrimDriver(sig); isPrim {
-			continue
-		}
-		if len(sig.Sources()) == 0 || sig.IsConst() {
-			continue
-		}
-		producer[sig] = len(nodes)
-		nodes = append(nodes, node{buf: sig})
-	}
-
-	// Kahn topological sort. Edges run producer(input) -> node, except
-	// through registers: a register output is stable during combinational
-	// evaluation, so it breaks the dependency.
-	indeg := make([]int, len(nodes))
-	succ := make([][]int, len(nodes))
-	for i, nd := range nodes {
-		for _, in := range nd.inputs() {
-			if in.Kind() == hdl.Reg {
-				continue
-			}
-			if p, ok := producer[in]; ok {
-				succ[p] = append(succ[p], i)
-				indeg[i]++
-			}
-		}
-	}
-	queue := make([]int, 0, len(nodes))
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, i)
-		}
-	}
-	sorted = make([]node, 0, len(nodes))
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		sorted = append(sorted, nodes[i])
-		for _, j := range succ[i] {
-			indeg[j]--
-			if indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	if len(sorted) != len(nodes) {
-		for i, d := range indeg {
-			if d > 0 {
-				return nil, nil, fmt.Errorf("sim: combinational cycle through %s", nodes[i].out().Name())
-			}
-		}
-	}
-
-	for _, sig := range n.Signals() {
-		if sig.Kind() != hdl.Reg {
-			continue
-		}
-		if _, ok := producer[sig]; ok {
+		regSlot[sig.ID()] = -1
+		if sig.Kind() == hdl.Reg && driven[sig.ID()] {
+			regSlot[sig.ID()] = int32(len(drivenRegs))
 			drivenRegs = append(drivenRegs, sig)
 		}
 	}
-	return sorted, drivenRegs, nil
+	return order, drivenRegs, regSlot, nil
 }
 
 // New builds a simulator for the netlist with every signal kept (only the
@@ -182,27 +95,20 @@ func New(n *hdl.Netlist) (*Simulator, error) {
 // and mux-tree fusion. It returns an error if the combinational logic
 // contains a cycle that does not pass through a register.
 func NewOpt(n *hdl.Netlist, opts CompileOptions) (*Simulator, error) {
-	sorted, drivenRegs, err := levelize(n)
+	order, drivenRegs, regSlot, err := levelize(n)
 	if err != nil {
 		return nil, err
 	}
-	ons, stats := optimize(sorted, opts)
+	ons, stats := optimize(order, opts)
 	s := &Simulator{net: n, regs: drivenRegs, stats: stats}
 
 	// Compile: precompute input ids and register staging slots so the per-
 	// cycle Eval loop touches only flat slices.
-	regSlot := make(map[*hdl.Signal]int32, len(drivenRegs))
-	for i, sig := range drivenRegs {
-		regSlot[sig] = int32(i)
-	}
 	s.next = make([]uint64, len(s.regs))
 	s.order = make([]cnode, len(ons))
 	for i := range ons {
 		nd := &ons[i]
-		c := cnode{regSlot: -1, out: nd.out}
-		if slot, ok := regSlot[c.out]; ok {
-			c.regSlot = slot
-		}
+		c := cnode{regSlot: regSlot[nd.out.ID()], out: nd.out}
 		switch nd.kind {
 		case nkMux:
 			c.kind = nkMux
