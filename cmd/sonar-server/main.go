@@ -1,5 +1,5 @@
-// Command sonar-server hosts the distributed campaign service: an HTTP+JSON
-// API that accepts campaign specs (a named built-in DUT or FIRRTL text),
+// Command sonar-server hosts the distributed campaign service: an HTTP API
+// that accepts campaign specs (a named built-in DUT or FIRRTL text),
 // splits fuzzing campaigns into shard leases for sonar-worker processes,
 // folds reported results in canonical order, and serves per-campaign
 // events, stats, checkpoints, and Prometheus metrics.

@@ -118,26 +118,26 @@ const (
 // process (Render, Finding.String).
 type StateDiff struct {
 	// PointID identifies the contention point.
-	PointID int `json:"p"`
+	PointID int
 	// Reason says which states diverged; never zero.
-	Reason Reason `json:"r"`
+	Reason Reason
 	// CountA is the event count under the first secret when the counts
 	// differ (ReasonCount), and zero otherwise: the rendered reason carries
 	// the counts only then.
-	CountA int `json:"ca,omitempty"`
+	CountA int
 	// CountB is the event count under the second secret, like CountA.
-	CountB int `json:"cb,omitempty"`
+	CountB int
 	// IntvlA is the minimum distinct-request interval under the first
 	// secret (monitor.NoInterval when unobserved).
-	IntvlA int64 `json:"ia"`
+	IntvlA int64
 	// IntvlB is the minimum distinct-request interval under the second
 	// secret.
-	IntvlB int64 `json:"ib"`
+	IntvlB int64
 	// Volatile marks a simultaneous-arrival (interval 0) contention in
 	// either run.
-	Volatile bool `json:"v,omitempty"`
+	Volatile bool
 	// Persistent marks a same-path revisit contention in either run.
-	Persistent bool `json:"s,omitempty"`
+	Persistent bool
 }
 
 // Check rejects a state diff no comparison produces: reason bits that are
@@ -225,10 +225,10 @@ func StateCompare(dst []StateDiff, a, b *monitor.Snapshot) []StateDiff {
 // identification and justification of contention side channels" (§7.2).
 type Finding struct {
 	// Affected are the CCD-filtered instructions.
-	Affected []Affected `json:"affected"`
+	Affected []Affected
 	// StateDiffs are the candidate root-cause contention points, in
 	// ascending point ID order.
-	StateDiffs []StateDiff `json:"diffs,omitempty"`
+	StateDiffs []StateDiff
 }
 
 // MaxDelta returns the largest CCD change across affected instructions —

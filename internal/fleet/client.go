@@ -33,36 +33,77 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one API request. A non-nil out is filled from a JSON response
-// body; error bodies become "<status>: <message>" errors.
+// do issues one API request with a JSON body (in, when non-nil). A non-nil
+// out is filled from a JSON response body; error bodies become
+// "<status>: <message>" errors.
 func (c *Client) do(method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
 		if err != nil {
 			return fmt.Errorf("fleet: marshal %s %s body: %w", method, path, err)
 		}
-		body = bytes.NewReader(b)
+		body = b
 	}
-	req, err := http.NewRequest(method, c.BaseURL+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.send(method, path, body, "application/json")
 	if err != nil {
 		return err
 	}
 	defer drainClose(resp.Body)
-	if resp.StatusCode >= 400 {
-		return apiError(resp)
-	}
 	if out == nil || resp.StatusCode == http.StatusNoContent {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// postLease posts a lease-loop body (wire.go) and returns the whole
+// response body, or nil for 204 No Content.
+func (c *Client) postLease(path string, body []byte) ([]byte, error) {
+	resp, err := c.send("POST", path, body, leaseContentType)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNoContent {
+		return nil, nil
+	}
+	return readSized(resp.Body, resp.ContentLength)
+}
+
+// send issues one API request, with a body of the given content type when
+// body is non-nil; the request carries the body's Content-Length. A
+// response with an error status becomes an *APIError.
+func (c *Client) send(method, path string, body []byte, contentType string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode >= 400 {
+		defer drainClose(resp.Body)
+		return nil, apiError(resp)
+	}
+	return resp, nil
+}
+
+// readSized reads r to its end into one buffer sized for the declared
+// length n (negative: unknown), so a body of known length is read without
+// regrowing.
+func readSized(r io.Reader, n int64) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Grow(int(max(n, 0)) + bytes.MinRead) // room to read EOF without growing
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // drainClose reads what is left of a response body before closing it, so
@@ -172,13 +213,17 @@ func (c *Client) CheckpointFile(id string) ([]byte, error) {
 
 // Acquire asks for a lease, naming the corpus prefix the worker holds (nil:
 // none). A nil grant with a nil error means the server has no work to offer
-// right now (204, which leaves g empty).
+// right now (204).
 func (c *Client) Acquire(worker string, have *Holding) (*LeaseGrant, error) {
-	var g LeaseGrant
-	if err := c.do("POST", "/api/v1/leases/acquire", acquireRequest{Worker: worker, Have: have}, &g); err != nil || g.LeaseID == "" {
+	b, err := c.postLease("/api/v1/leases/acquire", appendAcquire(nil, worker, have))
+	if err != nil || b == nil {
 		return nil, err
 	}
-	return &g, nil
+	g, err := DecodeGrant(b)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: grant: %w", err)
+	}
+	return g, nil
 }
 
 // Renew extends an outstanding lease's TTL.
@@ -188,7 +233,8 @@ func (c *Client) Renew(leaseID string) error {
 
 // Report posts an executed lease's result.
 func (c *Client) Report(leaseID string, res *fuzz.LeaseResult) error {
-	return c.do("POST", "/api/v1/leases/"+leaseID+"/result", res, nil)
+	_, err := c.postLease("/api/v1/leases/"+leaseID+"/result", AppendReport(nil, res))
+	return err
 }
 
 // Drain switches the server's lease granting off or back on.

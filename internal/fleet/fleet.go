@@ -1,7 +1,8 @@
 // Package fleet implements the distributed campaign service: a controller
-// that owns campaign and shard-lease state, an HTTP+JSON server exposing it
-// (docs/SERVICE.md documents the API), a client, and the worker loop that
-// executes leases against the fuzzing engine.
+// that owns campaign and shard-lease state, an HTTP server exposing it
+// (JSON, except the binary lease-loop bodies of wire.go; docs/SERVICE.md
+// documents the API), a client, and the worker loop that executes leases
+// against the fuzzing engine.
 //
 // The controller is the server half of the fuzz.LeaseCoordinator contract:
 // it splits each fuzz campaign into shard leases, grants at most one lease
@@ -273,25 +274,25 @@ type Result struct {
 type LeaseGrant struct {
 	// LeaseID is the deterministic lease identifier
 	// "{campaign}-r{round}-s{shard}-a{attempt}".
-	LeaseID string `json:"lease_id"`
+	LeaseID string
 	// Campaign is the campaign ID the lease belongs to.
-	Campaign string `json:"campaign"`
+	Campaign string
 	// DUT is the registry name of the design to elaborate — or, for FIRRTL
 	// campaigns, the circuit name (informational; FIRRTL carries the design).
-	DUT string `json:"dut"`
+	DUT string
 	// FIRRTL is the campaign's FIRRTL source for netlist campaigns; workers
 	// elaborate it into a lane-parallel executor instead of consulting their
 	// DUT registry.
-	FIRRTL string `json:"firrtl,omitempty"`
+	FIRRTL string
 	// Shape is the campaign shape to execute under.
-	Shape fuzz.Shape `json:"shape"`
+	Shape fuzz.Shape
 	// Lanes is the suggested evaluator lane width (0 = worker's choice).
-	Lanes int `json:"lanes,omitempty"`
+	Lanes int
 	// TTLMillis is the lease time-to-live; workers renew at a fraction of
 	// it while executing.
-	TTLMillis int64 `json:"ttl_ms"`
+	TTLMillis int64
 	// Lease is the shard-batch work assignment for fuzz.ExecuteLease.
-	Lease fuzz.Lease `json:"lease"`
+	Lease fuzz.Lease
 }
 
 // Holding names the merged-corpus prefix a worker holds for one campaign
@@ -300,7 +301,7 @@ type LeaseGrant struct {
 // campaign's.
 type Holding struct {
 	// Campaign is the campaign ID the prefix belongs to.
-	Campaign string `json:"campaign"`
+	Campaign string
 	fuzz.CorpusRef
 }
 

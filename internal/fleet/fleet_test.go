@@ -382,11 +382,8 @@ func TestOversizeBodyRejected(t *testing.T) {
 	if _, err := client.Submit(&huge); !isStatus(err, http.StatusRequestEntityTooLarge) {
 		t.Errorf("oversize submit: got %v, want a 413 APIError", err)
 	}
-	one, err := json.Marshal(fuzz.OutcomeWire{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bloated := &fuzz.LeaseResult{Outcomes: make([]fuzz.OutcomeWire, maxBodyBytes/len(one)+1)}
+	one := len(AppendReport(nil, &fuzz.LeaseResult{Outcomes: make([]fuzz.OutcomeWire, 1)})) - len(AppendReport(nil, &fuzz.LeaseResult{}))
+	bloated := &fuzz.LeaseResult{Outcomes: make([]fuzz.OutcomeWire, maxBodyBytes/one+1)}
 	if err := client.Report("c1-r1-s0-a1", bloated); !isStatus(err, http.StatusRequestEntityTooLarge) {
 		t.Errorf("oversize report: got %v, want a 413 APIError", err)
 	}
@@ -657,8 +654,12 @@ func (gl *grantLog) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	var ar acquireRequest
-	if err := json.NewDecoder(body).Decode(&ar); err != nil {
+	ab, err := io.ReadAll(body)
+	if err != nil {
+		return nil, err
+	}
+	worker, _, err := decodeAcquire(ab)
+	if err != nil {
 		return nil, err
 	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
@@ -671,13 +672,13 @@ func (gl *grantLog) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	resp.Body = io.NopCloser(bytes.NewReader(b))
-	var g LeaseGrant
-	if err := json.Unmarshal(b, &g); err != nil {
+	g, err := DecodeGrant(b)
+	if err != nil {
 		return nil, err
 	}
 	gl.mu.Lock()
 	defer gl.mu.Unlock()
-	gl.byWorker[ar.Worker] = append(gl.byWorker[ar.Worker], g.Lease)
+	gl.byWorker[worker] = append(gl.byWorker[worker], g.Lease)
 	return resp, nil
 }
 

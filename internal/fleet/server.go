@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"sonar/internal/fuzz"
 )
 
-// Server exposes a Controller over HTTP+JSON. Every endpoint, schema, and
-// error code is documented in docs/SERVICE.md; error bodies are
-// {"error": "..."} with a matching status code.
+// Server exposes a Controller over HTTP. Every endpoint, schema, and error
+// code is documented in docs/SERVICE.md. Bodies are JSON except the lease
+// loop's three — acquire request, grant and report — which use the binary
+// encoding of wire.go; error bodies are {"error": "..."} with a matching
+// status code on every route.
 type Server struct {
 	ct  *Controller
 	mux *http.ServeMux
@@ -66,27 +69,58 @@ func writeErr(w http.ResponseWriter, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-// maxBodyBytes caps every request body the server decodes, so one client
-// cannot make the server buffer an unbounded JSON value. The largest real
-// bodies are lease reports (10.2 KiB on average at batch size 8 in
-// perfbench's fleet workload; they grow with the batch size) and submitted
-// FIRRTL source; 16 MiB leaves both far below the cap. Leases travel the
-// other way and are not capped; one that ships only the seeds the worker
-// lacks averages about 4 KiB in the same workload.
+// maxBodyBytes caps every request body the server reads, so one client
+// cannot make the server buffer an unbounded value. The largest real bodies
+// are lease reports (1.3 KiB on average at batch size 8 in perfbench's
+// fleet workload; they grow with the batch size) and submitted FIRRTL
+// source; 16 MiB leaves both far below the cap. Leases travel the other way
+// and are not capped; one that ships only the seeds the worker lacks
+// averages about 1.3 KiB in the same workload.
 const maxBodyBytes = 16 << 20
+
+// bodyErr maps a failure to read or decode a request body to its status: a
+// body over maxBodyBytes is too large (413), any other is a bad request.
+func bodyErr(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, tooLarge.Limit)
+	}
+	return fmt.Errorf("%w: body: %v", errBadRequest, err)
+}
 
 // decodeJSON strictly decodes a request body of at most maxBodyBytes.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("%w: body exceeds %d bytes", errTooLarge, tooLarge.Limit)
-		}
-		return fmt.Errorf("%w: body: %v", errBadRequest, err)
+		return bodyErr(err)
 	}
 	return nil
+}
+
+// readLease reads a lease-loop request body of at most maxBodyBytes whole
+// and decodes it with decode (wire.go). A body that declares a larger
+// Content-Length is refused before any of it is read.
+func readLease(w http.ResponseWriter, r *http.Request, decode func([]byte) error) error {
+	if r.ContentLength > maxBodyBytes {
+		return bodyErr(&http.MaxBytesError{Limit: maxBodyBytes})
+	}
+	b, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = decode(b)
+	}
+	if err != nil {
+		return bodyErr(err)
+	}
+	return nil
+}
+
+// writeLease writes a lease-loop response body.
+func writeLease(w http.ResponseWriter, b []byte) {
+	w.Header().Set("Content-Type", leaseContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -151,22 +185,18 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(b)
 }
 
-// acquireRequest is the lease-acquire request body.
-type acquireRequest struct {
-	// Worker is the worker's self-assigned identifier, recorded on the
-	// lease for operator visibility.
-	Worker string `json:"worker"`
-	// Have is the corpus prefix the worker holds, if any.
-	Have *Holding `json:"have,omitempty"`
-}
-
 func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
-	var req acquireRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	var worker string
+	var have *Holding
+	err := readLease(w, r, func(b []byte) (err error) {
+		worker, have, err = decodeAcquire(b)
+		return err
+	})
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	g, err := s.ct.Acquire(r.Context(), req.Worker, req.Have)
+	g, err := s.ct.Acquire(r.Context(), worker, have)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -175,7 +205,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeJSON(w, http.StatusOK, g)
+	writeLease(w, AppendGrant(nil, g))
 }
 
 // renewResponse is the lease-renew response body.
@@ -194,12 +224,16 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	var res fuzz.LeaseResult
-	if err := decodeJSON(w, r, &res); err != nil {
+	var res *fuzz.LeaseResult
+	err := readLease(w, r, func(b []byte) (err error) {
+		res, err = DecodeReport(b)
+		return err
+	})
+	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	if err := s.ct.Report(r.PathValue("id"), &res); err != nil {
+	if err := s.ct.Report(r.PathValue("id"), res); err != nil {
 		writeErr(w, err)
 		return
 	}

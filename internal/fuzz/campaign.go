@@ -224,12 +224,13 @@ type worker struct {
 }
 
 // newShardWorker builds a shard worker whose RNG is a counted source seeded
-// with opt.Seed+id and fast-forwarded to cursor. A cursor of zero gives the
-// exact draw sequence of rand.New(rand.NewSource(opt.Seed+id)) — the
-// determinism contract — and a checkpointed cursor restores the worker's
-// mid-campaign RNG position.
-func newShardWorker(id int, opt Options, cursor uint64) *worker {
-	src := newCountedSource(opt.Seed+int64(id), cursor)
+// with opt.Seed+id and fast-forwarded to cursor, taken from srcs when it
+// holds one there (a nil srcs builds it). A cursor of zero gives the exact
+// draw sequence of rand.New(rand.NewSource(opt.Seed+id)) — the determinism
+// contract — and a checkpointed cursor restores the worker's mid-campaign
+// RNG position.
+func newShardWorker(id int, opt Options, cursor uint64, srcs *sourceCache) *worker {
+	src := srcs.take(opt.Seed+int64(id), cursor)
 	return &worker{
 		id: id, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
 		retention: opt.Retention || opt.Selection || opt.DirectedMutation,

@@ -17,26 +17,26 @@ import (
 type Lease struct {
 	// Shard is the worker index the batch belongs to (0-based); it fixes
 	// the RNG stream (Seed+Shard) like a local worker index does.
-	Shard int `json:"shard"`
+	Shard int
 	// Round is the 1-based merge round the batch belongs to.
-	Round int `json:"round"`
+	Round int
 	// N is the number of iterations to execute.
-	N int `json:"n"`
+	N int
 	// Cursor is the shard's pre-batch RNG draw count; the executor replays
 	// the shard generator to it, exactly like the local engine rebuilding a
 	// shard after a failed attempt.
-	Cursor uint64 `json:"cursor"`
+	Cursor uint64
 	// CorpusFrom names the prefix of the merged corpus the lease does not
 	// carry because the worker already holds it; the zero ref (the empty
 	// prefix) makes the lease carry the whole corpus.
-	CorpusFrom CorpusRef `json:"corpus_from"`
+	CorpusFrom CorpusRef
 	// CorpusDigest is the digest chain value over the whole merged corpus,
 	// which the executor checks the shipped seeds against.
-	CorpusDigest string `json:"corpus_digest"`
+	CorpusDigest string
 	// Corpus is the merged global corpus as of the previous round barrier,
 	// minus its first CorpusFrom.Len seeds: Seeds holds only the seeds the
 	// worker lacks, Best is always whole.
-	Corpus CorpusWire `json:"corpus"`
+	Corpus CorpusWire
 }
 
 // CorpusRef names a prefix of a campaign's merged corpus: its first Len
@@ -45,10 +45,10 @@ type Lease struct {
 // every later round's, and a ref is all a lease needs to ship the rest.
 type CorpusRef struct {
 	// Len is the number of seeds in the prefix.
-	Len int `json:"len"`
+	Len int
 	// Digest is the chain value after those seeds (chainDigest); the empty
 	// prefix's is "".
-	Digest string `json:"digest"`
+	Digest string
 }
 
 // chainDigest extends a corpus digest chain by one seed: the hex SHA-256
@@ -67,10 +67,13 @@ func chainDigest(prev string, sw *SeedWire) string {
 // HeldCorpus is the merged-corpus prefix a lease executor keeps between
 // leases of one campaign, so that each lease ships only the seeds it lacks.
 // ExecuteLease returns the holding to pass to the next lease, and Ref names
-// it to the coordinator. A nil holding holds the empty prefix.
+// it to the coordinator. A nil holding holds the empty prefix. The holdings
+// of one chain also share the RNG source of every shard the executor ran,
+// at the cursor its last batch left (sourceCache).
 type HeldCorpus struct {
 	ref   CorpusRef
 	seeds []*Seed // len(seeds) == ref.Len; never appended to in place
+	srcs  *sourceCache
 }
 
 // Ref names the held prefix.
@@ -106,7 +109,11 @@ func (h *HeldCorpus) extend(l *Lease) (*HeldCorpus, error) {
 	if digest != l.CorpusDigest {
 		return nil, fmt.Errorf("corpus of %d seeds has digest %.12s, lease names %.12s", len(seeds), digest, l.CorpusDigest)
 	}
-	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds}, nil
+	srcs := &sourceCache{}
+	if h != nil {
+		srcs = h.srcs
+	}
+	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds, srcs: srcs}, nil
 }
 
 // OutcomeWire is one iteration's feedback in serialized form — the unit a
@@ -115,14 +122,14 @@ func (h *HeldCorpus) extend(l *Lease) (*HeldCorpus, error) {
 type OutcomeWire struct {
 	// Triggered is the contention points triggered by the double execution,
 	// in execution order (the fold deduplicates against the global set).
-	Triggered []int `json:"triggered,omitempty"`
+	Triggered []int
 	// Finding is the dual-differential finding, if any.
-	Finding *detect.Finding `json:"finding,omitempty"`
+	Finding *detect.Finding
 	// Cycles is the double execution's total simulated cycle count.
-	Cycles int64 `json:"cycles"`
+	Cycles int64
 	// Intvls is the merged per-point best distinct-request interval of the
 	// double execution, point-sorted.
-	Intvls []PointIntvl `json:"intvls,omitempty"`
+	Intvls []PointIntvl
 }
 
 // outcome is the in-memory feedback of a wire entry; replay adds the
@@ -135,17 +142,17 @@ func (ow *OutcomeWire) outcome() outcome {
 // the batch's iterations, in execution order. That is all the coordinator
 // needs — the batch's testcases, retained seeds, and post-batch RNG cursor
 // follow from the lease and the feedback, and the coordinator replays them
-// itself (LeaseCoordinator.Report). Its JSON encoding is deterministic
-// (interval maps point-sorted), so re-executing the same lease produces
-// byte-equal results — the property that makes lease re-offers after
-// worker churn safe.
+// itself (LeaseCoordinator.Report). It is deterministic (interval maps
+// point-sorted), so re-executing the same lease produces results whose
+// wire encodings (the campaign service's report body) are byte-equal — the
+// property that makes lease re-offers after worker churn safe.
 type LeaseResult struct {
 	// Shard echoes the lease's shard index.
-	Shard int `json:"shard"`
+	Shard int
 	// Round echoes the lease's merge round.
-	Round int `json:"round"`
+	Round int
 	// Outcomes are the batch's iteration feedback in execution order.
-	Outcomes []OutcomeWire `json:"outcomes"`
+	Outcomes []OutcomeWire
 }
 
 // ExecuteLease runs one shard-batch lease to completion on e and returns
@@ -192,13 +199,14 @@ func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
-	w := newShardWorker(l.Shard, opt, l.Cursor)
+	w := newShardWorker(l.Shard, opt, l.Cursor, next.srcs)
 	// A frozen corpus thaws a private copy at its first retained seed, so
 	// the batch never appends to the holding's seed list.
 	w.corpus = &Corpus{seeds: next.seeds, best: unsortIntvls(l.Corpus.Best), frozen: true}
 	w.forceIntvls = true
 	outs := make([]outcome, l.N)
 	w.runBatch(e, outs, groupWidth(e), l.Round)
+	next.srcs.put(w.src)
 	return w, outs, next, nil
 }
 
@@ -255,6 +263,13 @@ type LeaseCoordinator struct {
 	// digests[k] the digest chain over the first k seeds.
 	wires   []SeedWire
 	digests []string
+	// best is global.best point-sorted, the same for every lease of a
+	// round; sorted once per barrier (bestSorted).
+	best       []PointIntvl
+	bestSorted bool
+	// srcs keeps each shard's RNG source at the cursor its last replay
+	// left, which is where the shard's next batch starts.
+	srcs sourceCache
 
 	reports []shardReport // open round, per shard; reset at each barrier
 	// finished is set by the round close that drains the last budget,
@@ -470,12 +485,16 @@ func (lc *LeaseCoordinator) syncWires() {
 
 // corpusWire returns the merged corpus in wire form without its first from
 // seeds. The seed list is the caller's own; its entries share their
-// interval slices with the cache and are read-only.
+// interval slices with the cache, and Best is shared by every call until
+// the next barrier: all are read-only.
 func (lc *LeaseCoordinator) corpusWire(from int) CorpusWire {
 	lc.syncWires()
 	seeds := make([]SeedWire, len(lc.wires)-from)
 	copy(seeds, lc.wires[from:])
-	return CorpusWire{Seeds: seeds, Best: sortIntvls(lc.global.best)}
+	if !lc.bestSorted {
+		lc.best, lc.bestSorted = sortIntvls(lc.global.best), true
+	}
+	return CorpusWire{Seeds: seeds, Best: lc.best}
 }
 
 // Report folds one executed lease's result in. The result must belong to an
@@ -528,9 +547,10 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 func (lc *LeaseCoordinator) replay(shard int, outs []outcome) shardReport {
 	opt := lc.opt
 	opt.FaultHook = nil
-	w := newShardWorker(shard, opt, lc.cursors[shard])
+	w := newShardWorker(shard, opt, lc.cursors[shard], &lc.srcs)
 	w.corpus = lc.global.view()
 	w.runBatch(nil, outs, lc.width, lc.round+1)
+	lc.srcs.put(w.src)
 	return shardReport{resolved: true, outs: outs, seeds: w.takeNewSeeds(), cursor: w.src.cursor()}
 }
 
@@ -618,6 +638,7 @@ func (lc *LeaseCoordinator) maybeCloseRound() {
 func (lc *LeaseCoordinator) closeRound() (reoffered bool) {
 	start := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
 	lc.round++
+	lc.bestSorted = false
 	o := lc.opt.Observer
 	merged := 0
 	for i := range lc.reports {

@@ -15,8 +15,17 @@ import (
 	"sonar/internal/obs"
 )
 
+// LeaseWire is the campaign service's lease wire encoding (package fleet),
+// installed by leasewire_test.go: Lease round-trips a lease through a grant
+// body, EncodeReport and DecodeReport are the report body's codec.
+var LeaseWire struct {
+	Lease        func(*Lease) (*Lease, error)
+	EncodeReport func(*LeaseResult) []byte
+	DecodeReport func([]byte) (*LeaseResult, error)
+}
+
 // execLease executes l on e, round-tripping the lease and its result
-// through their JSON wire encodings before and after execution, so every
+// through their wire encodings before and after execution, so every
 // lease-coordinator test also exercises exactly what travels over the
 // campaign service's HTTP API.
 func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *LeaseResult {
@@ -29,27 +38,19 @@ func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *Leas
 // held; it also returns the holding the lease leaves.
 func execHeldLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus) {
 	t.Helper()
-	lb, err := json.Marshal(l)
+	wire, err := LeaseWire.Lease(l)
 	if err != nil {
-		t.Fatalf("marshal lease: %v", err)
+		t.Fatalf("lease wire round trip: %v", err)
 	}
-	var wire Lease
-	if err := json.Unmarshal(lb, &wire); err != nil {
-		t.Fatalf("unmarshal lease: %v", err)
-	}
-	res, next, err := ExecuteLease(e, shape, lanes, &wire, held)
+	res, next, err := ExecuteLease(e, shape, lanes, wire, held)
 	if err != nil {
 		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
-	rb, err := json.Marshal(res)
+	back, err := LeaseWire.DecodeReport(LeaseWire.EncodeReport(res))
 	if err != nil {
-		t.Fatalf("marshal lease result: %v", err)
+		t.Fatalf("decode lease result: %v", err)
 	}
-	var back LeaseResult
-	if err := json.Unmarshal(rb, &back); err != nil {
-		t.Fatalf("unmarshal lease result: %v", err)
-	}
-	return &back, next
+	return back, next
 }
 
 // driveLeases runs a lease coordinator to completion in-process: every open
@@ -691,8 +692,8 @@ func TestLeaseReportCorpusVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %s: %v", e.Name(), err)
 		}
-		var res LeaseResult
-		if err := json.Unmarshal([]byte(data), &res); err != nil {
+		res, err := LeaseWire.DecodeReport([]byte(data))
+		if err != nil {
 			t.Fatalf("seed %s: %v", e.Name(), err)
 		}
 		lc := NewLeaseCoordinator(d, opt)
@@ -701,12 +702,11 @@ func TestLeaseReportCorpusVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Lease: %v", err)
 			}
-			fresh, _ := json.Marshal(execLease(t, d, lc.Shape(), 1, l))
-			if string(fresh) != data {
+			if string(LeaseWire.EncodeReport(execLease(t, d, lc.Shape(), 1, l))) != data {
 				t.Error("seed valid is not the bytes of a fresh ExecuteLease result")
 			}
 		}
-		err = lc.Report(&res)
+		err = lc.Report(res)
 		switch {
 		case phrase == "" && err != nil:
 			t.Errorf("seed %s rejected: %v", e.Name(), err)
@@ -717,10 +717,11 @@ func TestLeaseReportCorpusVerdicts(t *testing.T) {
 }
 
 // FuzzLeaseReport feeds arbitrary bytes through the path a worker's report
-// takes into a campaign: JSON → LeaseResult → Report on a round-1 lite
-// coordinator. Report must never panic, and a result it rejects must leave
-// the campaign's snapshot byte-equal. The seed corpus (testdata/fuzz) holds
-// one real ExecuteLease result and the TestLeaseReportValidation rejects.
+// takes into a campaign: report body → LeaseResult → Report on a round-1
+// lite coordinator. A body that decodes must re-encode to the same bytes,
+// Report must never panic, and a result it rejects must leave the
+// campaign's snapshot byte-equal. The seed corpus (testdata/fuzz) holds one
+// real ExecuteLease result and the TestLeaseReportValidation rejects.
 func FuzzLeaseReport(f *testing.F) {
 	d := liteFactory()
 	opt := SonarOptions(8)
@@ -728,16 +729,19 @@ func FuzzLeaseReport(f *testing.F) {
 	opt.BatchSize = 2
 	opt.Observer = obs.New()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var res LeaseResult
-		if json.Unmarshal(data, &res) != nil {
+		res, err := LeaseWire.DecodeReport(data)
+		if err != nil {
 			return
+		}
+		if !bytes.Equal(LeaseWire.EncodeReport(res), data) {
+			t.Fatal("a decoded report re-encodes to different bytes")
 		}
 		lc := NewLeaseCoordinator(d, opt)
 		before, err := lc.Snapshot(false).Encode()
 		if err != nil {
 			t.Fatalf("encode snapshot: %v", err)
 		}
-		if lc.Report(&res) == nil {
+		if lc.Report(res) == nil {
 			return
 		}
 		after, err := lc.Snapshot(false).Encode()

@@ -179,7 +179,7 @@ func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, lastSaved int
 // the global corpus is immutable and every shard's corpus equals it, so a
 // shard rebuilt after a failed attempt replays the batch exactly.
 func (c *coordinator) newShard(i int) *worker {
-	w := newShardWorker(i, c.lc.opt, c.lc.cursors[i])
+	w := newShardWorker(i, c.lc.opt, c.lc.cursors[i], nil)
 	w.corpus = c.lc.global.view()
 	return w
 }

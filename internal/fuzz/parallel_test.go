@@ -149,7 +149,7 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		opt := SonarOptions(1)
 		opt.Seed = seed
-		w := newShardWorker(0, opt, 0)
+		w := newShardWorker(0, opt, 0, nil)
 		w.runBatch(d, make([]outcome, 1), 1, 1) // the first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++

@@ -1,6 +1,9 @@
 package fuzz
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // countedSource wraps a campaign RNG source with a draw counter, giving the
 // durable campaign engine a serializable RNG position: a checkpoint stores
@@ -11,8 +14,9 @@ import "math/rand"
 // sequence as rand.New(rand.NewSource(seed)) — attaching the counter never
 // perturbs a campaign.
 type countedSource struct {
-	src rand.Source64
-	n   uint64
+	src  rand.Source64
+	seed int64
+	n    uint64
 }
 
 // newCountedSource returns a counted source for the given seed,
@@ -20,7 +24,7 @@ type countedSource struct {
 func newCountedSource(seed int64, cursor uint64) *countedSource {
 	// rand.NewSource's concrete type implements Source64; the assertion is
 	// pinned by TestCountedSourceMatchesPlainSource.
-	s := &countedSource{src: rand.NewSource(seed).(rand.Source64)}
+	s := &countedSource{src: rand.NewSource(seed).(rand.Source64), seed: seed}
 	for i := uint64(0); i < cursor; i++ {
 		s.src.Uint64()
 	}
@@ -43,9 +47,56 @@ func (s *countedSource) Uint64() uint64 {
 // Seed implements rand.Source, resetting the cursor with the state.
 func (s *countedSource) Seed(seed int64) {
 	s.src.Seed(seed)
-	s.n = 0
+	s.seed, s.n = seed, 0
 }
 
 // cursor returns the number of draws consumed so far — the value a
 // checkpoint stores and newCountedSource replays.
 func (s *countedSource) cursor() uint64 { return s.n }
+
+// sourceCache keeps counted sources between batches at the cursor their
+// last batch left, keyed by seed, so a shard whose next batch starts there
+// does not replay its generator from the seed: that replay is O(cursor),
+// which makes rebuilding a shard for every batch quadratic in campaign
+// length. A source's state is a function of its seed and cursor alone, so
+// reusing one at an equal cursor is exact, and a request at any other
+// cursor rebuilds it. The lease coordinator keeps one for its replays and a
+// HeldCorpus one for its executor's leases. Safe for concurrent use: a
+// taken source leaves the cache until it is put back.
+type sourceCache struct {
+	mu   sync.Mutex
+	srcs map[int64]*countedSource
+}
+
+// take returns a counted source for seed at cursor: the cached one when it
+// sits at that cursor, else a new one replayed from the seed (always, for a
+// nil cache).
+func (c *sourceCache) take(seed int64, cursor uint64) *countedSource {
+	if c != nil {
+		c.mu.Lock()
+		s := c.srcs[seed]
+		if s != nil && s.n == cursor {
+			delete(c.srcs, seed)
+		} else {
+			s = nil
+		}
+		c.mu.Unlock()
+		if s != nil {
+			return s
+		}
+	}
+	return newCountedSource(seed, cursor)
+}
+
+// put keeps s for the next take of its seed; a nil cache drops it.
+func (c *sourceCache) put(s *countedSource) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.srcs == nil {
+		c.srcs = make(map[int64]*countedSource)
+	}
+	c.srcs[s.seed] = s
+}
