@@ -1,7 +1,9 @@
 package detect
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -115,12 +117,57 @@ type NamedDiff struct {
 	Persistent bool // same-path revisit contention in either run
 }
 
-// Render names findings for output from the analysis their point IDs
-// index. Its allocations do not grow with the number of state diffs: the
-// named diffs share one array, and the reason texts are substrings of one
-// string. The result shares the findings' Affected lists, and a finding
-// without state diffs renders a nil list.
-func Render(findings []*Finding, an *trace.Analysis) []NamedFinding {
+// PointName is one contention point as rendered findings name it: its
+// output signal name and owning component.
+type PointName struct {
+	// ID identifies the contention point.
+	ID int
+	// Name is the point's output signal name.
+	Name string
+	// Component is the owning top-level component.
+	Component string
+}
+
+// PointNames returns the name table Render needs for findings: one entry
+// per point their state diffs reference, in ascending ID order, named from
+// the analysis their point IDs index.
+func PointNames(findings []*Finding, an *trace.Analysis) []PointName {
+	used := make([]bool, len(an.Points))
+	n := 0
+	for _, f := range findings {
+		for j := range f.StateDiffs {
+			if id := f.StateDiffs[j].PointID; !used[id] {
+				used[id] = true
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	names := make([]PointName, 0, n)
+	for id, u := range used {
+		if u {
+			p := an.Points[id]
+			names = append(names, PointName{ID: id, Name: p.Out.Name(), Component: p.Component})
+		}
+	}
+	return names
+}
+
+// LookupPoint returns the index of point id in a name table in ascending
+// ID order, and whether the table holds it.
+func LookupPoint(names []PointName, id int) (int, bool) {
+	return slices.BinarySearchFunc(names, id, func(pn PointName, id int) int { return cmp.Compare(pn.ID, id) })
+}
+
+// Render names findings for output from names, a table in ascending ID
+// order that holds every point their state diffs reference (PointNames
+// builds it from an analysis). Its allocations do not grow with the number
+// of state diffs: the named diffs share one array, and the reason texts
+// are substrings of one string. The result shares the findings' Affected
+// lists, and a finding without state diffs renders a nil list.
+func Render(findings []*Finding, names []PointName) []NamedFinding {
 	if len(findings) == 0 {
 		return nil
 	}
@@ -145,9 +192,13 @@ func Render(findings []*Finding, an *trace.Analysis) []NamedFinding {
 		}
 		for j := range f.StateDiffs {
 			sd := &f.StateDiffs[j]
-			p := an.Points[sd.PointID]
+			at, ok := LookupPoint(names, sd.PointID)
+			if !ok {
+				panic(fmt.Sprintf("detect: the name table lacks point %d", sd.PointID))
+			}
+			p := &names[at]
 			named[k] = NamedDiff{
-				PointID: sd.PointID, Name: p.Out.Name(), Component: p.Component,
+				PointID: sd.PointID, Name: p.Name, Component: p.Component,
 				IntvlA: sd.IntvlA, IntvlB: sd.IntvlB, Volatile: sd.Volatile, Persistent: sd.Persistent,
 			}
 			text.Write(sd.AppendReason(buf[:0]))

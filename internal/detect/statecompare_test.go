@@ -161,8 +161,8 @@ func TestStateCompareWarmDstAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Rendering names every diff from the analysis, round-trips through
-// NamedFinding.Finding, and allocates the same whatever the diff count.
+// Rendering names every diff from the analysis's name table, round-trips
+// through NamedFinding.Finding, and allocates the same whatever the diff count.
 func TestRenderRoundTripAndFlatAllocs(t *testing.T) {
 	an := namedAnalysis("lsu.a", "lsu.b", "exe.c", "tilelink.d")
 	mk := func(diffsPer int) []*Finding {
@@ -179,7 +179,7 @@ func TestRenderRoundTripAndFlatAllocs(t *testing.T) {
 		return fs
 	}
 	fs := mk(4)
-	named := Render(fs, an)
+	named := Render(fs, PointNames(fs, an))
 	if named[2].StateDiffs != nil {
 		t.Error("a finding without state diffs must render a nil list")
 	}
@@ -196,12 +196,13 @@ func TestRenderRoundTripAndFlatAllocs(t *testing.T) {
 			t.Errorf("finding %d round trip:\n got %+v\nwant %+v", i, back, fs[i])
 		}
 	}
-	if Render(nil, an) != nil || Render([]*Finding{}, an) != nil {
+	if Render(nil, nil) != nil || Render([]*Finding{}, nil) != nil {
 		t.Error("no findings must render nil")
 	}
 	few, many := mk(4), mk(400)
-	allocsFew := testing.AllocsPerRun(20, func() { Render(few, an) })
-	allocsMany := testing.AllocsPerRun(20, func() { Render(many, an) })
+	fewNames, manyNames := PointNames(few, an), PointNames(many, an)
+	allocsFew := testing.AllocsPerRun(20, func() { Render(few, fewNames) })
+	allocsMany := testing.AllocsPerRun(20, func() { Render(many, manyNames) })
 	if allocsMany != allocsFew {
 		t.Errorf("Render allocated %.0f times for 8 diffs and %.0f for 800", allocsFew, allocsMany)
 	}

@@ -197,13 +197,31 @@ func (c *Client) Events(id string) ([]byte, error) {
 	return c.raw("/api/v1/campaigns/" + id + "/events")
 }
 
-// Result fetches a finished campaign's result.
+// Result fetches a finished campaign's result. A fuzz campaign's arrives
+// in the binary result encoding and is rendered into Stats here; an
+// analysis campaign's is JSON. The Content-Type tells them apart.
 func (c *Client) Result(id string) (*Result, error) {
-	var res Result
-	if err := c.do("GET", "/api/v1/campaigns/"+id+"/result", nil, &res); err != nil {
+	resp, err := c.send("GET", "/api/v1/campaigns/"+id+"/result", nil, "")
+	if err != nil {
 		return nil, err
 	}
-	return &res, nil
+	defer drainClose(resp.Body)
+	if resp.Header.Get("Content-Type") != leaseContentType {
+		var res Result
+		if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+			return nil, err
+		}
+		return &res, nil
+	}
+	b, err := readSized(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, err
+	}
+	fr, err := decodeResult(b)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: result: %w", err)
+	}
+	return &Result{Kind: "fuzz", Stats: fr.wire()}, nil
 }
 
 // CheckpointFile downloads a fuzz campaign's encoded checkpoint file.

@@ -257,12 +257,15 @@ type CampaignStatus struct {
 	Audit *AuditSummary `json:"audit,omitempty"`
 }
 
-// Result is a campaign's final result.
+// Result is a campaign's final result as Client.Result returns it. An
+// analysis campaign's result travels as this type's JSON; a fuzz
+// campaign's travels in the binary result encoding (wire.go), which the
+// client renders into Stats.
 type Result struct {
 	// Kind is "fuzz" or "analysis".
 	Kind string `json:"kind"`
-	// Stats is the fuzz campaign's canonical serialized statistics —
-	// byte-identical to a local run's fuzz.Stats.Wire() for the same
+	// Stats is the fuzz campaign's canonical serialized statistics; it
+	// marshals to the bytes of a local run's fuzz.Stats.Wire() for the same
 	// topology.
 	Stats *fuzz.StatsWire `json:"stats,omitempty"`
 	// Analysis is the analysis-only campaign's report.
@@ -630,24 +633,26 @@ func (ct *Controller) Events(id string) ([]byte, error) {
 	return c.sink.Bytes(), nil
 }
 
-// Result returns a campaign's final result; a still-running fuzz campaign
-// is a conflict.
-func (ct *Controller) Result(id string) (*Result, error) {
+// Result returns a finished campaign's result: an analysis campaign's
+// report, or a fuzz campaign's statistics. A still-running fuzz campaign is
+// a conflict. A finished campaign's statistics are final — no call writes
+// them again (TestFinishedStatsNeverWritten) — so the caller reads and
+// encodes them without holding the controller's lock.
+func (ct *Controller) Result(id string) (*AnalysisResult, *fuzz.Stats, error) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.sweepLocked()
 	c, err := ct.lookupLocked(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.kind == "analysis" {
-		return &Result{Kind: "analysis", Analysis: c.analysis}, nil
+		return c.analysis, nil, nil
 	}
 	if !c.lc.Finished() {
-		return nil, fmt.Errorf("%w: campaign %q is still running", errConflict, id)
+		return nil, nil, fmt.Errorf("%w: campaign %q is still running", errConflict, id)
 	}
-	w := c.lc.Stats().Wire()
-	return &Result{Kind: "fuzz", Stats: &w}, nil
+	return nil, c.lc.Stats(), nil
 }
 
 // Checkpoint returns a fuzz campaign's state as an encoded checkpoint file

@@ -12,9 +12,9 @@ import (
 
 // Server exposes a Controller over HTTP. Every endpoint, schema, and error
 // code is documented in docs/SERVICE.md. Bodies are JSON except the lease
-// loop's three — acquire request, grant and report — which use the binary
-// encoding of wire.go; error bodies are {"error": "..."} with a matching
-// status code on every route.
+// loop's three — acquire request, grant and report — and a fuzz campaign's
+// result, which use the binary encoding of wire.go; error bodies are
+// {"error": "..."} with a matching status code on every route.
 type Server struct {
 	ct  *Controller
 	mux *http.ServeMux
@@ -115,8 +115,8 @@ func readLease(w http.ResponseWriter, r *http.Request, decode func([]byte) error
 	return nil
 }
 
-// writeLease writes a lease-loop response body.
-func writeLease(w http.ResponseWriter, b []byte) {
+// writeBinary writes a binary response body (wire.go).
+func writeBinary(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", leaseContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
@@ -166,12 +166,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	res, err := s.ct.Result(r.PathValue("id"))
+	an, st, err := s.ct.Result(r.PathValue("id"))
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	if st == nil {
+		writeJSON(w, http.StatusOK, &Result{Kind: "analysis", Analysis: an})
+		return
+	}
+	writeBinary(w, appendResult(nil, newFuzzResult(st)))
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
@@ -205,7 +209,7 @@ func (s *Server) handleAcquire(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	writeLease(w, AppendGrant(nil, g))
+	writeBinary(w, AppendGrant(nil, g))
 }
 
 // renewResponse is the lease-renew response body.

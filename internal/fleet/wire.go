@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sonar/internal/detect"
 	"sonar/internal/fuzz"
@@ -10,10 +12,10 @@ import (
 )
 
 // The lease loop's three bodies — the acquire request, the LeaseGrant and
-// the report (fuzz.LeaseResult) — travel in one fixed-shape binary
-// encoding; every other body of the API is JSON. A body is the format byte
-// followed by its fields in a fixed order (docs/SERVICE.md, "Lease wire
-// format"):
+// the report (fuzz.LeaseResult) — and a finished fuzz campaign's result
+// travel in one fixed-shape binary encoding; every other body of the API is
+// JSON. A body is the format byte followed by its fields in a fixed order
+// (docs/SERVICE.md, "Lease wire format" and "Result wire format"):
 //
 //   - integers are varints: signed ones zigzag-encoded
 //     (binary.AppendVarint), unsigned ones plain (binary.AppendUvarint);
@@ -27,10 +29,11 @@ import (
 // not exceed the bytes left in the body (every element takes at least one),
 // which bounds what a hostile count can make the decoder allocate.
 
-// leaseFormat is the format byte every lease-loop body starts with.
+// leaseFormat is the format byte every binary body starts with: the lease
+// loop's and the fuzz result's.
 const leaseFormat byte = 1
 
-// leaseContentType is the Content-Type of a lease-loop body.
+// leaseContentType is the Content-Type of a binary body.
 const leaseContentType = "application/octet-stream"
 
 // present is the flags byte of an optional part that is there (acquire
@@ -84,7 +87,18 @@ func appendIntvls(b []byte, s []fuzz.PointIntvl) []byte {
 	return b
 }
 
-// wireReader decodes one lease-loop body. Its error is sticky: after the
+// appendIntvlMap appends an interval map as an intvl list in ascending
+// point order. It sorts the entries in buf, which it returns for reuse.
+func appendIntvlMap(b []byte, m map[int]int64, buf []fuzz.PointIntvl) ([]byte, []fuzz.PointIntvl) {
+	buf = buf[:0]
+	for id, v := range m { //sonar:nondeterministic-ok entries collected then sorted
+		buf = append(buf, fuzz.PointIntvl{Point: id, Intvl: v})
+	}
+	slices.SortFunc(buf, func(x, y fuzz.PointIntvl) int { return cmp.Compare(x.Point, y.Point) })
+	return appendIntvls(b, buf), buf
+}
+
+// wireReader decodes one binary body. Its error is sticky: after the
 // first malformed field every read returns a zero value, and err names
 // that first fault.
 type wireReader struct {
@@ -189,6 +203,31 @@ func (r *wireReader) end() error {
 		r.failf("%d trailing bytes", len(r.b))
 	}
 	return r.err
+}
+
+// point reads a point ID, which must exceed prev: the point lists that
+// stand for sets ascend strictly from -1.
+func (r *wireReader) point(prev int) int {
+	id := r.int()
+	if id <= prev {
+		r.failf("point %d does not ascend past %d", id, prev)
+	}
+	return id
+}
+
+// intvlMap reads an intvl list, whose points ascend, into a map; an empty
+// list reads as nil.
+func (r *wireReader) intvlMap() map[int]int64 {
+	n := r.count()
+	if n == 0 {
+		return nil
+	}
+	m := make(map[int]int64, n)
+	for i, id := 0, -1; i < n && r.err == nil; i++ {
+		id = r.point(id)
+		m[id] = r.varint()
+	}
+	return m
 }
 
 func (r *wireReader) intvls() []fuzz.PointIntvl {
@@ -316,6 +355,7 @@ func AppendReport(b []byte, res *fuzz.LeaseResult) []byte {
 	b = appendInt(b, int64(res.Shard))
 	b = appendInt(b, int64(res.Round))
 	b = binary.AppendUvarint(b, uint64(len(res.Outcomes)))
+	var sorted []fuzz.PointIntvl
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
 		b = binary.AppendUvarint(b, uint64(len(ow.Triggered)))
@@ -329,7 +369,7 @@ func AppendReport(b []byte, res *fuzz.LeaseResult) []byte {
 			b = appendFinding(b, ow.Finding)
 		}
 		b = appendInt(b, ow.Cycles)
-		b = appendIntvls(b, ow.Intvls)
+		b, sorted = appendIntvlMap(b, ow.Intvls, sorted)
 	}
 	return b
 }
@@ -385,7 +425,7 @@ func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 			ow.Finding = r.finding()
 		}
 		ow.Cycles = r.varint()
-		ow.Intvls = r.intvls()
+		ow.Intvls = r.intvlMap()
 	}
 	if err := r.end(); err != nil {
 		return nil, err
@@ -440,4 +480,140 @@ func (r *wireReader) observed() int64 {
 		r.failf("observed interval is monitor.NoInterval")
 	}
 	return v
+}
+
+// fuzzResult is a finished fuzz campaign's result as the result route
+// carries it: the statistics with the findings left compact, plus the one
+// name table that renders them.
+type fuzzResult struct {
+	// stats is everything but the rendered findings (fuzz.Stats.WireUnnamed).
+	stats fuzz.StatsWire
+	// findings are the compact findings, parallel to stats.FindingSeeds.
+	findings []*detect.Finding
+	// names names every point the findings reference, and no other, in
+	// ascending ID order (detect.PointNames).
+	names []detect.PointName
+}
+
+// newFuzzResult captures a finished campaign's statistics for the wire.
+func newFuzzResult(st *fuzz.Stats) *fuzzResult {
+	return &fuzzResult{stats: st.WireUnnamed(), findings: st.Findings, names: detect.PointNames(st.Findings, st.Analysis)}
+}
+
+// wire renders the result as the fuzz.StatsWire a local run's Stats.Wire
+// returns, through the same detect.Render.
+func (fr *fuzzResult) wire() *fuzz.StatsWire {
+	s := fr.stats
+	s.Findings = detect.Render(fr.findings, fr.names)
+	return &s
+}
+
+// appendResult appends a fuzz result's wire encoding to b.
+func appendResult(b []byte, fr *fuzzResult) []byte {
+	s := &fr.stats
+	b = append(b, leaseFormat)
+	b = binary.AppendUvarint(b, uint64(len(s.PerIteration)))
+	for _, it := range s.PerIteration {
+		b = appendInt(b, int64(it.Iteration))
+		b = appendInt(b, int64(it.NewPoints))
+		b = appendInt(b, int64(it.CumPoints))
+		b = appendInt(b, int64(it.CumTimingDiffs))
+	}
+	b = binary.AppendUvarint(b, uint64(len(fr.names)))
+	for _, pn := range fr.names {
+		b = appendInt(b, int64(pn.ID))
+		b = appendString(b, pn.Name)
+		b = appendString(b, pn.Component)
+	}
+	b = binary.AppendUvarint(b, uint64(len(fr.findings)))
+	for i, f := range fr.findings {
+		b = appendFinding(b, f)
+		b = appendString(b, s.FindingSeeds[i])
+	}
+	b = binary.AppendUvarint(b, uint64(len(s.Triggered)))
+	for _, id := range s.Triggered {
+		b = appendInt(b, int64(id))
+	}
+	b = appendInt(b, int64(s.SingleValidTriggered))
+	b = appendInt(b, int64(s.EarlyTriggered))
+	b = binary.AppendUvarint(b, uint64(len(s.EarlyBreakdown)))
+	for _, eb := range s.EarlyBreakdown {
+		b = appendInt(b, int64(eb[0]))
+		b = appendInt(b, int64(eb[1]))
+	}
+	b = appendInt(b, int64(s.CorpusSize))
+	return appendInt(b, s.ExecutedCycles)
+}
+
+// decodeResult decodes a fuzz result body. Beyond the encoding it checks
+// what rendering relies on: the name table's points ascend, every state
+// diff's point is in it and every entry is some diff's, and every state
+// diff passes detect.StateDiff.Check. The slices come out nil or empty as
+// fuzz.Stats.WireUnnamed makes them, so the rendered result marshals to
+// the bytes of the local run's Stats.Wire.
+func decodeResult(body []byte) (*fuzzResult, error) {
+	r := wireReader{b: body}
+	r.begin()
+	fr := &fuzzResult{}
+	s := &fr.stats
+	if n := r.count(); n > 0 {
+		s.PerIteration = make([]fuzz.IterStats, n)
+		for i := range s.PerIteration {
+			s.PerIteration[i] = fuzz.IterStats{Iteration: r.int(), NewPoints: r.int(), CumPoints: r.int(), CumTimingDiffs: r.int()}
+		}
+	}
+	if n := r.count(); n > 0 {
+		fr.names = make([]detect.PointName, n)
+		for i, id := 0, -1; i < n; i++ {
+			id = r.point(id)
+			fr.names[i] = detect.PointName{ID: id, Name: r.string(), Component: r.string()}
+		}
+	}
+	used := make([]bool, len(fr.names))
+	n := r.count()
+	s.FindingSeeds = make([]string, n)
+	if n > 0 {
+		fr.findings = make([]*detect.Finding, n)
+	}
+	for i := 0; i < n && r.err == nil; i++ {
+		f := r.finding()
+		for j := range f.StateDiffs {
+			sd := &f.StateDiffs[j]
+			at, ok := detect.LookupPoint(fr.names, sd.PointID)
+			if !ok {
+				r.failf("finding %d: point %d is not in the name table", i, sd.PointID)
+				break
+			}
+			used[at] = true
+			if err := sd.Check(); err != nil {
+				r.failf("finding %d: %v", i, err)
+				break
+			}
+		}
+		fr.findings[i] = f
+		s.FindingSeeds[i] = r.string()
+	}
+	for i, u := range used {
+		if !u && r.err == nil {
+			r.failf("name table point %d is in no finding", fr.names[i].ID)
+		}
+	}
+	s.Triggered = make([]int, r.count())
+	for i, id := 0, -1; i < len(s.Triggered); i++ {
+		id = r.point(id)
+		s.Triggered[i] = id
+	}
+	s.SingleValidTriggered, s.EarlyTriggered = r.int(), r.int()
+	if n := r.count(); n > 0 {
+		s.EarlyBreakdown = make([][2]int, n)
+		for i := range s.EarlyBreakdown {
+			s.EarlyBreakdown[i] = [2]int{r.int(), r.int()}
+		}
+	}
+	s.CorpusSize = r.int()
+	s.ExecutedCycles = r.varint()
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return fr, nil
 }

@@ -204,9 +204,18 @@ type StatsWire struct {
 // encodings; the campaign service's result endpoint relies on this to
 // compare distributed and local runs.
 func (st *Stats) Wire() StatsWire {
+	s := st.WireUnnamed()
+	s.Findings = detect.Render(st.Findings, detect.PointNames(st.Findings, st.Analysis))
+	return s
+}
+
+// WireUnnamed returns Wire without the rendered findings (Findings is nil).
+// The campaign service ships it with the compact findings and their
+// detect.PointNames table, and its client completes it with the same
+// detect.Render call Wire makes.
+func (st *Stats) WireUnnamed() StatsWire {
 	s := StatsWire{
 		PerIteration:         append([]IterStats(nil), st.PerIteration...),
-		Findings:             detect.Render(st.Findings, st.Analysis),
 		FindingSeeds:         make([]string, len(st.FindingSeeds)),
 		SingleValidTriggered: st.SingleValidTriggered,
 		EarlyTriggered:       st.EarlyTriggered,

@@ -128,24 +128,26 @@ type OutcomeWire struct {
 	// Cycles is the double execution's total simulated cycle count.
 	Cycles int64
 	// Intvls is the merged per-point best distinct-request interval of the
-	// double execution, point-sorted.
-	Intvls []PointIntvl
+	// double execution; the wire encoding writes it in ascending point
+	// order.
+	Intvls map[int]int64
 }
 
 // outcome is the in-memory feedback of a wire entry; replay adds the
 // testcase.
 func (ow *OutcomeWire) outcome() outcome {
-	return outcome{triggered: ow.Triggered, finding: ow.Finding, cycles: ow.Cycles, intvls: unsortIntvls(ow.Intvls)}
+	return outcome{triggered: ow.Triggered, finding: ow.Finding, cycles: ow.Cycles, intvls: ow.Intvls}
 }
 
 // LeaseResult is a worker's report for one executed lease: the feedback of
 // the batch's iterations, in execution order. That is all the coordinator
 // needs — the batch's testcases, retained seeds, and post-batch RNG cursor
 // follow from the lease and the feedback, and the coordinator replays them
-// itself (LeaseCoordinator.Report). It is deterministic (interval maps
-// point-sorted), so re-executing the same lease produces results whose
-// wire encodings (the campaign service's report body) are byte-equal — the
-// property that makes lease re-offers after worker churn safe.
+// itself (LeaseCoordinator.Report). It is deterministic, and its wire
+// encoding writes interval maps in point order, so re-executing the same
+// lease produces results whose wire encodings (the campaign service's
+// report body) are byte-equal — the property that makes lease re-offers
+// after worker churn safe.
 type LeaseResult struct {
 	// Shard echoes the lease's shard index.
 	Shard int
@@ -179,7 +181,7 @@ func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 	res := &LeaseResult{Shard: l.Shard, Round: l.Round, Outcomes: make([]OutcomeWire, len(outs))}
 	for i := range outs {
 		o := &outs[i]
-		res.Outcomes[i] = OutcomeWire{Triggered: o.triggered, Finding: o.finding, Cycles: o.cycles, Intvls: sortIntvls(o.intvls)}
+		res.Outcomes[i] = OutcomeWire{Triggered: o.triggered, Finding: o.finding, Cycles: o.cycles, Intvls: o.intvls}
 	}
 	return res, next, nil
 }
@@ -577,9 +579,9 @@ func checkOutcome(points int, ow *OutcomeWire) error {
 			return fmt.Errorf("point %d out of range [0, %d)", id, points)
 		}
 	}
-	for _, pi := range ow.Intvls {
-		if pi.Point < 0 || pi.Point >= points {
-			return fmt.Errorf("interval point %d out of range [0, %d)", pi.Point, points)
+	for id := range ow.Intvls { //sonar:nondeterministic-ok the first out-of-range key decides only the error text
+		if id < 0 || id >= points {
+			return fmt.Errorf("interval point %d out of range [0, %d)", id, points)
 		}
 	}
 	return nil

@@ -506,7 +506,7 @@ func TestLeaseReportValidation(t *testing.T) {
 		corrupt func(r *LeaseResult)
 	}{
 		{"an out-of-range triggered point", func(r *LeaseResult) { r.Outcomes[0].Triggered = []int{farPoint} }},
-		{"an out-of-range outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{Point: farPoint, Intvl: 3}} }},
+		{"an out-of-range outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = map[int]int64{farPoint: 3} }},
 		{"an out-of-range state-diff point", func(r *LeaseResult) {
 			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: farPoint, Reason: detect.ReasonStream}}}
 		}},
