@@ -21,6 +21,7 @@ func RunSpecDoctor(d *fuzz.DUT, iterations int, seed int64) *fuzz.Stats {
 	var corpus []*fuzz.Seed
 	st := &fuzz.Stats{TriggeredPoints: make(map[int]bool)}
 	var det detect.Detector
+	var triggered []int
 
 	for it := 1; it <= iterations; it++ {
 		var tc *fuzz.Testcase
@@ -35,7 +36,8 @@ func RunSpecDoctor(d *fuzz.DUT, iterations int, seed int64) *fuzz.Stats {
 
 		newPts := 0
 		for _, ex := range []*fuzz.Execution{exA, exB} {
-			for _, id := range ex.Snap.Triggered() {
+			triggered = ex.Snap.AppendTriggered(triggered[:0])
+			for _, id := range triggered {
 				if !st.TriggeredPoints[id] {
 					st.TriggeredPoints[id] = true
 					newPts++

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -321,11 +322,11 @@ func TestResultCorpusVerdicts(t *testing.T) {
 	}
 }
 
-// A report writes each outcome's interval map in ascending point order,
-// and its decoder builds the map back, refusing points that do not ascend:
+// A report writes each outcome's feedback vector in its ascending point
+// order, and its decoder reads it back, refusing points that do not ascend:
 // a repeated or out-of-order point has no canonical encoding.
 func TestReportIntervalMapsAscend(t *testing.T) {
-	res := &fuzz.LeaseResult{Outcomes: []fuzz.OutcomeWire{{Intvls: map[int]int64{9: 1, 2: 0, 5: 7}}, {}}}
+	res := &fuzz.LeaseResult{Outcomes: []fuzz.OutcomeWire{{Intvls: []fuzz.PointIntvl{{Point: 2, Intvl: 0}, {Point: 5, Intvl: 7}, {Point: 9, Intvl: 1}}}, {}}}
 	body := AppendReport(nil, res)
 	want := []byte{leaseFormat, 0, 0, 2, 0, 0, 0, 3, 4, 0, 10, 14, 18, 2, 0, 0, 0, 0}
 	if !bytes.Equal(body, want) {
@@ -335,7 +336,7 @@ func TestReportIntervalMapsAscend(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeReport: %v", err)
 	}
-	if got := back.Outcomes[0].Intvls; len(got) != 3 || got[2] != 0 || got[5] != 7 || got[9] != 1 {
+	if got := back.Outcomes[0].Intvls; !reflect.DeepEqual(got, res.Outcomes[0].Intvls) {
 		t.Errorf("decoded intervals %v", got)
 	}
 	if back.Outcomes[1].Intvls != nil {

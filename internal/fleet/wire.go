@@ -1,10 +1,8 @@
 package fleet
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"sonar/internal/detect"
 	"sonar/internal/fuzz"
@@ -85,17 +83,6 @@ func appendIntvls(b []byte, s []fuzz.PointIntvl) []byte {
 		b = appendInt(b, pi.Intvl)
 	}
 	return b
-}
-
-// appendIntvlMap appends an interval map as an intvl list in ascending
-// point order. It sorts the entries in buf, which it returns for reuse.
-func appendIntvlMap(b []byte, m map[int]int64, buf []fuzz.PointIntvl) ([]byte, []fuzz.PointIntvl) {
-	buf = buf[:0]
-	for id, v := range m { //sonar:nondeterministic-ok entries collected then sorted
-		buf = append(buf, fuzz.PointIntvl{Point: id, Intvl: v})
-	}
-	slices.SortFunc(buf, func(x, y fuzz.PointIntvl) int { return cmp.Compare(x.Point, y.Point) })
-	return appendIntvls(b, buf), buf
 }
 
 // wireReader decodes one binary body. Its error is sticky: after the
@@ -215,29 +202,17 @@ func (r *wireReader) point(prev int) int {
 	return id
 }
 
-// intvlMap reads an intvl list, whose points ascend, into a map; an empty
-// list reads as nil.
-func (r *wireReader) intvlMap() map[int]int64 {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	m := make(map[int]int64, n)
-	for i, id := 0, -1; i < n && r.err == nil; i++ {
-		id = r.point(id)
-		m[id] = r.varint()
-	}
-	return m
-}
-
+// intvls reads an intvl list — a feedback vector, whose points ascend
+// strictly, as the merge walks over it rely on; an empty list reads as nil.
 func (r *wireReader) intvls() []fuzz.PointIntvl {
 	n := r.count()
 	if n == 0 {
 		return nil
 	}
 	s := make([]fuzz.PointIntvl, n)
-	for i := range s {
-		s[i] = fuzz.PointIntvl{Point: r.int(), Intvl: r.varint()}
+	for i, id := 0, -1; i < n && r.err == nil; i++ {
+		id = r.point(id)
+		s[i] = fuzz.PointIntvl{Point: id, Intvl: r.varint()}
 	}
 	return s
 }
@@ -355,7 +330,6 @@ func AppendReport(b []byte, res *fuzz.LeaseResult) []byte {
 	b = appendInt(b, int64(res.Shard))
 	b = appendInt(b, int64(res.Round))
 	b = binary.AppendUvarint(b, uint64(len(res.Outcomes)))
-	var sorted []fuzz.PointIntvl
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
 		b = binary.AppendUvarint(b, uint64(len(ow.Triggered)))
@@ -369,7 +343,7 @@ func AppendReport(b []byte, res *fuzz.LeaseResult) []byte {
 			b = appendFinding(b, ow.Finding)
 		}
 		b = appendInt(b, ow.Cycles)
-		b, sorted = appendIntvlMap(b, ow.Intvls, sorted)
+		b = appendIntvls(b, ow.Intvls)
 	}
 	return b
 }
@@ -425,7 +399,7 @@ func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 			ow.Finding = r.finding()
 		}
 		ow.Cycles = r.varint()
-		ow.Intvls = r.intvlMap()
+		ow.Intvls = r.intvls()
 	}
 	if err := r.end(); err != nil {
 		return nil, err

@@ -237,3 +237,25 @@ func TestGrantAndAcquireRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A grant's interval lists are feedback vectors, whose points ascend
+// strictly: a seed's or the corpus best's list with points out of order or
+// repeated has no canonical encoding, and the merge walks over it would
+// misread it.
+func TestGrantIntervalListsAscend(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		seed, best []fuzz.PointIntvl
+	}{
+		{"seed points out of order", []fuzz.PointIntvl{{Point: 7, Intvl: 1}, {Point: 2, Intvl: 0}}, nil},
+		{"seed point repeated", []fuzz.PointIntvl{{Point: 2, Intvl: 1}, {Point: 2, Intvl: 0}}, nil},
+		{"best points out of order", nil, []fuzz.PointIntvl{{Point: 7, Intvl: 12}, {Point: 2, Intvl: 0}}},
+		{"best point repeated", nil, []fuzz.PointIntvl{{Point: 7, Intvl: 12}, {Point: 7, Intvl: 3}}},
+	} {
+		g := &LeaseGrant{LeaseID: "c1-r1-s0-a0", Campaign: "c1", DUT: "lite", Shape: testShape(8, 1, 8)}
+		g.Lease.Corpus = fuzz.CorpusWire{Seeds: []fuzz.SeedWire{{TC: "tc", Intvls: c.seed}}, Best: c.best}
+		if _, err := DecodeGrant(AppendGrant(nil, g)); err == nil || !strings.Contains(err.Error(), "does not ascend") {
+			t.Errorf("%s: error %v, want one that they do not ascend", c.name, err)
+		}
+	}
+}

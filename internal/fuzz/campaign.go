@@ -246,10 +246,11 @@ type outcome struct {
 	triggered []int
 	finding   *detect.Finding
 	cycles    int64
-	// intvls is the merged per-point best reqsIntvl of the dual execution.
-	// It is populated when retention needs it or an Observer is attached
-	// (the per-point best-interval metrics), and nil otherwise.
-	intvls map[int]int64
+	// intvls is the feedback vector of the dual execution: the per-point
+	// best reqsIntvl of either run (feedback). It is populated when
+	// retention needs it or an Observer is attached (the per-point
+	// best-interval metrics), and nil otherwise.
+	intvls []PointIntvl
 }
 
 // pendingIter is one prepared-but-not-executed iteration: the testcase and
@@ -358,14 +359,43 @@ func (w *worker) observe(tc *Testcase, exA, exB *Execution) outcome {
 	// Contention coverage: points triggered in either run, in execution
 	// order (the accumulator deduplicates against the global set).
 	o := outcome{
-		triggered: append(exA.Snap.Triggered(), exB.Snap.Triggered()...),
+		triggered: exB.Snap.AppendTriggered(exA.Snap.AppendTriggered(nil)),
 		finding:   analyzeExecutions(&w.det, tc, exA, exB),
 		cycles:    exA.Cycles + exB.Cycles,
 	}
 	if w.retention || w.forceIntvls || w.opt.Observer != nil {
-		o.intvls = monitor.MergeMinIntervals(exA.Snap, exB.Snap)
+		o.intvls = feedback(exA.Snap, exB.Snap)
 	}
 	return o
+}
+
+// feedback merges the distinct-request intervals of one dual execution into
+// its feedback vector: per point, the smaller interval of the two runs,
+// leaving out points neither run observed an interval at. It is one merge
+// walk over the two snapshots' active lists, which ascend by point.
+func feedback(a, b *monitor.Snapshot) []PointIntvl {
+	ia, ib := a.Active(), b.Active()
+	out := make([]PointIntvl, 0, len(ia)+len(ib))
+	for len(ia) > 0 || len(ib) > 0 {
+		var pa, pb *monitor.PointSnapshot // the next entries of a and b
+		if len(ia) > 0 {
+			pa = &a.Points[ia[0]]
+		}
+		if len(ib) > 0 {
+			pb = &b.Points[ib[0]]
+		}
+		p, v := pa, monitor.NoInterval
+		if pb != nil && (pa == nil || pb.Point.ID <= pa.Point.ID) {
+			p, v, ib = pb, pb.MinIntvlDistinct, ib[1:]
+		}
+		if pa != nil && pa.Point.ID == p.Point.ID {
+			v, ia = min(v, pa.MinIntvlDistinct), ia[1:]
+		}
+		if v != monitor.NoInterval {
+			out = append(out, PointIntvl{Point: p.Point.ID, Intvl: v})
+		}
+	}
+	return out
 }
 
 // feed attaches p's testcase to its outcome o and feeds o back into the
@@ -388,8 +418,8 @@ func (w *worker) feed(p pendingIter, o *outcome) {
 	case parent != nil:
 		dir = parent.Dir
 		if target >= 0 {
-			oldV, okOld := parent.Intvls[target]
-			newV, okNew := o.intvls[target]
+			oldV, okOld := intvlAt(parent.Intvls, target)
+			newV, okNew := intvlAt(o.intvls, target)
 			switch {
 			case okNew && okOld && newV < oldV:
 				// Improvement: keep direction.
@@ -454,9 +484,11 @@ type statsAccum struct {
 	opt Options
 	st  *Stats
 	obs *obs.Observer
-	// best is the campaign-wide best reqsIntvl per point, tracked only for
-	// the observability gauges (the corpus keeps its own copy).
-	best map[int]int64
+	// best is the campaign-wide best reqsIntvl per point as a feedback
+	// vector, tracked only for the observability gauges (the corpus keeps
+	// its own). Like the corpus best, a fold replaces it rather than
+	// writing it, so a checkpoint shares it without a copy.
+	best []PointIntvl
 }
 
 // newStatsAccum starts an empty fold over the campaign's analysis: any
@@ -466,7 +498,7 @@ type statsAccum struct {
 func newStatsAccum(an *trace.Analysis, opt Options) *statsAccum {
 	a := &statsAccum{opt: opt, st: &Stats{TriggeredPoints: make(map[int]bool), Analysis: an}, obs: opt.Observer}
 	if a.obs != nil {
-		a.best = make(map[int]int64)
+		a.best = []PointIntvl{}
 	}
 	return a
 }
@@ -483,7 +515,7 @@ func (a *statsAccum) apply(o outcome) {
 			newPts++
 			if a.obs != nil {
 				intvl := int64(-1) // same-path trigger only: no distinct pair
-				if v, ok := o.intvls[id]; ok {
+				if v, ok := intvlAt(o.intvls, id); ok {
 					intvl = v
 				}
 				a.obs.PointTriggered(it, id, intvl)
@@ -524,11 +556,13 @@ func (a *statsAccum) apply(o outcome) {
 		CumTimingDiffs: cum,
 	})
 	if a.obs != nil {
-		for id, v := range o.intvls { //sonar:nondeterministic-ok metrics-only gauges; min-fold is order-insensitive
-			if old, ok := a.best[id]; !ok || v < old {
-				a.best[id] = v
-				a.obs.SetBestInterval(id, v)
+		if best, improved := foldMin(a.best, o.intvls); improved {
+			for _, pi := range o.intvls {
+				if old, ok := intvlAt(a.best, pi.Point); !ok || pi.Intvl < old {
+					a.obs.SetBestInterval(pi.Point, pi.Intvl)
+				}
 			}
+			a.best = best
 		}
 		a.obs.IterationDone(it, newPts, len(st.TriggeredPoints), cum, o.cycles)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -82,43 +83,13 @@ func (s Shape) Options() Options {
 	}
 }
 
-// PointIntvl is one per-point best-interval entry. Checkpoints and the
-// campaign-service wire formats store interval maps as point-sorted slices
-// so the serialized form is byte-deterministic (Go map iteration order is
-// randomized).
-type PointIntvl struct {
-	// Point is the contention point ID.
-	Point int `json:"point"`
-	// Intvl is the best (minimum) distinct-request interval observed.
-	Intvl int64 `json:"intvl"`
-}
-
-// sortIntvls converts an interval map to its canonical checkpoint form.
-func sortIntvls(m map[int]int64) []PointIntvl {
-	out := make([]PointIntvl, 0, len(m))
-	for id, v := range m { //sonar:nondeterministic-ok keys collected then sorted
-		out = append(out, PointIntvl{Point: id, Intvl: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Point < out[j].Point })
-	return out
-}
-
-// unsortIntvls rebuilds the interval map of a checkpointed slice.
-func unsortIntvls(s []PointIntvl) map[int]int64 {
-	m := make(map[int]int64, len(s))
-	for _, pi := range s {
-		m[pi.Point] = pi.Intvl
-	}
-	return m
-}
-
 // SeedWire is one retained corpus seed in serialized form: the testcase in
 // its Marshal (annotated assembly) encoding plus the feedback that earned
 // its place. Checkpoints and shard-lease payloads share this encoding.
 type SeedWire struct {
 	// TC is the testcase in Testcase.Marshal form.
 	TC string `json:"tc"`
-	// Intvls is the seed's per-point best-interval feedback, point-sorted.
+	// Intvls is the seed's feedback vector (Seed.Intvls).
 	Intvls []PointIntvl `json:"intvls"`
 	// Dir is the adaptive mutation direction (+1 grow, -1 shrink).
 	Dir int `json:"dir"`
@@ -128,7 +99,7 @@ type SeedWire struct {
 
 // wireSeed converts a retained seed to its wire form.
 func wireSeed(s *Seed) SeedWire {
-	return SeedWire{TC: s.TC.Marshal(), Intvls: sortIntvls(s.Intvls), Dir: s.Dir, Target: s.Target}
+	return SeedWire{TC: s.TC.Marshal(), Intvls: s.Intvls, Dir: s.Dir, Target: s.Target}
 }
 
 // seed rebuilds the in-memory seed of a wire entry.
@@ -137,7 +108,7 @@ func (sw *SeedWire) seed() (*Seed, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Seed{TC: tc, Intvls: unsortIntvls(sw.Intvls), Dir: sw.Dir, Target: sw.Target}, nil
+	return &Seed{TC: tc, Intvls: sw.Intvls, Dir: sw.Dir, Target: sw.Target}, nil
 }
 
 // CorpusWire is the global corpus in serialized form: the retained seeds in
@@ -147,13 +118,14 @@ func (sw *SeedWire) seed() (*Seed, error) {
 type CorpusWire struct {
 	// Seeds are the retained seeds in retention order.
 	Seeds []SeedWire `json:"seeds"`
-	// Best is the per-point global best interval, point-sorted.
+	// Best is the per-point global best interval, a feedback vector.
 	Best []PointIntvl `json:"best"`
 }
 
 // corpus rebuilds the in-memory corpus of a wire entry.
 func (cw *CorpusWire) corpus() (*Corpus, error) {
 	c := NewCorpus()
+	c.best = append(c.best, cw.Best...) // a missing best stays [], not null
 	c.seeds = make([]*Seed, len(cw.Seeds))
 	for i := range cw.Seeds {
 		s, err := cw.Seeds[i].seed()
@@ -162,7 +134,6 @@ func (cw *CorpusWire) corpus() (*Corpus, error) {
 		}
 		c.seeds[i] = s
 	}
-	c.best = unsortIntvls(cw.Best)
 	return c, nil
 }
 
@@ -311,9 +282,7 @@ func (cp *Checkpoint) accum(an *trace.Analysis, opt Options) (*statsAccum, error
 		acc.st.FindingSeeds[i] = tc
 	}
 	if acc.best != nil {
-		for _, pi := range s.Best {
-			acc.best[pi.Point] = pi.Intvl
-		}
+		acc.best = append(acc.best, s.Best...) // a missing best stays [], not null
 	}
 	return acc, nil
 }
@@ -356,6 +325,24 @@ func (cp *Checkpoint) validate() error {
 	}
 	if cp.Complete && rem != 0 {
 		return fmt.Errorf("fuzz: complete checkpoint with %d iterations remaining", rem)
+	}
+	return cp.checkIntvls(math.MaxInt)
+}
+
+// checkIntvls checks every feedback vector of the checkpoint with
+// checkIntvls: validate for strict ascent alone, a resume also against the
+// point count of its analysis.
+func (cp *Checkpoint) checkIntvls(points int) error {
+	for i := range cp.Corpus.Seeds {
+		if err := checkIntvls(cp.Corpus.Seeds[i].Intvls, points); err != nil {
+			return fmt.Errorf("fuzz: checkpoint corpus seed %d: %w", i, err)
+		}
+	}
+	if err := checkIntvls(cp.Corpus.Best, points); err != nil {
+		return fmt.Errorf("fuzz: checkpoint corpus best: %w", err)
+	}
+	if err := checkIntvls(cp.Stats.Best, points); err != nil {
+		return fmt.Errorf("fuzz: checkpoint stats best: %w", err)
 	}
 	return nil
 }

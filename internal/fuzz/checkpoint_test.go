@@ -429,6 +429,13 @@ func TestLoadCheckpointSeeds(t *testing.T) {
 	if !bytes.Equal(seeds["valid"], dualLiteCheckpoint(t)) {
 		t.Error("seed valid is not the payload of a fresh dual-lite checkpoint")
 	}
+	// Interval vectors that do not ascend fail at load already, before a
+	// resume brings the analysis that bounds their points.
+	for _, name := range []string{"unsorted-seed-intvls", "repeated-best-point", "unsorted-stats-best"} {
+		if _, err := decodeCheckpoint(withHeader(seeds[name])); err == nil || !strings.Contains(err.Error(), "does not ascend") {
+			t.Errorf("seed %s: load error %v, want one that its points do not ascend", name, err)
+		}
+	}
 	d := NewDUT(boom.NewDualLite())
 	for name, payload := range seeds {
 		cp, err := decodeCheckpoint(withHeader(payload))
@@ -446,7 +453,7 @@ func TestLoadCheckpointSeeds(t *testing.T) {
 // a resumed campaign takes: decode, then ResumeLeaseCoordinator on a
 // dual-lite DUT. Neither may panic, and an accepted checkpoint yields
 // either an error or a coordinator. The seed corpus (testdata/fuzz) holds
-// one real checkpoint payload and two broken ones.
+// one real checkpoint payload and broken ones, one per kind of rejection.
 func FuzzLoadCheckpoint(f *testing.F) {
 	d := NewDUT(boom.NewDualLite())
 	f.Fuzz(func(t *testing.T, payload []byte) {

@@ -1,19 +1,95 @@
 package fuzz
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"sonar/internal/monitor"
 )
+
+// PointIntvl is one entry of a feedback vector: a contention point and
+// its minimum distinct-request interval. Interval feedback travels as one
+// vector form everywhere — execution outcomes, seeds, the corpus best,
+// checkpoints and the campaign-service wire — ascending strictly by Point,
+// with no monitor.NoInterval entry, so it serializes byte-deterministically
+// as is.
+type PointIntvl struct {
+	// Point is the contention point ID.
+	Point int `json:"point"`
+	// Intvl is the best (minimum) distinct-request interval observed.
+	Intvl int64 `json:"intvl"`
+}
+
+// intvlAt returns the interval the vector s records for point, if any.
+func intvlAt(s []PointIntvl, point int) (int64, bool) {
+	i, ok := slices.BinarySearchFunc(s, point, func(e PointIntvl, p int) int { return cmp.Compare(e.Point, p) })
+	if !ok {
+		return 0, false
+	}
+	return s[i].Intvl, true
+}
+
+// foldMin returns the pointwise minimum of the vectors best and v and
+// whether v lowered or added any point. Its probe and fold are one merge
+// walk: entries are copied out only from v's first improvement on, into a
+// fresh vector, so best itself is never written and may be shared freely.
+// Without an improvement it returns best.
+func foldMin(best, v []PointIntvl) ([]PointIntvl, bool) {
+	i, j := 0, 0
+	for ; j < len(v); j++ {
+		for i < len(best) && best[i].Point < v[j].Point {
+			i++
+		}
+		if i == len(best) || best[i].Point != v[j].Point || v[j].Intvl < best[i].Intvl {
+			break
+		}
+	}
+	if j == len(v) {
+		return best, false
+	}
+	out := append(make([]PointIntvl, 0, len(best)+len(v)-j), best[:i]...)
+	for i < len(best) || j < len(v) {
+		switch {
+		case j == len(v) || i < len(best) && best[i].Point < v[j].Point:
+			out = append(out, best[i])
+			i++
+		case i == len(best) || v[j].Point < best[i].Point:
+			out = append(out, v[j])
+			j++
+		default:
+			out = append(out, PointIntvl{Point: v[j].Point, Intvl: min(best[i].Intvl, v[j].Intvl)})
+			i++
+			j++
+		}
+	}
+	return out, true
+}
+
+// checkIntvls rejects a vector whose points do not ascend strictly or fall
+// outside [0, points).
+func checkIntvls(s []PointIntvl, points int) error {
+	prev := -1
+	for _, pi := range s {
+		if pi.Point <= prev {
+			return fmt.Errorf("interval point %d does not ascend past %d", pi.Point, prev)
+		}
+		prev = pi.Point
+	}
+	if prev >= points {
+		return fmt.Errorf("interval point %d out of range [0, %d)", prev, points)
+	}
+	return nil
+}
 
 // Seed is a retained testcase with the feedback that earned its place.
 type Seed struct {
 	// TC is the retained testcase itself.
 	TC *Testcase
-	// Intvls is the per-point minimum distinct-request interval observed
-	// when this seed executed.
-	Intvls map[int]int64
+	// Intvls is the feedback vector of the execution that retained this
+	// seed: its per-point minimum distinct-request interval.
+	Intvls []PointIntvl
 	// Dir is the adaptive mutation direction: +1 grows the head chain,
 	// -1 shrinks it (paper §6.2.1, interval-guided directed mutation).
 	Dir int
@@ -23,95 +99,54 @@ type Seed struct {
 
 // Corpus is the seed corpus with Sonar's retention and selection policies.
 type Corpus struct {
+	// seeds is the retained seeds in retention order. The list only grows
+	// by appending, and views hold it capped at their length, so an append
+	// on either side never writes an element the other reads.
 	seeds []*Seed
-	// best tracks the global minimum interval per contention point.
-	best map[int]int64
-	// frozen marks storage shared with copy-on-write views (see view): the
-	// next mutation must thaw (privately copy) the seed list and best map
-	// first. Behaviour is otherwise identical to an unfrozen corpus.
-	frozen bool
+	// best is the global minimum interval per contention point, a feedback
+	// vector. A fold replaces it rather than writing it, so views and wire
+	// forms share it without a copy.
+	best []PointIntvl
 }
 
 // NewCorpus creates an empty corpus.
 func NewCorpus() *Corpus {
-	return &Corpus{best: make(map[int]int64)}
+	return &Corpus{best: []PointIntvl{}}
 }
 
 // Len returns the number of retained seeds.
 func (c *Corpus) Len() int { return len(c.seeds) }
 
-// Snapshot returns an independent copy of the corpus. The copy shares the
-// retained Seed values (immutable after creation) but owns its seed list
-// and best-interval map, so parallel workers can extend private snapshots
-// of a merged global corpus without synchronization.
-func (c *Corpus) Snapshot() *Corpus {
-	cp := &Corpus{
-		seeds: append([]*Seed(nil), c.seeds...),
-		best:  make(map[int]int64, len(c.best)),
-	}
-	for id, v := range c.best { //sonar:nondeterministic-ok map-to-map copy is order-insensitive
-		cp.best[id] = v
-	}
-	return cp
-}
-
-// view freezes the corpus and returns a shallow copy-on-write alias sharing
-// its seed list and best-interval map. Views are how the parallel
-// coordinator distributes a merged corpus: O(1) per worker per round instead
-// of the old per-worker deep Snapshot, with the copy deferred to the first
-// mutation (thaw) on whichever side mutates first. Frozen storage is only
-// ever read, so lingering views — including those held by abandoned retry
-// goroutines — stay safe without synchronization.
+// view returns a copy-on-write alias of the corpus. Views are how the
+// parallel coordinator distributes a merged corpus: O(1) per worker per
+// round. The alias holds the seed list capped at its length, so its first
+// retained seed appends into a private copy while the corpus appends past
+// the view's end, and best is never written in place. Lingering views —
+// including those held by abandoned retry goroutines — therefore stay
+// safe without synchronization.
 func (c *Corpus) view() *Corpus {
-	c.frozen = true
-	return &Corpus{seeds: c.seeds, best: c.best, frozen: true}
-}
-
-// thaw gives a frozen corpus private storage before its first mutation.
-func (c *Corpus) thaw() {
-	if !c.frozen {
-		return
-	}
-	c.seeds = append([]*Seed(nil), c.seeds...)
-	best := make(map[int]int64, len(c.best))
-	for id, v := range c.best { //sonar:nondeterministic-ok map-to-map copy is order-insensitive
-		best[id] = v
-	}
-	c.best = best
-	c.frozen = false
+	return &Corpus{seeds: slices.Clip(c.seeds), best: c.best}
 }
 
 // Best returns the global minimum interval recorded for a point, or
 // monitor.NoInterval.
 func (c *Corpus) Best(point int) int64 {
-	if v, ok := c.best[point]; ok {
+	if v, ok := intvlAt(c.best, point); ok {
 		return v
 	}
 	return monitor.NoInterval
 }
 
-// Offer applies the retention rule: the testcase joins the corpus if it
-// reduced the minimum reqsIntvl at any contention point below the global
-// best (paper §6.2.1 ①). It returns the created seed, or nil if not
-// retained. The common rejecting path is read-only, so offering against a
-// frozen view costs nothing; the first accepted offer thaws.
-func (c *Corpus) Offer(tc *Testcase, intvls map[int]int64, dir int, target int) *Seed {
-	improved := false
-	for id, v := range intvls { //sonar:nondeterministic-ok read-only improvement probe; min-fold is order-insensitive
-		if old, ok := c.best[id]; !ok || v < old {
-			improved = true
-			break
-		}
-	}
+// Offer applies the retention rule: the testcase joins the corpus if its
+// feedback vector intvls reduced the minimum reqsIntvl at any contention
+// point below the global best (paper §6.2.1 ①). It returns the created
+// seed, or nil if not retained. The common rejecting path only reads.
+func (c *Corpus) Offer(tc *Testcase, intvls []PointIntvl, dir int, target int) *Seed {
+	best, improved := foldMin(c.best, intvls)
 	if !improved {
 		return nil
 	}
-	c.thaw()
-	for id, v := range intvls { //sonar:nondeterministic-ok min-fold is order-insensitive
-		if old, ok := c.best[id]; !ok || v < old {
-			c.best[id] = v
-		}
-	}
+	c.best = best
 	s := &Seed{TC: tc, Intvls: intvls, Dir: dir, Target: target}
 	c.seeds = append(c.seeds, s)
 	return s
@@ -135,15 +170,15 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 	// sampling rather than a deterministic argmin, so the campaign does not
 	// tunnel forever on a point whose interval cannot reach zero. Only the
 	// first len(top) ranks can be drawn, so the smallest (v, id) candidates
-	// are kept by insertion; the order is total, so map order has no say.
+	// are kept by insertion.
 	var top [16]rankedPoint
 	n, kept := 0, 0
-	for id, v := range c.best { //sonar:nondeterministic-ok kept candidates are ordered by (v, id)
-		if v == 0 {
+	for _, pi := range c.best {
+		if pi.Intvl == 0 {
 			continue // already triggered; approaching it halts (paper §6.1)
 		}
 		n++
-		p := rankedPoint{id, v}
+		p := rankedPoint{pi.Point, pi.Intvl}
 		if kept < len(top) {
 			kept++
 		} else if !p.less(top[kept-1]) {
@@ -172,7 +207,7 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 	var hits [selectHits]int32
 	matches := 0
 	for i, s := range c.seeds {
-		if v, ok := s.Intvls[target]; ok && v == bestV {
+		if v, ok := intvlAt(s.Intvls, target); ok && v == bestV {
 			if matches < len(hits) {
 				hits[matches] = int32(i)
 			}
@@ -187,7 +222,7 @@ func (c *Corpus) Select(rng *rand.Rand, prioritize bool) (*Seed, int) {
 		return c.seeds[hits[k]], target
 	}
 	for _, s := range c.seeds {
-		if v, ok := s.Intvls[target]; ok && v == bestV {
+		if v, ok := intvlAt(s.Intvls, target); ok && v == bestV {
 			if k == 0 {
 				return s, target
 			}
@@ -212,17 +247,11 @@ func (p rankedPoint) less(q rankedPoint) bool {
 	return p.v < q.v || p.v == q.v && p.id < q.id
 }
 
-func anyPoint(rng *rand.Rand, intvls map[int]int64) int {
+// anyPoint draws any point of a seed's feedback vector, or -1 for an
+// empty one.
+func anyPoint(rng *rand.Rand, intvls []PointIntvl) int {
 	if len(intvls) == 0 {
 		return -1
 	}
-	// Index sorted keys rather than Go's randomized map order, so equal
-	// seeds give equal campaigns (the determinism contract of
-	// RunParallelExec).
-	ids := make([]int, 0, len(intvls))
-	for id := range intvls { //sonar:nondeterministic-ok keys collected then sorted
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids[rng.Intn(len(ids))]
+	return intvls[rng.Intn(len(intvls))].Point
 }

@@ -115,19 +115,19 @@ func TestMonitoringWindowOpensDuringSecretRegion(t *testing.T) {
 func TestCorpusRetentionRule(t *testing.T) {
 	c := NewCorpus()
 	tc := &Testcase{}
-	if s := c.Offer(tc, map[int]int64{1: 10}, +1, -1); s == nil {
+	if s := c.Offer(tc, vec(map[int]int64{1: 10}), +1, -1); s == nil {
 		t.Fatal("first observation not retained")
 	}
-	if s := c.Offer(tc, map[int]int64{1: 10}, +1, -1); s != nil {
+	if s := c.Offer(tc, vec(map[int]int64{1: 10}), +1, -1); s != nil {
 		t.Error("equal interval retained")
 	}
-	if s := c.Offer(tc, map[int]int64{1: 12}, +1, -1); s != nil {
+	if s := c.Offer(tc, vec(map[int]int64{1: 12}), +1, -1); s != nil {
 		t.Error("worse interval retained")
 	}
-	if s := c.Offer(tc, map[int]int64{1: 4}, +1, -1); s == nil {
+	if s := c.Offer(tc, vec(map[int]int64{1: 4}), +1, -1); s == nil {
 		t.Error("improved interval not retained")
 	}
-	if s := c.Offer(tc, map[int]int64{2: 100}, +1, -1); s == nil {
+	if s := c.Offer(tc, vec(map[int]int64{2: 100}), +1, -1); s == nil {
 		t.Error("new point not retained")
 	}
 	if c.Len() != 3 {
@@ -144,8 +144,8 @@ func TestCorpusRetentionRule(t *testing.T) {
 func TestCorpusSelectionPrioritizesSmallestNonzero(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewCorpus()
-	c.Offer(&Testcase{}, map[int]int64{1: 0, 2: 9, 3: 3}, +1, -1)
-	c.Offer(&Testcase{}, map[int]int64{2: 7}, +1, -1)
+	c.Offer(&Testcase{}, vec(map[int]int64{1: 0, 2: 9, 3: 3}), +1, -1)
+	c.Offer(&Testcase{}, vec(map[int]int64{2: 7}), +1, -1)
 	counts := map[int]int{}
 	for i := 0; i < 400; i++ {
 		seed, target := c.Select(rng, true)
@@ -176,9 +176,9 @@ func TestCorpusSelectionPrioritizesSmallestNonzero(t *testing.T) {
 // achieving the target's best, in corpus order.
 func selectByDefinition(c *Corpus, rng *rand.Rand) (*Seed, int) {
 	var ranked []rankedPoint
-	for id, v := range c.best {
-		if v != 0 {
-			ranked = append(ranked, rankedPoint{id, v})
+	for _, pi := range c.best {
+		if pi.Intvl != 0 {
+			ranked = append(ranked, rankedPoint{pi.Point, pi.Intvl})
 		}
 	}
 	sort.Slice(ranked, func(i, j int) bool { return ranked[i].less(ranked[j]) })
@@ -189,8 +189,10 @@ func selectByDefinition(c *Corpus, rng *rand.Rand) (*Seed, int) {
 	target := ranked[r]
 	var hits []*Seed
 	for _, s := range c.seeds {
-		if v, ok := s.Intvls[target.id]; ok && v == target.v {
-			hits = append(hits, s)
+		for _, pi := range s.Intvls {
+			if pi == (PointIntvl{target.id, target.v}) {
+				hits = append(hits, s)
+			}
 		}
 	}
 	return hits[rng.Intn(len(hits))], target.id
@@ -205,7 +207,7 @@ func TestCorpusSelectMatchesDefinition(t *testing.T) {
 		for i := 0; i < tied; i++ {
 			// Every seed holds interval 5 at point 0 and is retained for
 			// a fresh point of its own at a larger interval.
-			c.Offer(&Testcase{}, map[int]int64{0: 5, 100 + i: 10 + int64(i%7)}, +1, -1)
+			c.Offer(&Testcase{}, vec(map[int]int64{0: 5, 100 + i: 10 + int64(i%7)}), +1, -1)
 		}
 		if c.Len() != tied {
 			t.Fatalf("tied=%d: corpus holds %d seeds", tied, c.Len())

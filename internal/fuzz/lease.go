@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"sonar/internal/detect"
@@ -127,10 +128,9 @@ type OutcomeWire struct {
 	Finding *detect.Finding
 	// Cycles is the double execution's total simulated cycle count.
 	Cycles int64
-	// Intvls is the merged per-point best distinct-request interval of the
-	// double execution; the wire encoding writes it in ascending point
-	// order.
-	Intvls map[int]int64
+	// Intvls is the double execution's feedback vector: its merged
+	// per-point best distinct-request interval, ascending by point.
+	Intvls []PointIntvl
 }
 
 // outcome is the in-memory feedback of a wire entry; replay adds the
@@ -143,11 +143,10 @@ func (ow *OutcomeWire) outcome() outcome {
 // the batch's iterations, in execution order. That is all the coordinator
 // needs — the batch's testcases, retained seeds, and post-batch RNG cursor
 // follow from the lease and the feedback, and the coordinator replays them
-// itself (LeaseCoordinator.Report). It is deterministic, and its wire
-// encoding writes interval maps in point order, so re-executing the same
-// lease produces results whose wire encodings (the campaign service's
-// report body) are byte-equal — the property that makes lease re-offers
-// after worker churn safe.
+// itself (LeaseCoordinator.Report). It is deterministic, so re-executing
+// the same lease produces results whose wire encodings (the campaign
+// service's report body) are byte-equal — the property that makes lease
+// re-offers after worker churn safe.
 type LeaseResult struct {
 	// Shard echoes the lease's shard index.
 	Shard int
@@ -202,9 +201,9 @@ func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 	opt := shape.Options()
 	opt.Lanes = lanes
 	w := newShardWorker(l.Shard, opt, l.Cursor, next.srcs)
-	// A frozen corpus thaws a private copy at its first retained seed, so
-	// the batch never appends to the holding's seed list.
-	w.corpus = &Corpus{seeds: next.seeds, best: unsortIntvls(l.Corpus.Best), frozen: true}
+	// The seed list is capped, so the batch's first retained seed copies
+	// it rather than appending to the holding's.
+	w.corpus = &Corpus{seeds: slices.Clip(next.seeds), best: l.Corpus.Best}
 	w.forceIntvls = true
 	outs := make([]outcome, l.N)
 	w.runBatch(e, outs, groupWidth(e), l.Round)
@@ -265,10 +264,6 @@ type LeaseCoordinator struct {
 	// digests[k] the digest chain over the first k seeds.
 	wires   []SeedWire
 	digests []string
-	// best is global.best point-sorted, the same for every lease of a
-	// round; sorted once per barrier (bestSorted).
-	best       []PointIntvl
-	bestSorted bool
 	// srcs keeps each shard's RNG source at the cursor its last replay
 	// left, which is where the shard's next batch starts.
 	srcs sourceCache
@@ -345,7 +340,11 @@ func restoreLeaseCoordinator(d Executor, opt Options, cp *Checkpoint) (*LeaseCoo
 	if got, want := shapeOf(opt), cp.Shape; got != want {
 		return nil, fmt.Errorf("fuzz: resume shape mismatch: options %+v vs checkpoint %+v", got, want)
 	}
-	acc, err := cp.accum(d.ContentionAnalysis(), opt)
+	an := d.ContentionAnalysis()
+	if err := cp.checkIntvls(len(an.Points)); err != nil {
+		return nil, err
+	}
+	acc, err := cp.accum(an, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -487,16 +486,13 @@ func (lc *LeaseCoordinator) syncWires() {
 
 // corpusWire returns the merged corpus in wire form without its first from
 // seeds. The seed list is the caller's own; its entries share their
-// interval slices with the cache, and Best is shared by every call until
-// the next barrier: all are read-only.
+// interval vectors with the cache, and Best is the global corpus's own
+// vector, which a fold replaces rather than writes: all are read-only.
 func (lc *LeaseCoordinator) corpusWire(from int) CorpusWire {
 	lc.syncWires()
 	seeds := make([]SeedWire, len(lc.wires)-from)
 	copy(seeds, lc.wires[from:])
-	if !lc.bestSorted {
-		lc.best, lc.bestSorted = sortIntvls(lc.global.best), true
-	}
-	return CorpusWire{Seeds: seeds, Best: lc.best}
+	return CorpusWire{Seeds: seeds, Best: lc.global.best}
 }
 
 // Report folds one executed lease's result in. The result must belong to an
@@ -557,8 +553,9 @@ func (lc *LeaseCoordinator) replay(shard int, outs []outcome) shardReport {
 }
 
 // checkOutcome rejects a negative cycle count, contention point IDs
-// outside [0, points) anywhere in a wire outcome, and state diffs no
-// comparison produces (detect.StateDiff.Check).
+// outside [0, points) anywhere in a wire outcome, an interval vector whose
+// points do not ascend strictly, and state diffs no comparison produces
+// (detect.StateDiff.Check).
 func checkOutcome(points int, ow *OutcomeWire) error {
 	if ow.Cycles < 0 {
 		return fmt.Errorf("negative cycle count %d", ow.Cycles)
@@ -579,12 +576,7 @@ func checkOutcome(points int, ow *OutcomeWire) error {
 			return fmt.Errorf("point %d out of range [0, %d)", id, points)
 		}
 	}
-	for id := range ow.Intvls { //sonar:nondeterministic-ok the first out-of-range key decides only the error text
-		if id < 0 || id >= points {
-			return fmt.Errorf("interval point %d out of range [0, %d)", id, points)
-		}
-	}
-	return nil
+	return checkIntvls(ow.Intvls, points)
 }
 
 // Fail records a failed attempt — for the service, an expired lease — at an
@@ -640,7 +632,6 @@ func (lc *LeaseCoordinator) maybeCloseRound() {
 func (lc *LeaseCoordinator) closeRound() (reoffered bool) {
 	start := time.Now() //sonar:nondeterministic-ok merge duration feeds a BatchMerged metric, not canonical output
 	lc.round++
-	lc.bestSorted = false
 	o := lc.opt.Observer
 	merged := 0
 	for i := range lc.reports {
@@ -710,8 +701,6 @@ func (lc *LeaseCoordinator) Snapshot(complete bool) *Checkpoint {
 		Corpus:   lc.corpusWire(0),
 	}
 	cp.Stats.CorpusSize = lc.global.Len()
-	if lc.acc.best != nil {
-		cp.Stats.Best = sortIntvls(lc.acc.best)
-	}
+	cp.Stats.Best = lc.acc.best
 	return cp
 }

@@ -506,7 +506,9 @@ func TestLeaseReportValidation(t *testing.T) {
 		corrupt func(r *LeaseResult)
 	}{
 		{"an out-of-range triggered point", func(r *LeaseResult) { r.Outcomes[0].Triggered = []int{farPoint} }},
-		{"an out-of-range outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = map[int]int64{farPoint: 3} }},
+		{"an out-of-range outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{farPoint, 3}} }},
+		{"outcome interval points out of order", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{2, 3}, {1, 3}} }},
+		{"a repeated outcome interval point", func(r *LeaseResult) { r.Outcomes[0].Intvls = []PointIntvl{{1, 3}, {1, 2}} }},
 		{"an out-of-range state-diff point", func(r *LeaseResult) {
 			r.Outcomes[0].Finding = &detect.Finding{StateDiffs: []detect.StateDiff{{PointID: farPoint, Reason: detect.ReasonStream}}}
 		}},

@@ -8,7 +8,7 @@ import (
 	"sonar/internal/monitor"
 )
 
-// Property: the corpus best-interval map is the running minimum of every
+// Property: the corpus best-interval vector is the running minimum of every
 // offered interval, regardless of retention decisions.
 func TestQuickCorpusBestIsRunningMin(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -25,7 +25,7 @@ func TestQuickCorpusBestIsRunningMin(t *testing.T) {
 					ref[id] = v
 				}
 			}
-			c.Offer(&Testcase{}, m, +1, -1)
+			c.Offer(&Testcase{}, vec(m), +1, -1)
 		}
 		for id, want := range ref {
 			if got := c.Best(id); got != want {
@@ -56,7 +56,7 @@ func TestQuickSelectionSkipsTriggered(t *testing.T) {
 			} else {
 				nonzero++
 			}
-			c.Offer(&Testcase{}, map[int]int64{id: v}, +1, -1)
+			c.Offer(&Testcase{}, vec(map[int]int64{id: v}), +1, -1)
 		}
 		if c.Len() == 0 {
 			continue

@@ -74,8 +74,8 @@ func TestVolatileContentionAtZeroInterval(t *testing.T) {
 	if !p.VolatileContention {
 		t.Error("simultaneous arrival must report volatile contention")
 	}
-	if got := s.Triggered(); len(got) != 1 {
-		t.Errorf("Triggered = %v, want one point", got)
+	if got := s.AppendTriggered(nil); len(got) != 1 {
+		t.Errorf("AppendTriggered = %v, want one point", got)
 	}
 }
 
@@ -185,24 +185,6 @@ func TestResetClearsState(t *testing.T) {
 	pulse(r.aValid)
 	if got := r.mon.Snapshot().Points[0].EventCount; got != 1 {
 		t.Errorf("EventCount after Reset+event = %d, want 1", got)
-	}
-}
-
-func TestMinIntervalsFeedbackMap(t *testing.T) {
-	r := newRig(t, Config{})
-	r.mon.SetWindow(true)
-	pulse(r.aValid)
-	r.net.Step()
-	r.net.Step()
-	pulse(r.bValid)
-	mi := r.mon.Snapshot().MinIntervals()
-	if len(mi) != 1 {
-		t.Fatalf("MinIntervals has %d entries, want 1", len(mi))
-	}
-	for _, v := range mi {
-		if v != 2 {
-			t.Errorf("feedback interval = %d, want 2", v)
-		}
 	}
 }
 

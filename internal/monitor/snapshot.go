@@ -136,67 +136,15 @@ func (p *PointSnapshot) setIdle() {
 	}
 }
 
-// Triggered returns the IDs of points where any contention was triggered:
-// a volatile simultaneous arrival or a persistent same-path revisit, in
-// ascending ID order.
-func (s *Snapshot) Triggered() []int {
-	var ids []int
+// AppendTriggered appends to dst the IDs of points where any contention
+// was triggered: a volatile simultaneous arrival or a persistent same-path
+// revisit, in ascending ID order.
+func (s *Snapshot) AppendTriggered(dst []int) []int {
 	for _, i := range s.active {
 		p := &s.Points[i]
 		if p.VolatileContention || p.PersistentCandidate {
-			ids = append(ids, p.Point.ID)
+			dst = append(dst, p.Point.ID)
 		}
 	}
-	return ids
-}
-
-// MinIntervals returns the distinct-request reqsIntvl per point ID — the
-// fuzzer's feedback signal (paper §6.2.1).
-func (s *Snapshot) MinIntervals() map[int]int64 {
-	m := make(map[int]int64, len(s.active))
-	for _, i := range s.active {
-		p := &s.Points[i]
-		if p.MinIntvlDistinct != NoInterval {
-			m[p.Point.ID] = p.MinIntvlDistinct
-		}
-	}
-	return m
-}
-
-// MergeMinIntervals takes the per-point minimum distinct-request interval
-// across two snapshots — the merged reqsIntvl feedback of one
-// dual-execution (the same testcase run under both secrets). Both the
-// fuzzer's corpus retention rule and the observability layer's per-point
-// best-interval metrics consume this view.
-func MergeMinIntervals(a, b *Snapshot) map[int]int64 {
-	m := a.MinIntervals()
-	for _, i := range b.active {
-		p := &b.Points[i]
-		if v := p.MinIntvlDistinct; v != NoInterval {
-			if old, ok := m[p.Point.ID]; !ok || v < old {
-				m[p.Point.ID] = v
-			}
-		}
-	}
-	return m
-}
-
-// SameIntervals returns the consecutive same-path reqsIntvl per point ID —
-// the persistent-contention approach metric (paper §6.2.2). A point appears
-// only if some request path was observed at least twice; triggering is
-// reached when the data fields also match (PersistentCandidate).
-func (s *Snapshot) SameIntervals() map[int]int64 {
-	m := make(map[int]int64, len(s.active))
-	for _, i := range s.active {
-		p := &s.Points[i]
-		if p.MinIntvlSame == NoInterval {
-			continue
-		}
-		v := p.MinIntvlSame
-		if p.PersistentCandidate {
-			v = 0 // same storage unit revisited: persistent contention
-		}
-		m[p.Point.ID] = v
-	}
-	return m
+	return dst
 }
