@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -23,6 +24,7 @@ import (
 	"sonar/internal/boom"
 	"sonar/internal/experiments"
 	"sonar/internal/fuzz"
+	"sonar/internal/trace"
 )
 
 // benchIters is the campaign length used by the campaign benchmarks. The
@@ -354,6 +356,70 @@ func BenchmarkExecute(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.Execute(tc, uint64(i)&1)
 	}
+}
+
+// BenchmarkPaperSetupHeap measures the heap paper BOOM's set-up leaves
+// live, which every collection of a campaign marks: the live objects and
+// MiB a set-up adds, and the collector's CPU per forced cycle while it is
+// live (the mean of /cpu/classes/gc/total:cpu-seconds over gcCycles forced
+// cycles). "boom.New" is the elaborated SoC alone; "dut" adds the
+// contention analysis and the instrumented DUT, as a campaign builds them.
+// Run it with
+//
+//	go test -run '^$' -bench PaperSetupHeap -benchtime 1x -count 5 .
+func BenchmarkPaperSetupHeap(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		build func() any
+	}{
+		{"boom.New", func() any { return boom.New() }},
+		{"dut", func() any {
+			soc := boom.New()
+			return fuzz.NewDUTWithAnalysis(soc, trace.Analyze(soc.Net))
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var objs, mib, gcMs float64
+			for i := 0; i < b.N; i++ {
+				o, m, g := setupHeap(c.build)
+				objs, mib, gcMs = objs+o, mib+m, gcMs+g
+			}
+			n := float64(b.N)
+			b.ReportMetric(objs/n, "live-objects")
+			b.ReportMetric(mib/n, "live-MiB")
+			b.ReportMetric(gcMs/n, "gc-cpu-ms/cycle")
+		})
+	}
+}
+
+// gcCycles is the number of forced collections setupHeap averages the
+// collector's CPU over.
+const gcCycles = 10
+
+// setupHeap builds one set-up and returns the live objects and MiB it adds
+// to a collected heap, and the collector's CPU milliseconds per forced
+// cycle while it is live.
+func setupHeap(build func() any) (objs, mib, gcMs float64) {
+	sample := []metrics.Sample{
+		{Name: "/gc/heap/objects:objects"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+	}
+	read := func() (objs, bytes, gcCPU float64) {
+		metrics.Read(sample)
+		return float64(sample[0].Value.Uint64()), float64(sample[1].Value.Uint64()), sample[2].Value.Float64()
+	}
+	runtime.GC()
+	objs0, bytes0, _ := read()
+	x := build()
+	runtime.GC()
+	objs1, bytes1, cpu0 := read()
+	for i := 0; i < gcCycles; i++ {
+		runtime.GC()
+	}
+	_, _, cpu1 := read()
+	runtime.KeepAlive(x)
+	return objs1 - objs0, (bytes1 - bytes0) / (1 << 20), (cpu1 - cpu0) / gcCycles * 1e3
 }
 
 func BenchmarkCampaignParallel1(b *testing.B) { benchmarkCampaign(b, 1) }

@@ -240,7 +240,11 @@ func newShardWorker(id int, opt Options, cursor uint64, srcs *sourceCache) *work
 
 // outcome is one iteration's contribution to campaign statistics, in a form
 // the coordinator can fold into Stats in canonical order. Everything but tc
-// is the iteration's feedback: what a lease report carries.
+// and kept is the iteration's feedback: what a lease report carries.
+//
+// An outcome slot is recycled across rounds: observe fills triggered and
+// intvls into the slot's previous storage, unless a retained seed took the
+// vector (kept).
 type outcome struct {
 	tc        *Testcase
 	triggered []int
@@ -251,6 +255,9 @@ type outcome struct {
 	// retention needs it or an Observer is attached (the per-point
 	// best-interval metrics), and nil otherwise.
 	intvls []PointIntvl
+	// kept marks intvls as the Intvls of a seed it earned: the slot's next
+	// observe starts a new vector instead of writing this one.
+	kept bool
 }
 
 // pendingIter is one prepared-but-not-executed iteration: the testcase and
@@ -341,41 +348,50 @@ func (w *worker) execute(e Executor, group []outcome) {
 		}
 		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, normalizeLanes(w.opt), w.pairs[:0])
 		for i, pr := range w.pairs {
-			group[i] = w.observe(w.tcs[i], pr.A, pr.B)
+			w.observe(w.tcs[i], pr.A, pr.B, &group[i])
 		}
 		return
 	}
 	for i, p := range w.pending {
 		exA := e.Execute(p.tc, w.opt.SecretA)
 		exB := e.Execute(p.tc, w.opt.SecretB)
-		group[i] = w.observe(p.tc, exA, exB)
+		w.observe(p.tc, exA, exB, &group[i])
 	}
 }
 
-// observe turns one dual execution of tc into its feedback: the points it
-// triggered, its finding, its cycles and, when needed, its merged
-// intervals. It draws no RNG value.
-func (w *worker) observe(tc *Testcase, exA, exB *Execution) outcome {
+// observe fills slot o with the feedback of one dual execution of tc: the
+// points it triggered, its finding, its cycles and, when needed, its merged
+// intervals. It writes the lists into the slot's previous storage, except a
+// vector a seed kept. It draws no RNG value.
+func (w *worker) observe(tc *Testcase, exA, exB *Execution, o *outcome) {
+	intvls := o.intvls
+	if o.kept {
+		intvls = nil
+	}
 	// Contention coverage: points triggered in either run, in execution
 	// order (the accumulator deduplicates against the global set).
-	o := outcome{
-		triggered: exB.Snap.AppendTriggered(exA.Snap.AppendTriggered(nil)),
+	*o = outcome{
+		triggered: exB.Snap.AppendTriggered(exA.Snap.AppendTriggered(o.triggered[:0])),
 		finding:   analyzeExecutions(&w.det, tc, exA, exB),
 		cycles:    exA.Cycles + exB.Cycles,
 	}
 	if w.retention || w.forceIntvls || w.opt.Observer != nil {
-		o.intvls = feedback(exA.Snap, exB.Snap)
+		o.intvls = feedback(intvls, exA.Snap, exB.Snap)
 	}
-	return o
 }
 
 // feedback merges the distinct-request intervals of one dual execution into
-// its feedback vector: per point, the smaller interval of the two runs,
-// leaving out points neither run observed an interval at. It is one merge
-// walk over the two snapshots' active lists, which ascend by point.
-func feedback(a, b *monitor.Snapshot) []PointIntvl {
+// its feedback vector, written over dst's storage when that can hold both
+// runs' active points, and returns it, never nil: per point, the smaller
+// interval of the two runs, leaving out points neither run observed an
+// interval at. It is one merge walk over the two snapshots' active lists,
+// which ascend by point.
+func feedback(dst []PointIntvl, a, b *monitor.Snapshot) []PointIntvl {
 	ia, ib := a.Active(), b.Active()
-	out := make([]PointIntvl, 0, len(ia)+len(ib))
+	out := dst[:0]
+	if dst == nil || cap(dst) < len(ia)+len(ib) {
+		out = make([]PointIntvl, 0, len(ia)+len(ib))
+	}
 	for len(ia) > 0 || len(ib) > 0 {
 		var pa, pb *monitor.PointSnapshot // the next entries of a and b
 		if len(ia) > 0 {
@@ -438,6 +454,7 @@ func (w *worker) feed(p pendingIter, o *outcome) {
 	s := w.corpus.Offer(p.tc, o.intvls, dir, target)
 	w.mutOffered++
 	if s != nil {
+		o.kept = true
 		w.mutAccepted++
 		w.newSeeds = append(w.newSeeds, s)
 	}

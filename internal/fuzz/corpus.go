@@ -140,7 +140,9 @@ func (c *Corpus) Best(point int) int64 {
 // Offer applies the retention rule: the testcase joins the corpus if its
 // feedback vector intvls reduced the minimum reqsIntvl at any contention
 // point below the global best (paper §6.2.1 ①). It returns the created
-// seed, or nil if not retained. The common rejecting path only reads.
+// seed, or nil if not retained. The common rejecting path only reads. A
+// retained seed takes intvls as its Intvls without a copy, so the caller
+// must not write the vector afterwards.
 func (c *Corpus) Offer(tc *Testcase, intvls []PointIntvl, dir int, target int) *Seed {
 	best, improved := foldMin(c.best, intvls)
 	if !improved {

@@ -104,20 +104,41 @@ func (r *pointRig) run(rng *rand.Rand, quiet float64) *monitor.Snapshot {
 
 // The feedback merge walk equals the map min-fold it replaced, over random
 // snapshot pairs with one-sided points, points without a distinct interval
-// and empty snapshots.
+// and empty snapshots, whether it starts a new vector or writes over a
+// recycled one whose old entries, including its spare capacity, are junk.
 func TestFeedbackMergeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	r := newPointRig(t, 12)
 	kinds := map[string]int{}
+	var recycled []PointIntvl
 	for trial := 0; trial < 400; trial++ {
 		quiet := []float64{0.2, 0.6, 1}[trial%3]
 		a, b := r.run(rng, quiet), r.run(rng, quiet)
-		got, ref := feedback(a, b), referenceFeedback(a, b)
-		if want := vec(ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: feedback %v, reference %v", trial, got, want)
+		ref := referenceFeedback(a, b)
+		for _, dst := range []struct {
+			name string
+			v    []PointIntvl
+		}{{"new", nil}, {"recycled", recycled}} {
+			junk := dst.v[:cap(dst.v)]
+			for i := range junk {
+				junk[i] = PointIntvl{Point: -1 - i, Intvl: -1}
+			}
+			got := feedback(dst.v, a, b)
+			if want := vec(ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %s vector: feedback %v, reference %v", trial, dst.name, got, want)
+			}
+			if got == nil {
+				t.Fatalf("trial %d, %s vector: feedback is nil", trial, dst.name)
+			}
+			if dst.v != nil {
+				if cap(got) > 0 && &got[:1][0] == &dst.v[:1][0] {
+					kinds["recycled storage"]++
+				}
+				recycled = got
+			}
 		}
-		if got == nil {
-			t.Fatalf("trial %d: feedback is nil", trial)
+		if recycled == nil {
+			recycled = make([]PointIntvl, 3, 4)
 		}
 		if len(a.Active())+len(b.Active()) == 0 {
 			kinds["empty"]++
@@ -135,7 +156,7 @@ func TestFeedbackMergeMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	for _, k := range []string{"empty", "no interval", "one-sided"} {
+	for _, k := range []string{"empty", "no interval", "one-sided", "recycled storage"} {
 		if kinds[k] == 0 {
 			t.Errorf("no trial covered %s snapshots", k)
 		}

@@ -78,6 +78,54 @@ func TestWatcherFiresOnChangeOnly(t *testing.T) {
 	}
 }
 
+// A signal's hooks fire in registration order, and a cleared signal's
+// entries are reused by later registrations without reaching any other
+// signal's chain.
+func TestWatchChainsAcrossClears(t *testing.T) {
+	n := NewNetlist("t")
+	a, b := n.Wire("a", 8), n.Wire("b", 8)
+	var fired []string
+	hook := func(name string) WatchFunc {
+		return func(*Signal, uint64, uint64, int64) { fired = append(fired, name) }
+	}
+	a.Watch(hook("a1"))
+	b.Watch(hook("b1"))
+	a.Watch(hook("a2"))
+	a.ClearWatchers()
+	b.Watch(hook("b2"))
+	a.Watch(hook("a3"))
+	b.Watch(hook("b3"))
+	a.Set(1)
+	b.Set(1)
+	if want := []string{"a3", "b1", "b2", "b3"}; !reflect.DeepEqual(fired, want) {
+		t.Errorf("hooks fired %v, want %v", fired, want)
+	}
+	if a.NumWatchers() != 1 || b.NumWatchers() != 3 || n.NumWatchHooks() != 4 {
+		t.Errorf("watchers a=%d b=%d total=%d, want 1, 3 and 4", a.NumWatchers(), b.NumWatchers(), n.NumWatchHooks())
+	}
+}
+
+// Every signal of a netlist is found by its full name, across the name
+// index's growth, and names that were never declared are not.
+func TestSignalLookupByName(t *testing.T) {
+	n := NewNetlist("t")
+	var sigs []*Signal
+	for i := 0; i < 3000; i++ {
+		m := n.Module(fmt.Sprintf("m%d", i%7)).Child(fmt.Sprintf("c%d", i%11))
+		sigs = append(sigs, m.Wire(fmt.Sprintf("w%d", i), 1+i%64))
+	}
+	for _, s := range sigs {
+		if got, ok := n.Signal(s.Name()); !ok || got != s {
+			t.Fatalf("Signal(%q) = %v, %v", s.Name(), got, ok)
+		}
+	}
+	for _, name := range []string{"", "m0", "m0.c0", "m0.c0.w", "w0", "m0.c0.w0.x"} {
+		if s, ok := n.Signal(name); ok {
+			t.Errorf("Signal(%q) found %v", name, s)
+		}
+	}
+}
+
 // Restore writes the whole plane, then dispatches the watchers of exactly
 // the watched signals whose value changed, in id order; every hook already
 // sees the fully restored plane.
@@ -313,6 +361,23 @@ func TestAddSourceDeduplicates(t *testing.T) {
 	a.AddSource(b)
 	if len(a.Sources()) != 1 {
 		t.Errorf("Sources() has %d entries, want 1", len(a.Sources()))
+	}
+
+	// A fan-in past the linear scan's threshold keeps first-declaration
+	// order and drops repeats too.
+	var srcs []*Signal
+	for i := 0; i < 3*srcDedupThreshold; i++ {
+		srcs = append(srcs, n.Wire(fmt.Sprintf("s%d", i), 1))
+	}
+	wide := n.Wire("wide", 1)
+	for pass := 0; pass < 2; pass++ {
+		for _, src := range srcs {
+			wide.AddSource(src)
+			b.AddSource(src)
+		}
+	}
+	if !reflect.DeepEqual(wide.Sources(), srcs) || !reflect.DeepEqual(b.Sources(), srcs) {
+		t.Errorf("wide fan-ins %v and %v, want %v", wide.Sources(), b.Sources(), srcs)
 	}
 }
 

@@ -98,7 +98,7 @@ func (p *LanePlane) SetWord(s *Signal, b int, w uint64) {
 func (p *LanePlane) Get(s *Signal, lane int) uint64 {
 	base := int(p.off[s.id])
 	var v uint64
-	for b := 0; b < s.width; b++ {
+	for b := 0; b < int(s.width); b++ {
 		v |= (p.words[base+b] >> uint(lane) & 1) << uint(b)
 	}
 	return v
@@ -114,7 +114,7 @@ func (p *LanePlane) Set(s *Signal, lane int, v uint64) {
 	p.touch(s)
 	base := int(p.off[s.id])
 	bit := uint64(1) << uint(lane)
-	for b := 0; b < s.width; b++ {
+	for b := 0; b < int(s.width); b++ {
 		if v>>uint(b)&1 != 0 {
 			p.words[base+b] |= bit
 		} else {
@@ -129,7 +129,7 @@ func (p *LanePlane) Broadcast(s *Signal, v uint64) {
 	v &= s.mask
 	p.touch(s)
 	base := int(p.off[s.id])
-	for b := 0; b < s.width; b++ {
+	for b := 0; b < int(s.width); b++ {
 		if v>>uint(b)&1 != 0 {
 			p.words[base+b] = ^uint64(0)
 		} else {
@@ -165,7 +165,7 @@ func (p *LanePlane) StoreLane(lane int) {
 func (p *LanePlane) NonzeroMask(s *Signal) uint64 {
 	base := int(p.off[s.id])
 	var m uint64
-	for b := 0; b < s.width; b++ {
+	for b := 0; b < int(s.width); b++ {
 		m |= p.words[base+b]
 	}
 	return m

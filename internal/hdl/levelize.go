@@ -38,13 +38,7 @@ func (n *Netlist) Levelize() (order, cyclic []Node) {
 		nodes = append(nodes, Node{Prim: p, Out: p.Out, In: p.Args})
 	}
 	for _, s := range n.order {
-		if _, ok := n.driver[s]; ok {
-			continue
-		}
-		if _, ok := n.primDriver[s]; ok {
-			continue
-		}
-		if len(s.sources) > 0 && !s.IsConst() {
+		if s.driver == 0 && s.prim == 0 && len(s.sources) > 0 && !s.IsConst() {
 			nodes = append(nodes, Node{Out: s, In: s.sources})
 		}
 	}

@@ -7,21 +7,30 @@ import (
 )
 
 // Netlist is the flat structural registry of a design: every signal and
-// every 2:1 MUX, indexed by hierarchical name.
+// every 2:1 MUX, indexed by hierarchical name. Its records live in slabs
+// and its names in an arena (see store.go).
 type Netlist struct {
-	name    string
-	signals map[string]*Signal
-	order   []*Signal
-	muxes   []*Mux
-	prims   []*Prim
+	name   string
+	byName nameIndex
+	order  []*Signal
+	muxes  []*Mux
+	prims  []*Prim
+	// The records behind order, muxes and prims, and the signal names.
+	signalSlab slab[Signal]
+	muxSlab    slab[Mux]
+	primSlab   slab[Prim]
+	names      nameArena
 	// vals is the dense value plane: vals[s.id] holds the current value of
 	// signal s. Keeping all signal state in one flat slice makes the
 	// simulator's read path cache-friendly and index-addressable.
 	vals []uint64
-	// watchers[id] holds the watch hooks of signal id; watchBits is a bitset
-	// over ids with at least one watcher, so the hot Set path answers "any
-	// watcher?" with a single bit test.
-	watchers  [][]WatchFunc
+	// watches holds every signal's chain of watch hooks (see Signal.watch)
+	// and, from watchFree (1 + an index, or 0), the chain of cleared
+	// entries Watch reuses. watchBits is a bitset over ids with at least
+	// one watcher, so the hot Set path answers "any watcher?" with a single
+	// bit test.
+	watches   []watchHook
+	watchFree int32
 	watchBits []uint64
 	// watchVersion counts Watch and ClearWatchers calls, so a caller that
 	// cached a decision about who observes a signal can tell it went stale.
@@ -31,25 +40,15 @@ type Netlist struct {
 	// restored is Restore's scratch list of the watched signals it changed,
 	// kept so a steady-state restore allocates nothing.
 	restored []restoredValue
-	// driver maps a signal to the mux driving it, if any.
-	driver map[*Signal]*Mux
-	// primDriver maps a signal to the prim driving it, if any.
-	primDriver map[*Signal]*Prim
-	// muxDataUse marks signals consumed as a TVal/FVal of some mux: such a
-	// signal cannot be the root of an n:1 cascade tree.
-	muxDataUse map[*Signal]bool
-	cycle      int64
+	// srcEdges holds the fan-in edges of the signals whose fan-in outgrew
+	// AddSource's linear duplicate scan; it is nil until one does.
+	srcEdges map[srcEdge]struct{}
+	cycle    int64
 }
 
 // NewNetlist creates an empty netlist for a design with the given name.
 func NewNetlist(name string) *Netlist {
-	return &Netlist{
-		name:       name,
-		signals:    make(map[string]*Signal),
-		driver:     make(map[*Signal]*Mux),
-		primDriver: make(map[*Signal]*Prim),
-		muxDataUse: make(map[*Signal]bool),
-	}
+	return &Netlist{name: name}
 }
 
 // Name returns the design name.
@@ -102,10 +101,17 @@ func (n *Netlist) SetSlot(id int, v uint64) {
 	}
 	n.vals[id] = v
 	if n.watchBits[uint(id)>>6]&(1<<(uint(id)&63)) != 0 {
-		s, cyc := n.order[id], n.cycle
-		for _, w := range n.watchers[id] {
-			w(s, old, v, cyc)
-		}
+		n.dispatch(n.order[id], old, v)
+	}
+}
+
+// dispatch calls s's watch hooks, in registration order, on a change from
+// old to v.
+//
+//sonar:alloc-free
+func (n *Netlist) dispatch(s *Signal, old, v uint64) {
+	for e := s.watch; e != 0; e = n.watches[e-1].next {
+		n.watches[e-1].fn(s, old, v, n.cycle)
 	}
 }
 
@@ -145,22 +151,21 @@ func (n *Netlist) Restore(vals []uint64) {
 	}
 	copy(n.vals, vals)
 	for _, r := range n.restored {
-		s, v := n.order[r.id], n.vals[r.id]
-		for _, w := range n.watchers[r.id] {
-			w(s, r.old, v, n.cycle)
-		}
+		n.dispatch(n.order[r.id], r.old, n.vals[r.id])
 	}
 }
 
 // Signal looks a signal up by full hierarchical name.
 func (n *Netlist) Signal(name string) (*Signal, bool) {
-	s, ok := n.signals[name]
-	return s, ok
+	if id, _ := n.byName.find(n.order, name); id >= 0 {
+		return n.order[id], true
+	}
+	return nil, false
 }
 
 // MustSignal looks a signal up by name and panics if it does not exist.
 func (n *Netlist) MustSignal(name string) *Signal {
-	s, ok := n.signals[name]
+	s, ok := n.Signal(name)
 	if !ok {
 		panic(fmt.Sprintf("hdl: no signal named %q in %s", name, n.name))
 	}
@@ -169,34 +174,39 @@ func (n *Netlist) MustSignal(name string) *Signal {
 
 // Driver returns the mux driving the given signal, if any.
 func (n *Netlist) Driver(s *Signal) (*Mux, bool) {
-	m, ok := n.driver[s]
-	return m, ok
+	if s.net != n || s.driver == 0 {
+		return nil, false
+	}
+	return n.muxes[s.driver-1], true
 }
 
 // IsMuxDataInput reports whether the signal is consumed as the TVal or FVal
 // of any mux in the netlist.
-func (n *Netlist) IsMuxDataInput(s *Signal) bool { return n.muxDataUse[s] }
+func (n *Netlist) IsMuxDataInput(s *Signal) bool { return s.net == n && s.muxData }
 
-// newSignal registers a signal, enforcing unique names and sane widths.
-func (n *Netlist) newSignal(name string, width int, kind Kind, val uint64) *Signal {
-	if name == "" {
+// newSignal registers the signal path.local ("local" alone for an empty
+// path), enforcing unique names and sane widths.
+func (n *Netlist) newSignal(path, local string, width int, kind Kind, val uint64) *Signal {
+	if path == "" && local == "" {
 		panic("hdl: empty signal name")
 	}
+	name := n.names.join(path, local)
 	if width < 1 || width > 64 {
 		panic(fmt.Sprintf("hdl: signal %s has unsupported width %d", name, width))
 	}
-	if _, dup := n.signals[name]; dup {
+	id, slot := n.byName.find(n.order, name)
+	if id >= 0 {
 		panic(fmt.Sprintf("hdl: duplicate signal name %q", name))
 	}
 	mask := ^uint64(0)
 	if width < 64 {
 		mask = (1 << uint(width)) - 1
 	}
-	s := &Signal{net: n, id: len(n.order), name: name, width: width, mask: mask, kind: kind}
-	n.signals[name] = s
+	s := n.signalSlab.next()
+	*s = Signal{net: n, id: int32(len(n.order)), name: name, width: uint8(width), mask: mask, kind: kind}
 	n.order = append(n.order, s)
+	n.byName.insert(n.order, name, s.id, slot)
 	n.vals = append(n.vals, val&mask)
-	n.watchers = append(n.watchers, nil)
 	if need := (len(n.order) + 63) / 64; need > len(n.watchBits) {
 		n.watchBits = append(n.watchBits, 0)
 	}
@@ -205,27 +215,27 @@ func (n *Netlist) newSignal(name string, width int, kind Kind, val uint64) *Sign
 
 // Wire creates a top-level wire signal.
 func (n *Netlist) Wire(name string, width int) *Signal {
-	return n.newSignal(name, width, Wire, 0)
+	return n.newSignal("", name, width, Wire, 0)
 }
 
 // Reg creates a top-level register signal.
 func (n *Netlist) Reg(name string, width int) *Signal {
-	return n.newSignal(name, width, Reg, 0)
+	return n.newSignal("", name, width, Reg, 0)
 }
 
 // Const creates a top-level constant signal with a fixed value.
 func (n *Netlist) Const(name string, width int, val uint64) *Signal {
-	return n.newSignal(name, width, Const, val)
+	return n.newSignal("", name, width, Const, val)
 }
 
 // Input creates a top-level input port signal.
 func (n *Netlist) Input(name string, width int) *Signal {
-	return n.newSignal(name, width, Input, 0)
+	return n.newSignal("", name, width, Input, 0)
 }
 
 // Output creates a top-level output port signal.
 func (n *Netlist) Output(name string, width int) *Signal {
-	return n.newSignal(name, width, Output, 0)
+	return n.newSignal("", name, width, Output, 0)
 }
 
 // Mux creates a 2:1 mux driving out. A signal may be driven by at most one
@@ -234,14 +244,15 @@ func (n *Netlist) Mux(out, sel, tval, fval *Signal) *Mux {
 	if out.IsConst() {
 		panic(fmt.Sprintf("hdl: mux driving constant %s", out.Name()))
 	}
-	if _, dup := n.driver[out]; dup {
+	if out.driver != 0 {
 		panic(fmt.Sprintf("hdl: signal %s driven by two muxes", out.Name()))
 	}
-	m := &Mux{id: len(n.muxes), net: n, Out: out, Sel: sel, TVal: tval, FVal: fval}
+	m := n.muxSlab.next()
+	*m = Mux{id: len(n.muxes), net: n, Out: out, Sel: sel, TVal: tval, FVal: fval}
 	n.muxes = append(n.muxes, m)
-	n.driver[out] = m
-	n.muxDataUse[tval] = true
-	n.muxDataUse[fval] = true
+	out.driver = int32(len(n.muxes))
+	tval.muxData = true
+	fval.muxData = true
 	return m
 }
 
@@ -281,39 +292,35 @@ func (m *Module) Netlist() *Netlist { return m.net }
 
 // Child returns a builder for a submodule of this module.
 func (m *Module) Child(name string) *Module {
-	return &Module{net: m.net, path: m.join(name)}
-}
-
-func (m *Module) join(name string) string {
 	if m.path == "" {
-		return name
+		return &Module{net: m.net, path: name}
 	}
-	return m.path + "." + name
+	return &Module{net: m.net, path: m.path + "." + name}
 }
 
 // Wire creates a wire in this module.
 func (m *Module) Wire(name string, width int) *Signal {
-	return m.net.newSignal(m.join(name), width, Wire, 0)
+	return m.net.newSignal(m.path, name, width, Wire, 0)
 }
 
 // Reg creates a register in this module.
 func (m *Module) Reg(name string, width int) *Signal {
-	return m.net.newSignal(m.join(name), width, Reg, 0)
+	return m.net.newSignal(m.path, name, width, Reg, 0)
 }
 
 // Const creates a constant in this module.
 func (m *Module) Const(name string, width int, val uint64) *Signal {
-	return m.net.newSignal(m.join(name), width, Const, val)
+	return m.net.newSignal(m.path, name, width, Const, val)
 }
 
 // Input creates an input port in this module.
 func (m *Module) Input(name string, width int) *Signal {
-	return m.net.newSignal(m.join(name), width, Input, 0)
+	return m.net.newSignal(m.path, name, width, Input, 0)
 }
 
 // Output creates an output port in this module.
 func (m *Module) Output(name string, width int) *Signal {
-	return m.net.newSignal(m.join(name), width, Output, 0)
+	return m.net.newSignal(m.path, name, width, Output, 0)
 }
 
 // Mux creates a 2:1 mux in this module driving a freshly created wire named

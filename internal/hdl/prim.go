@@ -248,12 +248,13 @@ func (n *Netlist) Prim(out *Signal, op string, args []*Signal, intParams []int64
 	if out.IsConst() {
 		panic(fmt.Sprintf("hdl: prim driving constant %s", out.Name()))
 	}
-	if _, dup := n.primDriver[out]; dup {
+	if out.prim != 0 {
 		panic(fmt.Sprintf("hdl: signal %s driven by two prims", out.Name()))
 	}
-	p := &Prim{id: len(n.prims), Op: op, Out: out, Args: args, IntParams: intParams}
+	p := n.primSlab.next()
+	*p = Prim{id: len(n.prims), Op: op, Out: out, Args: args, IntParams: intParams}
 	n.prims = append(n.prims, p)
-	n.primDriver[out] = p
+	out.prim = int32(len(n.prims))
 	// Record fan-in for validity tracing.
 	for _, a := range args {
 		if !a.IsConst() {
@@ -268,6 +269,8 @@ func (n *Netlist) Prims() []*Prim { return n.prims }
 
 // PrimDriver returns the prim driving the given signal, if any.
 func (n *Netlist) PrimDriver(s *Signal) (*Prim, bool) {
-	p, ok := n.primDriver[s]
-	return p, ok
+	if s.net != n || s.prim == 0 {
+		return nil, false
+	}
+	return n.prims[s.prim-1], true
 }

@@ -36,7 +36,8 @@ func (k Kind) String() string {
 }
 
 // WatchFunc observes a value change on a signal. It is invoked synchronously
-// from Signal.Set with the cycle at which the change occurred.
+// from Signal.Set with the cycle at which the change occurred. A hook must
+// not register or clear watch hooks.
 type WatchFunc func(s *Signal, old, new uint64, cycle int64)
 
 // Signal is a named, width-annotated value holder in a netlist.
@@ -44,23 +45,31 @@ type WatchFunc func(s *Signal, old, new uint64, cycle int64)
 // Signals are created through Netlist/Module builder methods and are unique
 // by hierarchical name. The value itself lives in the owning netlist's dense
 // value plane (Netlist.vals), indexed by the signal id; the Signal struct is
-// the structural handle. The zero value is not usable.
+// the structural handle, a record in one of the netlist's signal slabs. The
+// zero value is not usable.
 type Signal struct {
 	net     *Netlist
-	id      int
-	name    string // full hierarchical name, "." separated
-	width   int    // 1..64 bits
-	mask    uint64 // precomputed width mask
-	kind    Kind
+	name    string    // full hierarchical name, "." separated, in the netlist's name arena
 	sources []*Signal // declared fan-in, used by validity tracing
-	// srcSet shadows sources for O(1) dedup once the fan-in grows past
-	// srcDedupThreshold (wide reduction buffers fan in hundreds of signals).
-	srcSet map[*Signal]struct{}
+	mask    uint64    // precomputed width mask
+	id      int32
+	// driver and prim are 1 + the id of the mux and of the prim driving
+	// the signal, or 0 when none does.
+	driver, prim int32
+	// watch is 1 + the index in Netlist.watches of the signal's first watch
+	// hook, or 0 when nothing watches it.
+	watch int32
+	width uint8 // 1..64 bits
+	kind  Kind
+	// muxData marks a signal consumed as the TVal or FVal of some mux: such
+	// a signal cannot be the root of an n:1 cascade tree.
+	muxData bool
 }
 
 // srcDedupThreshold is the fan-in size above which AddSource switches from a
-// linear duplicate scan to a map. Small fan-ins stay map-free: the common
-// case is a handful of sources and the linear scan is cheaper there.
+// linear duplicate scan to the netlist's fan-in edge set. Small fan-ins stay
+// out of the set: the common case is a handful of sources and the linear
+// scan is cheaper there.
 const srcDedupThreshold = 8
 
 // Name returns the full hierarchical name of the signal.
@@ -70,7 +79,7 @@ func (s *Signal) Name() string { return s.name }
 // netlist: Netlist.Signals()[s.ID()] == s. Elaboration is deterministic, so
 // ids are stable across independently elaborated instances of the same
 // design and can be used to rebind per-netlist data (see trace.Analysis).
-func (s *Signal) ID() int { return s.id }
+func (s *Signal) ID() int { return int(s.id) }
 
 // Local returns the last path segment of the signal name (its name within
 // the owning module).
@@ -95,7 +104,7 @@ func (s *Signal) ModulePath() string {
 }
 
 // Width returns the bit width of the signal.
-func (s *Signal) Width() int { return s.width }
+func (s *Signal) Width() int { return int(s.width) }
 
 // Kind returns the signal kind.
 func (s *Signal) Kind() Kind { return s.kind }
@@ -122,7 +131,7 @@ func (s *Signal) Set(v uint64) {
 	if s.kind == Const {
 		panic(fmt.Sprintf("hdl: Set on constant signal %s", s.name))
 	}
-	s.net.SetSlot(s.id, v&s.mask)
+	s.net.SetSlot(int(s.id), v&s.mask)
 }
 
 // SetBool sets the signal to 1 or 0.
@@ -137,10 +146,25 @@ func (s *Signal) SetBool(b bool) {
 // Bool reports whether the signal value is non-zero.
 func (s *Signal) Bool() bool { return s.net.vals[s.id] != 0 }
 
-// Watch registers fn to be called whenever the signal value changes.
+// Watch registers fn to be called whenever the signal value changes, after
+// the hooks registered on it before. Hooks live in one netlist-wide entry
+// list, so registering one function on many signals allocates no object
+// per signal.
 func (s *Signal) Watch(fn WatchFunc) {
 	n := s.net
-	n.watchers[s.id] = append(n.watchers[s.id], fn)
+	e := n.watchFree
+	if e != 0 {
+		n.watchFree = n.watches[e-1].next
+		n.watches[e-1] = watchHook{fn: fn}
+	} else {
+		n.watches = append(n.watches, watchHook{fn: fn})
+		e = int32(len(n.watches))
+	}
+	link := &s.watch
+	for *link != 0 {
+		link = &n.watches[*link-1].next
+	}
+	*link = e
 	n.watchBits[uint(s.id)>>6] |= 1 << (uint(s.id) & 63)
 	n.watchVersion++
 	n.hooks++
@@ -149,14 +173,27 @@ func (s *Signal) Watch(fn WatchFunc) {
 // ClearWatchers removes all watch hooks from the signal.
 func (s *Signal) ClearWatchers() {
 	n := s.net
-	n.hooks -= len(n.watchers[s.id])
-	n.watchers[s.id] = nil
+	for e := s.watch; e != 0; {
+		h := &n.watches[e-1]
+		next := h.next
+		*h = watchHook{next: n.watchFree}
+		n.watchFree = e
+		n.hooks--
+		e = next
+	}
+	s.watch = 0
 	n.watchBits[uint(s.id)>>6] &^= 1 << (uint(s.id) & 63)
 	n.watchVersion++
 }
 
 // NumWatchers returns the number of watch hooks registered on the signal.
-func (s *Signal) NumWatchers() int { return len(s.net.watchers[s.id]) }
+func (s *Signal) NumWatchers() int {
+	k := 0
+	for e := s.watch; e != 0; e = s.net.watches[e-1].next {
+		k++
+	}
+	return k
+}
 
 // Sources returns the declared fan-in of the signal.
 func (s *Signal) Sources() []*Signal { return s.sources }
@@ -164,30 +201,33 @@ func (s *Signal) Sources() []*Signal { return s.sources }
 // AddSource declares src as fan-in of s. It is used by validity tracing when
 // no same-prefix valid signal exists (paper Algorithm 1, lines 4-7).
 //
-// Duplicates are dropped. Above srcDedupThreshold a shadow set takes over
-// from the linear scan: wide reduction buffers (e.g. 64-bank dcache valids)
-// would otherwise pay a quadratic elaboration cost.
+// Duplicates are dropped. Above srcDedupThreshold the netlist's fan-in edge
+// set takes over from the linear scan: wide reduction buffers (e.g. 64-bank
+// dcache valids) would otherwise pay a quadratic elaboration cost.
 func (s *Signal) AddSource(src *Signal) {
-	if s.srcSet != nil {
-		if _, dup := s.srcSet[src]; dup {
-			return
+	if len(s.sources) <= srcDedupThreshold {
+		for _, e := range s.sources {
+			if e == src {
+				return
+			}
 		}
-		s.srcSet[src] = struct{}{}
 		s.sources = append(s.sources, src)
+		if len(s.sources) > srcDedupThreshold {
+			if s.net.srcEdges == nil {
+				s.net.srcEdges = make(map[srcEdge]struct{})
+			}
+			for _, e := range s.sources {
+				s.net.srcEdges[srcEdge{s.id, e.id}] = struct{}{}
+			}
+		}
 		return
 	}
-	for _, e := range s.sources {
-		if e == src {
-			return
-		}
+	edge := srcEdge{s.id, src.id}
+	if _, dup := s.net.srcEdges[edge]; dup {
+		return
 	}
+	s.net.srcEdges[edge] = struct{}{}
 	s.sources = append(s.sources, src)
-	if len(s.sources) > srcDedupThreshold {
-		s.srcSet = make(map[*Signal]struct{}, 2*len(s.sources))
-		for _, e := range s.sources {
-			s.srcSet[e] = struct{}{}
-		}
-	}
 }
 
 // String implements fmt.Stringer.

@@ -45,8 +45,9 @@ type LaneBank struct {
 }
 
 // NewLaneBank attaches lane instrumentation for every monitorable point in
-// the analysis, one lane hook on each watched valid. The analysis must be
-// over the host's netlist.
+// the analysis: one lane hook, registered on each watched valid, that finds
+// the valid's run in the valid table. The analysis must be over the host's
+// netlist.
 func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 	if cfg.SimilarityMask == 0 {
 		cfg.SimilarityMask = ^uint64(0)
@@ -57,11 +58,11 @@ func NewLaneBank(a *trace.Analysis, cfg Config, host LaneHost) *LaneBank {
 		b.sets[lane] = newPointSet(points)
 	}
 	b.valids = newValidTable(points)
-	for i, v := range b.valids.valids {
-		target := b.valids.first[i]
-		host.WatchLanes(v, func(s *hdl.Signal, _ uint64, old, new []uint64, cycle int64) {
-			b.onValid(target, s, old, new, cycle)
-		})
+	hook := func(s *hdl.Signal, _ uint64, old, new []uint64, cycle int64) {
+		b.onValid(b.valids.target(s.ID()), s, old, new, cycle)
+	}
+	for _, id := range b.valids.valids {
+		host.WatchLanes(a.Netlist.SignalByID(int(id)), hook)
 	}
 	return b
 }

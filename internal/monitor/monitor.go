@@ -36,11 +36,12 @@
 //
 // Every valid change reaches a monitor through one index, the valid table:
 // each watched valid maps to the run of requests whose conjunction names it.
-// The three entry points — Monitor.Pulse, the one scalar watch hook per
-// watched valid, and the LaneBank's one lane hook per watched valid — read
-// the valid's run and nothing else. A request completes when the valid that
-// changed rises and every other valid of its conjunction is nonzero in the
-// value plane, so a monitor mirrors no valid state of its own.
+// The three entry points — Monitor.Pulse, the monitor's one scalar watch
+// hook, and the LaneBank's one lane hook, each registered on every watched
+// valid — read the valid's run and nothing else. A request completes when
+// the valid that changed rises and every other valid of its conjunction is
+// nonzero in the value plane, so a monitor mirrors no valid state of its
+// own.
 //
 // Behavioural DUTs also enter through Pulse: the uarch Pulser hands a whole
 // request pulse (valid raised and lowered in one cycle) to the monitor in
@@ -126,11 +127,11 @@ type Monitor struct {
 // Monitor and of a LaneBank fold a valid change through. Its size follows
 // the watched valids, not the netlist.
 type validTable struct {
-	// valids are the watched valids, ascending by value slot, and first[i]
-	// is the index in entries of valids[i]'s first entry: the valid's
-	// target (see PulseTarget). A valid's entries are contiguous, so a
+	// valids are the value slots of the watched valids, ascending, and
+	// first[i] is the index in entries of valids[i]'s first entry: the
+	// valid's target (see target). A valid's entries are contiguous, so a
 	// change reads its target's run and nothing else.
-	valids  []*hdl.Signal
+	valids  []int32
 	first   []int32
 	entries []validEntry
 	// peers holds, per entry, the value slots of its conjunction's other
@@ -164,7 +165,7 @@ type validEntry struct {
 // then valid — within every run.
 func newValidTable(points []*trace.Point) validTable {
 	type use struct {
-		valid *hdl.Signal
+		valid int32
 		e     validEntry
 	}
 	var (
@@ -196,12 +197,12 @@ func newValidTable(points []*trace.Point) validTable {
 					}
 				}
 				e.peerHi = int32(len(t.peers))
-				uses = append(uses, use{valid: v, e: e})
+				uses = append(uses, use{valid: int32(v.ID()), e: e})
 			}
 		}
 		t.statements += 2 + len(p.Requests)
 	}
-	slices.SortStableFunc(uses, func(a, b use) int { return a.valid.ID() - b.valid.ID() })
+	slices.SortStableFunc(uses, func(a, b use) int { return int(a.valid - b.valid) })
 	t.entries = make([]validEntry, len(uses))
 	for i, u := range uses {
 		if i == 0 || uses[i-1].valid != u.valid {
@@ -212,6 +213,18 @@ func newValidTable(points []*trace.Point) validTable {
 		t.entries[i].last = i+1 == len(uses) || uses[i+1].valid != u.valid
 	}
 	return t
+}
+
+// target returns the target of the watched valid at value slot id, or -1
+// when no request names that valid.
+//
+//sonar:alloc-free
+func (t *validTable) target(id int) int32 {
+	i, ok := slices.BinarySearch(t.valids, int32(id))
+	if !ok {
+		return -1
+	}
+	return t.first[i]
 }
 
 // run returns the run of entries starting at target.
@@ -240,7 +253,8 @@ func (t *validTable) peersHigh(e *validEntry, vals []uint64) bool {
 }
 
 // New attaches instrumentation for every monitorable point in the analysis:
-// one watch hook on each watched valid, cheap when values do not change.
+// one watch hook, registered on each watched valid, that finds the valid's
+// run in the valid table; cheap when values do not change.
 func New(a *trace.Analysis, cfg Config) *Monitor {
 	if cfg.SimilarityMask == 0 {
 		cfg.SimilarityMask = ^uint64(0)
@@ -249,11 +263,12 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	points := cfg.points(a)
 	m.set = newPointSet(points)
 	m.valids = newValidTable(points)
-	for i, v := range m.valids.valids {
-		target := m.valids.first[i]
-		v.Watch(func(_ *hdl.Signal, old, new uint64, cycle int64) {
-			m.onValid(target, old, new, cycle)
-		})
+	hook := func(s *hdl.Signal, old, new uint64, cycle int64) {
+		m.onValid(m.valids.target(s.ID()), old, new, cycle)
+	}
+	for _, id := range m.valids.valids {
+		v := m.net.SignalByID(int(id))
+		v.Watch(hook)
 		if v.Bool() {
 			m.raised++
 		}
@@ -358,8 +373,8 @@ func (m *Monitor) Idle() bool {
 }
 
 // Hooks returns the number of watch hooks the monitor registered on the
-// netlist, one per watched valid; a netlist with more hooks has another
-// observer.
+// netlist, its one hook on each watched valid; a netlist with more hooks
+// has another observer.
 func (m *Monitor) Hooks() int { return len(m.valids.valids) }
 
 // Reset clears all collected state, keeping the instrumentation attached.
@@ -416,11 +431,10 @@ func (m *Monitor) rise(target int32, v uint64, cycle int64) {
 // number of watch hooks New registered on it: 1, or 0 when the monitor
 // does not watch it. It implements uarch.PulseSink.
 func (m *Monitor) PulseTarget(valid int) (target int32, hooks int) {
-	i, ok := slices.BinarySearchFunc(m.valids.valids, valid, func(v *hdl.Signal, id int) int { return v.ID() - id })
-	if !ok {
+	if target = m.valids.target(valid); target < 0 {
 		return -1, 0
 	}
-	return m.valids.first[i], 1
+	return target, 1
 }
 
 // Pulse folds a whole pulse on the target's valid — raised to 1 at the

@@ -137,43 +137,98 @@ func (a *Analysis) ByComponent() map[string][2]int {
 // linear in the number of MUXes (each MUX belongs to a bounded number of
 // cascade trees), the property the paper contrasts with SpecDoctor's O(n²)
 // instrumentation (§8.3.4).
+//
+// The points and their lists share one backing array per element type, so
+// an analysis stays a handful of objects however many points it holds.
 func Analyze(n *hdl.Netlist) *Analysis {
 	analyzeCalls.Add(1)
-	a := &Analysis{Netlist: n, NaiveMuxCount: n.NumMuxes()}
-	a.Points = make([]*Point, 0, n.NumMuxes()/2)
-	v := newValidity(n)
+	roots := 0
+	for _, m := range n.Muxes() {
+		if !n.IsMuxDataInput(m.Out) {
+			roots++
+		}
+	}
+	t := tracer{
+		net:   n,
+		v:     newValidity(n),
+		muxes: make([]*hdl.Mux, 0, n.NumMuxes()),
+		sels:  make([]*hdl.Signal, 0, n.NumMuxes()),
+		reqs:  make([]Request, 0, n.NumMuxes()+roots),
+	}
+	pts := make([]Point, 0, roots)
+	ends := make([]tracedEnd, 0, roots)
 	for _, m := range n.Muxes() {
 		if n.IsMuxDataInput(m.Out) {
 			continue // interior node of some cascade, not a root
 		}
-		p := &Point{
-			ID:        len(a.Points),
-			Root:      m,
-			Out:       m.Out,
-			Component: component(m.ModulePath()),
-		}
-		collect(n, m, p, v)
-		a.Points = append(a.Points, p)
+		pts = append(pts, Point{ID: len(pts), Root: m, Out: m.Out, Component: component(m.ModulePath())})
+		t.collect(m)
+		ends = append(ends, tracedEnd{len(t.muxes), len(t.reqs), len(t.consts)})
 	}
-	return a
+	muxes, sels, reqs, consts := t.muxes, t.sels, t.reqs, t.consts
+	prev := tracedEnd{}
+	for i, e := range ends {
+		p := &pts[i]
+		p.Muxes = carve(&muxes, e.muxes-prev.muxes)
+		p.Selects = carve(&sels, e.muxes-prev.muxes)
+		p.Requests = carve(&reqs, e.reqs-prev.reqs)
+		p.ConstSelects = carve(&consts, e.consts-prev.consts)
+		prev = e
+	}
+	return &Analysis{Netlist: n, Points: pointList(pts), NaiveMuxCount: n.NumMuxes()}
 }
 
+// tracer collects every cascade tree of a netlist into shared lists, point
+// after point: a point's muxes and selects, requests and const-select muxes
+// are each one contiguous run.
+type tracer struct {
+	net    *hdl.Netlist
+	v      *validity
+	muxes  []*hdl.Mux
+	sels   []*hdl.Signal
+	reqs   []Request
+	consts []*hdl.Mux
+}
+
+// tracedEnd is where a point's runs end in the tracer's lists.
+type tracedEnd struct{ muxes, reqs, consts int }
+
 // collect walks a cascade tree from mux m, appending interior muxes,
-// selects, and leaf requests to p. Leaves are visited TVal before FVal so
-// Requests end up in select-priority order.
-func collect(n *hdl.Netlist, m *hdl.Mux, p *Point, v *validity) {
-	p.Muxes = append(p.Muxes, m)
-	p.Selects = append(p.Selects, m.Sel)
+// selects, and leaf requests. Leaves are visited TVal before FVal so
+// requests end up in select-priority order.
+func (t *tracer) collect(m *hdl.Mux) {
+	t.muxes = append(t.muxes, m)
+	t.sels = append(t.sels, m.Sel)
 	if m.Sel.IsConst() {
-		p.ConstSelects = append(p.ConstSelects, m)
+		t.consts = append(t.consts, m)
 	}
-	for _, in := range []*hdl.Signal{m.TVal, m.FVal} {
-		if child, ok := n.Driver(in); ok {
-			collect(n, child, p, v)
+	for _, in := range [2]*hdl.Signal{m.TVal, m.FVal} {
+		if child, ok := t.net.Driver(in); ok {
+			t.collect(child)
 			continue
 		}
-		p.Requests = append(p.Requests, v.request(in))
+		t.reqs = append(t.reqs, t.v.request(in))
 	}
+}
+
+// carve returns the next k elements of *buf with their capacity capped, nil
+// for none, and advances *buf past them.
+func carve[T any](buf *[]T, k int) []T {
+	if k == 0 {
+		return nil
+	}
+	s := (*buf)[:k:k]
+	*buf = (*buf)[k:]
+	return s
+}
+
+// pointList returns pointers to every point of pts, in order.
+func pointList(pts []Point) []*Point {
+	list := make([]*Point, len(pts))
+	for i := range pts {
+		list[i] = &pts[i]
+	}
+	return list
 }
 
 // analyzeCalls counts Analyze invocations process-wide. Sharing one analysis
@@ -202,41 +257,44 @@ func (a *Analysis) Rebind(n *hdl.Netlist) *Analysis {
 		}
 		return n.SignalByID(s.ID())
 	}
-	out := &Analysis{Netlist: n, NaiveMuxCount: a.NaiveMuxCount}
-	out.Points = make([]*Point, len(a.Points))
+	var nmux, nreq, nconst, nvalid int
+	for _, p := range a.Points {
+		nmux, nreq, nconst = nmux+len(p.Muxes), nreq+len(p.Requests), nconst+len(p.ConstSelects)
+		for j := range p.Requests {
+			nvalid += len(p.Requests[j].Valids)
+		}
+	}
+	var (
+		pts   = make([]Point, len(a.Points))
+		muxes = make([]*hdl.Mux, 0, nmux+nconst)
+		sigs  = make([]*hdl.Signal, 0, nmux+nvalid)
+		reqs  = make([]Request, 0, nreq)
+	)
 	for i, p := range a.Points {
-		q := &Point{
-			ID:        p.ID,
-			Root:      n.MuxByID(p.Root.ID()),
-			Out:       sig(p.Out),
-			Component: p.Component,
-			Muxes:     make([]*hdl.Mux, len(p.Muxes)),
-			Selects:   make([]*hdl.Signal, len(p.Selects)),
-			Requests:  make([]Request, len(p.Requests)),
+		q := &pts[i]
+		*q = Point{ID: p.ID, Root: n.MuxByID(p.Root.ID()), Out: sig(p.Out), Component: p.Component}
+		for _, m := range p.Muxes {
+			muxes = append(muxes, n.MuxByID(m.ID()))
 		}
-		for j, m := range p.Muxes {
-			q.Muxes[j] = n.MuxByID(m.ID())
+		q.Muxes = carve(&muxes, len(p.Muxes))
+		for _, m := range p.ConstSelects {
+			muxes = append(muxes, n.MuxByID(m.ID()))
 		}
-		if len(p.ConstSelects) > 0 {
-			q.ConstSelects = make([]*hdl.Mux, len(p.ConstSelects))
-			for j, m := range p.ConstSelects {
-				q.ConstSelects[j] = n.MuxByID(m.ID())
-			}
+		q.ConstSelects = carve(&muxes, len(p.ConstSelects))
+		for _, s := range p.Selects {
+			sigs = append(sigs, sig(s))
 		}
-		for j, s := range p.Selects {
-			q.Selects[j] = sig(s)
-		}
+		q.Selects = carve(&sigs, len(p.Selects))
 		for j := range p.Requests {
 			r := &p.Requests[j]
-			valids := make([]*hdl.Signal, len(r.Valids))
-			for k, v := range r.Valids {
-				valids[k] = sig(v)
+			for _, v := range r.Valids {
+				sigs = append(sigs, sig(v))
 			}
-			q.Requests[j] = Request{Data: sig(r.Data), Valids: valids, SelfValid: r.SelfValid}
+			reqs = append(reqs, Request{Data: sig(r.Data), Valids: carve(&sigs, len(r.Valids)), SelfValid: r.SelfValid})
 		}
-		out.Points[i] = q
+		q.Requests = carve(&reqs, len(p.Requests))
 	}
-	return out
+	return &Analysis{Netlist: n, Points: pointList(pts), NaiveMuxCount: a.NaiveMuxCount}
 }
 
 // component extracts the top-level module segment from a module path.

@@ -13,6 +13,24 @@ type validity struct {
 	memo map[*hdl.Signal][]*hdl.Signal
 	// walking guards against cycles in declared fan-in.
 	walking map[*hdl.Signal]bool
+	// lists is the free tail of the chunk the valid lists are copied into,
+	// so a list costs no object of its own; kept counts the signals copied.
+	lists []*hdl.Signal
+	kept  int
+}
+
+// list returns a copy of sigs carved from the current chunk, or nil for
+// none. A new chunk holds half as many signals as were copied before it,
+// at least 64 and at most 4096 or len(sigs).
+func (v *validity) list(sigs ...*hdl.Signal) []*hdl.Signal {
+	if len(sigs) == 0 {
+		return nil
+	}
+	if len(v.lists) < len(sigs) {
+		v.lists = make([]*hdl.Signal, max(len(sigs), min(max(v.kept/2, 64), 4096)))
+	}
+	v.kept += len(sigs)
+	return carve(&v.lists, copy(v.lists, sigs))
 }
 
 func newValidity(n *hdl.Netlist) *validity {
@@ -33,7 +51,7 @@ func (v *validity) request(data *hdl.Signal) Request {
 	}
 	if isSelfValid(data) {
 		r.SelfValid = true
-		r.Valids = []*hdl.Signal{data}
+		r.Valids = v.list(data)
 		return r
 	}
 	r.Valids = v.valids(data)
@@ -57,7 +75,7 @@ func (v *validity) valids(data *hdl.Signal) []*hdl.Signal {
 	// io_commit_uops_inst_valid, io_commit_uops_valid, io_commit_valid,
 	// io_valid.
 	if s := v.prefixValid(data); s != nil {
-		v.memo[data] = []*hdl.Signal{s}
+		v.memo[data] = v.list(s)
 		return v.memo[data]
 	}
 
@@ -94,8 +112,8 @@ func (v *validity) valids(data *hdl.Signal) []*hdl.Signal {
 			}
 		}
 	}
-	v.memo[data] = acc
-	return acc
+	v.memo[data] = v.list(acc...)
+	return v.memo[data]
 }
 
 // prefixValid searches for a 1-bit signal named <prefix>_valid where prefix
