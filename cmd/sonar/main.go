@@ -12,7 +12,7 @@
 //	sonar -dut nutshell -random         # random-testing baseline
 //	sonar -dut boom -dual -iters 200    # dual-core template (Figure 4b)
 //	sonar -iters 3000 -workers 8        # sharded parallel campaign
-//	sonar -dut gen:7 -lanes 64          # lane-parallel campaign on a generated netlist
+//	sonar -dut gen:7                    # lane-parallel campaign on a generated netlist
 //	sonar -dut firrtl:design.fir        # same, over a check-validated FIRRTL ingest
 //
 // Observability (see docs/OBSERVABILITY.md):
@@ -30,6 +30,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -59,7 +60,7 @@ func main() {
 		iters   = flag.Int("iters", 300, "fuzzing iterations")
 		seed    = flag.Int64("seed", 1, "campaign RNG seed")
 		workers = flag.Int("workers", 1, "campaign shards, run on min(shards, GOMAXPROCS) DUTs, the first the primary DUT")
-		lanes   = flag.Int("lanes", 1, "evaluator batch width, 1..64 testcases per plane word (docs/SIMULATOR.md); campaign results are identical at every width")
+		lanes   = flag.Int("lanes", 0, "evaluator batch width, 1..64 testcases per plane word; 0 = 64, the executor's whole lane group per pass (docs/SIMULATOR.md); campaign results are identical at every width")
 		dual    = flag.Bool("dual", false, "dual-core scenario (boom only)")
 		random  = flag.Bool("random", false, "disable all guidance (random-testing baseline)")
 		verbose = flag.Bool("v", false, "print every finding")
@@ -91,14 +92,15 @@ func main() {
 		*dual = cp.Shape.DualCore
 	}
 
+	f := campaignFlags{
+		iters: *iters, seed: *seed, workers: *workers, lanes: *lanes,
+		random: *random, checkpoint: *checkpoint, ckptEvery: *ckptEvery,
+		resume: *resume, iterTimeout: *iterTimeout, maxRounds: *maxRounds,
+		metrics: *metrics, events: *events, metricsAddr: *metricsAddr,
+		progress: *progress,
+	}
 	if strings.Contains(*dut, ":") {
-		netlistCampaign(*dut, cp, netlistFlags{
-			iters: *iters, seed: *seed, workers: *workers, lanes: *lanes,
-			random: *random, checkpoint: *checkpoint, ckptEvery: *ckptEvery,
-			resume: *resume, iterTimeout: *iterTimeout, maxRounds: *maxRounds,
-			metrics: *metrics, events: *events, metricsAddr: *metricsAddr,
-			progress: *progress,
-		})
+		netlistCampaign(*dut, cp, f)
 		return
 	}
 
@@ -139,37 +141,11 @@ func main() {
 		return
 	}
 
-	opt := fuzz.SonarOptions(*iters)
-	if *random {
-		opt = fuzz.RandomOptions(*iters)
-	}
-	opt.Seed = *seed
-	opt.DualCore = *dual
-	opt.KeepFindings = 32
-	opt.Workers = *workers
-	opt.Lanes = *lanes
-	if cp != nil {
-		// The checkpoint's shape overrides the shape flags: resuming a
-		// campaign under a different seed or strategy would break the
-		// bit-identity contract, so the flags above are ignored.
-		opt = cp.CampaignOptions()
-		if got := s.DUT.Analysis.Netlist.Name(); got != cp.DUT {
-			log.Fatalf("checkpoint %s was taken on DUT %q, -dut selects %q", *resume, cp.DUT, got)
-		}
-		if *checkpoint == "" {
-			*checkpoint = *resume // keep checkpointing to the same file
-		}
-	}
-	opt.Checkpoint = *checkpoint
-	opt.CheckpointEvery = *ckptEvery
-	opt.IterTimeout = *iterTimeout
-	opt.MaxRounds = *maxRounds
-
-	observer, finish, err := obs.CLIObserver(*metrics, *events, *metricsAddr, os.Stderr, *progress)
+	f.dual, f.keepFindings = *dual, 32
+	opt, finish, err := f.options(cp, s.DUT.Analysis.Netlist.Name())
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt.Observer = observer
 
 	var st *fuzz.Stats
 	if cp != nil {
@@ -187,7 +163,7 @@ func main() {
 	if err := finish(); err != nil {
 		log.Fatal(err)
 	}
-	printSummary(os.Stdout, st, opt.Iterations, *maxRounds, *checkpoint)
+	printSummary(os.Stdout, st, opt.Iterations, opt.MaxRounds, opt.Checkpoint)
 
 	if *perf {
 		if opt.Workers > 1 {
@@ -226,25 +202,62 @@ func main() {
 	}
 }
 
-// netlistFlags carries the campaign flags the netlist path honors. The
-// behavioral-only flags (-dual, -replay, -save, -perf, -v) do not apply:
-// netlist campaigns exercise contention coverage and intervals, not
-// commit-log findings.
-type netlistFlags struct {
-	iters       int
-	seed        int64
-	workers     int
-	lanes       int
-	random      bool
-	checkpoint  string
-	ckptEvery   int
-	resume      string
-	iterTimeout time.Duration
-	maxRounds   int
-	metrics     string
-	events      string
-	metricsAddr string
-	progress    int
+// campaignFlags carries the command-line flags that shape and run a
+// campaign, on either DUT path. Only the behavioral path sets dual and
+// keepFindings, and the other behavioral-only flags (-replay, -save, -perf,
+// -v) stay in main: netlist campaigns exercise contention coverage and
+// intervals, not commit-log findings.
+type campaignFlags struct {
+	iters        int
+	seed         int64
+	workers      int
+	lanes        int
+	random       bool
+	dual         bool
+	keepFindings int
+	checkpoint   string
+	ckptEvery    int
+	resume       string
+	iterTimeout  time.Duration
+	maxRounds    int
+	metrics      string
+	events       string
+	metricsAddr  string
+	progress     int
+}
+
+// options builds the Options of a campaign on the DUT named dut, with its
+// observer and the observer's finish function. Resuming (cp non-nil), the
+// checkpoint's shape overrides the shape flags — a different seed or
+// strategy would break the bit-identity contract — and a checkpoint taken
+// on another DUT is refused. The operational flags (-lanes, -checkpoint,
+// -checkpoint-every, -iter-timeout, -max-rounds) apply on top either way;
+// a resumed campaign without -checkpoint keeps checkpointing to the file it
+// resumed from.
+func (f campaignFlags) options(cp *fuzz.Checkpoint, dut string) (fuzz.Options, func() error, error) {
+	opt := fuzz.SonarOptions(f.iters)
+	if f.random {
+		opt = fuzz.RandomOptions(f.iters)
+	}
+	opt.Seed = f.seed
+	opt.DualCore = f.dual
+	opt.KeepFindings = f.keepFindings
+	opt.Workers = f.workers
+	opt.Checkpoint = f.checkpoint
+	if cp != nil {
+		if cp.DUT != dut {
+			return opt, nil, fmt.Errorf("checkpoint %s was taken on DUT %q, -dut selects %q", f.resume, cp.DUT, dut)
+		}
+		opt = cp.CampaignOptions()
+		opt.Checkpoint = cmp.Or(f.checkpoint, f.resume)
+	}
+	opt.Lanes = f.lanes
+	opt.CheckpointEvery = f.ckptEvery
+	opt.IterTimeout = f.iterTimeout
+	opt.MaxRounds = f.maxRounds
+	observer, finish, err := obs.CLIObserver(f.metrics, f.events, f.metricsAddr, os.Stderr, f.progress)
+	opt.Observer = observer
+	return opt, finish, err
 }
 
 // netlistElab parses -dut specs of the form gen:<seed> (a generated design,
@@ -274,7 +287,7 @@ func netlistElab(spec string) (func() (*hdl.Netlist, error), error) {
 // netlistCampaign runs a lane-parallel fuzzing campaign over a netlist DUT:
 // the design is compiled through sim's optimizing pipeline and whole lane
 // groups of testcase pairs execute bit-parallel (docs/CAMPAIGNS.md).
-func netlistCampaign(spec string, cp *fuzz.Checkpoint, f netlistFlags) {
+func netlistCampaign(spec string, cp *fuzz.Checkpoint, f campaignFlags) {
 	elab, err := netlistElab(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -292,32 +305,10 @@ func netlistCampaign(spec string, cp *fuzz.Checkpoint, f netlistFlags) {
 	fmt.Printf("%s: %d contention points monitored; optimizer kept %d nodes (%d eliminated, %d fused, %d collapsed, %d on the spill path)\n",
 		an.Netlist.Name(), len(an.Monitored()), cs.Nodes, cs.Eliminated, cs.Fused, cs.Collapsed, cs.Spilled)
 
-	opt := fuzz.SonarOptions(f.iters)
-	if f.random {
-		opt = fuzz.RandomOptions(f.iters)
-	}
-	opt.Seed = f.seed
-	opt.Workers = f.workers
-	opt.Lanes = f.lanes
-	if cp != nil {
-		opt = cp.CampaignOptions()
-		if got := an.Netlist.Name(); got != cp.DUT {
-			log.Fatalf("checkpoint %s was taken on DUT %q, -dut selects %q", f.resume, cp.DUT, got)
-		}
-		if f.checkpoint == "" {
-			f.checkpoint = f.resume // keep checkpointing to the same file
-		}
-	}
-	opt.Checkpoint = f.checkpoint
-	opt.CheckpointEvery = f.ckptEvery
-	opt.IterTimeout = f.iterTimeout
-	opt.MaxRounds = f.maxRounds
-
-	observer, finish, err := obs.CLIObserver(f.metrics, f.events, f.metricsAddr, os.Stderr, f.progress)
+	opt, finish, err := f.options(cp, an.Netlist.Name())
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt.Observer = observer
 
 	var st *fuzz.Stats
 	if cp != nil {
@@ -328,13 +319,13 @@ func netlistCampaign(spec string, cp *fuzz.Checkpoint, f netlistFlags) {
 		}
 	} else {
 		fmt.Printf("fuzzing %d iterations over the netlist (%d-pair lane groups, workers=%d, lanes=%d)...\n",
-			opt.Iterations, probe.GroupWidth(), opt.Workers, opt.Lanes)
+			opt.Iterations, probe.GroupWidth(), opt.Workers, opt.LaneWidth())
 		st = fuzz.RunParallelExec(executors, opt)
 	}
 	if err := finish(); err != nil {
 		log.Fatal(err)
 	}
-	printSummary(os.Stdout, st, opt.Iterations, f.maxRounds, f.checkpoint)
+	printSummary(os.Stdout, st, opt.Iterations, opt.MaxRounds, opt.Checkpoint)
 }
 
 // printSummary writes the end-of-campaign summary both DUT paths share: the

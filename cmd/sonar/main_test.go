@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sonar/internal/boom"
 	"sonar/internal/core"
@@ -140,5 +141,87 @@ func TestPrintSummary(t *testing.T) {
 		"corpus 4 seeds, 900 simulated cycles\n"
 	if got := buf.String(); got != want {
 		t.Errorf("paused campaign summary = %q, want %q", got, want)
+	}
+}
+
+// Both DUT paths build their Options through campaignFlags.options: the
+// shape comes from the flags, or from the checkpoint when resuming, and the
+// operational flags — -lanes included — apply on top in both cases.
+func TestCampaignOptions(t *testing.T) {
+	cp := &fuzz.Checkpoint{DUT: "gen7", Shape: fuzz.Shape{
+		Iterations: 2000, Seed: 3, Retention: true, Selection: true,
+		DirectedMutation: true, SecretB: 1, Workers: 2, BatchSize: 32,
+	}}
+	base := campaignFlags{
+		iters: 300, seed: 9, workers: 4, lanes: 64, random: true,
+		ckptEvery: 100, iterTimeout: time.Second, maxRounds: 5,
+	}
+	for _, c := range []struct {
+		name    string
+		f       func(f *campaignFlags)
+		cp      *fuzz.Checkpoint
+		dut     string
+		wantErr bool
+		check   func(t *testing.T, opt fuzz.Options)
+	}{
+		{name: "fresh", dut: "gen7", check: func(t *testing.T, opt fuzz.Options) {
+			if opt.Iterations != 300 || opt.Seed != 9 || opt.Workers != 4 || opt.Retention {
+				t.Errorf("shape = %d iterations, seed %d, %d workers, retention %v; want the flags' random campaign",
+					opt.Iterations, opt.Seed, opt.Workers, opt.Retention)
+			}
+			if opt.Checkpoint != "" {
+				t.Errorf("Checkpoint = %q, want none", opt.Checkpoint)
+			}
+		}},
+		{name: "fresh-behavioral", f: func(f *campaignFlags) {
+			f.random, f.dual, f.keepFindings, f.checkpoint = false, true, 32, "run.ckpt"
+		}, dut: "boom", check: func(t *testing.T, opt fuzz.Options) {
+			if !opt.Retention || !opt.DualCore || opt.KeepFindings != 32 || opt.Checkpoint != "run.ckpt" {
+				t.Errorf("retention %v, dual %v, keep %d, checkpoint %q; want the flags' guided dual campaign",
+					opt.Retention, opt.DualCore, opt.KeepFindings, opt.Checkpoint)
+			}
+		}},
+		{name: "resume", f: func(f *campaignFlags) { f.resume = "old.ckpt" }, cp: cp, dut: "gen7",
+			check: func(t *testing.T, opt fuzz.Options) {
+				if opt.Iterations != 2000 || opt.Seed != 3 || opt.Workers != 2 || opt.BatchSize != 32 || !opt.Retention {
+					t.Errorf("shape = %d iterations, seed %d, %d workers, batch %d, retention %v; want the checkpoint's",
+						opt.Iterations, opt.Seed, opt.Workers, opt.BatchSize, opt.Retention)
+				}
+				if opt.Checkpoint != "old.ckpt" {
+					t.Errorf("Checkpoint = %q, want the resumed file", opt.Checkpoint)
+				}
+			}},
+		{name: "resume-new-checkpoint", f: func(f *campaignFlags) { f.resume, f.checkpoint = "old.ckpt", "new.ckpt" },
+			cp: cp, dut: "gen7", check: func(t *testing.T, opt fuzz.Options) {
+				if opt.Checkpoint != "new.ckpt" {
+					t.Errorf("Checkpoint = %q, want -checkpoint's file", opt.Checkpoint)
+				}
+			}},
+		{name: "resume-other-dut", f: func(f *campaignFlags) { f.resume = "old.ckpt" }, cp: cp, dut: "gen8", wantErr: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := base
+			if c.f != nil {
+				c.f(&f)
+			}
+			opt, finish, err := f.options(c.cp, c.dut)
+			if c.wantErr {
+				if err == nil {
+					t.Fatal("options accepted a checkpoint taken on another DUT")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := finish(); err != nil {
+				t.Fatal(err)
+			}
+			if opt.Lanes != 64 || opt.CheckpointEvery != 100 || opt.IterTimeout != time.Second || opt.MaxRounds != 5 {
+				t.Errorf("operational flags lost: lanes %d, checkpoint-every %d, iter-timeout %v, max-rounds %d",
+					opt.Lanes, opt.CheckpointEvery, opt.IterTimeout, opt.MaxRounds)
+			}
+			c.check(t, opt)
+		})
 	}
 }

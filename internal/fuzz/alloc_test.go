@@ -6,6 +6,7 @@ import (
 
 	"sonar/internal/boom"
 	"sonar/internal/fuzz/faultinject"
+	"sonar/internal/hdl"
 	"sonar/internal/isa"
 	"sonar/internal/trace"
 	"sonar/internal/uarch"
@@ -86,21 +87,31 @@ func TestBuildIntoReuseAllocFree(t *testing.T) {
 }
 
 // A warm LaneDUT lane pass (reset, SetLane stimulus, activity-driven Tick,
-// lane-bank hooks and snapshots of every pair) must not touch the heap.
+// lane-bank hooks and snapshots of every lane) and a warm Execute must not
+// touch the heap.
 func TestLaneDUTLanePassAllocFree(t *testing.T) {
 	d := netExecFactory(t)().(*LaneDUT)
 	rng := rand.New(rand.NewSource(7))
 	tcs := make([]*Testcase, d.GroupWidth())
 	for i := range tcs {
 		tcs[i] = Generate(rng, true)
+		d.digs[2*i] = tcDigest(tcs[i], 0)
+		d.digs[2*i+1] = tcDigest(tcs[i], 1)
 	}
 	// Warm the snapshot arenas to their steady-state capacity.
 	for i := 0; i < 3; i++ {
-		d.runLanePass(tcs, 0, 0, 1)
+		d.pass(hdl.Lanes, 0)
 	}
-	allocs := testing.AllocsPerRun(10, func() { d.runLanePass(tcs, 0, 0, 1) })
+	allocs := testing.AllocsPerRun(10, func() { d.pass(hdl.Lanes, 0) })
 	if allocs != 0 {
 		t.Errorf("steady-state lane pass allocates %.1f objects/run, want 0", allocs)
+	}
+	for i := 0; i < 3; i++ {
+		d.Execute(tcs[i], 0)
+	}
+	allocs = testing.AllocsPerRun(10, func() { d.Execute(tcs[0], 0) })
+	if allocs != 0 {
+		t.Errorf("steady-state Execute allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

@@ -49,20 +49,21 @@ type Options struct {
 	// batches tighten the feedback loop; larger ones reduce
 	// synchronization overhead.
 	BatchSize int
-	// Lanes is the evaluator batch width: how many testcases a worker
-	// groups into one logical lane batch, clamped to [1, hdl.Lanes].
-	// 0 or 1 is the scalar path. Netlist-evaluation backends
-	// (sim.LaneSimulator with monitor.LaneBank) execute a full lane group
-	// bit-parallel, one testcase per bit of every plane word; the
-	// behavioral DUT models (boom/nutshell direct-drive) cannot be
-	// bit-sliced and execute the group's lanes through the scalar path in
-	// ascending lane order — the campaign-level analog of the lane
-	// evaluator's prim scalar spill (docs/SIMULATOR.md). Demuxed outcomes
-	// are folded in canonical lane order either way, so Stats,
-	// PerIteration, checkpoints, and the event stream are byte-identical
-	// for a fixed (Seed, Workers, BatchSize) across every Lanes setting —
-	// the contract TestLaneMatrix pins. Lanes is therefore an operational
-	// knob, not part of the checkpoint Shape.
+	// Lanes is the evaluator batch width: how many testcases (two per
+	// pair) a netlist-backed executor evaluates bit-parallel in one lane
+	// pass. 0, the default, and any value outside [1, hdl.Lanes] mean
+	// hdl.Lanes: the executor's whole group in one pass. Netlist-evaluation
+	// backends (sim.LaneSimulator with monitor.LaneBank) run every
+	// execution as a lane pass, one testcase per bit of every plane word;
+	// the behavioral DUT models (boom/nutshell direct-drive) cannot be
+	// bit-sliced, ignore the width, and execute testcases one at a time in
+	// ascending order — the campaign-level analog of the lane evaluator's
+	// prim scalar spill (docs/SIMULATOR.md). Demuxed outcomes are folded in
+	// canonical lane order either way, so Stats, PerIteration, checkpoints,
+	// and the event stream are byte-identical for a fixed (Seed, Workers,
+	// BatchSize) across every Lanes setting — the contract TestLaneMatrix
+	// pins. Lanes is therefore an operational knob, not part of the
+	// checkpoint Shape.
 	Lanes int
 	// Observer receives campaign metrics and structured events (package
 	// obs). nil disables observability at near-zero hot-path cost. Events
@@ -346,7 +347,7 @@ func (w *worker) execute(e Executor, group []outcome) {
 		for _, p := range w.pending {
 			w.tcs = append(w.tcs, p.tc)
 		}
-		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, normalizeLanes(w.opt), w.pairs[:0])
+		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, w.opt.LaneWidth(), w.pairs[:0])
 		for i, pr := range w.pairs {
 			w.observe(w.tcs[i], pr.A, pr.B, &group[i])
 		}
@@ -460,18 +461,14 @@ func (w *worker) feed(p pendingIter, o *outcome) {
 	}
 }
 
-// normalizeLanes resolves Options.Lanes to the effective lane-group width:
-// at least 1 (scalar), at most hdl.Lanes (one testcase per bit of a plane
-// word).
-func normalizeLanes(opt Options) int {
-	lanes := opt.Lanes
-	if lanes < 1 {
-		return 1
-	}
-	if lanes > hdl.Lanes {
+// LaneWidth resolves Lanes to the effective lane width: Lanes itself
+// within [1, hdl.Lanes], else hdl.Lanes (one testcase per bit of a plane
+// word, a GroupExecutor's whole group in one pass).
+func (opt Options) LaneWidth() int {
+	if opt.Lanes < 1 || opt.Lanes > hdl.Lanes {
 		return hdl.Lanes
 	}
-	return lanes
+	return opt.Lanes
 }
 
 // takeNewSeeds returns the seeds retained since the previous call and

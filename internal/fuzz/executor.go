@@ -76,7 +76,7 @@ type GroupExecutor interface {
 	// secrets, appending one ExecPair per testcase to dst in testcase order.
 	// chunk is the effective Options.Lanes value: how many lanes (two per
 	// pair) the executor may evaluate bit-parallel per pass; chunk <= 1
-	// requests the scalar reference path. All returned Executions must stay
+	// still runs one pair per pass. All returned Executions must stay
 	// valid until the next ExecuteGroup or Execute call.
 	ExecuteGroup(tcs []*Testcase, secretA, secretB uint64, chunk int, dst []ExecPair) []ExecPair
 }

@@ -62,14 +62,14 @@ func TestLaneStatsIdentical(t *testing.T) {
 	}
 }
 
-// TestNormalizeLanes pins the clamp: 0 and negatives mean scalar, anything
-// past the plane word width saturates at hdl.Lanes.
+// TestNormalizeLanes pins the clamp: 0 (the default), negatives, and
+// anything past the plane word width mean hdl.Lanes.
 func TestNormalizeLanes(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
-		{-3, 1}, {0, 1}, {1, 1}, {2, 2}, {64, 64}, {65, 64}, {1 << 20, 64},
+		{-3, 64}, {0, 64}, {1, 1}, {2, 2}, {64, 64}, {65, 64}, {1 << 20, 64},
 	} {
-		if got := normalizeLanes(Options{Lanes: c.in}); got != c.want {
-			t.Errorf("normalizeLanes(%d) = %d, want %d", c.in, got, c.want)
+		if got := (Options{Lanes: c.in}).LaneWidth(); got != c.want {
+			t.Errorf("Options{Lanes: %d}.LaneWidth() = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

@@ -27,47 +27,44 @@ const (
 	DefaultLaneHold   = 8
 )
 
-// LaneDUT is a netlist-backed campaign executor. It holds two independent
-// elaborations of the same design: a scalar simulator + monitor for the
-// reference path (Options.Lanes <= 1, and the Executor.Execute method), and
-// a lane simulator + lane bank for the bit-parallel path. Two instances are
-// required because the lane evaluator's prim spill scribbles over the scalar
-// value plane of spilled signals — the scalar side must never share a
-// netlist with the lane side.
+// LaneDUT is a netlist-backed campaign executor: one elaboration of the
+// design, compiled for the lane simulator, with one lane bank monitoring
+// it. Every execution is a lane pass, whatever the lane width: a group runs
+// up to chunk/2 pairs per pass, and Execute runs its testcase alone in
+// lane 0.
 //
-// Execution semantics: every execution resets the simulator and monitor,
-// opens the observation window for the whole run, and drives each input
-// with a stimulus derived from (testcase, secret, cycle, input index) —
+// Execution semantics: every pass resets the simulator and monitor, opens
+// the observation window for the whole run, and drives each input of lane
+// i with a stimulus derived from (testcase, secret, cycle, input index) —
 // re-poked every hold cycles — for a fixed budget of cycles. The stimulus
 // never depends on the lane index, so a pair's per-lane trajectory is a
-// pure function of (testcase, secret) and the lane and scalar paths produce
-// byte-identical monitor snapshots (TestNetlistLaneMatrix pins the
-// campaign-level consequence).
+// pure function of (testcase, secret): snapshots are byte-identical at
+// every lane width and equal to a scalar simulator's (TestNetlistLaneMatrix
+// pins the campaign-level consequence against a scalar reference).
 //
 // A LaneDUT produces no commit logs (Execution.Log stays nil): netlist
 // campaigns exercise contention coverage, intervals, and corpus feedback;
 // dual-differential commit-log findings remain a behavioral-DUT feature.
 type LaneDUT struct {
-	analysis *trace.Analysis // lane-side binding; ContentionAnalysis result
-	scalar   *sim.Simulator
-	smon     *monitor.Monitor
+	analysis *trace.Analysis // ContentionAnalysis result, bound to the netlist
 	lanes    *sim.LaneSimulator
 	bank     *monitor.LaneBank
-	sIns     []*hdl.Signal // scalar-side inputs, creation order
-	lIns     []*hdl.Signal // lane-side inputs, creation order
+	ins      []*hdl.Signal // inputs, creation order
 	cycles   int
 	hold     int
 
-	// Group arenas, indexed by lane (pair i occupies lanes 2i and 2i+1):
+	// digs holds the stimulus digest of each lane of the next pass.
+	digs [hdl.Lanes]uint64
+	// Arenas, indexed by slot (group pair i occupies slots 2i and 2i+1):
 	// every Execution an ExecuteGroup returns stays valid until the next
-	// group, per the GroupExecutor contract.
+	// group, per the GroupExecutor contract. Execute alternates between
+	// slots 0 and 1, like DUT.Execute, so an A/B pair of direct Execute
+	// calls stays valid together.
 	execs [hdl.Lanes]Execution
 	snaps [hdl.Lanes]monitor.Snapshot
-	// Single-Execute arenas, alternating like DUT.Execute's so an A/B pair
-	// of direct Execute calls stays valid together.
-	sExecs [2]Execution
-	sSnaps [2]monitor.Snapshot
-	sIdx   int
+	alt   int
+	// passes counts the lane passes run.
+	passes int
 }
 
 // monitorKeep returns the signals a contention monitor reads — every
@@ -86,10 +83,9 @@ func monitorKeep(an *trace.Analysis) []*hdl.Signal {
 }
 
 // NewLaneDUT builds a netlist-backed executor. elab must be a deterministic
-// elaborator (gen designs, checked FIRRTL parses): it is called twice, once
-// per simulator instance, and both elaborations must be identical. shared
-// is the campaign's shared contention analysis, rebound to each instance by
-// dense signal id; nil runs the analysis on the first elaboration.
+// elaborator (gen designs, checked FIRRTL parses); it is called once. shared
+// is the campaign's shared contention analysis, rebound to the elaboration
+// by dense signal id; nil runs the analysis on it.
 // cycles/hold <= 0 select DefaultLaneCycles/DefaultLaneHold.
 func NewLaneDUT(elab func() (*hdl.Netlist, error), shared *trace.Analysis, cycles, hold int) (*LaneDUT, error) {
 	if cycles <= 0 {
@@ -98,48 +94,30 @@ func NewLaneDUT(elab func() (*hdl.Netlist, error), shared *trace.Analysis, cycle
 	if hold <= 0 {
 		hold = DefaultLaneHold
 	}
-	scalarNet, err := elab()
+	net, err := elab()
 	if err != nil {
-		return nil, fmt.Errorf("fuzz: lane DUT scalar elaboration: %w", err)
+		return nil, fmt.Errorf("fuzz: lane DUT elaboration: %w", err)
 	}
-	laneNet, err := elab()
+	an := shared
+	if an == nil {
+		an = trace.Analyze(net)
+	} else if an.Netlist != net {
+		an = an.Rebind(net)
+	}
+	lanes, err := sim.NewLanesOpt(net, sim.CompileOptions{Keep: monitorKeep(an)})
 	if err != nil {
-		return nil, fmt.Errorf("fuzz: lane DUT lane elaboration: %w", err)
-	}
-	if shared == nil {
-		shared = trace.Analyze(scalarNet)
-	}
-	sAn := shared
-	if sAn.Netlist != scalarNet {
-		sAn = shared.Rebind(scalarNet)
-	}
-	lAn := shared.Rebind(laneNet)
-
-	scalar, err := sim.NewOpt(scalarNet, sim.CompileOptions{Keep: monitorKeep(sAn)})
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: lane DUT scalar compile: %w", err)
-	}
-	lanes, err := sim.NewLanesOpt(laneNet, sim.CompileOptions{Keep: monitorKeep(lAn)})
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: lane DUT lane compile: %w", err)
+		return nil, fmt.Errorf("fuzz: lane DUT compile: %w", err)
 	}
 	d := &LaneDUT{
-		analysis: lAn,
-		scalar:   scalar,
-		smon:     monitor.New(sAn, monitor.Config{}),
+		analysis: an,
 		lanes:    lanes,
-		bank:     monitor.NewLaneBank(lAn, monitor.Config{}, lanes),
+		bank:     monitor.NewLaneBank(an, monitor.Config{}, lanes),
 		cycles:   cycles,
 		hold:     hold,
 	}
-	for _, s := range scalarNet.Signals() {
+	for _, s := range net.Signals() {
 		if s.Kind() == hdl.Input {
-			d.sIns = append(d.sIns, s)
-		}
-	}
-	for _, s := range laneNet.Signals() {
-		if s.Kind() == hdl.Input {
-			d.lIns = append(d.lIns, s)
+			d.ins = append(d.ins, s)
 		}
 	}
 	return d, nil
@@ -182,53 +160,40 @@ func observeCompile(o *obs.Observer, d Executor) {
 	o.SimCompileInfo(cs.Spilled, cs.Eliminated+cs.Collapsed+cs.Fused)
 }
 
-// CompileStats returns what the optimizing compile pipeline did to the lane
-// side of the design — the counts the sim observability gauges publish.
+// CompileStats returns what the optimizing compile pipeline did to the
+// design — the counts the sim observability gauges publish.
 func (d *LaneDUT) CompileStats() sim.CompileStats { return d.lanes.Stats() }
 
 // GroupWidth implements GroupExecutor: one group is hdl.Lanes/2 testcase
 // pairs (each pair occupies two lanes, A in lane 2i, B in lane 2i+1).
 func (d *LaneDUT) GroupWidth() int { return hdl.Lanes / 2 }
 
-// Execute implements Executor: the scalar reference path for one testcase
-// under one secret.
+// Execute implements Executor: one testcase under one secret, alone in
+// lane 0 of a pass.
 //
 //sonar:alloc-free
 func (d *LaneDUT) Execute(tc *Testcase, secret uint64) *Execution {
-	idx := d.sIdx
-	d.sIdx ^= 1
-	snap := &d.sSnaps[idx]
-	d.runScalar(tc, secret, snap)
-	e := &d.sExecs[idx]
-	*e = Execution{Snap: snap, Cycles: int64(d.cycles)}
-	return e
+	slot := d.alt
+	d.alt ^= 1
+	d.digs[0] = tcDigest(tc, secret)
+	d.pass(1, slot)
+	return &d.execs[slot]
 }
 
-// ExecuteGroup implements GroupExecutor. chunk <= 1 runs every pair through
-// the scalar reference simulator; chunk >= 2 packs chunk/2 pairs per lane
-// pass and evaluates them bit-parallel. Both paths write the same group
-// arenas and produce byte-identical snapshots per pair.
+// ExecuteGroup implements GroupExecutor: it packs max(1, chunk/2) pairs per
+// lane pass, pair s of a pass in lanes 2s (secretA) and 2s+1 (secretB).
 func (d *LaneDUT) ExecuteGroup(tcs []*Testcase, secretA, secretB uint64, chunk int, dst []ExecPair) []ExecPair {
 	if len(tcs) > d.GroupWidth() {
 		panic(fmt.Sprintf("fuzz: lane group of %d pairs exceeds width %d", len(tcs), d.GroupWidth()))
 	}
-	if chunk <= 1 {
-		for i, tc := range tcs {
-			a, b := &d.snaps[2*i], &d.snaps[2*i+1]
-			d.runScalar(tc, secretA, a)
-			d.runScalar(tc, secretB, b)
-			d.execs[2*i] = Execution{Snap: a, Cycles: int64(d.cycles)}
-			d.execs[2*i+1] = Execution{Snap: b, Cycles: int64(d.cycles)}
+	perPass := max(1, chunk/2)
+	for base := 0; base < len(tcs); base += perPass {
+		pass := tcs[base:min(base+perPass, len(tcs))]
+		for s, tc := range pass {
+			d.digs[2*s] = tcDigest(tc, secretA)
+			d.digs[2*s+1] = tcDigest(tc, secretB)
 		}
-	} else {
-		pairsPerPass := chunk / 2
-		for base := 0; base < len(tcs); base += pairsPerPass {
-			end := base + pairsPerPass
-			if end > len(tcs) {
-				end = len(tcs)
-			}
-			d.runLanePass(tcs[base:end], base, secretA, secretB)
-		}
+		d.pass(2*len(pass), 2*base)
 	}
 	for i := range tcs {
 		dst = append(dst, ExecPair{A: &d.execs[2*i], B: &d.execs[2*i+1]})
@@ -236,59 +201,31 @@ func (d *LaneDUT) ExecuteGroup(tcs []*Testcase, secretA, secretB uint64, chunk i
 	return dst
 }
 
-// runScalar executes one (testcase, secret) on the scalar reference
-// simulator and snapshots the monitor into snap.
+// pass executes one lane pass over lanes [0, n): lane i is driven from
+// d.digs[i] and snapshot into arena slot slot+i. Lanes from n on are never
+// poked or snapshot — they evolve from reset state, harmlessly.
 //
 //sonar:alloc-free
-func (d *LaneDUT) runScalar(tc *Testcase, secret uint64, snap *monitor.Snapshot) {
-	d.smon.Reset() // shuts the window before the reset's batch Restore
-	d.scalar.Reset()
-	d.smon.SetWindow(true)
-	dig := tcDigest(tc, secret)
-	for cyc := 0; cyc < d.cycles; cyc++ {
-		if cyc%d.hold == 0 {
-			for k, in := range d.sIns {
-				in.Set(stimVal(dig, cyc, k))
-			}
-		}
-		d.scalar.Tick()
-	}
-	d.smon.SnapshotInto(snap)
-}
-
-// runLanePass executes one lane pass: pair s of tcs occupies lanes 2s
-// (secretA) and 2s+1 (secretB). base is the pairs' offset within the group,
-// for arena placement. Lanes beyond the pass's pairs are never poked or
-// snapshot — they evolve from reset state, harmlessly.
-//
-//sonar:alloc-free
-func (d *LaneDUT) runLanePass(tcs []*Testcase, base int, secretA, secretB uint64) {
+func (d *LaneDUT) pass(n, slot int) {
+	d.passes++
 	d.lanes.Reset()
 	d.bank.Reset()
 	d.bank.SetWindowAll(true)
-	var digA, digB [hdl.Lanes / 2]uint64
-	for s, tc := range tcs {
-		digA[s] = tcDigest(tc, secretA)
-		digB[s] = tcDigest(tc, secretB)
-	}
+	digs := d.digs[:n]
 	for cyc := 0; cyc < d.cycles; cyc++ {
 		if cyc%d.hold == 0 {
-			for k, in := range d.lIns {
-				for s := range tcs {
-					d.lanes.SetLane(in, 2*s, stimVal(digA[s], cyc, k))
-					d.lanes.SetLane(in, 2*s+1, stimVal(digB[s], cyc, k))
+			for k, in := range d.ins {
+				for lane, dig := range digs {
+					d.lanes.SetLane(in, lane, stimVal(dig, cyc, k))
 				}
 			}
 		}
 		d.lanes.Tick()
 	}
-	for s := range tcs {
-		i := base + s
-		a, b := &d.snaps[2*i], &d.snaps[2*i+1]
-		d.bank.SnapshotLaneInto(2*s, a)
-		d.bank.SnapshotLaneInto(2*s+1, b)
-		d.execs[2*i] = Execution{Snap: a, Cycles: int64(d.cycles)}
-		d.execs[2*i+1] = Execution{Snap: b, Cycles: int64(d.cycles)}
+	for lane := range digs {
+		snap := &d.snaps[slot+lane]
+		d.bank.SnapshotLaneInto(lane, snap)
+		d.execs[slot+lane] = Execution{Snap: snap, Cycles: int64(d.cycles)}
 	}
 }
 

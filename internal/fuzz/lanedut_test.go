@@ -24,17 +24,30 @@ var netTestCfg = gen.Config{Seed: 5, Nodes: 48, Regs: 5, Arbiters: 3, PrimShare:
 // netTestCycles keeps per-execution simulation short for test speed.
 const netTestCycles = 64
 
+func netTestElab() (*hdl.Netlist, error) { return gen.New(netTestCfg) }
+
 func netExecFactory(t testing.TB) func() Executor {
 	t.Helper()
-	f, err := LaneDUTFactory(func() (*hdl.Netlist, error) { return gen.New(netTestCfg) }, netTestCycles, 8)
+	f, err := LaneDUTFactory(netTestElab, netTestCycles, 8)
 	if err != nil {
 		t.Fatalf("LaneDUTFactory: %v", err)
 	}
 	return f
 }
 
+// netScalarFactory builds the scalar reference executors (scalarNetDUT) for
+// the design netExecFactory's lane DUTs run.
+func netScalarFactory(t testing.TB) func() Executor {
+	t.Helper()
+	f, err := scalarNetFactory(netTestElab, netTestCycles, 8)
+	if err != nil {
+		t.Fatalf("scalarNetFactory: %v", err)
+	}
+	return f
+}
+
 // snapEqual compares two snapshots by observable content. Point is compared
-// by ID, not pointer: the scalar and lane paths of a LaneDUT run distinct
+// by ID, not pointer: the scalar reference and a LaneDUT run distinct
 // netlist instances, so the *trace.Point pointers differ while the campaign-
 // visible record must not.
 func snapEqual(t *testing.T, label string, a, b *monitor.Snapshot) {
@@ -58,13 +71,14 @@ func snapEqual(t *testing.T, label string, a, b *monitor.Snapshot) {
 
 // TestLaneDUTGroupMatchesScalar is the substrate-level half of the netlist
 // determinism contract: for the same testcases and secrets, ExecuteGroup
-// must produce identical per-pair snapshots whether the group runs through
-// the scalar reference simulator (chunk 1), partial lane passes (chunk 7),
-// or one full-width bit-parallel pass (chunk 64). Execute (the Executor
-// scalar path) must agree too.
+// must produce per-pair snapshots identical to the scalar reference
+// simulator's (scalarNetDUT) whether the group runs one pair per pass
+// (chunk 1), two lanes per pass (chunk 2), partial lane passes (chunk 7),
+// or one full-width bit-parallel pass (chunk 64). Execute, which runs its
+// testcase alone in lane 0, must agree too.
 func TestLaneDUTGroupMatchesScalar(t *testing.T) {
 	factory := netExecFactory(t)
-	ref := factory().(*LaneDUT)
+	ref := netScalarFactory(t)().(GroupExecutor)
 	rng := rand.New(rand.NewSource(7))
 	tcs := make([]*Testcase, ref.GroupWidth())
 	for i := range tcs {
@@ -74,9 +88,9 @@ func TestLaneDUTGroupMatchesScalar(t *testing.T) {
 
 	refPairs := ref.ExecuteGroup(tcs, secretA, secretB, 1, nil)
 	if len(refPairs) != len(tcs) {
-		t.Fatalf("chunk=1: %d pairs for %d testcases", len(refPairs), len(tcs))
+		t.Fatalf("scalar reference: %d pairs for %d testcases", len(refPairs), len(tcs))
 	}
-	for _, chunk := range []int{2, 7, 64} {
+	for _, chunk := range []int{1, 2, 7, 64} {
 		d := factory().(*LaneDUT)
 		pairs := d.ExecuteGroup(tcs, secretA, secretB, chunk, nil)
 		if len(pairs) != len(refPairs) {
@@ -91,7 +105,8 @@ func TestLaneDUTGroupMatchesScalar(t *testing.T) {
 		}
 	}
 
-	// The direct Executor path agrees with the grouped scalar path.
+	// The direct Executor path agrees with the scalar reference; an A/B
+	// pair of Execute calls stays valid together.
 	d := factory().(*LaneDUT)
 	exA := d.Execute(tcs[0], secretA)
 	exB := d.Execute(tcs[0], secretB)
@@ -99,13 +114,51 @@ func TestLaneDUTGroupMatchesScalar(t *testing.T) {
 	snapEqual(t, "Execute B", refPairs[0].B.Snap, exB.Snap)
 }
 
+// LaneDUTFactory elaborates once for its probe and once per executor: a
+// LaneDUT holds one elaboration, compiled for the lane simulator only.
+func TestLaneDUTElaboratesOnce(t *testing.T) {
+	elabs := 0
+	f, err := LaneDUTFactory(func() (*hdl.Netlist, error) {
+		elabs++
+		return netTestElab()
+	}, netTestCycles, 8)
+	if err != nil {
+		t.Fatalf("LaneDUTFactory: %v", err)
+	}
+	const k = 3
+	for i := 0; i < k; i++ {
+		f()
+	}
+	if elabs != 1+k {
+		t.Errorf("factory plus %d executors elaborated %d times, want %d", k, elabs, 1+k)
+	}
+}
+
+// At the default Options.Lanes (0) a campaign runs each full group of
+// GroupWidth pairs in one lane pass; Lanes 1 runs one pair per pass.
+func TestDefaultLanesRunWholeGroup(t *testing.T) {
+	for _, c := range []struct{ lanes, passes int }{{0, 1}, {64, 1}, {1, 32}, {7, 11}} {
+		d := netExecFactory(t)().(*LaneDUT)
+		opt := SonarOptions(32)
+		opt.BatchSize = 32
+		opt.Lanes = c.lanes
+		if st := RunParallelExec(PrimaryThen(d, nil), opt); len(st.PerIteration) != 32 {
+			t.Fatalf("lanes=%d: campaign ran %d iterations, want 32", c.lanes, len(st.PerIteration))
+		}
+		if d.passes != c.passes {
+			t.Errorf("lanes=%d: a 32-pair group took %d lane passes, want %d", c.lanes, d.passes, c.passes)
+		}
+	}
+}
+
 // TestNetlistLaneMatrix extends the TestLaneMatrix contract to netlist-backed
 // campaigns: for a fixed (Seed, Workers, BatchSize) over an hdl/gen design,
 // the campaign's Stats, merged event stream, and checkpoint bytes must be
-// identical at every Lanes setting — the lane width only decides how many
-// testcase pairs share a simulator pass, never what any of them observe.
-// CI runs this under -race as the netlist-DUT leg of the lane-determinism
-// matrix.
+// identical at every Lanes setting, and identical to the same campaign on
+// the scalar reference simulator (scalarNetDUT) — the lane width only
+// decides how many testcase pairs share a simulator pass, never what any of
+// them observe. CI runs this under -race as the netlist-DUT leg of the
+// lane-determinism matrix.
 func TestNetlistLaneMatrix(t *testing.T) {
 	factory := netExecFactory(t)
 	type result struct {
@@ -113,7 +166,7 @@ func TestNetlistLaneMatrix(t *testing.T) {
 		stream []byte
 		ckpt   []byte
 	}
-	run := func(lanes, workers int) result {
+	run := func(f func() Executor, lanes, workers int) result {
 		opt := SonarOptions(24)
 		opt.Workers = workers
 		opt.BatchSize = 5
@@ -121,16 +174,17 @@ func TestNetlistLaneMatrix(t *testing.T) {
 		opt.CheckpointEvery = 10
 		opt.Checkpoint = filepath.Join(t.TempDir(), "net.ckpt")
 		opt, mem := observedOptions(opt)
-		stats := RunParallelExec(factory, opt)
+		stats := RunParallelExec(f, opt)
 		ckpt, err := os.ReadFile(opt.Checkpoint)
 		if err != nil {
 			t.Fatalf("read checkpoint: %v", err)
 		}
 		return result{stats: stats, stream: mem.Bytes(), ckpt: ckpt}
 	}
+	scalar := netScalarFactory(t)
 	baseline := map[int]result{}
 	for _, workers := range []int{1, 4} {
-		baseline[workers] = run(1, workers)
+		baseline[workers] = run(scalar, 0, workers)
 		if len(baseline[workers].stream) == 0 {
 			t.Fatalf("workers=%d: no events emitted", workers)
 		}
@@ -138,18 +192,18 @@ func TestNetlistLaneMatrix(t *testing.T) {
 			t.Fatalf("workers=%d: campaign triggered no contention points", workers)
 		}
 	}
-	for _, lanes := range []int{1, 7, 64} {
+	for _, lanes := range []int{0, 1, 7, 64} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), func(t *testing.T) {
-				got := run(lanes, workers)
+				got := run(factory, lanes, workers)
 				want := baseline[workers]
 				statsEqual(t, want.stats, got.stats)
 				statsWireEqual(t, want.stats, got.stats)
 				if !bytes.Equal(got.stream, want.stream) {
-					t.Error("event stream differs from lanes=1 baseline")
+					t.Error("event stream differs from the scalar reference")
 				}
 				if !bytes.Equal(got.ckpt, want.ckpt) {
-					t.Error("checkpoint bytes differ from lanes=1 baseline")
+					t.Error("checkpoint bytes differ from the scalar reference")
 				}
 			})
 		}

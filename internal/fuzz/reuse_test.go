@@ -75,11 +75,10 @@ func TestReusedDUTMatchesFresh(t *testing.T) {
 }
 
 // The LaneDUT counterpart: one LaneDUT reused across groups must match a
-// fresh LaneDUT per testcase. The scalar path (chunk 1) resets through
-// sim.Simulator.Reset, whose Netlist.Restore runs with the scalar monitor's
-// window already shut; the groups also switch between the scalar path
+// fresh LaneDUT per testcase. The groups switch between one pair per pass
 // and lane passes of different widths, so the group arenas are refilled
-// from a different monitor, or a different lane of the bank, than last time.
+// from a different lane of the bank than last time, and a pass's unused
+// lanes carry whatever the previous pass left in them until its reset.
 // Within each group the testcase with the most events comes first and the
 // one with the fewest right after it.
 func TestReusedLaneDUTMatchesFresh(t *testing.T) {
@@ -126,7 +125,8 @@ func TestReusedLaneDUTMatchesFresh(t *testing.T) {
 			activeEqual(t, label+" B", want.B.Snap, pairs[i].B.Snap)
 		}
 	}
-	// The single-execution path shares the scalar monitor with chunk 1.
+	// The single-execution path reuses lane 0 and the group arena's first
+	// two slots.
 	for i, tc := range groups[0] {
 		want := factory().(*LaneDUT).Execute(tc, secretB)
 		activeEqual(t, fmt.Sprintf("Execute %d", i), want.Snap, reused.Execute(tc, secretB).Snap)
