@@ -132,8 +132,7 @@ func main() {
 		exA := s.DUT.Execute(tc, 0)
 		exB := s.DUT.Execute(tc, 1)
 		fmt.Printf("replayed %s: %d/%d cycles under secret 0/1\n", *replay, exA.Cycles, exB.Cycles)
-		var det detect.Detector
-		if f := det.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap); f != nil {
+		if f := new(detect.Finding); detect.Analyze(f, exA.Log, exB.Log, exA.Snap, exB.Snap) {
 			fmt.Printf("side channel reproduced:\n%s", f.String(s.DUT.Analysis))
 		} else {
 			fmt.Println("no secret-dependent timing difference on replay")

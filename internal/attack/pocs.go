@@ -143,9 +143,9 @@ func build(t template, bitOff, jitter, chainLen int) *isa.Program {
 	code = append(code, isa.Instr{Op: isa.RDCYCLE, Rd: regT0})
 	code = append(code, isa.I(isa.ADDI, 9, 0, 1))
 	half := chainLen / 2
-	code = append(code, isa.DepChain(9, half)...)
+	code = isa.AppendDepChain(code, 9, half)
 	code = append(code, t.chainMid...)
-	code = append(code, isa.DepChain(9, chainLen-half)...)
+	code = isa.AppendDepChain(code, 9, chainLen-half)
 	code = append(code, t.line5...)
 	if t.line5Div != nil {
 		code = append(code, t.line5Div(knob)...)

@@ -20,7 +20,7 @@ func RunSpecDoctor(d *fuzz.DUT, iterations int, seed int64) *fuzz.Stats {
 	rng := rand.New(rand.NewSource(seed))
 	var corpus []*fuzz.Seed
 	st := &fuzz.Stats{TriggeredPoints: make(map[int]bool)}
-	var det detect.Detector
+	var f detect.Finding
 	var triggered []int
 
 	for it := 1; it <= iterations; it++ {
@@ -52,7 +52,7 @@ func RunSpecDoctor(d *fuzz.DUT, iterations int, seed int64) *fuzz.Stats {
 		if len(st.PerIteration) > 0 {
 			cum = st.PerIteration[len(st.PerIteration)-1].CumTimingDiffs
 		}
-		if f := det.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap); f != nil {
+		if detect.Analyze(&f, exA.Log, exB.Log, exA.Snap, exB.Snap) {
 			cum++
 		}
 		st.PerIteration = append(st.PerIteration, fuzz.IterStats{

@@ -7,7 +7,6 @@ package detect
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"sonar/internal/monitor"
@@ -258,32 +257,26 @@ func (f *Finding) Components(an *trace.Analysis) []string {
 	return out
 }
 
-// Detector runs the dual-differential comparison with reusable scratch:
-// each finding it returns owns exactly-sized copies of its lists, and the
-// scratch is recycled for the next call. The zero value is ready to use; a
-// Detector is not safe for concurrent use.
-type Detector struct {
-	affected []Affected
-	diffs    []StateDiff
-}
-
 // Analyze runs the full dual-differential comparison on two executions'
-// commit logs and snapshots. It returns nil when no side channel is
-// exposed: either no timing difference, or timing differences whose CCD
-// analysis shows no genuinely affected instruction.
-func (d *Detector) Analyze(logA, logB []uarch.CommitRecord, snapA, snapB *monitor.Snapshot) *Finding {
-	d.affected = CCDCompare(d.affected, logA, logB)
-	if len(d.affected) == 0 {
-		return nil
+// commit logs and snapshots, writing the finding into f over the storage
+// of its lists, and reports whether a side channel is exposed. It reports
+// false when there is no timing difference, or timing differences whose
+// CCD analysis shows no genuinely affected instruction; f then holds no
+// finding. A caller that keeps f recycles it for the next comparison, so
+// after warm-up a comparison allocates nothing; what outlives the next
+// call must be copied out.
+//
+//sonar:alloc-free
+func Analyze(f *Finding, logA, logB []uarch.CommitRecord, snapA, snapB *monitor.Snapshot) bool {
+	f.Affected = CCDCompare(f.Affected, logA, logB)
+	f.StateDiffs = f.StateDiffs[:0]
+	if len(f.Affected) == 0 {
+		return false
 	}
-	f := &Finding{Affected: slices.Clone(d.affected)}
 	if snapA != nil && snapB != nil {
-		d.diffs = StateCompare(d.diffs, snapA, snapB)
-		if len(d.diffs) > 0 {
-			f.StateDiffs = slices.Clone(d.diffs)
-		}
+		f.StateDiffs = StateCompare(f.StateDiffs, snapA, snapB)
 	}
-	return f
+	return true
 }
 
 // String renders a short human-readable report, naming contention points

@@ -83,8 +83,14 @@ func TestCCDDifferentLengths(t *testing.T) {
 
 func TestAnalyzeNilWhenClean(t *testing.T) {
 	log := []uarch.CommitRecord{rec(0, 5), rec(1, 9)}
-	if f := new(Detector).Analyze(log, log, nil, nil); f != nil {
-		t.Errorf("Analyze of identical runs = %v, want nil", f)
+	slow := []uarch.CommitRecord{rec(0, 5), rec(1, 12)}
+	var f Finding
+	if !Analyze(&f, log, slow, nil, nil) || len(f.Affected) != 1 {
+		t.Fatalf("Analyze of a delayed run found %v, want one affected instruction", f.Affected)
+	}
+	// The recycled finding of a clean comparison holds nothing.
+	if Analyze(&f, log, log, nil, nil) || len(f.Affected) != 0 || len(f.StateDiffs) != 0 {
+		t.Errorf("Analyze of identical runs = %v, want no finding", f)
 	}
 }
 

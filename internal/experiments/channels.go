@@ -84,8 +84,8 @@ func divOccupancyScenario(soc *uarch.SoC, youngerOp isa.Op) int64 {
 			isa.I(isa.ADDI, 8, 0, 58),
 			isa.R(isa.SLL, 3, 3, 8), // huge operand (long divide occupancy)
 		}
-		code = append(code, isa.DepChain(1, 40)...)
-		code = append(code, isa.DepChain(3, youngerChain)...)
+		code = isa.AppendDepChain(code, 1, 40)
+		code = isa.AppendDepChain(code, 3, youngerChain)
 		code = append(code, isa.R(isa.DIV, 2, 1, 1)) // older div, late operands
 		if withYounger {
 			code = append(code, isa.R(youngerOp, 4, 3, 3))

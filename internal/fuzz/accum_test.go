@@ -17,7 +17,7 @@ import (
 func TestApplyFindingWithoutNewPoint(t *testing.T) {
 	d := liteFactory()
 	acc := newStatsAccum(d.Analysis, SonarOptions(10))
-	acc.apply(outcome{tc: &Testcase{}, finding: &detect.Finding{}, cycles: 7})
+	acc.apply(&outcome{found: true, cycles: 7})
 
 	st := acc.st
 	if got := st.PerIteration[0]; got.NewPoints != 0 || got.CumPoints != 0 || got.CumTimingDiffs != 1 {
@@ -42,8 +42,8 @@ func TestApplyDuplicateTriggerAcrossOutcomes(t *testing.T) {
 	d := liteFactory()
 	id := d.Analysis.Monitored()[0].ID
 	acc := newStatsAccum(d.Analysis, SonarOptions(10))
-	acc.apply(outcome{tc: &Testcase{}, triggered: []int{id, id}})
-	acc.apply(outcome{tc: &Testcase{}, triggered: []int{id}})
+	acc.apply(&outcome{triggered: []int{id, id}})
+	acc.apply(&outcome{triggered: []int{id}})
 
 	st := acc.st
 	if st.PerIteration[0].NewPoints != 1 || st.PerIteration[0].CumPoints != 1 {
@@ -66,8 +66,8 @@ func TestApplyKeepFindingsCapsRetention(t *testing.T) {
 	opt := SonarOptions(10)
 	opt.KeepFindings = 1
 	acc := newStatsAccum(liteFactory().Analysis, opt)
-	acc.apply(outcome{tc: &Testcase{}, finding: &detect.Finding{}})
-	acc.apply(outcome{tc: &Testcase{}, finding: &detect.Finding{}})
+	acc.apply(&outcome{found: true})
+	acc.apply(&outcome{found: true})
 
 	if got := len(acc.st.Findings); got != 1 {
 		t.Errorf("retained findings = %d, want 1 (capped)", got)
@@ -85,7 +85,7 @@ func TestApplyEmptyAttackerLogs(t *testing.T) {
 	exA := &Execution{Log: victim}
 	exB := &Execution{Log: victim}
 	tc := &Testcase{Attacker: []isa.Instr{{Op: isa.ADDI}}}
-	if f := analyzeExecutions(new(detect.Detector), tc, exA, exB); f != nil {
+	if f := new(detect.Finding); analyzeExecutions(f, tc, exA, exB) {
 		t.Errorf("empty attacker logs produced a finding: %v", f)
 	}
 }

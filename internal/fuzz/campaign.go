@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"sonar/internal/detect"
@@ -187,9 +188,9 @@ type Stats struct {
 	Analysis *trace.Analysis
 }
 
-// worker is one shard of a campaign: an RNG stream, a corpus view, and the
-// seeds retained since the last barrier. It holds no executor, so any
-// executor may run any shard's batch.
+// worker is one shard of a campaign: an RNG stream, a corpus view, the
+// seeds retained since the last barrier and the outcome slots of its
+// batches. It holds no executor, so any executor may run any shard's batch.
 type worker struct {
 	// id is the shard index — the value fault events and the FaultHook
 	// report.
@@ -214,80 +215,98 @@ type worker struct {
 	// the coordinator replays retention from the reported intervals, and
 	// its Observer folds them.
 	forceIntvls bool
+	// slots are the outcome slots of the worker's batches (slotsFor),
+	// recycled across batches: a batch's outcomes are folded before the
+	// worker runs its next one.
+	slots []outcome
+	// kept holds the retained seeds' copies (keep.go).
+	kept keeper
 	// pending, tcs, and pairs are the batch loop's scratch buffers,
 	// recycled across groups so the hot loop stays allocation-free after
 	// warmup.
 	pending []pendingIter
 	tcs     []*Testcase
 	pairs   []ExecPair
-	// det is the detection scratch, recycled across iterations.
-	det detect.Detector
 }
 
-// newShardWorker builds a shard worker whose RNG is a counted source seeded
-// with opt.Seed+id and fast-forwarded to cursor, taken from srcs when it
-// holds one there (a nil srcs builds it). A cursor of zero gives the exact
-// draw sequence of rand.New(rand.NewSource(opt.Seed+id)) — the determinism
+// newShardWorker returns shard id's worker over corpus, its RNG a counted
+// source seeded with opt.Seed+id at cursor. It is the worker cache keeps
+// for that seed when its source sits at cursor, with its slots and slabs
+// (a nil cache builds a new one). A cursor of zero gives the exact draw
+// sequence of rand.New(rand.NewSource(opt.Seed+id)) — the determinism
 // contract — and a checkpointed cursor restores the worker's mid-campaign
 // RNG position.
-func newShardWorker(id int, opt Options, cursor uint64, srcs *sourceCache) *worker {
-	src := srcs.take(opt.Seed+int64(id), cursor)
-	return &worker{
-		id: id, rng: rand.New(src), src: src, corpus: NewCorpus(), opt: opt,
-		retention: opt.Retention || opt.Selection || opt.DirectedMutation,
-		selection: opt.Selection || opt.DirectedMutation,
+func newShardWorker(id int, opt Options, cursor uint64, corpus *Corpus, cache *shardCache) *worker {
+	w := cache.take(opt.Seed+int64(id), cursor)
+	if w == nil {
+		src := newCountedSource(opt.Seed+int64(id), cursor)
+		w = &worker{id: id, rng: rand.New(src), src: src}
 	}
+	w.corpus, w.opt = corpus, opt
+	w.retention = opt.Retention || opt.Selection || opt.DirectedMutation
+	w.selection = opt.Selection || opt.DirectedMutation
+	w.forceIntvls = false
+	w.newSeeds = w.newSeeds[:0]
+	return w
 }
 
-// outcome is one iteration's contribution to campaign statistics, in a form
-// the coordinator can fold into Stats in canonical order. Everything but tc
-// and kept is the iteration's feedback: what a lease report carries.
+// slotsFor returns the worker's first n outcome slots, growing the slot
+// list to n.
+func (w *worker) slotsFor(n int) []outcome {
+	w.slots = slices.Grow(w.slots[:0], n)[:n]
+	return w.slots
+}
+
+// outcome is one iteration's slot: its testcase and its contribution to
+// campaign statistics, in a form the coordinator can fold into Stats in
+// canonical order. Everything but tc is the iteration's feedback: what a
+// lease report carries.
 //
-// An outcome slot is recycled across rounds: observe fills triggered and
-// intvls into the slot's previous storage, unless a retained seed took the
-// vector (kept).
+// A slot is recycled across rounds: prepare writes the testcase, and
+// observe the lists and the finding, into the slot's previous storage. What
+// the campaign keeps is copied out (keeper), never referenced.
 type outcome struct {
-	tc        *Testcase
+	tc        Testcase
 	triggered []int
-	finding   *detect.Finding
-	cycles    int64
+	// finding is the dual-differential finding when found is set; its
+	// lists are the slot's storage otherwise.
+	finding detect.Finding
+	found   bool
+	cycles  int64
 	// intvls is the feedback vector of the dual execution: the per-point
 	// best reqsIntvl of either run (feedback). It is populated when
 	// retention needs it or an Observer is attached (the per-point
-	// best-interval metrics), and nil otherwise.
+	// best-interval metrics), and empty otherwise.
 	intvls []PointIntvl
-	// kept marks intvls as the Intvls of a seed it earned: the slot's next
-	// observe starts a new vector instead of writing this one.
-	kept bool
 }
 
-// pendingIter is one prepared-but-not-executed iteration: the testcase and
-// the selection context its feedback needs. It separates the RNG draws of
+// pendingIter is the selection context of one prepared-but-not-executed
+// iteration, which its feedback needs. It separates the RNG draws of
 // generation (prepare) from those of feedback (feed), so a whole group can
 // execute between the two.
 type pendingIter struct {
-	tc     *Testcase
 	parent *Seed
 	target int
 }
 
-// prepare draws one iteration's testcase: generate, or select-and-mutate
-// from the corpus. All generation-side RNG draws happen here.
-func (w *worker) prepare() pendingIter {
-	var tc *Testcase
-	var parent *Seed
-	target := -1
+// prepare draws one iteration's testcase into tc: generate, or
+// select-and-mutate from the corpus. All generation-side RNG draws happen
+// here.
+//
+//sonar:alloc-free
+func (w *worker) prepare(tc *Testcase) pendingIter {
+	p := pendingIter{target: -1}
 	if w.retention && w.corpus.Len() > 0 && w.rng.Float64() < 0.7 {
-		parent, target = w.corpus.Select(w.rng, w.selection)
+		p.parent, p.target = w.corpus.Select(w.rng, w.selection)
 		if w.opt.DirectedMutation {
-			tc = MutateDirected(parent, w.rng)
+			tc.mutateDirected(p.parent, w.rng)
 		} else {
-			tc = MutateRandom(parent, w.rng)
+			tc.mutateRandom(p.parent, w.rng)
 		}
 	} else {
-		tc = Generate(w.rng, w.opt.DualCore)
+		tc.generate(w.rng, w.opt.DualCore)
 	}
-	return pendingIter{tc: tc, parent: parent, target: target}
+	return p
 }
 
 // groupWidth is the number of iterations e executes at once: GroupWidth for
@@ -299,13 +318,13 @@ func groupWidth(e Executor) int {
 	return 1
 }
 
-// runBatch is the one batch loop. It fills outs with the outcomes of
-// len(outs) iterations of merge round `round`, a group of width iterations
-// at a time: prepare every iteration of the group, take the group's
-// outcomes, then feed each back, in iteration order each time. The RNG draw
-// order, [prepare 0..G-1][feed 0..G-1] per group, is therefore a pure
-// function of the group width, and a group never feeds back into itself —
-// the visibility a merge-barrier batch boundary gives the shards.
+// runBatch is the one batch loop. It fills the slots outs with len(outs)
+// iterations of merge round `round`, a group of width iterations at a
+// time: prepare every iteration of the group, take the group's outcomes,
+// then feed each back, in iteration order each time. The RNG draw order,
+// [prepare 0..G-1][feed 0..G-1] per group, is therefore a pure function of
+// the group width, and a group never feeds back into itself — the
+// visibility a merge-barrier batch boundary gives the shards.
 //
 // With e set, e executes each group (execute) and width is groupWidth(e).
 // With e nil, outs already holds every iteration's feedback — a reported
@@ -323,7 +342,7 @@ func (w *worker) runBatch(e Executor, outs []outcome, width, round int) {
 			if h := w.opt.FaultHook; h != nil {
 				h.BeforeIteration(w.id, round, base+i)
 			}
-			w.pending = append(w.pending, w.prepare())
+			w.pending = append(w.pending, w.prepare(&group[i].tc))
 		}
 		if e != nil {
 			w.execute(e, group)
@@ -336,48 +355,46 @@ func (w *worker) runBatch(e Executor, outs []outcome, width, round int) {
 	w.mutOffered, w.mutAccepted = 0, 0
 }
 
-// execute runs the prepared group w.pending on e under both secrets and
-// observes each iteration into group. A GroupExecutor runs the group in one
-// ExecuteGroup call; a behavioral DUT, which cannot be bit-sliced, runs it
-// through the scalar path, so the outcomes are the same at every
+// execute runs the prepared group's testcases on e under both secrets and
+// observes each iteration into its slot. A GroupExecutor runs the group in
+// one ExecuteGroup call; a behavioral DUT, which cannot be bit-sliced, runs
+// it through the scalar path, so the outcomes are the same at every
 // Options.Lanes setting (TestLaneMatrix, TestNetlistLaneMatrix).
 func (w *worker) execute(e Executor, group []outcome) {
 	if g, ok := e.(GroupExecutor); ok && g.GroupWidth() > 1 {
 		w.tcs = w.tcs[:0]
-		for _, p := range w.pending {
-			w.tcs = append(w.tcs, p.tc)
+		for i := range group {
+			w.tcs = append(w.tcs, &group[i].tc)
 		}
 		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, w.opt.LaneWidth(), w.pairs[:0])
 		for i, pr := range w.pairs {
-			w.observe(w.tcs[i], pr.A, pr.B, &group[i])
+			w.observe(pr.A, pr.B, &group[i])
 		}
 		return
 	}
-	for i, p := range w.pending {
-		exA := e.Execute(p.tc, w.opt.SecretA)
-		exB := e.Execute(p.tc, w.opt.SecretB)
-		w.observe(p.tc, exA, exB, &group[i])
+	for i := range group {
+		o := &group[i]
+		exA := e.Execute(&o.tc, w.opt.SecretA)
+		exB := e.Execute(&o.tc, w.opt.SecretB)
+		w.observe(exA, exB, o)
 	}
 }
 
-// observe fills slot o with the feedback of one dual execution of tc: the
-// points it triggered, its finding, its cycles and, when needed, its merged
-// intervals. It writes the lists into the slot's previous storage, except a
-// vector a seed kept. It draws no RNG value.
-func (w *worker) observe(tc *Testcase, exA, exB *Execution, o *outcome) {
-	intvls := o.intvls
-	if o.kept {
-		intvls = nil
-	}
+// observe fills slot o with the feedback of one dual execution of its
+// testcase: the points it triggered, its finding, its cycles and, when
+// needed, its merged intervals, each written over the slot's previous
+// storage. It draws no RNG value.
+//
+//sonar:alloc-free
+func (w *worker) observe(exA, exB *Execution, o *outcome) {
 	// Contention coverage: points triggered in either run, in execution
 	// order (the accumulator deduplicates against the global set).
-	*o = outcome{
-		triggered: exB.Snap.AppendTriggered(exA.Snap.AppendTriggered(o.triggered[:0])),
-		finding:   analyzeExecutions(&w.det, tc, exA, exB),
-		cycles:    exA.Cycles + exB.Cycles,
-	}
+	o.triggered = exB.Snap.AppendTriggered(exA.Snap.AppendTriggered(o.triggered[:0]))
+	o.found = analyzeExecutions(&o.finding, &o.tc, exA, exB)
+	o.cycles = exA.Cycles + exB.Cycles
+	o.intvls = o.intvls[:0]
 	if w.retention || w.forceIntvls || w.opt.Observer != nil {
-		o.intvls = feedback(intvls, exA.Snap, exB.Snap)
+		o.intvls = feedback(o.intvls, exA.Snap, exB.Snap)
 	}
 }
 
@@ -387,6 +404,8 @@ func (w *worker) observe(tc *Testcase, exA, exB *Execution, o *outcome) {
 // interval of the two runs, leaving out points neither run observed an
 // interval at. It is one merge walk over the two snapshots' active lists,
 // which ascend by point.
+//
+//sonar:alloc-free
 func feedback(dst []PointIntvl, a, b *monitor.Snapshot) []PointIntvl {
 	ia, ib := a.Active(), b.Active()
 	out := dst[:0]
@@ -415,11 +434,11 @@ func feedback(dst []PointIntvl, a, b *monitor.Snapshot) []PointIntvl {
 	return out
 }
 
-// feed attaches p's testcase to its outcome o and feeds o back into the
-// corpus: retention plus the adaptive direction update. All feedback-side
-// RNG draws happen here, and they read nothing of o but its intervals.
+// feed feeds slot o's feedback back into the corpus: retention plus the
+// adaptive direction update. A retained seed is a copy of the slot's
+// testcase and vector in the worker's slabs. All feedback-side RNG draws
+// happen here, and they read nothing of o but its intervals.
 func (w *worker) feed(p pendingIter, o *outcome) {
-	o.tc = p.tc
 	if !w.retention {
 		return
 	}
@@ -452,10 +471,10 @@ func (w *worker) feed(p pendingIter, o *outcome) {
 		// §6.2.1 relies on both directions being explored.
 		dir = 1 - 2*w.rng.Intn(2)
 	}
-	s := w.corpus.Offer(p.tc, o.intvls, dir, target)
 	w.mutOffered++
-	if s != nil {
-		o.kept = true
+	if best, improved := foldMin(w.corpus.best, o.intvls); improved {
+		s := w.kept.seed(&o.tc, o.intvls, dir, target)
+		w.corpus.admit(s, best)
 		w.mutAccepted++
 		w.newSeeds = append(w.newSeeds, s)
 	}
@@ -472,24 +491,25 @@ func (opt Options) LaneWidth() int {
 }
 
 // takeNewSeeds returns the seeds retained since the previous call and
-// resets the delta.
+// resets the delta. The list is the worker's own and is overwritten by its
+// next batch, which starts only after the round barrier consumed it.
 func (w *worker) takeNewSeeds() []*Seed {
 	s := w.newSeeds
-	w.newSeeds = nil
+	w.newSeeds = w.newSeeds[:0]
 	return s
 }
 
 // analyzeExecutions runs dual-differential detection on one double
-// execution: the victim's commit logs first and, only when the testcase
-// actually carried an attacker program, the attacker core's logs. Guarding
-// on the testcase (not just Options.DualCore) keeps attacker-less testcases
-// in a dual-core campaign from feeding empty commit logs into detection.
-func analyzeExecutions(det *detect.Detector, tc *Testcase, exA, exB *Execution) *detect.Finding {
-	finding := det.Analyze(exA.Log, exB.Log, exA.Snap, exB.Snap)
-	if finding == nil && len(tc.Attacker) > 0 {
-		finding = det.Analyze(exA.AttackerLog, exB.AttackerLog, exA.Snap, exB.Snap)
-	}
-	return finding
+// execution into f and reports whether it found a side channel: the
+// victim's commit logs first and, only when the testcase actually carried
+// an attacker program, the attacker core's logs. Guarding on the testcase
+// (not just Options.DualCore) keeps attacker-less testcases in a dual-core
+// campaign from feeding empty commit logs into detection.
+//
+//sonar:alloc-free
+func analyzeExecutions(f *detect.Finding, tc *Testcase, exA, exB *Execution) bool {
+	return detect.Analyze(f, exA.Log, exB.Log, exA.Snap, exB.Snap) ||
+		len(tc.Attacker) > 0 && detect.Analyze(f, exA.AttackerLog, exB.AttackerLog, exA.Snap, exB.Snap)
 }
 
 // statsAccum folds per-iteration outcomes into campaign statistics in the
@@ -503,6 +523,8 @@ type statsAccum struct {
 	// its own). Like the corpus best, a fold replaces it rather than
 	// writing it, so a checkpoint shares it without a copy.
 	best []PointIntvl
+	// kept holds the copies of the findings and finding seeds Stats keeps.
+	kept keeper
 }
 
 // newStatsAccum starts an empty fold over the campaign's analysis: any
@@ -517,8 +539,9 @@ func newStatsAccum(an *trace.Analysis, opt Options) *statsAccum {
 	return a
 }
 
-// apply folds one outcome; the global iteration index is the fold order.
-func (a *statsAccum) apply(o outcome) {
+// apply folds one outcome slot; the global iteration index is the fold
+// order. A finding Stats keeps is copied out of the slot with its testcase.
+func (a *statsAccum) apply(o *outcome) {
 	st := a.st
 	it := len(st.PerIteration) + 1
 	newPts := 0
@@ -553,12 +576,12 @@ func (a *statsAccum) apply(o outcome) {
 	if len(st.PerIteration) > 0 {
 		cum = st.PerIteration[len(st.PerIteration)-1].CumTimingDiffs
 	}
-	if o.finding != nil {
+	if o.found {
 		cum++
 		a.obs.TimingDiff()
 		if a.opt.KeepFindings == 0 || len(st.Findings) < a.opt.KeepFindings {
-			st.Findings = append(st.Findings, o.finding)
-			st.FindingSeeds = append(st.FindingSeeds, o.tc)
+			st.Findings = append(st.Findings, a.kept.finding(&o.finding))
+			st.FindingSeeds = append(st.FindingSeeds, a.kept.testcase(&o.tc))
 			a.obs.FindingDetected(it, len(st.Findings))
 		}
 	}

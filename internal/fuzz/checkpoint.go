@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"sonar/internal/detect"
 	"sonar/internal/trace"
@@ -187,15 +188,12 @@ func (st *Stats) Wire() StatsWire {
 func (st *Stats) WireUnnamed() StatsWire {
 	s := StatsWire{
 		PerIteration:         append([]IterStats(nil), st.PerIteration...),
-		FindingSeeds:         make([]string, len(st.FindingSeeds)),
+		FindingSeeds:         marshalAll(st.FindingSeeds),
 		SingleValidTriggered: st.SingleValidTriggered,
 		EarlyTriggered:       st.EarlyTriggered,
 		EarlyBreakdown:       append([][2]int(nil), st.EarlyBreakdown...),
 		CorpusSize:           st.CorpusSize,
 		ExecutedCycles:       st.ExecutedCycles,
-	}
-	for i, tc := range st.FindingSeeds {
-		s.FindingSeeds[i] = tc.Marshal()
 	}
 	s.Triggered = make([]int, 0, len(st.TriggeredPoints))
 	for id := range st.TriggeredPoints { //sonar:nondeterministic-ok keys collected then sorted
@@ -203,6 +201,38 @@ func (st *Stats) WireUnnamed() StatsWire {
 	}
 	sort.Ints(s.Triggered)
 	return s
+}
+
+// marshalAll returns the Marshal form of every testcase. The forms are
+// substrings of one string, written through one scratch buffer, so the
+// allocations do not grow with the number of testcases.
+func marshalAll(tcs []*Testcase) []string {
+	out := make([]string, len(tcs))
+	if len(tcs) == 0 {
+		return out
+	}
+	size := 0
+	for _, tc := range tcs {
+		size += tc.marshalSize()
+	}
+	ends := make([]int, len(tcs))
+	var text strings.Builder
+	text.Grow(size)
+	var buf []byte
+	for i, tc := range tcs {
+		buf = tc.appendMarshal(buf[:0])
+		text.Write(buf)
+		ends[i] = text.Len()
+	}
+	// Substrings are taken only once every form is written, so they never
+	// depend on the builder keeping its bytes in place.
+	all := text.String()
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
+	}
+	return out
 }
 
 // Checkpoint is a self-describing snapshot of a parallel campaign at a

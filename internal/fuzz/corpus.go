@@ -137,21 +137,24 @@ func (c *Corpus) Best(point int) int64 {
 	return monitor.NoInterval
 }
 
-// Offer applies the retention rule: the testcase joins the corpus if its
-// feedback vector intvls reduced the minimum reqsIntvl at any contention
-// point below the global best (paper §6.2.1 ①). It returns the created
-// seed, or nil if not retained. The common rejecting path only reads. A
-// retained seed takes intvls as its Intvls without a copy, so the caller
-// must not write the vector afterwards.
-func (c *Corpus) Offer(tc *Testcase, intvls []PointIntvl, dir int, target int) *Seed {
-	best, improved := foldMin(c.best, intvls)
-	if !improved {
-		return nil
+// Offer applies the retention rule to s: the seed joins the corpus if its
+// feedback vector reduced the minimum reqsIntvl at any contention point
+// below the global best (paper §6.2.1 ①). It reports whether s was
+// retained. The common rejecting path only reads. A retained seed is kept
+// as is, so the caller must not write it, its testcase or its vector
+// afterwards.
+func (c *Corpus) Offer(s *Seed) bool {
+	best, improved := foldMin(c.best, s.Intvls)
+	if improved {
+		c.admit(s, best)
 	}
+	return improved
+}
+
+// admit appends s, which improved the corpus best to best (foldMin).
+func (c *Corpus) admit(s *Seed, best []PointIntvl) {
 	c.best = best
-	s := &Seed{TC: tc, Intvls: intvls, Dir: dir, Target: target}
 	c.seeds = append(c.seeds, s)
-	return s
 }
 
 // Select picks a seed and a target contention point for the next mutation.

@@ -169,7 +169,7 @@ func TestFeedbackMergeMatchesReference(t *testing.T) {
 // alongside the fold races with nothing (CI runs this under -race).
 func TestSharedBestSurvivesFold(t *testing.T) {
 	c := NewCorpus()
-	c.Offer(&Testcase{}, vec(map[int]int64{1: 9, 4: 7, 8: 5}), +1, -1)
+	c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(map[int]int64{1: 9, 4: 7, 8: 5}), Dir: +1, Target: -1})
 	v := c.view()
 	before := mustMarshal(t, v.best)
 	read := make(chan []byte, 1)
@@ -178,7 +178,7 @@ func TestSharedBestSurvivesFold(t *testing.T) {
 		read <- b
 	}()
 	for _, m := range []map[int]int64{{1: 3}, {0: 2, 4: 1, 9: 6}, {8: 0}} {
-		if c.Offer(&Testcase{}, vec(m), +1, -1) == nil {
+		if !c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(m), Dir: +1, Target: -1}) {
 			t.Fatalf("offer %v not retained", m)
 		}
 	}

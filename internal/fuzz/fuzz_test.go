@@ -115,19 +115,19 @@ func TestMonitoringWindowOpensDuringSecretRegion(t *testing.T) {
 func TestCorpusRetentionRule(t *testing.T) {
 	c := NewCorpus()
 	tc := &Testcase{}
-	if s := c.Offer(tc, vec(map[int]int64{1: 10}), +1, -1); s == nil {
+	if !c.Offer(&Seed{TC: tc, Intvls: vec(map[int]int64{1: 10}), Dir: +1, Target: -1}) {
 		t.Fatal("first observation not retained")
 	}
-	if s := c.Offer(tc, vec(map[int]int64{1: 10}), +1, -1); s != nil {
+	if c.Offer(&Seed{TC: tc, Intvls: vec(map[int]int64{1: 10}), Dir: +1, Target: -1}) {
 		t.Error("equal interval retained")
 	}
-	if s := c.Offer(tc, vec(map[int]int64{1: 12}), +1, -1); s != nil {
+	if c.Offer(&Seed{TC: tc, Intvls: vec(map[int]int64{1: 12}), Dir: +1, Target: -1}) {
 		t.Error("worse interval retained")
 	}
-	if s := c.Offer(tc, vec(map[int]int64{1: 4}), +1, -1); s == nil {
+	if !c.Offer(&Seed{TC: tc, Intvls: vec(map[int]int64{1: 4}), Dir: +1, Target: -1}) {
 		t.Error("improved interval not retained")
 	}
-	if s := c.Offer(tc, vec(map[int]int64{2: 100}), +1, -1); s == nil {
+	if !c.Offer(&Seed{TC: tc, Intvls: vec(map[int]int64{2: 100}), Dir: +1, Target: -1}) {
 		t.Error("new point not retained")
 	}
 	if c.Len() != 3 {
@@ -144,8 +144,8 @@ func TestCorpusRetentionRule(t *testing.T) {
 func TestCorpusSelectionPrioritizesSmallestNonzero(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewCorpus()
-	c.Offer(&Testcase{}, vec(map[int]int64{1: 0, 2: 9, 3: 3}), +1, -1)
-	c.Offer(&Testcase{}, vec(map[int]int64{2: 7}), +1, -1)
+	c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(map[int]int64{1: 0, 2: 9, 3: 3}), Dir: +1, Target: -1})
+	c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(map[int]int64{2: 7}), Dir: +1, Target: -1})
 	counts := map[int]int{}
 	for i := 0; i < 400; i++ {
 		seed, target := c.Select(rng, true)
@@ -207,7 +207,7 @@ func TestCorpusSelectMatchesDefinition(t *testing.T) {
 		for i := 0; i < tied; i++ {
 			// Every seed holds interval 5 at point 0 and is retained for
 			// a fresh point of its own at a larger interval.
-			c.Offer(&Testcase{}, vec(map[int]int64{0: 5, 100 + i: 10 + int64(i%7)}), +1, -1)
+			c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(map[int]int64{0: 5, 100 + i: 10 + int64(i%7)}), Dir: +1, Target: -1})
 		}
 		if c.Len() != tied {
 			t.Fatalf("tied=%d: corpus holds %d seeds", tied, c.Len())
@@ -256,7 +256,8 @@ func TestMutateDirectedMovesTimingMonotonically(t *testing.T) {
 		}
 	}
 	// ProbeDelay clamps at [0, 61].
-	low := base.Clone()
+	low := new(Testcase)
+	low.copyFrom(base)
 	low.ProbeDelay = 0
 	for i := 0; i < 20; i++ {
 		if m := MutateDirected(&Seed{TC: low, Dir: -1}, rng); m.ProbeDelay < 0 {

@@ -69,12 +69,13 @@ func chainDigest(prev string, sw *SeedWire) string {
 // leases of one campaign, so that each lease ships only the seeds it lacks.
 // ExecuteLease returns the holding to pass to the next lease, and Ref names
 // it to the coordinator. A nil holding holds the empty prefix. The holdings
-// of one chain also share the RNG source of every shard the executor ran,
-// at the cursor its last batch left (sourceCache).
+// of one chain also share the worker of every shard the executor ran —
+// its RNG source at the cursor its last batch left, its outcome slots and
+// its slabs (shardCache).
 type HeldCorpus struct {
-	ref   CorpusRef
-	seeds []*Seed // len(seeds) == ref.Len; never appended to in place
-	srcs  *sourceCache
+	ref    CorpusRef
+	seeds  []*Seed // len(seeds) == ref.Len; never appended to in place
+	shards *shardCache
 }
 
 // Ref names the held prefix.
@@ -110,11 +111,11 @@ func (h *HeldCorpus) extend(l *Lease) (*HeldCorpus, error) {
 	if digest != l.CorpusDigest {
 		return nil, fmt.Errorf("corpus of %d seeds has digest %.12s, lease names %.12s", len(seeds), digest, l.CorpusDigest)
 	}
-	srcs := &sourceCache{}
+	shards := &shardCache{}
 	if h != nil {
-		srcs = h.srcs
+		shards = h.shards
 	}
-	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds, srcs: srcs}, nil
+	return &HeldCorpus{ref: CorpusRef{Len: len(seeds), Digest: digest}, seeds: seeds, shards: shards}, nil
 }
 
 // OutcomeWire is one iteration's feedback in serialized form — the unit a
@@ -133,10 +134,14 @@ type OutcomeWire struct {
 	Intvls []PointIntvl
 }
 
-// outcome is the in-memory feedback of a wire entry; replay adds the
-// testcase.
-func (ow *OutcomeWire) outcome() outcome {
-	return outcome{triggered: ow.Triggered, finding: ow.Finding, cycles: ow.Cycles, intvls: ow.Intvls}
+// into writes the feedback of a wire entry into slot o, sharing its lists;
+// replay adds the testcase.
+func (ow *OutcomeWire) into(o *outcome) {
+	o.triggered, o.cycles, o.intvls = ow.Triggered, ow.Cycles, ow.Intvls
+	o.found = ow.Finding != nil
+	if o.found {
+		o.finding = *ow.Finding
+	}
 }
 
 // LeaseResult is a worker's report for one executed lease: the feedback of
@@ -173,20 +178,53 @@ type LeaseResult struct {
 // that may differ per worker without changing any result: the batch loop's
 // RNG order depends on the executor's group width, never on lanes.
 func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus, error) {
-	_, outs, next, err := executeLease(e, shape, lanes, l, held)
+	w, outs, next, err := executeLease(e, shape, lanes, l, held)
 	if err != nil {
 		return nil, nil, err
+	}
+	res := leaseResult(l, outs)
+	next.shards.put(w)
+	return res, next, nil
+}
+
+// leaseResult copies the feedback of a lease's outcome slots into its
+// result, which shares no storage with the slots. The copies come from
+// slabs sized to the whole batch, one array per kind of list, so a result
+// costs a few allocations whatever its size.
+func leaseResult(l *Lease, outs []outcome) *LeaseResult {
+	var nTrig, nIntvl, nFound, nAff, nDiff int
+	for i := range outs {
+		o := &outs[i]
+		nTrig += len(o.triggered)
+		nIntvl += len(o.intvls)
+		if o.found {
+			nFound++
+			nAff += len(o.finding.Affected)
+			nDiff += len(o.finding.StateDiffs)
+		}
+	}
+	trig := slab[int]{free: make([]int, nTrig)}
+	k := keeper{
+		intvls:   slab[PointIntvl]{free: make([]PointIntvl, nIntvl)},
+		findings: slab[detect.Finding]{free: make([]detect.Finding, nFound)},
+		affected: slab[detect.Affected]{free: make([]detect.Affected, nAff)},
+		diffs:    slab[detect.StateDiff]{free: make([]detect.StateDiff, nDiff)},
 	}
 	res := &LeaseResult{Shard: l.Shard, Round: l.Round, Outcomes: make([]OutcomeWire, len(outs))}
 	for i := range outs {
 		o := &outs[i]
-		res.Outcomes[i] = OutcomeWire{Triggered: o.triggered, Finding: o.finding, Cycles: o.cycles, Intvls: o.intvls}
+		ow := &res.Outcomes[i]
+		ow.Triggered, ow.Cycles, ow.Intvls = trig.copyOf(o.triggered), o.cycles, k.intvls.copyOf(o.intvls)
+		if o.found {
+			ow.Finding = k.finding(&o.finding)
+		}
 	}
-	return res, next, nil
+	return res
 }
 
-// executeLease is ExecuteLease before the wire encoding: it also returns
-// the shard worker as the batch left it.
+// executeLease is ExecuteLease before the result copy: it returns the
+// shard worker as the batch left it, whose slots outs are, and which the
+// caller puts back into the holding's cache once it is done with them.
 func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*worker, []outcome, *HeldCorpus, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, nil, nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
@@ -200,14 +238,13 @@ func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 	}
 	opt := shape.Options()
 	opt.Lanes = lanes
-	w := newShardWorker(l.Shard, opt, l.Cursor, next.srcs)
 	// The seed list is capped, so the batch's first retained seed copies
 	// it rather than appending to the holding's.
-	w.corpus = &Corpus{seeds: slices.Clip(next.seeds), best: l.Corpus.Best}
+	corpus := &Corpus{seeds: slices.Clip(next.seeds), best: l.Corpus.Best}
+	w := newShardWorker(l.Shard, opt, l.Cursor, corpus, next.shards)
 	w.forceIntvls = true
-	outs := make([]outcome, l.N)
+	outs := w.slotsFor(l.N)
 	w.runBatch(e, outs, groupWidth(e), l.Round)
-	next.srcs.put(w.src)
 	return w, outs, next, nil
 }
 
@@ -264,9 +301,11 @@ type LeaseCoordinator struct {
 	// digests[k] the digest chain over the first k seeds.
 	wires   []SeedWire
 	digests []string
-	// srcs keeps each shard's RNG source at the cursor its last replay
-	// left, which is where the shard's next batch starts.
-	srcs sourceCache
+	// shards keeps each shard's replay worker — its RNG source at the
+	// cursor its last replay left, which is where the shard's next batch
+	// starts, and its outcome slots, which the open round's report holds
+	// until the barrier folds it.
+	shards shardCache
 
 	reports []shardReport // open round, per shard; reset at each barrier
 	// finished is set by the round close that drains the last budget,
@@ -522,34 +561,36 @@ func (lc *LeaseCoordinator) Report(res *LeaseResult) error {
 		return fmt.Errorf("fuzz: lease result carries %d outcomes, lease was for %d", len(res.Outcomes), n)
 	}
 	points := len(lc.acc.st.Analysis.Points)
-	outs := make([]outcome, n)
 	for i := range res.Outcomes {
-		ow := &res.Outcomes[i]
-		if err := checkOutcome(points, ow); err != nil {
+		if err := checkOutcome(points, &res.Outcomes[i]); err != nil {
 			return fmt.Errorf("fuzz: lease result outcome %d: %w", i, err)
 		}
-		outs[i] = ow.outcome()
 	}
-	lc.reports[res.Shard] = lc.replay(res.Shard, outs)
+	lc.reports[res.Shard] = lc.replay(res.Shard, res.Outcomes)
 	lc.maybeCloseRound()
 	return nil
 }
 
-// replay rebuilds open shard's batch from its feedback outs, exactly as the
-// worker that executed the lease built it: a shard worker at the shard's
-// cursor over the merged corpus runs the batch loop with the coordinator's
-// group width and outcomes in place of executions. That yields the batch's
-// testcases (into outs), retained seeds, and post-batch cursor. The replay
-// fires no FaultHook; its retention decisions count in the Observer's
-// mutation metrics.
-func (lc *LeaseCoordinator) replay(shard int, outs []outcome) shardReport {
+// replay rebuilds open shard's batch from its reported feedback, exactly as
+// the worker that executed the lease built it: the shard's worker at the
+// shard's cursor over the merged corpus takes the feedback into its slots
+// and runs the batch loop with the coordinator's group width and outcomes
+// in place of executions. That yields the batch's testcases (into the
+// slots), retained seeds, and post-batch cursor. The replay fires no
+// FaultHook; its retention decisions count in the Observer's mutation
+// metrics.
+func (lc *LeaseCoordinator) replay(shard int, feedback []OutcomeWire) shardReport {
 	opt := lc.opt
 	opt.FaultHook = nil
-	w := newShardWorker(shard, opt, lc.cursors[shard], &lc.srcs)
-	w.corpus = lc.global.view()
+	w := newShardWorker(shard, opt, lc.cursors[shard], lc.global.view(), &lc.shards)
+	outs := w.slotsFor(len(feedback))
+	for i := range feedback {
+		feedback[i].into(&outs[i])
+	}
 	w.runBatch(nil, outs, lc.width, lc.round+1)
-	lc.srcs.put(w.src)
-	return shardReport{resolved: true, outs: outs, seeds: w.takeNewSeeds(), cursor: w.src.cursor()}
+	rep := shardReport{resolved: true, outs: outs, seeds: w.takeNewSeeds(), cursor: w.src.cursor()}
+	lc.shards.put(w)
+	return rep
 }
 
 // checkOutcome rejects a negative cycle count, contention point IDs
@@ -655,14 +696,15 @@ func (lc *LeaseCoordinator) closeRound() (reoffered bool) {
 			lc.left -= n
 			lc.cursors[i] = rep.cursor
 			for _, s := range rep.seeds {
-				lc.global.Offer(s.TC, s.Intvls, s.Dir, s.Target)
+				lc.global.Offer(s)
 				reoffered = true
 			}
 		}
 	}
 	for i := range lc.reports {
-		for _, o := range lc.reports[i].outs {
-			lc.acc.apply(o)
+		outs := lc.reports[i].outs
+		for j := range outs {
+			lc.acc.apply(&outs[j])
 		}
 		lc.reports[i] = shardReport{}
 	}

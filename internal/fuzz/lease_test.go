@@ -416,11 +416,8 @@ func TestLeaseReplayMatchesWorker(t *testing.T) {
 						t.Fatalf("executeLease: %v", err)
 					}
 					res := execLease(t, e, lc.Shape(), 1, l)
-					outs := make([]outcome, len(res.Outcomes))
-					for i := range res.Outcomes {
-						outs[i] = res.Outcomes[i].outcome()
-					}
-					rep := lc.replay(shard, outs)
+					rep := lc.replay(shard, res.Outcomes)
+					outs := rep.outs
 					at := fmt.Sprintf("round %d shard %d", l.Round, shard)
 					if got, want := rep.cursor, w.src.cursor(); got != want {
 						t.Errorf("%s: replayed cursor %d, worker reached %d", at, got, want)

@@ -7,17 +7,28 @@ import (
 )
 
 // MutateDirected applies the interval-guided directed mutation (paper
-// §6.2.1): insert or remove instructions at the head of the dependency
-// chain, in the seed's current direction. Inserting delays the parsing time
-// of all downstream chain-dependent instructions; removing advances it —
-// the monotonic knob the adaptive strategy relies on.
+// §6.2.1) to a copy of the seed's testcase: insert or remove instructions
+// at the head of the dependency chain, in the seed's current direction.
+// Inserting delays the parsing time of all downstream chain-dependent
+// instructions; removing advances it — the monotonic knob the adaptive
+// strategy relies on.
 func MutateDirected(seed *Seed, rng *rand.Rand) *Testcase {
-	tc := seed.TC.Clone()
+	tc := new(Testcase)
+	tc.mutateDirected(seed, rng)
+	return tc
+}
+
+// mutateDirected overwrites tc with the directed mutation of seed's
+// testcase, writing into tc's own storage.
+//
+//sonar:alloc-free
+func (tc *Testcase) mutateDirected(seed *Seed, rng *rand.Rand) {
+	tc.copyFrom(seed.TC)
 	k := 1 + rng.Intn(3)
 	if rng.Intn(4) == 0 {
 		// Occasionally move the whole window by editing the head chain.
 		if seed.Dir >= 0 {
-			tc.HeadChain = append(tc.HeadChain, isa.DepChain(RegChain, k)...)
+			tc.HeadChain = isa.AppendDepChain(tc.HeadChain, RegChain, k)
 		} else if len(tc.HeadChain) > k {
 			tc.HeadChain = tc.HeadChain[:len(tc.HeadChain)-k]
 		} else {
@@ -38,22 +49,31 @@ func MutateDirected(seed *Seed, rng *rand.Rand) *Testcase {
 	// critical structure; similarity enhancement gets its own draw because
 	// persistent contention depends on it (§6.2.2).
 	if rng.Intn(2) == 0 {
-		enhanceSimilarity(tc, rng)
+		tc.enhanceSimilarity(rng)
 	}
 	if rng.Intn(4) == 0 {
-		mutateRandomRegion(tc, rng)
+		tc.mutateRandomRegion(rng)
 	}
+}
+
+// MutateRandom applies unguided mutation to a copy of the seed's testcase:
+// random region edits only, the behaviour of a fuzzer without the directed
+// strategy (Figure 10 ablation).
+func MutateRandom(seed *Seed, rng *rand.Rand) *Testcase {
+	tc := new(Testcase)
+	tc.mutateRandom(seed, rng)
 	return tc
 }
 
-// MutateRandom applies unguided mutation: random region edits only, the
-// behaviour of a fuzzer without the directed strategy (Figure 10 ablation).
-func MutateRandom(seed *Seed, rng *rand.Rand) *Testcase {
-	tc := seed.TC.Clone()
+// mutateRandom overwrites tc with the unguided mutation of seed's
+// testcase, writing into tc's own storage.
+//
+//sonar:alloc-free
+func (tc *Testcase) mutateRandom(seed *Seed, rng *rand.Rand) {
+	tc.copyFrom(seed.TC)
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		mutateRandomRegion(tc, rng)
+		tc.mutateRandomRegion(rng)
 	}
-	return tc
 }
 
 // mutateRandomRegion applies one structure-agnostic random edit:
@@ -61,7 +81,9 @@ func MutateRandom(seed *Seed, rng *rand.Rand) *Testcase {
 // probe class. Data-similarity enhancement is deliberately NOT among these:
 // it is part of Sonar's directed mutation design (§6.2.2), not of the
 // random-mutation baselines.
-func mutateRandomRegion(tc *Testcase, rng *rand.Rand) {
+//
+//sonar:alloc-free
+func (tc *Testcase) mutateRandomRegion(rng *rand.Rand) {
 	region := &tc.Epilogue
 	if rng.Intn(2) == 0 && len(tc.Prologue) > 0 {
 		region = &tc.Prologue
@@ -79,9 +101,8 @@ func mutateRandomRegion(tc *Testcase, rng *rand.Rand) {
 			*region = append((*region)[:i], (*region)[i+1:]...)
 		}
 	case 3: // retarget a memory access (base register and offset)
-		idxs := memOpIndices(*region)
-		if len(idxs) > 0 {
-			i := idxs[rng.Intn(len(idxs))]
+		if n := memOps(*region, nil); n > 0 {
+			i := nthMemOp(*region, nil, rng.Intn(n))
 			(*region)[i].Imm = int64(rng.Intn(64)-32) * 64
 			(*region)[i].Rs1 = fillerBases[rng.Intn(len(fillerBases))]
 		}
@@ -99,20 +120,23 @@ func mutateRandomRegion(tc *Testcase, rng *rand.Rand) {
 // the data-similarity condition for persistent contention (§6.2.2). It
 // aligns either two random fillers, or the probe with a filler (in either
 // direction), so the chain-timed probe can revisit a line whose first
-// access has fixed timing.
-func enhanceSimilarity(tc *Testcase, rng *rand.Rand) {
-	all := append(append([]isa.Instr(nil), tc.Prologue...), tc.Epilogue...)
-	idxs := memOpIndices(all)
+// access has fixed timing. Fillers are indexed over the prologue followed
+// by the epilogue.
+//
+//sonar:alloc-free
+func (tc *Testcase) enhanceSimilarity(rng *rand.Rand) {
+	n := memOps(tc.Prologue, tc.Epilogue)
 	switch rng.Intn(6) {
 	case 0: // probe adopts a filler's line (base register and offset)
-		if len(idxs) > 0 {
-			src := all[idxs[rng.Intn(len(idxs))]]
+		if n > 0 {
+			src := *tc.filler(nthMemOp(tc.Prologue, tc.Epilogue, rng.Intn(n)))
 			tc.ProbeOffset = src.Imm
 			tc.ProbeBase = src.Rs1
 		}
 	case 1: // a filler adopts the probe's line
-		if len(idxs) > 0 {
-			setRegionAccess(tc, idxs[rng.Intn(len(idxs))], tc.ProbeBase, tc.ProbeOffset)
+		if n > 0 {
+			dst := tc.filler(nthMemOp(tc.Prologue, tc.Epilogue, rng.Intn(n)))
+			dst.Rs1, dst.Imm = tc.ProbeBase, tc.ProbeOffset
 		}
 	case 2, 4, 5: // probe and an epilogue filler jointly move to a fresh line:
 		// the pair explores a storage unit the lineage has not visited
@@ -122,44 +146,65 @@ func enhanceSimilarity(tc *Testcase, rng *rand.Rand) {
 		base := fillerBases[rng.Intn(len(fillerBases))]
 		tc.ProbeOffset = line
 		tc.ProbeBase = base
-		if eIdxs := memOpIndices(tc.Epilogue); len(eIdxs) > 0 {
-			i := eIdxs[rng.Intn(len(eIdxs))]
+		if en := memOps(tc.Epilogue, nil); en > 0 {
+			i := nthMemOp(tc.Epilogue, nil, rng.Intn(en))
 			tc.Epilogue[i].Imm = line
 			tc.Epilogue[i].Rs1 = base
 		} else {
 			tc.Epilogue = append(tc.Epilogue, isa.Load(isa.LD, 4, base, line))
 		}
 	default: // filler-to-filler alignment
-		if len(idxs) < 2 {
+		if n < 2 {
 			return
 		}
-		a := idxs[rng.Intn(len(idxs))]
-		b := idxs[rng.Intn(len(idxs))]
+		a := nthMemOp(tc.Prologue, tc.Epilogue, rng.Intn(n))
+		b := nthMemOp(tc.Prologue, tc.Epilogue, rng.Intn(n))
 		if a == b {
 			return
 		}
-		setRegionAccess(tc, b, all[a].Rs1, all[a].Imm)
+		src, dst := tc.filler(a), tc.filler(b)
+		dst.Rs1, dst.Imm = src.Rs1, src.Imm
 	}
 }
 
-// setRegionAccess rewrites a memory op's base register and offset in the
-// region owning the concatenated index (prologue then epilogue).
-func setRegionAccess(tc *Testcase, idx int, base uint8, imm int64) {
-	if idx < len(tc.Prologue) {
-		tc.Prologue[idx].Rs1 = base
-		tc.Prologue[idx].Imm = imm
-	} else {
-		tc.Epilogue[idx-len(tc.Prologue)].Rs1 = base
-		tc.Epilogue[idx-len(tc.Prologue)].Imm = imm
+// filler returns the filler at index i of the prologue followed by the
+// epilogue.
+func (tc *Testcase) filler(i int) *isa.Instr {
+	if i < len(tc.Prologue) {
+		return &tc.Prologue[i]
 	}
+	return &tc.Epilogue[i-len(tc.Prologue)]
 }
 
-func memOpIndices(region []isa.Instr) []int {
-	var idxs []int
-	for i, ins := range region {
-		if ins.Op.IsMem() {
-			idxs = append(idxs, i)
+// memOps counts the memory operations of region a followed by region b.
+func memOps(a, b []isa.Instr) int {
+	n := 0
+	for _, r := range [2][]isa.Instr{a, b} {
+		for i := range r {
+			if r[i].Op.IsMem() {
+				n++
+			}
 		}
 	}
-	return idxs
+	return n
+}
+
+// nthMemOp returns the index, over region a followed by region b, of their
+// k-th memory operation (0-based); k must be below memOps(a, b).
+func nthMemOp(a, b []isa.Instr, k int) int {
+	for i := range len(a) + len(b) {
+		op := isa.Op(0)
+		if i < len(a) {
+			op = a[i].Op
+		} else {
+			op = b[i-len(a)].Op
+		}
+		if op.IsMem() {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("fuzz: memory operation index out of range")
 }

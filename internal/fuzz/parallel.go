@@ -3,7 +3,6 @@ package fuzz
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -44,9 +43,6 @@ type coordinator struct {
 	lc      *LeaseCoordinator
 	newExec func() Executor
 	ws      []*worker // nil entry = abandoned or drained shard
-	// outs holds each shard's outcome buffer, recycled across rounds: a
-	// round's outcomes are folded before the next round is dispatched.
-	outs [][]outcome
 	// lastSaved and nextCkpt drive periodic checkpointing: a checkpoint is
 	// cut at the first merge barrier at or past every nextCkpt iterations.
 	lastSaved int
@@ -63,10 +59,9 @@ type coordinator struct {
 }
 
 // job is one batch attempt: shard state w executes len(outs) iterations of
-// merge round `round` into outs (for a first attempt, the shard's recycled
-// buffer). The executor goroutine fills outs, or err after a
-// recovered panic; the main loop alone stamps start and deadline and sets
-// expired. A failed attempt keeps its w and outs, so a late finish touches
+// merge round `round` into outs, w's slots. The executor goroutine fills
+// outs, or err after a recovered panic; the main loop alone stamps start
+// and deadline and sets expired. A failed attempt keeps its w and outs, so a late finish touches
 // nothing the retry uses.
 type job struct {
 	w        *worker
@@ -161,7 +156,7 @@ func ResumeExec(newExec func() Executor, opt Options, cp *Checkpoint) (*Stats, e
 // fresh campaign). Every shard with budget left starts from newShard.
 func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, lastSaved int) *coordinator {
 	c := &coordinator{
-		lc: lc, newExec: newExec, ws: make([]*worker, lc.workers), outs: make([][]outcome, lc.workers),
+		lc: lc, newExec: newExec, ws: make([]*worker, lc.workers),
 		lastSaved: lastSaved, nextCkpt: nextCheckpointAfter(lastSaved, lc.opt),
 		jobs: make(chan *job), results: make(chan *job), quit: make(chan struct{}),
 		inFlight: make([]*job, lc.workers),
@@ -179,9 +174,7 @@ func newCoordinator(lc *LeaseCoordinator, newExec func() Executor, lastSaved int
 // the global corpus is immutable and every shard's corpus equals it, so a
 // shard rebuilt after a failed attempt replays the batch exactly.
 func (c *coordinator) newShard(i int) *worker {
-	w := newShardWorker(i, c.lc.opt, c.lc.cursors[i], nil)
-	w.corpus = c.lc.global.view()
-	return w
+	return newShardWorker(i, c.lc.opt, c.lc.cursors[i], c.lc.global.view(), nil)
 }
 
 // nextCheckpointAfter returns the first periodic checkpoint threshold
@@ -282,8 +275,7 @@ func (c *coordinator) runRound() {
 	var queue []*job
 	for i, w := range c.ws {
 		if lc.openShard(i) {
-			n := lc.batchSize(i)
-			queue = append(queue, &job{w: w, round: lc.round + 1, outs: slices.Grow(c.outs[i][:0], n)[:n]})
+			queue = append(queue, &job{w: w, round: lc.round + 1, outs: w.slotsFor(lc.batchSize(i))})
 		}
 	}
 	for open := len(queue); open > 0; {
@@ -311,7 +303,7 @@ func (c *coordinator) runRound() {
 			lc.opt.Observer.WorkerBatch(i, len(j.outs), time.Since(j.start)) //sonar:nondeterministic-ok operator-facing duration metric only
 			rep := &lc.reports[i]
 			rep.resolved, rep.outs, rep.seeds, rep.cursor = true, j.outs, j.w.takeNewSeeds(), j.w.src.cursor()
-			c.ws[i], c.outs[i] = j.w, j.outs
+			c.ws[i] = j.w
 			open--
 		case <-c.deadline():
 			now := time.Now() //sonar:nondeterministic-ok batch deadline only
@@ -349,7 +341,8 @@ func (c *coordinator) retry(j *job, reason string, queue []*job, open int) ([]*j
 		c.ws[i] = nil
 		return queue, open - 1
 	}
-	return append(queue, &job{w: c.newShard(i), round: j.round, outs: make([]outcome, len(j.outs))}), open
+	w := c.newShard(i)
+	return append(queue, &job{w: w, round: j.round, outs: w.slotsFor(len(j.outs))}), open
 }
 
 // deadline points the deadline timer at the earliest in-flight deadline and

@@ -116,12 +116,12 @@ func TestAnalyzeExecutionsSkipsEmptyAttacker(t *testing.T) {
 	exA := &Execution{Log: victim, AttackerLog: attA}
 	exB := &Execution{Log: victim, AttackerLog: attB}
 
-	if f := analyzeExecutions(new(detect.Detector), &Testcase{}, exA, exB); f != nil {
+	if f := new(detect.Finding); analyzeExecutions(f, &Testcase{}, exA, exB) {
 		t.Errorf("attacker-less testcase produced a finding from attacker logs: %v", f)
 	}
 	rng := rand.New(rand.NewSource(1))
 	withAttacker := Generate(rng, true)
-	if f := analyzeExecutions(new(detect.Detector), withAttacker, exA, exB); f == nil {
+	if !analyzeExecutions(new(detect.Finding), withAttacker, exA, exB) {
 		t.Error("attacker-carrying testcase ignored a real attacker-side timing difference")
 	}
 }
@@ -149,8 +149,8 @@ func TestFreshSeedDirectionsUnbiased(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		opt := SonarOptions(1)
 		opt.Seed = seed
-		w := newShardWorker(0, opt, 0, nil)
-		w.runBatch(d, make([]outcome, 1), 1, 1) // the first iteration always generates a fresh testcase
+		w := newShardWorker(0, opt, 0, NewCorpus(), nil)
+		w.runBatch(d, w.slotsFor(1), 1, 1) // the first iteration always generates a fresh testcase
 		for _, s := range w.corpus.seeds {
 			dirs[s.Dir]++
 		}

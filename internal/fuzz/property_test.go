@@ -25,7 +25,7 @@ func TestQuickCorpusBestIsRunningMin(t *testing.T) {
 					ref[id] = v
 				}
 			}
-			c.Offer(&Testcase{}, vec(m), +1, -1)
+			c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(m), Dir: +1, Target: -1})
 		}
 		for id, want := range ref {
 			if got := c.Best(id); got != want {
@@ -56,7 +56,7 @@ func TestQuickSelectionSkipsTriggered(t *testing.T) {
 			} else {
 				nonzero++
 			}
-			c.Offer(&Testcase{}, vec(map[int]int64{id: v}), +1, -1)
+			c.Offer(&Seed{TC: &Testcase{}, Intvls: vec(map[int]int64{id: v}), Dir: +1, Target: -1})
 		}
 		if c.Len() == 0 {
 			continue

@@ -54,49 +54,46 @@ func (s *countedSource) Seed(seed int64) {
 // checkpoint stores and newCountedSource replays.
 func (s *countedSource) cursor() uint64 { return s.n }
 
-// sourceCache keeps counted sources between batches at the cursor their
-// last batch left, keyed by seed, so a shard whose next batch starts there
-// does not replay its generator from the seed: that replay is O(cursor),
-// which makes rebuilding a shard for every batch quadratic in campaign
-// length. A source's state is a function of its seed and cursor alone, so
+// shardCache keeps shard workers between batches with their RNG source at
+// the cursor their last batch left, keyed by seed, so a shard whose next
+// batch starts there neither replays its generator from the seed — that
+// replay is O(cursor), which makes rebuilding a shard for every batch
+// quadratic in campaign length — nor builds its outcome slots and slabs
+// again. A source's state is a function of its seed and cursor alone, so
 // reusing one at an equal cursor is exact, and a request at any other
-// cursor rebuilds it. The lease coordinator keeps one for its replays and a
-// HeldCorpus one for its executor's leases. Safe for concurrent use: a
-// taken source leaves the cache until it is put back.
-type sourceCache struct {
-	mu   sync.Mutex
-	srcs map[int64]*countedSource
+// cursor builds a new worker. The lease coordinator keeps one for its
+// replays and a HeldCorpus one for its executor's leases. Safe for
+// concurrent use: a taken worker leaves the cache until it is put back.
+type shardCache struct {
+	mu sync.Mutex
+	ws map[int64]*worker
 }
 
-// take returns a counted source for seed at cursor: the cached one when it
-// sits at that cursor, else a new one replayed from the seed (always, for a
-// nil cache).
-func (c *sourceCache) take(seed int64, cursor uint64) *countedSource {
-	if c != nil {
-		c.mu.Lock()
-		s := c.srcs[seed]
-		if s != nil && s.n == cursor {
-			delete(c.srcs, seed)
-		} else {
-			s = nil
-		}
-		c.mu.Unlock()
-		if s != nil {
-			return s
-		}
+// take removes and returns the cached worker for seed when its source sits
+// at cursor, and nil otherwise (always, for a nil cache).
+func (c *shardCache) take(seed int64, cursor uint64) *worker {
+	if c == nil {
+		return nil
 	}
-	return newCountedSource(seed, cursor)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w := c.ws[seed]
+	if w == nil || w.src.n != cursor {
+		return nil
+	}
+	delete(c.ws, seed)
+	return w
 }
 
-// put keeps s for the next take of its seed; a nil cache drops it.
-func (c *sourceCache) put(s *countedSource) {
+// put keeps w for the next take of its seed; a nil cache drops it.
+func (c *shardCache) put(w *worker) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.srcs == nil {
-		c.srcs = make(map[int64]*countedSource)
+	if c.ws == nil {
+		c.ws = make(map[int64]*worker)
 	}
-	c.srcs[s.seed] = s
+	c.ws[w.src.seed] = w
 }

@@ -13,8 +13,17 @@ import (
 // The format round-trips through Unmarshal, so interesting seeds can be
 // exported from a campaign, stored, edited, and replayed.
 func (tc *Testcase) Marshal() string {
+	return string(tc.appendMarshal(make([]byte, 0, tc.marshalSize())))
+}
+
+// marshalSize estimates the length of the Marshal form.
+func (tc *Testcase) marshalSize() int {
 	n := len(tc.HeadChain) + len(tc.Prologue) + len(tc.Epilogue) + len(tc.Attacker)
-	b := make([]byte, 0, 160+4*len(tc.Patterns)+24*n)
+	return 160 + 4*len(tc.Patterns) + 24*n
+}
+
+// appendMarshal appends the Marshal form of tc to b.
+func (tc *Testcase) appendMarshal(b []byte) []byte {
 	b = append(b, "# sonar testcase\n# probe: "...)
 	b = strconv.AppendUint(b, uint64(tc.Probe), 10)
 	b = append(b, "\n# probe-offset: "...)
@@ -34,8 +43,7 @@ func (tc *Testcase) Marshal() string {
 	b = appendSection(b, "chain", tc.HeadChain)
 	b = appendSection(b, "prologue", tc.Prologue)
 	b = appendSection(b, "epilogue", tc.Epilogue)
-	b = appendSection(b, "attacker", tc.Attacker)
-	return string(b)
+	return appendSection(b, "attacker", tc.Attacker)
 }
 
 // appendSection appends one Marshal section: its marker line, then one

@@ -7,35 +7,41 @@ import (
 	"sonar/internal/obs"
 )
 
-// A cached source continues exactly where a source replayed from the seed
-// to the same cursor would, and a take at any other cursor rebuilds.
+// A cached worker's source continues exactly where a source replayed from
+// the seed to the same cursor would, and a take at any other cursor builds
+// a new worker.
 func TestSourceCacheTakesOnlyAtCursor(t *testing.T) {
-	var c sourceCache
-	s := c.take(7, 0)
+	var c shardCache
+	opt := SonarOptions(0)
+	opt.Seed = 7
+	take := func(cache *shardCache, cursor uint64) *worker {
+		return newShardWorker(0, opt, cursor, NewCorpus(), cache)
+	}
+	w := take(&c, 0)
 	for i := 0; i < 100; i++ {
-		s.Uint64()
+		w.src.Uint64()
 	}
-	c.put(s)
-	if got := c.take(7, 50); got == s || got.cursor() != 50 {
-		t.Fatalf("take at cursor 50 returned the source at %d (same=%v)", got.cursor(), got == s)
+	c.put(w)
+	if got := take(&c, 50); got == w || got.src.cursor() != 50 {
+		t.Fatalf("take at cursor 50 returned the worker at %d (same=%v)", got.src.cursor(), got == w)
 	}
-	if got := c.take(7, 100); got != s {
-		t.Fatal("take at the cached cursor did not reuse the cached source")
+	if got := take(&c, 100); got != w {
+		t.Fatal("take at the cached cursor did not reuse the cached worker")
 	}
-	if got := c.take(7, 100); got == s {
-		t.Fatal("a taken source was handed out twice")
+	if got := take(&c, 100); got == w {
+		t.Fatal("a taken worker was handed out twice")
 	}
 	replayed := newCountedSource(7, 100)
 	for i := 0; i < 100; i++ {
-		if a, b := s.Uint64(), replayed.Uint64(); a != b {
+		if a, b := w.src.Uint64(), replayed.Uint64(); a != b {
 			t.Fatalf("draw %d after the cursor: cached %d, replayed %d", i, a, b)
 		}
 	}
-	var none *sourceCache
-	if got := none.take(7, 3); got.cursor() != 3 {
-		t.Fatalf("nil cache built a source at %d, want 3", got.cursor())
+	var none *shardCache
+	if got := take(none, 3); got.src.cursor() != 3 {
+		t.Fatalf("nil cache built a source at %d, want 3", got.src.cursor())
 	}
-	none.put(s) // a nil cache drops it
+	none.put(w) // a nil cache drops it
 }
 
 // Keeping shard RNG sources at their cursors changes no result. In a 2×4
@@ -104,10 +110,10 @@ func TestShardSourcesReusedAtCursor(t *testing.T) {
 		}
 		for _, shard := range lc.OpenShards() {
 			seed, cursor := opt.Seed+int64(shard), lc.cursors[shard]
-			if s := lc.srcs.srcs[seed]; s == nil || s.cursor() != cursor {
+			if w := lc.shards.ws[seed]; w == nil || w.src.cursor() != cursor {
 				t.Fatalf("after round %d the coordinator keeps no source for shard %d at cursor %d", lc.Round(), shard, cursor)
 			}
-			if s := held.srcs.srcs[seed]; s == nil || s.cursor() != cursor {
+			if w := held.shards.ws[seed]; w == nil || w.src.cursor() != cursor {
 				t.Fatalf("after round %d the holding keeps no source for shard %d at cursor %d", lc.Round(), shard, cursor)
 			}
 		}

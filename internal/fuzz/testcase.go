@@ -66,15 +66,22 @@ type Testcase struct {
 	Attacker []isa.Instr
 }
 
-// Clone returns a deep copy for mutation.
-func (tc *Testcase) Clone() *Testcase {
-	c := &Testcase{Probe: tc.Probe, ProbeOffset: tc.ProbeOffset, ProbeDelay: tc.ProbeDelay, ProbeBase: tc.ProbeBase}
-	c.HeadChain = append([]isa.Instr(nil), tc.HeadChain...)
-	c.Prologue = append([]isa.Instr(nil), tc.Prologue...)
-	c.Patterns = append([]SecretPattern(nil), tc.Patterns...)
-	c.Epilogue = append([]isa.Instr(nil), tc.Epilogue...)
-	c.Attacker = append([]isa.Instr(nil), tc.Attacker...)
-	return c
+// copyFrom overwrites tc with a copy of src, writing src's lists into tc's
+// own storage, so tc never shares an array with src.
+//
+//sonar:alloc-free
+func (tc *Testcase) copyFrom(src *Testcase) {
+	*tc = Testcase{
+		HeadChain:   append(tc.HeadChain[:0], src.HeadChain...),
+		Prologue:    append(tc.Prologue[:0], src.Prologue...),
+		Patterns:    append(tc.Patterns[:0], src.Patterns...),
+		Epilogue:    append(tc.Epilogue[:0], src.Epilogue...),
+		Probe:       src.Probe,
+		ProbeOffset: src.ProbeOffset,
+		ProbeBase:   src.ProbeBase,
+		ProbeDelay:  src.ProbeDelay,
+		Attacker:    append(tc.Attacker[:0], src.Attacker...),
+	}
 }
 
 // fillerBases are the preloaded data-window base registers. They are
@@ -257,16 +264,20 @@ func (tc *Testcase) BuildAttackerInto(prog *isa.Program) {
 // fillerRegs are the registers random filler instructions may use.
 var fillerRegs = []uint8{1, 2, 3, 4, 5, 6, 7, 8}
 
+// aluOps are the register-register ALU operations of random fillers.
+var aluOps = [...]isa.Op{isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR}
+
 // randomFiller generates one random filler instruction: ALU ops, multiplies,
 // divides, and loads/stores within the data window.
+//
+//sonar:alloc-free
 func randomFiller(rng *rand.Rand) isa.Instr {
 	rd := fillerRegs[rng.Intn(len(fillerRegs))]
 	rs1 := fillerRegs[rng.Intn(len(fillerRegs))]
 	rs2 := fillerRegs[rng.Intn(len(fillerRegs))]
 	switch rng.Intn(10) {
 	case 0, 1, 2, 3:
-		ops := []isa.Op{isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR}
-		return isa.R(ops[rng.Intn(len(ops))], rd, rs1, rs2)
+		return isa.R(aluOps[rng.Intn(len(aluOps))], rd, rs1, rs2)
 	case 4, 5:
 		return isa.I(isa.ADDI, rd, rs1, int64(rng.Intn(256)))
 	case 6:
@@ -284,23 +295,34 @@ func randomFiller(rng *rand.Rand) isa.Instr {
 
 // Generate creates a fresh random testcase following the template.
 func Generate(rng *rand.Rand, dualCore bool) *Testcase {
-	tc := &Testcase{
-		HeadChain:   isa.DepChain(RegChain, 2+rng.Intn(24)),
-		Probe:       SecretPattern(rng.Intn(int(numPatterns))),
-		ProbeOffset: int64(rng.Intn(64)-32) * 64,
-		ProbeBase:   fillerBases[rng.Intn(len(fillerBases))],
-		ProbeDelay:  rng.Intn(50),
-	}
-	nPatterns := 1 + rng.Intn(2)
-	for i := 0; i < nPatterns; i++ {
+	tc := new(Testcase)
+	tc.generate(rng, dualCore)
+	return tc
+}
+
+// generate overwrites tc with a fresh random testcase following the
+// template, writing its lists into tc's own storage.
+//
+//sonar:alloc-free
+func (tc *Testcase) generate(rng *rand.Rand, dualCore bool) {
+	tc.HeadChain = isa.AppendDepChain(tc.HeadChain[:0], RegChain, 2+rng.Intn(24))
+	tc.Probe = SecretPattern(rng.Intn(int(numPatterns)))
+	tc.ProbeOffset = int64(rng.Intn(64)-32) * 64
+	tc.ProbeBase = fillerBases[rng.Intn(len(fillerBases))]
+	tc.ProbeDelay = rng.Intn(50)
+	tc.Patterns = tc.Patterns[:0]
+	for i, n := 0, 1+rng.Intn(2); i < n; i++ {
 		tc.Patterns = append(tc.Patterns, SecretPattern(rng.Intn(int(numPatterns))))
 	}
+	tc.Prologue = tc.Prologue[:0]
 	for i, n := 0, rng.Intn(8); i < n; i++ {
 		tc.Prologue = append(tc.Prologue, randomFiller(rng))
 	}
+	tc.Epilogue = tc.Epilogue[:0]
 	for i, n := 0, 2+rng.Intn(8); i < n; i++ {
 		tc.Epilogue = append(tc.Epilogue, randomFiller(rng))
 	}
+	tc.Attacker = tc.Attacker[:0]
 	if dualCore {
 		// Attacker loop body: loads sweeping cachelines to keep the shared
 		// D-channel busy, mirroring the victim's data window usage.
@@ -310,5 +332,4 @@ func Generate(rng *rand.Rand, dualCore bool) *Testcase {
 		}
 		tc.Attacker = append(tc.Attacker, isa.I(isa.ADDI, RegChain, RegChain, 1))
 	}
-	return tc
 }

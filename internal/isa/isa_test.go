@@ -240,10 +240,12 @@ func TestProgramAddressing(t *testing.T) {
 }
 
 func TestDepChain(t *testing.T) {
-	chain := DepChain(5, 4)
-	if len(chain) != 4 {
-		t.Fatalf("len = %d", len(chain))
+	head := []Instr{{Op: XOR}}
+	chain := AppendDepChain(head, 5, 4)
+	if len(chain) != 5 || chain[0].Op != XOR {
+		t.Fatalf("chain = %v, want the head followed by 4 instructions", chain)
 	}
+	chain = chain[1:]
 	for i, ins := range chain {
 		if ins.Op != ADDI || ins.Rd != 5 || ins.Rs1 != 5 {
 			t.Errorf("chain[%d] = %s, want addi x5, x5, 1", i, ins)

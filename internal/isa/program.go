@@ -88,14 +88,16 @@ func (p *Program) Listing() string {
 	return b.String()
 }
 
-// DepChain builds a length-n dependency chain on register reg: each addi
-// depends on the previous one, so operand parsing time grows with n. The
-// fuzzer's directed mutation inserts or removes instructions at the head of
-// such chains to shift request timing (paper §6.2.1).
-func DepChain(reg uint8, n int) []Instr {
-	chain := make([]Instr, n)
-	for i := range chain {
-		chain[i] = I(ADDI, reg, reg, 1)
+// AppendDepChain appends a length-n dependency chain on register reg to dst
+// and returns the extended slice: each addi depends on the previous one, so
+// operand parsing time grows with n. The fuzzer's directed mutation inserts
+// or removes instructions at the head of such chains to shift request
+// timing (paper §6.2.1).
+//
+//sonar:alloc-free
+func AppendDepChain(dst []Instr, reg uint8, n int) []Instr {
+	for i := 0; i < n; i++ {
+		dst = append(dst, I(ADDI, reg, reg, 1))
 	}
-	return chain
+	return dst
 }

@@ -27,9 +27,9 @@
 // by ID.
 //
 // The per-execution cost follows the points an execution touched, not the
-// points instrumented: a monitor keeps a dirty list of the states that
+// points instrumented: a monitor keeps a dirty bitset of the states that
 // recorded an event since the last Reset, and Reset and snapshot capture
-// walk only that list. Every other point is idle — its record is the one it
+// visit only those states, in ascending order. Every other point is idle — its record is the one it
 // had at construction — so on a paper-scale design with thousands of
 // monitored points, an execution that touches a hundred of them pays for a
 // hundred resets and copies.
@@ -51,6 +51,7 @@ package monitor
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"sonar/internal/hdl"
@@ -276,17 +277,20 @@ func New(a *trace.Analysis, cfg Config) *Monitor {
 	return m
 }
 
-// pointSet is one ordered list of point states plus its dirty list: the
-// indices of the states that recorded an event since the last reset, in
-// first-record order. A state off the list is idle — exactly as reset left
-// it — so reset and snapshot capture touch only the listed states. A Monitor
-// owns one set; a LaneBank owns one per lane, all over the same points.
+// pointSet is one ordered list of point states plus its dirty set: the
+// indices of the states that recorded an event since the last reset, one
+// bit each. A state outside the set is idle — exactly as reset left it — so
+// reset and snapshot capture touch only the set's states, which they walk
+// in ascending index order a word at a time, stopping at the word that
+// holds the last one. A Monitor owns one set; a LaneBank owns one per
+// lane, all over the same points.
 type pointSet struct {
 	points []*trace.Point
 	states []pointState
-	// dirty never outgrows its preallocated len(points) capacity: a state
-	// is listed at most once, on its first record after a reset.
-	dirty []int32
+	// dirty holds bit pi%64 of word pi/64 for every dirty state pi; ndirty
+	// counts them.
+	dirty  []uint64
+	ndirty int
 }
 
 // newPointSet builds the instrumentation states for an ordered point list,
@@ -322,17 +326,27 @@ func newPointSet(points []*trace.Point) pointSet {
 		st.reset()
 		off += n
 	}
-	return pointSet{points: points, states: states, dirty: make([]int32, 0, len(points))}
+	return pointSet{points: points, states: states, dirty: make([]uint64, (len(points)+63)/64)}
 }
 
-// reset returns every dirty state to idle and empties the dirty list.
+// markDirty adds state pi to the dirty set; it must not be there yet.
+func (ps *pointSet) markDirty(pi int32) {
+	ps.dirty[pi>>6] |= 1 << (pi & 63)
+	ps.ndirty++
+}
+
+// reset returns every dirty state to idle and empties the dirty set.
 //
 //sonar:alloc-free
 func (ps *pointSet) reset() {
-	for _, pi := range ps.dirty {
-		ps.states[pi].reset()
+	for wi, left := 0, ps.ndirty; left > 0; wi++ {
+		for word := ps.dirty[wi]; word != 0; word &= word - 1 {
+			ps.states[wi<<6|bits.TrailingZeros64(word)].reset()
+			left--
+		}
+		ps.dirty[wi] = 0
 	}
-	ps.dirty = ps.dirty[:0]
+	ps.ndirty = 0
 }
 
 func (st *pointState) reset() {
@@ -369,7 +383,7 @@ func (m *Monitor) WindowOpen() bool { return m.window }
 // snapshots a run while the monitor is idle can resume it later from a
 // freshly reset monitor.
 func (m *Monitor) Idle() bool {
-	return !m.window && len(m.set.dirty) == 0 && m.raised == 0
+	return !m.window && m.set.ndirty == 0 && m.raised == 0
 }
 
 // Hooks returns the number of watch hooks the monitor registered on the
@@ -458,7 +472,7 @@ func (m *Monitor) Pulse(target int32, cycle int64) {
 func (ps *pointSet) record(cfg *Config, pi int32, ri int, cycle int64, data uint64) {
 	st := &ps.states[pi]
 	if st.eventCount == 0 {
-		ps.dirty = append(ps.dirty, pi)
+		ps.markDirty(pi)
 	}
 	// A constantly-valid co-request arrives every cycle: any event is a
 	// simultaneous distinct-request arrival.

@@ -139,7 +139,7 @@ func TestQuickDigestDeterminism(t *testing.T) {
 func recordWithScan(ps *pointSet, cfg *Config, pi int32, ri int, cycle int64, data uint64) {
 	st := &ps.states[pi]
 	if st.eventCount == 0 {
-		ps.dirty = append(ps.dirty, pi)
+		ps.markDirty(pi)
 	}
 	if st.constPeer {
 		st.minIntvlDistinct = 0
@@ -203,7 +203,7 @@ func TestRecordNeedsNoSameCycleScan(t *testing.T) {
 			data := uint64(rng.Intn(8))
 			got.record(&cfg, pi, ri, cycle, data)
 			recordWithScan(&want, &cfg, pi, ri, cycle, data)
-			if !reflect.DeepEqual(got.states, want.states) || !slices.Equal(got.dirty, want.dirty) {
+			if !reflect.DeepEqual(got.states, want.states) || !slices.Equal(got.dirty, want.dirty) || got.ndirty != want.ndirty {
 				t.Fatalf("run %d: record(point %d, req %d, cycle %d) diverged from the scanning rule:\n got %+v\nwant %+v",
 					run, pi, ri, cycle, got.states[pi], want.states[pi])
 			}

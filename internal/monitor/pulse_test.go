@@ -113,9 +113,9 @@ func (s *sinkCounter) Pulse(target int32, cycle int64) {
 
 // sameMonitorState reports whether two rigs' monitors hold byte-equal
 // state: every point state (its trace.Point pointer aside, which differs
-// between rigs), the dirty list and the window.
+// between rigs), the dirty set and the window.
 func sameMonitorState(a, b *Monitor) bool {
-	if a.window != b.window || !reflect.DeepEqual(a.set.dirty, b.set.dirty) {
+	if a.window != b.window || !reflect.DeepEqual(a.set.dirty, b.set.dirty) || a.set.ndirty != b.set.ndirty {
 		return false
 	}
 	for i := range a.set.states {

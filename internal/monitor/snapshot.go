@@ -2,7 +2,7 @@ package monitor
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 
 	"sonar/internal/trace"
 )
@@ -89,18 +89,21 @@ func (ps *pointSet) snapshotInto(s *Snapshot) {
 	for _, i := range s.active {
 		s.Points[i].setIdle()
 	}
-	slices.Sort(ps.dirty)
 	s.active = s.active[:0]
-	for _, pi := range ps.dirty {
-		st := &ps.states[pi]
-		p := &s.Points[pi]
-		p.MinIntvlDistinct = st.minIntvlDistinct
-		p.MinIntvlSame = st.minIntvlSame
-		p.EventCount = st.eventCount
-		p.Digest = st.hash
-		p.VolatileContention = st.minIntvlDistinct == 0
-		p.PersistentCandidate = st.samePathHit
-		s.active = append(s.active, int(pi))
+	for wi, left := 0, ps.ndirty; left > 0; wi++ {
+		for word := ps.dirty[wi]; word != 0; word &= word - 1 {
+			pi := wi<<6 | bits.TrailingZeros64(word)
+			st := &ps.states[pi]
+			p := &s.Points[pi]
+			p.MinIntvlDistinct = st.minIntvlDistinct
+			p.MinIntvlSame = st.minIntvlSame
+			p.EventCount = st.eventCount
+			p.Digest = st.hash
+			p.VolatileContention = st.minIntvlDistinct == 0
+			p.PersistentCandidate = st.samePathHit
+			s.active = append(s.active, pi)
+			left--
+		}
 	}
 }
 

@@ -583,7 +583,7 @@ func TestDivOccupancyContention(t *testing.T) {
 		// point where the whole program has been fetched, so the younger
 		// div (ready immediately after dispatch) enters the non-pipelined
 		// divider first and occupies it across the older div's issue.
-		code = append(code, isa.DepChain(1, 40)...)
+		code = isa.AppendDepChain(code, 1, 40)
 		code = append(code, isa.R(isa.DIV, 2, 1, 1)) // older div, late operands
 		if withYoungerDiv {
 			code = append(code, isa.R(isa.DIV, 4, 3, 3)) // younger div
