@@ -251,7 +251,15 @@ func (c *Client) Renew(leaseID string) error {
 
 // Report posts an executed lease's result.
 func (c *Client) Report(leaseID string, res *fuzz.LeaseResult) error {
-	_, err := c.postLease("/api/v1/leases/"+leaseID+"/result", AppendReport(nil, res))
+	return c.report(leaseID, AppendReport(nil, res))
+}
+
+// report posts an encoded lease report. RunWorker reuses body's array for
+// its next report: the server reads a report whole before it answers
+// (anything but 413, which ends the worker), so the transport is done with
+// body once report returns.
+func (c *Client) report(leaseID string, body []byte) error {
+	_, err := c.postLease("/api/v1/leases/"+leaseID+"/result", body)
 	return err
 }
 

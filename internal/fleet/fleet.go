@@ -333,6 +333,16 @@ type campaign struct {
 	analysis *AnalysisResult        // analysis campaigns only
 	audit    *AuditSummary          // FIRRTL campaigns: information-flow audit
 	granted  map[int]*lease         // shard → outstanding lease
+	// ranLast maps each shard to the worker that took its last lease, which
+	// Acquire prefers for the shard's next one: that worker still keeps the
+	// shard's worker state (fuzz.HeldCorpus) at the cursor the lease starts at.
+	ranLast map[int]string
+}
+
+// newCampaign returns campaign id with its lease tables made; the caller
+// sets its kind and what that kind needs.
+func newCampaign(id string, lanes int) *campaign {
+	return &campaign{id: id, lanes: lanes, granted: make(map[int]*lease), ranLast: make(map[int]string)}
 }
 
 // openFuzz makes c a fuzz campaign of shape, run on executors like d, whose
@@ -344,6 +354,25 @@ func (c *campaign) openFuzz(d fuzz.Executor, shape fuzz.Shape) {
 	opt := shape.Options()
 	opt.Observer = c.observer
 	c.lc = fuzz.NewLeaseCoordinator(d, opt)
+}
+
+// freeShard returns the open shard to grant worker: the first free one
+// whose last lease the worker took, else the first free one; -1 when every
+// open shard is leased out.
+func (c *campaign) freeShard(worker string) int {
+	first := -1
+	for _, s := range c.lc.OpenShards() {
+		if _, leased := c.granted[s]; leased {
+			continue
+		}
+		if c.ranLast[s] == worker {
+			return s
+		}
+		if first < 0 {
+			first = s
+		}
+	}
+	return first
 }
 
 // done reports whether the campaign has finished.
@@ -459,11 +488,7 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 		return nil, fmt.Errorf("%w: spec must set exactly one of dut, firrtl", errBadRequest)
 	}
 
-	c := &campaign{
-		id:      fmt.Sprintf("c%d", ct.submitted+1),
-		lanes:   spec.Lanes,
-		granted: make(map[int]*lease),
-	}
+	c := newCampaign(fmt.Sprintf("c%d", ct.submitted+1), spec.Lanes)
 
 	switch {
 	case spec.FIRRTL != "" && spec.Options.Iterations < 1:
@@ -678,9 +703,11 @@ func (ct *Controller) Checkpoint(id string) ([]byte, error) {
 // worker's next acquire.
 const maxAcquireWait = time.Second
 
-// Acquire offers a lease to a worker: the first open, un-leased shard of
-// the oldest running campaign. have, when non-nil, is the corpus prefix the
-// worker holds; a lease of that campaign ships only the seeds after it.
+// Acquire offers a lease to a worker: an open, un-leased shard of the
+// oldest running campaign that has one — the first whose last lease this
+// worker took, else the first (freeShard). have, when non-nil, is the
+// corpus prefix the worker holds; a lease of that campaign ships only the
+// seeds after it.
 // When every open shard is leased out, Acquire waits — at most
 // maxAcquireWait, and not past ctx — for a report or an expiry to free one
 // (the round's last report opens the next round's shards), so a worker
@@ -712,8 +739,10 @@ func (ct *Controller) Acquire(ctx context.Context, worker string, have *Holding)
 	}
 }
 
-// acquireLocked grants the first free shard, if any; pending reports
-// whether, with none free, leases of a running campaign are outstanding.
+// acquireLocked grants a free shard of the oldest running campaign that
+// has one: the first free shard whose last lease this worker took, else
+// the first free shard. pending reports whether, with none free, leases of
+// a running campaign are outstanding.
 func (ct *Controller) acquireLocked(worker string, have *Holding) (g *LeaseGrant, pending bool, err error) {
 	ct.sweepLocked()
 	if ct.draining {
@@ -724,38 +753,38 @@ func (ct *Controller) acquireLocked(worker string, have *Holding) (g *LeaseGrant
 			continue
 		}
 		pending = pending || len(c.granted) > 0
-		for _, shard := range c.lc.OpenShards() {
-			if _, leased := c.granted[shard]; leased {
-				continue
-			}
-			var ref fuzz.CorpusRef
-			if have != nil && have.Campaign == c.id {
-				ref = have.CorpusRef
-			}
-			payload, err := c.lc.Lease(shard, ref)
-			if err != nil {
-				return nil, false, err
-			}
-			l := &lease{
-				id:   fmt.Sprintf("%s-r%d-s%d-a%d", c.id, payload.Round, shard, c.lc.Failures(shard)+1),
-				camp: c, shard: shard, round: payload.Round,
-				expires: ct.now().Add(ct.cfg.ttl()),
-				worker:  worker,
-			}
-			c.granted[shard] = l
-			ct.leases[l.id] = l
-			ct.granted.Inc()
-			return &LeaseGrant{
-				LeaseID:   l.id,
-				Campaign:  c.id,
-				DUT:       c.dutName,
-				FIRRTL:    c.firrtl,
-				Shape:     c.lc.Shape(),
-				Lanes:     c.lanes,
-				TTLMillis: ct.cfg.ttl().Milliseconds(),
-				Lease:     *payload,
-			}, false, nil
+		shard := c.freeShard(worker)
+		if shard < 0 {
+			continue
 		}
+		var ref fuzz.CorpusRef
+		if have != nil && have.Campaign == c.id {
+			ref = have.CorpusRef
+		}
+		payload, err := c.lc.Lease(shard, ref)
+		if err != nil {
+			return nil, false, err
+		}
+		l := &lease{
+			id:   fmt.Sprintf("%s-r%d-s%d-a%d", c.id, payload.Round, shard, c.lc.Failures(shard)+1),
+			camp: c, shard: shard, round: payload.Round,
+			expires: ct.now().Add(ct.cfg.ttl()),
+			worker:  worker,
+		}
+		c.granted[shard] = l
+		c.ranLast[shard] = worker
+		ct.leases[l.id] = l
+		ct.granted.Inc()
+		return &LeaseGrant{
+			LeaseID:   l.id,
+			Campaign:  c.id,
+			DUT:       c.dutName,
+			FIRRTL:    c.firrtl,
+			Shape:     c.lc.Shape(),
+			Lanes:     c.lanes,
+			TTLMillis: ct.cfg.ttl().Milliseconds(),
+			Lease:     *payload,
+		}, false, nil
 	}
 	return nil, pending, nil
 }

@@ -686,7 +686,13 @@ func (gl *grantLog) RoundTrip(req *http.Request) (*http.Response, error) {
 // executes it, and reports it; it reports whether there was work.
 func serveLease(t *testing.T, client *Client, cache *leaseCache) (*LeaseGrant, bool) {
 	t.Helper()
-	g, err := client.Acquire("caching-worker", cache.holding())
+	return serveLeaseAs(t, client, "caching-worker", cache)
+}
+
+// serveLeaseAs is serveLease for the worker with the given ID.
+func serveLeaseAs(t *testing.T, client *Client, worker string, cache *leaseCache) (*LeaseGrant, bool) {
+	t.Helper()
+	g, err := client.Acquire(worker, cache.holding())
 	if err != nil {
 		t.Fatalf("Acquire: %v", err)
 	}
@@ -707,6 +713,58 @@ func serveLease(t *testing.T, client *Client, cache *leaseCache) (*LeaseGrant, b
 	return g, true
 }
 
+// A free shard goes back to the worker that took its last lease, whichever
+// worker asks first, so that worker's kept shard state starts the lease
+// warm; a worker that last ran none of the free shards gets the first free
+// one, so no shard waits for a particular worker. Grant order moves no
+// result byte.
+func TestAcquirePrefersShardsLastRun(t *testing.T) {
+	shape := testShape(64, 4, 4) // four shards, four rounds
+	client, _ := newTestServer(t, Config{})
+	if _, err := client.Submit(&Spec{DUT: "lite", Options: shape}); err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	caches := map[string]*leaseCache{}
+	for _, w := range []string{"wA", "wB", "wC"} {
+		caches[w] = newLeaseCache(testRegistry())
+	}
+	rounds := []struct {
+		order  []string // who asks, in turn
+		shards []int    // what each gets
+	}{
+		{[]string{"wA", "wB", "wA", "wB"}, []int{0, 1, 2, 3}}, // first free shard
+		{[]string{"wB", "wA", "wB", "wA"}, []int{1, 0, 3, 2}}, // each its last shards
+		{[]string{"wC", "wB", "wA", "wB"}, []int{0, 1, 2, 3}}, // wC ran none: the first free
+		{[]string{"wB", "wA", "wB", "wA"}, []int{1, 2, 3, 0}}, // wA's shard 0 went to wC
+	}
+	for r, round := range rounds {
+		for i, w := range round.order {
+			g, ok := serveLeaseAs(t, client, w, caches[w])
+			if !ok {
+				t.Fatalf("round %d: no lease for %s", r+1, w)
+			}
+			if g.Lease.Round != r+1 || g.Lease.Shard != round.shards[i] {
+				t.Errorf("round %d: %s got round %d shard %d, want shard %d", r+1, w, g.Lease.Round, g.Lease.Shard, round.shards[i])
+			}
+		}
+	}
+	st, err := client.Campaign("c1")
+	if err != nil || st.State != "done" {
+		t.Fatalf("campaign not done after four rounds: %+v, %v", st, err)
+	}
+	result, err := client.Result("c1")
+	if err != nil {
+		t.Fatalf("Result: %v", err)
+	}
+	_, wantStats, _ := localRun(t, shape)
+	gotWire, _ := json.Marshal(result.Stats)
+	want := wantStats.Wire()
+	wantWire, _ := json.Marshal(&want)
+	if !bytes.Equal(gotWire, wantWire) {
+		t.Error("stats under shard affinity differ from the local run")
+	}
+}
+
 // restoreCampaign opens a fuzz campaign on ct from a checkpoint under the
 // given ID, the way a restarted server continues a downloaded checkpoint.
 func restoreCampaign(t *testing.T, ct *Controller, id, dut string, cp *fuzz.Checkpoint) {
@@ -720,7 +778,8 @@ func restoreCampaign(t *testing.T, ct *Controller, id, dut string, cp *fuzz.Chec
 	if err != nil {
 		t.Fatalf("ResumeLeaseCoordinator: %v", err)
 	}
-	c := &campaign{id: id, kind: "fuzz", dutName: dut, lc: lc, sink: sink, granted: make(map[int]*lease)}
+	c := newCampaign(id, 0)
+	c.kind, c.dutName, c.lc, c.sink = "fuzz", dut, lc, sink
 	ct.campaigns = append(ct.campaigns, c)
 	ct.byID[id] = c
 	ct.running.Add(1)

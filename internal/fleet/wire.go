@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"sonar/internal/detect"
 	"sonar/internal/fuzz"
@@ -89,8 +90,17 @@ func appendIntvls(b []byte, s []fuzz.PointIntvl) []byte {
 // first malformed field every read returns a zero value, and err names
 // that first fault.
 type wireReader struct {
-	b   []byte
+	b []byte
+	// s, when not empty, is the whole body converted to one string once;
+	// string returns substrings of it instead of converting each string.
+	s   string
 	err error
+}
+
+// newWireReader returns a reader of body whose strings are substrings of
+// one conversion of it.
+func newWireReader(body []byte) wireReader {
+	return wireReader{b: body, s: string(body)}
 }
 
 func (r *wireReader) failf(format string, a ...any) {
@@ -162,7 +172,13 @@ func (r *wireReader) string() string {
 		r.failf("string of %d bytes, %d left", n, len(r.b))
 		return ""
 	}
-	s := string(r.b[:n])
+	var s string
+	if r.s != "" {
+		at := len(r.s) - len(r.b)
+		s = r.s[at : at+int(n)]
+	} else {
+		s = string(r.b[:n])
+	}
 	r.b = r.b[n:]
 	return s
 }
@@ -204,17 +220,89 @@ func (r *wireReader) point(prev int) int {
 
 // intvls reads an intvl list — a feedback vector, whose points ascend
 // strictly, as the merge walks over it rely on; an empty list reads as nil.
-func (r *wireReader) intvls() []fuzz.PointIntvl {
-	n := r.count()
-	if n == 0 {
-		return nil
-	}
-	s := make([]fuzz.PointIntvl, n)
-	for i, id := 0, -1; i < n && r.err == nil; i++ {
+func (r *wireReader) intvls(ls *lists) []fuzz.PointIntvl {
+	s := take(&ls.intvls, r.count())
+	for i, id := 0, -1; i < len(s) && r.err == nil; i++ {
 		id = r.point(id)
 		s[i] = fuzz.PointIntvl{Point: id, Intvl: r.varint()}
 	}
 	return s
+}
+
+// lists holds the arrays a decoder carves a body's lists from, one per
+// kind of list. A counting pass over the body (listSizes) sizes them, so
+// a body's lists cost one allocation per kind, whatever their number.
+type lists struct {
+	ints     []int
+	intvls   []fuzz.PointIntvl
+	findings []detect.Finding
+	affected []detect.Affected
+	diffs    []detect.StateDiff
+}
+
+// listSizes counts the records of each kind of list in a body.
+type listSizes struct {
+	ints, intvls, findings, affected, diffs int
+}
+
+// lists makes arrays of the counted sizes.
+func (n listSizes) lists() *lists {
+	return &lists{
+		ints:     make([]int, n.ints),
+		intvls:   make([]fuzz.PointIntvl, n.intvls),
+		findings: make([]detect.Finding, n.findings),
+		affected: make([]detect.Affected, n.affected),
+		diffs:    make([]detect.StateDiff, n.diffs),
+	}
+}
+
+// take carves the next n records from free, capped at n so that an append
+// to them can never write the next list's; n == 0 takes nil. A list free
+// has no room for gets an array of its own: one the counting pass leaves
+// out, or one of a body it misread (a body whose decoding fails).
+func take[T any](free *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*free) < n {
+		*free = make([]T, n)
+	}
+	s := (*free)[:n:n]
+	*free = (*free)[n:]
+	return s
+}
+
+// The counting pass reads a body as its decoder does and counts the
+// records of its lists instead of storing them. It rejects nothing (the
+// decoder does), but it stops at the first fault, and each count it adds
+// is bounded by the bytes left, as the decoder's are, so a hostile body
+// sizes its arrays no larger than twice its length in records.
+
+// skip reads and drops k varints.
+func (r *wireReader) skip(k int) {
+	for ; k > 0 && r.err == nil; k-- {
+		r.uvarint()
+	}
+}
+
+// countIntvls reads past an intvl list.
+func (r *wireReader) countIntvls(n *listSizes) {
+	k := r.count()
+	n.intvls += k
+	r.skip(2 * k)
+}
+
+// countFinding reads past a finding.
+func (r *wireReader) countFinding(n *listSizes) {
+	n.findings++
+	k := r.count()
+	n.affected += k
+	r.skip(4 * k)
+	k = r.count()
+	n.diffs += k
+	for ; k > 0 && r.err == nil; k-- {
+		r.stateDiff()
+	}
 }
 
 // appendAcquire encodes an acquire request: the worker's identifier and the
@@ -233,7 +321,7 @@ func appendAcquire(b []byte, worker string, have *Holding) []byte {
 
 // decodeAcquire decodes an acquire request body.
 func decodeAcquire(body []byte) (worker string, have *Holding, err error) {
-	r := wireReader{b: body}
+	r := newWireReader(body)
 	r.begin()
 	worker = r.string()
 	if r.flags(present) != 0 {
@@ -247,8 +335,10 @@ func decodeAcquire(body []byte) (worker string, have *Holding, err error) {
 	return worker, have, nil
 }
 
-// AppendGrant appends a lease grant's wire encoding to b.
+// AppendGrant appends a lease grant's wire encoding to b, growing b once
+// to the size grantSize estimates.
 func AppendGrant(b []byte, g *LeaseGrant) []byte {
+	b = slices.Grow(b, grantSize(g))
 	b = append(b, leaseFormat)
 	b = appendString(b, g.LeaseID)
 	b = appendString(b, g.Campaign)
@@ -286,9 +376,46 @@ func AppendGrant(b []byte, g *LeaseGrant) []byte {
 	return appendIntvls(b, l.Corpus.Best)
 }
 
-// DecodeGrant decodes a lease grant body.
+// grantSize estimates a grant's encoded size from its strings, seeds and
+// vectors: their bytes, plus room for the fixed fields and for a few bytes
+// per varint.
+func grantSize(g *LeaseGrant) int {
+	n := 128 + len(g.LeaseID) + len(g.Campaign) + len(g.DUT) + len(g.FIRRTL) +
+		len(g.Lease.CorpusFrom.Digest) + len(g.Lease.CorpusDigest) + 6*len(g.Lease.Corpus.Best)
+	for i := range g.Lease.Corpus.Seeds {
+		sw := &g.Lease.Corpus.Seeds[i]
+		n += 16 + len(sw.TC) + 6*len(sw.Intvls)
+	}
+	return n
+}
+
+// grantSizes is the counting pass of DecodeGrant. It leaves Best out, so
+// Best gets an array of its own: a worker keeps the shipped seeds, whose
+// vectors share theirs, for the rest of the campaign, but Best only for
+// the lease.
+func grantSizes(r wireReader) (n listSizes) {
+	r.begin()
+	for range 4 {
+		r.string()
+	}
+	r.skip(2)
+	r.flags(shapeFlags)
+	r.skip(12)
+	r.string()
+	r.string()
+	for k := r.count(); k > 0 && r.err == nil; k-- {
+		r.string()
+		r.countIntvls(&n)
+		r.skip(2)
+	}
+	return n
+}
+
+// DecodeGrant decodes a lease grant body. Its strings share one copy of
+// the body, and its seeds' vectors one array.
 func DecodeGrant(body []byte) (*LeaseGrant, error) {
-	r := wireReader{b: body}
+	r := newWireReader(body)
+	ls := grantSizes(r).lists()
 	r.begin()
 	g := &LeaseGrant{LeaseID: r.string(), Campaign: r.string(), DUT: r.string(), FIRRTL: r.string()}
 	s := &g.Shape
@@ -313,11 +440,11 @@ func DecodeGrant(body []byte) (*LeaseGrant, error) {
 		for i := range l.Corpus.Seeds {
 			sw := &l.Corpus.Seeds[i]
 			sw.TC = r.string()
-			sw.Intvls = r.intvls()
+			sw.Intvls = r.intvls(ls)
 			sw.Dir, sw.Target = r.int(), r.int()
 		}
 	}
-	l.Corpus.Best = r.intvls()
+	l.Corpus.Best = r.intvls(ls)
 	if err := r.end(); err != nil {
 		return nil, err
 	}
@@ -378,10 +505,29 @@ func appendFinding(b []byte, f *detect.Finding) []byte {
 	return b
 }
 
+// reportSizes is the counting pass of DecodeReport.
+func reportSizes(r wireReader) (n listSizes) {
+	r.begin()
+	r.skip(2)
+	for k := r.count(); k > 0 && r.err == nil; k-- {
+		t := r.count()
+		n.ints += t
+		r.skip(t)
+		if r.flags(present) != 0 {
+			r.countFinding(&n)
+		}
+		r.skip(1)
+		r.countIntvls(&n)
+	}
+	return n
+}
+
 // DecodeReport decodes a lease report body. It checks the encoding only;
-// LeaseCoordinator.Report validates what the report says.
+// LeaseCoordinator.Report validates what the report says. Its lists of
+// each kind share one array.
 func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 	r := wireReader{b: body}
+	ls := reportSizes(r).lists()
 	r.begin()
 	res := &fuzz.LeaseResult{Shard: r.int(), Round: r.int()}
 	if n := r.count(); n > 0 {
@@ -389,17 +535,15 @@ func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 	}
 	for i := range res.Outcomes {
 		ow := &res.Outcomes[i]
-		if n := r.count(); n > 0 {
-			ow.Triggered = make([]int, n)
-			for k := range ow.Triggered {
-				ow.Triggered[k] = r.int()
-			}
+		ow.Triggered = take(&ls.ints, r.count())
+		for k := range ow.Triggered {
+			ow.Triggered[k] = r.int()
 		}
 		if r.flags(present) != 0 {
-			ow.Finding = r.finding()
+			ow.Finding = r.finding(ls)
 		}
 		ow.Cycles = r.varint()
-		ow.Intvls = r.intvls()
+		ow.Intvls = r.intvls(ls)
 	}
 	if err := r.end(); err != nil {
 		return nil, err
@@ -407,19 +551,15 @@ func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 	return res, nil
 }
 
-func (r *wireReader) finding() *detect.Finding {
-	f := &detect.Finding{}
-	if n := r.count(); n > 0 {
-		f.Affected = make([]detect.Affected, n)
-		for i := range f.Affected {
-			f.Affected[i] = detect.Affected{Idx: r.int(), Pos: r.int(), CCDA: r.varint(), CCDB: r.varint()}
-		}
+func (r *wireReader) finding(ls *lists) *detect.Finding {
+	f := &take(&ls.findings, 1)[0]
+	f.Affected = take(&ls.affected, r.count())
+	for i := range f.Affected {
+		f.Affected[i] = detect.Affected{Idx: r.int(), Pos: r.int(), CCDA: r.varint(), CCDB: r.varint()}
 	}
-	if n := r.count(); n > 0 {
-		f.StateDiffs = make([]detect.StateDiff, n)
-		for i := range f.StateDiffs {
-			f.StateDiffs[i] = r.stateDiff()
-		}
+	f.StateDiffs = take(&ls.diffs, r.count())
+	for i := range f.StateDiffs {
+		f.StateDiffs[i] = r.stateDiff()
 	}
 	return f
 }
@@ -519,6 +659,23 @@ func appendResult(b []byte, fr *fuzzResult) []byte {
 	return appendInt(b, s.ExecutedCycles)
 }
 
+// resultSizes is the counting pass of decodeResult, up to the findings:
+// the lists after them are one each.
+func resultSizes(r wireReader) (n listSizes) {
+	r.begin()
+	r.skip(4 * r.count())
+	for k := r.count(); k > 0 && r.err == nil; k-- {
+		r.skip(1)
+		r.string()
+		r.string()
+	}
+	for k := r.count(); k > 0 && r.err == nil; k-- {
+		r.countFinding(&n)
+		r.string()
+	}
+	return n
+}
+
 // decodeResult decodes a fuzz result body. Beyond the encoding it checks
 // what rendering relies on: the name table's points ascend, every state
 // diff's point is in it and every entry is some diff's, and every state
@@ -526,7 +683,8 @@ func appendResult(b []byte, fr *fuzzResult) []byte {
 // fuzz.Stats.WireUnnamed makes them, so the rendered result marshals to
 // the bytes of the local run's Stats.Wire.
 func decodeResult(body []byte) (*fuzzResult, error) {
-	r := wireReader{b: body}
+	r := newWireReader(body)
+	ls := resultSizes(r).lists()
 	r.begin()
 	fr := &fuzzResult{}
 	s := &fr.stats
@@ -550,7 +708,7 @@ func decodeResult(body []byte) (*fuzzResult, error) {
 		fr.findings = make([]*detect.Finding, n)
 	}
 	for i := 0; i < n && r.err == nil; i++ {
-		f := r.finding()
+		f := r.finding(ls)
 		for j := range f.StateDiffs {
 			sd := &f.StateDiffs[j]
 			at, ok := detect.LookupPoint(fr.names, sd.PointID)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"sonar/internal/firrtl"
@@ -44,11 +45,12 @@ const maxAcquireFailures = 50
 // server holds the request while the current round's shards are all out) →
 // elaborate the granted DUT (once per design: see leaseCache) → execute the
 // lease against the held prefix plus the seeds the lease ships → report.
-// While executing, a background goroutine renews the lease at a third of
-// its TTL so slow batches survive; if a report still races an expiry the
-// server answers 409, the result is discarded, and the re-offered lease
-// re-executes deterministically elsewhere — campaign results are
-// unaffected.
+// While executing, the loop's one background renewer renews the lease at a
+// third of its TTL so slow batches survive; if a report still races an
+// expiry the server answers 409, the result is discarded, and the
+// re-offered lease re-executes deterministically elsewhere — campaign
+// results are unaffected. The report is encoded into a buffer the loop
+// keeps across leases.
 func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, error) {
 	poll := opt.Poll
 	if poll <= 0 {
@@ -59,6 +61,9 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 		duts = Builtins()
 	}
 	cache := newLeaseCache(duts)
+	renew := startRenewer(client)
+	defer renew.stop()
+	var body []byte // the last report's encoding; its array is reused
 	executed := 0
 	failures := 0
 	for {
@@ -86,15 +91,16 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 		if lanes == 0 {
 			lanes = g.Lanes
 		}
-		stopRenew := renewLoop(client, g)
+		renew.arm(g)
 		res, err := cache.execute(e, g, lanes)
-		stopRenew()
+		renew.disarm()
 		if err != nil {
 			// A lease the engine rejects (shape/corpus mismatch) cannot
 			// succeed on retry either; let it expire and surface the error.
 			return executed, fmt.Errorf("fleet: worker %s: lease %s: %w", opt.ID, g.LeaseID, err)
 		}
-		if err := client.Report(g.LeaseID, res); err != nil {
+		body = AppendReport(body[:0], res)
+		if err := client.report(g.LeaseID, body); err != nil {
 			// 409: the lease expired under us and was re-offered; the
 			// result is simply discarded. Anything else is fatal.
 			if ae, ok := err.(*APIError); !ok || ae.Status != 409 {
@@ -133,14 +139,16 @@ func newLeaseCache(duts map[string]func() *uarch.SoC) *leaseCache {
 func (cache *leaseCache) executor(g *LeaseGrant) (fuzz.Executor, error) {
 	if g.FIRRTL != "" {
 		if cache.firrtl == nil || cache.firrtlCampaign != g.Campaign {
-			src := g.FIRRTL
+			// The grant's strings share its body, which the executor
+			// need not keep.
+			src := strings.Clone(g.FIRRTL)
 			lf, err := fuzz.LaneDUTFactory(func() (*hdl.Netlist, error) {
 				return firrtl.ParseChecked(src)
 			}, 0, 0)
 			if err != nil {
 				return nil, fmt.Errorf("firrtl: %w", err)
 			}
-			cache.firrtl, cache.firrtlCampaign = lf(), g.Campaign
+			cache.firrtl, cache.firrtlCampaign = lf(), strings.Clone(g.Campaign)
 		}
 		return cache.firrtl, nil
 	}
@@ -176,36 +184,87 @@ func (cache *leaseCache) execute(e fuzz.Executor, g *LeaseGrant, lanes int) (*fu
 	if err != nil {
 		return nil, err
 	}
-	cache.campaign, cache.held = g.Campaign, next
+	if g.Campaign != cache.campaign {
+		cache.campaign = strings.Clone(g.Campaign) // not the grant body it shares
+	}
+	cache.held = next
 	return res, nil
 }
 
-// renewLoop renews a granted lease at a third of its TTL until the returned
-// stop function is called. Renewal errors are ignored: a lost lease just
-// means the eventual report is discarded.
-func renewLoop(client *Client, g *LeaseGrant) func() {
-	interval := time.Duration(g.TTLMillis) * time.Millisecond / 3
-	if interval <= 0 {
-		interval = time.Millisecond
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
+// renewer renews the lease its worker loop is executing at a third of the
+// lease's TTL. One goroutine and one timer serve every lease of the loop:
+// arm starts renewing a grant, disarm stops and returns once no renewal is
+// in flight. Renewal errors are ignored: a lost lease just means the
+// eventual report is discarded.
+type renewer struct {
+	// leases carries each armed lease, and the zero renewal to disarm.
+	leases chan renewal
+	// idle acknowledges a disarm.
+	idle chan struct{}
+}
+
+// renewal is one armed lease: its ID and how often to renew it.
+type renewal struct {
+	id    string
+	every time.Duration
+}
+
+// startRenewer starts a disarmed renewer; stop ends it.
+func startRenewer(client *Client) *renewer {
+	r := &renewer{leases: make(chan renewal), idle: make(chan struct{})}
+	go r.run(client)
+	return r
+}
+
+func (r *renewer) run(client *Client) {
+	t := time.NewTimer(time.Hour)
+	stopTimer(t)
+	var cur renewal
+	for {
+		select {
+		case next, ok := <-r.leases:
+			stopTimer(t)
+			if !ok {
 				return
-			case <-t.C:
-				_ = client.Renew(g.LeaseID)
 			}
+			if cur = next; cur.id == "" {
+				r.idle <- struct{}{}
+				continue
+			}
+			t.Reset(cur.every)
+		case <-t.C:
+			_ = client.Renew(cur.id)
+			t.Reset(cur.every)
 		}
-	}()
-	return func() {
-		close(stop)
-		<-done
+	}
+}
+
+// arm starts renewing g's lease.
+func (r *renewer) arm(g *LeaseGrant) {
+	every := time.Duration(g.TTLMillis) * time.Millisecond / 3
+	if every <= 0 {
+		every = time.Millisecond
+	}
+	r.leases <- renewal{id: g.LeaseID, every: every}
+}
+
+// disarm stops renewing and waits for a renewal in flight to finish.
+func (r *renewer) disarm() {
+	r.leases <- renewal{}
+	<-r.idle
+}
+
+// stop ends a disarmed renewer.
+func (r *renewer) stop() { close(r.leases) }
+
+// stopTimer stops t and drains a tick it already sent, so a Reset starts a
+// fresh wait (under either timer-channel semantics).
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
 	}
 }
 

@@ -4,8 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"slices"
+	"strconv"
 	"time"
 
 	"sonar/internal/detect"
@@ -53,16 +53,44 @@ type CorpusRef struct {
 }
 
 // chainDigest extends a corpus digest chain by one seed: the hex SHA-256
-// of the previous chain value and the seed's canonical wire fields. (Writes
-// to a hash.Hash never fail.)
+// of the previous chain value and the seed's canonical wire fields,
+//
+//	"<prev> <dir> <target> <len(tc)>\n<tc>" then " <point>:<intvl>" per entry,
+//
+// all written through one stack buffer. (Writes to a hash.Hash never fail.)
 func chainDigest(prev string, sw *SeedWire) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s %d %d %d\n", prev, sw.Dir, sw.Target, len(sw.TC))
-	io.WriteString(h, sw.TC)
-	for _, pi := range sw.Intvls {
-		fmt.Fprintf(h, " %d:%d", pi.Point, pi.Intvl)
+	var buf [256]byte
+	b := append(buf[:0], prev...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(sw.Dir), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(sw.Target), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(sw.TC)), 10)
+	b = append(b, '\n')
+	h.Write(b)
+	for tc := sw.TC; len(tc) > 0; {
+		n := copy(buf[:], tc)
+		h.Write(buf[:n])
+		tc = tc[n:]
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b = buf[:0]
+	for _, pi := range sw.Intvls {
+		if len(b) > len(buf)-48 { // room for one more entry
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(pi.Point), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, pi.Intvl, 10)
+	}
+	h.Write(b)
+	var sum [sha256.Size]byte
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], h.Sum(sum[:0]))
+	return string(out[:])
 }
 
 // HeldCorpus is the merged-corpus prefix a lease executor keeps between

@@ -2,8 +2,13 @@ package fuzz
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -204,6 +209,93 @@ func TestDeltaLeasesMatchRunParallel(t *testing.T) {
 			if !bytes.Equal(got, wantCkpt) {
 				t.Error("lease-driven final snapshot differs from RunParallelExec's final checkpoint")
 			}
+		})
+	}
+}
+
+// refChainDigest is the fmt-based chainDigest the stack-buffer one
+// replaced.
+func refChainDigest(prev string, sw *SeedWire) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s %d %d %d\n", prev, sw.Dir, sw.Target, len(sw.TC))
+	io.WriteString(h, sw.TC)
+	for _, pi := range sw.Intvls {
+		fmt.Fprintf(h, " %d:%d", pi.Point, pi.Intvl)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// chainDigest hashes exactly the bytes the fmt-based digest did: on
+// generated seeds of both scenarios, extreme directions and targets, and
+// vectors long enough to flush its buffer several times, with extreme
+// intervals.
+func TestChainDigestMatchesFmtReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	prev := ""
+	for i := 0; i < 24; i++ {
+		sw := SeedWire{TC: Generate(rng, i%2 == 0).Marshal(), Dir: 1 - 2*(i%2), Target: i * 7}
+		if i == 3 {
+			sw.TC, sw.Dir, sw.Target = "", math.MinInt, math.MaxInt
+		}
+		for k := 0; k < i*5; k++ {
+			sw.Intvls = append(sw.Intvls, PointIntvl{Point: k * 3, Intvl: rng.Int63() - rng.Int63()})
+		}
+		if i == 5 {
+			sw.Intvls = append(sw.Intvls, PointIntvl{Point: math.MaxInt, Intvl: math.MinInt64})
+		}
+		got, want := chainDigest(prev, &sw), refChainDigest(prev, &sw)
+		if got != want {
+			t.Fatalf("seed %d: chainDigest %s, fmt reference %s", i, got, want)
+		}
+		prev = got
+	}
+}
+
+// A lease executor reuses a shard's worker — its RNG source at the batch's
+// cursor, its slots and slabs — whenever it ran the shard's previous batch,
+// the schedule the campaign service's grant order aims for
+// (fleet.Controller.Acquire): two executors with two shards each miss on
+// the first batch of each shard and hit on every later one. A schedule
+// that hands every shard to the other executor each round never hits.
+// Either way the campaign ends in the local engine's Stats.
+func TestLeaseShardAffinityHitsCache(t *testing.T) {
+	opt := SonarOptions(64)
+	opt.Workers, opt.BatchSize = 4, 4
+	localStats := RunParallelExec(liteExec, opt)
+	for _, swap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("swap=%v", swap), func(t *testing.T) {
+			lc := NewLeaseCoordinator(liteFactory(), opt)
+			shape := lc.Shape()
+			es := [2]Executor{liteExec(), liteExec()}
+			var held [2]*HeldCorpus
+			leases := 0
+			for round := 0; !lc.Finished(); round++ {
+				for _, shard := range lc.OpenShards() {
+					x := shard % 2
+					if swap {
+						x = (shard + round) % 2
+					}
+					l, err := lc.Lease(shard, held[x].Ref())
+					if err != nil {
+						t.Fatalf("Lease(%d): %v", shard, err)
+					}
+					var res *LeaseResult
+					res, held[x] = execHeldLease(t, es[x], shape, 1, l, held[x])
+					if err := lc.Report(res); err != nil {
+						t.Fatalf("Report(shard %d): %v", shard, err)
+					}
+					leases++
+				}
+			}
+			hits := held[0].shards.hits + held[1].shards.hits
+			want := leases - opt.Workers
+			if swap {
+				want = 0
+			}
+			if leases <= opt.Workers || hits != want {
+				t.Errorf("%d of %d leases reused their shard's worker, want %d", hits, leases, want)
+			}
+			statsWireEqual(t, localStats, lc.Stats())
 		})
 	}
 }

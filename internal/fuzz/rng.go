@@ -67,6 +67,8 @@ func (s *countedSource) cursor() uint64 { return s.n }
 type shardCache struct {
 	mu sync.Mutex
 	ws map[int64]*worker
+	// hits counts the takes that found their worker.
+	hits int
 }
 
 // take removes and returns the cached worker for seed when its source sits
@@ -82,6 +84,7 @@ func (c *shardCache) take(seed int64, cursor uint64) *worker {
 		return nil
 	}
 	delete(c.ws, seed)
+	c.hits++
 	return w
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"sonar/internal/isa"
 )
@@ -56,43 +57,83 @@ func appendSection(b []byte, name string, code []isa.Instr) []byte {
 	return b
 }
 
-// Unmarshal parses the Marshal format back into a testcase.
+// sections are the Marshal section names, in Marshal order.
+var sections = [...]string{"chain", "prologue", "epilogue", "attacker"}
+
+// sectionIndex returns the index of a section name in sections, or -1.
+func sectionIndex(name string) int {
+	for k, s := range sections {
+		if s == name {
+			return k
+		}
+	}
+	return -1
+}
+
+// section returns the instruction list of section sections[k].
+func (tc *Testcase) section(k int) *[]isa.Instr {
+	return [...]*[]isa.Instr{&tc.HeadChain, &tc.Prologue, &tc.Epilogue, &tc.Attacker}[k]
+}
+
+// Unmarshal parses the Marshal format back into a testcase. It walks the
+// lines strings.Split(src, "\n") would return by cutting at each newline,
+// twice: the first walk counts each section's instructions, so the
+// sections are carved, each capped, from one array; a section without
+// instructions stays nil.
 func Unmarshal(src string) (*Testcase, error) {
+	var sizes [len(sections)]int
+	cur, total := -1, 0
+	for rest, more := src, true; more; {
+		var line string
+		line, rest, more = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
+		switch {
+		case line == "" || line[0] == '#':
+		case line[0] == '.':
+			cur = sectionIndex(line[1:])
+		case cur >= 0:
+			sizes[cur]++
+			total++
+		}
+	}
 	tc := &Testcase{}
-	section := ""
-	for ln, raw := range strings.Split(src, "\n") {
+	if total > 0 {
+		code := make([]isa.Instr, total)
+		for k, n := range sizes {
+			if n > 0 {
+				*tc.section(k) = code[:0:n]
+				code = code[n:]
+			}
+		}
+	}
+	cur = -1
+	ln := 0
+	for rest, more := src, true; more; {
+		var raw string
+		raw, rest, more = strings.Cut(rest, "\n")
+		ln++
 		line := strings.TrimSpace(raw)
 		switch {
 		case line == "":
 			continue
 		case strings.HasPrefix(line, "#"):
 			if err := tc.header(line); err != nil {
-				return nil, fmt.Errorf("line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("line %d: %w", ln, err)
 			}
 		case strings.HasPrefix(line, "."):
-			section = line[1:]
-			switch section {
-			case "chain", "prologue", "epilogue", "attacker":
-			default:
-				return nil, fmt.Errorf("line %d: unknown section %q", ln+1, section)
+			if cur = sectionIndex(line[1:]); cur < 0 {
+				return nil, fmt.Errorf("line %d: unknown section %q", ln, line[1:])
 			}
 		default:
 			ins, err := isa.Assemble(line)
 			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", ln+1, err)
+				return nil, fmt.Errorf("line %d: %w", ln, err)
 			}
-			switch section {
-			case "chain":
-				tc.HeadChain = append(tc.HeadChain, ins)
-			case "prologue":
-				tc.Prologue = append(tc.Prologue, ins)
-			case "epilogue":
-				tc.Epilogue = append(tc.Epilogue, ins)
-			case "attacker":
-				tc.Attacker = append(tc.Attacker, ins)
-			default:
-				return nil, fmt.Errorf("line %d: instruction outside a section", ln+1)
+			if cur < 0 {
+				return nil, fmt.Errorf("line %d: instruction outside a section", ln)
 			}
+			sec := tc.section(cur)
+			*sec = append(*sec, ins)
 		}
 	}
 	return tc, nil
@@ -145,7 +186,14 @@ func (tc *Testcase) header(line string) error {
 		tc.ProbeBase = uint8(v)
 	case "patterns":
 		tc.Patterns = nil
-		for _, f := range strings.Fields(value) {
+		n := 0
+		for f, rest := nextField(value); f != ""; f, rest = nextField(rest) {
+			n++
+		}
+		if n > 0 {
+			tc.Patterns = make([]SecretPattern, 0, n)
+		}
+		for f, rest := nextField(value); f != ""; f, rest = nextField(rest) {
 			v, err := strconv.Atoi(f)
 			if err != nil || v < 0 || v >= int(numPatterns) {
 				return fmt.Errorf("bad pattern %q", f)
@@ -154,4 +202,14 @@ func (tc *Testcase) header(line string) error {
 		}
 	}
 	return nil
+}
+
+// nextField returns the first field of s, as strings.Fields splits it, and
+// what follows the field; the field is "" when s has none.
+func nextField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	if end := strings.IndexFunc(s, unicode.IsSpace); end >= 0 {
+		return s[:end], s[end:]
+	}
+	return s, ""
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -106,17 +107,88 @@ func TestMarshalMentionsSections(t *testing.T) {
 	}
 }
 
+// refUnmarshal is Unmarshal with the line loop it replaced: strings.Split
+// into lines, each section grown by append, and the pattern list split by
+// strings.Fields; the other headers and every instruction parse as in
+// Unmarshal.
+func refUnmarshal(src string) (*Testcase, error) {
+	tc := &Testcase{}
+	section := ""
+	for ln, raw := range strings.Split(src, "\n") {
+		line := strings.TrimSpace(raw)
+		switch {
+		case line == "":
+			continue
+		case strings.HasPrefix(line, "#"):
+			if err := refHeader(tc, line); err != nil {
+				return nil, fmt.Errorf("line %d: %w", ln+1, err)
+			}
+		case strings.HasPrefix(line, "."):
+			section = line[1:]
+			switch section {
+			case "chain", "prologue", "epilogue", "attacker":
+			default:
+				return nil, fmt.Errorf("line %d: unknown section %q", ln+1, section)
+			}
+		default:
+			ins, err := isa.Assemble(line)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: %w", ln+1, err)
+			}
+			switch section {
+			case "chain":
+				tc.HeadChain = append(tc.HeadChain, ins)
+			case "prologue":
+				tc.Prologue = append(tc.Prologue, ins)
+			case "epilogue":
+				tc.Epilogue = append(tc.Epilogue, ins)
+			case "attacker":
+				tc.Attacker = append(tc.Attacker, ins)
+			default:
+				return nil, fmt.Errorf("line %d: instruction outside a section", ln+1)
+			}
+		}
+	}
+	return tc, nil
+}
+
+// refHeader is Testcase.header with the pattern list split by
+// strings.Fields.
+func refHeader(tc *Testcase, line string) error {
+	key, value, found := strings.Cut(strings.TrimSpace(strings.TrimPrefix(line, "#")), ":")
+	if !found || strings.TrimSpace(key) != "patterns" {
+		return tc.header(line)
+	}
+	tc.Patterns = nil
+	for _, f := range strings.Fields(value) {
+		v, err := strconv.Atoi(f)
+		if err != nil || v < 0 || v >= int(numPatterns) {
+			return fmt.Errorf("bad pattern %q", f)
+		}
+		tc.Patterns = append(tc.Patterns, SecretPattern(v))
+	}
+	return nil
+}
+
 // FuzzUnmarshal feeds arbitrary text to Unmarshal, the parser behind lease
-// corpus seeds and checkpoint corpora. It must never panic, and any
-// testcase it accepts must marshal to text that parses back to an equal
-// testcase, and marshals to the same text again. The seed corpus
-// (testdata/fuzz) holds a generated dual-core testcase, one with an empty
-// section, and one with a bad header.
+// corpus seeds and checkpoint corpora. It must never panic, must return
+// the testcase or the error (line number included) of the line loop it
+// replaced (refUnmarshal), and any testcase it accepts must marshal to
+// text that parses back to an equal testcase, and marshals to the same
+// text again. The seed corpus (testdata/fuzz) holds a generated dual-core
+// testcase, one with an empty section, and one with a bad header.
 func FuzzUnmarshal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		tc, err := Unmarshal(src)
+		ref, refErr := refUnmarshal(src)
+		if (err == nil) != (refErr == nil) || err != nil && err.Error() != refErr.Error() {
+			t.Fatalf("Unmarshal error %v, reference %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(tc, ref) {
+			t.Fatalf("Unmarshal gives\n%+v\nreference\n%+v", tc, ref)
 		}
 		text := tc.Marshal()
 		back, err := Unmarshal(text)

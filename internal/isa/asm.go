@@ -12,10 +12,15 @@ func Assemble(line string) (Instr, error) {
 	if i := strings.IndexByte(line, '#'); i >= 0 {
 		line = line[:i]
 	}
-	fields := strings.FieldsFunc(line, func(r rune) bool {
-		return r == ' ' || r == ',' || r == '\t'
-	})
-	if len(fields) == 0 {
+	var fields [maxFields]string
+	n := splitFields(line, &fields)
+	return assembleFields(fields[:min(n, maxFields)], n)
+}
+
+// assembleFields assembles the instruction a line of n fields spells, of
+// which fields holds the first (at least min(n, maxFields)).
+func assembleFields(fields []string, n int) (Instr, error) {
+	if n == 0 {
 		return Instr{}, fmt.Errorf("isa: empty line")
 	}
 	mn := strings.ToLower(fields[0])
@@ -23,9 +28,11 @@ func Assemble(line string) (Instr, error) {
 	if !ok {
 		return Instr{}, fmt.Errorf("isa: unknown mnemonic %q", mn)
 	}
+	// nargs counts every operand; no form reads past the third.
+	nargs := n - 1
 	args := fields[1:]
 	argN := func(i int) (string, error) {
-		if i >= len(args) {
+		if i >= nargs {
 			return "", fmt.Errorf("isa: %s: missing operand %d", mn, i+1)
 		}
 		return args[i], nil
@@ -62,7 +69,7 @@ func Assemble(line string) (Instr, error) {
 		}
 		return Instr{Op: op, Rd: rd, Imm: imm}, nil
 	case op.IsBranch():
-		if len(args) != 3 {
+		if nargs != 3 {
 			return Instr{}, fmt.Errorf("isa: %s expects 3 operands", mn)
 		}
 		rs1, err := parseReg(args[0])
@@ -141,7 +148,7 @@ func Assemble(line string) (Instr, error) {
 		}
 		return Store(op, rs2, rs1, imm), nil
 	case op.HasRs2():
-		if len(args) != 3 {
+		if nargs != 3 {
 			return Instr{}, fmt.Errorf("isa: %s expects 3 operands", mn)
 		}
 		rd, err := parseReg(args[0])
@@ -159,7 +166,7 @@ func Assemble(line string) (Instr, error) {
 		return R(op, rd, rs1, rs2), nil
 	}
 	// Register-register or register-immediate three-operand forms.
-	if len(args) != 3 {
+	if nargs != 3 {
 		return Instr{}, fmt.Errorf("isa: %s expects 3 operands", mn)
 	}
 	rd, err := parseReg(args[0])
@@ -176,6 +183,36 @@ func Assemble(line string) (Instr, error) {
 	}
 	return I(op, rd, rs1, imm), nil
 }
+
+// maxFields is the most fields any instruction form reads: the mnemonic
+// and three operands.
+const maxFields = 4
+
+// splitFields splits line into fields separated by runs of spaces, commas
+// and tabs, stores the first len(dst) of them in dst, and returns how many
+// there are in all. The separators are ASCII, so splitting bytes splits
+// exactly where splitting runes would, on any input.
+func splitFields(line string, dst *[maxFields]string) int {
+	n := 0
+	for i := 0; i < len(line); {
+		if isFieldSep(line[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(line) && !isFieldSep(line[j]) {
+			j++
+		}
+		if n < len(dst) {
+			dst[n] = line[i:j]
+		}
+		n++
+		i = j
+	}
+	return n
+}
+
+func isFieldSep(c byte) bool { return c == ' ' || c == ',' || c == '\t' }
 
 func opByName(name string) (Op, bool) {
 	for op := Op(0); op < numOps; op++ {
