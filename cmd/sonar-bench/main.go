@@ -12,8 +12,9 @@
 //
 // The parallel experiment measures the sharded coordinator's scaling
 // across cores; it composes with the orthogonal per-core bit-parallel
-// lane evaluator (cmd/sonar -lanes, docs/SIMULATOR.md) — the two
-// multipliers and their CI gates are covered in docs/PERFORMANCE.md.
+// lane evaluator, which always runs a netlist executor's whole lane group
+// per pass (docs/SIMULATOR.md) — the two multipliers and their CI gates
+// are covered in docs/PERFORMANCE.md.
 //
 // The -metrics/-events/-progress flags attach the observability layer of
 // docs/OBSERVABILITY.md to every campaign the experiments run: metrics
@@ -40,7 +41,7 @@ func main() {
 	var (
 		iters   = flag.Int("iters", 400, "campaign iterations for Figures 8/10/11 (paper: 3000)")
 		trials  = flag.Int("trials", 7, "PoC trials per key bit for Table 3 / exploitation")
-		workers = flag.Int("workers", 4, "shard count for the parallel-engine scaling experiment (cross-core; per-core lane batching is cmd/sonar -lanes)")
+		workers = flag.Int("workers", 4, "shard count for the parallel-engine scaling experiment (cross-core; per-core lane batching is always the whole lane group)")
 		only    = flag.String("only", "", "comma-separated subset: table1,fig6,fig7,table2,fig8,fig9,fig10,fig11,table3,exploit,mitigations,parallel,durability")
 
 		metrics     = flag.String("metrics", "", "write Prometheus exposition text here after the run (- = stdout)")

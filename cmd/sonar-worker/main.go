@@ -7,13 +7,12 @@
 //
 // Usage:
 //
-//	sonar-worker -server URL [-id NAME] [-poll 500ms] [-max-leases N] [-lanes N]
+//	sonar-worker -server URL [-id NAME] [-poll 500ms] [-max-leases N]
 //
 // Examples:
 //
 //	sonar-worker -server http://localhost:8714                # run until killed
 //	sonar-worker -server http://localhost:8714 -max-leases 10 # bounded stint
-//	sonar-worker -server http://localhost:8714 -lanes 64      # force widest evaluator
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		id        = flag.String("id", "", "worker identifier recorded on its leases (default host-pid)")
 		poll      = flag.Duration("poll", 0, "sleep between acquire attempts when the server has no work (default 500ms)")
 		maxLeases = flag.Int("max-leases", 0, "exit after executing this many leases (0 = run until killed)")
-		lanes     = flag.Int("lanes", 0, "evaluator batch width override, 1..64 (0 = use the server's suggestion; results are identical at every width)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -61,7 +59,6 @@ func main() {
 		ID:        *id,
 		Poll:      *poll,
 		MaxLeases: *maxLeases,
-		Lanes:     *lanes,
 	})
 	if err != nil {
 		log.Fatalf("after %d leases: %v", n, err)

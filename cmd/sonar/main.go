@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	sonar [-dut boom|nutshell|gen:<seed>|firrtl:<path>] [-iters N] [-seed N] [-workers N] [-lanes N] [-dual] [-random] [-v]
+//	sonar [-dut boom|nutshell|gen:<seed>|firrtl:<path>] [-iters N] [-seed N] [-workers N] [-dual] [-random] [-v]
 //
 // Examples:
 //
@@ -60,7 +60,6 @@ func main() {
 		iters   = flag.Int("iters", 300, "fuzzing iterations")
 		seed    = flag.Int64("seed", 1, "campaign RNG seed")
 		workers = flag.Int("workers", 1, "campaign shards, run on min(shards, GOMAXPROCS) DUTs, the first the primary DUT")
-		lanes   = flag.Int("lanes", 0, "evaluator batch width, 1..64 testcases per plane word; 0 = 64, the executor's whole lane group per pass (docs/SIMULATOR.md); campaign results are identical at every width")
 		dual    = flag.Bool("dual", false, "dual-core scenario (boom only)")
 		random  = flag.Bool("random", false, "disable all guidance (random-testing baseline)")
 		verbose = flag.Bool("v", false, "print every finding")
@@ -93,7 +92,7 @@ func main() {
 	}
 
 	f := campaignFlags{
-		iters: *iters, seed: *seed, workers: *workers, lanes: *lanes,
+		iters: *iters, seed: *seed, workers: *workers,
 		random: *random, checkpoint: *checkpoint, ckptEvery: *ckptEvery,
 		resume: *resume, iterTimeout: *iterTimeout, maxRounds: *maxRounds,
 		metrics: *metrics, events: *events, metricsAddr: *metricsAddr,
@@ -210,7 +209,6 @@ type campaignFlags struct {
 	iters        int
 	seed         int64
 	workers      int
-	lanes        int
 	random       bool
 	dual         bool
 	keepFindings int
@@ -229,7 +227,7 @@ type campaignFlags struct {
 // observer and the observer's finish function. Resuming (cp non-nil), the
 // checkpoint's shape overrides the shape flags — a different seed or
 // strategy would break the bit-identity contract — and a checkpoint taken
-// on another DUT is refused. The operational flags (-lanes, -checkpoint,
+// on another DUT is refused. The operational flags (-checkpoint,
 // -checkpoint-every, -iter-timeout, -max-rounds) apply on top either way;
 // a resumed campaign without -checkpoint keeps checkpointing to the file it
 // resumed from.
@@ -250,7 +248,6 @@ func (f campaignFlags) options(cp *fuzz.Checkpoint, dut string) (fuzz.Options, f
 		opt = cp.CampaignOptions()
 		opt.Checkpoint = cmp.Or(f.checkpoint, f.resume)
 	}
-	opt.Lanes = f.lanes
 	opt.CheckpointEvery = f.ckptEvery
 	opt.IterTimeout = f.iterTimeout
 	opt.MaxRounds = f.maxRounds
@@ -317,8 +314,8 @@ func netlistCampaign(spec string, cp *fuzz.Checkpoint, f campaignFlags) {
 			log.Fatal(err)
 		}
 	} else {
-		fmt.Printf("fuzzing %d iterations over the netlist (%d-pair lane groups, workers=%d, lanes=%d)...\n",
-			opt.Iterations, probe.GroupWidth(), opt.Workers, opt.LaneWidth())
+		fmt.Printf("fuzzing %d iterations over the netlist (%d-pair lane groups, workers=%d)...\n",
+			opt.Iterations, probe.GroupWidth(), opt.Workers)
 		st = fuzz.RunParallelExec(executors, opt)
 	}
 	if err := finish(); err != nil {

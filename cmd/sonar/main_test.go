@@ -146,14 +146,14 @@ func TestPrintSummary(t *testing.T) {
 
 // Both DUT paths build their Options through campaignFlags.options: the
 // shape comes from the flags, or from the checkpoint when resuming, and the
-// operational flags — -lanes included — apply on top in both cases.
+// operational flags apply on top in both cases.
 func TestCampaignOptions(t *testing.T) {
 	cp := &fuzz.Checkpoint{DUT: "gen7", Shape: fuzz.Shape{
 		Iterations: 2000, Seed: 3, Retention: true, Selection: true,
 		DirectedMutation: true, SecretB: 1, Workers: 2, BatchSize: 32,
 	}}
 	base := campaignFlags{
-		iters: 300, seed: 9, workers: 4, lanes: 64, random: true,
+		iters: 300, seed: 9, workers: 4, random: true,
 		ckptEvery: 100, iterTimeout: time.Second, maxRounds: 5,
 	}
 	for _, c := range []struct {
@@ -217,9 +217,9 @@ func TestCampaignOptions(t *testing.T) {
 			if err := finish(); err != nil {
 				t.Fatal(err)
 			}
-			if opt.Lanes != 64 || opt.CheckpointEvery != 100 || opt.IterTimeout != time.Second || opt.MaxRounds != 5 {
-				t.Errorf("operational flags lost: lanes %d, checkpoint-every %d, iter-timeout %v, max-rounds %d",
-					opt.Lanes, opt.CheckpointEvery, opt.IterTimeout, opt.MaxRounds)
+			if opt.CheckpointEvery != 100 || opt.IterTimeout != time.Second || opt.MaxRounds != 5 {
+				t.Errorf("operational flags lost: checkpoint-every %d, iter-timeout %v, max-rounds %d",
+					opt.CheckpointEvery, opt.IterTimeout, opt.MaxRounds)
 			}
 			c.check(t, opt)
 		})

@@ -105,8 +105,9 @@ func (s *Sonar) Identify() *IdentificationReport {
 // detection (§7) through fuzz.RunParallelExec: Options.Workers shards on a
 // pool of DUTs — the primary DUT first, the rest elaborated from the
 // retained SoC constructor — merging feedback after every batch. A fixed
-// (Seed, Workers, BatchSize) is reproducible across runs, and Options.Lanes
-// never changes a result (docs/SIMULATOR.md). An attached Options.Observer
+// (Seed, Workers, BatchSize) is reproducible across runs; the behavioral
+// cores execute one testcase at a time, so Options.Lanes has nothing to
+// batch here (docs/SIMULATOR.md). An attached Options.Observer
 // additionally receives the DUT's identification gauges, so one metrics
 // scrape relates campaign coverage to the point population.
 func (s *Sonar) Fuzz(opt fuzz.Options) *fuzz.Stats {

@@ -12,8 +12,9 @@ import (
 // ParallelResult compares a single-shard campaign against a sharded one at
 // an equal iteration budget (the scaling experiment the paper's 80-core
 // campaign host implies). It measures cross-core scaling only: the per-core
-// bit-parallel lane evaluator (Options.Lanes) is an orthogonal multiplier,
-// gated separately by the CampaignLanes benchmarks (docs/PERFORMANCE.md).
+// bit-parallel lane evaluator, which runs a netlist executor's whole lane
+// group per pass, is an orthogonal multiplier, gated separately by the
+// CampaignLanes benchmarks (docs/PERFORMANCE.md).
 type ParallelResult struct {
 	Iterations int // iteration budget of both campaigns
 	Workers    int // shard count of the sharded campaign

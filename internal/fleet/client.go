@@ -119,15 +119,23 @@ func drainClose(body io.ReadCloser) {
 // raw issues one GET and returns the raw response body (events, checkpoint
 // downloads).
 func (c *Client) raw(path string) ([]byte, error) {
-	resp, err := c.httpClient().Get(c.BaseURL + path)
+	resp, err := c.send("GET", path, nil, "")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		return nil, apiError(resp)
-	}
 	return io.ReadAll(resp.Body)
+}
+
+// call issues one API request with a JSON body (in, when non-nil) and
+// returns the JSON response body decoded into a T, or T's zero value with
+// the error.
+func call[T any](c *Client, method, path string, in any) (out T, err error) {
+	if err = c.do(method, path, in, &out); err != nil {
+		var zero T
+		return zero, err
+	}
+	return out, nil
 }
 
 // apiError converts an error response to a Go error carrying the status
@@ -158,38 +166,22 @@ func (e *APIError) Error() string {
 
 // Health fetches the server's health summary.
 func (c *Client) Health() (*Health, error) {
-	var h Health
-	if err := c.do("GET", "/healthz", nil, &h); err != nil {
-		return nil, err
-	}
-	return &h, nil
+	return call[*Health](c, "GET", "/healthz", nil)
 }
 
 // Submit submits a campaign spec and returns the new campaign's status.
 func (c *Client) Submit(spec *Spec) (*CampaignStatus, error) {
-	var st CampaignStatus
-	if err := c.do("POST", "/api/v1/campaigns", spec, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[*CampaignStatus](c, "POST", "/api/v1/campaigns", spec)
 }
 
 // Campaigns lists all campaigns.
 func (c *Client) Campaigns() ([]CampaignStatus, error) {
-	var out []CampaignStatus
-	if err := c.do("GET", "/api/v1/campaigns", nil, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return call[[]CampaignStatus](c, "GET", "/api/v1/campaigns", nil)
 }
 
 // Campaign fetches one campaign's status.
 func (c *Client) Campaign(id string) (*CampaignStatus, error) {
-	var st CampaignStatus
-	if err := c.do("GET", "/api/v1/campaigns/"+id, nil, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return call[*CampaignStatus](c, "GET", "/api/v1/campaigns/"+id, nil)
 }
 
 // Events downloads a campaign's JSONL event stream so far.

@@ -145,9 +145,22 @@ type Spec struct {
 	// BatchSize to their effective values at submission; the determinism
 	// contract is per effective (Seed, Workers, BatchSize).
 	Options fuzz.Shape `json:"options"`
-	// Lanes is the evaluator lane width suggested to workers (operational;
-	// does not affect results). Zero lets each worker pick its own.
-	Lanes int `json:"lanes,omitempty"`
+}
+
+// maxWorkers and maxBatchSize bound a submitted topology: the server keeps
+// state per shard, and a lease's worker per iteration of its batch, so
+// Submit refuses a spec above either before it elaborates anything.
+const (
+	maxWorkers   = 1024
+	maxBatchSize = 1024
+)
+
+// checkTopology rejects a spec whose Workers or BatchSize exceeds its bound.
+func (spec *Spec) checkTopology() error {
+	if o := &spec.Options; o.Workers > maxWorkers || o.BatchSize > maxBatchSize {
+		return fmt.Errorf("%w: workers %d, batch_size %d: limits are %d and %d", errBadRequest, o.Workers, o.BatchSize, maxWorkers, maxBatchSize)
+	}
+	return nil
 }
 
 // AnalysisResult is the outcome of an analysis-only campaign — the same
@@ -238,8 +251,6 @@ type CampaignStatus struct {
 	DUT string `json:"dut"`
 	// Shape is the effective campaign shape (fuzz campaigns only).
 	Shape *fuzz.Shape `json:"shape,omitempty"`
-	// Lanes echoes the spec's suggested evaluator lane width.
-	Lanes int `json:"lanes,omitempty"`
 	// Round is the number of completed merge rounds.
 	Round int `json:"round,omitempty"`
 	// Done is the campaign position in iterations (executed plus dropped),
@@ -289,8 +300,6 @@ type LeaseGrant struct {
 	FIRRTL string
 	// Shape is the campaign shape to execute under.
 	Shape fuzz.Shape
-	// Lanes is the suggested evaluator lane width (0 = worker's choice).
-	Lanes int
 	// TTLMillis is the lease time-to-live; workers renew at a fraction of
 	// it while executing.
 	TTLMillis int64
@@ -323,10 +332,9 @@ type Health struct {
 // campaign is the controller's per-campaign state.
 type campaign struct {
 	id       string
-	kind     string // "fuzz" | "analysis"
-	dutName  string // registry name (fuzz) or circuit name (analysis/FIRRTL)
-	firrtl   string // FIRRTL source for netlist campaigns, forwarded in grants
-	lanes    int
+	kind     string                 // "fuzz" | "analysis"
+	dutName  string                 // registry name (fuzz) or circuit name (analysis/FIRRTL)
+	firrtl   string                 // FIRRTL source for netlist campaigns, forwarded in grants
 	lc       *fuzz.LeaseCoordinator // fuzz campaigns only
 	sink     *obs.MemorySink        // backs the events download
 	observer *obs.Observer          // fuzz campaigns: events and campaign metrics
@@ -341,8 +349,8 @@ type campaign struct {
 
 // newCampaign returns campaign id with its lease tables made; the caller
 // sets its kind and what that kind needs.
-func newCampaign(id string, lanes int) *campaign {
-	return &campaign{id: id, lanes: lanes, granted: make(map[int]*lease), ranLast: make(map[int]string)}
+func newCampaign(id string) *campaign {
+	return &campaign{id: id, granted: make(map[int]*lease), ranLast: make(map[int]string)}
 }
 
 // openFuzz makes c a fuzz campaign of shape, run on executors like d, whose
@@ -361,7 +369,10 @@ func (c *campaign) openFuzz(d fuzz.Executor, shape fuzz.Shape) {
 // open shard is leased out.
 func (c *campaign) freeShard(worker string) int {
 	first := -1
-	for _, s := range c.lc.OpenShards() {
+	for s := range c.lc.Shape().Workers {
+		if !c.lc.ShardOpen(s) {
+			continue
+		}
 		if _, leased := c.granted[s]; leased {
 			continue
 		}
@@ -487,8 +498,11 @@ func (ct *Controller) Submit(spec *Spec) (*CampaignStatus, error) {
 	if (spec.DUT == "") == (spec.FIRRTL == "") {
 		return nil, fmt.Errorf("%w: spec must set exactly one of dut, firrtl", errBadRequest)
 	}
+	if err := spec.checkTopology(); err != nil {
+		return nil, err
+	}
 
-	c := newCampaign(fmt.Sprintf("c%d", ct.submitted+1), spec.Lanes)
+	c := newCampaign(fmt.Sprintf("c%d", ct.submitted+1))
 
 	switch {
 	case spec.FIRRTL != "" && spec.Options.Iterations < 1:
@@ -781,7 +795,6 @@ func (ct *Controller) acquireLocked(worker string, have *Holding) (g *LeaseGrant
 			DUT:       c.dutName,
 			FIRRTL:    c.firrtl,
 			Shape:     c.lc.Shape(),
-			Lanes:     c.lanes,
 			TTLMillis: ct.cfg.ttl().Milliseconds(),
 			Lease:     *payload,
 		}, false, nil
@@ -937,7 +950,6 @@ func (ct *Controller) statusLocked(c *campaign) *CampaignStatus {
 		Kind:  c.kind,
 		State: "running",
 		DUT:   c.dutName,
-		Lanes: c.lanes,
 		Audit: c.audit,
 	}
 	if c.done() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -133,7 +134,7 @@ func driveCampaign(t *testing.T, client *Client) {
 		if g == nil {
 			return
 		}
-		res, _, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease, nil)
+		res, _, err := fuzz.ExecuteLease(e, g.Shape, &g.Lease, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
 		}
@@ -192,7 +193,7 @@ func TestAPICampaignRoundTrip(t *testing.T) {
 	if err := client.Renew("c9-r9-s9-a9"); err == nil {
 		t.Error("renewing an unknown lease succeeded")
 	}
-	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, 1, &g.Lease, nil)
+	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -373,6 +374,76 @@ func TestAPISubmitValidation(t *testing.T) {
 	}
 }
 
+// A submitted topology is bounded: Workers or BatchSize above its limit
+// answers 400 before anything is elaborated (the malformed FIRRTL case
+// would otherwise fail to parse), a spec at both limits is accepted, and a
+// body with a field Spec does not have — "lanes", which specs once carried —
+// is refused by the strict decode.
+func TestSubmitTopologyBounded(t *testing.T) {
+	client, _ := newTestServer(t, Config{})
+	badFIRRTL, _ := json.Marshal("circuit C :\n  module C :\n    widget a : UInt<1>\n")
+	for _, c := range []struct {
+		name, body string
+		status     int
+		phrase     string
+	}{
+		{"workers over the limit", `{"dut":"lite","options":{"iterations":2048,"workers":1025}}`, 400, "workers 1025, batch_size 0: limits are 1024 and 1024"},
+		{"batch size over the limit", `{"dut":"lite","options":{"iterations":8,"batch_size":1025}}`, 400, "workers 0, batch_size 1025: limits are"},
+		{"checked before elaboration", `{"firrtl":` + string(badFIRRTL) + `,"options":{"workers":4096}}`, 400, "workers 4096, batch_size 0: limits are"},
+		{"lanes field", `{"dut":"lite","options":{"iterations":8},"lanes":64}`, 400, `unknown field "lanes"`},
+		{"at both limits", `{"dut":"lite","options":{"iterations":2048,"workers":1024,"batch_size":1024}}`, 201, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(client.BaseURL+"/api/v1/campaigns", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var body struct{ Error string }
+			if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+				t.Fatalf("response body is not JSON: %v", err)
+			}
+			if resp.StatusCode != c.status || !strings.Contains(body.Error, c.phrase) {
+				t.Errorf("got %d %q, want %d with %q", resp.StatusCode, body.Error, c.status, c.phrase)
+			}
+		})
+	}
+	if h, err := client.Health(); err != nil || h.Campaigns != 1 {
+		t.Errorf("health after one accepted submission: %+v, %v", h, err)
+	}
+}
+
+// FuzzSubmitSpec feeds arbitrary bytes through the submit route's strict
+// JSON decode and the topology check. A spec that passes both and names a
+// DUT is submitted to a fresh controller over the lite test registry,
+// which must answer with a campaign inside the bounds or a bad request,
+// and never panic. A FIRRTL spec stops after the decode: elaborating
+// arbitrary FIRRTL has no node or width budget yet.
+func FuzzSubmitSpec(f *testing.F) {
+	// Controllers share one analysed lite factory, so an input costs one
+	// lite elaboration rather than a contention analysis.
+	factories := map[string]func() *fuzz.DUT{"lite": fuzz.SharedAnalysisFactory(liteSoC)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec Spec
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/campaigns", bytes.NewReader(data))
+		if decodeJSON(httptest.NewRecorder(), req, &spec) != nil || spec.checkTopology() != nil || spec.DUT == "" || spec.FIRRTL != "" {
+			return
+		}
+		ct := NewController(Config{DUTs: testRegistry()})
+		ct.factories = factories
+		st, err := ct.Submit(&spec)
+		if err != nil {
+			if !errors.Is(err, errBadRequest) {
+				t.Fatalf("Submit: %v, want a bad request or a campaign", err)
+			}
+			return
+		}
+		if st.Shape == nil || st.Shape.Workers < 1 || st.Shape.Workers > maxWorkers || st.Shape.BatchSize < 1 || st.Shape.BatchSize > maxBatchSize {
+			t.Fatalf("accepted campaign has shape %+v, outside the topology bounds", st.Shape)
+		}
+	})
+}
+
 // A request body over the server's cap is refused with 413 before it is
 // buffered whole, on both the submit and the report route; ordinary submit
 // and report bodies, far below the cap, still go through afterwards.
@@ -415,7 +486,7 @@ func TestLeaseExpiryReoffer(t *testing.T) {
 	if err != nil || g1 == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g1, err)
 	}
-	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g1.Shape, 1, &g1.Lease, nil)
+	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g1.Shape, &g1.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -703,7 +774,7 @@ func serveLeaseAs(t *testing.T, client *Client, worker string, cache *leaseCache
 	if err != nil {
 		t.Fatalf("executor(%s): %v", g.LeaseID, err)
 	}
-	res, err := cache.execute(e, g, 1)
+	res, err := cache.execute(e, g)
 	if err != nil {
 		t.Fatalf("execute(%s): %v", g.LeaseID, err)
 	}
@@ -778,7 +849,7 @@ func restoreCampaign(t *testing.T, ct *Controller, id, dut string, cp *fuzz.Chec
 	if err != nil {
 		t.Fatalf("ResumeLeaseCoordinator: %v", err)
 	}
-	c := newCampaign(id, 0)
+	c := newCampaign(id)
 	c.kind, c.dutName, c.lc, c.sink = "fuzz", dut, lc, sink
 	ct.campaigns = append(ct.campaigns, c)
 	ct.byID[id] = c
@@ -951,7 +1022,7 @@ func TestAcquireWaitsForRoundClose(t *testing.T) {
 			t.Fatalf("acquire answered %v before the round closed", w)
 		default:
 		}
-		res, _, err := fuzz.ExecuteLease(e, g.Shape, 1, &g.Lease, nil)
+		res, _, err := fuzz.ExecuteLease(e, g.Shape, &g.Lease, nil)
 		if err != nil {
 			t.Fatalf("ExecuteLease(%s): %v", g.LeaseID, err)
 		}
@@ -1006,9 +1077,7 @@ func TestClientReusesConnection(t *testing.T) {
 // An executable FIRRTL submission (Iterations >= 1) runs as a lane-parallel
 // netlist campaign: the controller elaborates the source, grants carry it so
 // workers need no registry entry, and the distributed result matches a local
-// RunParallelExec over the same design byte-for-byte — with workers running
-// at different lane widths, since lease execution on the lane path is
-// deterministic in the width.
+// RunParallelExec over the same design byte-for-byte.
 func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	client, _ := newTestServer(t, Config{})
 	shape := testShape(40, 2, 8)
@@ -1036,7 +1105,7 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LaneDUTFactory: %v", err)
 	}
-	res, _, err := fuzz.ExecuteLease(factory(), g.Shape, 64, &g.Lease, nil)
+	res, _, err := fuzz.ExecuteLease(factory(), g.Shape, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -1045,22 +1114,19 @@ func TestAPIFirrtlFuzzCampaign(t *testing.T) {
 	}
 
 	// Workers with an empty registry finish the campaign — the FIRRTL branch
-	// never consults it — and their mixed lane widths must not perturb the
-	// merged result.
-	laneWidths := []int{1, 64}
+	// never consults it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var wg sync.WaitGroup
-	errs := make([]error, len(laneWidths))
+	errs := make([]error, 2)
 	for i := range errs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = RunWorker(ctx, client, WorkerOptions{
-				ID:    fmt.Sprintf("fw%d", i),
-				Poll:  5 * time.Millisecond,
-				Lanes: laneWidths[i],
-				DUTs:  map[string]func() *uarch.SoC{},
+				ID:   fmt.Sprintf("fw%d", i),
+				Poll: 5 * time.Millisecond,
+				DUTs: map[string]func() *uarch.SoC{},
 			})
 		}(i)
 	}

@@ -160,7 +160,7 @@ func TestFinishedStatsNeverWritten(t *testing.T) {
 	if err != nil || staleGrant == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", staleGrant, err)
 	}
-	staleRes, _, err := fuzz.ExecuteLease(liteExecFactory()(), staleGrant.Shape, 1, &staleGrant.Lease, nil)
+	staleRes, _, err := fuzz.ExecuteLease(liteExecFactory()(), staleGrant.Shape, &staleGrant.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}

@@ -28,9 +28,13 @@ import (
 // not exceed the bytes left in the body (every element takes at least one),
 // which bounds what a hostile count can make the decoder allocate.
 
-// leaseFormat is the format byte every binary body starts with: the lease
-// loop's and the fuzz result's.
-const leaseFormat byte = 1
+// leaseFormat starts the acquire, report and fuzz result bodies and
+// grantFormat a grant, so a peer of the grant's old layout (led by 1, with
+// a lane width) fails loudly instead of misreading a shifted field.
+const (
+	leaseFormat byte = 1
+	grantFormat byte = 2
+)
 
 // leaseContentType is the Content-Type of a binary body.
 const leaseContentType = "application/octet-stream"
@@ -193,9 +197,9 @@ func (r *wireReader) count() int {
 	return int(n)
 }
 
-// begin reads the format byte.
-func (r *wireReader) begin() {
-	if f := r.byte(); r.err == nil && f != leaseFormat {
+// begin reads the format byte, which must be format.
+func (r *wireReader) begin(format byte) {
+	if f := r.byte(); r.err == nil && f != format {
 		r.failf("unknown format byte %#x", f)
 	}
 }
@@ -322,7 +326,7 @@ func appendAcquire(b []byte, worker string, have *Holding) []byte {
 // decodeAcquire decodes an acquire request body.
 func decodeAcquire(body []byte) (worker string, have *Holding, err error) {
 	r := newWireReader(body)
-	r.begin()
+	r.begin(leaseFormat)
 	worker = r.string()
 	if r.flags(present) != 0 {
 		have = &Holding{Campaign: r.string()}
@@ -339,7 +343,7 @@ func decodeAcquire(body []byte) (worker string, have *Holding, err error) {
 // to the size grantSize estimates.
 func AppendGrant(b []byte, g *LeaseGrant) []byte {
 	b = slices.Grow(b, grantSize(g))
-	b = append(b, leaseFormat)
+	b = append(b, grantFormat)
 	b = appendString(b, g.LeaseID)
 	b = appendString(b, g.Campaign)
 	b = appendString(b, g.DUT)
@@ -355,7 +359,6 @@ func AppendGrant(b []byte, g *LeaseGrant) []byte {
 	b = appendInt(b, int64(s.KeepFindings))
 	b = appendInt(b, int64(s.Workers))
 	b = appendInt(b, int64(s.BatchSize))
-	b = appendInt(b, int64(g.Lanes))
 	b = appendInt(b, g.TTLMillis)
 	l := &g.Lease
 	b = appendInt(b, int64(l.Shard))
@@ -394,13 +397,13 @@ func grantSize(g *LeaseGrant) int {
 // vectors share theirs, for the rest of the campaign, but Best only for
 // the lease.
 func grantSizes(r wireReader) (n listSizes) {
-	r.begin()
+	r.begin(grantFormat)
 	for range 4 {
 		r.string()
 	}
 	r.skip(2)
 	r.flags(shapeFlags)
-	r.skip(12)
+	r.skip(11)
 	r.string()
 	r.string()
 	for k := r.count(); k > 0 && r.err == nil; k-- {
@@ -416,7 +419,7 @@ func grantSizes(r wireReader) (n listSizes) {
 func DecodeGrant(body []byte) (*LeaseGrant, error) {
 	r := newWireReader(body)
 	ls := grantSizes(r).lists()
-	r.begin()
+	r.begin(grantFormat)
 	g := &LeaseGrant{LeaseID: r.string(), Campaign: r.string(), DUT: r.string(), FIRRTL: r.string()}
 	s := &g.Shape
 	s.Iterations = r.int()
@@ -427,7 +430,6 @@ func DecodeGrant(body []byte) (*LeaseGrant, error) {
 	s.RandomDirection = f&shapeRandomDirection != 0
 	s.SecretA, s.SecretB = r.uvarint(), r.uvarint()
 	s.KeepFindings, s.Workers, s.BatchSize = r.int(), r.int(), r.int()
-	g.Lanes = r.int()
 	g.TTLMillis = r.varint()
 	l := &g.Lease
 	l.Shard, l.Round, l.N = r.int(), r.int(), r.int()
@@ -507,7 +509,7 @@ func appendFinding(b []byte, f *detect.Finding) []byte {
 
 // reportSizes is the counting pass of DecodeReport.
 func reportSizes(r wireReader) (n listSizes) {
-	r.begin()
+	r.begin(leaseFormat)
 	r.skip(2)
 	for k := r.count(); k > 0 && r.err == nil; k-- {
 		t := r.count()
@@ -528,7 +530,7 @@ func reportSizes(r wireReader) (n listSizes) {
 func DecodeReport(body []byte) (*fuzz.LeaseResult, error) {
 	r := wireReader{b: body}
 	ls := reportSizes(r).lists()
-	r.begin()
+	r.begin(leaseFormat)
 	res := &fuzz.LeaseResult{Shard: r.int(), Round: r.int()}
 	if n := r.count(); n > 0 {
 		res.Outcomes = make([]fuzz.OutcomeWire, n)
@@ -662,7 +664,7 @@ func appendResult(b []byte, fr *fuzzResult) []byte {
 // resultSizes is the counting pass of decodeResult, up to the findings:
 // the lists after them are one each.
 func resultSizes(r wireReader) (n listSizes) {
-	r.begin()
+	r.begin(leaseFormat)
 	r.skip(4 * r.count())
 	for k := r.count(); k > 0 && r.err == nil; k-- {
 		r.skip(1)
@@ -685,7 +687,7 @@ func resultSizes(r wireReader) (n listSizes) {
 func decodeResult(body []byte) (*fuzzResult, error) {
 	r := newWireReader(body)
 	ls := resultSizes(r).lists()
-	r.begin()
+	r.begin(leaseFormat)
 	fr := &fuzzResult{}
 	s := &fr.stats
 	if n := r.count(); n > 0 {

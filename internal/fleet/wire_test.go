@@ -68,7 +68,10 @@ func TestStateDiffIntervalsRoundTrip(t *testing.T) {
 // Every way a lease-loop body can be malformed answers 400 with a JSON
 // error body and changes nothing: the lease the bad reports name stays
 // outstanding, the campaign's checkpoint keeps its bytes, and the real
-// report is still accepted afterwards.
+// report is still accepted afterwards. A grant travels to the worker, so
+// its case is decoded where the worker decodes it: a grant of the layout
+// before grantFormat, led by the lease loop's other format byte, is
+// refused rather than misread.
 func TestMalformedLeaseBodiesRejected(t *testing.T) {
 	client, ct := newTestServer(t, Config{})
 	if _, err := client.Submit(&Spec{DUT: "lite", Options: testShape(8, 1, 8)}); err != nil {
@@ -78,7 +81,7 @@ func TestMalformedLeaseBodiesRejected(t *testing.T) {
 	if err != nil || g == nil {
 		t.Fatalf("Acquire: grant=%v err=%v", g, err)
 	}
-	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, 1, &g.Lease, nil)
+	res, _, err := fuzz.ExecuteLease(liteExecFactory()(), g.Shape, &g.Lease, nil)
 	if err != nil {
 		t.Fatalf("ExecuteLease: %v", err)
 	}
@@ -105,8 +108,15 @@ func TestMalformedLeaseBodiesRejected(t *testing.T) {
 		{"observed interval is NoInterval", "report", reportWithDiff(append([]byte{diffIntvlA, 0, 1}, binary.AppendVarint(nil, monitor.NoInterval)...)...), "observed interval is monitor.NoInterval"},
 		{"string beyond the body", "acquire", []byte{leaseFormat, 9, 'w'}, "string of 9 bytes, 1 left"},
 		{"undefined holding flag", "acquire", []byte{leaseFormat, 1, 'w', 2}, "undefined flag bits 0x2"},
+		{"grant of the old format", "grant", append([]byte{leaseFormat}, AppendGrant(nil, g)[1:]...), "unknown format byte 0x1"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			if c.route == "grant" {
+				if _, err := DecodeGrant(c.body); err == nil || !strings.Contains(err.Error(), c.phrase) {
+					t.Errorf("DecodeGrant: %v, want an error with %q", err, c.phrase)
+				}
+				return
+			}
 			path := "/api/v1/leases/acquire"
 			if c.route == "report" {
 				path = "/api/v1/leases/" + g.LeaseID + "/result"
@@ -163,7 +173,7 @@ func realGrants(tb testing.TB) [][]byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		res, err := cache.execute(e, g, 1)
+		res, err := cache.execute(e, g)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -212,7 +222,7 @@ func TestGrantAndAcquireRoundTrip(t *testing.T) {
 	shape := testShape(9, 3, 2)
 	shape.DualCore, shape.RandomDirection, shape.KeepFindings, shape.SecretA = true, true, 4, 1<<63
 	want := &LeaseGrant{
-		LeaseID: "c9-r2-s1-a3", Campaign: "c9", DUT: "Lsu", FIRRTL: fig3, Shape: shape, Lanes: 64, TTLMillis: 30000,
+		LeaseID: "c9-r2-s1-a3", Campaign: "c9", DUT: "Lsu", FIRRTL: fig3, Shape: shape, TTLMillis: 30000,
 		Lease: fuzz.Lease{
 			Shard: 1, Round: 2, N: 2, Cursor: 1 << 33,
 			CorpusFrom:   fuzz.CorpusRef{Len: 1, Digest: "ab"},

@@ -24,9 +24,6 @@ type WorkerOptions struct {
 	// MaxLeases stops the worker after executing this many leases; zero
 	// means run until the context is cancelled.
 	MaxLeases int
-	// Lanes overrides the server's suggested evaluator lane width
-	// (operational; does not affect results). Zero uses the suggestion.
-	Lanes int
 	// DUTs is the worker's DUT registry; nil means Builtins. It must
 	// resolve every name the server grants, i.e. server and workers must
 	// agree on the registry.
@@ -87,12 +84,8 @@ func RunWorker(ctx context.Context, client *Client, opt WorkerOptions) (int, err
 		if err != nil {
 			return executed, fmt.Errorf("fleet: worker %s: lease %s: %w", opt.ID, g.LeaseID, err)
 		}
-		lanes := opt.Lanes
-		if lanes == 0 {
-			lanes = g.Lanes
-		}
 		renew.arm(g)
-		res, err := cache.execute(e, g, lanes)
+		res, err := cache.execute(e, g)
 		renew.disarm()
 		if err != nil {
 			// A lease the engine rejects (shape/corpus mismatch) cannot
@@ -175,12 +168,12 @@ func (cache *leaseCache) holding() *Holding {
 // execute runs a grant's lease on e against the prefix held for its
 // campaign and keeps the prefix the lease leaves. The holding is the merged
 // corpus of the lease's round, valid whether or not the report lands.
-func (cache *leaseCache) execute(e fuzz.Executor, g *LeaseGrant, lanes int) (*fuzz.LeaseResult, error) {
+func (cache *leaseCache) execute(e fuzz.Executor, g *LeaseGrant) (*fuzz.LeaseResult, error) {
 	var held *fuzz.HeldCorpus
 	if g.Campaign == cache.campaign {
 		held = cache.held
 	}
-	res, next, err := fuzz.ExecuteLease(e, g.Shape, lanes, &g.Lease, held)
+	res, next, err := fuzz.ExecuteLease(e, g.Shape, &g.Lease, held)
 	if err != nil {
 		return nil, err
 	}

@@ -63,8 +63,10 @@ type Options struct {
 	// canonical lane order either way, so Stats, PerIteration, checkpoints,
 	// and the event stream are byte-identical for a fixed (Seed, Workers,
 	// BatchSize) across every Lanes setting — the contract TestLaneMatrix
-	// pins. Lanes is therefore an operational knob, not part of the
-	// checkpoint Shape.
+	// pins — so Lanes is not part of the checkpoint Shape, and no CLI flag,
+	// service spec or lease sets it: only the campaign lane gate's
+	// one-pair-per-pass baseline (BenchmarkCampaignNetlistLanes1) and
+	// tests do.
 	Lanes int
 	// Observer receives campaign metrics and structured events (package
 	// obs). nil disables observability at near-zero hot-path cost. Events
@@ -366,7 +368,7 @@ func (w *worker) execute(e Executor, group []outcome) {
 		for i := range group {
 			w.tcs = append(w.tcs, &group[i].tc)
 		}
-		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, w.opt.LaneWidth(), w.pairs[:0])
+		w.pairs = g.ExecuteGroup(w.tcs, w.opt.SecretA, w.opt.SecretB, w.opt.laneWidth(), w.pairs[:0])
 		for i, pr := range w.pairs {
 			w.observe(pr.A, pr.B, &group[i])
 		}
@@ -480,10 +482,10 @@ func (w *worker) feed(p pendingIter, o *outcome) {
 	}
 }
 
-// LaneWidth resolves Lanes to the effective lane width: Lanes itself
+// laneWidth resolves Lanes to the effective lane width: Lanes itself
 // within [1, hdl.Lanes], else hdl.Lanes (one testcase per bit of a plane
 // word, a GroupExecutor's whole group in one pass).
-func (opt Options) LaneWidth() int {
+func (opt Options) laneWidth() int {
 	if opt.Lanes < 1 || opt.Lanes > hdl.Lanes {
 		return hdl.Lanes
 	}

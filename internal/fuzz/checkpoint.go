@@ -70,8 +70,8 @@ func shapeOf(opt Options) Shape {
 }
 
 // Options returns the Options that re-create the shape's campaign. Callers
-// layer their operational choices (Checkpoint path, Observer, timeouts,
-// Lanes) on top; the returned Workers and BatchSize are the shape's
+// layer their operational choices (Checkpoint path, Observer, timeouts)
+// on top; the returned Workers and BatchSize are the shape's
 // effective values, which normalizeParallel maps to themselves.
 func (s Shape) Options() Options {
 	return Options{

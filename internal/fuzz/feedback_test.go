@@ -196,12 +196,12 @@ func TestSharedBestSurvivesFold(t *testing.T) {
 	for !lc.Finished() {
 		var grants []*Lease
 		var results []*LeaseResult
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			res, _, err := ExecuteLease(liteExec(), lc.Shape(), 1, l, nil)
+			res, _, err := ExecuteLease(liteExec(), lc.Shape(), l, nil)
 			if err != nil {
 				t.Fatalf("ExecuteLease: %v", err)
 			}
@@ -212,7 +212,7 @@ func TestSharedBestSurvivesFold(t *testing.T) {
 		// round closes and folds.
 		rerun := make(chan *LeaseResult, 1)
 		go func() {
-			res, _, _ := ExecuteLease(liteExec(), lc.Shape(), 1, grants[0], nil)
+			res, _, _ := ExecuteLease(liteExec(), lc.Shape(), grants[0], nil)
 			rerun <- res
 		}()
 		for _, res := range results {

@@ -68,8 +68,8 @@ func TestNormalizeLanes(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{-3, 64}, {0, 64}, {1, 1}, {2, 2}, {64, 64}, {65, 64}, {1 << 20, 64},
 	} {
-		if got := (Options{Lanes: c.in}).LaneWidth(); got != c.want {
-			t.Errorf("Options{Lanes: %d}.LaneWidth() = %d, want %d", c.in, got, c.want)
+		if got := (Options{Lanes: c.in}).laneWidth(); got != c.want {
+			t.Errorf("Options{Lanes: %d}.laneWidth() = %d, want %d", c.in, got, c.want)
 		}
 	}
 }

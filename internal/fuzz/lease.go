@@ -191,7 +191,7 @@ type LeaseResult struct {
 
 // ExecuteLease runs one shard-batch lease to completion on e and returns
 // its result and the corpus holding to pass with the campaign's next lease.
-// It is a pure function of (shape, lanes, lease, held prefix): it builds the
+// It is a pure function of (shape, lease, held prefix): it builds the
 // shard's state with the lease's RNG cursor replayed and the merged corpus
 // installed — held's prefix extended by the seeds the lease carries —
 // exactly the state the local engine rebuilds after a failed attempt, and
@@ -200,13 +200,10 @@ type LeaseResult struct {
 // do not hash to its corpus digest, is rejected. e may have run anything
 // before (executors reset before every execution), so one executor serves
 // any number of leases, and executing the same lease twice returns equal
-// results: a lease lost to worker churn can simply be re-offered.
-//
-// lanes is the evaluator batch width (Options.Lanes), an operational knob
-// that may differ per worker without changing any result: the batch loop's
-// RNG order depends on the executor's group width, never on lanes.
-func ExecuteLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus, error) {
-	w, outs, next, err := executeLease(e, shape, lanes, l, held)
+// results: a lease lost to worker churn can simply be re-offered. A
+// GroupExecutor runs each whole group in one pass.
+func ExecuteLease(e Executor, shape Shape, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus, error) {
+	w, outs, next, err := executeLease(e, shape, l, held)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -253,7 +250,7 @@ func leaseResult(l *Lease, outs []outcome) *LeaseResult {
 // executeLease is ExecuteLease before the result copy: it returns the
 // shard worker as the batch left it, whose slots outs are, and which the
 // caller puts back into the holding's cache once it is done with them.
-func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*worker, []outcome, *HeldCorpus, error) {
+func executeLease(e Executor, shape Shape, l *Lease, held *HeldCorpus) (*worker, []outcome, *HeldCorpus, error) {
 	if l.Shard < 0 || l.Shard >= shape.Workers {
 		return nil, nil, nil, fmt.Errorf("fuzz: lease shard %d out of range (campaign has %d workers)", l.Shard, shape.Workers)
 	}
@@ -265,7 +262,6 @@ func executeLease(e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus
 		return nil, nil, nil, fmt.Errorf("fuzz: lease corpus: %w", err)
 	}
 	opt := shape.Options()
-	opt.Lanes = lanes
 	// The seed list is capped, so the batch's first retained seed copies
 	// it rather than appending to the holding's.
 	corpus := &Corpus{seeds: slices.Clip(next.seeds), best: l.Corpus.Best}
@@ -474,21 +470,11 @@ func (lc *LeaseCoordinator) Stats() *Stats { return lc.acc.st }
 // barrier (Stats.CorpusSize is only set at campaign end).
 func (lc *LeaseCoordinator) CorpusLen() int { return lc.global.Len() }
 
-// OpenShards returns the shards of the current round that still need a
-// lease executed: remaining budget, not yet reported, not abandoned. An
-// empty result means the campaign is finished (the round barrier closes as
-// the last open shard resolves).
-func (lc *LeaseCoordinator) OpenShards() []int {
-	var open []int
-	for i := 0; i < lc.workers; i++ {
-		if lc.openShard(i) {
-			open = append(open, i)
-		}
-	}
-	return open
-}
-
-func (lc *LeaseCoordinator) openShard(i int) bool {
+// ShardOpen reports whether shard i of the Shape's Workers still needs a
+// lease executed this round: remaining budget, not yet reported, not
+// abandoned. No open shard means the campaign is finished (the round
+// barrier closes as the last open shard resolves).
+func (lc *LeaseCoordinator) ShardOpen(i int) bool {
 	return !lc.finished && lc.rem[i] > 0 && !lc.reports[i].resolved
 }
 
@@ -498,7 +484,7 @@ func (lc *LeaseCoordinator) checkOpen(shard int) error {
 	if shard < 0 || shard >= lc.workers {
 		return fmt.Errorf("fuzz: shard %d out of range (campaign has %d workers)", shard, lc.workers)
 	}
-	if !lc.openShard(shard) {
+	if !lc.ShardOpen(shard) {
 		return fmt.Errorf("fuzz: shard %d has no open lease this round", shard)
 	}
 	return nil
@@ -681,7 +667,7 @@ func (lc *LeaseCoordinator) fail(i int, reason string) bool {
 // maybeCloseRound closes the round once no shard is still open.
 func (lc *LeaseCoordinator) maybeCloseRound() {
 	for i := 0; i < lc.workers; i++ {
-		if lc.openShard(i) {
+		if lc.ShardOpen(i) {
 			return
 		}
 	}

@@ -29,25 +29,37 @@ var LeaseWire struct {
 	DecodeReport func([]byte) (*LeaseResult, error)
 }
 
+// openShards lists the shards of lc's current round that still need a
+// lease executed.
+func openShards(lc *LeaseCoordinator) []int {
+	var open []int
+	for i := range lc.Shape().Workers {
+		if lc.ShardOpen(i) {
+			open = append(open, i)
+		}
+	}
+	return open
+}
+
 // execLease executes l on e, round-tripping the lease and its result
 // through their wire encodings before and after execution, so every
 // lease-coordinator test also exercises exactly what travels over the
 // campaign service's HTTP API.
-func execLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease) *LeaseResult {
+func execLease(t *testing.T, e Executor, shape Shape, l *Lease) *LeaseResult {
 	t.Helper()
-	res, _ := execHeldLease(t, e, shape, lanes, l, nil)
+	res, _ := execHeldLease(t, e, shape, l, nil)
 	return res
 }
 
 // execHeldLease is execLease for an executor holding the corpus prefix
 // held; it also returns the holding the lease leaves.
-func execHeldLease(t *testing.T, e Executor, shape Shape, lanes int, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus) {
+func execHeldLease(t *testing.T, e Executor, shape Shape, l *Lease, held *HeldCorpus) (*LeaseResult, *HeldCorpus) {
 	t.Helper()
 	wire, err := LeaseWire.Lease(l)
 	if err != nil {
 		t.Fatalf("lease wire round trip: %v", err)
 	}
-	res, next, err := ExecuteLease(e, shape, lanes, wire, held)
+	res, next, err := ExecuteLease(e, shape, wire, held)
 	if err != nil {
 		t.Fatalf("ExecuteLease(shard %d, round %d): %v", l.Shard, l.Round, err)
 	}
@@ -66,7 +78,7 @@ func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 	shape := lc.Shape()
 	e := liteExec()
 	for !lc.Finished() {
-		open := lc.OpenShards()
+		open := openShards(lc)
 		if len(open) == 0 {
 			t.Fatal("coordinator not finished but no open shards")
 		}
@@ -75,7 +87,7 @@ func driveLeases(t *testing.T, lc *LeaseCoordinator) {
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			if err := lc.Report(execLease(t, e, shape, 1, l)); err != nil {
+			if err := lc.Report(execLease(t, e, shape, l)); err != nil {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}
@@ -167,7 +179,7 @@ func TestDeltaLeasesMatchRunParallel(t *testing.T) {
 			var held *HeldCorpus
 			deltas, shipped := 0, 0
 			for !lc.Finished() {
-				for _, shard := range lc.OpenShards() {
+				for _, shard := range openShards(lc) {
 					l, err := lc.Lease(shard, held.Ref())
 					if err != nil {
 						t.Fatalf("Lease(%d): %v", shard, err)
@@ -176,7 +188,7 @@ func TestDeltaLeasesMatchRunParallel(t *testing.T) {
 						deltas++
 					}
 					shipped += len(l.Corpus.Seeds)
-					res, next := execHeldLease(t, e, shape, 1, l, held)
+					res, next := execHeldLease(t, e, shape, l, held)
 					if next.Ref() != (CorpusRef{Len: lc.CorpusLen(), Digest: l.CorpusDigest}) {
 						t.Fatalf("holding after round %d is %+v, want the %d-seed merged corpus", l.Round, next.Ref(), lc.CorpusLen())
 					}
@@ -270,7 +282,7 @@ func TestLeaseShardAffinityHitsCache(t *testing.T) {
 			var held [2]*HeldCorpus
 			leases := 0
 			for round := 0; !lc.Finished(); round++ {
-				for _, shard := range lc.OpenShards() {
+				for _, shard := range openShards(lc) {
 					x := shard % 2
 					if swap {
 						x = (shard + round) % 2
@@ -280,7 +292,7 @@ func TestLeaseShardAffinityHitsCache(t *testing.T) {
 						t.Fatalf("Lease(%d): %v", shard, err)
 					}
 					var res *LeaseResult
-					res, held[x] = execHeldLease(t, es[x], shape, 1, l, held[x])
+					res, held[x] = execHeldLease(t, es[x], shape, l, held[x])
 					if err := lc.Report(res); err != nil {
 						t.Fatalf("Report(shard %d): %v", shard, err)
 					}
@@ -316,7 +328,7 @@ func leaseAfterRounds(t *testing.T, seed int64, rounds int) (*LeaseCoordinator, 
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
-	_, held := execHeldLease(t, liteExec(), lc.Shape(), 1, l, nil)
+	_, held := execHeldLease(t, liteExec(), lc.Shape(), l, nil)
 	if held.Ref().Len == 0 {
 		t.Fatalf("campaign retained no seeds in %d rounds", rounds)
 	}
@@ -355,7 +367,7 @@ func TestLeaseHostileCorpusRefs(t *testing.T) {
 		if l.CorpusFrom != (CorpusRef{}) || len(l.Corpus.Seeds) != n {
 			t.Errorf("%s: lease from %+v carries %d of %d seeds, want the whole corpus", c.name, l.CorpusFrom, len(l.Corpus.Seeds), n)
 		}
-		if _, next := execHeldLease(t, liteExec(), lc.Shape(), 1, l, nil); next.Ref() != good {
+		if _, next := execHeldLease(t, liteExec(), lc.Shape(), l, nil); next.Ref() != good {
 			t.Errorf("%s: holding %+v after a full lease, want %+v", c.name, next.Ref(), good)
 		}
 	}
@@ -389,17 +401,17 @@ func TestExecuteLeaseRejectsForeignBase(t *testing.T) {
 		t.Fatalf("Lease: %v", err)
 	}
 	shape, e := lc.Shape(), liteExec()
-	want, wantNext := execHeldLease(t, e, shape, 1, full, nil)
+	want, wantNext := execHeldLease(t, e, shape, full, nil)
 	wantBytes, _ := json.Marshal(want)
 
 	for _, h := range []*HeldCorpus{nil, other} {
-		if _, _, err := ExecuteLease(e, shape, 1, delta, h); err == nil {
+		if _, _, err := ExecuteLease(e, shape, delta, h); err == nil {
 			t.Errorf("delta lease from %+v ran on holding %+v", delta.CorpusFrom, h.Ref())
 		}
 	}
 	tampered := *full
 	tampered.Corpus.Seeds = full.Corpus.Seeds[1:]
-	if _, _, err := ExecuteLease(e, shape, 1, &tampered, nil); err == nil {
+	if _, _, err := ExecuteLease(e, shape, &tampered, nil); err == nil {
 		t.Error("lease whose seeds miss its corpus digest ran")
 	}
 
@@ -415,7 +427,7 @@ func TestExecuteLeaseRejectsForeignBase(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, next, err := ExecuteLease(liteExec(), shape, 1, delta, held)
+			res, next, err := ExecuteLease(liteExec(), shape, delta, held)
 			if errs[i] = err; err == nil {
 				got[i], errs[i] = json.Marshal(res)
 				refs[i] = next.Ref()
@@ -458,18 +470,12 @@ func TestLeaseReexecutionDeterministic(t *testing.T) {
 		t.Fatalf("Lease(0): %v", err)
 	}
 	e := liteExec()
-	a := execLease(t, e, lc.Shape(), 1, l)
-	b := execLease(t, e, lc.Shape(), 1, l)
+	a := execLease(t, e, lc.Shape(), l)
+	b := execLease(t, e, lc.Shape(), l)
 	ab, _ := json.Marshal(a)
 	bb, _ := json.Marshal(b)
 	if !bytes.Equal(ab, bb) {
 		t.Fatal("re-executing the same lease produced different results")
-	}
-	// A different lane width is operational: same result bytes.
-	c := execLease(t, e, lc.Shape(), 64, l)
-	cb, _ := json.Marshal(c)
-	if !bytes.Equal(ab, cb) {
-		t.Fatal("lease result depends on the executor's lane width")
 	}
 }
 
@@ -498,16 +504,16 @@ func TestLeaseReplayMatchesWorker(t *testing.T) {
 			}
 			seeds := 0
 			for !lc.Finished() {
-				for _, shard := range lc.OpenShards() {
+				for _, shard := range openShards(lc) {
 					l, err := lc.Lease(shard, CorpusRef{})
 					if err != nil {
 						t.Fatalf("Lease(%d): %v", shard, err)
 					}
-					w, ran, _, err := executeLease(e, lc.Shape(), 1, l, nil)
+					w, ran, _, err := executeLease(e, lc.Shape(), l, nil)
 					if err != nil {
 						t.Fatalf("executeLease: %v", err)
 					}
-					res := execLease(t, e, lc.Shape(), 1, l)
+					res := execLease(t, e, lc.Shape(), l)
 					rep := lc.replay(shard, res.Outcomes)
 					outs := rep.outs
 					at := fmt.Sprintf("round %d shard %d", l.Round, shard)
@@ -549,12 +555,12 @@ func driveRounds(t *testing.T, lc *LeaseCoordinator, n int) {
 	target := lc.Round() + n
 	e := liteExec()
 	for lc.Round() < target && !lc.Finished() {
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			if err := lc.Report(execLease(t, e, lc.Shape(), 1, l)); err != nil {
+			if err := lc.Report(execLease(t, e, lc.Shape(), l)); err != nil {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}
@@ -574,7 +580,7 @@ func TestLeaseReportValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Lease(0): %v", err)
 	}
-	res := execLease(t, liteExec(), lc.Shape(), 1, l)
+	res := execLease(t, liteExec(), lc.Shape(), l)
 
 	stale := *res
 	stale.Round = 99
@@ -620,9 +626,9 @@ func TestLeaseReportValidation(t *testing.T) {
 			t.Errorf("report with %s was accepted", c.name)
 		}
 	}
-	if lc.Round() != 0 || lc.Position() != 0 || len(lc.OpenShards()) != 2 {
+	if lc.Round() != 0 || lc.Position() != 0 || len(openShards(lc)) != 2 {
 		t.Fatalf("rejected reports moved the campaign: round %d, position %d, open shards %v",
-			lc.Round(), lc.Position(), lc.OpenShards())
+			lc.Round(), lc.Position(), openShards(lc))
 	}
 	if err := lc.Report(res); err != nil {
 		t.Fatalf("valid report rejected after invalid ones: %v", err)
@@ -793,7 +799,7 @@ func TestLeaseReportCorpusVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Lease: %v", err)
 			}
-			if string(LeaseWire.EncodeReport(execLease(t, d, lc.Shape(), 1, l))) != data {
+			if string(LeaseWire.EncodeReport(execLease(t, d, lc.Shape(), l))) != data {
 				t.Error("seed valid is not the bytes of a fresh ExecuteLease result")
 			}
 		}

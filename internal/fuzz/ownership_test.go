@@ -182,12 +182,12 @@ func TestKeptNeverAliasesSlot(t *testing.T) {
 	e := liteExec()
 	var held *HeldCorpus
 	for !lc.Finished() {
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			l, err := lc.Lease(shard, held.Ref())
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			res, next, err := ExecuteLease(e, lc.Shape(), 1, l, held)
+			res, next, err := ExecuteLease(e, lc.Shape(), l, held)
 			if err != nil {
 				t.Fatalf("ExecuteLease: %v", err)
 			}

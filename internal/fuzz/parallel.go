@@ -204,7 +204,13 @@ func (c *coordinator) run(e Executor) *Stats {
 		c.timer = time.NewTimer(time.Hour)
 		c.timer.Stop()
 	}
-	for i := min(len(lc.OpenShards()), runtime.GOMAXPROCS(0)); i > 0; i-- {
+	open := 0
+	for i := range lc.workers {
+		if lc.ShardOpen(i) {
+			open++
+		}
+	}
+	for i := min(open, runtime.GOMAXPROCS(0)); i > 0; i-- {
 		go c.execute(e)
 		e = nil
 	}
@@ -274,7 +280,7 @@ func (c *coordinator) runRound() {
 	lc := c.lc
 	var queue []*job
 	for i, w := range c.ws {
-		if lc.openShard(i) {
+		if lc.ShardOpen(i) {
 			queue = append(queue, &job{w: w, round: lc.round + 1, outs: w.slotsFor(lc.batchSize(i))})
 		}
 	}

@@ -177,12 +177,12 @@ func TestParallelPoolBuildsAtMostGOMAXPROCSExecutors(t *testing.T) {
 
 	lc := NewLeaseCoordinator(liteFactory(), opt)
 	for !lc.Finished() {
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			l, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			if err := lc.Report(execLease(t, liteExec(), lc.Shape(), 1, l)); err != nil {
+			if err := lc.Report(execLease(t, liteExec(), lc.Shape(), l)); err != nil {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}

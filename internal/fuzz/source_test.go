@@ -84,18 +84,18 @@ func TestShardSourcesReusedAtCursor(t *testing.T) {
 				t.Fatalf("ResumeLeaseCoordinator: %v", err)
 			}
 		}
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			l, err := lc.Lease(shard, held.Ref())
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			res, next := execHeldLease(t, e, shape, 1, l, held)
-			again, _ := execHeldLease(t, e, shape, 1, l, held)
+			res, next := execHeldLease(t, e, shape, l, held)
+			again, _ := execHeldLease(t, e, shape, l, held)
 			full, err := lc.Lease(shard, CorpusRef{})
 			if err != nil {
 				t.Fatalf("Lease(%d): %v", shard, err)
 			}
-			reoffered := execLease(t, other, shape, 1, full)
+			reoffered := execLease(t, other, shape, full)
 			want := LeaseWire.EncodeReport(res)
 			if !bytes.Equal(LeaseWire.EncodeReport(again), want) {
 				t.Fatalf("round %d shard %d: executing the lease twice gave different reports", lc.Round()+1, shard)
@@ -108,7 +108,7 @@ func TestShardSourcesReusedAtCursor(t *testing.T) {
 				t.Fatalf("Report(shard %d): %v", shard, err)
 			}
 		}
-		for _, shard := range lc.OpenShards() {
+		for _, shard := range openShards(lc) {
 			seed, cursor := opt.Seed+int64(shard), lc.cursors[shard]
 			if w := lc.shards.ws[seed]; w == nil || w.src.cursor() != cursor {
 				t.Fatalf("after round %d the coordinator keeps no source for shard %d at cursor %d", lc.Round(), shard, cursor)
